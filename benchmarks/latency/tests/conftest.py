@@ -1,0 +1,16 @@
+"""Self-tests of the latency benchmark.
+
+Outside tier-1's ``testpaths``; run with
+``python -m pytest benchmarks/latency/tests`` from the repo root.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(os.path.dirname(BENCH))
+
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
