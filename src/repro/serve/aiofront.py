@@ -29,9 +29,12 @@ never a hang.
 tutorial, and the CI smoke.
 
 The bridge between the router's worker threads and the loop is
-:meth:`FleetRequest.add_done_callback` → ``loop.call_soon_threadsafe``;
-the front end itself never blocks the loop on router work
-(``submit``/``aggregate_stats`` run in the default executor).
+:meth:`FleetRequest.add_done_callback` → ``loop.call_soon_threadsafe``,
+and delivery is event-driven: a connection waits on *the next frame or
+the next completion*, so a ``done`` leaves the moment the router
+finishes the request — no delivery poll.  The front end itself never
+blocks the loop on router work (``submit``/``aggregate_stats`` run in
+the default executor).
 """
 
 from __future__ import annotations
@@ -162,54 +165,83 @@ class AioFrontend:
             loop.call_soon_threadsafe(done_queue.put_nowait,
                                       (rid, request))
 
-        async def flush_done(block: bool) -> int:
-            flushed = 0
-            while pending:
-                if block:
-                    rid, request = await done_queue.get()
-                else:
-                    try:
-                        rid, request = done_queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                if pending.pop(rid, None) is None:
-                    continue
-                self._pending_delta(-1)
-                payload = dict(request.result(timeout_s=0.0))
-                payload["op"] = "done"
-                payload["rid"] = rid
-                self.counters["dones"] += 1
-                await send(payload)
-                flushed += 1
-                if block:
-                    break
-            return flushed
+        def next_frame() -> asyncio.Task:
+            return loop.create_task(_read_frame(reader, self.max_frame))
 
+        async def deliver() -> None:
+            """Send the ``done`` of the next request to complete
+            (waits for one)."""
+            nonlocal completion
+            rid, request = await completion
+            completion = loop.create_task(done_queue.get())
+            if pending.pop(rid, None) is None:
+                return
+            self._pending_delta(-1)
+            payload = dict(request.result(timeout_s=0.0))
+            payload["op"] = "done"
+            payload["rid"] = rid
+            self.counters["dones"] += 1
+            await send(payload)
+
+        async def submit(msg: dict[str, Any]) -> None:
+            rid = int(msg.get("rid", 0))
+            if self._draining:
+                self.counters["rejected"] += 1
+                await send({"op": "ack", "rid": rid,
+                            "state": "draining"})
+                return
+            while len(pending) >= self.max_pending_per_conn:
+                # backpressure: stop reading frames until a slot frees
+                # (TCP pushes back on the client)
+                await deliver()
+            try:
+                request = await loop.run_in_executor(
+                    None, functools.partial(
+                        self.router.submit, msg["app"],
+                        size=int(msg.get("size", 32)),
+                        seed=int(msg.get("seed", 0)),
+                        slo=msg.get("slo"),
+                        wait_s=float(msg.get("wait_s", 0.0))))
+            except Exception as exc:
+                # a bad spec fails only this request
+                await send({"op": "done", "rid": rid,
+                            "state": "failed",
+                            "errors": [f"{type(exc).__name__}: {exc}"]})
+                return
+            pending[rid] = request
+            self._pending_delta(+1)
+            self.counters["submits"] += 1
+            await send({"op": "ack", "rid": rid, "state": "accepted",
+                        "pending": len(pending)})
+            request.add_done_callback(functools.partial(bridge, rid))
+
+        # the connection sleeps on "a frame arrived" or "a request
+        # completed", whichever is first — never on a timer, except the
+        # idle timeout while nothing is in flight
+        read = next_frame()
+        completion = loop.create_task(done_queue.get())
+        idle_since = loop.time()
         try:
             while True:
-                read = asyncio.ensure_future(
-                    _read_frame(reader, self.max_frame))
-                idle_since = loop.time()
-                while not read.done():
-                    # serve completed results while waiting for the
-                    # next frame; enforce the idle timeout only when
-                    # nothing is in flight
-                    await flush_done(block=False)
-                    if pending:
-                        timeout = 0.05
-                    else:
-                        timeout = (idle_since + self.idle_timeout_s
-                                   - loop.time())
-                        if timeout <= 0:
-                            read.cancel()
-                            self.counters["idle_closes"] += 1
-                            try:
-                                await send({"op": "bye",
-                                            "reason": "idle-timeout"})
-                            except (ConnectionError, OSError):
-                                pass
-                            return
-                    await asyncio.wait([read], timeout=timeout)
+                timeout = None
+                if not pending:
+                    timeout = (idle_since + self.idle_timeout_s
+                               - loop.time())
+                    if timeout <= 0:
+                        self.counters["idle_closes"] += 1
+                        try:
+                            await send({"op": "bye",
+                                        "reason": "idle-timeout"})
+                        except (ConnectionError, OSError):
+                            pass
+                        return
+                await asyncio.wait({read, completion}, timeout=timeout,
+                                   return_when=asyncio.FIRST_COMPLETED)
+                if completion.done():
+                    await deliver()
+                    continue
+                if not read.done():
+                    continue
                 try:
                     msg = read.result()
                 except (asyncio.IncompleteReadError, ConnectionError):
@@ -223,39 +255,7 @@ class AioFrontend:
                     return
                 op = msg.get("op")
                 if op == "submit":
-                    rid = int(msg.get("rid", 0))
-                    if self._draining:
-                        self.counters["rejected"] += 1
-                        await send({"op": "ack", "rid": rid,
-                                    "state": "draining"})
-                        continue
-                    while len(pending) >= self.max_pending_per_conn:
-                        # backpressure: stop reading frames until a
-                        # slot frees (TCP pushes back on the client)
-                        await flush_done(block=True)
-                    try:
-                        request = await loop.run_in_executor(
-                            None, functools.partial(
-                                self.router.submit, msg["app"],
-                                size=int(msg.get("size", 32)),
-                                seed=int(msg.get("seed", 0)),
-                                slo=msg.get("slo"),
-                                wait_s=float(msg.get("wait_s", 0.0))))
-                    except Exception as exc:
-                        # a bad spec fails only this request
-                        await send({"op": "done", "rid": rid,
-                                    "state": "failed",
-                                    "errors": [f"{type(exc).__name__}:"
-                                               f" {exc}"]})
-                        continue
-                    pending[rid] = request
-                    self._pending_delta(+1)
-                    self.counters["submits"] += 1
-                    await send({"op": "ack", "rid": rid,
-                                "state": "accepted",
-                                "pending": len(pending)})
-                    request.add_done_callback(
-                        functools.partial(bridge, rid))
+                    await submit(msg)
                 elif op == "stats":
                     stats = await loop.run_in_executor(
                         None, self.router.aggregate_stats)
@@ -264,19 +264,25 @@ class AioFrontend:
                                 "frontend": dict(self.counters)})
                 elif op in ("bye", "shutdown"):
                     while pending:
-                        await flush_done(block=True)
+                        await deliver()
                     await send({"op": "bye"})
                     return
                 # unknown ops ignored: forward compatibility
+                read = next_frame()
+                idle_since = loop.time()
         except asyncio.CancelledError:
             raise
         except (ConnectionError, OSError):
             return
         finally:
-            for rid in list(pending):
-                pending.pop(rid, None)
-                self._pending_delta(-1)
+            read.cancel()
+            completion.cancel()
+            self._pending_delta(-len(pending))
+            pending.clear()
             writer.close()
+            # reap both waits (and whatever a finished one raised)
+            await asyncio.gather(read, completion,
+                                 return_exceptions=True)
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):

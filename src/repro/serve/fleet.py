@@ -37,11 +37,12 @@ import hashlib
 import json
 import math
 import os
+import queue
 import socket
 import struct
 import tempfile
 import threading
-import time as _time
+from collections import OrderedDict
 from typing import Any
 
 import numpy as np
@@ -140,8 +141,39 @@ def recv_msg(sock: socket.socket,
 
 # -- request/result identity --------------------------------------------
 
-_spec_keys: dict[tuple[str, int, int], str] = {}
+class _Lru:
+    """A mapping that forgets its least recently used entry beyond
+    ``cap`` (not thread-safe: callers bring their own lock)."""
+
+    def __init__(self, cap: int) -> None:
+        self._cap = cap
+        self._items: OrderedDict[Any, Any] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key: Any) -> Any:
+        if key not in self._items:
+            return None
+        self._items.move_to_end(key)
+        return self._items[key]
+
+    def put(self, key: Any, value: Any) -> None:
+        self._items[key] = value
+        self._items.move_to_end(key)
+        while len(self._items) > self._cap:
+            self._items.popitem(last=False)
+
+
+#: specs whose key a process remembers (a 3-tuple and a short string each)
+_SPEC_KEYS_MAX = 4096
+_spec_keys = _Lru(_SPEC_KEYS_MAX)
 _spec_lock = threading.Lock()
+
+
+def _content_key(app: str, image: Any, size: int, seed: int) -> str:
+    return request_key(app, input_digest(app, image, size=size,
+                                         seed=seed))
 
 
 def spec_key(app: str, size: int, seed: int = 0) -> str:
@@ -158,10 +190,9 @@ def spec_key(app: str, size: int, seed: int = 0) -> str:
         from ..apps.registry import get_app
 
         image = get_app(app).make_input(spec[1], spec[2])
-        key = request_key(app, input_digest(app, image, size=spec[1],
-                                            seed=spec[2]))
+        key = _content_key(app, image, spec[1], spec[2])
         with _spec_lock:
-            _spec_keys[spec] = key
+            _spec_keys.put(spec, key)
     return key
 
 
@@ -368,6 +399,51 @@ class _CkptReceiver:
                 pass
 
 
+class _ScoreLater:
+    """An app's quality metric over a precise reference that is
+    computed after the request was admitted.
+
+    ``ready`` / ``error`` are the deferred-metric protocol of
+    :meth:`AnytimeServer.submit`: the scheduler does not score with it
+    until the reference is in.  A call made earlier (a deadline, a
+    cancel, a shutdown) blocks until :meth:`compute` has run.
+    """
+
+    def __init__(self, record: Any, image: Any) -> None:
+        self._record = record
+        self._image = image
+        self._reference: Any = None
+        self._in = threading.Event()
+        self.error: str | None = None
+        if record.reference_kind == "input":
+            self._reference = image
+            self._in.set()
+
+    @property
+    def ready(self) -> bool:
+        return self._in.is_set()
+
+    def compute(self) -> None:
+        """Compute the reference (on the worker's calibrate thread)."""
+        try:
+            self._reference = self._record.reference(self._image)
+        except Exception as exc:
+            self.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            self._in.set()
+
+    def __call__(self, value: Any) -> float:
+        self._in.wait()
+        if self.error is not None:
+            raise RuntimeError(self.error)
+        return self._record.metric(value, self._reference)
+
+
+#: calibrations (input image, builder, metric with its reference, key)
+#: a worker keeps for repeat submissions of a spec
+_CALIBRATIONS_MAX = 32
+
+
 def _done_message(rid: int, result: Any,
                   violations: int | None = None) -> dict[str, Any]:
     snr = result.snr_db
@@ -400,9 +476,15 @@ def worker_main(sock: socket.socket,
                 config: dict[str, Any] | None = None) -> None:
     """Run one fleet worker until its socket closes.
 
-    The reader loop (this thread) admits requests; a completion pump
-    thread streams ``done`` messages back as sessions reach terminal
-    states, so a slow run never blocks admission of the next request.
+    The reader loop (this thread) admits first and scores later: a new
+    spec's input is made once, its key derived from those bytes, the
+    request submitted and acked — and only then does the calibrate
+    thread compute the precise reference the answer is scored against
+    (FIFO, one spec at a time), while the run already produces
+    versions.  The completion pump thread sends each ``done`` the
+    moment its session turns terminal (a ``Session`` done callback
+    feeds its queue), so neither a slow run nor a slow reference blocks
+    admission of the next request.
     """
     from ..apps.registry import get_app
     from .server import AnytimeServer
@@ -416,55 +498,60 @@ def worker_main(sock: socket.socket,
         memo_ttl_s=float(cfg["memo_ttl_s"]),
         resume_dir=cfg.get("resume_dir")).start()
     send_lock = threading.Lock()
-    pending: dict[int, tuple[Any, _CheckedRun | None]] = {}
-    pending_lock = threading.Lock()
-    stop = threading.Event()
-    calibrations: dict[tuple[str, int, int], tuple] = {}
+    finished: queue.SimpleQueue = queue.SimpleQueue()    # -> pump
+    references: queue.SimpleQueue = queue.SimpleQueue()  # -> calibrate
+    calibrations = _Lru(_CALIBRATIONS_MAX)
     receiver = _CkptReceiver(
         os.path.join(cfg["resume_dir"], "incoming")
         if cfg.get("resume_dir") else None)
 
     def calibration(app: str, size: int, seed: int) -> tuple:
         spec = (app, size, seed)
-        if spec not in calibrations:
+        entry = calibrations.get(spec)
+        if entry is None:
             record = get_app(app)
             image = record.make_input(size, seed)
-            reference = (image if record.reference_kind == "input"
-                         else record.reference(image))
+            # the key is this input's, never the router's word for it
+            key = _content_key(app, image, size, seed)
+            metric = _ScoreLater(record, image)
+            if not metric.ready:
+                references.put(metric)
 
             def builder(record=record, image=image):
                 return record.build(image)
 
-            def metric(value, record=record, reference=reference):
-                return record.metric(value, reference)
+            entry = (builder, metric, key)
+            calibrations.put(spec, entry)
+        return entry
 
-            calibrations[spec] = (builder, metric,
-                                  spec_key(app, size, seed))
-        return calibrations[spec]
+    def calibrate() -> None:
+        while True:
+            metric = references.get()
+            if metric is None:
+                return
+            metric.compute()
 
     def pump() -> None:
-        while not stop.is_set():
-            ripe = []
-            with pending_lock:
-                for rid, (session, cell) in list(pending.items()):
-                    if session.done:
-                        ripe.append((rid, session, cell))
-                        del pending[rid]
-            for rid, session, cell in ripe:
-                violations = (cell.violation_count()
-                              if cell is not None else None)
-                try:
-                    send_msg(sock, _done_message(
-                        rid, session.result(timeout_s=0.0),
-                        violations=violations), send_lock)
-                except OSError:
-                    stop.set()
-                    return
-            stop.wait(0.004)
+        while True:
+            item = finished.get()
+            if item is None:
+                return
+            rid, session, cell = item
+            violations = (cell.violation_count()
+                          if cell is not None else None)
+            try:
+                send_msg(sock, _done_message(
+                    rid, session.result(timeout_s=0.0),
+                    violations=violations), send_lock)
+            except OSError:
+                return
 
     pump_thread = threading.Thread(target=pump, daemon=True,
                                    name="fleet-pump")
+    calibrate_thread = threading.Thread(target=calibrate, daemon=True,
+                                        name="fleet-calibrate")
     pump_thread.start()
+    calibrate_thread.start()
     try:
         while True:
             try:
@@ -514,8 +601,6 @@ def worker_main(sock: socket.socket,
                         "errors": [f"{type(exc).__name__}: {exc}"],
                     }, send_lock)
                     continue
-                with pending_lock:
-                    pending[rid] = (session, cell)
                 stats = server.stats()
                 send_msg(sock, {
                     "op": "ack", "rid": rid,
@@ -524,6 +609,12 @@ def worker_main(sock: socket.socket,
                     "running": stats["running"],
                     "subscribers": stats["subscribers"],
                 }, send_lock)
+                # registered after the ack went out, so a request that
+                # is terminal already (shed, memo hit) still reads
+                # ack-then-done on the wire
+                session.add_done_callback(
+                    lambda session, rid=rid, cell=cell:
+                    finished.put((rid, session, cell)))
             elif op == "stats":
                 send_msg(sock, {"op": "stats",
                                 "rid": msg.get("rid"),
@@ -557,9 +648,13 @@ def worker_main(sock: socket.socket,
     except OSError:
         return
     finally:
-        stop.set()
+        finished.put(None)
         pump_thread.join(timeout=2.0)
+        # cancels what is left, which may score against references
+        # still queued: the calibrate thread goes last
         server.shutdown()
+        references.put(None)
+        calibrate_thread.join(timeout=2.0)
         try:
             sock.close()
         except OSError:

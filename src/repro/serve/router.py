@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import base64
 import bisect
+import glob
 import hashlib
 import itertools
 import os
@@ -228,6 +229,9 @@ class FleetRouter:
         self._ring: list[tuple[int, int]] = sorted(
             (_ring_hash(f"worker-{w}/vnode-{v}"), w)
             for w in range(workers) for v in range(_VNODES))
+        #: orphans taken off a dead link and not yet re-dispatched (or
+        #: failed): in no link's ``inflight``, yet not terminal
+        self._in_transit = 0
         self._started = False
         self._closing = False
         self.counters = {
@@ -303,12 +307,14 @@ class FleetRouter:
                 link.inflight.clear()
 
     def drain(self, timeout_s: float | None = None) -> bool:
-        """Wait for every in-flight request to finish; True if it did."""
+        """Wait until every submitted request is terminal; True if all
+        are — a dead worker's orphans count while they migrate."""
         deadline = (None if timeout_s is None
                     else _time.monotonic() + timeout_s)
         while True:
             with self._lock:
-                if not any(link.inflight for link in self._links):
+                if not self._in_transit and not any(
+                        link.inflight for link in self._links):
                     return True
             if deadline is not None and _time.monotonic() >= deadline:
                 return False
@@ -552,6 +558,8 @@ class FleetRouter:
                 del self._affinity[key]
         orphans = list(link.inflight.values())
         link.inflight.clear()
+        self._in_transit += len(orphans)
+        self._sweep_stale_temps(link.index)
         if (self.respawn and self.transport.respawnable
                 and not self._closing):
             try:
@@ -575,32 +583,52 @@ class FleetRouter:
         ``self._lock``: shipping blocks on the survivor's ``ckpt_ack``,
         which its reader thread delivers."""
         for request in orphans:
-            with self._lock:
-                survivor = self._place(request.key)
-                if survivor is None:
-                    request._finish({
-                        "state": "failed",
-                        "errors": [f"worker {link.index} died"]})
-                    continue
-                request.redispatches += 1
-                self.counters["redispatched"] += 1
-                self._emit("fleet.redispatch", key=request.key,
-                           rid=request.rid, worker=survivor.index)
-            source = self._migration_source(link.index, request.key)
-            extra = None
-            if source is not None:
-                extra = self._ship_checkpoint(survivor, request.key,
-                                              source)
+            try:
+                self._redispatch_orphan(link, request)
+            finally:
                 with self._lock:
-                    if extra is not None:
-                        self.counters["migrated"] += 1
-                        self._emit("fleet.migrate", key=request.key,
-                                   rid=request.rid,
-                                   worker=survivor.index)
-                    else:
-                        self.counters["migrations_failed"] += 1
+                    self._in_transit -= 1
+
+    def _redispatch_orphan(self, link: _WorkerLink,
+                           request: FleetRequest) -> None:
+        with self._lock:
+            survivor = self._place(request.key)
+            if survivor is None:
+                request._finish({
+                    "state": "failed",
+                    "errors": [f"worker {link.index} died"]})
+                return
+            request.redispatches += 1
+            self.counters["redispatched"] += 1
+            self._emit("fleet.redispatch", key=request.key,
+                       rid=request.rid, worker=survivor.index)
+        source = self._migration_source(link.index, request.key)
+        extra = None
+        if source is not None:
+            extra = self._ship_checkpoint(survivor, request.key, source)
             with self._lock:
-                self._dispatch(request, survivor, extra=extra)
+                if extra is not None:
+                    self.counters["migrated"] += 1
+                    self._emit("fleet.migrate", key=request.key,
+                               rid=request.rid, worker=survivor.index)
+                else:
+                    self.counters["migrations_failed"] += 1
+        with self._lock:
+            self._dispatch(request, survivor, extra=extra)
+
+    def _sweep_stale_temps(self, dead_index: int) -> None:
+        """Delete the atomic-write temps (``<key>.rck.tmp.<pid>``) a
+        worker killed mid-checkpoint left behind: never a checkpoint,
+        and nothing else would ever remove them."""
+        if self.resume_dir is None:
+            return
+        pattern = os.path.join(glob.escape(self.resume_dir),
+                               f"w{dead_index}", "*.rck.tmp.*")
+        for path in glob.glob(pattern):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
     def _migration_source(self, dead_index: int,
                           key: str) -> str | None:

@@ -25,7 +25,8 @@ Lifecycle (all transitions traced as ``server.*`` events)::
     submit ──enqueue──> QUEUED ──admit──> RUNNING ⇄ PREEMPTED
         └──shed (queue full)──> SHED         └──> COMPLETED/…
 
-The scheduler thread ticks every ``tick_s``: it harvests finished and
+The scheduler thread ticks every ``tick_s`` — and at once when a
+request is submitted: it harvests finished and
 expired runs, fills free slots from the ready pool (queued + preempted,
 policy-ranked, with a starvation guard), and preempts past-quantum
 runners when ready work would gain more.  Admission applies
@@ -174,10 +175,10 @@ class AnytimeServer:
 
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
+        self._wake = threading.Condition(self._lock)   # submit -> _loop
         self._queue: deque[Session] = deque()
         self._scheduled: list[Session] = []   # RUNNING+PREEMPTED+RESUMABLE
         self._parked: deque[Session] = deque()  # would-be-shed, waiting
-        self._finished: list[Session] = []
         self._ids = itertools.count(1)
         self._accepting = False
         self._stop_loop = False
@@ -246,6 +247,7 @@ class AnytimeServer:
             self._stop_loop = True
             thread = self._thread
             self._space.notify_all()
+            self._wake.notify_all()
         if thread is not None:
             thread.join(timeout=timeout_s)
         with self._lock:
@@ -261,7 +263,6 @@ class AnytimeServer:
                                      interrupted=True)
                 self.counters["cancelled"] += 1
                 self._trace("server.cancel", session, now)
-                self._finished.append(session)
             for session in list(self._scheduled):
                 if session._handle is None:
                     self._finish_parked(session, SessionState.CANCELLED,
@@ -294,6 +295,16 @@ class AnytimeServer:
         single-use; the server builds at admission time so shed requests
         cost nothing).  ``metric`` maps an output value to dB — required
         for ``target_db`` SLOs and for accuracy-at-interrupt accounting.
+        A metric may be *deferred*: if it has a ``ready`` attribute
+        that is still false, its reference is being computed elsewhere
+        and calling it would block, so the scheduler leaves target
+        scoring and the retiring of a naturally finished run to a later
+        tick (the run goes on producing versions meanwhile); only a
+        deadline, a cancel or a shutdown block on it.  Once ready, a
+        non-None ``error`` attribute (a string) fails the request with
+        that error.  (An un-keyed request's target is also compiled
+        into its run's stop condition, which scores — and would wait —
+        on the stage thread at each version.)
         ``wait_s`` is the backpressure budget: how long to block while
         the admission queue is full before giving up; on a still-full
         queue the request is returned in the terminal ``SHED`` state.
@@ -362,6 +373,7 @@ class AnytimeServer:
             self._queue.append(session)
             self._trace("server.enqueue", session, session._ready_since,
                         queue_depth=len(self._queue))
+            self._wake.notify()
             return session
 
     # -- coalescing ------------------------------------------------------
@@ -386,7 +398,6 @@ class AnytimeServer:
         self.counters["memo_hits"] += 1
         self._trace("server.memo_hit", session, now,
                     version=snapshot.version)
-        self._finished.append(session)
         return True
 
     def _find_host(self, key: str) -> Session | None:
@@ -414,7 +425,8 @@ class AnytimeServer:
 
     def _detach(self, primary: Session, follower: Session,
                 state: SessionState, now: float,
-                interrupted: bool = True) -> None:
+                interrupted: bool = True,
+                errors: tuple[str, ...] = ()) -> None:
         """Terminalize one subscriber with a pinned sealed snapshot;
         the shared run is untouched."""
         primary._followers.remove(follower)
@@ -424,7 +436,7 @@ class AnytimeServer:
             resolved = SessionState.FAILED
         snr = self._snr_of(follower, snapshot)
         follower._terminalize(resolved, snapshot, now, snr_db=snr,
-                              interrupted=interrupted)
+                              interrupted=interrupted, errors=errors)
         key = {SessionState.COMPLETED: "completed",
                SessionState.CANCELLED: "cancelled",
                SessionState.FAILED: "failed"}.get(resolved)
@@ -433,7 +445,6 @@ class AnytimeServer:
         self.counters["detaches"] += 1
         self._trace("server.detach", follower, now, state=resolved.value,
                     primary=primary.name, version=snapshot.version)
-        self._finished.append(follower)
 
     def _snr_of(self, session: Session,
                 snapshot: Snapshot) -> float | None:
@@ -451,13 +462,17 @@ class AnytimeServer:
         self._memo[key] = (now + self.memo_ttl_s, snapshot)
 
     def sessions(self) -> list[Session]:
+        """The live (non-terminal) sessions.  Terminal ones belong to
+        whoever holds them from :meth:`submit`; the server keeps only
+        their count (``stats()["finished"]``), so its memory does not
+        grow with the requests it has served."""
         with self._lock:
             out: list[Session] = []
             for session in (list(self._queue) + list(self._scheduled)
                             + list(self._parked)):
                 out.append(session)
                 out.extend(session._followers)
-            return out + list(self._finished)
+            return out
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -471,7 +486,10 @@ class AnytimeServer:
                 "running": running,
                 "preempted": len(self._scheduled) - running - resumable,
                 "resumable": resumable + len(self._parked),
-                "finished": len(self._finished),
+                # terminal sessions are counted, never kept: each one
+                # ended in exactly one of these four counters
+                "finished": sum(self.counters[name] for name in (
+                    "completed", "cancelled", "failed", "shed")),
                 "subscribers": sum(
                     len(s._followers)
                     for s in list(self._queue) + self._scheduled),
@@ -485,17 +503,18 @@ class AnytimeServer:
     # -- scheduler thread ------------------------------------------------
 
     def _loop(self) -> None:
-        while True:
-            with self._lock:
-                if self._stop_loop:
-                    return
+        with self._lock:
+            while not self._stop_loop:
                 try:
                     self._tick(_time.monotonic())
                 except Exception:
                     # A tick must never kill the serving thread; broken
                     # sessions are failed individually in _tick.
                     pass
-            _time.sleep(self.tick_s)
+                # the tick paces harvesting of running work; a new
+                # submission does not wait it out (the wait releases
+                # the lock, submit() notifies)
+                self._wake.wait(timeout=self.tick_s)
 
     def _tick(self, now: float) -> None:
         if self._memo:
@@ -531,12 +550,14 @@ class AnytimeServer:
                                  session.snapshot(), now, interrupted=True)
             self.counters["cancelled"] += 1
             self._trace("server.cancel", session, now)
-            self._finished.append(session)
         for session in list(self._scheduled):
             for follower in list(session._followers):
                 if follower._cancel_requested:
                     self._detach(session, follower,
                                  SessionState.CANCELLED, now)
+                elif (error := follower.metric_error()) is not None:
+                    self._detach(session, follower, SessionState.FAILED,
+                                 now, errors=(error,))
                 elif follower.deadline_passed(now):
                     self._detach(session, follower,
                                  SessionState.COMPLETED, now)
@@ -555,16 +576,26 @@ class AnytimeServer:
                              interrupted=True, whole_run=False)
                 continue
             assert session._handle is not None
+            if (error := session.metric_error()) is not None:
+                self._finish(session, SessionState.FAILED, now,
+                             interrupted=True, whole_run=False,
+                             errors=(error,))
+                continue
+            subscribers = [session] + session._followers
+            # a deferred metric whose reference is still being computed
+            # would block this thread: scoring and retiring a finished
+            # run wait for it a tick at a time, a deadline does not
+            scorable = all(s.metric_ready() for s in subscribers)
             if session._handle.finished:
-                self._finish(session, SessionState.COMPLETED, now)
+                if scorable or session.deadline_passed(now):
+                    self._finish(session, SessionState.COMPLETED, now)
                 continue
             if session.deadline_passed(now):
                 self._finish(session, SessionState.COMPLETED, now,
                              interrupted=True, whole_run=False)
                 continue
-            if session.state is not SessionState.RUNNING:
+            if session.state is not SessionState.RUNNING or not scorable:
                 continue
-            subscribers = [session] + session._followers
             if any(s.metric is not None and s.slo.target_db is not None
                    for s in subscribers):
                 snap = session._handle.snapshot()
@@ -680,7 +711,6 @@ class AnytimeServer:
                                      interrupted=True)
                 self.counters["cancelled"] += 1
                 self._trace("server.cancel", session, now)
-                self._finished.append(session)
                 continue
             session._state = SessionState.QUEUED
             session._ready_since = now
@@ -756,7 +786,6 @@ class AnytimeServer:
             self._trace("server.detach", follower, now,
                         state=f_state.value, primary=session.name,
                         version=snapshot.version)
-            self._finished.append(follower)
         session._followers = []
         self._discard_ckpt(session)
         session._terminalize(resolved, snapshot, now,
@@ -772,7 +801,6 @@ class AnytimeServer:
         self._trace(kind, session, now, state=resolved.value,
                     version=snapshot.version,
                     latency_s=round(now - session.submitted_at, 6))
-        self._finished.append(session)
 
     def _grant(self, session: Session, now: float) -> None:
         """Give one slot to a ready session (launch, resume, or
@@ -839,7 +867,6 @@ class AnytimeServer:
                 errors=(f"{type(exc).__name__}: {exc}",))
             self.counters["failed"] += 1
             self._trace("server.complete", session, now, state="failed")
-            self._finished.append(session)
             return
         session._handle = handle
         session._state = SessionState.RUNNING
@@ -894,7 +921,8 @@ class AnytimeServer:
 
     def _finish(self, session: Session, state: SessionState, now: float,
                 interrupted: bool = False,
-                whole_run: bool = True) -> None:
+                whole_run: bool = True,
+                errors: tuple[str, ...] = ()) -> None:
         """Stop, harvest and terminalize a scheduled session.
 
         ``whole_run=False`` means only *this* subscriber's SLO resolved
@@ -926,7 +954,7 @@ class AnytimeServer:
                 session._terminalize(
                     resolved, snapshot, now,
                     snr_db=self._snr_of(session, snapshot),
-                    interrupted=True)
+                    interrupted=True, errors=errors)
                 key = {SessionState.COMPLETED: "completed",
                        SessionState.CANCELLED: "cancelled",
                        SessionState.FAILED: "failed"}.get(resolved)
@@ -940,7 +968,6 @@ class AnytimeServer:
                             version=snapshot.version,
                             latency_s=round(now - session.submitted_at,
                                             6))
-                self._finished.append(session)
                 return
         if not handle.finished:
             # Deadline, met target, or cancellation of a live run: stop
@@ -952,17 +979,16 @@ class AnytimeServer:
             session._run_s += now - session._dispatched_at
             session._dispatched_at = None
         run_result = None
-        errors: tuple[str, ...] = ()
         degraded = False
         try:
             run_result = handle.result(timeout_s=self._grace_s)
             interrupted = interrupted or run_result.stopped_early
             degraded = bool(run_result.degraded_stages
                             or run_result.failed_stages)
-            errors = tuple(f"{stage}: {exc!r}"
-                           for stage, exc in run_result.errors)
+            errors += tuple(f"{stage}: {exc!r}"
+                            for stage, exc in run_result.errors)
         except Exception as exc:
-            errors = (f"{type(exc).__name__}: {exc}",)
+            errors += (f"{type(exc).__name__}: {exc}",)
         snapshot = handle.snapshot()
         snr = None
         if session.metric is not None and snapshot.value is not None:
@@ -996,7 +1022,6 @@ class AnytimeServer:
             self._trace("server.detach", follower, now,
                         state=f_state.value, primary=session.name,
                         version=snapshot.version)
-            self._finished.append(follower)
         session._followers = []
         if state is SessionState.COMPLETED and not interrupted:
             self._memoize(session.key, snapshot, now)
@@ -1013,14 +1038,12 @@ class AnytimeServer:
         self._trace(kind, session, now, state=state.value,
                     version=snapshot.version,
                     latency_s=round(now - session.submitted_at, 6))
-        self._finished.append(session)
 
     def _shed(self, session: Session, now: float, reason: str) -> None:
         session._terminalize(SessionState.SHED, session.snapshot(), now)
         self.counters["shed"] += 1
         self._trace("server.shed", session, now, reason=reason,
                     queue_depth=len(self._queue))
-        self._finished.append(session)
 
     def _trace(self, kind: str, session: Session, now: float,
                **extra: Any) -> None:

@@ -134,6 +134,10 @@ class Session:
     _ckpt_path: str | None = None         # checkpoint of a suspended run
     _parked_snapshot: Snapshot | None = None  # pinned at suspend time
     _restores: int = 0                    # restored-from-checkpoint count
+    # -- done callbacks (guarded by their own lock, not the server's) ----
+    _callbacks: "list[Callable[[Session], None]]" = field(
+        default_factory=list)
+    _callback_lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
         self._deadline_at = self.slo.deadline_at(self.submitted_at)
@@ -152,6 +156,18 @@ class Session:
     def wait(self, timeout_s: float | None = None) -> bool:
         """Block until the session reaches a terminal state."""
         return self._done.wait(timeout=timeout_s)
+
+    def add_done_callback(self, fn: "Callable[[Session], None]") -> None:
+        """Run ``fn(self)`` once the session is terminal (immediately
+        if it already is).  Callbacks fire on the server's scheduler
+        thread with its lock held — keep them cheap and never call
+        back into the server (the fleet worker's completion pump
+        bridges here with a queue put)."""
+        with self._callback_lock:
+            if not self._done.is_set():
+                self._callbacks.append(fn)
+                return
+        fn(self)
 
     def snapshot(self) -> Snapshot:
         """The newest output version right now (empty before any)."""
@@ -222,6 +238,16 @@ class Session:
     def deadline_passed(self, now: float) -> bool:
         return self._deadline_at is not None and now >= self._deadline_at
 
+    def metric_ready(self) -> bool:
+        """False while a deferred metric's reference is still being
+        computed (see ``AnytimeServer.submit``); scoring with it would
+        block.  Plain callables are always ready."""
+        return bool(getattr(self.metric, "ready", True))
+
+    def metric_error(self) -> str | None:
+        """Why a deferred metric's reference could not be computed."""
+        return getattr(self.metric, "error", None)
+
     def _terminalize(self, state: SessionState, snapshot: Snapshot,
                      now: float, snr_db: float | None = None,
                      interrupted: bool = False, degraded: bool = False,
@@ -246,4 +272,8 @@ class Session:
             run_result=run_result, coalesced=self._coalesced,
             memo_hit=self._memo_hit, restores=self._restores)
         self._primary = None
-        self._done.set()
+        with self._callback_lock:
+            self._done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)

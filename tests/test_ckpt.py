@@ -430,8 +430,11 @@ class TestFleetRespawnAndMigration:
                 for link in candidates:
                     os.kill(link.process.pid, signal.SIGSTOP)
                     workdir = tmp_path / f"w{link.index}"
+                    # a finished checkpoint, not the atomic write's
+                    # `<key>.rck.tmp.<pid>` a freeze can land in
                     if (link.inflight and workdir.is_dir()
-                            and any(workdir.iterdir())):
+                            and any(f.name.endswith(".rck")
+                                    for f in workdir.iterdir())):
                         victim = link        # frozen, checkpoints pinned
                         break
                     os.kill(link.process.pid, signal.SIGCONT)

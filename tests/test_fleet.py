@@ -8,12 +8,20 @@ elsewhere, and every result carries a value digest so bit-identity can
 be asserted across the wire.
 """
 
+import contextlib
+import dataclasses
+import os
+import signal
+import socket
+import threading
 import time
 
 import pytest
 
+from repro.apps.registry import APP_REGISTRY
 from repro.serve.bench import compare_serve_baseline
-from repro.serve.fleet import spec_key, value_digest
+from repro.serve.fleet import (recv_msg, send_msg, spec_key,
+                               value_digest, worker_main)
 from repro.serve.router import FleetRouter, summarize_fleet
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(180)]
@@ -90,6 +98,35 @@ class TestFleetRoundTrip:
             r.result(timeout_s=0.0)
 
 
+def kill_a_busy_worker(fleet, submit):
+    """Freeze every worker (SIGSTOP), ``submit()``, SIGKILL one that
+    was handed requests, thaw the rest; returns what ``submit``
+    returned.  The victim's requests are provably in flight when it
+    dies — a frozen worker has answered none — however fast a worker
+    is.  (SIGTERM would stay pending on a stopped process.)"""
+    links = list(fleet._links)
+    for link in links:
+        os.kill(link.process.pid, signal.SIGSTOP)
+    try:
+        requests = submit()
+        with fleet._lock:
+            victim = next(link for link in links if link.inflight)
+        victim.process.kill()
+    finally:
+        for link in links:
+            os.kill(link.process.pid, signal.SIGCONT)
+    return requests
+
+
+def wait_for_deaths(fleet, count, timeout_s=30.0):
+    """The router learns of a death from its reader thread's EOF."""
+    deadline = time.monotonic() + timeout_s
+    while (fleet.counters["worker_deaths"] < count
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert fleet.counters["worker_deaths"] == count
+
+
 class TestFailover:
     """Pure failover mode (respawn=False): a dead worker is not
     replaced, its in-flight specs re-dispatch to survivors.  Re-spawn
@@ -97,12 +134,10 @@ class TestFailover:
 
     def test_dead_worker_requests_redispatch_to_survivors(self):
         with tiny_fleet(workers=3, respawn=False) as fleet:
-            requests = [fleet.submit("2dconv", size=24, seed=i % 3,
-                                     slo=SLO_OK) for i in range(9)]
-            time.sleep(0.05)
-            victim = next((l for l in fleet._links if l.inflight),
-                          fleet._links[0])
-            victim.process.terminate()
+            requests = kill_a_busy_worker(fleet, lambda: [
+                fleet.submit("2dconv", size=24, seed=i % 3, slo=SLO_OK)
+                for i in range(9)])
+            wait_for_deaths(fleet, 1)
             assert fleet.drain(timeout_s=90.0)
             summary = summarize_fleet(requests)
             survivors = fleet.alive_workers()
@@ -111,12 +146,60 @@ class TestFailover:
         assert fleet.counters["worker_deaths"] == 1
         assert survivors == 2
 
+    def test_drain_is_false_while_orphans_migrate(self):
+        """A dead worker's orphans sit in no link's ``inflight`` while
+        they wait to be re-placed (a checkpoint shipment can hold that
+        open for seconds); ``drain`` must not call the fleet idle."""
+        gate, entered = threading.Event(), threading.Event()
+        with tiny_fleet(workers=2, respawn=False) as fleet:
+            def held_open(dead_index, key):
+                entered.set()
+                gate.wait(timeout=30.0)
+
+            fleet._migration_source = held_open
+            try:
+                requests = kill_a_busy_worker(fleet, lambda: [
+                    fleet.submit("2dconv", size=24, seed=i, slo=SLO_OK)
+                    for i in range(6)])
+                assert entered.wait(timeout=30.0)
+                # let the survivor finish its own share, so that only
+                # the orphans are left
+                deadline = time.monotonic() + 30.0
+                while (any(link.inflight for link in fleet._links)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert not any(link.inflight for link in fleet._links)
+                assert any(not r.done for r in requests)
+                assert fleet.drain(timeout_s=0.2) is False
+            finally:
+                gate.set()
+            assert fleet.drain(timeout_s=90.0)
+            summary = summarize_fleet(requests)
+        assert summary["failed"] == 0
+        assert summary["completed"] == 6
+
+    def test_dead_workers_checkpoint_temps_are_swept(self, tmp_path):
+        """A worker killed mid-checkpoint leaves `<key>.rck.tmp.<pid>`
+        behind; the router removes it at the death, and only it."""
+        workdir = tmp_path / "w0"
+        workdir.mkdir()
+        stale = workdir / "2dconv_0123.rck.tmp.4242"
+        stale.write_bytes(b"half a checkpoint")
+        whole = workdir / "2dconv_0123.rck"
+        whole.write_bytes(b"a whole one")
+        with FleetRouter(workers=1, respawn=False,
+                         resume_dir=str(tmp_path)) as fleet:
+            fleet._links[0].process.kill()
+            wait_for_deaths(fleet, 1)
+        assert not stale.exists()
+        assert whole.exists()
+
     def test_last_worker_death_fails_cleanly(self):
         with tiny_fleet(workers=1, respawn=False) as fleet:
-            requests = [fleet.submit("2dconv", size=24, seed=i,
-                                     slo=SLO_OK) for i in range(4)]
-            time.sleep(0.05)
-            fleet._links[0].process.terminate()
+            requests = kill_a_busy_worker(fleet, lambda: [
+                fleet.submit("2dconv", size=24, seed=i, slo=SLO_OK)
+                for i in range(4)])
+            wait_for_deaths(fleet, 1)
             assert fleet.drain(timeout_s=30.0)
         for r in requests:
             outcome = r.result(timeout_s=0.0)
@@ -148,12 +231,171 @@ class TestBackpressure:
             assert fleet.counters["shed_retries"] > 0
 
 
+@contextlib.contextmanager
+def inproc_worker(config=None):
+    """``worker_main`` on a thread of this process, so a test can
+    register apps and look inside; yields the router's end of the
+    socket.  Every read times out: a hang is a failure."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(20.0)
+    thread = threading.Thread(target=worker_main, args=(theirs, config),
+                              daemon=True)
+    thread.start()
+    try:
+        yield ours
+    finally:
+        try:
+            send_msg(ours, {"op": "shutdown"})
+        except OSError:
+            pass
+        thread.join(timeout=20.0)
+        ours.close()
+        assert not thread.is_alive()
+
+
+def recv_op(sock, op):
+    """The next frame, which must be an ``op``."""
+    msg = recv_msg(sock)
+    assert msg is not None and msg["op"] == op, msg
+    return msg
+
+
+class TestAdmitFirstScoreLater:
+    """The worker admits and acks a request before the precise
+    reference its answer is scored against exists."""
+
+    REFERENCE_S = 0.6
+
+    @pytest.fixture
+    def slowref(self, monkeypatch):
+        """2dconv with a reference that takes REFERENCE_S longer."""
+        spec = APP_REGISTRY["2dconv"]
+
+        def reference(image):
+            time.sleep(self.REFERENCE_S)
+            return spec.reference(image)
+
+        monkeypatch.setitem(APP_REGISTRY, "slowref", dataclasses.replace(
+            spec, name="slowref", reference=reference))
+
+    def test_ack_and_stats_do_not_wait_for_the_reference(self, slowref):
+        with inproc_worker() as sock:
+            start = time.monotonic()
+            send_msg(sock, {"op": "submit", "rid": 1, "app": "slowref",
+                            "size": 32, "seed": 0,
+                            "slo": {"target_db": 15.0}})
+            send_msg(sock, {"op": "stats", "rid": 2})
+            ack = recv_op(sock, "ack")
+            stats = recv_op(sock, "stats")
+            replied = time.monotonic() - start
+            done = recv_op(sock, "done")
+            scored = time.monotonic() - start
+        assert ack["state"] in ("queued", "running")
+        assert stats["stats"]["submitted"] == 1
+        assert replied < self.REFERENCE_S / 2
+        # the answer itself is scored, so it waited for the reference
+        assert scored >= self.REFERENCE_S
+        assert done["state"] == "completed" and done["slo_met"]
+        assert done["precise_snr"] or done["snr_db"] >= 15.0
+
+    def test_target_answer_is_scored_and_final_is_precise(self, slowref):
+        with inproc_worker() as sock:
+            send_msg(sock, {"op": "submit", "rid": 1, "app": "2dconv",
+                            "size": 128, "seed": 3,
+                            "slo": {"target_db": 15.0}})
+            recv_op(sock, "ack")
+            early = recv_op(sock, "done")
+            # no SLO: to the final, which is retired only once scored
+            send_msg(sock, {"op": "submit", "rid": 2, "app": "slowref",
+                            "size": 32, "seed": 1})
+            recv_op(sock, "ack")
+            final = recv_op(sock, "done")
+        assert early["state"] == "completed" and early["slo_met"]
+        assert early["precise_snr"] or early["snr_db"] >= 15.0
+        assert final["state"] == "completed" and final["final"]
+        assert final["precise_snr"]
+
+    def test_raising_reference_fails_the_request_once(self, monkeypatch):
+        def reference(image):
+            raise ValueError("no reference for you")
+
+        monkeypatch.setitem(APP_REGISTRY, "badref", dataclasses.replace(
+            APP_REGISTRY["2dconv"], name="badref", reference=reference))
+        with inproc_worker() as sock:
+            send_msg(sock, {"op": "submit", "rid": 7, "app": "badref",
+                            "size": 32, "seed": 0,
+                            "slo": {"target_db": 15.0}})
+            recv_op(sock, "ack")
+            done = recv_op(sock, "done")
+            # the worker lives on, and no second `done` follows
+            send_msg(sock, {"op": "stats", "rid": 8})
+            stats = recv_op(sock, "stats")
+        assert done["rid"] == 7 and done["state"] == "failed"
+        assert "no reference for you" in " ".join(done["errors"])
+        assert stats["stats"]["failed"] == 1
+        assert stats["stats"]["running"] == 0
+
+    def test_workers_key_is_the_spec_key(self, monkeypatch):
+        """The worker derives its coalescing key from the input it
+        made; the router places by ``spec_key``.  They must agree."""
+        from repro.serve.server import AnytimeServer
+
+        keys = {}
+        submit = AnytimeServer.submit
+
+        def recording(self, builder, slo=None, **kwargs):
+            keys[kwargs["name"]] = kwargs["key"]
+            return submit(self, builder, slo, **kwargs)
+
+        monkeypatch.setattr(AnytimeServer, "submit", recording)
+        apps = ("2dconv", "histeq", "dwt53", "debayer", "kmeans")
+        with inproc_worker() as sock:
+            for rid, app in enumerate(apps, start=1):
+                send_msg(sock, {"op": "submit", "rid": rid, "app": app,
+                                "size": 16, "seed": rid,
+                                "slo": {"deadline_s": 60.0}})
+                recv_op(sock, "ack")
+                assert recv_op(sock, "done")["state"] == "completed"
+        assert keys == {f"r{rid}": spec_key(app, 16, rid)
+                        for rid, app in enumerate(apps, start=1)}
+
+
 class TestSpecIdentity:
     def test_spec_key_is_stable_and_content_addressed(self):
         assert spec_key("dwt53", 16, 0) == spec_key("dwt53", 16, 0)
         assert spec_key("dwt53", 16, 0) != spec_key("dwt53", 16, 1)
         assert spec_key("dwt53", 16, 0) != spec_key("dwt53", 32, 0)
         assert spec_key("dwt53", 16, 0).startswith("dwt53:")
+
+    def test_spec_key_cache_is_a_bounded_lru(self, monkeypatch):
+        from repro.serve import fleet
+
+        monkeypatch.setattr(fleet, "_spec_keys", fleet._Lru(2))
+        keys = [spec_key("dwt53", 8, seed) for seed in range(3)]
+        assert len(fleet._spec_keys) == 2
+        assert fleet._spec_keys.get(("dwt53", 8, 0)) is None   # evicted
+        assert fleet._spec_keys.get(("dwt53", 8, 1)) == keys[1]
+        spec_key("dwt53", 8, 3)          # evicts seed 2, not the read 1
+        assert fleet._spec_keys.get(("dwt53", 8, 2)) is None
+        assert fleet._spec_keys.get(("dwt53", 8, 1)) == keys[1]
+        assert spec_key("dwt53", 8, 0) == keys[0]    # recomputed, same
+
+    def test_worker_forgets_calibrations_beyond_its_cap(self, monkeypatch):
+        from repro.serve import fleet
+
+        monkeypatch.setattr(fleet, "_CALIBRATIONS_MAX", 1)
+        with inproc_worker({"memo_ttl_s": 0.0}) as sock:
+            digests = []
+            for rid, seed in enumerate((0, 1, 0), start=1):
+                send_msg(sock, {"op": "submit", "rid": rid,
+                                "app": "2dconv", "size": 16,
+                                "seed": seed})
+                recv_op(sock, "ack")
+                done = recv_op(sock, "done")
+                assert done["state"] == "completed" and done["final"]
+                assert done["precise_snr"]
+                digests.append(done["value_digest"])
+        assert digests[0] == digests[2] != digests[1]
 
     def test_value_digest_discriminates(self):
         import numpy as np

@@ -16,14 +16,19 @@ Two layers:
   guarantee cannot depend on which socket family carried the frames.
 """
 
+import asyncio
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
+from repro.serve.aiofront import AioFleetClient, AioFrontend
 from repro.serve.fleet import (FrameError, MAX_FRAME, recv_msg,
                                send_msg)
-from repro.serve.router import FleetRouter, summarize_fleet
+from repro.serve.router import (FleetRequest, FleetRouter,
+                                summarize_fleet)
 from repro.serve.transport import (parse_endpoint,
                                    spawn_local_tcp_worker)
 
@@ -242,6 +247,160 @@ class TestTransportEquivalence:
         for seed, seen in unix_digests.items():
             assert len(seen) == 1, (seed, seen)
         assert unix_digests == tcp_digests
+
+
+# -- the asyncio front end over a stub router ----------------------------
+
+class StubRouter:
+    """``FleetRouter`` as far as ``AioFrontend`` uses it: ``submit``
+    returns a ``FleetRequest`` that finishes when the test says —
+    ``delay_s`` None: never by itself, 0: before ``submit`` returns
+    (a router memo hit), > 0: that much later, from another thread."""
+
+    def __init__(self, delay_s=None):
+        self.delay_s = delay_s
+        self.requests = []
+        self.finished_at = {}
+
+    def submit(self, app, size=32, seed=0, slo=None, wait_s=0.0):
+        request = FleetRequest(len(self.requests) + 1, app, size, seed,
+                               slo or {}, f"{app}:{seed}")
+        self.requests.append(request)
+        delay_s = seed / 1000.0 if self.delay_s == "seed" \
+            else self.delay_s
+        if delay_s == 0:
+            self.finish(request)
+        elif delay_s is not None:
+            threading.Timer(delay_s, self.finish, (request,)).start()
+        return request
+
+    def finish(self, request):
+        self.finished_at[request.rid] = time.monotonic()
+        request._finish({"state": "completed", "final": True})
+
+    def aggregate_stats(self):
+        return {"workers": 0}
+
+
+def front_session(router, scenario, **front_kwargs):
+    """Run ``scenario(front, client)`` against a started front end."""
+    async def main():
+        front = AioFrontend(router, port=0, **front_kwargs)
+        host, port = await front.start()
+        client = await AioFleetClient.connect(host, port)
+        try:
+            return await asyncio.wait_for(scenario(front, client), 30.0)
+        finally:
+            await client.close(polite=False)
+            await front.stop(drain_timeout_s=0.1)
+
+    return asyncio.run(main())
+
+
+class TestAioFrontendDelivery:
+    """A ``done`` leaves the front end when the router finishes the
+    request, not at the next turn of a delivery poll."""
+
+    def test_memo_hit_done_is_not_held_for_a_poll(self):
+        async def scenario(front, client):
+            times = []
+            for seed in range(7):
+                start = time.monotonic()
+                reply = await (await client.submit("dwt53", seed=seed))
+                times.append(time.monotonic() - start)
+                assert reply["state"] == "completed"
+            return sorted(times)
+
+        times = front_session(StubRouter(delay_s=0), scenario)
+        assert times[len(times) // 2] < 0.025, times
+
+    def test_dones_arrive_when_they_finish_not_on_a_grid(self):
+        router = StubRouter(delay_s="seed")     # seed = delay in ms
+        arrived = {}
+
+        async def scenario(front, client):
+            dones = [await client.submit("dwt53", seed=delay_ms)
+                     for delay_ms in (10, 70)]
+            for rid, done in enumerate(dones, start=1):
+                done.add_done_callback(
+                    lambda _f, rid=rid:
+                    arrived.setdefault(rid, time.monotonic()))
+            await asyncio.gather(*dones)
+
+        front_session(router, scenario)
+        late = [arrived[rid] - router.finished_at[rid] for rid in (1, 2)]
+        assert max(late) < 0.03, late
+        gap = arrived[2] - arrived[1]
+        assert 0.03 < gap < 0.09, gap      # 60 ms apart, as finished
+
+
+class TestAioFrontendConnectionRules:
+    def test_idle_connection_is_told_bye(self):
+        async def scenario(front, client):
+            await asyncio.wait_for(client._closed, 5.0)
+            return dict(front.counters)
+
+        counters = front_session(StubRouter(), scenario,
+                                 idle_timeout_s=0.2)
+        assert counters["idle_closes"] == 1
+
+    def test_pending_request_outlives_the_idle_timeout(self):
+        async def scenario(front, client):
+            return await (await client.submit("dwt53"))
+
+        reply = front_session(StubRouter(delay_s=0.5), scenario,
+                              idle_timeout_s=0.2)
+        assert reply["state"] == "completed"
+
+    def test_backpressure_holds_the_frame_past_the_limit(self):
+        router = StubRouter()
+
+        async def scenario(front, client):
+            dones = [await client.submit("dwt53") for _ in range(2)]
+            third = asyncio.ensure_future(client.submit("dwt53"))
+            await asyncio.sleep(0.2)
+            held = (not third.done(), len(router.requests))
+            router.finish(router.requests[0])
+            dones.append(await asyncio.wait_for(third, 5.0))  # acked now
+            for request in router.requests[1:]:
+                router.finish(request)
+            await asyncio.gather(*dones)
+            return held, len(router.requests)
+
+        held, forwarded = front_session(router, scenario,
+                                        max_pending_per_conn=2)
+        assert held == (True, 2)    # not acked, not even forwarded
+        assert forwarded == 3
+
+    def test_drain_refuses_new_work_and_delivers_the_old_once(self):
+        router = StubRouter()
+
+        async def scenario(front, client):
+            first = await client.submit("dwt53")
+            stopping = asyncio.ensure_future(front.stop())
+            await asyncio.sleep(0.1)
+            refused = await (await client.submit("dwt53"))
+            assert not stopping.done()      # still waiting for `first`
+            router.finish(router.requests[0])
+            reply = await first
+            clean = await asyncio.wait_for(stopping, 5.0)
+            return refused, reply, clean, dict(front.counters)
+
+        refused, reply, clean, counters = front_session(router, scenario)
+        assert refused["state"] == "draining"
+        assert reply["state"] == "completed"
+        assert clean
+        assert counters["dones"] == 1 and counters["rejected"] == 1
+        assert len(router.requests) == 1
+
+    def test_drain_times_out_on_a_request_that_never_finishes(self):
+        async def scenario(front, client):
+            done = await client.submit("dwt53")
+            clean = await front.stop(drain_timeout_s=0.2)
+            done.cancel()
+            return clean
+
+        assert front_session(StubRouter(), scenario) is False
 
 
 class TestParseEndpoint:

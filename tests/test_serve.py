@@ -8,6 +8,7 @@ performance.
 """
 
 import math
+import threading
 import time
 
 import numpy as np
@@ -595,6 +596,141 @@ class TestPlannerExecutorChoice:
         assert result.stopped_early
         records = result.output_records("out")
         assert records and records[-1].value == 1
+
+
+# ---------------------------------------------------------------------
+# Event-driven hand-offs and deferred (score-later) metrics
+# ---------------------------------------------------------------------
+
+class LateMetric:
+    """``value_metric`` behind the deferred-metric protocol of
+    ``AnytimeServer.submit``: not ``ready`` until told, then either
+    scoring or carrying an ``error``."""
+
+    def __init__(self):
+        self._in = threading.Event()
+        self.error = None
+
+    @property
+    def ready(self):
+        return self._in.is_set()
+
+    def arrive(self, error=None):
+        self.error = error
+        self._in.set()
+
+    def __call__(self, value):
+        assert self._in.wait(timeout=30.0)
+        if self.error is not None:
+            raise RuntimeError(self.error)
+        return value_metric(value)
+
+
+class TestHandOffs:
+    def test_submit_wakes_the_scheduler(self):
+        """Admission does not wait out the tick the loop sleeps in."""
+        with AnytimeServer(slots=1, tick_s=0.4) as server:
+            time.sleep(0.05)          # the loop is in its tick wait now
+            session = server.submit(lambda: slow_automaton(levels=2))
+            deadline = time.monotonic() + 0.2
+            while (session.state is SessionState.QUEUED
+                   and time.monotonic() < deadline):
+                time.sleep(0.002)
+            assert session.state is not SessionState.QUEUED
+            session.result(timeout_s=10.0)
+
+    def test_done_callback_fires_once_now_or_later(self):
+        fired = []
+        with AnytimeServer(slots=1) as server:
+            session = server.submit(lambda: slow_automaton(levels=3))
+            session.add_done_callback(fired.append)
+            session.result(timeout_s=10.0)
+            deadline = time.monotonic() + 5.0
+            while not fired and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert fired == [session]
+            session.add_done_callback(fired.append)   # already terminal
+            assert fired == [session, session]
+
+    def test_unready_metric_defers_scoring_not_the_scheduler(self):
+        metric = LateMetric()
+        with AnytimeServer(slots=2) as server:
+            late = server.submit(lambda: slow_automaton(levels=200),
+                                 SLO(target_db=2.0), metric=metric,
+                                 key="late")    # scored at harvest
+            while late.snapshot().version < 4:      # target long met
+                time.sleep(0.002)
+            assert not late.done
+            # the scheduler thread is not stuck inside the metric
+            other = server.submit(lambda: slow_automaton(levels=3))
+            assert other.result(timeout_s=10.0).state \
+                is SessionState.COMPLETED
+            assert not late.done
+            metric.arrive()
+            result = late.result(timeout_s=10.0)
+        assert result.state is SessionState.COMPLETED and result.slo_met
+        assert result.snr_db >= 4.0 and result.interrupted
+        assert_valid(result.snapshot, levels=200)
+
+    def test_finished_run_is_retired_once_its_metric_is_ready(self):
+        metric = LateMetric()
+        with AnytimeServer(slots=1) as server:
+            session = server.submit(lambda: slow_automaton(levels=3),
+                                    metric=metric)
+            while session.snapshot().version < 3:
+                time.sleep(0.002)
+            time.sleep(0.05)
+            assert not session.done
+            metric.arrive()
+            result = session.result(timeout_s=10.0)
+        assert result.state is SessionState.COMPLETED
+        assert result.snr_db == 3.0 and not result.interrupted
+
+    def test_deadline_blocks_on_the_metric_and_is_still_scored(self):
+        """A deadline answer waits for the reference (bounded by its
+        compute time) rather than leave unscored."""
+        metric = LateMetric()
+        start = time.monotonic()
+        threading.Timer(0.25, metric.arrive).start()
+        with AnytimeServer(slots=1) as server:
+            session = server.submit(lambda: slow_automaton(levels=400),
+                                    SLO(deadline_s=0.05), metric=metric,
+                                    key="deadline")
+            result = session.result(timeout_s=10.0)
+            waited = time.monotonic() - start
+        assert result.state is SessionState.COMPLETED
+        assert result.snr_db is not None and result.interrupted
+        assert 0.25 <= waited < 2.0
+
+    def test_metric_error_fails_the_request_with_it(self):
+        metric = LateMetric()
+        with AnytimeServer(slots=1) as server:
+            session = server.submit(lambda: slow_automaton(levels=400),
+                                    SLO(target_db=5.0), metric=metric,
+                                    key="k")
+            follower = server.submit(lambda: slow_automaton(levels=400),
+                                     SLO(target_db=5.0), metric=metric,
+                                     key="k")
+            metric.arrive(error="ValueError: no reference")
+            results = [s.result(timeout_s=10.0)
+                       for s in (session, follower)]
+            stats = server.stats()
+        for result in results:
+            assert result.state is SessionState.FAILED
+            assert result.errors == ("ValueError: no reference",)
+        assert stats["failed"] == 2 and stats["running"] == 0
+
+    def test_terminal_sessions_are_counted_not_kept(self):
+        with AnytimeServer(slots=2, queue_limit=8) as server:
+            sessions = [server.submit(lambda: slow_automaton(levels=2))
+                        for _ in range(5)]
+            for session in sessions:
+                session.result(timeout_s=30.0)
+            assert server.stats()["finished"] == 5
+            assert server.sessions() == []
+            live = server.submit(lambda: slow_automaton(levels=400))
+            assert server.sessions() == [live]
+        assert all(s.done for s in sessions)
 
 
 # ---------------------------------------------------------------------
