@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .permutations import _widths, order_levels, sample_levels
+
 __all__ = ["FillPolicy", "TreeFill", "NearestFill", "ConstantFill",
            "MeanFill", "sample_levels"]
 
@@ -65,37 +67,12 @@ def _spatial_shape(dense: np.ndarray, order: np.ndarray,
     return shape
 
 
-def sample_levels(order: np.ndarray,
-                  shape: tuple[int, ...]) -> np.ndarray:
-    """Return the tree level of each sample in visit order.
-
-    The level of a coordinate is determined by its trailing zero bits: a
-    coordinate that is a multiple of ``2**(width - k)`` in every dimension
-    first appears at level ``k``.  For a tree permutation, levels are
-    non-decreasing along the visit order.
-    """
-    coords = np.unravel_index(np.asarray(order, dtype=np.int64), shape)
-    levels = np.zeros(len(order), dtype=np.int64)
-    for d, extent in enumerate(shape):
-        width = max(1, int(np.ceil(np.log2(extent)))) if extent > 1 else 0
-        if width == 0:
-            continue
-        c = coords[d].astype(np.int64)
-        # trailing zeros, with tz(0) = width
-        tz = np.full(len(order), width, dtype=np.int64)
-        nonzero = c != 0
-        cc = c[nonzero]
-        t = np.zeros(len(cc), dtype=np.int64)
-        rem = cc.copy()
-        while True:
-            even = (rem & 1) == 0
-            if not even.any():
-                break
-            t[even] += 1
-            rem[even] >>= 1
-        tz[nonzero] = t
-        levels = np.maximum(levels, width - tz)
-    return levels
+def _upsample(grid: np.ndarray, log2_factors: list[int]) -> np.ndarray:
+    """Repeat each cell of ``grid`` ``2**f`` times along spatial axis d."""
+    for d, f in enumerate(log2_factors):
+        if f:
+            grid = np.repeat(grid, 1 << f, axis=d)
+    return grid
 
 
 class TreeFill(FillPolicy):
@@ -106,67 +83,54 @@ class TreeFill(FillPolicy):
     paper's progressively-sharpening image.  Works for any number of
     spatial dimensions; ``spatial_ndim`` selects how many leading axes the
     permutation indexes (e.g. 2 for an RGB image sampled per pixel).
+
+    The fill is one pass over a coarse grid: samples land on a grid with
+    one cell per block of the finest complete level, the grid is repeated
+    up a level wherever finer samples exist, and the full-resolution grid
+    is cropped to the output once.  Per-sample levels come from
+    :func:`~repro.anytime.permutations.order_levels`, which keeps them
+    beside the memoised order they describe.
     """
 
     def __init__(self, spatial_ndim: int | None = None) -> None:
         self.spatial_ndim = spatial_ndim
-        self._level_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-    def _levels(self, order: np.ndarray,
-                shape: tuple[int, ...]) -> np.ndarray:
-        key = (len(order), shape)
-        if key not in self._level_cache:
-            self._level_cache[key] = sample_levels(order, shape)
-        return self._level_cache[key]
 
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
         shape = _spatial_shape(dense, order, self.spatial_ndim)
-        out = np.zeros_like(dense)
         if count <= 0:
-            return out
+            return np.zeros_like(dense)
         count = min(count, len(order))
-        levels = self._levels(order, shape)
-        prefix_levels = levels[:count]
-        widths = [max(1, int(np.ceil(np.log2(s)))) if s > 1 else 0
-                  for s in shape]
-        max_level = max(widths) if widths else 0
+        levels, at_or_below = order_levels(order, shape)
+        widths = _widths(shape)
         # The finest fully complete level's blocks tile the whole output,
-        # so coarser levels cannot show through and are skipped.
-        complete = 0
-        for k in range(max_level + 1):
-            if (levels <= k).sum() <= count:
-                complete = k
-            else:
-                break
-        coords = np.unravel_index(order[:count], shape)
-        flat_dense = dense.reshape((int(np.prod(shape)),) + dense.shape[
-            len(shape):])
-        for k in range(complete, max_level + 1):
-            sel = prefix_levels == k if k > complete else prefix_levels <= k
+        # so coarser levels cannot show through: they paint at its size.
+        complete = max(int(np.searchsorted(at_or_below, count,
+                                           side="right")) - 1, 0)
+        prefix = order[:count]
+        prefix_levels = levels[:count]
+        coords = np.unravel_index(prefix, shape)
+        trailing = dense.shape[len(shape):]
+        values = dense.reshape((-1,) + trailing)[prefix]
+        # log2 of the block extent per axis; a level-k coordinate is a
+        # multiple of its block, so ``c >> shift`` is its grid cell
+        shifts = [max(w - complete, 0) for w in widths]
+        grid = np.zeros(tuple(-(-s >> b) for s, b in zip(shape, shifts))
+                        + trailing, dtype=dense.dtype)
+        sel = prefix_levels <= complete
+        grid[tuple(c[sel] >> b for c, b in zip(coords, shifts))] = \
+            values[sel]
+        for k in range(complete + 1, int(prefix_levels.max()) + 1):
+            sel = prefix_levels == k
             if not sel.any():
                 continue
-            values = flat_dense[order[:count][sel]]
-            block = [1 << max(w - k, 0) for w in widths]
-            if all(b == 1 for b in block):
-                idx = tuple(c[sel] for c in coords)
-                out[idx] = values
-                continue
-            # Scatter each sample's value over its owned block.  Index
-            # arrays broadcast (samples, b0, b1, ...); edge blocks of
-            # non-power-of-two outputs clip to the boundary.
-            idx = []
-            for d, b in enumerate(block):
-                offs = np.arange(b, dtype=np.int64)
-                ix = coords[d][sel].reshape(
-                    (-1,) + (1,) * len(block))
-                offs = offs.reshape(
-                    tuple(b if dd == d else 1
-                          for dd in range(len(block))))
-                idx.append(np.minimum(ix + offs, shape[d] - 1))
-            out[tuple(idx)] = values.reshape(
-                (values.shape[0],) + (1,) * len(block) + values.shape[1:])
-        return out
+            finer = [max(w - k, 0) for w in widths]
+            grid = _upsample(grid, [a - b for a, b in zip(shifts, finer)])
+            shifts = finer
+            grid[tuple(c[sel] >> b for c, b in zip(coords, shifts))] = \
+                values[sel]
+        grid = _upsample(grid, shifts)
+        return np.ascontiguousarray(grid[tuple(slice(0, s) for s in shape)])
 
 
 class NearestFill(FillPolicy):

@@ -22,10 +22,18 @@ Multi-threaded sampling (paper Section IV-C1) is supported by
 :func:`split_cyclic`: the permutation sequence is divided cyclically among
 workers, so worker ``t`` of ``T`` processes ``order[t::T]`` — low-resolution
 coverage still appears as early as possible.
+
+Stages do not call :meth:`Permutation.order` themselves: they ask
+:func:`sample_order`, a small per-process LRU memo keyed on
+``(permutation, shape)`` that validates each order once, hands out one
+shared read-only array, and keeps the order's tree levels
+(:func:`order_levels`) beside it for :class:`~repro.anytime.fill.TreeFill`.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -43,6 +51,9 @@ __all__ = [
     "split_cyclic",
     "split_blocked",
     "is_permutation",
+    "sample_levels",
+    "sample_order",
+    "order_levels",
 ]
 
 
@@ -57,6 +68,12 @@ def _size_of(shape: int | Sequence[int]) -> tuple[int, tuple[int, ...]]:
     for s in shape:
         n *= s
     return n, shape
+
+
+def _widths(shape: tuple[int, ...]) -> list[int]:
+    """Bits per dimension of the power-of-two box enclosing ``shape``."""
+    return [max(1, int(np.ceil(np.log2(s)))) if s > 1 else 0
+            for s in shape]
 
 
 def bit_reverse(values: np.ndarray, bits: int) -> np.ndarray:
@@ -182,8 +199,7 @@ class TreePermutation(Permutation):
 
     def order(self, shape: int | Sequence[int]) -> np.ndarray:
         _, shape = _size_of(shape)
-        widths = [max(1, int(np.ceil(np.log2(s)))) if s > 1 else 0
-                  for s in shape]
+        widths = _widths(shape)
         total_bits = sum(widths)
         if total_bits == 0:
             return np.zeros(1, dtype=np.int64)
@@ -300,3 +316,124 @@ def is_permutation(order: np.ndarray, n: int) -> bool:
         return False
     seen[order] = True
     return bool(seen.all())
+
+
+def sample_levels(order: np.ndarray,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """Return the tree level of each sample in visit order.
+
+    The level of a coordinate is determined by its trailing zero bits: a
+    coordinate that is a multiple of ``2**(width - k)`` in every dimension
+    first appears at level ``k``.  For a tree permutation, levels are
+    non-decreasing along the visit order.
+    """
+    coords = np.unravel_index(np.asarray(order, dtype=np.int64), shape)
+    levels = np.zeros(len(order), dtype=np.int64)
+    for d, width in enumerate(_widths(tuple(shape))):
+        if width == 0:
+            continue
+        c = coords[d].astype(np.int64)
+        # trailing zeros, with tz(0) = width
+        tz = np.full(len(order), width, dtype=np.int64)
+        nonzero = c != 0
+        cc = c[nonzero]
+        t = np.zeros(len(cc), dtype=np.int64)
+        rem = cc.copy()
+        while True:
+            even = (rem & 1) == 0
+            if not even.any():
+                break
+            t[even] += 1
+            rem[even] >>= 1
+        tz[nonzero] = t
+        levels = np.maximum(levels, width - tz)
+    return levels
+
+
+# -- the per-process order memo -------------------------------------------
+
+#: how many ``(permutation, shape)`` orders one process keeps; each app
+#: uses one or two, so every app at a couple of sizes fits
+ORDER_MEMO_CAP = 16
+
+
+class _MemoEntry:
+    """One validated read-only order and, once asked for, its levels."""
+
+    __slots__ = ("order", "shape", "levels")
+
+    def __init__(self, order: np.ndarray, shape: tuple[int, ...]) -> None:
+        self.order = order
+        self.shape = shape
+        self.levels: tuple[np.ndarray, np.ndarray] | None = None
+
+
+_memo: OrderedDict[tuple[Permutation, tuple[int, ...]], _MemoEntry] = \
+    OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def sample_order(permutation: Permutation,
+                 shape: int | Sequence[int]) -> np.ndarray:
+    """The visit order of ``permutation`` over ``shape``, shared and
+    read-only.
+
+    Equal permutations (they hash by value) over the same shape get the
+    same array for as long as it stays among the :data:`ORDER_MEMO_CAP`
+    most recently used.  An order is checked with :func:`is_permutation`
+    before it is memoised; one that is not a bijection raises
+    ``ValueError`` and is never stored, so every caller sees the error.
+    """
+    n, shape = _size_of(shape)
+    key = (permutation, shape)
+    with _memo_lock:
+        entry = _memo.get(key)
+        if entry is not None:
+            _memo.move_to_end(key)
+            return entry.order
+    # derived outside the lock: an LFSR order takes a while, and two
+    # threads racing on one key both compute it and keep the first
+    order = np.asarray(permutation.order(
+        shape if len(shape) != 1 else shape[0]))
+    if not is_permutation(order, n):
+        raise ValueError(
+            f"permutation {permutation!r} is not a bijection on "
+            f"[0, {n}) — the precise output would be unreachable")
+    with _memo_lock:
+        entry = _memo.setdefault(key, _MemoEntry(_read_only(order), shape))
+        _memo.move_to_end(key)
+        while len(_memo) > ORDER_MEMO_CAP:
+            _memo.popitem(last=False)
+    return entry.order
+
+
+def order_levels(order: np.ndarray, shape: Sequence[int],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(levels, at_or_below)`` of a sample order over ``shape``.
+
+    ``levels`` is :func:`sample_levels`; ``at_or_below[k]`` counts the
+    samples of level ``k`` or coarser.  An order that
+    :func:`sample_order` handed out keeps both on its memo entry; any
+    other array is measured afresh on every call.
+    """
+    shape = tuple(shape)
+    with _memo_lock:
+        entry = next((e for e in _memo.values()
+                      if e.order is order and e.shape == shape), None)
+    if entry is not None and entry.levels is not None:
+        return entry.levels
+    # uint8 holds any level (at most 40 bits, see TreePermutation) at
+    # an eighth of the memory
+    levels = sample_levels(order, shape).astype(np.uint8)
+    at_or_below = np.cumsum(np.bincount(
+        levels, minlength=max(_widths(shape), default=0) + 1))
+    result = (_read_only(levels), _read_only(at_or_below))
+    if entry is not None:
+        entry.levels = result
+    return result

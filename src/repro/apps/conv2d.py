@@ -19,12 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..anytime.fill import TreeFill
-from ..anytime.permutations import Permutation, TreePermutation
+from ..anytime.permutations import (Permutation, TreePermutation,
+                                    sample_order)
 from ..anytime.precision import quantize_to_bits
 from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.mapstage import MapStage
 from ..hw.sram import flip_bits
+from .stencil import EdgePadded, edge_padder
 
 __all__ = ["blur_kernel", "conv2d_precise", "conv2d_elements",
            "build_conv2d_automaton", "sample_size_sweep"]
@@ -47,7 +49,8 @@ def _gather_taps(indices: np.ndarray, image: np.ndarray,
     """Neighbourhood pixel values for each sampled output pixel.
 
     Returns an ``(n_taps, n_pixels)`` int64 array using clamped (edge-
-    replicated) borders.
+    replicated) borders.  Only :func:`sample_size_sweep` materializes the
+    taps: it upsets each gathered input bit before the dot products.
     """
     h, w = image.shape
     k = kernel.shape[0]
@@ -65,14 +68,24 @@ def _gather_taps(indices: np.ndarray, image: np.ndarray,
     return taps
 
 
+def _convolve(padded: EdgePadded, indices: np.ndarray,
+              kernel: np.ndarray) -> np.ndarray:
+    """Convolution outputs at flat pixel indices of ``padded``'s image:
+    one gather and multiply-accumulate per tap, no tap matrix."""
+    _, _, centres = padded.locate(indices)
+    r = kernel.shape[0] // 2
+    acc = np.zeros(len(centres), dtype=np.int64)
+    for (dy, dx), weight in np.ndenumerate(kernel.astype(np.int64)):
+        acc += weight * padded.flat[centres + padded.offset(dy - r, dx - r)]
+    total = int(kernel.sum())
+    return ((acc + total // 2) // total).astype(np.uint8)
+
+
 def conv2d_elements(indices: np.ndarray, image: np.ndarray,
                     kernel: np.ndarray) -> np.ndarray:
     """Convolution outputs at the given flat pixel indices (vectorized)."""
-    taps = _gather_taps(indices, np.asarray(image), kernel)
-    weights = kernel.reshape(-1, 1).astype(np.int64)
-    acc = (taps * weights).sum(axis=0)
-    total = int(kernel.sum())
-    return ((acc + total // 2) // total).astype(np.uint8)
+    return _convolve(EdgePadded(image, kernel.shape[0] // 2), indices,
+                     kernel)
 
 
 def conv2d_precise(image: np.ndarray,
@@ -108,8 +121,10 @@ def build_conv2d_automaton(image: np.ndarray,
     b_in = VersionedBuffer("input")
     b_out = VersionedBuffer("filtered")
 
+    padded = edge_padder(kernel.shape[0] // 2)
+
     def element_fn(indices: np.ndarray, img: np.ndarray) -> np.ndarray:
-        return conv2d_elements(indices, img, kernel)
+        return _convolve(padded(img), indices, kernel)
 
     taps = kernel.size
     stage = MapStage(
@@ -155,7 +170,7 @@ def sample_size_sweep(image: np.ndarray,
         sample_sizes = [4 ** k for k in range(1, 1 + int(
             np.log2(max(image.shape)))) ] + [n]
         sample_sizes = sorted({min(s, n) for s in sample_sizes})
-    order = TreePermutation().order(image.shape)
+    order = sample_order(TreePermutation(), image.shape)
     fill = TreeFill(spatial_ndim=2)
     rng = np.random.default_rng(seed)
     dense = np.zeros(image.shape, dtype=np.uint8)

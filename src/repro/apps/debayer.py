@@ -20,16 +20,35 @@ from ..anytime.permutations import Permutation, TreePermutation
 from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.mapstage import MapStage
+from .stencil import EdgePadded, edge_padder
 
 __all__ = ["debayer_elements", "debayer_precise",
            "build_debayer_automaton"]
 
 
-def _at(mosaic: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-        ) -> np.ndarray:
-    h, w = mosaic.shape
-    return mosaic[np.clip(rows, 0, h - 1),
-                  np.clip(cols, 0, w - 1)].astype(np.int64)
+def _demosaic(padded: EdgePadded, indices: np.ndarray) -> np.ndarray:
+    """RGB at flat pixel indices of ``padded``'s radius-1, int16 mosaic
+    (int16 holds a sum of four uint8 sites plus rounding)."""
+    rows, cols, c = padded.locate(indices)
+    flat = padded.flat
+
+    def at(dy: int, dx: int) -> np.ndarray:
+        return flat[c + padded.offset(dy, dx)]
+
+    here = at(0, 0)
+    up, down, left, right = at(-1, 0), at(1, 0), at(0, -1), at(0, 1)
+    horiz = (left + right + 1) // 2
+    vert = (up + down + 1) // 2
+    cross = (up + down + left + right + 2) // 4
+    diag = (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1) + 2) // 4
+
+    # site class: 0 = R, 1 = G on a red row, 2 = G on a blue row, 3 = B
+    site = (rows & 1) * 2 + (cols & 1)
+    out = np.empty((len(c), 3), dtype=np.uint8)
+    out[:, 0] = np.choose(site, (here, horiz, vert, diag))
+    out[:, 1] = np.where((rows ^ cols) & 1, here, cross)
+    out[:, 2] = np.choose(site, (diag, vert, horiz, here))
+    return out
 
 
 def debayer_elements(indices: np.ndarray,
@@ -40,36 +59,7 @@ def debayer_elements(indices: np.ndarray,
     planes average the nearest sites of that colour (2 or 4 neighbours
     depending on the site class).
     """
-    mosaic = np.asarray(mosaic)
-    h, w = mosaic.shape
-    rows = indices // w
-    cols = indices % w
-    here = _at(mosaic, rows, cols)
-    cross = (_at(mosaic, rows - 1, cols) + _at(mosaic, rows + 1, cols)
-             + _at(mosaic, rows, cols - 1)
-             + _at(mosaic, rows, cols + 1) + 2) // 4
-    diag = (_at(mosaic, rows - 1, cols - 1)
-            + _at(mosaic, rows - 1, cols + 1)
-            + _at(mosaic, rows + 1, cols - 1)
-            + _at(mosaic, rows + 1, cols + 1) + 2) // 4
-    horiz = (_at(mosaic, rows, cols - 1)
-             + _at(mosaic, rows, cols + 1) + 1) // 2
-    vert = (_at(mosaic, rows - 1, cols)
-            + _at(mosaic, rows + 1, cols) + 1) // 2
-
-    r_site = (rows % 2 == 0) & (cols % 2 == 0)
-    g_site_r = (rows % 2 == 0) & (cols % 2 == 1)   # G on a red row
-    g_site_b = (rows % 2 == 1) & (cols % 2 == 0)   # G on a blue row
-    b_site = (rows % 2 == 1) & (cols % 2 == 1)
-
-    red = np.select([r_site, g_site_r, g_site_b, b_site],
-                    [here, horiz, vert, diag])
-    green = np.select([r_site, g_site_r, g_site_b, b_site],
-                      [cross, here, here, cross])
-    blue = np.select([r_site, g_site_r, g_site_b, b_site],
-                     [diag, vert, horiz, here])
-    out = np.stack([red, green, blue], axis=-1)
-    return np.clip(out, 0, 255).astype(np.uint8)
+    return _demosaic(EdgePadded(mosaic, 1, np.int16), indices)
 
 
 def debayer_precise(mosaic: np.ndarray) -> np.ndarray:
@@ -90,8 +80,13 @@ def build_debayer_automaton(mosaic: np.ndarray, chunks: int = 32,
     mosaic = np.asarray(mosaic, dtype=np.uint8)
     b_in = VersionedBuffer("mosaic")
     b_out = VersionedBuffer("rgb")
+    padded = edge_padder(1, np.int16)
+
+    def element_fn(indices: np.ndarray, mosaic: np.ndarray) -> np.ndarray:
+        return _demosaic(padded(mosaic), indices)
+
     stage = MapStage(
-        "demosaic", b_out, (b_in,), debayer_elements,
+        "demosaic", b_out, (b_in,), element_fn,
         shape=mosaic.shape, out_shape=mosaic.shape + (3,),
         dtype=np.uint8,
         permutation=permutation or TreePermutation(),

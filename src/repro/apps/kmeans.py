@@ -58,11 +58,28 @@ def initial_centroids(image: np.ndarray, k: int) -> np.ndarray:
 
 def assign_pixels(pixels: np.ndarray,
                   centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid (squared Euclidean) per pixel row."""
-    pixels = np.asarray(pixels, dtype=np.float64)
+    """Index of the nearest centroid (squared Euclidean) per pixel row.
+
+    Distances accumulate channel by channel in ``(n, k)`` arrays, in the
+    same order as a sum over the channel axis, without an ``(n, k, 3)``
+    temporary.
+    """
+    pixels = np.asarray(pixels)
     centroids = np.asarray(centroids, dtype=np.float64)
-    d2 = ((pixels[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.zeros((len(pixels), len(centroids)))
+    for ch in range(centroids.shape[1]):
+        diff = pixels[:, ch, None] - centroids[:, ch]
+        diff *= diff
+        d2 += diff
     return np.argmin(d2, axis=1)
+
+
+def _sums(pixels: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster colour sums, ``(k, channels)`` float64, accumulated in
+    pixel order (so equal to ``np.add.at`` into zeros)."""
+    return np.stack([np.bincount(labels, weights=pixels[:, ch],
+                                 minlength=k)
+                     for ch in range(pixels.shape[1])], axis=1)
 
 
 class KMeansAssignStage(DiffusiveStage):
@@ -87,7 +104,7 @@ class KMeansAssignStage(DiffusiveStage):
         self._fill = TreeFill(spatial_ndim=2)
         # assignment is elementwise in the pixels, so several chunks can
         # be assigned in one vectorized pass; the per-chunk accumulator
-        # updates (add.at / bincount) still run level by level in
+        # updates (bincount) still run level by level in
         # apply_chunk, keeping every published partial bit-identical
         self.supports_batch = True
 
@@ -109,7 +126,8 @@ class KMeansAssignStage(DiffusiveStage):
     def _fold(self, state: dict[str, Any], indices: np.ndarray,
               pixels: np.ndarray, labels: np.ndarray) -> Any:
         state["assign"].reshape(-1)[indices] = labels
-        np.add.at(state["sums"], labels, pixels.astype(np.float64))
+        # pixels are integers, so adding the chunk's sums is exact
+        state["sums"] += _sums(pixels, labels, self.k)
         state["counts"] += np.bincount(labels, minlength=self.k)
         return (indices, labels)
 
@@ -143,10 +161,8 @@ class KMeansAssignStage(DiffusiveStage):
         image = input_values[self.inputs[1].name]
         pixels = np.asarray(image).reshape(-1, 3)
         labels = assign_pixels(pixels, centroids)
-        sums = np.zeros((self.k, 3), dtype=np.float64)
-        np.add.at(sums, labels, pixels.astype(np.float64))
         return {"assign": labels.reshape(self.shape),
-                "sums": sums,
+                "sums": _sums(pixels, labels, self.k),
                 "counts": np.bincount(labels, minlength=self.k),
                 "centroids_in": centroids}
 
@@ -182,14 +198,14 @@ def clustered_image_metric(value: dict[str, Any],
 def kmeans_precise(image: np.ndarray, k: int = 6,
                    epochs: int = 1) -> np.ndarray:
     """Reference clustered image (same epoch count as the automaton)."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     image = np.asarray(image, dtype=np.uint8)
     centroids = initial_centroids(image, k)
     pixels = image.reshape(-1, 3)
-    labels = assign_pixels(pixels, centroids)
     for _ in range(epochs):
         labels = assign_pixels(pixels, centroids)
-        sums = np.zeros((k, 3), dtype=np.float64)
-        np.add.at(sums, labels, pixels.astype(np.float64))
+        sums = _sums(pixels, labels, k)
         counts = np.bincount(labels, minlength=k)
         fresh = sums / np.maximum(counts, 1)[:, None]
         centroids = np.where(counts[:, None] > 0, fresh, centroids)

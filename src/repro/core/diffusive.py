@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..anytime.permutations import Permutation
+from ..anytime.permutations import Permutation, sample_order
 from .buffer import Snapshot, VersionedBuffer
 from .channel import UpdateChannel
 from .stage import (Body, CloseChannel, Compute, Emit, Lease, Stage,
@@ -132,7 +132,6 @@ class DiffusiveStage(Stage):
         self.chunks = int(chunks)
         self.cost_per_element = float(cost_per_element)
         self.prefetcher = prefetcher
-        self._order: np.ndarray | None = None
         #: whether state survives across passes (new input versions).
         #: Elementwise kernels keep it — stale elements computed from the
         #: previous input version remain valid approximations, so a
@@ -224,26 +223,15 @@ class DiffusiveStage(Stage):
 
     @property
     def order(self) -> np.ndarray:
-        """The materialized visit order (cached).
+        """The visit order, shared read-only through the per-process memo
+        (:func:`~repro.anytime.permutations.sample_order`).
 
-        Validated to be a bijection on first materialization: a
+        Validated to be a bijection before it is memoised: a
         non-bijective permutation would silently break the model's
         central guarantee (every element processed exactly once, so the
         final output is precise; paper III-B2).
         """
-        if self._order is None:
-            from ..anytime.permutations import is_permutation
-
-            order = self.permutation.order(
-                self.shape if len(self.shape) > 1 else self.n_elements)
-            if not is_permutation(np.asarray(order), self.n_elements):
-                raise ValueError(
-                    f"stage {self.name!r}: permutation "
-                    f"{self.permutation!r} is not a bijection on "
-                    f"[0, {self.n_elements}) — the precise output "
-                    f"would be unreachable")
-            self._order = order
-        return self._order
+        return sample_order(self.permutation, self.shape)
 
     @property
     def penalty(self) -> float:

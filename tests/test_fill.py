@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.anytime.fill import (ConstantFill, MeanFill, NearestFill,
                                 TreeFill, sample_levels)
-from repro.anytime.permutations import (LfsrPermutation, TreePermutation)
+from repro.anytime.permutations import (LfsrPermutation, TreePermutation,
+                                        sample_order)
 
 
 @pytest.fixture
@@ -101,6 +102,23 @@ class TestTreeFill:
         err4 = np.abs(f4 - dense).sum()
         err16 = np.abs(f16 - dense).sum()
         assert err16 <= err4
+
+
+class TestSharedTreeFill:
+    """Levels belong to an order, not to an (n, shape) pair: one fill
+    instance serving two orders of the same shape must not mix them."""
+
+    @pytest.mark.parametrize("memoised", [False, True])
+    def test_two_orders_one_instance(self, memoised):
+        dense = np.arange(256, dtype=np.float64).reshape(16, 16)
+        perms = [TreePermutation(), LfsrPermutation(seed=3)]
+        orders = [sample_order(p, (16, 16)) if memoised
+                  else p.order((16, 16)) for p in perms]
+        shared = TreeFill()
+        for order in orders:
+            for count in (1, 5, 40, 200):
+                assert np.array_equal(shared.fill(dense, order, count),
+                                      TreeFill().fill(dense, order, count))
 
 
 class TestSampleLevels:

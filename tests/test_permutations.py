@@ -10,8 +10,10 @@ from repro.anytime.permutations import (LfsrPermutation, Permutation,
                                         SequentialPermutation,
                                         StridedPermutation,
                                         TreePermutation, bit_reverse,
-                                        is_permutation, split_blocked,
+                                        is_permutation, order_levels,
+                                        sample_order, split_blocked,
                                         split_cyclic)
+from repro.anytime import permutations
 
 ALL_PERMS = [SequentialPermutation(), ReversedPermutation(),
              StridedPermutation(3), StridedPermutation(7),
@@ -23,8 +25,12 @@ class TestBijectivity:
     """The model's correctness rests on p being bijective: every element
     is processed exactly once, so the precise output is guaranteed."""
 
+    # Case names are pinned rather than derived from object addresses,
+    # so they stay the same from one run to the next.
     @pytest.mark.parametrize("perm", ALL_PERMS,
-                             ids=lambda p: f"{p.name}-{id(p) % 97}")
+                             ids=["sequential-11", "reversed-3",
+                                  "strided-48", "strided-95", "tree-36",
+                                  "lfsr-80", "lfsr-81"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 100, 257, 1024])
     def test_order_is_bijection(self, perm, n):
         assert is_permutation(perm.order(n), n)
@@ -219,3 +225,39 @@ class TestEquality:
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Permutation().order(4)
+
+
+class TestSampleOrderMemo:
+    """The per-process memo hands out shared orders: it must keep them
+    read-only, validate every one, and stay within its cap."""
+
+    def test_equal_permutations_share_one_read_only_order(self):
+        a = sample_order(LfsrPermutation(seed=9), (8, 8))
+        b = sample_order(LfsrPermutation(seed=9), (8, 8))
+        assert a is b
+        assert np.array_equal(a, LfsrPermutation(seed=9).order(64))
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+        levels, at_or_below = order_levels(a, (8, 8))
+        with pytest.raises(ValueError):
+            levels[0] = 0
+        assert at_or_below[-1] == 64
+
+    def test_non_bijection_raises_on_every_call(self):
+        class Broken(Permutation):
+            name = "broken"
+
+            def order(self, shape):
+                return np.zeros(int(np.prod(shape)), dtype=np.int64)
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a bijection"):
+                sample_order(Broken(), (4, 4))
+        assert all(not isinstance(p, Broken)
+                   for p, _ in permutations._memo)
+
+    def test_memo_is_bounded(self):
+        for n in range(1, 101):
+            sample_order(SequentialPermutation(), (n,))
+            assert len(permutations._memo) <= permutations.ORDER_MEMO_CAP
+        assert len(permutations._memo) == permutations.ORDER_MEMO_CAP

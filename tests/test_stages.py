@@ -240,3 +240,25 @@ class TestBijectivityGuard:
                          fill=ConstantFill(0.0))
         with pytest.raises(ValueError, match="not a bijection"):
             stage.order
+
+    def test_non_bijective_permutation_rejected_on_every_stage(self):
+        """The order memo never stores a failed order, so a second stage
+        with the same broken permutation fails just as loudly."""
+        from repro.anytime.fill import ConstantFill
+        from repro.anytime.permutations import Permutation
+
+        class Broken(Permutation):
+            name = "broken"
+
+            def order(self, shape):
+                n = (shape if isinstance(shape, int)
+                     else int(np.prod(shape)))
+                return np.zeros(n, dtype=np.int64)
+
+        for name in ("first", "second"):
+            stage = MapStage(name, VersionedBuffer("o"), (),
+                             lambda idx: idx, shape=8,
+                             permutation=Broken(),
+                             fill=ConstantFill(0.0))
+            with pytest.raises(ValueError, match="not a bijection"):
+                stage.order
