@@ -9,6 +9,7 @@ neighbour at ``(dy, dx)`` sits at the constant flat offset
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -23,7 +24,9 @@ class EdgePadded:
     def __init__(self, image: np.ndarray, radius: int,
                  dtype: np.dtype | type | None = None) -> None:
         image = np.asarray(image)
-        self.source = image
+        #: the source image, held weakly: the memo must not keep a
+        #: zero-copy input view alive past its producer's shared memory
+        self.source = weakref.ref(image)
         self.radius = radius
         self.width = image.shape[1]
         self.stride = self.width + 2 * radius
@@ -56,7 +59,7 @@ def edge_padder(radius: int, dtype: np.dtype | type | None = None,
     def padded(image: np.ndarray) -> EdgePadded:
         nonlocal last
         current = last
-        if current is None or current.source is not image:
+        if current is None or current.source() is not image:
             current = last = EdgePadded(image, radius, dtype)
         return current
 

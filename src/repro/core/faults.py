@@ -154,11 +154,11 @@ class StageReport:
     natural end and was not degraded.
 
     The remaining fields are per-stage observability counters
-    (maintained by both executors whether or not a trace sink is
-    attached): ``commands`` counts protocol commands the stage yielded,
-    ``waits`` counts blocking waits (inputs, channel recv, backpressured
-    emit) and ``wait_time`` their total duration — virtual work units
-    under the simulator, wall seconds under the threaded executor.
+    (maintained by the kernel on every executor whether or not a trace
+    sink is attached): ``commands`` counts protocol commands the stage
+    yielded, ``waits`` counts blocking waits (inputs, channel recv,
+    backpressured emit) and ``wait_time`` their total duration — virtual
+    work units under the simulator, wall seconds elsewhere.
     ``round_trips`` counts completed control-pipe request/reply pairs on
     the process backend (always 0 elsewhere) — the data-plane overhead
     the batched command leases amortize; ``repro bench plane`` reports

@@ -1,0 +1,556 @@
+"""The command protocol's meaning, written once.
+
+Stages are generators of eight commands (:mod:`repro.core.stage`); the
+three executors are effect backends around this module that differ only
+in how they block and how time advances.  :func:`drive` pumps one stage
+generator: it counts every command, answers ``Lease`` itself and hands
+each other command to the backend's effect.  Threaded and process-worker
+effects block inline; a simulated effect returns :data:`SUSPENDED` (on
+``Compute``, or a wait, recv or emit that cannot proceed) and the event
+loop resumes the stage later with the delivered value.  :class:`Kernel`
+holds the run state every executor shares and the rules over it.
+
+A backend provides ``stage``, ``report``, ``lease_k``, ``live()`` (False
+once the run halts) and the effects ``compute(cmd)``, ``write(cmd)``,
+``wait_inputs(seen)``, ``poll_inputs(seen)``, ``emit(update)``,
+``close_channel()`` and ``recv()``.  An effect returns the value sent
+back into the generator, or an :class:`Outcome` that ends the pump.
+"""
+
+from __future__ import annotations
+
+import threading
+import time as _time
+from typing import Any, Generator
+
+from ..hw.energy import EnergyMeter
+from .controller import StopCondition
+from .faults import FaultInjector, FaultPolicy, StageReport, resolve_policy
+from .graph import AutomatonGraph
+from .recording import Timeline, WriteRecord
+from .stage import (CloseChannel, Compute, Emit, Lease, PollInputs, Recv,
+                    Stage, WaitInputs, Write)
+from .syncstage import SynchronousStage
+from .tracing import TraceEvent, TraceSink, active_sink
+
+__all__ = ["drive", "Outcome", "DONE", "HALTED", "EXHAUSTED", "SUSPENDED",
+           "Kernel", "RunResult", "ExecutionError", "inputs_ready",
+           "inputs_newer", "open_body", "energy_of", "stage_cursor"]
+
+
+class ExecutionError(RuntimeError):
+    """The execution wedged (deadlock) or a stage misbehaved."""
+
+
+class Outcome(str):
+    """Why :func:`drive` returned; an effect returns one to end the pump.
+    A ``str`` subclass of its own, so no command reply (a channel update
+    may be any value, strings included) is mistaken for one."""
+
+
+#: the generator ran to its natural end
+DONE = Outcome("done")
+#: the run is winding down (stop, fail-fast halt, shutdown)
+HALTED = Outcome("halted")
+#: a wait nothing can ever satisfy: every input is frozen, or one is
+#: empty and sealed
+EXHAUSTED = Outcome("exhausted")
+#: the stage blocks; the event loop resumes it with the delivered value
+SUSPENDED = Outcome("suspended")
+
+
+def drive(gen: Generator, send_value: Any, backend: Any) -> Outcome:
+    """Pump ``gen``, sending ``send_value`` first, until it stops.
+
+    Resuming a :data:`SUSPENDED` stage is another call with the delivered
+    value (which may itself be :data:`EXHAUSTED`).  Every other outcome
+    ends the attempt, so the generator is closed.  Stage exceptions, and
+    errors an effect raises (a write to a frozen buffer, an emit into an
+    aborted channel), close it too and propagate to the caller, which
+    applies the fault policy (:meth:`Kernel.on_failure`).
+    """
+    report = backend.report
+    try:
+        while type(send_value) is not Outcome:
+            if not backend.live():
+                send_value = HALTED
+                break
+            try:
+                cmd = gen.send(send_value)
+            except StopIteration:
+                return DONE
+            report.commands += 1
+            send_value = _effect(cmd, backend)
+    except BaseException:
+        gen.close()
+        raise
+    if send_value is not SUSPENDED:
+        gen.close()
+    return send_value
+
+
+def _effect(cmd: Any, b: Any) -> Any:
+    if isinstance(cmd, Compute):
+        return b.compute(cmd)
+    if isinstance(cmd, Write):
+        return b.write(cmd)
+    if isinstance(cmd, WaitInputs):
+        return b.wait_inputs(cmd.seen)
+    if isinstance(cmd, PollInputs):
+        return b.poll_inputs(cmd.seen)
+    if isinstance(cmd, Emit):
+        return b.emit(cmd.update)
+    if isinstance(cmd, CloseChannel):
+        return b.close_channel()
+    if isinstance(cmd, Recv):
+        return b.recv()
+    if isinstance(cmd, Lease):
+        # an advisory batching width: the stage yields the same command
+        # stream at any grant, so no backend needs a say in it
+        return max(1, min(cmd.want, b.lease_k))
+    raise TypeError(
+        f"stage {b.stage.name!r} yielded unknown command {cmd!r}")
+
+
+# ---------------------------------------------------------------------------
+# Command helpers shared by every backend
+
+
+def open_body(stage: Stage, injector: FaultInjector | None,
+              realtime: bool) -> Generator:
+    """A fresh generator for one attempt, instrumented by the injector.
+
+    ``realtime`` picks how an injected delay spends time: a real sleep
+    (wall-clock backends) or a zero-energy ``Compute`` (virtual time).
+    """
+    gen = stage.body()
+    if injector is None:
+        return gen
+    return injector.wrap(stage.name, gen, realtime=realtime)
+
+
+def energy_of(cmd: Compute) -> float:
+    """The energy a ``Compute`` charges: declared, else its cost."""
+    return cmd.energy if cmd.energy is not None else cmd.cost
+
+
+def inputs_ready(stage: Stage, seen: dict[str, int]) -> Any:
+    """The reply to ``WaitInputs(seen)``, or None to keep waiting.
+
+    The input snapshots once every input is non-empty and one is newer
+    than ``seen``; :data:`EXHAUSTED` when that can never happen — an
+    input is empty and sealed (its producer died before publishing), or
+    every input is frozen (final or sealed).
+    """
+    snaps = {b.name: b.snapshot() for b in stage.inputs}
+    if not snaps:
+        return snaps
+    if not any(s.empty for s in snaps.values()) and any(
+            s.version > seen.get(n, 0) for n, s in snaps.items()):
+        return snaps
+    if any(s.empty and s.sealed for s in snaps.values()) \
+            or all(s.exhausted for s in snaps.values()):
+        return EXHAUSTED
+    return None
+
+
+def inputs_newer(stage: Stage, seen: dict[str, int]) -> bool:
+    """The reply to ``PollInputs(seen)``: would the wait be satisfied?"""
+    reply = inputs_ready(stage, seen)
+    return isinstance(reply, dict) and bool(reply)
+
+
+def stage_cursor(stage: Stage) -> dict[str, Any]:
+    """A live stage's checkpoint cursor, from its buffer's and channel's
+    authoritative counts of the effects that landed."""
+    emitted = stage.emit_to.emitted if stage.emit_to is not None else 0
+    return stage.capture_state(stage.output.version, emitted)
+
+
+class RunResult:
+    """Accessors every executor's result shares."""
+
+    timeline: Timeline
+    stage_reports: dict[str, StageReport]
+
+    def output_records(self, buffer: str) -> list[WriteRecord]:
+        return self.timeline.for_buffer(buffer)
+
+    @property
+    def degraded_stages(self) -> list[str]:
+        return sorted(n for n, r in self.stage_reports.items()
+                      if r.degraded)
+
+    @property
+    def failed_stages(self) -> list[str]:
+        return sorted(n for n, r in self.stage_reports.items() if r.failed)
+
+
+# ---------------------------------------------------------------------------
+# Shared run state
+
+
+class Kernel:
+    """Run state every executor shares, and the protocol rules over it.
+
+    Subclasses supply the mechanism: ``request_stop()``, the clock
+    (:meth:`now` defaults to wall seconds since ``_t0``, continuing a
+    resumed run's clock) and whatever blocks, schedules and resumes the
+    stage generators.  ``EXECUTOR`` names the backend in checkpoints and
+    error messages; ``RESULT`` is the result class it returns.
+    """
+
+    EXECUTOR = ""
+    RESULT: Any = None
+
+    def __init__(self, graph: AutomatonGraph, *,
+                 stop: StopCondition | None, watch: set[str] | None,
+                 faults: FaultPolicy | dict[str, FaultPolicy] | None,
+                 injector: FaultInjector | None, strict: bool,
+                 trace: TraceSink | None, trace_metric: Any,
+                 trace_reference: Any, lease_k: int, resume: Any) -> None:
+        if lease_k < 1:
+            raise ValueError(f"lease_k must be >= 1, got {lease_k}")
+        self.graph = graph
+        self.lease_k = int(lease_k)
+        self.stop = stop
+        if watch is None:
+            watch = {t.output.name for t in graph.terminal_stages()}
+        self.watch = set(watch)
+        self.faults = faults
+        self.injector = injector
+        self.strict = strict
+        self.sink = active_sink(trace)
+        self.trace_metric = trace_metric
+        self.trace_reference = trace_reference
+        #: automaton name and app spec stamped into checkpoint headers
+        self.run_name = "automaton"
+        self.app_spec: dict[str, Any] | None = None
+        #: a stop condition, user interrupt or timeout ended the run
+        self.stop_requested = False
+        # Energy is charged from the Compute costs the stages declare:
+        # wall time cannot recover per-stage cost, but the declared
+        # costs can — so every backend's energy column agrees in shape.
+        self.meter = EnergyMeter()
+        self.timeline = Timeline()
+        self.errors: list[tuple[str, BaseException]] = []
+        self.reports = {s.name: StageReport(stage=s.name)
+                        for s in graph.stages}
+        self._lock = threading.Lock()
+        self._t0 = 0.0
+        self._ended_at: float | None = None    # now() when the run ended
+        self._final_result: Any = None
+        self.t_offset = 0.0
+        # A run that resumes a checkpoint continues its energy, clock,
+        # reports and stop-condition progress (see repro.ckpt).
+        self._resume = resume
+        if resume is not None:
+            self.meter.charge(resume.energy)
+            self.t_offset = float(resume.duration)
+            self.reports = resume.seed_reports(
+                [s.name for s in graph.stages])
+            from ..ckpt.state import restore_stop
+            restore_stop(self.stop, resume.stop)
+
+    # -- time and tracing --------------------------------------------------
+
+    def now(self) -> float:
+        # resumed runs continue the interrupted run's clock, so the
+        # combined timeline stays monotone across the checkpoint
+        return _time.perf_counter() - self._t0 + self.t_offset
+
+    def trace(self, kind: str, stage: str | None = None,
+              target: str | None = None, ts: float | None = None,
+              **args: Any) -> None:
+        if self.sink is None:
+            return
+        self.sink.emit(TraceEvent(self.now() if ts is None else ts, kind,
+                                  stage=stage, target=target, args=args))
+
+    def record_wait(self, name: str, started: float, kind: str) -> None:
+        """Log one completed blocking wait (counter + span event)."""
+        elapsed = self.now() - started
+        self.reports[name].record_wait(elapsed)
+        self.trace("stage.wait", stage=name, ts=started, dur=elapsed,
+                   wait=kind)
+
+    def install_hooks(self) -> None:
+        """Point buffer, channel and injector tracers at the sink."""
+        if self.sink is None:
+            return
+        chan_stage: dict[tuple[str, str], str] = {}
+        for s in self.graph.stages:
+            if s.emit_to is not None:
+                chan_stage[(s.emit_to.name, "out")] = s.name
+            if isinstance(s, SynchronousStage):
+                chan_stage[(s.channel.name, "in")] = s.name
+
+        def buffer_hook(kind: str, name: str, **args: Any) -> None:
+            self.trace(kind, stage=args.pop("writer", None), target=name,
+                       **args)
+
+        def channel_hook(kind: str, name: str, **args: Any) -> None:
+            side = "in" if kind == "channel.recv" else "out"
+            self.trace(kind, stage=chan_stage.get((name, side)),
+                       target=name, **args)
+
+        for b in self.graph.buffers.values():
+            b.tracer = buffer_hook
+        for s in self.graph.stages:
+            if s.emit_to is not None:
+                s.emit_to.tracer = channel_hook
+        if self.injector is not None:
+            self.injector.tracer = (
+                lambda s, c, k: self.trace("fault.injected", stage=s,
+                                           at=c, fault=k))
+
+    # -- attempts, energy and writes ---------------------------------------
+
+    def start(self, name: str, first: bool = False) -> None:
+        """Count and trace one attempt of a stage.
+
+        The first attempt of a resumed run continues the checkpointed
+        one, so a checkpoint does not read as a retry.
+        """
+        report = self.reports[name]
+        if not (first and self._resume is not None and report.attempts):
+            report.attempts += 1
+        self.trace("stage.start", stage=name, attempt=report.attempts)
+
+    def charge(self, amount: float) -> None:
+        with self._lock:
+            self.meter.charge(amount)
+
+    def publish(self, stage: Stage, value: Any, final: bool,
+                transfer: bool = False) -> int:
+        """Apply one ``Write``: publish, record, sample, check the stop.
+
+        Returns the version.  Raises ``ValueError`` when the buffer is
+        frozen (final or sealed) or written by a foreign stage.
+        """
+        name = stage.output.name
+        if final and isinstance(stage, SynchronousStage) \
+                and stage.channel.aborted:
+            # The update stream was cut short: the aggregate is an
+            # approximation, not the precise output.
+            final = False
+            self.reports[stage.name].degraded = True
+        version = stage.output.write(value, final, writer=stage.name,
+                                     transfer=transfer)
+        value = self._recorded(name, value, version, final)
+        watched = name in self.watch
+        record = WriteRecord(self.now(), name, version, final,
+                             self.meter.total, value if watched else None)
+        with self._lock:
+            self.timeline.add(record)
+        if watched and self.sink is not None \
+                and self.trace_metric is not None:
+            self.trace("accuracy.sample", stage=stage.name, target=name,
+                       ts=record.time, version=version,
+                       accuracy=float(self.trace_metric(
+                           value, self.trace_reference)))
+        if watched and self.stop is not None \
+                and self.stop.should_stop(record):
+            self.request_stop()
+        return version
+
+    def _recorded(self, name: str, value: Any, version: int,
+                  final: bool) -> Any:
+        """The value a write records when its buffer is watched."""
+        return value
+
+    def _value_of(self, name: str) -> Any:
+        """A buffer's current value, owned by the caller."""
+        return self.graph.buffers[name].snapshot().value
+
+    # -- seal, degrade and finish -----------------------------------------
+
+    def seal_outputs(self, stage: Stage) -> None:
+        """Freeze everything the stage feeds, so consumers stop waiting.
+
+        Sealing an already-final buffer is a harmless flag; aborting the
+        emit channel releases a consumer blocked mid-stream."""
+        stage.output.seal()
+        if stage.emit_to is not None and not stage.emit_to.closed:
+            stage.emit_to.abort()
+        if isinstance(stage, SynchronousStage) \
+                and not stage.channel.closed:
+            # The consumer died: release a producer blocked on the full
+            # channel (its next emit raises ChannelClosed and its own
+            # policy takes over).
+            stage.channel.abort()
+
+    def finish(self, stage: Stage, outcome: str) -> None:
+        """Close a stage's attempt after :func:`drive` returned.
+
+        A halted stage keeps its buffers as they are (shutdown seals
+        them on a stop); an exhausted one, or one whose final write was
+        demoted, degrades.
+        """
+        report = self.reports[stage.name]
+        if outcome == HALTED:
+            status = "stopped" if self.stop_requested else "halted"
+        elif outcome == DONE and not report.degraded:
+            status = "completed"
+            report.completed = True
+        else:
+            status = "degraded"
+            report.degraded = True
+        self.trace("stage.finish", stage=stage.name, status=status)
+        if outcome != HALTED:
+            self.seal_outputs(stage)
+
+    def on_failure(self, stage: Stage, exc: BaseException,
+                   halting: bool = False) -> tuple[str, float]:
+        """Record one stage failure and decide what happens next.
+
+        Returns ``(action, delay)``.  ``"restart"``: start a fresh
+        attempt after ``delay``.  ``"stop"``: the stop condition fired
+        (the stage is degraded and a stop requested).  ``"fail"``: the
+        stage is marked failed and sealed; the caller halts the run.
+        ``"degrade"``: the stage is sealed at its last version.
+        """
+        name = stage.name
+        report = self.reports[name]
+        with self._lock:
+            failures = report.record_failure(exc)
+            self.errors.append((name, exc))
+        self.trace("stage.finish", stage=name, status="error",
+                   error=repr(exc))
+        if self.stop is not None and self.stop.on_failure(name, exc):
+            self.request_stop()
+            action = "stop"
+        else:
+            policy = resolve_policy(self.faults, name)
+            action = policy.decide(failures)
+            if action == "restart" and (stage.emit_to is not None
+                                        or halting):
+                # A streaming parent cannot be restarted: its consumer
+                # already folded updates that a fresh pass would re-emit
+                # (double counting).  A halting run starts no new
+                # attempt.  Degrade instead.
+                action = "degrade"
+            if action == "restart":
+                delay = policy.restart_delay(failures)
+                self.trace("stage.restart", stage=name,
+                           failures=failures, delay=delay)
+                return action, delay
+        if action == "fail":
+            report.failed = True
+        else:
+            report.degraded = True
+        self.seal_outputs(stage)
+        return action, 0.0
+
+    # -- checkpoint and finalise -------------------------------------------
+
+    def _full_timeline(self) -> Timeline:
+        """This segment's records; a resumed run's ladder spans the whole
+        logical run, checkpoint prefix included."""
+        if self._resume is None or not self._resume.prefix.records:
+            return self.timeline
+        return Timeline(self._resume.prefix.records + self.timeline.records)
+
+    def _check_checkpointable(self, launched: bool) -> None:
+        from ..ckpt.format import CheckpointError
+
+        if not launched:
+            raise CheckpointError(
+                "cannot checkpoint: the run was never launched")
+        if self.stop_requested:
+            raise CheckpointError(
+                "cannot checkpoint a stopping run: shutdown seals "
+                "every buffer (checkpoint before request_stop)")
+
+    def _save(self, path: str, live: dict[str, Any],
+              requeue: dict[str, list] | None = None) -> str:
+        """Write a checkpoint of the quiesced run; returns its digest.
+
+        ``live`` maps every still-running stage to its cursor (None: it
+        resumes from a fresh generator).  A live stage stays LIVE even
+        when its degraded flag is already set (final-after-abort); the
+        flag rides along in its restored report.  ``requeue`` puts
+        dequeued but undelivered channel updates back at the head of the
+        checkpointed queues.
+        """
+        from ..ckpt.state import (STATUS_COMPLETED, STATUS_DEGRADED,
+                                  STATUS_FAILED, STATUS_LIVE,
+                                  assemble_payload, save_checkpoint)
+
+        stages: dict[str, dict[str, Any]] = {}
+        for s in self.graph.stages:
+            report = self.reports[s.name]
+            if s.name in live:
+                status = STATUS_LIVE
+            elif report.failed:
+                status = STATUS_FAILED
+            elif report.degraded:
+                status = STATUS_DEGRADED
+            else:
+                status = STATUS_COMPLETED
+            stages[s.name] = {"status": status,
+                              "cursor": live.get(s.name)}
+        payload = assemble_payload(
+            self.graph, name=self.run_name, executor=self.EXECUTOR,
+            stages=stages, reports=self.reports, energy=self.meter.total,
+            timeline=self._full_timeline(), duration=self.now(),
+            stop=self.stop, channel_requeue=requeue,
+            buffer_values={n: self._value_of(n) for n in self.graph.buffers})
+        return save_checkpoint(path, payload, app_spec=self.app_spec)
+
+    def _shutdown_io(self) -> None:
+        """Freeze all buffers and channels after an interrupted run.
+
+        A timeout or stop condition halts the stages, but anything
+        *outside* the executor blocked on the graph — a UI thread in
+        ``buffer.wait_newer``, a producer stuck emitting into a full,
+        never-closed channel — would hang forever on objects no stage
+        will touch again.  Sealing is idempotent and aborting is skipped
+        for channels already closed, so a clean shutdown is unaffected.
+        """
+        for b in self.graph.buffers.values():
+            b.seal()
+        for c in self.graph.channels.values():
+            if not c.closed:
+                c.abort()
+
+    def _result_fields(self) -> dict[str, Any]:
+        """The fields every result carries, after shutdown sealing."""
+        if self.stop_requested:
+            self._shutdown_io()
+        return dict(
+            timeline=self._full_timeline(),
+            completed=(not self.stop_requested
+                       and all(r.completed for r in self.reports.values())),
+            stopped_early=self.stop_requested,
+            final_values={n: self._value_of(n) for n in self.graph.buffers},
+            errors=list(self.errors), stage_reports=dict(self.reports))
+
+    def _finalize(self, **extra: Any) -> Any:
+        """The run's result, assembled once after every stage wound down;
+        under ``strict`` an unrecovered stage failure raises instead."""
+        with self._lock:
+            if self._final_result is None:
+                duration = (self.now() if self._ended_at is None
+                            else self._ended_at)
+                self._final_result = self.RESULT(
+                    duration=duration, **self._result_fields(), **extra)
+        unrecovered = [n for n, r in self.reports.items()
+                       if r.last_error is not None and not r.completed]
+        if self.strict and unrecovered:
+            name = unrecovered[0]
+            first = next(exc for n, exc in self.errors if n == name)
+            raise ExecutionError(
+                f"stage {name!r} failed during {self.EXECUTOR} "
+                f"execution: {first}") from first
+        return self._final_result
+
+    # -- RunHandle support (wall-clock executors) --------------------------
+
+    def _watch_name(self) -> str:
+        if len(self.watch) == 1:
+            return next(iter(self.watch))
+        return self.graph.terminal_buffer().name
+
+    def _peek(self) -> Any:
+        return self.graph.buffers[self._watch_name()].snapshot()

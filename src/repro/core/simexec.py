@@ -2,7 +2,8 @@
 
 This is the evaluation substrate standing in for the paper's 32-thread
 POWER7+ machine (see DESIGN.md).  Every stage runs as a coroutine of
-commands; :class:`Compute` costs are divided by the stage's core share and
+commands pumped by the shared kernel (:func:`~repro.core.kernel.drive`);
+:class:`Compute` costs are divided by the stage's core share and
 advance a virtual clock; writes, waits and channel operations are
 zero-time synchronization events.  The event order is fully deterministic
 (ties broken by submission sequence), so runtime-accuracy profiles are
@@ -15,13 +16,14 @@ picks up whichever newer version exists (asynchronous pipeline), and
 synchronous channels deliver every update in order with optional
 backpressure.
 
-Fault tolerance mirrors the threaded executor: a stage exception is
-retried (fresh generator, virtual-time backoff), degraded (output sealed
-at the last published version; downstream finishes on it), or — under
-the fail-fast default — halts the run, which still *returns* the partial
-timeline with per-stage :class:`~repro.core.faults.StageReport` records.
-Because injected faults are scheduled by command count and the event
-order is deterministic, a fault schedule replays bit-identically.
+Fault tolerance is the kernel's, as on the wall-clock executors: a stage
+exception is retried (fresh generator, virtual-time backoff), degraded
+(output sealed at the last published version; downstream finishes on
+it), or — under the fail-fast default — halts the run, which still
+*returns* the partial timeline with per-stage
+:class:`~repro.core.faults.StageReport` records.  Because injected faults
+are scheduled by command count and the event order is deterministic, a
+fault schedule replays bit-identically.
 """
 
 from __future__ import annotations
@@ -30,26 +32,21 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..hw.energy import EnergyMeter, EnergyTable
-from .buffer import Snapshot
-from .channel import ChannelClosed, UpdateChannel
+from ..hw.energy import EnergyTable
+from .channel import ChannelClosed
 from .controller import StopCondition
-from .faults import (FaultInjector, FaultPolicy, StageReport,
-                     resolve_policy)
+from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
-from .recording import Timeline, WriteRecord
+from .kernel import (DONE, EXHAUSTED, HALTED, SUSPENDED, ExecutionError,
+                     Kernel, RunResult, drive, energy_of, inputs_newer,
+                     inputs_ready, open_body, stage_cursor)
+from .recording import Timeline
 from .scheduling import SchedulingPolicy, proportional_shares
-from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, Lease,
-                    PollInputs,
-                    Recv, Stage, WaitInputs, Write)
+from .stage import CHANNEL_END, Stage
 from .syncstage import SynchronousStage
-from .tracing import TraceEvent, TraceSink, active_sink
+from .tracing import TraceSink
 
 __all__ = ["SimResult", "SimulatedExecutor", "ExecutionError"]
-
-
-class ExecutionError(RuntimeError):
-    """The execution wedged (deadlock) or a stage misbehaved."""
 
 
 def _find_deadline(stop: StopCondition | None) -> float | None:
@@ -76,7 +73,7 @@ _NO_PENDING = object()
 
 
 @dataclass
-class SimResult:
+class SimResult(RunResult):
     """Outcome of one simulated run.
 
     ``completed`` means every stage ran to its natural end without
@@ -94,39 +91,94 @@ class SimResult:
     errors: list[tuple[str, BaseException]] = field(default_factory=list)
     stage_reports: dict[str, StageReport] = field(default_factory=dict)
 
-    def output_records(self, buffer: str) -> list[WriteRecord]:
-        return self.timeline.for_buffer(buffer)
-
-    @property
-    def degraded_stages(self) -> list[str]:
-        return sorted(n for n, r in self.stage_reports.items()
-                      if r.degraded)
-
-    @property
-    def failed_stages(self) -> list[str]:
-        return sorted(n for n, r in self.stage_reports.items() if r.failed)
-
 
 class _Process:
-    """Bookkeeping for one stage's coroutine."""
+    """One stage's coroutine under virtual time: the
+    :func:`~repro.core.kernel.drive` backend.  Compute schedules the
+    stage's completion and suspends it; a wait, recv or emit that cannot
+    proceed records what it waits for and suspends it."""
 
-    __slots__ = ("stage", "gen", "done", "waiting_inputs",
-                 "waiting_recv", "waiting_emit", "wait_started",
-                 "wait_kind", "span_open")
+    __slots__ = ("sim", "stage", "report", "lease_k", "gen", "done",
+                 "waiting_inputs", "waiting_recv", "waiting_emit",
+                 "wait_started", "wait_kind")
 
-    def __init__(self, stage: Stage) -> None:
+    def __init__(self, sim: "SimulatedExecutor", stage: Stage) -> None:
+        self.sim = sim
         self.stage = stage
-        self.gen = stage.body()
+        self.report = sim.reports[stage.name]
+        self.lease_k = sim.lease_k
+        self.gen: Any = None
         self.done = False
         self.waiting_inputs: dict[str, int] | None = None
         self.waiting_recv = False
         self.waiting_emit: Any = _NO_PENDING  # pending update when blocked
         self.wait_started: float | None = None  # block time, for tracing
         self.wait_kind = ""                     # "inputs"|"recv"|"emit"
-        self.span_open = False                  # a stage.start lacks its E
+
+    def live(self) -> bool:
+        return not self.sim._halted
+
+    def _suspend(self, kind: str) -> Any:
+        self.wait_started = self.sim._clock
+        self.wait_kind = kind
+        return SUSPENDED
+
+    def compute(self, cmd: Any) -> Any:
+        sim, name = self.sim, self.stage.name
+        sim.charge(energy_of(cmd))
+        if sim._pool is not None:
+            sim._pool.start(name, cmd.cost, sim._clock)
+        else:
+            sim._schedule(self, sim._clock + cmd.cost / sim.shares[name],
+                          None)
+        return SUSPENDED
+
+    def write(self, cmd: Any) -> None:
+        self.sim.publish(self.stage, cmd.value, cmd.final, cmd.transfer)
+        self.sim._wake_readers(self.stage.output.name)
+
+    def wait_inputs(self, seen: dict[str, int]) -> Any:
+        reply = inputs_ready(self.stage, seen)
+        if reply is not None:
+            return reply
+        self.waiting_inputs = dict(seen)
+        for b in self.stage.inputs:
+            self.sim._readers.setdefault(b.name, []).append(self)
+        return self._suspend("inputs")
+
+    def poll_inputs(self, seen: dict[str, int]) -> bool:
+        return inputs_newer(self.stage, seen)
+
+    def emit(self, update: Any) -> Any:
+        channel = self.stage.emit_to
+        if not channel.closed and channel.full:
+            self.waiting_emit = update
+            return self._suspend("emit")
+        # ChannelClosed here means the consumer died and aborted the
+        # stream; it reaches the fault policy like any stage error
+        channel.emit(update)
+        self.sim._wake_consumer(channel)
+        return None
+
+    def close_channel(self) -> None:
+        self.stage.emit_to.close()
+        self.sim._wake_consumer(self.stage.emit_to)
+
+    def recv(self) -> Any:
+        channel = self.stage.channel
+        try:
+            ok, update = channel.try_recv()
+        except ChannelClosed:
+            return CHANNEL_END
+        if not ok:
+            self.waiting_recv = True
+            return self._suspend("recv")
+        # the dequeue made room for a producer blocked on a full channel
+        self.sim._wake_producer(channel)
+        return update
 
 
-class SimulatedExecutor:
+class SimulatedExecutor(Kernel):
     """Runs an :class:`AutomatonGraph` under virtual time.
 
     Parameters
@@ -185,6 +237,9 @@ class SimulatedExecutor:
         quiesced state — so the capture is synchronous and exact.
     """
 
+    EXECUTOR = "simulated"
+    RESULT = SimResult
+
     def __init__(self, graph: AutomatonGraph,
                  total_cores: float = 32.0,
                  schedule: SchedulingPolicy | dict[str, float]
@@ -202,12 +257,13 @@ class SimulatedExecutor:
                  lease_k: int = 8,
                  resume: Any = None,
                  checkpoint_at_stop: str | None = None) -> None:
-        if lease_k < 1:
-            raise ValueError(f"lease_k must be >= 1, got {lease_k}")
-        self.lease_k = int(lease_k)
+        super().__init__(graph, stop=stop, watch=watch, faults=faults,
+                         injector=injector, strict=strict, trace=trace,
+                         trace_metric=trace_metric,
+                         trace_reference=trace_reference, lease_k=lease_k,
+                         resume=resume)
         if total_cores <= 0:
             raise ValueError(f"total_cores must be positive: {total_cores}")
-        self.graph = graph
         #: when True, cores are reassigned dynamically: the policy's
         #: shares become *weights* and the machine is divided among the
         #: stages computing at each instant (generalized processor
@@ -223,269 +279,131 @@ class SimulatedExecutor:
             if share is None or share <= 0:
                 raise ValueError(
                     f"stage {stage.name!r} has no positive core share")
-        self.stop = stop
-        if watch is None:
-            terminals = graph.terminal_stages()
-            watch = {terminals[0].output.name} if len(terminals) == 1 \
-                else {t.output.name for t in terminals}
-        self.watch = set(watch)
-        self.faults = faults
-        self.injector = injector
-        self.strict = strict
-        self.sink = active_sink(trace)
-        self.trace_metric = trace_metric
-        self.trace_reference = trace_reference
-        self.meter = EnergyMeter(table=energy_table or EnergyTable())
-        # -- checkpoint/restore (repro.ckpt) -----------------------------
-        self.run_name = "automaton"
-        self.app_spec: dict[str, Any] | None = None
-        self._resume = resume
+        self.meter.table = energy_table or EnergyTable()
         self.checkpoint_at_stop = checkpoint_at_stop
-        if resume is not None:
-            self.meter.charge(resume.energy)
-            from ..ckpt.state import restore_stop
-            restore_stop(self.stop, resume.stop)
+        # a resumed run continues the interrupted run's virtual clock
+        self._clock = self.t_offset
+        self._halted = False      # a stop or a fail-fast failure
+        self._heap: list[tuple[float, int, str, Any]] = []
+        self._seq = 0
+        self._pool: Any = None
+        self._readers: dict[str, list[_Process]] = {}
+        self._consumer: dict[int, _Process] = {}
+        self._producer: dict[int, _Process] = {}
+
+    def now(self) -> float:
+        return self._clock
+
+    def request_stop(self) -> None:
+        """Interrupt the run before its next event."""
+        self.stop_requested = True
+        self._halted = True
+
+    # -- event plumbing ----------------------------------------------------
+
+    def _schedule(self, proc: _Process, at: float, payload: Any) -> None:
+        heapq.heappush(self._heap, (at, self._seq, proc.stage.name,
+                                    payload))
+        self._seq += 1
+
+    def _end_wait(self, proc: _Process) -> None:
+        if proc.wait_started is not None:
+            self.record_wait(proc.stage.name, proc.wait_started,
+                             proc.wait_kind)
+            proc.wait_started = None
+
+    def _wake_readers(self, buffer: str) -> None:
+        for waiter in self._readers.pop(buffer, []):
+            if not waiter.done:
+                self._schedule(waiter, self._clock, _WAKE)
+
+    def _wake_consumer(self, channel: Any) -> None:
+        """Hand a consumer blocked in recv the next update, or the end of
+        a closed, drained stream."""
+        consumer = self._consumer[id(channel)]
+        if not consumer.waiting_recv \
+                or not (len(channel) or channel.closed):
+            return
+        consumer.waiting_recv = False
+        self._end_wait(consumer)
+        update = channel.try_recv()[1] if len(channel) else CHANNEL_END
+        self._schedule(consumer, self._clock, update)
+
+    def _wake_producer(self, channel: Any) -> None:
+        """Resume a producer blocked on a full channel: its pending
+        update takes the room a recv made, or — the stream aborted — is
+        lost with it, and the producer's next emit observes the abort."""
+        producer = self._producer.get(id(channel))
+        if producer is None or producer.waiting_emit is _NO_PENDING:
+            return
+        pending, producer.waiting_emit = producer.waiting_emit, _NO_PENDING
+        self._end_wait(producer)
+        if not channel.closed:
+            channel.emit(pending)
+        self._schedule(producer, self._clock, None)
+
+    def seal_outputs(self, stage: Stage) -> None:
+        """Seal, then release everyone blocked on what the stage fed, so
+        degradation cascades instead of wedging."""
+        super().seal_outputs(stage)
+        self._wake_readers(stage.output.name)
+        if stage.emit_to is not None:
+            self._wake_consumer(stage.emit_to)
+        if isinstance(stage, SynchronousStage):
+            self._wake_producer(stage.channel)
+
+    def _step(self, proc: _Process, value: Any) -> None:
+        """Resume one stage with a delivered value until it suspends."""
+        try:
+            outcome = drive(proc.gen, value, proc)
+        except BaseException as exc:   # noqa: BLE001 - the fault policy
+            action, delay = self.on_failure(proc.stage, exc)
+            if action == "restart":
+                self.start(proc.stage.name)
+                proc.gen = open_body(proc.stage, self.injector, False)
+                self._schedule(proc, self._clock + delay, None)
+                return
+            proc.done = True
+            if action == "fail":
+                self._halted = True
+            return
+        if outcome == DONE or outcome == EXHAUSTED:
+            proc.done = True
+            self.finish(proc.stage, outcome)
 
     # -- kernel ----------------------------------------------------------
 
     def run(self) -> SimResult:
-        procs = {s.name: _Process(s) for s in self.graph.stages}
-        if self._resume is not None:
-            reports = self._resume.seed_reports(sorted(procs))
-            for fname in self._resume.finished:
-                # restored terminal stage: its buffer ladder (and seal /
-                # final flags) came back with the graph state; it never
-                # enters the event loop
-                procs[fname].done = True
-        else:
-            reports = {name: StageReport(stage=name, attempts=1)
-                       for name in procs}
-        errors: list[tuple[str, BaseException]] = []
-        if self.injector is not None:
-            for name, p in procs.items():
-                p.gen = self.injector.wrap(name, p.gen)
-        channel_consumer: dict[int, _Process] = {}
-        channel_producer: dict[int, _Process] = {}
+        procs = {s.name: _Process(self, s) for s in self.graph.stages}
         for p in procs.values():
             if isinstance(p.stage, SynchronousStage):
-                channel_consumer[id(p.stage.channel)] = p
+                self._consumer[id(p.stage.channel)] = p
             if p.stage.emit_to is not None:
-                channel_producer[id(p.stage.emit_to)] = p
-        buffer_waiters: dict[str, list[_Process]] = {}
-
-        timeline = Timeline()
-        heap: list[tuple[float, int, str, Any]] = []
-        seq = 0
-        # a resumed run continues the interrupted run's virtual clock
-        t0 = (self._resume.duration if self._resume is not None else 0.0)
-        for name in sorted(procs):
-            if procs[name].done:
-                continue
-            heapq.heappush(heap, (t0, seq, name, None))
-            seq += 1
-        now = t0
-        stopped = False
-        failed = False
-        pool = None
+                self._producer[id(p.stage.emit_to)] = p
         if self.dynamic_shares:
             from .procsharing import ProcessorPool
 
-            pool = ProcessorPool(self.total_cores, self.shares)
+            self._pool = ProcessorPool(self.total_cores, self.shares)
+        self.install_hooks()
+        finished = self._resume.finished if self._resume is not None else {}
+        for name in sorted(procs):
+            proc = procs[name]
+            if name in finished:
+                # restored terminal stage: its buffer ladder (and seal /
+                # final flags) came back with the graph state; it never
+                # enters the event loop
+                proc.done = True
+                continue
+            self.start(name, first=True)
+            proc.gen = open_body(proc.stage, self.injector, False)
+            self._schedule(proc, self._clock, None)
         # Deadlines are enforced by the kernel itself: no event past the
         # deadline executes, so the timeline never contains an output
         # version the deadline would not actually have allowed.
         deadline = _find_deadline(self.stop)
+        heap, pool = self._heap, self._pool
 
-        # -- tracing -----------------------------------------------------
-        # Every hook below is a single `is None` check when tracing is
-        # off; the wait/span bookkeeping also feeds the StageReport
-        # counters, which are maintained unconditionally (cheap).
-        sink = self.sink
-
-        def emit(kind: str, stage: str | None = None,
-                 target: str | None = None, **args: Any) -> None:
-            sink.emit(TraceEvent(now, kind, stage=stage, target=target,
-                                 args=args))
-
-        if sink is not None:
-            chan_stage: dict[tuple[str, str], str] = {}
-            for p in procs.values():
-                if p.stage.emit_to is not None:
-                    chan_stage[(p.stage.emit_to.name, "out")] = \
-                        p.stage.name
-                if isinstance(p.stage, SynchronousStage):
-                    chan_stage[(p.stage.channel.name, "in")] = \
-                        p.stage.name
-
-            def _buffer_hook(kind: str, name: str, **args: Any) -> None:
-                emit(kind, stage=args.pop("writer", None), target=name,
-                     **args)
-
-            def _channel_hook(kind: str, name: str, **args: Any) -> None:
-                side = "in" if kind == "channel.recv" else "out"
-                emit(kind, stage=chan_stage.get((name, side)),
-                     target=name, **args)
-
-            for b in self.graph.buffers.values():
-                b.tracer = _buffer_hook
-            for p in procs.values():
-                if p.stage.emit_to is not None:
-                    p.stage.emit_to.tracer = _channel_hook
-            if self.injector is not None:
-                self.injector.tracer = (
-                    lambda s, c, k: emit("fault.injected", stage=s,
-                                         at=c, fault=k))
-
-        def trace_start(proc: _Process, attempt: int) -> None:
-            proc.span_open = True
-            if sink is not None:
-                emit("stage.start", stage=proc.stage.name,
-                     attempt=attempt)
-
-        def trace_finish(proc: _Process, status: str,
-                         **args: Any) -> None:
-            if not proc.span_open:
-                return
-            proc.span_open = False
-            if sink is not None:
-                emit("stage.finish", stage=proc.stage.name,
-                     status=status, **args)
-
-        def begin_wait(proc: _Process, kind: str) -> None:
-            proc.wait_started = now
-            proc.wait_kind = kind
-
-        def end_wait(proc: _Process) -> None:
-            if proc.wait_started is None:
-                return
-            elapsed = now - proc.wait_started
-            reports[proc.stage.name].record_wait(elapsed)
-            if sink is not None:
-                sink.emit(TraceEvent(
-                    proc.wait_started, "stage.wait",
-                    stage=proc.stage.name,
-                    args={"dur": elapsed, "wait": proc.wait_kind}))
-            proc.wait_started = None
-
-        def snapshots(stage: Stage) -> dict[str, Snapshot]:
-            return {b.name: b.snapshot() for b in stage.inputs}
-
-        def wait_satisfied(stage: Stage, seen: dict[str, int],
-                           ) -> dict[str, Snapshot] | None:
-            snaps = snapshots(stage)
-            if not snaps:
-                return snaps
-            if any(s.empty for s in snaps.values()):
-                return None
-            if any(s.version > seen.get(n, 0) for n, s in snaps.items()):
-                return snaps
-            return None
-
-        def schedule(proc: _Process, at: float, payload: Any) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (at, seq, proc.stage.name, payload))
-            seq += 1
-
-        def inputs_exhausted(stage: Stage) -> bool:
-            """An unsatisfied wait that can never be satisfied: an input
-            is empty and sealed (producer died before publishing), or
-            every input is frozen (final or sealed)."""
-            snaps = snapshots(stage)
-            if not snaps:
-                return False
-            if any(s.empty and s.sealed for s in snaps.values()):
-                return True
-            return all(s.exhausted for s in snaps.values())
-
-        def seal_and_wake(proc: _Process) -> None:
-            """Freeze everything the stage feeds and release anyone
-            blocked on it, so degradation cascades instead of wedging."""
-            stage = proc.stage
-            stage.output.seal()
-            for waiter in buffer_waiters.pop(stage.output.name, []):
-                if not waiter.done:
-                    schedule(waiter, now, _WAKE)
-            if stage.emit_to is not None and not stage.emit_to.closed:
-                stage.emit_to.abort()
-                consumer = channel_consumer[id(stage.emit_to)]
-                if consumer.waiting_recv and len(stage.emit_to) == 0:
-                    consumer.waiting_recv = False
-                    end_wait(consumer)
-                    schedule(consumer, now, CHANNEL_END)
-            if isinstance(stage, SynchronousStage) \
-                    and not stage.channel.closed:
-                stage.channel.abort()
-                producer = channel_producer.get(id(stage.channel))
-                if producer is not None \
-                        and producer.waiting_emit is not _NO_PENDING:
-                    # The pending update is lost with the stream; resume
-                    # the producer so its next emit observes the abort.
-                    producer.waiting_emit = _NO_PENDING
-                    end_wait(producer)
-                    schedule(producer, now, None)
-
-        def finish_degraded(proc: _Process) -> None:
-            proc.done = True
-            proc.waiting_inputs = None
-            proc.waiting_recv = False
-            end_wait(proc)
-            reports[proc.stage.name].degraded = True
-            trace_finish(proc, "degraded")
-            proc.gen.close()
-            seal_and_wake(proc)
-
-        def handle_failure(proc: _Process, exc: BaseException) -> str:
-            """Apply the stage's fault policy; returns the action taken
-            ("restarted", "degraded", "failed" or "stopped")."""
-            name = proc.stage.name
-            report = reports[name]
-            failures = report.record_failure(exc)
-            errors.append((name, exc))
-            trace_finish(proc, "error", error=repr(exc))
-            try:
-                proc.gen.close()
-            except RuntimeError:   # pragma: no cover - defensive
-                pass
-            if self.stop is not None \
-                    and self.stop.on_failure(name, exc):
-                finish_degraded(proc)
-                return "stopped"
-            policy = resolve_policy(self.faults, name)
-            action = policy.decide(failures)
-            if action == "restart" and proc.stage.emit_to is not None:
-                # A streaming parent must not re-emit updates the
-                # consumer already folded; degrade instead.
-                action = "degrade"
-            if action == "restart":
-                report.attempts += 1
-                gen = proc.stage.body()
-                if self.injector is not None:
-                    gen = self.injector.wrap(name, gen)
-                proc.gen = gen
-                proc.waiting_inputs = None
-                proc.waiting_recv = False
-                proc.waiting_emit = _NO_PENDING
-                proc.wait_started = None
-                delay = policy.restart_delay(failures)
-                if sink is not None:
-                    emit("stage.restart", stage=name, failures=failures,
-                         delay=delay)
-                trace_start(proc, report.attempts)
-                schedule(proc, now + delay, None)
-                return "restarted"
-            if action == "fail":
-                report.failed = True
-                proc.done = True
-                seal_and_wake(proc)
-                return "failed"
-            finish_degraded(proc)
-            return "degraded"
-
-        for pname in sorted(procs):
-            if not procs[pname].done:
-                trace_start(procs[pname], max(1, reports[pname].attempts))
-
-        while not stopped and not failed:
+        while not self._halted:
             # Pick the next event: the heap's head or, under dynamic
             # sharing, the processor pool's earliest compute completion.
             heap_time = heap[0][0] if heap else None
@@ -496,14 +414,14 @@ class SimulatedExecutor:
                 heap_time is None or completion[0] < heap_time)
             next_time = completion[0] if use_pool else heap_time
             if deadline is not None and next_time > deadline:
-                stopped = True
+                self.request_stop()
                 break
             if use_pool:
-                now, name = completion
-                pool.complete(name, now)
+                self._clock, name = completion
+                pool.complete(name, self._clock)
                 payload = None
             else:
-                now, _, name, payload = heapq.heappop(heap)
+                self._clock, _, name, payload = heapq.heappop(heap)
             proc = procs[name]
             if proc.done:
                 continue
@@ -512,208 +430,37 @@ class SimulatedExecutor:
                 # process was already resumed via another input's write)
                 # and unsatisfied wakes re-block without touching the
                 # generator; a wake that can never be satisfied (all
-                # producers frozen) finishes the stage degraded.
+                # producers frozen) resumes it with EXHAUSTED, which
+                # finishes the stage degraded.
                 if proc.waiting_inputs is None:
                     continue
-                snaps = wait_satisfied(proc.stage, proc.waiting_inputs)
-                if snaps is None:
-                    if inputs_exhausted(proc.stage):
-                        proc.waiting_inputs = None
-                        finish_degraded(proc)
+                payload = inputs_ready(proc.stage, proc.waiting_inputs)
+                if payload is None:
                     continue
                 proc.waiting_inputs = None
-                end_wait(proc)
-                payload = snaps
-            send_value = payload
-            while True:
-                try:
-                    cmd = proc.gen.send(send_value)
-                except StopIteration:
-                    proc.done = True
-                    if not reports[name].degraded:
-                        reports[name].completed = True
-                    trace_finish(proc, "degraded"
-                                 if reports[name].degraded
-                                 else "completed")
-                    seal_and_wake(proc)
-                    break
-                except BaseException as exc:   # noqa: BLE001 - policy
-                    action = handle_failure(proc, exc)
-                    if action == "failed":
-                        failed = True
-                    elif action == "stopped":
-                        stopped = True
-                    break
-                send_value = None
-                reports[name].commands += 1
-                if isinstance(cmd, Compute):
-                    self.meter.charge(cmd.energy if cmd.energy is not None
-                                      else cmd.cost)
-                    if pool is not None:
-                        pool.start(name, cmd.cost, now)
-                    else:
-                        schedule(proc, now + cmd.cost / self.shares[name],
-                                 None)
-                    break
-                elif isinstance(cmd, Write):
-                    stage = proc.stage
-                    final = cmd.final
-                    if final and isinstance(stage, SynchronousStage) \
-                            and stage.channel.aborted:
-                        # The update stream was cut short: the aggregate
-                        # is an approximation, not the precise output.
-                        final = False
-                        reports[name].degraded = True
-                    try:
-                        version = stage.output.write(
-                            cmd.value, final, writer=stage.name,
-                            transfer=cmd.transfer)
-                    except ValueError as exc:
-                        action = handle_failure(proc, exc)
-                        if action == "failed":
-                            failed = True
-                        elif action == "stopped":
-                            stopped = True
-                        break
-                    watched = stage.output.name in self.watch
-                    record = WriteRecord(
-                        now, stage.output.name, version, final,
-                        self.meter.total,
-                        cmd.value if watched else None)
-                    timeline.add(record)
-                    if sink is not None and watched \
-                            and self.trace_metric is not None:
-                        emit("accuracy.sample", stage=stage.name,
-                             target=stage.output.name,
-                             accuracy=float(self.trace_metric(
-                                 cmd.value, self.trace_reference)),
-                             version=version)
-                    for waiter in buffer_waiters.pop(
-                            stage.output.name, []):
-                        if not waiter.done:
-                            schedule(waiter, now, _WAKE)
-                    if watched and self.stop is not None \
-                            and self.stop.should_stop(record):
-                        stopped = True
-                        break
-                elif isinstance(cmd, WaitInputs):
-                    snaps = wait_satisfied(proc.stage, cmd.seen)
-                    if snaps is not None:
-                        send_value = snaps
-                        continue
-                    if inputs_exhausted(proc.stage):
-                        finish_degraded(proc)
-                        break
-                    proc.waiting_inputs = dict(cmd.seen)
-                    begin_wait(proc, "inputs")
-                    for b in proc.stage.inputs:
-                        buffer_waiters.setdefault(b.name, []).append(proc)
-                    break
-                elif isinstance(cmd, PollInputs):
-                    send_value = wait_satisfied(
-                        proc.stage, cmd.seen) is not None
-                elif isinstance(cmd, Lease):
-                    send_value = max(1, min(cmd.want, self.lease_k))
-                elif isinstance(cmd, Emit):
-                    channel = proc.stage.emit_to
-                    assert channel is not None
-                    if not channel.closed and channel.full:
-                        proc.waiting_emit = cmd.update
-                        begin_wait(proc, "emit")
-                        break
-                    try:
-                        channel.emit(cmd.update)
-                    except ChannelClosed as exc:
-                        # The consumer died and aborted the stream.
-                        action = handle_failure(proc, exc)
-                        if action == "failed":
-                            failed = True
-                        elif action == "stopped":
-                            stopped = True
-                        break
-                    consumer = channel_consumer[id(channel)]
-                    if consumer.waiting_recv:
-                        consumer.waiting_recv = False
-                        end_wait(consumer)
-                        ok, update = channel.try_recv()
-                        assert ok
-                        schedule(consumer, now, update)
-                elif isinstance(cmd, CloseChannel):
-                    channel = proc.stage.emit_to
-                    assert channel is not None
-                    channel.close()
-                    consumer = channel_consumer[id(channel)]
-                    if consumer.waiting_recv and len(channel) == 0:
-                        consumer.waiting_recv = False
-                        end_wait(consumer)
-                        schedule(consumer, now, CHANNEL_END)
-                elif isinstance(cmd, Recv):
-                    channel = proc.stage.channel  # type: ignore[attr-defined]
-                    was_full = channel.full
-                    try:
-                        ok, update = channel.try_recv()
-                    except ChannelClosed:
-                        send_value = CHANNEL_END
-                        continue
-                    if ok:
-                        send_value = update
-                        if was_full:
-                            producer = channel_producer[id(channel)]
-                            pending = producer.waiting_emit
-                            if pending is not _NO_PENDING:
-                                producer.waiting_emit = _NO_PENDING
-                                end_wait(producer)
-                                channel.emit(pending)
-                                schedule(producer, now, None)
-                        continue
-                    proc.waiting_recv = True
-                    begin_wait(proc, "recv")
-                    break
-                else:
-                    raise ExecutionError(
-                        f"stage {name!r} yielded unknown command "
-                        f"{cmd!r}")
+                self._end_wait(proc)
+            self._step(proc, payload)
 
+        # the stage processes point back at this executor; dropping its
+        # references to them lets the run be freed by reference counting
+        self._readers, self._consumer, self._producer = {}, {}, {}
         undone = [n for n, p in procs.items() if not p.done]
-        if undone and not stopped and not failed and not heap:
+        if undone and not self._halted and not heap:
             raise ExecutionError(
                 f"execution wedged; blocked stages: {undone}")
         # Close any span left open by a stop / halt so a Chrome trace
         # always carries matched B/E pairs.
-        for proc in procs.values():
-            trace_finish(proc, "stopped" if stopped else "halted")
-        if self._resume is not None and self._resume.prefix.records:
-            timeline = Timeline(self._resume.prefix.records
-                                + timeline.records)
+        for name in undone:
+            self.finish(procs[name].stage, HALTED)
         if self.checkpoint_at_stop is not None:
-            self._write_checkpoint(self.checkpoint_at_stop, procs,
-                                   reports, timeline, now, heap)
-        completed = (not stopped
-                     and all(r.completed for r in reports.values()))
-        if self.strict:
-            unrecovered = [n for n, r in reports.items()
-                           if r.last_error is not None
-                           and not r.completed]
-            if unrecovered:
-                first = next(exc for n, exc in errors
-                             if n == unrecovered[0])
-                raise ExecutionError(
-                    f"stage {unrecovered[0]!r} failed during simulated "
-                    f"execution: {first}") from first
-        final_values = {b.name: b.snapshot().value
-                        for b in self.graph.buffers.values()}
-        return SimResult(timeline=timeline, duration=now,
-                         energy=self.meter.total, completed=completed,
-                         stopped_early=stopped, shares=dict(self.shares),
-                         final_values=final_values, errors=errors,
-                         stage_reports=reports)
+            self._write_checkpoint(self.checkpoint_at_stop, procs)
+        return self._finalize(energy=self.meter.total,
+                              shares=dict(self.shares))
 
     # -- checkpoint (repro.ckpt) -----------------------------------------
 
-    def _write_checkpoint(self, path: str, procs: dict[str, _Process],
-                          reports: dict[str, StageReport],
-                          timeline: Timeline, now: float,
-                          heap: list) -> str:
+    def _write_checkpoint(self, path: str,
+                          procs: dict[str, _Process]) -> str:
         """Capture the run at the event loop's rest point.
 
         Virtual time needs no quiesce: between events nothing is
@@ -723,44 +470,15 @@ class SimulatedExecutor:
         delivered to its synchronous consumer; those are requeued into
         the checkpointed channel state so no stream element is lost.
         """
-        from ..ckpt.state import (STATUS_COMPLETED, STATUS_DEGRADED,
-                                  STATUS_FAILED, STATUS_LIVE,
-                                  assemble_payload, save_checkpoint)
-
         requeue: dict[str, list[Any]] = {}
-        for _at, _sq, pname, payload in sorted(heap):
+        for _at, _sq, pname, payload in sorted(self._heap):
             p = procs[pname]
-            if p.done or not isinstance(p.stage, SynchronousStage):
-                continue
-            if payload is None or payload is _WAKE \
-                    or payload is CHANNEL_END \
-                    or isinstance(payload, dict) and all(
-                        isinstance(v, Snapshot) for v in payload.values()):
+            # a consumer is only ever resumed with None (a compute
+            # completion or restart), an update, or the stream's end
+            if p.done or not isinstance(p.stage, SynchronousStage) \
+                    or payload is None or payload is CHANNEL_END:
                 continue
             requeue.setdefault(p.stage.channel.name, []).append(payload)
-        stages: dict[str, dict[str, Any]] = {}
-        for pname, p in procs.items():
-            report = reports[pname]
-            cursor = None
-            if not p.done:
-                # note: a still-running stage may already carry the
-                # degraded flag (final-after-abort); it stays LIVE here
-                # — the flag rides along in its restored report
-                status = STATUS_LIVE
-                emitted = (p.stage.emit_to.emitted
-                           if p.stage.emit_to is not None else 0)
-                cursor = p.stage.capture_state(p.stage.output.version,
-                                               emitted)
-            elif report.failed:
-                status = STATUS_FAILED
-            elif report.degraded:
-                status = STATUS_DEGRADED
-            else:
-                status = STATUS_COMPLETED
-            stages[pname] = {"status": status, "cursor": cursor}
-        payload = assemble_payload(
-            self.graph, name=self.run_name, executor="simulated",
-            stages=stages, reports=reports, energy=self.meter.total,
-            timeline=timeline, duration=now, stop=self.stop,
-            channel_requeue=requeue)
-        return save_checkpoint(path, payload, app_spec=self.app_spec)
+        live = {n: stage_cursor(p.stage) for n, p in procs.items()
+                if not p.done}
+        return self._save(path, live, requeue)

@@ -3,11 +3,13 @@
 An automaton stage is written as a *generator of commands*: it yields
 :class:`Compute` (do this much work), :class:`Write` (publish an output
 version), :class:`WaitInputs` (block until an input buffer has a newer
-version), :class:`Emit`/:class:`CloseChannel` (stream updates to a
-synchronous child) and :class:`Recv` (consume such updates).  Both
-executors — the deterministic discrete-event simulator and the real
-threaded runtime — interpret the same command stream, so a stage is
-written once and runs identically under either.
+version), :class:`PollInputs` (ask whether one has),
+:class:`Emit`/:class:`CloseChannel` (stream updates to a synchronous
+child), :class:`Recv` (consume such updates) and :class:`Lease` (ask how
+many levels to batch).  One kernel (:mod:`repro.core.kernel`) interprets
+the stream for all three executors — the deterministic discrete-event
+simulator, real threads and one process per stage — so a stage is
+written once and runs identically under any of them.
 
 The base :class:`Stage` provides the asynchronous-pipeline consumer loop
 of paper Section III-C1: wait until every input has a version, run the
@@ -48,6 +50,8 @@ class Compute:
     def __post_init__(self) -> None:
         if self.cost < 0:
             raise ValueError(f"cost cannot be negative: {self.cost}")
+        if self.energy is not None and self.energy < 0:
+            raise ValueError(f"energy cannot be negative: {self.energy}")
 
 
 @dataclass(frozen=True)
@@ -301,6 +305,14 @@ class Stage:
     def restore_state(self, cursor: dict[str, Any]) -> None:
         """Arm the stage to resume from ``cursor`` on its next body()."""
         self._resume = dict(cursor)
+
+    def release_inputs(self) -> None:
+        """Drop the pass snapshots kept for :meth:`capture_state`.
+
+        A process worker calls this once its stage is done, before it
+        unmaps the shared memory those snapshots' arrays view.
+        """
+        self._pass_snaps = None
 
     def _capture_pass(self, written_total: int,
                       emitted_total: int) -> dict[str, Any]:

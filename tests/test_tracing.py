@@ -21,10 +21,11 @@ from repro.apps.pipeline_demo import build_organization
 from repro.core.automaton import AnytimeAutomaton
 from repro.core.buffer import VersionedBuffer
 from repro.core.channel import UpdateChannel
-from repro.core.executor import ThreadedExecutor
+from repro.core.executor import ThreadedExecutor, _StageThread
 from repro.core.faults import FaultInjector, FaultPolicy, StageReport
 from repro.core.graph import AutomatonGraph
 from repro.core.iterative import AccuracyLevel, IterativeStage
+from repro.core.kernel import drive
 from repro.core.mapstage import MapStage
 from repro.core.stage import Emit, PreciseStage, Write
 from repro.core.tracing import (ChromeTraceSink, InMemorySink, JsonlSink,
@@ -405,7 +406,7 @@ class TestEmitHaltRegression:
         timer = threading.Timer(0.05, executor._halt.set)
         timer.start()
         try:
-            outcome = executor._interpret(producer, gen())
+            outcome = drive(gen(), None, _StageThread(executor, producer))
         finally:
             timer.cancel()
         assert outcome == "halted"
