@@ -21,7 +21,7 @@ Entry points::
         outcome = session.result()    # always a valid answer
 
 Scale-out: :class:`~repro.serve.router.FleetRouter` shards requests by
-content-addressed identity across N worker processes (each one an
+their spec's identity across N worker processes (each one an
 ``AnytimeServer``), where same-key concurrent requests coalesce onto a
 single shared run::
 

@@ -198,8 +198,8 @@ class AioFrontend:
                 request = await loop.run_in_executor(
                     None, functools.partial(
                         self.router.submit, msg["app"],
-                        size=int(msg.get("size", 32)),
-                        seed=int(msg.get("seed", 0)),
+                        size=msg.get("size", 32),
+                        seed=msg.get("seed", 0),
                         slo=msg.get("slo"),
                         wait_s=float(msg.get("wait_s", 0.0))))
             except Exception as exc:
@@ -326,9 +326,11 @@ class AioFleetClient:
                     if fut is not None and not fut.done():
                         fut.set_result(msg)
                 elif op == "done":
-                    fut = self._dones.pop(int(msg.get("rid", 0)), None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(msg)
+                    # a refused spec gets its `done` and never an `ack`
+                    for table in (self._dones, self._acks):
+                        fut = table.pop(int(msg.get("rid", 0)), None)
+                        if fut is not None and not fut.done():
+                            fut.set_result(msg)
                 elif op == "stats":
                     if self._stats:
                         fut = self._stats.pop(0)

@@ -1,19 +1,18 @@
 """Canonical request identity for coalescing and fleet placement.
 
 Two requests are *the same work* exactly when they would build the same
-automaton over the same input: same application, same input bytes, same
-size/seed parameters.  Everything else about a request — its name, its
-submission id, its SLO, the identity of its builder closure — is
-serving metadata, not work identity, and must not keep identical
+automaton over the same input.  Everything else about a request — its
+name, its submission id, its SLO, the identity of its builder closure —
+is serving metadata, not work identity, and must not keep identical
 requests apart.  :func:`input_digest` reduces work identity to a stable
-hex string; servers coalesce on it and the fleet router consistently
-places on it, so duplicates land on the same worker and attach to the
-same run.
+hex string, :func:`request_key` makes it a coalescing/placement key and
+:func:`ckpt_filename` a checkpoint file name.
 
-The digest is deliberately content-addressed (dtype + shape + raw
-bytes), not parameter-addressed: two callers that generated the same
-array through different code paths still coalesce, and a caller that
-mutated its input cannot poison another subscriber's answer.
+An array is digested content-addressed (dtype + shape + raw bytes), so
+in-process callers that made the same array by different code paths
+still coalesce.  A fleet spec ``(app, size, seed)`` is digested with
+``data=None`` (:func:`repro.serve.fleet.spec_key`): its input is a pure
+function of those fields, so nobody makes the input to learn its key.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["input_digest", "request_key"]
+__all__ = ["input_digest", "request_key", "ckpt_filename"]
 
 
 def _feed_params(h: "hashlib._Hash", params: dict[str, Any]) -> None:
@@ -39,7 +38,7 @@ def input_digest(app: str, data: Any = None, **params: Any) -> str:
 
     ``data`` may be an ndarray (hashed by dtype, shape and raw bytes,
     C-contiguous), raw ``bytes``, or None (parameter-only requests, e.g.
-    a declarative fleet spec hashed before the input is materialized).
+    a declarative fleet spec hashed without its input).
     Keyword ``params`` are canonicalized by sorted name; None values are
     skipped so an unset default and an absent parameter agree.
     """
@@ -64,3 +63,9 @@ def request_key(app: str, digest: str) -> str:
     alone) makes traces and fleet affinity tables human-readable.
     """
     return f"{app}:{digest[:16]}"
+
+
+def ckpt_filename(key: str) -> str:
+    """File name of a keyed run's suspend checkpoint: a server writes
+    it, the fleet router finds a dead worker's by request key alone."""
+    return key.replace(":", "_").replace("/", "_") + ".rck"

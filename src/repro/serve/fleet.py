@@ -36,6 +36,7 @@ import binascii
 import hashlib
 import json
 import math
+import operator
 import os
 import queue
 import socket
@@ -47,7 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from .digest import input_digest, request_key
+from .digest import ckpt_filename, input_digest, request_key
 
 __all__ = ["send_msg", "recv_msg", "spec_key", "value_digest",
            "ckpt_filename", "worker_main", "WORKER_DEFAULTS",
@@ -165,42 +166,32 @@ class _Lru:
             self._items.popitem(last=False)
 
 
-#: specs whose key a process remembers (a 3-tuple and a short string each)
-_SPEC_KEYS_MAX = 4096
-_spec_keys = _Lru(_SPEC_KEYS_MAX)
-_spec_lock = threading.Lock()
-
-
-def _content_key(app: str, image: Any, size: int, seed: int) -> str:
-    return request_key(app, input_digest(app, image, size=size,
-                                         seed=seed))
+def _spec_int(field: str, value: Any, low: int) -> int:
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, "
+                         f"got {value!r}") from None
+    if number < low:
+        raise ValueError(f"{field} must be >= {low}, got {number}")
+    return number
 
 
 def spec_key(app: str, size: int, seed: int = 0) -> str:
     """Canonical coalescing/placement key of a declarative request.
 
-    Materializes the input once per (app, size, seed) to digest its
-    actual bytes — content-addressed, so the router and every worker
-    agree on identity without exchanging arrays.
+    Spec-addressed: the input is a pure function of ``(app, size,
+    seed)``, so the key hashes those fields and never makes the input.
+    Rejects a bad spec cheaply: an unknown app with ``get_app``'s
+    KeyError; a non-integer, a ``size`` < 1 or a ``seed`` < 0 with a
+    ValueError naming the field.
     """
-    spec = (app, int(size), int(seed))
-    with _spec_lock:
-        key = _spec_keys.get(spec)
-    if key is None:
-        from ..apps.registry import get_app
+    from ..apps.registry import get_app
 
-        image = get_app(app).make_input(spec[1], spec[2])
-        key = _content_key(app, image, spec[1], spec[2])
-        with _spec_lock:
-            _spec_keys.put(spec, key)
-    return key
-
-
-def ckpt_filename(key: str) -> str:
-    """File name a worker's server gives a keyed run's suspend
-    checkpoint (mirrors ``AnytimeServer._ckpt_file``), so the router
-    can locate a dead worker's checkpoints by request key alone."""
-    return key.replace(":", "_").replace("/", "_") + ".rck"
+    get_app(app)
+    return request_key(app, input_digest(
+        app, None, size=_spec_int("size", size, 1),
+        seed=_spec_int("seed", seed, 0)))
 
 
 def value_digest(value: Any) -> str:
@@ -439,8 +430,8 @@ class _ScoreLater:
         return self._record.metric(value, self._reference)
 
 
-#: calibrations (input image, builder, metric with its reference, key)
-#: a worker keeps for repeat submissions of a spec
+#: calibrations (input image, builder, metric with its reference) a
+#: worker keeps, by spec key, for repeat submissions of a spec
 _CALIBRATIONS_MAX = 32
 
 
@@ -477,8 +468,8 @@ def worker_main(sock: socket.socket,
     """Run one fleet worker until its socket closes.
 
     The reader loop (this thread) admits first and scores later: a new
-    spec's input is made once, its key derived from those bytes, the
-    request submitted and acked — and only then does the calibrate
+    spec's input is made once, the request keyed by :func:`spec_key`,
+    submitted and acked — and only then does the calibrate
     thread compute the precise reference the answer is scored against
     (FIFO, one spec at a time), while the run already produces
     versions.  The completion pump thread sends each ``done`` the
@@ -505,14 +496,13 @@ def worker_main(sock: socket.socket,
         os.path.join(cfg["resume_dir"], "incoming")
         if cfg.get("resume_dir") else None)
 
-    def calibration(app: str, size: int, seed: int) -> tuple:
-        spec = (app, size, seed)
-        entry = calibrations.get(spec)
+    def calibration(app: str, size: Any, seed: Any) -> tuple:
+        # the key is the frame's spec's, never the router's word for it
+        key = spec_key(app, size, seed)
+        entry = calibrations.get(key)
         if entry is None:
             record = get_app(app)
-            image = record.make_input(size, seed)
-            # the key is this input's, never the router's word for it
-            key = _content_key(app, image, size, seed)
+            image = record.make_input(int(size), int(seed))
             metric = _ScoreLater(record, image)
             if not metric.ready:
                 references.put(metric)
@@ -520,9 +510,9 @@ def worker_main(sock: socket.socket,
             def builder(record=record, image=image):
                 return record.build(image)
 
-            entry = (builder, metric, key)
-            calibrations.put(spec, entry)
-        return entry
+            entry = (builder, metric)
+            calibrations.put(key, entry)
+        return (*entry, key)
 
     def calibrate() -> None:
         while True:
@@ -574,8 +564,8 @@ def worker_main(sock: socket.socket,
                 cell = None
                 try:
                     builder, metric, key = calibration(
-                        msg["app"], int(msg.get("size", 32)),
-                        int(msg.get("seed", 0)))
+                        msg["app"], msg.get("size", 32),
+                        msg.get("seed", 0))
                     resume_from = (receiver.take(msg.get("resume_xfer"))
                                    or msg.get("resume_from"))
                     if resume_from:

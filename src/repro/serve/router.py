@@ -4,7 +4,8 @@
 locally over AF_UNIX socketpairs or reached over TCP
 (:mod:`repro.serve.transport`) — and places each declarative request
 ``(app, size, seed, SLO)`` by its canonical work identity
-(:func:`~repro.serve.fleet.spec_key`):
+(:func:`~repro.serve.fleet.spec_key`, a hash of the spec itself: the
+router never makes an input):
 
 * **Sticky consistent-hash placement.**  A key hashes onto a virtual-
   node ring; identical work therefore lands on the same worker, where
@@ -325,10 +326,11 @@ class FleetRouter:
     def submit(self, app: str, size: int = 32, seed: int = 0,
                slo: dict[str, Any] | None = None,
                wait_s: float = 0.0) -> FleetRequest:
-        """Place and dispatch one declarative request."""
+        """Place and dispatch one declarative request (a bad spec
+        raises from ``spec_key``, before any dispatch)."""
         key = spec_key(app, size, seed)
-        request = FleetRequest(next(self._rids), app, size, seed,
-                               slo or {}, key)
+        request = FleetRequest(next(self._rids), app, int(size),
+                               int(seed), slo or {}, key)
         with self._lock:
             memo = self._memo_lookup(key)
             if memo is not None:

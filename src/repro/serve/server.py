@@ -47,6 +47,7 @@ from typing import Any, Callable
 from ..core.buffer import Snapshot
 from ..core.faults import FaultInjector, FaultPolicy
 from ..core.tracing import TraceEvent, TraceSink
+from .digest import ckpt_filename
 from .scheduler import FairSharePolicy, ServePolicy
 from .session import Session, SessionState, TERMINAL_STATES
 from .slo import SLO
@@ -678,10 +679,9 @@ class AnytimeServer:
         key-derived name (so a fleet router can find a dead worker's
         checkpoints), anonymous ones their name+sid."""
         assert self.resume_dir is not None
-        base = (session.key.replace(":", "_").replace("/", "_")
-                if session.key is not None
-                else f"{session.name}-{session.sid}")
-        return os.path.join(self.resume_dir, f"{base}.rck")
+        name = (ckpt_filename(session.key) if session.key is not None
+                else f"{session.name}-{session.sid}.rck")
+        return os.path.join(self.resume_dir, name)
 
     def _discard_ckpt(self, session: Session) -> None:
         if session._ckpt_path is not None:

@@ -286,6 +286,40 @@ class TestServerSuspendResume:
             == stats["restores"]
         assert not os.listdir(tmp_path)
 
+    def test_keyed_suspend_checkpoint_is_named_by_ckpt_filename(
+            self, tmp_path, monkeypatch):
+        """A keyed run suspends to ``ckpt_filename(key)``: the one name
+        a fleet router looks for when it migrates a dead worker's run."""
+        from repro.serve import SLO, AnytimeServer
+        from repro.serve.bench import calibrate_app
+        from repro.serve.fleet import ckpt_filename
+
+        names = []
+        suspend = AnytimeServer._suspend
+
+        def recording(self, session, now):
+            suspended = suspend(self, session, now)
+            if suspended:
+                names.append((session.key,
+                              os.path.basename(session._ckpt_path)))
+            return suspended
+
+        monkeypatch.setattr(AnytimeServer, "_suspend", recording)
+        calib = calibrate_app(app="2dconv", size=96)
+        with AnytimeServer(slots=1, queue_limit=4, quantum_s=0.005,
+                           resume_dir=str(tmp_path)) as server:
+            sessions = [server.submit(calib["builder"],
+                                      SLO(deadline_s=120.0),
+                                      metric=calib["metric"],
+                                      name=f"r{i}", key=f"2dconv:k/{i}")
+                        for i in range(3)]
+            assert server.drain(timeout_s=150.0)
+        assert all(s.result(0.0).state.value == "completed"
+                   for s in sessions)
+        assert names, "no keyed run was suspended"
+        for key, name in names:
+            assert name == ckpt_filename(key)
+
     def test_without_resume_dir_overload_still_sheds(self):
         """The suspend path is opt-in: the same overload on a server
         without a resume_dir keeps the classic shed behavior."""

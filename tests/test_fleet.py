@@ -8,6 +8,7 @@ elsewhere, and every result carries a value digest so bit-identity can
 be asserted across the wire.
 """
 
+import asyncio
 import contextlib
 import dataclasses
 import os
@@ -96,6 +97,58 @@ class TestFleetRoundTrip:
         assert stats["router"]["dispatched"] == 9
         for r in requests:
             r.result(timeout_s=0.0)
+
+
+class TestRouterDoesNoCompute:
+    """The router keys, places and memoises on the spec alone."""
+
+    def test_router_makes_no_input(self, monkeypatch):
+        def raiser(size, seed):
+            raise AssertionError("the router made an input")
+
+        apps = ("2dconv", "histeq", "dwt53", "debayer", "kmeans")
+        with tiny_fleet(workers=2) as fleet:
+            # the workers forked with the real registry; this process's
+            # copy now fails any input build
+            for name, spec in list(APP_REGISTRY.items()):
+                monkeypatch.setitem(APP_REGISTRY, name, dataclasses.replace(
+                    spec, make_input=raiser))
+            requests = [fleet.submit(app, size=16, seed=1, slo=SLO_OK)
+                        for app in apps]
+            assert fleet.drain(timeout_s=90.0)
+            summary = summarize_fleet(requests)
+        assert summary["completed"] == len(apps), summary["states"]
+
+    def test_bad_spec_fails_at_the_front_with_no_dispatch(self):
+        from repro.serve.aiofront import AioFleetClient, AioFrontend
+
+        bad = [("nosuchapp", 16, 0, "unknown app"),
+               ("dwt53", 0, 0, "size"), ("dwt53", 16.5, 0, "size"),
+               ("dwt53", 16, -1, "seed")]
+
+        async def scenario(fleet):
+            front = AioFrontend(fleet, port=0)
+            client = await AioFleetClient.connect(*await front.start())
+            try:
+                replies = [await (await client.submit(app, size=size,
+                                                      seed=seed))
+                           for app, size, seed, _ in bad]
+                good = await (await client.submit("dwt53", size=16,
+                                                  slo=SLO_OK))
+            finally:
+                await client.close()
+                await front.stop(drain_timeout_s=1.0)
+            return replies, good
+
+        with tiny_fleet(workers=1) as fleet:
+            replies, good = asyncio.run(asyncio.wait_for(
+                scenario(fleet), 60.0))
+            dispatched = fleet.counters["dispatched"]
+        for reply, (_, _, _, named) in zip(replies, bad):
+            assert reply["state"] == "failed", reply
+            assert named in " ".join(reply["errors"]), reply
+        assert good["state"] == "completed"
+        assert dispatched == 1
 
 
 def kill_a_busy_worker(fleet, submit):
@@ -336,8 +389,9 @@ class TestAdmitFirstScoreLater:
         assert stats["stats"]["running"] == 0
 
     def test_workers_key_is_the_spec_key(self, monkeypatch):
-        """The worker derives its coalescing key from the input it
-        made; the router places by ``spec_key``.  They must agree."""
+        """The worker derives its coalescing key from the frame's spec
+        fields; the router places by ``spec_key``.  They must agree,
+        and a ``key`` the frame carries is never trusted."""
         from repro.serve.server import AnytimeServer
 
         keys = {}
@@ -353,6 +407,7 @@ class TestAdmitFirstScoreLater:
             for rid, app in enumerate(apps, start=1):
                 send_msg(sock, {"op": "submit", "rid": rid, "app": app,
                                 "size": 16, "seed": rid,
+                                "key": "2dconv:0000000000000000",
                                 "slo": {"deadline_s": 60.0}})
                 recv_op(sock, "ack")
                 assert recv_op(sock, "done")["state"] == "completed"
@@ -361,24 +416,28 @@ class TestAdmitFirstScoreLater:
 
 
 class TestSpecIdentity:
-    def test_spec_key_is_stable_and_content_addressed(self):
+    def test_spec_key_is_stable_and_spec_addressed(self):
+        import numpy as np
+
         assert spec_key("dwt53", 16, 0) == spec_key("dwt53", 16, 0)
         assert spec_key("dwt53", 16, 0) != spec_key("dwt53", 16, 1)
         assert spec_key("dwt53", 16, 0) != spec_key("dwt53", 32, 0)
+        assert spec_key("dwt53", 16, 0) != spec_key("2dconv", 16, 0)
         assert spec_key("dwt53", 16, 0).startswith("dwt53:")
+        assert spec_key("dwt53", np.int64(16), np.int64(3)) \
+            == spec_key("dwt53", 16, 3)
 
-    def test_spec_key_cache_is_a_bounded_lru(self, monkeypatch):
-        from repro.serve import fleet
+    @pytest.mark.parametrize("size, seed, field", [
+        (0, 0, "size"), (-4, 0, "size"), (16.5, 0, "size"),
+        ("16", 0, "size"), (None, 0, "size"),
+        (16, -1, "seed"), (16, 0.5, "seed"), (16, "x", "seed")])
+    def test_spec_key_rejects_a_bad_size_or_seed(self, size, seed, field):
+        with pytest.raises(ValueError, match=field):
+            spec_key("dwt53", size, seed)
 
-        monkeypatch.setattr(fleet, "_spec_keys", fleet._Lru(2))
-        keys = [spec_key("dwt53", 8, seed) for seed in range(3)]
-        assert len(fleet._spec_keys) == 2
-        assert fleet._spec_keys.get(("dwt53", 8, 0)) is None   # evicted
-        assert fleet._spec_keys.get(("dwt53", 8, 1)) == keys[1]
-        spec_key("dwt53", 8, 3)          # evicts seed 2, not the read 1
-        assert fleet._spec_keys.get(("dwt53", 8, 2)) is None
-        assert fleet._spec_keys.get(("dwt53", 8, 1)) == keys[1]
-        assert spec_key("dwt53", 8, 0) == keys[0]    # recomputed, same
+    def test_spec_key_rejects_an_unknown_app(self):
+        with pytest.raises(KeyError, match="known: .*dwt53"):
+            spec_key("nosuchapp", 16, 0)
 
     def test_worker_forgets_calibrations_beyond_its_cap(self, monkeypatch):
         from repro.serve import fleet
