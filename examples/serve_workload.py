@@ -20,11 +20,10 @@ moving parts —
 
 Run:  python examples/serve_workload.py
 Also: python -m repro serve --app 2dconv --policy gain
-      python -m repro bench serve          # sweep offered load
 """
 
+from repro.apps import calibrate_app
 from repro.serve import SLO, AnytimeServer, MarginalGainPolicy
-from repro.serve.bench import calibrate_app
 from repro.serve.workload import run_open_loop, summarize
 
 SLOTS = 4

@@ -18,6 +18,7 @@ from .histeq import (build_histeq_automaton, equalization_lut,
 from .kmeans import (KMeansAssignStage, assign_pixels,
                      build_kmeans_automaton, clustered_image_metric,
                      initial_centroids, kmeans_precise)
+from .registry import calibrate_app
 from .search import (build_search_automaton, make_corpus, recall_at_k,
                      search_precise)
 
@@ -32,6 +33,7 @@ __all__ = [
     "histogram", "lut_from_cdf",
     "KMeansAssignStage", "assign_pixels", "build_kmeans_automaton",
     "clustered_image_metric", "initial_centroids", "kmeans_precise",
+    "calibrate_app",
     "build_search_automaton", "make_corpus", "recall_at_k",
     "search_precise",
 ]

@@ -3,7 +3,9 @@
 Maps app names to everything a driver needs — input generator, automaton
 builder, precise reference, accuracy metric, preferred scheduling policy
 and how to extract a saveable image from an output value.  Used by the
-command-line interface; the benchmarks keep their explicit per-figure
+command-line interface and the serving layer (:func:`calibrate_app`
+turns one entry into a server-ready builder, metric and profile); the
+benchmarks keep their explicit per-figure
 configurations so each figure's parameters remain visible in one place.
 """
 
@@ -27,7 +29,7 @@ from .histeq import build_histeq_automaton, histeq_precise
 from .kmeans import (build_kmeans_automaton, clustered_image_metric,
                      kmeans_precise)
 
-__all__ = ["AppSpec", "APP_REGISTRY", "get_app"]
+__all__ = ["AppSpec", "APP_REGISTRY", "calibrate_app", "get_app"]
 
 
 @dataclass(frozen=True)
@@ -110,3 +112,36 @@ def get_app(name: str) -> AppSpec:
         raise KeyError(
             f"unknown app {name!r}; known: "
             f"{sorted(APP_REGISTRY)}") from None
+
+
+def calibrate_app(app: str = "2dconv", size: int = 32, seed: int = 7,
+                  total_cores: float = 8.0) -> dict[str, Any]:
+    """Calibrate one app for serving.
+
+    Returns ``builder`` (fresh-automaton thunk), ``metric`` (value →
+    dB against the fixed reference), ``profile`` (simulated
+    runtime-accuracy curve) and ``baseline_wall_s`` (measured solo
+    threaded wall time — normalized runtime 1.0 on this machine).
+    """
+    spec = get_app(app)
+    image = spec.make_input(size, seed)
+    reference = (image if spec.reference_kind == "input"
+                 else spec.reference(image))
+
+    def builder() -> AnytimeAutomaton:
+        return spec.build(image)
+
+    def metric(value: Any) -> float:
+        return spec.metric(value, reference)
+
+    calib = builder()
+    sim = calib.run_simulated(total_cores=total_cores,
+                              schedule=spec.schedule)
+    profile = calib.profile(sim, total_cores=total_cores,
+                            metric=spec.metric, reference=reference,
+                            label=f"{app} serve calibration")
+    run = builder().run_threaded()
+    return {
+        "app": app, "size": size, "builder": builder, "metric": metric,
+        "profile": profile, "baseline_wall_s": max(run.duration, 1e-6),
+    }

@@ -1,9 +1,8 @@
 """Benchmark harness: experiment definitions regenerating every figure."""
 
-from .experiments import (ablation_backends, ablation_locality,
-                          ablation_prefetcher, ablation_restart_policy,
-                          ablation_scheduling, ablation_threads,
-                          backend_wall_profiles, build_fig2_automaton,
+from .experiments import (ablation_locality, ablation_prefetcher,
+                          ablation_restart_policy, ablation_scheduling,
+                          ablation_threads, build_fig2_automaton,
                           extension_contract, extension_dynamic_shares,
                           extension_energy, extension_sram_runtime,
                           fig02_pipeline_schedule, fig10_organizations,
@@ -14,13 +13,10 @@ from .experiments import (ablation_backends, ablation_locality,
                           fig20_sram)
 from .harness import (FigureData, bench_cores, bench_size, format_rows,
                       run_profile)
-from .plane import (compare_plane_baseline, data_plane_profiles,
-                    PLANE_APPS, PLANE_EXECUTORS)
 
 __all__ = [
-    "ablation_backends", "ablation_locality", "ablation_prefetcher",
+    "ablation_locality", "ablation_prefetcher",
     "ablation_restart_policy", "ablation_scheduling", "ablation_threads",
-    "backend_wall_profiles",
     "extension_contract", "extension_dynamic_shares",
     "extension_energy", "extension_sram_runtime",
     "build_fig2_automaton", "fig02_pipeline_schedule",
@@ -30,6 +26,4 @@ __all__ = [
     "fig20_sram",
     "FigureData", "bench_cores", "bench_size", "format_rows",
     "run_profile",
-    "compare_plane_baseline", "data_plane_profiles",
-    "PLANE_APPS", "PLANE_EXECUTORS",
 ]

@@ -8,10 +8,6 @@ rows are the series the paper plots; the pytest-benchmark targets in
 
 from __future__ import annotations
 
-import math
-import os
-from typing import Any, Callable
-
 import numpy as np
 
 from ..anytime.permutations import (LfsrPermutation, SequentialPermutation,
@@ -39,8 +35,7 @@ __all__ = [
     "fig17_dwt53_output", "fig18_kmeans_output", "fig19_precision",
     "fig20_sram", "ablation_threads", "ablation_scheduling",
     "ablation_locality", "ablation_restart_policy",
-    "ablation_prefetcher", "ablation_backends",
-    "backend_wall_profiles", "extension_sram_runtime",
+    "ablation_prefetcher", "extension_sram_runtime",
     "extension_contract", "extension_dynamic_shares",
     "extension_energy",
 ]
@@ -369,128 +364,6 @@ def ablation_locality(elements: int = 16384) -> FigureData:
     fig.note("the tree order additionally aliases its early "
              "power-of-two strides onto one cache set — a conflict "
              "pathology prefetch depth cannot fix")
-    return fig
-
-
-def _time_to_snr_fraction(records, metric, reference,
-                          fraction: float = 0.9,
-                          ) -> tuple[float | None, float | None]:
-    """Wall time of the first record reaching ``fraction`` x the best
-    finite SNR of the run (None when no record has finite SNR)."""
-    snrs = [metric(rec.value, reference) for rec in records]
-    finite = [s for s in snrs if math.isfinite(s)]
-    if not finite:
-        return None, None
-    target = fraction * max(finite)
-    for rec, snr in zip(records, snrs):
-        if snr >= target:
-            return rec.time, target
-    return None, target
-
-
-def backend_wall_profiles(size: int | None = None,
-                          backends: tuple[str, ...] = ("threaded",
-                                                       "process"),
-                          ) -> dict[str, Any]:
-    """Wall-clock comparison of the execution backends (machine form).
-
-    Runs the Figure 11 (2dconv) and Figure 15 (kmeans) workloads under
-    each requested backend and records total wall time plus the time to
-    reach 90% of the run's best finite SNR — the number the process
-    executor exists to improve.  This measures real elapsed seconds, so
-    the ratios only mean something on a multi-core machine; single-core
-    CI boxes should read the ``cpu_count`` field before judging them.
-
-    ``repro bench --json`` serializes exactly this dict (see
-    :mod:`repro.cli`); :func:`ablation_backends` renders it as a figure
-    table.
-    """
-    import time
-
-    size = size or bench_size()
-    ksize = max(size // 2, 64)
-
-    def _runner(backend: str) -> Callable[[AnytimeAutomaton], Any]:
-        if backend == "threaded":
-            return lambda a: a.run_threaded()
-        if backend == "process":
-            return lambda a: a.run_processes()
-        raise ValueError(f"unknown backend {backend!r}")
-
-    workloads: list[tuple[str, Callable[[], AnytimeAutomaton],
-                          Callable[[Any, Any], float]]] = [
-        ("fig11_conv2d",
-         lambda: build_conv2d_automaton(scene_image(size, seed=0)),
-         None),
-        ("fig15_kmeans",
-         lambda: build_kmeans_automaton(
-             clustered_image(ksize, seed=4, clusters=6), k=6),
-         clustered_image_metric),
-    ]
-    from ..metrics.snr import snr_db
-
-    data: dict[str, Any] = {
-        "size": size,
-        "cpu_count": os.cpu_count(),
-        "snr_fraction": 0.9,
-        "figures": {},
-    }
-    for fig_name, build, metric in workloads:
-        metric = metric or snr_db
-        reference = build().precise_output()
-        entry: dict[str, Any] = {}
-        for backend in backends:
-            automaton = build()
-            start = time.perf_counter()
-            result = _runner(backend)(automaton)
-            wall = time.perf_counter() - start
-            records = result.output_records(
-                automaton.terminal_buffer_name)
-            t90, target = _time_to_snr_fraction(records, metric,
-                                                reference)
-            entry[backend] = {
-                "wall_s": wall,
-                "t90_s": t90,
-                "t90_target_db": target,
-                "outputs": len(records),
-                "completed": result.completed,
-            }
-        if ("threaded" in entry and "process" in entry
-                and entry["threaded"]["t90_s"]  # not None and nonzero
-                and entry["process"]["t90_s"] is not None):
-            entry["process_vs_threaded_t90"] = (
-                entry["process"]["t90_s"] / entry["threaded"]["t90_s"])
-        data["figures"][fig_name] = entry
-    return data
-
-
-def ablation_backends(size: int | None = None) -> FigureData:
-    """Execution backends (wall clock): threaded vs process executor.
-
-    The process executor forks one worker per stage and moves ndarray
-    versions through shared-memory slab rings, so stages truly overlap;
-    the threaded executor serializes compute on the GIL.  On a >= 4-core
-    machine the process backend should reach 90% of the final SNR in
-    well under the threaded wall time; on one core it only pays fork
-    and IPC overhead.
-    """
-    data = backend_wall_profiles(size)
-    fig = FigureData(
-        "Ablation J", "execution backends: wall seconds and time to "
-        "90% of best SNR",
-        headers=("figure", "backend", "wall (s)", "t90 (s)", "outputs"))
-    for fig_name, entry in data["figures"].items():
-        for backend, row in entry.items():
-            if not isinstance(row, dict):
-                continue
-            fig.add(fig_name, backend, row["wall_s"],
-                    row["t90_s"] if row["t90_s"] is not None
-                    else float("nan"), row["outputs"])
-    fig.note(f"measured on {data['cpu_count']} CPU core(s); backend "
-             f"ratios are only meaningful with >= 4 cores")
-    fig.note("the simulated executor is excluded: it runs in virtual "
-             "time and is the evaluation yardstick, not a wall-clock "
-             "contender")
     return fig
 
 

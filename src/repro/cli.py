@@ -11,12 +11,6 @@ Commands
     execute in contract mode.
 ``figures [name ...]``
     Regenerate paper figures (default: all) and print their tables.
-``bench [backends|serve]``
-    Wall-clock comparison of the execution backends (threaded vs
-    process), or a serving benchmark (latency/goodput/quality vs
-    offered load), optionally emitting machine-readable JSON
-    (``--json PATH`` or the ``REPRO_BENCH_JSON`` environment variable;
-    the serve benchmark writes ``BENCH_serve.json`` by default).
 ``serve``
     Drive a synthetic open-loop workload against an
     :class:`~repro.serve.AnytimeServer`: many concurrent requests with
@@ -44,6 +38,9 @@ Commands
 ``ckpt inspect <path>``
     Print a checkpoint's self-describing header (:mod:`repro.ckpt`)
     without unpickling its payload.
+
+Wall-clock performance is measured by ``benchmarks/latency``, not by
+this CLI.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ import math
 import sys
 from typing import Any, Sequence
 
-from .apps.registry import APP_REGISTRY, get_app
+from .apps.registry import APP_REGISTRY, calibrate_app, get_app
 from .core.contract import run_contract
 from .core.controller import (AccuracyTarget, AnyOf, DeadlineStop,
                               EnergyBudget, StopCondition)
@@ -140,79 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="figure names (default: all)")
     figures.add_argument("--size", type=int, default=None,
                          help="override REPRO_BENCH_SIZE")
-
-    bench = sub.add_parser(
-        "bench", help="wall-clock benchmarks (backends, serving, or "
-                      "the process data plane)")
-    bench.add_argument("what", nargs="?", default="backends",
-                       choices=("backends", "serve", "plane"),
-                       help="what to benchmark: execution backends "
-                            "(default), the serving layer, or the "
-                            "data-plane microbenchmark")
-    bench.add_argument("--size", type=int, default=None,
-                       help="override REPRO_BENCH_SIZE (backends, "
-                            "plane) / input edge length (serve)")
-    bench.add_argument("--json", type=str, default=None, metavar="PATH",
-                       help="write machine-readable results to PATH "
-                            "(default: $REPRO_BENCH_JSON when set, "
-                            "else BENCH_<what>.json)")
-    bench.add_argument("--lease-k", type=int, default=8,
-                       help="lease size for the leased leg of the "
-                            "plane bench (default 8)")
-    bench.add_argument("--check-against", type=str, default=None,
-                       metavar="PATH",
-                       help="baseline BENCH_plane.json / "
-                            "BENCH_serve.json to gate against; exits 1 "
-                            "on regression beyond the tolerance band "
-                            "(plane and serve benches)")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed relative regression in the "
-                            "deterministic round-trip metrics "
-                            "(default 0.25)")
-    bench.add_argument("--wall-tolerance", type=float, default=0.60,
-                       help="allowed relative regression in "
-                            "versions/sec, applied only when the "
-                            "baseline machine matches (default 0.60)")
-    bench.add_argument("--backends", type=str,
-                       default="threaded,process",
-                       help="comma-separated backends to time "
-                            "(default: threaded,process)")
-    bench.add_argument("--app", type=str, default="2dconv",
-                       choices=sorted(APP_REGISTRY),
-                       help="application to serve (serve bench)")
-    bench.add_argument("--requests", type=int, default=24,
-                       help="requests per load point (serve bench)")
-    bench.add_argument("--slots", type=int, default=4,
-                       help="executor slots (serve bench)")
-    bench.add_argument("--queue-limit", type=int, default=8,
-                       help="admission queue bound (serve bench)")
-    bench.add_argument("--loads", type=str, default=None,
-                       help="comma-separated offered loads in req/s "
-                            "(serve bench; default: derived sweep)")
-    bench.add_argument("--policy", choices=("fair", "gain"),
-                       default="fair",
-                       help="slot-allocation policy (serve bench)")
-    bench.add_argument("--serve-executor",
-                       choices=("threaded", "process"),
-                       default="threaded",
-                       help="execution backend under the server")
-    bench.add_argument("--target-snr", type=float, default=None,
-                       metavar="DB",
-                       help="per-request quality target (serve bench)")
-    bench.add_argument("--fleet", action="store_true",
-                       help="serve bench: benchmark the sharded worker "
-                            "fleet (goodput scaling + request "
-                            "coalescing) instead of one in-process "
-                            "server; writes BENCH_fleet.json")
-    bench.add_argument("--workers", type=str, default="1,2",
-                       metavar="N,M,...",
-                       help="fleet sizes for the scaling leg "
-                            "(serve bench --fleet; default 1,2)")
-    bench.add_argument("--distinct", type=int, default=6,
-                       help="unique request specs in the duplicate-"
-                            "heavy coalescing leg (serve bench "
-                            "--fleet; default 6)")
-    bench.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser(
         "serve", help="serve an open-loop anytime workload")
@@ -634,7 +558,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     import random
     import time as _time
 
-    from .serve.bench import calibrate_app
     from .serve.router import FleetRouter, summarize_fleet
     from .serve.transport import parse_endpoint
 
@@ -710,14 +633,30 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _make_policy(name: str, profile: Any, baseline_wall_s: float) -> Any:
+    from .serve.scheduler import FairSharePolicy, MarginalGainPolicy
+
+    if name == "gain":
+        return MarginalGainPolicy(profile, baseline_wall_s)
+    return FairSharePolicy()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .core.tracing import make_sink as _make_sink
     from .serve import SLO, AnytimeServer, summarize, run_open_loop
-    from .serve.bench import calibrate_app, _make_policy
 
     if args.workers is not None or args.endpoints:
         if args.workers is not None and args.workers < 1:
             print("error: --workers must be >= 1", file=sys.stderr)
+            return 2
+        ignored = [flag for flag, used in (
+            ("--trace", args.trace is not None),
+            ("--policy gain", args.policy == "gain"),
+        ) if used]
+        if ignored:
+            print(f"error: {', '.join(ignored)} require(s) the "
+                  f"in-process server; fleet workers (--workers / "
+                  f"--endpoints) share slots fairly and write no "
+                  f"trace", file=sys.stderr)
             return 2
         return _cmd_serve_fleet(args)
 
@@ -735,7 +674,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           + (f", target {args.target_snr:.1f} dB"
              if args.target_snr is not None else ""))
 
-    sink = (_make_sink(args.trace, args.trace_format)
+    sink = (make_sink(args.trace, args.trace_format)
             if args.trace is not None else None)
     server = AnytimeServer(
         slots=args.slots, queue_limit=args.queue_limit,
@@ -857,206 +796,6 @@ def _cmd_serve_front(args: argparse.Namespace) -> int:
                     max_pending_per_conn=args.max_pending,
                     idle_timeout_s=args.idle_timeout_s)
     print("front end drained; fleet shut down")
-    return 0
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from .serve.bench import run_fleet_bench
-
-    workers = tuple(int(x) for x in args.workers.split(",") if x)
-    data = run_fleet_bench(
-        app=args.app, size=args.size if args.size is not None else 24,
-        n_requests=args.requests,
-        workers=workers, slots=args.slots, distinct=args.distinct,
-        executor=args.serve_executor, seed=args.seed, progress=print)
-
-    print(f"\nfleet scaling ({data['app']}, {data['slots']} slot(s) "
-          f"per worker, {data['n_requests']} distinct requests):")
-    print(f"{'workers':>8}{'goodput':>9}{'p50 (s)':>9}{'p99 (s)':>9}"
-          f"{'done':>6}{'shed':>6}")
-    for leg in data["scaling"]:
-        print(f"{leg['workers']:>8}{leg['goodput_rps']:>9.2f}"
-              f"{leg['latency_p50_s']:>9.3f}{leg['latency_p99_s']:>9.3f}"
-              f"{leg['completed']:>6}{leg['shed']:>6}")
-    if data["scaling_ratio"] is not None:
-        print(f"goodput scaling {data['scaling'][0]['workers']} -> "
-              f"{data['scaling'][-1]['workers']} workers: "
-              f"{data['scaling_ratio']:.2f}x")
-
-    print(f"\ncoalescing (2 workers, {data['n_requests']} requests "
-          f"over {data['distinct']} distinct inputs):")
-    print(f"{'coalesce':>9}{'shared':>8}{'memo':>6}{'mean (s)':>10}"
-          f"{'goodput':>9}")
-    for mode in ("on", "off"):
-        leg = data["coalescing"][mode]
-        print(f"{mode:>9}{leg['coalesced']:>8}{leg['memo_hits']:>6}"
-              f"{leg['latency_mean_s']:>10.3f}"
-              f"{leg['goodput_rps']:>9.2f}")
-
-    json_path = _bench_json_path(args, "BENCH_fleet.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    print(f"results written to {json_path}")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .serve.bench import compare_serve_baseline, run_serve_bench
-
-    if args.fleet:
-        return _cmd_bench_fleet(args)
-
-    loads: tuple[float, ...] = ()
-    if args.loads:
-        loads = tuple(float(x) for x in args.loads.split(",") if x)
-    data = run_serve_bench(
-        app=args.app, loads=loads, n_requests=args.requests,
-        slots=args.slots, queue_limit=args.queue_limit,
-        size=args.size if args.size is not None else 32,
-        policy=args.policy, executor=args.serve_executor,
-        target_db=args.target_snr, seed=args.seed, progress=print)
-
-    print(f"\nserving {data['app']} on {data['slots']} "
-          f"{data['executor']} slot(s), queue bound "
-          f"{data['queue_limit']}, policy {data['policy']}")
-    print(f"{'offered':>9}{'goodput':>9}{'p50 (s)':>9}{'p99 (s)':>9}"
-          f"{'shed':>6}{'SLO %':>7}{'preempt':>8}")
-    for row in data["sweep"]:
-        slo_pct = (f"{row['slo_attainment'] * 100:.0f}"
-                   if not math.isnan(row["slo_attainment"]) else "-")
-        print(f"{row['offered_rps']:>9.2f}{row['throughput_rps']:>9.2f}"
-              f"{row['latency_p50_s']:>9.3f}{row['latency_p99_s']:>9.3f}"
-              f"{row['shed']:>6}{slo_pct:>7}{row['preempt_count']:>8}")
-
-    json_path = _bench_json_path(args, "BENCH_serve.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    print(f"results written to {json_path}")
-
-    if args.check_against:
-        with open(args.check_against, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        problems = compare_serve_baseline(
-            data, baseline, tolerance=args.tolerance,
-            wall_tolerance=args.wall_tolerance)
-        if problems:
-            print(f"\nperf gate FAILED against {args.check_against}:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"\nperf gate passed against {args.check_against}")
-    return 0
-
-
-def _bench_json_path(args: argparse.Namespace, default: str) -> str:
-    """The one fallback chain every bench flavor shares:
-    ``--json`` > ``$REPRO_BENCH_JSON`` > a per-flavor default."""
-    import os
-
-    return (args.json or os.environ.get("REPRO_BENCH_JSON")
-            or default)
-
-
-def _cmd_bench_plane(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .bench.plane import compare_plane_baseline, data_plane_profiles
-
-    if args.size is not None:
-        os.environ["REPRO_BENCH_SIZE"] = str(args.size)
-    data = data_plane_profiles(lease_k=args.lease_k, progress=print)
-
-    print(f"\ndata plane at size {data['size']} on "
-          f"{data['cpu_count']} CPU core(s), lease_k={data['lease_k']}")
-    print(f"{'app':<9}{'executor':<11}{'mode':<8}{'versions':>9}"
-          f"{'vers/s':>9}{'rt/ver':>8}{'peek (ms)':>11}")
-    for app, entry in data["apps"].items():
-        for executor, modes in entry.items():
-            for mode in ("sync", "leased"):
-                row = modes[mode]
-                print(f"{app:<9}{executor:<11}{mode:<8}"
-                      f"{row['versions']:>9}"
-                      f"{row['versions_per_s']:>9.1f}"
-                      f"{row['round_trips_per_version']:>8.2f}"
-                      f"{row['snapshot_latency_s'] * 1e3:>11.3f}")
-            reduction = modes.get("round_trip_reduction")
-            if reduction is not None:
-                print(f"{app:<9}{executor:<11}round-trip reduction = "
-                      f"{reduction:.2f}x")
-
-    json_path = _bench_json_path(args, "BENCH_plane.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    print(f"results written to {json_path}")
-
-    if args.check_against:
-        with open(args.check_against, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        problems = compare_plane_baseline(
-            data, baseline, tolerance=args.tolerance,
-            wall_tolerance=args.wall_tolerance)
-        if problems:
-            print(f"\nperf gate FAILED against {args.check_against}:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"\nperf gate passed against {args.check_against}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .bench.experiments import backend_wall_profiles
-
-    if args.what == "serve":
-        return _cmd_bench_serve(args)
-    if args.what == "plane":
-        return _cmd_bench_plane(args)
-
-    if args.size is not None:
-        os.environ["REPRO_BENCH_SIZE"] = str(args.size)
-    backends = tuple(b.strip() for b in args.backends.split(",")
-                     if b.strip())
-    known = {"threaded", "process"}
-    unknown = [b for b in backends if b not in known]
-    if unknown:
-        print(f"error: unknown backend(s) {unknown}; known: "
-              f"{sorted(known)}", file=sys.stderr)
-        return 2
-    data = backend_wall_profiles(backends=backends)
-
-    print(f"execution backends at size {data['size']} on "
-          f"{data['cpu_count']} CPU core(s)")
-    print(f"{'figure':<14}{'backend':<10}{'wall (s)':>10}"
-          f"{'t90 (s)':>10}{'outputs':>9}")
-    for fig_name, entry in data["figures"].items():
-        for backend in backends:
-            row = entry[backend]
-            t90 = (f"{row['t90_s']:.3f}" if row["t90_s"] is not None
-                   else "-")
-            print(f"{fig_name:<14}{backend:<10}"
-                  f"{row['wall_s']:>10.3f}{t90:>10}"
-                  f"{row['outputs']:>9}")
-        ratio = entry.get("process_vs_threaded_t90")
-        if ratio is not None:
-            print(f"{fig_name:<14}process/threaded t90 = {ratio:.2f}x")
-
-    json_path = _bench_json_path(args, "BENCH_backends.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    print(f"results written to {json_path}")
     return 0
 
 
@@ -1268,8 +1007,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_run(args)
     if args.command == "figures":
         return _cmd_figures(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "serve-worker":

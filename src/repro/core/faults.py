@@ -161,8 +161,8 @@ class StageReport:
     work units under the simulator, wall seconds elsewhere.
     ``round_trips`` counts completed control-pipe request/reply pairs on
     the process backend (always 0 elsewhere) — the data-plane overhead
-    the batched command leases amortize; ``repro bench plane`` reports
-    it per published version.
+    the batched command leases amortize; ``benchmarks/latency`` reports
+    it per published version (``procexec.round_trips_per_version``).
     """
 
     stage: str

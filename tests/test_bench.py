@@ -151,55 +151,3 @@ class TestExperimentsSmoke:
         assert {row[0] for row in fig.rows} == \
             {"sequential", "tree", "lfsr"}
 
-
-class TestPlaneBench:
-    def test_profiles_shape_on_simulated(self):
-        """Structure check on the cheap executor: both protocol modes
-        measured, all the gate's metrics present."""
-        from repro.bench.plane import data_plane_profiles
-
-        data = data_plane_profiles(size=16, apps=("2dconv",),
-                                   executors=("simulated",))
-        cell = data["apps"]["2dconv"]["simulated"]
-        for mode, k in (("sync", 1), ("leased", 8)):
-            row = cell[mode]
-            assert row["lease_k"] == k
-            assert row["completed"]
-            assert row["versions"] > 0
-            assert row["versions_per_s"] > 0
-            assert row["round_trips"] == 0   # no pipes in-process
-            assert row["snapshot_latency_s"] > 0
-
-    def test_profiles_reject_degenerate_lease(self):
-        from repro.bench.plane import data_plane_profiles
-
-        with pytest.raises(ValueError, match="lease_k"):
-            data_plane_profiles(size=16, lease_k=1)
-
-    def test_baseline_comparison_bands(self):
-        from repro.bench.plane import compare_plane_baseline
-
-        def doc(rpv, reduction, vps, cpus=4):
-            return {"cpu_count": cpus, "apps": {"2dconv": {"process": {
-                "leased": {"round_trips_per_version": rpv,
-                           "versions_per_s": vps},
-                "round_trip_reduction": reduction}}}}
-
-        base = doc(rpv=0.2, reduction=5.0, vps=100.0)
-        # identical run: clean
-        assert compare_plane_baseline(doc(0.2, 5.0, 100.0), base) == []
-        # inside the band: clean
-        assert compare_plane_baseline(doc(0.24, 4.1, 99.0), base) == []
-        # chattier protocol and collapsed reduction: two problems
-        problems = compare_plane_baseline(doc(0.5, 2.0, 100.0), base)
-        assert len(problems) == 2
-        # wall clock only gated on the same machine class
-        slow = doc(0.2, 5.0, 10.0)
-        assert compare_plane_baseline(slow, base,
-                                      wall_tolerance=0.6)
-        slow_other_box = doc(0.2, 5.0, 10.0, cpus=64)
-        assert compare_plane_baseline(slow_other_box, base,
-                                      wall_tolerance=0.6) == []
-        # an app missing from the fresh doc is itself a regression
-        assert compare_plane_baseline({"cpu_count": 4, "apps": {}},
-                                      base)

@@ -256,7 +256,7 @@ class TestServerSuspendResume:
         suspends runs to disk, and every request finishes with the
         bit-exact precise answer.  No checkpoint files survive."""
         from repro.serve import SLO, AnytimeServer
-        from repro.serve.bench import calibrate_app
+        from repro.apps import calibrate_app
         from repro.serve.fleet import value_digest
 
         calib = calibrate_app(app="2dconv", size=24)
@@ -291,7 +291,7 @@ class TestServerSuspendResume:
         """A keyed run suspends to ``ckpt_filename(key)``: the one name
         a fleet router looks for when it migrates a dead worker's run."""
         from repro.serve import SLO, AnytimeServer
-        from repro.serve.bench import calibrate_app
+        from repro.apps import calibrate_app
         from repro.serve.fleet import ckpt_filename
 
         names = []
@@ -324,7 +324,7 @@ class TestServerSuspendResume:
         """The suspend path is opt-in: the same overload on a server
         without a resume_dir keeps the classic shed behavior."""
         from repro.serve import SLO, AnytimeServer
-        from repro.serve.bench import calibrate_app
+        from repro.apps import calibrate_app
 
         calib = calibrate_app(app="2dconv", size=24)
         with AnytimeServer(slots=1, queue_limit=1,

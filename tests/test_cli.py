@@ -152,159 +152,35 @@ class TestExecutorFlag:
         assert flags[0] in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_bench_writes_json(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_backends.json"
-        assert main(["bench", "--size", "32",
-                     "--json", str(path)]) == 0
+@pytest.mark.timeout(120)
+class TestServeCommand:
+    def test_in_process_gain_policy(self, capsys):
+        assert main(["serve", "--size", "16", "--requests", "4",
+                     "--policy", "gain"]) == 0
         out = capsys.readouterr().out
-        assert "execution backends" in out
-        doc = json.load(open(path))
-        assert doc["size"] == 32
-        for fig in ("fig11_conv2d", "fig15_kmeans"):
-            entry = doc["figures"][fig]
-            for backend in ("threaded", "process"):
-                row = entry[backend]
-                assert row["wall_s"] > 0
-                assert row["t90_s"] is not None
-                assert row["completed"] is True
-            assert entry["process_vs_threaded_t90"] > 0
+        assert "calibrating 2dconv" in out and "served" in out
 
-    def test_bench_env_var_path(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "env.json"
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(path))
-        assert main(["bench", "--size", "32",
-                     "--backends", "threaded"]) == 0
-        capsys.readouterr()
-        assert path.exists()
+    @pytest.mark.parametrize("fleet, flags, named", [
+        (["--workers", "2"], ["--trace", "t.json"], "--trace"),
+        (["--workers", "2"], ["--policy", "gain"], "--policy gain"),
+        (["--endpoints", "127.0.0.1:1"], ["--trace", "t.json"],
+         "--trace"),
+    ], ids=["workers-trace", "workers-gain", "endpoints-trace"])
+    def test_fleet_rejects_in_process_flags(self, fleet, flags, named,
+                                            tmp_path, capsys,
+                                            monkeypatch):
+        from repro import cli
+        from repro.serve.router import FleetRouter
 
-    def test_bench_rejects_unknown_backend(self, capsys):
-        assert main(["bench", "--backends", "simulated"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rejected before calibrating or forking")
 
-
-def _fake_plane_doc(rpv=0.2, reduction=5.0, vps=100.0):
-    """A minimal BENCH_plane.json document for CLI plumbing tests."""
-    row = {"lease_k": 8, "completed": True, "versions": 32,
-           "wall_s": 0.32, "versions_per_s": vps, "round_trips": 6,
-           "round_trips_per_version": rpv,
-           "snapshot_latency_s": 0.001, "snapshot_polls": 10}
-    sync = dict(row, lease_k=1, round_trips=33,
-                round_trips_per_version=rpv * reduction)
-    return {"size": 32, "cpu_count": 1, "lease_k": 8,
-            "apps": {"2dconv": {"process": {
-                "sync": sync, "leased": row,
-                "round_trip_reduction": reduction}}}}
-
-
-class TestBenchJsonFallback:
-    """All three bench flavors share one path chain:
-    ``--json`` > ``$REPRO_BENCH_JSON`` > ``BENCH_<flavor>.json``."""
-
-    @pytest.fixture()
-    def fake_serve(self, monkeypatch):
-        from repro.serve import bench as serve_bench
-
-        doc = {"app": "2dconv", "slots": 1, "executor": "threaded",
-               "queue_limit": 2, "policy": "fair", "sweep": []}
-        monkeypatch.setattr(serve_bench, "run_serve_bench",
-                            lambda **kw: doc)
-        return doc
-
-    @pytest.fixture()
-    def fake_plane(self, monkeypatch):
-        from repro.bench import plane
-
-        doc = _fake_plane_doc()
-        monkeypatch.setattr(plane, "data_plane_profiles",
-                            lambda **kw: doc)
-        return doc
-
-    def test_backends_default_path(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--size", "32",
-                     "--backends", "threaded"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "BENCH_backends.json").exists()
-
-    def test_serve_default_path(self, tmp_path, capsys, monkeypatch,
-                                fake_serve):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "serve"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "BENCH_serve.json").exists()
-
-    def test_serve_env_var_path(self, tmp_path, capsys, monkeypatch,
-                                fake_serve):
-        path = tmp_path / "serve-env.json"
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(path))
-        assert main(["bench", "serve"]) == 0
-        capsys.readouterr()
-        assert path.exists()
-
-    def test_plane_default_path(self, tmp_path, capsys, monkeypatch,
-                                fake_plane):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "plane"]) == 0
-        out = capsys.readouterr().out
-        assert "round-trip reduction" in out
-        assert (tmp_path / "BENCH_plane.json").exists()
-
-    def test_plane_env_var_path(self, tmp_path, capsys, monkeypatch,
-                                fake_plane):
-        path = tmp_path / "plane-env.json"
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(path))
-        assert main(["bench", "plane"]) == 0
-        capsys.readouterr()
-        assert path.exists()
-
-    def test_explicit_json_beats_env_var(self, tmp_path, capsys,
-                                         monkeypatch, fake_plane):
-        env = tmp_path / "env.json"
-        flag = tmp_path / "flag.json"
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(env))
-        assert main(["bench", "plane", "--json", str(flag)]) == 0
-        capsys.readouterr()
-        assert flag.exists() and not env.exists()
-
-
-class TestBenchPlaneGate:
-    def test_gate_passes_against_self(self, tmp_path, capsys,
-                                      monkeypatch):
-        import json
-
-        from repro.bench import plane
-
-        monkeypatch.setattr(plane, "data_plane_profiles",
-                            lambda **kw: _fake_plane_doc())
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_fake_plane_doc()))
-        assert main(["bench", "plane",
-                     "--json", str(tmp_path / "fresh.json"),
-                     "--check-against", str(baseline)]) == 0
-        assert "perf gate passed" in capsys.readouterr().out
-
-    def test_gate_fails_on_regression(self, tmp_path, capsys,
-                                      monkeypatch):
-        import json
-
-        from repro.bench import plane
-
-        # fresh run is 2x chattier and the lease win halved vs baseline
-        monkeypatch.setattr(
-            plane, "data_plane_profiles",
-            lambda **kw: _fake_plane_doc(rpv=0.4, reduction=2.5))
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_fake_plane_doc()))
-        assert main(["bench", "plane",
-                     "--json", str(tmp_path / "fresh.json"),
-                     "--check-against", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "perf gate FAILED" in out
-        assert "round-trips/version regressed" in out
-        assert "round-trip reduction fell" in out
+        monkeypatch.setattr(cli, "calibrate_app", forbidden)
+        monkeypatch.setattr(FleetRouter, "start", forbidden)
+        assert main(["serve", "--size", "16"] + fleet + flags) == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.check

@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.apps.registry import APP_REGISTRY
-from repro.serve.bench import compare_serve_baseline
 from repro.serve.fleet import (recv_msg, send_msg, spec_key,
                                value_digest, worker_main)
 from repro.serve.router import FleetRouter, summarize_fleet
@@ -84,6 +83,23 @@ class TestFleetRoundTrip:
             assert len(finals) == 1, finals
             digests[coalesce] = finals.pop()
         assert digests[True] == digests[False]
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_duplicates_share_runs_only_when_coalescing(self, coalesce):
+        """The default fleet serves duplicates from shared runs or its
+        memos; ``coalesce=False`` runs every one of them."""
+        config = {} if coalesce else {"coalesce": False}
+        with tiny_fleet(workers=2, **config) as fleet:
+            # frozen workers finish nothing until every duplicate is
+            # in, so no repeat can find a sealed final in the router memo
+            with frozen_workers(fleet):
+                requests = [fleet.submit("dwt53", size=16, seed=i % 2,
+                                         slo=SLO_OK) for i in range(8)]
+            assert fleet.drain(timeout_s=90.0)
+            summary = summarize_fleet(requests)
+        assert summary["completed"] == 8
+        shared = summary["coalesced"] + summary["memo_hits"]
+        assert (shared > 0) if coalesce else (shared == 0), summary
 
     def test_fleet_stats_aggregate(self):
         with tiny_fleet(workers=2) as fleet:
@@ -151,23 +167,31 @@ class TestRouterDoesNoCompute:
         assert dispatched == 1
 
 
-def kill_a_busy_worker(fleet, submit):
-    """Freeze every worker (SIGSTOP), ``submit()``, SIGKILL one that
-    was handed requests, thaw the rest; returns what ``submit``
-    returned.  The victim's requests are provably in flight when it
-    dies — a frozen worker has answered none — however fast a worker
-    is.  (SIGTERM would stay pending on a stopped process.)"""
+@contextlib.contextmanager
+def frozen_workers(fleet):
+    """SIGSTOP every worker for the block and SIGCONT them after;
+    yields the links.  A frozen worker answers nothing, however fast
+    it is."""
     links = list(fleet._links)
     for link in links:
         os.kill(link.process.pid, signal.SIGSTOP)
     try:
+        yield links
+    finally:
+        for link in links:
+            os.kill(link.process.pid, signal.SIGCONT)
+
+
+def kill_a_busy_worker(fleet, submit):
+    """Freeze every worker, ``submit()``, SIGKILL one that was handed
+    requests, thaw the rest; returns what ``submit`` returned.  The
+    victim's requests are provably in flight when it dies.  (SIGTERM
+    would stay pending on a stopped process.)"""
+    with frozen_workers(fleet) as links:
         requests = submit()
         with fleet._lock:
             victim = next(link for link in links if link.inflight)
         victim.process.kill()
-    finally:
-        for link in links:
-            os.kill(link.process.pid, signal.SIGCONT)
     return requests
 
 
@@ -465,40 +489,3 @@ class TestSpecIdentity:
         assert value_digest(a) != value_digest(a.astype(np.int32))
         assert value_digest({"x": a}) == value_digest({"x": a.copy()})
         assert value_digest({"x": a}) != value_digest({"y": a})
-
-
-class TestServeBaselineGate:
-    def payload(self, **overrides):
-        point = {"completed": 20, "slo_attainment": 0.9,
-                 "latency_p50_s": 0.1, "throughput_rps": 50.0}
-        point.update(overrides)
-        return {"bench": "serve", "cpu_count": 4, "sweep": [point]}
-
-    def test_identical_payload_passes(self):
-        base = self.payload()
-        assert compare_serve_baseline(base, base) == []
-
-    def test_completion_regression_fails_everywhere(self):
-        fresh = self.payload(completed=10)
-        fresh["cpu_count"] = 99   # different machine: still gated
-        problems = compare_serve_baseline(fresh, self.payload())
-        assert any("completions" in p for p in problems)
-
-    def test_latency_gated_only_on_same_machine(self):
-        fresh = self.payload(latency_p50_s=10.0)
-        assert any("p50" in p for p in
-                   compare_serve_baseline(fresh, self.payload()))
-        fresh["cpu_count"] = 99
-        assert not any("p50" in p for p in
-                       compare_serve_baseline(fresh, self.payload()))
-
-    def test_shrunken_sweep_fails(self):
-        fresh = self.payload()
-        fresh["sweep"] = []
-        problems = compare_serve_baseline(fresh, self.payload())
-        assert any("sweep shrank" in p for p in problems)
-
-    def test_slo_attainment_regression_fails(self):
-        fresh = self.payload(slo_attainment=0.2)
-        problems = compare_serve_baseline(fresh, self.payload())
-        assert any("SLO attainment" in p for p in problems)

@@ -276,6 +276,42 @@ class TestCommandLeases:
         assert writes
         assert all(not (len(m) > 3 and m[3]) for m in writes)
 
+    # Leased round-trips per version may grow by a quarter at most, and
+    # the sync/leased reduction shrink by a quarter at most, against
+    # what the figure pipelines measured at size 32 when leases landed
+    # (2dconv 0.125 and 8.25x, kmeans 0.413 and 3.55x).
+    LEASE_GATE = {"2dconv": (0.125 * 1.25, 8.25 * 0.75),
+                  "kmeans": (0.413 * 1.25, 3.55 * 0.75)}
+
+    @pytest.mark.parametrize("app", sorted(LEASE_GATE))
+    def test_lease_win_on_the_figure_pipelines(self, app):
+        from repro.apps.conv2d import build_conv2d_automaton
+        from repro.apps.kmeans import build_kmeans_automaton
+        from repro.data.images import clustered_image, scene_image
+
+        def build():
+            if app == "2dconv":
+                return build_conv2d_automaton(scene_image(32, seed=0))
+            return build_kmeans_automaton(
+                clustered_image(16, seed=4, clusters=6), k=6)
+
+        def trips_per_version(lease_k):
+            result = ProcessExecutor(build().graph,
+                                     lease_k=lease_k).run(timeout_s=60.0)
+            assert result.completed
+            trips = sum(r.round_trips
+                        for r in result.stage_reports.values())
+            return trips / len(result.timeline.records)
+
+        sync = trips_per_version(1)
+        # kmeans' reduce stage runs one pass per assign version it
+        # happens to see, each pass one synchronous round trip, so a
+        # leased run reads 0.27-0.51 on two cores: best of three
+        leased = min(trips_per_version(8) for _ in range(3))
+        max_leased, min_reduction = self.LEASE_GATE[app]
+        assert leased <= max_leased, (sync, leased)
+        assert sync / leased >= min_reduction, (sync, leased)
+
     def test_lease_k_validated(self):
         auto, _ = map_automaton()
         with pytest.raises(ValueError, match="lease_k"):

@@ -521,25 +521,6 @@ class TestAcceptance:
         assert summary["throughput_rps"] > 0
         assert summary["latency_p99_s"] >= summary["latency_p50_s"] > 0
 
-    def test_serve_bench_payload_shape(self, tmp_path):
-        from repro.serve.bench import run_serve_bench
-
-        data = run_serve_bench(app="2dconv", size=16, n_requests=5,
-                               slots=2, queue_limit=3, loads=(200.0,),
-                               policy="gain", seed=3)
-        assert data["bench"] == "serve"
-        assert data["policy"] == "gain"
-        assert len(data["sweep"]) == 1
-        row = data["sweep"][0]
-        for key in ("offered_rps", "throughput_rps", "latency_p50_s",
-                    "latency_p99_s", "shed", "snr_at_interrupt_mean_db",
-                    "slo_attainment"):
-            assert key in row
-        import json
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps(data))
-        assert json.loads(path.read_text())["slots"] == 2
-
 
 # ---------------------------------------------------------------------
 # Planner executor choice (bugfix)
