@@ -43,11 +43,15 @@ Event vocabulary (the ``kind`` field):
 ``server.*``
     Serving-layer request lifecycle (emitted by
     :class:`~repro.serve.AnytimeServer`, ``stage`` = request name):
-    ``server.enqueue``, ``server.admit``, ``server.shed``,
-    ``server.preempt``, ``server.resume``, ``server.complete``,
-    ``server.cancel``.  Unknown kinds render as instants in the
-    Chrome sink, so server events compose with per-run events in one
-    trace file.
+    ``server.enqueue``, ``server.admit``, ``server.preempt``,
+    ``server.resume``, ``server.suspend``, ``server.restore_ckpt``,
+    ``server.park``, ``server.requeue``, ``server.coalesce`` and
+    ``server.promote`` along the way; exactly one of
+    ``server.complete``, ``server.cancel``, ``server.shed``,
+    ``server.memo_hit`` or ``server.detach`` (a subscriber leaving a
+    run another request owns) when a request ends.  Unknown kinds
+    render as instants in the Chrome sink, so server events compose
+    with per-run events in one trace file.
 
 Sinks:
 

@@ -49,7 +49,7 @@ from ..core.faults import FaultInjector, FaultPolicy
 from ..core.tracing import TraceEvent, TraceSink
 from .digest import ckpt_filename
 from .scheduler import FairSharePolicy, ServePolicy
-from .session import Session, SessionState, TERMINAL_STATES
+from .session import Session, SessionState
 from .slo import SLO
 
 __all__ = ["AnytimeServer", "shutdown_all_servers"]
@@ -170,6 +170,8 @@ class AnytimeServer:
         self.coalesce = bool(coalesce)
         self.memo_ttl_s = float(memo_ttl_s)
         self._memo: dict[str, tuple[float, Snapshot]] = {}
+        self._last_score: tuple[Any, Snapshot | None, float | None] = (
+            None, None, None)
         self.resume_dir = resume_dir
         if resume_dir is not None:
             os.makedirs(resume_dir, exist_ok=True)
@@ -256,21 +258,10 @@ class AnytimeServer:
             while self._queue or self._parked:
                 session = (self._queue.popleft() if self._queue
                            else self._parked.popleft())
-                for follower in list(session._followers):
-                    self._detach(session, follower,
-                                 SessionState.CANCELLED, now)
-                session._terminalize(SessionState.CANCELLED,
-                                     session.snapshot(), now,
-                                     interrupted=True)
-                self.counters["cancelled"] += 1
-                self._trace("server.cancel", session, now)
+                self._end(session, SessionState.CANCELLED,
+                          session.snapshot(), now)
             for session in list(self._scheduled):
-                if session._handle is None:
-                    self._finish_parked(session, SessionState.CANCELLED,
-                                        now)
-                else:
-                    self._finish(session, SessionState.CANCELLED, now,
-                                 interrupted=True)
+                self._retire(session, SessionState.CANCELLED, now)
             self._thread = None
         _LIVE_SERVERS.discard(self)
         saver = getattr(self.policy, "save_profile", None)
@@ -391,14 +382,9 @@ class AnytimeServer:
         if now >= expires_at:
             del self._memo[session.key]
             return False
-        snr = self._snr_of(session, snapshot)
         session._memo_hit = True
-        session._terminalize(SessionState.COMPLETED, snapshot, now,
-                             snr_db=snr)
-        self.counters["completed"] += 1
         self.counters["memo_hits"] += 1
-        self._trace("server.memo_hit", session, now,
-                    version=snapshot.version)
+        self._end(session, SessionState.COMPLETED, snapshot, now)
         return True
 
     def _find_host(self, key: str) -> Session | None:
@@ -413,48 +399,32 @@ class AnytimeServer:
 
     def _attach(self, session: Session, host: Session,
                 now: float) -> None:
-        """Attach ``session`` as a subscriber of ``host``'s run."""
+        """Attach ``session`` as a subscriber of ``host``'s run; its
+        :attr:`~Session.state` is the run's from here on."""
         session._primary = host
         session._coalesced = True
-        if host.state in (SessionState.RUNNING, SessionState.PREEMPTED):
-            session._state = host.state
-            session._first_run_at = now
+        if host._first_run_at is not None:
+            session._first_run_at = now   # the shared run is under way
         host._followers.append(session)
         self.counters["coalesced"] += 1
         self._trace("server.coalesce", session, now, primary=host.name,
                     subscribers=1 + len(host._followers))
 
-    def _detach(self, primary: Session, follower: Session,
-                state: SessionState, now: float,
-                interrupted: bool = True,
-                errors: tuple[str, ...] = ()) -> None:
-        """Terminalize one subscriber with a pinned sealed snapshot;
-        the shared run is untouched."""
-        primary._followers.remove(follower)
-        snapshot = primary.snapshot()
-        resolved = state
-        if state is SessionState.COMPLETED and snapshot.version == 0:
-            resolved = SessionState.FAILED
-        snr = self._snr_of(follower, snapshot)
-        follower._terminalize(resolved, snapshot, now, snr_db=snr,
-                              interrupted=interrupted, errors=errors)
-        key = {SessionState.COMPLETED: "completed",
-               SessionState.CANCELLED: "cancelled",
-               SessionState.FAILED: "failed"}.get(resolved)
-        if key:
-            self.counters[key] += 1
-        self.counters["detaches"] += 1
-        self._trace("server.detach", follower, now, state=resolved.value,
-                    primary=primary.name, version=snapshot.version)
-
     def _snr_of(self, session: Session,
                 snapshot: Snapshot) -> float | None:
+        """``session``'s metric on ``snapshot``; subscribers settling
+        on one snapshot with one metric score it once."""
         if session.metric is None or snapshot.value is None:
             return None
+        metric, scored, snr = self._last_score
+        if metric is session.metric and scored is snapshot:
+            return snr
         try:
-            return float(session.metric(snapshot.value))
+            snr = float(session.metric(snapshot.value))
         except Exception:
-            return None
+            snr = None
+        self._last_score = (session.metric, snapshot, snr)
+        return snr
 
     def _memoize(self, key: str | None, snapshot: Snapshot,
                  now: float) -> None:
@@ -532,74 +502,51 @@ class AnytimeServer:
         target, and detach coalesced subscribers whose own SLO
         resolved."""
         for session in list(self._queue):
-            for follower in [f for f in session._followers
-                             if f._cancel_requested]:
-                self._detach(session, follower, SessionState.CANCELLED,
-                             now)
             if not session._cancel_requested:
+                self._detach_due(session, now, slo=False)
                 continue
             self._queue.remove(session)
             self._space.notify_all()
-            live = [f for f in session._followers
-                    if not f._cancel_requested]
-            if live:
-                # the queued run still has subscribers: the first
-                # becomes the queued primary, the request survives
-                self._promote(session, live, now, into_queue=True)
-            session._followers = []
-            session._terminalize(SessionState.CANCELLED,
-                                 session.snapshot(), now, interrupted=True)
-            self.counters["cancelled"] += 1
-            self._trace("server.cancel", session, now)
+            # the queued run survives for its first live subscriber
+            self._hand_off(session, now, into_queue=True)
+            self._end(session, SessionState.CANCELLED, session.snapshot(),
+                      now)
         for session in list(self._scheduled):
-            for follower in list(session._followers):
-                if follower._cancel_requested:
-                    self._detach(session, follower,
-                                 SessionState.CANCELLED, now)
-                elif (error := follower.metric_error()) is not None:
-                    self._detach(session, follower, SessionState.FAILED,
-                                 now, errors=(error,))
-                elif follower.deadline_passed(now):
-                    self._detach(session, follower,
-                                 SessionState.COMPLETED, now)
-            if session._handle is None:
-                # suspended to disk: no run to harvest; resolve the
-                # session-level outcomes the pinned snapshot can answer
-                if session._cancel_requested:
-                    self._finish_parked(session, SessionState.CANCELLED,
-                                        now)
-                elif session.deadline_passed(now) or session.target_met():
-                    self._finish_parked(session, SessionState.COMPLETED,
-                                        now)
-                continue
+            self._detach_due(session, now)
             if session._cancel_requested:
-                self._finish(session, SessionState.CANCELLED, now,
-                             interrupted=True, whole_run=False)
+                self._retire(session, SessionState.CANCELLED, now,
+                             whole_run=False)
                 continue
-            assert session._handle is not None
             if (error := session.metric_error()) is not None:
-                self._finish(session, SessionState.FAILED, now,
-                             interrupted=True, whole_run=False,
-                             errors=(error,))
+                self._retire(session, SessionState.FAILED, now,
+                             whole_run=False, errors=(error,))
+                continue
+            handle = session._handle
+            if handle is None:
+                # suspended to disk: the snapshot pinned at suspend time
+                # answers this session's own deadline or target
+                if session.deadline_passed(now) or session.target_met():
+                    self._retire(session, SessionState.COMPLETED, now,
+                                 whole_run=False)
                 continue
             subscribers = [session] + session._followers
             # a deferred metric whose reference is still being computed
             # would block this thread: scoring and retiring a finished
             # run wait for it a tick at a time, a deadline does not
             scorable = all(s.metric_ready() for s in subscribers)
-            if session._handle.finished:
+            if handle.finished:
                 if scorable or session.deadline_passed(now):
-                    self._finish(session, SessionState.COMPLETED, now)
+                    self._retire(session, SessionState.COMPLETED, now)
                 continue
             if session.deadline_passed(now):
-                self._finish(session, SessionState.COMPLETED, now,
-                             interrupted=True, whole_run=False)
+                self._retire(session, SessionState.COMPLETED, now,
+                             whole_run=False)
                 continue
             if session.state is not SessionState.RUNNING or not scorable:
                 continue
             if any(s.metric is not None and s.slo.target_db is not None
                    for s in subscribers):
-                snap = session._handle.snapshot()
+                snap = handle.snapshot()
                 for s in subscribers:
                     if s.metric is None or s.slo.target_db is None:
                         continue
@@ -612,11 +559,11 @@ class AnytimeServer:
                             s._last_snr = None
             for follower in list(session._followers):
                 if follower.target_met():
-                    self._detach(session, follower,
-                                 SessionState.COMPLETED, now)
+                    self._end(follower, SessionState.COMPLETED,
+                              session.snapshot(), now, interrupted=True)
             if session.target_met():
-                self._finish(session, SessionState.COMPLETED, now,
-                             interrupted=True, whole_run=False)
+                self._retire(session, SessionState.COMPLETED, now,
+                             whole_run=False)
 
     def _ready(self) -> list[Session]:
         return list(self._queue) + [
@@ -664,8 +611,6 @@ class AnytimeServer:
         victim._dispatched_at = None
         victim._ready_since = now
         victim._state = SessionState.PREEMPTED
-        for follower in victim._followers:
-            follower._state = SessionState.PREEMPTED
         victim._preemptions += 1
         self.counters["preemptions"] += 1
         self._trace("server.preempt", victim, now,
@@ -706,11 +651,8 @@ class AnytimeServer:
         while self._parked and len(self._queue) < self.queue_limit:
             session = self._parked.popleft()
             if session._cancel_requested:
-                session._terminalize(SessionState.CANCELLED,
-                                     session.snapshot(), now,
-                                     interrupted=True)
-                self.counters["cancelled"] += 1
-                self._trace("server.cancel", session, now)
+                self._end(session, SessionState.CANCELLED,
+                          session.snapshot(), now)
                 continue
             session._state = SessionState.QUEUED
             session._ready_since = now
@@ -750,57 +692,12 @@ class AnytimeServer:
         session._dispatched_at = None
         session._ready_since = now
         session._state = SessionState.RESUMABLE
-        for follower in session._followers:
-            follower._state = SessionState.RESUMABLE
         session._preemptions += 1
         self.counters["preemptions"] += 1
         self.counters["suspends"] += 1
         self._trace("server.suspend", session, now, path=path,
                     version=session._parked_snapshot.version)
         return True
-
-    def _finish_parked(self, session: Session, state: SessionState,
-                       now: float) -> None:
-        """Terminalize a suspended (checkpoint-on-disk) session without
-        relaunching it: the snapshot pinned at suspend time is its
-        answer, and every subscriber settles on it too."""
-        snapshot = session._parked_snapshot or session.snapshot()
-        resolved = state
-        if state is SessionState.COMPLETED and snapshot.version == 0:
-            resolved = SessionState.FAILED
-        if session in self._scheduled:
-            self._scheduled.remove(session)
-        for follower in list(session._followers):
-            f_state = (SessionState.CANCELLED
-                       if follower._cancel_requested else resolved)
-            follower._terminalize(
-                f_state, snapshot, now,
-                snr_db=self._snr_of(follower, snapshot),
-                interrupted=True)
-            f_key = {SessionState.COMPLETED: "completed",
-                     SessionState.CANCELLED: "cancelled",
-                     SessionState.FAILED: "failed"}.get(f_state)
-            if f_key:
-                self.counters[f_key] += 1
-            self.counters["detaches"] += 1
-            self._trace("server.detach", follower, now,
-                        state=f_state.value, primary=session.name,
-                        version=snapshot.version)
-        session._followers = []
-        self._discard_ckpt(session)
-        session._terminalize(resolved, snapshot, now,
-                             snr_db=self._snr_of(session, snapshot),
-                             interrupted=True)
-        key = {SessionState.COMPLETED: "completed",
-               SessionState.CANCELLED: "cancelled",
-               SessionState.FAILED: "failed"}.get(resolved)
-        if key:
-            self.counters[key] += 1
-        kind = ("server.cancel" if resolved is SessionState.CANCELLED
-                else "server.complete")
-        self._trace(kind, session, now, state=resolved.value,
-                    version=snapshot.version,
-                    latency_s=round(now - session.submitted_at, 6))
 
     def _grant(self, session: Session, now: float) -> None:
         """Give one slot to a ready session (launch, resume, or
@@ -809,8 +706,6 @@ class AnytimeServer:
             assert session._handle is not None
             session._handle.resume()
             session._state = SessionState.RUNNING
-            for follower in session._followers:
-                follower._state = SessionState.RUNNING
             session._dispatched_at = now
             self.counters["resumes"] += 1
             self._trace("server.resume", session, now)
@@ -850,33 +745,18 @@ class AnytimeServer:
             # a broken builder (or unreadable checkpoint) fails only
             # this request; subscribers get requeued under their own
             # builders
-            live = [f for f in session._followers
-                    if not f._cancel_requested]
-            for follower in list(session._followers):
-                if follower._cancel_requested:
-                    self._detach(session, follower,
-                                 SessionState.CANCELLED, now)
-            if live:
-                self._promote(session, live, now, into_queue=True)
-            session._followers = []
+            self._hand_off(session, now, into_queue=True)
             if session in self._scheduled:
                 self._scheduled.remove(session)
             self._discard_ckpt(session)
-            session._terminalize(
-                SessionState.FAILED, session.snapshot(), now,
-                errors=(f"{type(exc).__name__}: {exc}",))
-            self.counters["failed"] += 1
-            self._trace("server.complete", session, now, state="failed")
+            self._end(session, SessionState.FAILED, session.snapshot(),
+                      now, errors=(f"{type(exc).__name__}: {exc}",))
             return
         session._handle = handle
         session._state = SessionState.RUNNING
         if session._first_run_at is None:
             session._first_run_at = now
         session._dispatched_at = now
-        for follower in session._followers:
-            follower._state = SessionState.RUNNING
-            if follower._first_run_at is None:
-                follower._first_run_at = now
         if from_ckpt is not None:
             # the run is back in memory; its on-disk state is consumed
             self._discard_ckpt(session)
@@ -889,161 +769,168 @@ class AnytimeServer:
         self._trace("server.admit", session, now,
                     queued_s=round(now - session.submitted_at, 6))
 
-    def _promote(self, session: Session, live: list[Session],
-                 now: float, into_queue: bool = False) -> Session:
-        """Hand the session's run (or queue position) to its first live
-        subscriber.  ``session._followers`` must already equal ``live``
-        (cancelled stragglers detached); the caller terminalizes
-        ``session`` itself afterwards."""
-        heir = live[0]
-        heir._primary = None
-        heir._followers = list(live[1:])
-        for follower in heir._followers:
-            follower._primary = heir
-        session._followers = []
+    # -- ending a request ------------------------------------------------
+
+    def _end(self, session: Session, state: SessionState,
+             snapshot: Snapshot, now: float, *, interrupted: bool = False,
+             degraded: bool = False, errors: tuple[str, ...] = (),
+             run_result: Any = None, **trace_args: Any) -> None:
+        """The one way a session turns terminal.
+
+        Subscribers still on ``session``'s run end with it: same
+        snapshot, outcome, ``degraded`` flag and errors.  Two rules hold
+        for everyone: a cancel the client asked for outranks the
+        caller's outcome, and a completion with no output version is a
+        failure.  Each session's own metric scores the snapshot; the
+        outcome is counted (plus ``detaches`` for a subscriber leaving
+        a run it does not own) and traced.
+        """
+        for follower in list(session._followers):
+            self._end(follower, state, snapshot, now,
+                      interrupted=interrupted, degraded=degraded,
+                      errors=errors)
+        if session._cancel_requested:
+            state = SessionState.CANCELLED
+        elif state is SessionState.COMPLETED and snapshot.version == 0:
+            state = SessionState.FAILED
+        primary = session._primary
+        if primary is not None:
+            primary._followers.remove(session)
+            self.counters["detaches"] += 1
+            kind = "server.detach"
+            trace_args["primary"] = primary.name
+        elif session._memo_hit:
+            kind = "server.memo_hit"
+        else:
+            kind = {SessionState.CANCELLED: "server.cancel",
+                    SessionState.SHED: "server.shed"}.get(
+                        state, "server.complete")
+        session._terminalize(
+            state, snapshot, now, snr_db=self._snr_of(session, snapshot),
+            interrupted=interrupted or state is SessionState.CANCELLED,
+            degraded=degraded, errors=errors, run_result=run_result)
+        self.counters[state.value] += 1
+        self._trace(kind, session, now, state=state.value,
+                    version=snapshot.version,
+                    latency_s=round(now - session.submitted_at, 6),
+                    **trace_args)
+
+    def _detach_due(self, session: Session, now: float,
+                    slo: bool = True) -> None:
+        """End the subscribers of ``session``'s run that cancelled or,
+        with ``slo``, whose own metric failed or deadline passed, each
+        on the run's newest snapshot; the run goes on."""
+        for follower in list(session._followers):
+            error = follower.metric_error() if slo else None
+            if follower._cancel_requested:
+                state = SessionState.CANCELLED
+            elif error is not None:
+                state = SessionState.FAILED
+            elif slo and follower.deadline_passed(now):
+                state = SessionState.COMPLETED
+            else:
+                continue
+            self._end(follower, state, session.snapshot(), now,
+                      interrupted=True,
+                      errors=() if error is None else (error,))
+
+    def _hand_off(self, session: Session, now: float,
+                  into_queue: bool = False) -> bool:
+        """Make ``session``'s first live subscriber the primary of its
+        run; cancelled subscribers end on the way.  False if none is
+        left, and the run is the caller's to stop.
+
+        ``into_queue`` requeues the heir under its own builder (the run
+        never started, or cannot).  Otherwise the heir inherits the run
+        as it stands, a live or paused handle or the on-disk checkpoint
+        of a suspended one, and ``session``'s place among the scheduled.
+        """
+        self._detach_due(session, now, slo=False)
+        if not session._followers:
+            return False
+        heir, *rest = session._followers
         if into_queue:
-            heir._state = SessionState.QUEUED
             heir._ready_since = now
             self._queue.append(heir)
         else:
-            heir._handle = session._handle
             heir._state = session._state
+            heir._handle = session._handle
+            heir._ckpt_path = session._ckpt_path
+            heir._parked_snapshot = session._parked_snapshot
             heir._dispatched_at = session._dispatched_at
             heir._run_s = session._run_s
             heir._ready_since = session._ready_since
             if heir._first_run_at is None:
-                heir._first_run_at = now
+                heir._first_run_at = session._first_run_at
             self._scheduled[self._scheduled.index(session)] = heir
+        # unlinked last: until now the heir's state read the run's
+        session._followers = []
+        heir._primary = None
+        heir._followers = rest
+        for follower in rest:
+            follower._primary = heir
         self.counters["promotions"] += 1
         self._trace("server.promote", heir, now, primary=session.name,
                     queued=into_queue)
-        return heir
+        return True
 
-    def _finish(self, session: Session, state: SessionState, now: float,
-                interrupted: bool = False,
+    def _retire(self, session: Session, state: SessionState, now: float,
                 whole_run: bool = True,
                 errors: tuple[str, ...] = ()) -> None:
-        """Stop, harvest and terminalize a scheduled session.
+        """End a scheduled session, whether its run is in memory (a
+        handle) or suspended to disk (none).
 
-        ``whole_run=False`` means only *this* subscriber's SLO resolved
-        (deadline, target, cancel): if other live subscribers share the
-        run, the session detaches with a pinned snapshot and the run is
-        promoted to the next subscriber instead of being stopped — the
-        run continues until its most-demanding live subscriber is
-        satisfied.
+        ``whole_run=False`` means only *this* session's own SLO resolved
+        (deadline, target, cancel, metric error): if a live subscriber
+        inherits the run, the session leaves with the snapshot pinned
+        now, and the run continues until its most-demanding live
+        subscriber is satisfied.  Otherwise the run is stopped and
+        harvested (a suspended one's checkpoint discarded) and every
+        subscriber settles on its snapshot.
         """
-        handle = session._handle
-        assert handle is not None
         if not whole_run:
-            live = [f for f in session._followers
-                    if not f._cancel_requested]
-            for follower in list(session._followers):
-                if follower._cancel_requested:
-                    self._detach(session, follower,
-                                 SessionState.CANCELLED, now)
-            if live:
-                self._promote(session, live, now)
-                snapshot = handle.snapshot()
-                resolved = state
-                if state is SessionState.COMPLETED \
-                        and snapshot.version == 0:
-                    resolved = SessionState.FAILED
-                if session._dispatched_at is not None:
-                    session._dispatched_at = None
-                session._handle = None
-                session._terminalize(
-                    resolved, snapshot, now,
-                    snr_db=self._snr_of(session, snapshot),
-                    interrupted=True, errors=errors)
-                key = {SessionState.COMPLETED: "completed",
-                       SessionState.CANCELLED: "cancelled",
-                       SessionState.FAILED: "failed"}.get(resolved)
-                if key:
-                    self.counters[key] += 1
-                self.counters["detaches"] += 1
-                kind = ("server.cancel"
-                        if resolved is SessionState.CANCELLED
-                        else "server.detach")
-                self._trace(kind, session, now, state=resolved.value,
-                            version=snapshot.version,
-                            latency_s=round(now - session.submitted_at,
-                                            6))
+            pinned = session.snapshot()
+            if self._hand_off(session, now):
+                self._end(session, state, pinned, now, interrupted=True,
+                          errors=errors)
                 return
-        if not handle.finished:
-            # Deadline, met target, or cancellation of a live run: stop
-            # it now so the harvest below is bounded by wind-down time,
-            # not by grace_s.  (A naturally finished run is left alone
-            # so its result is not misreported as stopped early.)
-            handle.request_stop()
-        if session._dispatched_at is not None:
-            session._run_s += now - session._dispatched_at
-            session._dispatched_at = None
-        run_result = None
-        degraded = False
-        try:
-            run_result = handle.result(timeout_s=self._grace_s)
-            interrupted = interrupted or run_result.stopped_early
-            degraded = bool(run_result.degraded_stages
-                            or run_result.failed_stages)
-            errors += tuple(f"{stage}: {exc!r}"
-                            for stage, exc in run_result.errors)
-        except Exception as exc:
-            errors += (f"{type(exc).__name__}: {exc}",)
-        snapshot = handle.snapshot()
-        snr = None
-        if session.metric is not None and snapshot.value is not None:
-            try:
-                snr = float(session.metric(snapshot.value))
-            except Exception:
-                snr = None
-        if state is SessionState.COMPLETED and snapshot.version == 0:
-            # Never produced an output version: that is a failure, not
-            # an approximation.
-            state = SessionState.FAILED
         self._scheduled.remove(session)
-        # the whole run is over: every remaining subscriber settles on
-        # the same sealed snapshot (identical work, one answer)
-        for follower in list(session._followers):
-            f_state = (SessionState.CANCELLED
-                       if follower._cancel_requested else state)
-            f_snr = (snr if follower.metric is session.metric
-                     else self._snr_of(follower, snapshot))
-            follower._terminalize(
-                f_state, snapshot, now, snr_db=f_snr,
-                interrupted=(interrupted
-                             or f_state is SessionState.CANCELLED),
-                degraded=degraded)
-            f_key = {SessionState.COMPLETED: "completed",
-                     SessionState.CANCELLED: "cancelled",
-                     SessionState.FAILED: "failed"}.get(f_state)
-            if f_key:
-                self.counters[f_key] += 1
-            self.counters["detaches"] += 1
-            self._trace("server.detach", follower, now,
-                        state=f_state.value, primary=session.name,
-                        version=snapshot.version)
-        session._followers = []
+        handle = session._handle
+        interrupted = not whole_run
+        degraded = False
+        run_result = None
+        if handle is None:
+            snapshot = session.snapshot()   # pinned at suspend time
+            self._discard_ckpt(session)
+        else:
+            if not handle.finished:
+                # Deadline, met target, or cancellation of a live run:
+                # stop it now so the harvest below is bounded by
+                # wind-down time, not by grace_s.  (A naturally finished
+                # run is left alone so its result is not misreported as
+                # stopped early.)
+                handle.request_stop()
+            if session._dispatched_at is not None:
+                session._run_s += now - session._dispatched_at
+                session._dispatched_at = None
+            try:
+                run_result = handle.result(timeout_s=self._grace_s)
+                interrupted = interrupted or run_result.stopped_early
+                degraded = bool(run_result.degraded_stages
+                                or run_result.failed_stages)
+                errors += tuple(f"{stage}: {exc!r}"
+                                for stage, exc in run_result.errors)
+            except Exception as exc:
+                errors += (f"{type(exc).__name__}: {exc}",)
+            snapshot = handle.snapshot()
         if state is SessionState.COMPLETED and not interrupted:
             self._memoize(session.key, snapshot, now)
-        session._terminalize(state, snapshot, now, snr_db=snr,
-                             interrupted=interrupted, degraded=degraded,
-                             errors=errors, run_result=run_result)
-        key = {SessionState.COMPLETED: "completed",
-               SessionState.CANCELLED: "cancelled",
-               SessionState.FAILED: "failed"}.get(state)
-        if key:
-            self.counters[key] += 1
-        kind = ("server.cancel" if state is SessionState.CANCELLED
-                else "server.complete")
-        self._trace(kind, session, now, state=state.value,
-                    version=snapshot.version,
-                    latency_s=round(now - session.submitted_at, 6))
+        self._end(session, state, snapshot, now, interrupted=interrupted,
+                  degraded=degraded, errors=errors, run_result=run_result)
 
     def _shed(self, session: Session, now: float, reason: str) -> None:
-        session._terminalize(SessionState.SHED, session.snapshot(), now)
-        self.counters["shed"] += 1
-        self._trace("server.shed", session, now, reason=reason,
-                    queue_depth=len(self._queue))
+        self._end(session, SessionState.SHED, session.snapshot(), now,
+                  reason=reason, queue_depth=len(self._queue))
 
     def _trace(self, kind: str, session: Session, now: float,
                **extra: Any) -> None:

@@ -147,7 +147,9 @@ class Session:
 
     @property
     def state(self) -> SessionState:
-        return self._state
+        """An attached subscriber is wherever its shared run is."""
+        primary = self._primary
+        return primary.state if primary is not None else self._state
 
     @property
     def done(self) -> bool:
@@ -218,7 +220,7 @@ class Session:
         if not self._done.wait(timeout=timeout_s):
             raise TimeoutError(
                 f"request {self.name!r} not terminal after "
-                f"{timeout_s}s (state={self._state.value})")
+                f"{timeout_s}s (state={self.state.value})")
         assert self._result is not None
         return self._result
 
@@ -254,8 +256,12 @@ class Session:
                      errors: tuple[str, ...] = (),
                      run_result: ThreadedResult | None = None) -> None:
         latency = now - self.submitted_at
-        queue_s = ((self._first_run_at - self.submitted_at)
-                   if self._first_run_at is not None else latency)
+        first_run_at = self._first_run_at
+        if first_run_at is None and self._primary is not None:
+            # a subscriber whose shared run started after it attached
+            first_run_at = self._primary._first_run_at
+        queue_s = ((first_run_at - self.submitted_at)
+                   if first_run_at is not None else latency)
         slo_met = state is SessionState.COMPLETED
         if self.slo.deadline_s is not None:
             slo_met = slo_met and latency <= self.slo.deadline_s * 1.25
@@ -264,6 +270,7 @@ class Session:
                        and (snr_db >= self.slo.target_db
                             or snapshot.final))
         self._state = state
+        self._primary = None
         self._result = ServeResult(
             state=state, snapshot=snapshot, latency_s=latency,
             queue_s=queue_s, snr_db=snr_db, slo_met=slo_met,
@@ -271,7 +278,6 @@ class Session:
             preemptions=self._preemptions, errors=errors,
             run_result=run_result, coalesced=self._coalesced,
             memo_hit=self._memo_hit, restores=self._restores)
-        self._primary = None
         with self._callback_lock:
             self._done.set()
             callbacks, self._callbacks = self._callbacks, []

@@ -124,3 +124,27 @@ def small_rgb():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def suspend_only():
+    """A scripted :class:`~repro.serve.ServePolicy` for suspend-path
+    tests: ``suspend_only(victim, first)`` grants free slots to the
+    session named ``first`` before any other and preempts only the one
+    named ``victim`` (on a server with a ``resume_dir``, that suspends
+    it to disk)."""
+    from repro.serve import ServePolicy
+
+    class SuspendOnly(ServePolicy):
+        def __init__(self, victim, first):
+            self.victim, self.first = victim, first
+
+        def rank_ready(self, ready, now):
+            return sorted(ready, key=lambda s: (s.name != self.first,
+                                                s._ready_since))
+
+        def pick_victim(self, candidates, ready, now):
+            return next((s for s in candidates if s.name == self.victim),
+                        None)
+
+    return SuspendOnly

@@ -246,6 +246,34 @@ class TestCheckpointUnderLease:
 
 # -- serving-layer suspend-and-resume ------------------------------------
 
+STAIRS = 12
+
+
+def staircase(sleep_s=0.02, name="work"):
+    """One iterative stage: level i sleeps then writes value i+1, so
+    version n holds n and the final is version ``STAIRS``."""
+    from repro.core.buffer import VersionedBuffer
+    from repro.core.iterative import AccuracyLevel, IterativeStage
+
+    def make_level(i):
+        def fn(x):
+            time.sleep(sleep_s)
+            return i + 1
+        return AccuracyLevel(fn, 1.0)
+
+    stage = IterativeStage(name, VersionedBuffer(f"{name}-out"),
+                           (VersionedBuffer(f"{name}-in"),),
+                           [make_level(i) for i in range(STAIRS)])
+    return AnytimeAutomaton([stage], external={f"{name}-in": 0})
+
+
+def wait_until(predicate, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
 @pytest.mark.serve
 @pytest.mark.timeout(180)
 class TestServerSuspendResume:
@@ -340,6 +368,38 @@ class TestServerSuspendResume:
         assert stats["parked"] == 0
         states = {s.result(0.0).state.value for s in sessions}
         assert states <= {"completed", "shed"}
+
+    def test_suspended_primary_hands_its_run_to_a_live_subscriber(
+            self, tmp_path, suspend_only):
+        """A suspended primary whose own deadline passes leaves with the
+        snapshot pinned at suspend time; its subscriber inherits the
+        checkpoint and runs it to the final, as it would inherit a
+        running run, instead of ending with the primary."""
+        from repro.serve import SLO, AnytimeServer, SessionState
+
+        with AnytimeServer(slots=1, quantum_s=0.01, tick_s=0.002,
+                           starvation_s=60.0,
+                           policy=suspend_only("a", "blocker"),
+                           resume_dir=str(tmp_path)) as server:
+            a = server.submit(staircase, SLO(deadline_s=0.3), name="a",
+                              key="k")
+            b = server.submit(staircase, SLO(deadline_s=30.0), name="b",
+                              key="k")
+            wait_until(lambda: a.snapshot().version >= 2)
+            blocker = server.submit(
+                lambda: staircase(sleep_s=0.05, name="slow"),
+                SLO(deadline_s=30.0), name="blocker")
+            ra = a.result(timeout_s=60.0)
+            rb = b.result(timeout_s=60.0)
+            blocker.result(timeout_s=60.0)
+            stats = server.stats()
+        assert stats["suspends"] == 1 and stats["promotions"] == 1
+        assert ra.state is SessionState.COMPLETED and ra.interrupted
+        assert 2 <= ra.snapshot.version < STAIRS
+        assert rb.state is SessionState.COMPLETED
+        assert rb.snapshot.final and rb.snapshot.value == STAIRS
+        assert rb.restores == 1
+        assert not os.listdir(tmp_path)
 
 
 # -- persisted runtime-accuracy profiles ---------------------------------

@@ -9,6 +9,7 @@ computation) — and one subscriber's cancellation never destroys
 another's run.
 """
 
+import os
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.buffer import VersionedBuffer
 from repro.core.iterative import AccuracyLevel, IterativeStage
 from repro.serve import (SLO, AnytimeServer, SessionState, input_digest,
                          request_key)
+from repro.serve.fleet import _done_message
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(120)]
 
@@ -28,14 +30,17 @@ LEVELS = 12
 SLEEP_S = 0.004
 
 
-def staircase(levels=LEVELS, sleep_s=SLEEP_S, name="work"):
+def staircase(levels=LEVELS, sleep_s=SLEEP_S, name="work", fail_at=None):
     """One iterative stage: level i sleeps then writes value i+1, so a
-    snapshot is valid iff value == version (the test-side oracle)."""
+    snapshot is valid iff value == version (the test-side oracle).
+    Level ``fail_at`` raises instead."""
     b_in = VersionedBuffer(f"{name}-in")
     b_out = VersionedBuffer(f"{name}-out")
 
     def make_level(i):
         def fn(x):
+            if i == fail_at:
+                raise RuntimeError(f"injected failure at level {i}")
             time.sleep(sleep_s)
             return i + 1
         return AccuracyLevel(fn, 1.0)
@@ -244,6 +249,131 @@ class TestCancelIsolation:
         assert ra.state is SessionState.CANCELLED
         assert rb.state is SessionState.COMPLETED
         assert rb.snapshot.version == LEVELS
+
+
+def wait_until(predicate, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+class TestSharedRunState:
+    """A subscriber shares its run's state, snapshot, ``degraded`` flag
+    and errors."""
+
+    def test_subscribers_carry_the_runs_errors(self):
+        with keyed_server() as server:   # default faults degrade
+            blocker = server.submit(staircase, SLO(deadline_s=30.0),
+                                    name="blocker")
+            a = server.submit(lambda: staircase(fail_at=5),
+                              SLO(deadline_s=30.0), name="a", key="k")
+            b = server.submit(lambda: staircase(fail_at=5),
+                              SLO(deadline_s=30.0), name="b", key="k")
+            ra = a.result(timeout_s=60.0)
+            rb = b.result(timeout_s=60.0)
+            blocker.result(timeout_s=60.0)
+        assert ra.degraded and ra.errors
+        assert "injected failure at level 5" in " ".join(ra.errors)
+        assert rb.coalesced and rb.degraded
+        assert rb.snapshot.version == ra.snapshot.version == 5
+        assert rb.errors == ra.errors
+        # and so does the fleet `done` frame built from it
+        assert _done_message(2, rb)["errors"] == list(ra.errors)
+
+    def test_subscriber_of_a_suspended_run_reads_resumable(
+            self, tmp_path, suspend_only):
+        with keyed_server(quantum_s=0.01, starvation_s=60.0,
+                          policy=suspend_only("a", "blocker"),
+                          resume_dir=str(tmp_path)) as server:
+            a = server.submit(lambda: staircase(sleep_s=0.02),
+                              SLO(deadline_s=30.0), name="a", key="k")
+            wait_until(lambda: a.snapshot().version >= 1)
+            blocker = server.submit(lambda: staircase(sleep_s=0.05),
+                                    SLO(deadline_s=30.0), name="blocker")
+            wait_until(lambda: a.state is SessionState.RESUMABLE)
+            b = server.submit(lambda: staircase(sleep_s=0.02),
+                              SLO(deadline_s=30.0), name="b", key="k")
+            # the worker's `ack` frame reports exactly this
+            assert b.state is SessionState.RESUMABLE
+            rb = b.result(timeout_s=60.0)
+            a.result(timeout_s=60.0)
+            blocker.result(timeout_s=60.0)
+        assert rb.coalesced and rb.snapshot.final
+        assert rb.snapshot.value == LEVELS
+
+
+class TestEveryEndPath:
+    @pytest.mark.timeout(180)
+    def test_every_session_ends_exactly_once(self, tmp_path,
+                                             suspend_only):
+        """One server drives every way a request can end: follower
+        deadline detach, builder failure with a subscriber, cancel of a
+        queued primary with a live subscriber, memo hit, cancel while
+        suspended, shed, and shutdown of running, suspended and queued
+        runs with their subscribers."""
+        ends = {}
+        sessions = []
+
+        def submit(name, builder=staircase, deadline_s=30.0, key=None):
+            session = server.submit(builder, SLO(deadline_s=deadline_s),
+                                    metric=value_metric, name=name,
+                                    key=key)
+            session.add_done_callback(
+                lambda s: ends.__setitem__(s.name,
+                                           ends.get(s.name, 0) + 1))
+            sessions.append(session)
+            return session
+
+        def broken():
+            raise ValueError("no automaton for you")
+
+        def slow():
+            return staircase(sleep_s=0.02)
+
+        with keyed_server(quantum_s=0.01, starvation_s=60.0,
+                          memo_ttl_s=30.0, resume_dir=str(tmp_path),
+                          policy=suspend_only("s", "blocker")) as server:
+            submit("d", slow, key="d")
+            submit("d2", deadline_s=0.1, key="d")
+            submit("f", broken, key="f")
+            submit("f2", key="f")
+            q = submit("q", key="q")
+            submit("q2", key="q")
+            q.cancel()
+            submit("m", key="m")
+            for session in list(sessions):
+                session.result(timeout_s=60.0)
+            submit("m2", key="m")
+            s = submit("s", slow, key="s")
+            submit("s2", slow, key="s")
+            wait_until(lambda: s.snapshot().version >= 1)
+            submit("blocker", lambda: staircase(sleep_s=0.05))
+            wait_until(lambda: s.state is SessionState.RESUMABLE)
+            s.cancel()
+            wait_until(lambda: s.done)
+            submit("z", key="z")
+            submit("z2", key="z")
+            server.drain(timeout_s=0.0)      # stop accepting
+            submit("shed")
+        stats = server.stats()
+        states = {x.name: x.result(timeout_s=0.0).state.value
+                  for x in sessions}
+        assert states == {
+            "d": "completed", "d2": "completed",
+            "f": "failed", "f2": "completed",
+            "q": "cancelled", "q2": "completed",
+            "m": "completed", "m2": "completed",
+            "s": "cancelled", "s2": "cancelled", "blocker": "cancelled",
+            "z": "cancelled", "z2": "cancelled", "shed": "shed"}
+        assert ends == {x.name: 1 for x in sessions}
+        assert stats["finished"] == stats["submitted"] == len(sessions)
+        assert stats["memo_hits"] == 1 and stats["suspends"] == 1
+        # f2, q2 and s2 inherited runs; only d2 and z2 left a run that
+        # another session owned
+        assert stats["promotions"] == 3
+        assert stats["detaches"] == 2
+        assert not os.listdir(tmp_path)
 
 
 class TestMemo:
