@@ -22,7 +22,7 @@ def test_fig19_precision(benchmark):
     assert math.isinf(final[8]), "8-bit full sample is the precise output"
     # precision ceilings ordered and near the paper's anchors
     assert final[6] > final[4] > final[2]
-    assert 25.0 <= final[6] <= 50.0, "paper: ~37.9 dB at 6 bits"
+    assert abs(final[6] - 38.2) <= 0.1, "paper: ~37.9 dB at 6 bits"
     assert 15.0 <= final[4] <= 35.0, "paper: ~24.2 dB at 4 bits"
     # SNR grows with sample size within each precision (tolerance 1 dB)
     for bits in (8, 6, 4, 2):

@@ -239,8 +239,7 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
             victim = None
             deadline = _time.monotonic() + 60.0
             while victim is None and _time.monotonic() < deadline:
-                with fleet._lock:
-                    candidates = [l for l in fleet._links if l.inflight]
+                candidates = [l for l in fleet._links if l.inflight]
                 for link in candidates:
                     os.kill(procs[link.index].pid, signal.SIGSTOP)
                     wdir = os.path.join(workdir, f"w{link.index}")

@@ -28,54 +28,26 @@ never a hang.
 :class:`AioFleetClient` is the matching client used by the tests, the
 tutorial, and the CI smoke.
 
-The bridge between the router's worker threads and the loop is
-:meth:`FleetRequest.add_done_callback` → ``loop.call_soon_threadsafe``,
-and delivery is event-driven: a connection waits on *the next frame or
-the next completion*, so a ``done`` leaves the moment the router
-finishes the request — no delivery poll.  The front end itself never
-blocks the loop on router work (``submit``/``aggregate_stats`` run in
-the default executor).
+:func:`serve_front` runs the front end on the router's own loop: a
+submit is dispatched inline, and a ``done`` reaches its connection on
+the same thread.  On any other loop the ``done`` hand-off
+(``loop.call_soon_threadsafe``) works just the same; only the rare
+``stats`` op uses an executor.  A connection waits on *the next frame
+or the next completion*, so a ``done`` leaves the moment the router
+finishes the request — no delivery poll.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import signal
-import struct
 from typing import Any
 
-from .fleet import MAX_FRAME
+from .fleet import MAX_FRAME, FrameError, pack_msg, read_msg
 from .router import FleetRequest, FleetRouter
 
 __all__ = ["AioFrontend", "AioFleetClient", "serve_front"]
-
-_LEN = struct.Struct(">I")
-
-
-def _pack(obj: dict[str, Any]) -> bytes:
-    payload = json.dumps(obj, separators=(",", ":")).encode()
-    return _LEN.pack(len(payload)) + payload
-
-
-async def _read_frame(reader: asyncio.StreamReader,
-                      max_frame: int) -> dict[str, Any]:
-    """One frame; raises IncompleteReadError on EOF/truncation and
-    ValueError on protocol violations (oversized / non-JSON)."""
-    header = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > max_frame:
-        raise ValueError(f"declared frame length {length} exceeds "
-                         f"max_frame {max_frame}")
-    payload = await reader.readexactly(length)
-    try:
-        msg = json.loads(payload.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ValueError(f"frame payload is not JSON: {exc}") from exc
-    if not isinstance(msg, dict):
-        raise ValueError("frame payload is not a JSON object")
-    return msg
 
 
 class AioFrontend:
@@ -131,9 +103,7 @@ class AioFrontend:
             clean = False
         for task in list(self._conn_tasks):
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks,
-                                 return_exceptions=True)
+        await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         return clean
 
     # -- internals --------------------------------------------------------
@@ -148,25 +118,25 @@ class AioFrontend:
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
         self.counters["connections"] += 1
         loop = asyncio.get_running_loop()
         pending: dict[int, FleetRequest] = {}
         done_queue: asyncio.Queue = asyncio.Queue()
 
         async def send(obj: dict[str, Any]) -> None:
-            writer.write(_pack(obj))
+            writer.write(pack_msg(obj))
             await writer.drain()
 
         def bridge(rid: int, request: FleetRequest) -> None:
-            # runs on a router worker/reader thread
+            # runs on whichever thread finished the request: the
+            # router's loop, which may or may not be this one
             loop.call_soon_threadsafe(done_queue.put_nowait,
                                       (rid, request))
 
         def next_frame() -> asyncio.Task:
-            return loop.create_task(_read_frame(reader, self.max_frame))
+            return loop.create_task(read_msg(reader, self.max_frame))
 
         async def deliver() -> None:
             """Send the ``done`` of the next request to complete
@@ -195,13 +165,10 @@ class AioFrontend:
                 # (TCP pushes back on the client)
                 await deliver()
             try:
-                request = await loop.run_in_executor(
-                    None, functools.partial(
-                        self.router.submit, msg["app"],
-                        size=msg.get("size", 32),
-                        seed=msg.get("seed", 0),
-                        slo=msg.get("slo"),
-                        wait_s=float(msg.get("wait_s", 0.0))))
+                request = self.router.submit(
+                    msg["app"], size=msg.get("size", 32),
+                    seed=msg.get("seed", 0), slo=msg.get("slo"),
+                    wait_s=float(msg.get("wait_s", 0.0)))
             except Exception as exc:
                 # a bad spec fails only this request
                 await send({"op": "done", "rid": rid,
@@ -244,15 +211,15 @@ class AioFrontend:
                     continue
                 try:
                     msg = read.result()
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return          # clean EOF or mid-frame disconnect
-                except ValueError as exc:
+                except FrameError as exc:
                     self.counters["frame_errors"] += 1
                     try:
                         await send({"op": "error", "error": str(exc)})
                     except (ConnectionError, OSError):
                         pass
                     return
+                if msg is None:
+                    return          # clean EOF or mid-frame disconnect
                 op = msg.get("op")
                 if op == "submit":
                     await submit(msg)
@@ -270,10 +237,8 @@ class AioFrontend:
                 # unknown ops ignored: forward compatibility
                 read = next_frame()
                 idle_since = loop.time()
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError):
-            return
+        except OSError:
+            return          # a reset, mid-frame or not
         finally:
             read.cancel()
             completion.cancel()
@@ -319,7 +284,9 @@ class AioFleetClient:
         error: Exception | None = None
         try:
             while True:
-                msg = await _read_frame(self._reader, self._max_frame)
+                msg = await read_msg(self._reader, self._max_frame)
+                if msg is None:
+                    return
                 op = msg.get("op")
                 if op == "ack":
                     fut = self._acks.pop(int(msg.get("rid", 0)), None)
@@ -341,9 +308,9 @@ class AioFleetClient:
                     return
                 elif op == "bye":
                     return
-        except (asyncio.IncompleteReadError, ConnectionError):
+        except ConnectionError:
             return
-        except ValueError as exc:
+        except FrameError as exc:
             error = exc
             return
         finally:
@@ -364,7 +331,7 @@ class AioFleetClient:
                     self._closed.set_result(None)
 
     async def _send(self, obj: dict[str, Any]) -> None:
-        self._writer.write(_pack(obj))
+        self._writer.write(pack_msg(obj))
         await self._writer.drain()
 
     async def submit(self, app: str, size: int = 32, seed: int = 0,
@@ -416,22 +383,34 @@ class AioFleetClient:
 def serve_front(router: FleetRouter, host: str = "127.0.0.1",
                 port: int = 0,
                 announce: Any = None, **kwargs: Any) -> None:
-    """Run a front end until SIGTERM/SIGINT, then drain gracefully
-    (the blocking entry point behind ``repro serve-front``)."""
+    """Run a front end on the started ``router``'s own loop until
+    SIGTERM/SIGINT, then drain gracefully (the blocking entry point
+    behind ``repro serve-front``).  ``announce(host, port)`` runs on
+    that loop once the port is bound."""
+    loop = router.loop
+    if loop is None:
+        raise RuntimeError("serve_front needs a started router")
+    stop_requested = asyncio.Event()
 
     async def main() -> None:
         front = AioFrontend(router, host, port, **kwargs)
         bound = await front.start()
         if announce is not None:
             announce(*bound)
-        loop = asyncio.get_running_loop()
-        stop_requested = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-            except (NotImplementedError, RuntimeError):
-                pass
         await stop_requested.wait()
         await front.stop()
 
-    asyncio.run(main())
+    def on_signal(signum: int, frame: Any) -> None:
+        loop.call_soon_threadsafe(stop_requested.set)
+
+    previous = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            previous[signum] = signal.signal(signum, on_signal)
+        except ValueError:      # not the main thread: no signals here
+            pass
+    try:
+        asyncio.run_coroutine_threadsafe(main(), loop).result()
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)

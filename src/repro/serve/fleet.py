@@ -31,8 +31,10 @@ with :class:`FrameError` before any allocation, so a corrupt or hostile
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import binascii
+import contextlib
 import hashlib
 import json
 import math
@@ -50,8 +52,8 @@ import numpy as np
 
 from .digest import ckpt_filename, input_digest, request_key
 
-__all__ = ["send_msg", "recv_msg", "spec_key", "value_digest",
-           "ckpt_filename", "worker_main", "WORKER_DEFAULTS",
+__all__ = ["pack_msg", "send_msg", "recv_msg", "read_msg", "spec_key",
+           "value_digest", "ckpt_filename", "worker_main", "WORKER_DEFAULTS",
            "MAX_FRAME", "FrameError", "CKPT_CHUNK_BYTES"]
 
 _LEN = struct.Struct(">I")
@@ -90,16 +92,36 @@ WORKER_DEFAULTS: dict[str, Any] = {
 
 # -- wire protocol -------------------------------------------------------
 
+def pack_msg(obj: dict[str, Any]) -> bytes:
+    """One length-prefixed JSON frame."""
+    payload = json.dumps(obj, separators=(",", ":")).encode()
+    return _LEN.pack(len(payload)) + payload
+
+
 def send_msg(sock: socket.socket, obj: dict[str, Any],
              lock: threading.Lock | None = None) -> None:
     """Send one length-prefixed JSON message (atomic under ``lock``)."""
-    payload = json.dumps(obj, separators=(",", ":")).encode()
-    frame = _LEN.pack(len(payload)) + payload
-    if lock is not None:
-        with lock:
-            sock.sendall(frame)
-    else:
-        sock.sendall(frame)
+    with lock or contextlib.nullcontext():
+        sock.sendall(pack_msg(obj))
+
+
+def _frame_length(header: bytes, max_frame: int) -> int:
+    (length,) = _LEN.unpack(header)
+    if length > max_frame:
+        raise FrameError(f"declared frame length {length} exceeds "
+                         f"max_frame {max_frame}")
+    return length
+
+
+def _decode(payload: bytes) -> dict[str, Any]:
+    try:
+        msg = json.loads(payload.decode())
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise FrameError(f"frame payload is not JSON: {exc}") from exc
+    if not isinstance(msg, dict):
+        raise FrameError(f"frame payload is not a JSON object: "
+                         f"{type(msg).__name__}")
+    return msg
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -123,21 +145,20 @@ def recv_msg(sock: socket.socket,
     header = _recv_exact(sock, _LEN.size)
     if header is None:
         return None
-    (length,) = _LEN.unpack(header)
-    if length > max_frame:
-        raise FrameError(f"declared frame length {length} exceeds "
-                         f"max_frame {max_frame}")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        return None
+    payload = _recv_exact(sock, _frame_length(header, max_frame))
+    return None if payload is None else _decode(payload)
+
+
+async def read_msg(reader: asyncio.StreamReader,
+                   max_frame: int = MAX_FRAME) -> dict[str, Any] | None:
+    """:func:`recv_msg` on an asyncio stream: the same bound, decode,
+    None on EOF or truncation, and :class:`FrameError`."""
     try:
-        msg = json.loads(payload.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"frame payload is not JSON: {exc}") from exc
-    if not isinstance(msg, dict):
-        raise FrameError(f"frame payload is not a JSON object: "
-                         f"{type(msg).__name__}")
-    return msg
+        header = await reader.readexactly(_LEN.size)
+        length = _frame_length(header, max_frame)
+        return _decode(await reader.readexactly(length))
+    except asyncio.IncompleteReadError:
+        return None
 
 
 # -- request/result identity --------------------------------------------

@@ -20,7 +20,8 @@ router never makes an input):
   with the worker's queue depth; a shed request is retried once on the
   least-loaded other worker before the shed is accepted as final.
 * **Worker-death failover, re-spawn, and checkpoint migration.**  A
-  dead worker (socket EOF / reset) is replaced: a fresh worker is
+  dead worker (its link's reader ends on EOF, a reset or a garbage
+  frame — the one place a death is detected) is replaced: a fresh worker is
   forked at the same index and rejoins the consistent-hash ring (the
   ring maps onto indices, so the replacement inherits the dead
   worker's key range with zero ring churn).  The dead worker's
@@ -48,10 +49,16 @@ router never makes an input):
 Fleet-wide metrics (:func:`summarize_fleet`, :meth:`aggregate_stats`)
 sum the per-worker serving counters and reduce per-request outcomes to
 p50/p99 latency, goodput, shed rate and SLO attainment.
+
+All router I/O and state live on one asyncio loop, on the thread
+:meth:`FleetRouter.start` creates (one reader task per link, no locks);
+the public methods are thin calls onto it, and
+:func:`~repro.serve.aiofront.serve_front` runs the front end there too.
 """
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import bisect
 import glob
@@ -65,7 +72,7 @@ from typing import Any, Callable
 
 from ..core.tracing import TraceEvent, TraceSink
 from .fleet import (CKPT_CHUNK_BYTES, FrameError, WORKER_DEFAULTS,
-                    ckpt_filename, recv_msg, send_msg, spec_key)
+                    ckpt_filename, pack_msg, read_msg, spec_key)
 from .transport import ForkTransport, TcpTransport
 from .workload import percentile
 
@@ -104,10 +111,9 @@ class FleetRequest:
 
     def add_done_callback(
             self, fn: Callable[["FleetRequest"], None]) -> None:
-        """Run ``fn(self)`` once the request is terminal (immediately
-        if it already is).  Callbacks fire on the router's reader
-        thread — keep them cheap and thread-safe (the asyncio front
-        end bridges here with ``call_soon_threadsafe``)."""
+        """Run ``fn(self)`` once the request is terminal (immediately,
+        in the caller's thread, if it already is).  Callbacks fire on
+        the router's loop thread — keep them cheap and never block."""
         with self._finish_lock:
             if not self._done.is_set():
                 self._callbacks.append(fn)
@@ -149,22 +155,29 @@ class FleetRequest:
 
 
 class _WorkerLink:
-    """Router-side state of one worker: socket, reader, in-flight set."""
+    """Router-side state of one worker: its socket wrapped in asyncio
+    streams, the task that reads them, and its in-flight requests."""
 
-    def __init__(self, index: int, process: Any,
-                 sock: socket.socket) -> None:
+    def __init__(self, index: int, process: Any, sock: socket.socket,
+                 reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter) -> None:
         self.index = index
         self.process = process
         self.sock = sock
-        self.send_lock = threading.Lock()
+        self.reader = reader
+        self.writer = writer
         self.alive = True
         self.inflight: dict[int, FleetRequest] = {}
         self.queue_depth = 0
-        self.reader: threading.Thread | None = None
+        self.task: asyncio.Task | None = None
 
     @property
     def load(self) -> int:
         return len(self.inflight)
+
+    def send(self, msg: dict[str, Any]) -> None:
+        # never blocks; a dead peer's reader re-places its requests
+        self.writer.write(pack_msg(msg))
 
 
 class FleetRouter:
@@ -218,13 +231,14 @@ class FleetRouter:
         self._memo: dict[str, tuple[float, dict[str, Any]]] = {}
         self._trace_sink = trace
         self._links: list[_WorkerLink] = []
-        self._lock = threading.RLock()
+        #: the event loop all router I/O runs on (None unless started)
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
         self._rids = itertools.count(1)
-        self._stats_rids = itertools.count(1)
-        self._stats_waiters: dict[int, list[Any]] = {}
-        self._xids = itertools.count(1)
-        self._ckpt_lock = threading.Lock()
-        self._ckpt_waiters: dict[int, list[Any]] = {}
+        #: ids of the router's own asks (``stats`` rids, transfer xids)
+        self._ids = itertools.count(1)
+        #: (reply op, id) → the future its reply resolves
+        self._waiters: dict[tuple[str, Any], asyncio.Future] = {}
         self.ckpt_ack_timeout_s = 15.0
         self._affinity: dict[str, tuple[int, float]] = {}
         self._ring: list[tuple[int, int]] = sorted(
@@ -232,7 +246,10 @@ class FleetRouter:
             for w in range(workers) for v in range(_VNODES))
         #: orphans taken off a dead link and not yet re-dispatched (or
         #: failed): in no link's ``inflight``, yet not terminal
-        self._in_transit = 0
+        self._in_transit: set[FleetRequest] = set()
+        #: set by the loop whenever nothing is in flight or in transit
+        self._idle = threading.Event()
+        self._idle.set()
         self._started = False
         self._closing = False
         self.counters = {
@@ -248,26 +265,34 @@ class FleetRouter:
         if self._started:
             raise RuntimeError("router already started")
         self._started = True
-        for index in range(self.n_workers):
-            self._links.append(self._spawn_link(index))
-        for link in self._links:
-            link.reader.start()
+        spawned = [self._spawn(index) for index in range(self.n_workers)]
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self.loop.run_forever,
+                                        name="fleet-loop", daemon=True)
+        self._thread.start()
+        self._call(self._open_links, spawned)
         return self
 
-    def _spawn_link(self, index: int) -> _WorkerLink:
-        """Attach one worker at ring index ``index`` through the
-        transport — fork a process or connect to a remote listener
-        (reader thread created but not started)."""
+    def _spawn(self, index: int) -> tuple[Any, socket.socket]:
+        """Fork the worker at ring index ``index``, or connect to it,
+        through the transport."""
         config = dict(self.worker_config)
         if self.resume_dir is not None:
             config["resume_dir"] = os.path.join(self.resume_dir,
                                                 f"w{index}")
-        process, sock = self.transport.spawn(index, config)
-        link = _WorkerLink(index, process, sock)
-        link.reader = threading.Thread(
-            target=self._read_loop, args=(link,),
-            name=f"fleet-reader-{index}", daemon=True)
+        return self.transport.spawn(index, config)
+
+    async def _connect(self, index: int, process: Any,
+                       sock: socket.socket) -> _WorkerLink:
+        """Wrap a worker's socket in streams and start its reader."""
+        reader, writer = await asyncio.open_connection(sock=sock)
+        link = _WorkerLink(index, process, sock, reader, writer)
+        link.task = asyncio.create_task(self._read_link(link))
         return link
+
+    async def _open_links(self, spawned: list[tuple[Any, Any]]) -> None:
+        for index, pair in enumerate(spawned):
+            self._links.append(await self._connect(index, *pair))
 
     def __enter__(self) -> "FleetRouter":
         return self.start()
@@ -277,16 +302,9 @@ class FleetRouter:
 
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Stop every worker; fail any request still in flight."""
-        with self._lock:
-            self._closing = True   # EOFs from here on are not deaths
-            links = list(self._links)
-        for link in links:
-            if link.alive:
-                try:
-                    send_msg(link.sock, {"op": "shutdown"},
-                             link.send_lock)
-                except OSError:
-                    pass
+        if self.loop is None:
+            return
+        links = self._call(self._say_shutdown)
         deadline = _time.monotonic() + timeout_s
         for link in links:
             if link.process is not None:
@@ -295,31 +313,57 @@ class FleetRouter:
                 if link.process.is_alive():
                     link.process.terminate()
                     link.process.join(timeout=2.0)
+        self._call(self._close)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.close()
+        self.loop = self._thread = None
+
+    def _say_shutdown(self) -> list[_WorkerLink]:
+        self._closing = True   # link ends from here on are not deaths
+        for link in self._links:
+            if link.alive:
+                link.send({"op": "shutdown"})
+        return list(self._links)
+
+    async def _close(self) -> None:
+        stranded = list(self._in_transit)
+        self._in_transit.clear()
+        for link in self._links:
             link.alive = False
-            try:
-                link.sock.close()
-            except OSError:
-                pass
-        with self._lock:
-            for link in links:
-                for request in list(link.inflight.values()):
-                    request._finish({"state": "cancelled",
-                                     "errors": ["fleet shutdown"]})
-                link.inflight.clear()
+            link.writer.close()
+            stranded.extend(link.inflight.values())
+            link.inflight.clear()
+        for request in stranded:
+            request._finish({"state": "cancelled",
+                             "errors": ["fleet shutdown"]})
+        self._idle.set()
+        # readers and failovers end; their turn closes the sockets
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     def drain(self, timeout_s: float | None = None) -> bool:
-        """Wait until every submitted request is terminal; True if all
-        are — a dead worker's orphans count while they migrate."""
-        deadline = (None if timeout_s is None
-                    else _time.monotonic() + timeout_s)
-        while True:
-            with self._lock:
-                if not self._in_transit and not any(
-                        link.inflight for link in self._links):
-                    return True
-            if deadline is not None and _time.monotonic() >= deadline:
-                return False
-            _time.sleep(0.01)
+        """Wait (from any thread but the loop's) until every submitted
+        request is terminal; True if all are — a dead worker's orphans
+        count while they migrate."""
+        return self._idle.wait(timeout_s)
+
+    def _call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` on the loop, waited for; inline (no coroutine
+        functions then) when called there or with no loop running."""
+        if self.loop is None or threading.current_thread() is self._thread:
+            if asyncio.iscoroutinefunction(fn):
+                raise RuntimeError(f"{fn.__name__}: the router's loop "
+                                   f"is not running or is the caller")
+            return fn(*args)
+
+        async def call() -> Any:
+            result = fn(*args)
+            return await result if asyncio.iscoroutine(result) else result
+
+        return asyncio.run_coroutine_threadsafe(call(), self.loop).result()
 
     # -- client API ------------------------------------------------------
 
@@ -331,36 +375,55 @@ class FleetRouter:
         key = spec_key(app, size, seed)
         request = FleetRequest(next(self._rids), app, int(size),
                                int(seed), slo or {}, key)
-        with self._lock:
-            memo = self._memo_lookup(key)
-            if memo is not None:
-                # fleet-wide memo: a worker sealed this key's final
-                # recently; answer from the router without any dispatch
-                self.counters["memo_hits"] += 1
-                self._emit("fleet.memo_hit", key=key, rid=request.rid)
-                payload = dict(memo)
-                payload["memo_hit"] = True
-                payload["fleet_memo"] = True
-                request._finish(payload)
-                return request
-            link = self._place(key)
-            if link is None:
-                request._finish({"state": "failed",
-                                 "errors": ["no live workers"]})
-                return request
-            self._dispatch(request, link, wait_s=wait_s)
+        self._call(self._submit, request, wait_s)
         return request
 
+    def _submit(self, request: FleetRequest, wait_s: float) -> None:
+        memo = self._memo_lookup(request.key)
+        if memo is not None:
+            # fleet-wide memo: a worker sealed this key's final
+            # recently; answer from the router without any dispatch
+            self.counters["memo_hits"] += 1
+            self._emit("fleet.memo_hit", key=request.key, rid=request.rid)
+            payload = dict(memo)
+            payload["memo_hit"] = True
+            payload["fleet_memo"] = True
+            request._finish(payload)
+            return
+        link = self._place(request.key)
+        if link is None:
+            request._finish({"state": "failed",
+                             "errors": ["no live workers"]})
+            return
+        self._dispatch(request, link, wait_s=wait_s)
+
     def alive_workers(self) -> int:
-        with self._lock:
-            return sum(1 for link in self._links if link.alive)
+        return self._call(
+            lambda: sum(1 for link in self._links if link.alive))
 
     def aggregate_stats(self, timeout_s: float = 5.0) -> dict[str, Any]:
-        """Fleet-wide serving counters: per-worker stats plus sums."""
-        per_worker: list[dict[str, Any] | None] = []
-        for link in list(self._links):
-            per_worker.append(self._worker_stats(link, timeout_s)
-                              if link.alive else None)
+        """Fleet-wide serving counters: per-worker stats plus sums.
+        Every live worker is asked at once, with one wait of
+        ``timeout_s`` for all of them."""
+        return self._call(self._aggregate_stats, timeout_s)
+
+    async def _aggregate_stats(self, timeout_s: float) -> dict[str, Any]:
+        asks: list[asyncio.Future | None] = []
+        for link in self._links:
+            if not link.alive:
+                asks.append(None)
+                continue
+            rid = next(self._ids)
+            asks.append(self._expect("stats", rid))
+            link.send({"op": "stats", "rid": rid})
+        live = [ask for ask in asks if ask is not None]
+        if live:
+            await asyncio.wait(live, timeout=timeout_s)
+        per_worker = [ask.result().get("stats")
+                      if ask is not None and ask.done() else None
+                      for ask in asks]
+        for ask in live:
+            ask.cancel()
         totals: dict[str, Any] = {}
         for stats in per_worker:
             if not stats:
@@ -369,15 +432,13 @@ class FleetRouter:
                 if isinstance(value, (int, float)) \
                         and not isinstance(value, bool):
                     totals[name] = totals.get(name, 0) + value
-        with self._lock:
-            memo = {"size": len(self._memo),
-                    "ttl_s": self.fleet_memo_ttl_s,
-                    "max": self.fleet_memo_max,
-                    "hits": self.counters["memo_hits"]}
         return {"workers": len(self._links),
-                "alive": self.alive_workers(),
+                "alive": sum(1 for link in self._links if link.alive),
                 "router": dict(self.counters),
-                "fleet_memo": memo,
+                "fleet_memo": {"size": len(self._memo),
+                               "ttl_s": self.fleet_memo_ttl_s,
+                               "max": self.fleet_memo_max,
+                               "hits": self.counters["memo_hits"]},
                 "per_worker": per_worker,
                 "totals": totals}
 
@@ -421,6 +482,7 @@ class FleetRouter:
                   extra: dict[str, Any] | None = None) -> None:
         request.worker = link.index
         link.inflight[request.rid] = request
+        self._idle.clear()
         self.counters["dispatched"] += 1
         self._emit("fleet.dispatch", key=request.key, rid=request.rid,
                    worker=link.index)
@@ -433,125 +495,96 @@ class FleetRouter:
             message["check"] = True
         if extra:
             message.update(extra)
-        try:
-            send_msg(link.sock, message, link.send_lock)
-        except OSError:
-            # the send itself found the worker dead: this request never
-            # reached it, so re-place it fresh; orphans that *were* on
-            # the worker take the full migration path off-lock
-            link.inflight.pop(request.rid, None)
-            if link.alive:
-                orphans = self._mark_dead(link)
-                if orphans:
-                    threading.Thread(
-                        target=self._redispatch_orphans,
-                        args=(link, orphans), daemon=True,
-                        name=f"fleet-failover-{link.index}").start()
-            survivor = self._place(request.key)
-            if survivor is None or survivor is link:
-                request._finish({"state": "failed",
-                                 "errors": ["no live workers"]})
-                return
-            request.redispatches += 1
-            self.counters["redispatched"] += 1
-            self._dispatch(request, survivor, wait_s=wait_s,
-                           extra=extra)
+        link.send(message)
+
+    def _update_idle(self) -> None:
+        if self._in_transit or any(link.inflight for link in self._links):
+            self._idle.clear()
+        else:
+            self._idle.set()
 
     # -- worker I/O ------------------------------------------------------
 
-    def _read_loop(self, link: _WorkerLink) -> None:
+    async def _read_link(self, link: _WorkerLink) -> None:
+        """Read one worker's frames until its connection ends: the one
+        place a death is detected (EOF, a reset, a failed write, which
+        closes the transport, or a garbage frame)."""
         while True:
             try:
-                msg = recv_msg(link.sock)
+                msg = await read_msg(link.reader)
             except FrameError:
-                # the worker spoke garbage: unusable connection —
-                # treat exactly like a death (EOF path)
+                # the worker spoke garbage: an unusable connection
                 self.counters["frame_errors"] += 1
                 msg = None
             except OSError:
                 msg = None
-            if msg is None:
-                orphans: list[FleetRequest] = []
-                dead = False
-                with self._lock:
-                    if link.alive:
-                        dead = True
-                        orphans = self._mark_dead(link)
-                if dead:
-                    # re-dispatch off-lock: shipping a checkpoint to a
-                    # survivor waits for its ckpt_ack, which arrives on
-                    # that survivor's own reader thread
-                    self._redispatch_orphans(link, orphans)
-                return
-            op = msg.get("op")
-            if op == "done":
-                with self._lock:
-                    request = link.inflight.pop(msg.get("rid"), None)
-                    if request is not None:
-                        self._memo_store(request.key, msg)
-                    else:
-                        # a re-dispatched rid finishing on its old
-                        # worker, or a duplicate: first outcome won
-                        self.counters["late_dones"] += 1
-                if request is not None:
-                    request._finish(msg)
-            elif op == "ack":
-                self._on_ack(link, msg)
-            elif op == "stats":
-                with self._lock:
-                    waiter = self._stats_waiters.pop(msg.get("rid"),
-                                                     None)
-                if waiter is not None:
-                    waiter[1] = msg.get("stats")
-                    waiter[0].set()
-            elif op == "ckpt_ack":
-                # deliberately NOT under self._lock: a migration in
-                # progress holds no router lock but blocks on this ack
-                with self._ckpt_lock:
-                    waiter = self._ckpt_waiters.pop(msg.get("xid"),
-                                                    None)
-                if waiter is not None:
-                    waiter[1] = msg
-                    waiter[0].set()
-            elif op == "error":
-                # worker reported a protocol violation from our side;
-                # nothing to retract — count it and carry on
-                self.counters["frame_errors"] += 1
-            elif op == "bye":
-                with self._lock:
-                    link.alive = False
-                return
+            if msg is None or msg.get("op") == "bye":
+                break
+            self._on_message(link, msg)
+        died = link.alive and msg is None and not self._closing
+        link.alive = False
+        link.writer.close()
+        if died:
+            await self._mark_dead(link)
 
-    def _on_ack(self, link: _WorkerLink, msg: dict[str, Any]) -> None:
-        with self._lock:
-            link.queue_depth = int(msg.get("queue_depth", 0))
-            if msg.get("state") != "shed":
-                return
+    def _on_message(self, link: _WorkerLink, msg: dict[str, Any]) -> None:
+        op = msg.get("op")
+        if op == "done":
             request = link.inflight.pop(msg.get("rid"), None)
             if request is None:
+                # a shed rid finishing on the worker that shed it, or
+                # a duplicate: the first outcome won
+                self.counters["late_dones"] += 1
                 return
-            # admission backpressure surfaced: retry once elsewhere
-            alive = [cand for cand in self._links
-                     if cand.alive and cand is not link]
-            if request.redispatches == 0 and alive:
-                target = min(alive, key=lambda cand: cand.load)
-                request.redispatches += 1
-                self.counters["shed_retries"] += 1
-                self._affinity[request.key] = (
-                    target.index,
-                    _time.monotonic() + self.affinity_ttl_s)
-                self._dispatch(request, target)
-            else:
-                link.inflight[request.rid] = request
-                # the worker's own `done` (state=shed) finalizes it
+            self._memo_store(request.key, msg)
+            request._finish(msg)
+            self._update_idle()
+        elif op == "ack":
+            self._on_ack(link, msg)
+        elif op in ("stats", "ckpt_ack"):
+            waiter = self._waiters.get(
+                (op, msg.get("rid" if op == "stats" else "xid")))
+            if waiter is not None and not waiter.done():
+                waiter.set_result(msg)
+        elif op == "error":
+            # worker reported a protocol violation from our side;
+            # nothing to retract — count it and carry on
+            self.counters["frame_errors"] += 1
 
-    def _mark_dead(self, link: _WorkerLink) -> list[FleetRequest]:
-        """Record a worker's death and (on a fork transport) replace
-        it at the same ring index, so the replacement takes over the
-        dead worker's key range without remapping anyone else's.
-        Returns the orphaned in-flight requests (caller re-dispatches
-        them, off-lock).  Must be called with ``self._lock`` held."""
-        link.alive = False
+    def _expect(self, op: str, ident: int) -> asyncio.Future:
+        """A future for the ``op`` reply carrying ``ident``."""
+        future = self.loop.create_future()
+        self._waiters[(op, ident)] = future
+        future.add_done_callback(
+            lambda _: self._waiters.pop((op, ident), None))
+        return future
+
+    def _on_ack(self, link: _WorkerLink, msg: dict[str, Any]) -> None:
+        link.queue_depth = int(msg.get("queue_depth", 0))
+        if msg.get("state") != "shed":
+            return
+        request = link.inflight.pop(msg.get("rid"), None)
+        if request is None:
+            return
+        # admission backpressure surfaced: retry once elsewhere
+        alive = [cand for cand in self._links
+                 if cand.alive and cand is not link]
+        if request.redispatches == 0 and alive:
+            target = min(alive, key=lambda cand: cand.load)
+            request.redispatches += 1
+            self.counters["shed_retries"] += 1
+            self._affinity[request.key] = (
+                target.index, _time.monotonic() + self.affinity_ttl_s)
+            self._dispatch(request, target)
+        else:
+            link.inflight[request.rid] = request
+            # the worker's own `done` (state=shed) finalizes it
+
+    async def _mark_dead(self, link: _WorkerLink) -> None:
+        """Record a worker's death, replace it at the same ring index
+        (fork transport: the replacement takes over the dead worker's
+        key range without remapping anyone else's), and re-place its
+        orphaned in-flight requests."""
         self.counters["worker_deaths"] += 1
         self._emit("fleet.worker_death", worker=link.index,
                    orphans=len(link.inflight))
@@ -560,40 +593,33 @@ class FleetRouter:
                 del self._affinity[key]
         orphans = list(link.inflight.values())
         link.inflight.clear()
-        self._in_transit += len(orphans)
+        self._in_transit.update(orphans)
         self._sweep_stale_temps(link.index)
-        if (self.respawn and self.transport.respawnable
-                and not self._closing):
+        if self.respawn and self.transport.respawnable:
             try:
-                fresh = self._spawn_link(link.index)
+                fresh = await self._connect(link.index,
+                                            *self._spawn(link.index))
             except Exception:
                 fresh = None
             if fresh is not None:
                 self._links[link.index] = fresh
-                fresh.reader.start()
                 self.counters["respawns"] += 1
                 self._emit("fleet.respawn", worker=link.index)
-        return orphans
-
-    def _redispatch_orphans(self, link: _WorkerLink,
-                            orphans: list[FleetRequest]) -> None:
-        """Re-place a dead worker's in-flight requests.  A request
-        whose run had been suspended to a checkpoint *migrates*: the
-        checkpoint is shipped to the new home in-band and the run
-        continues from where it stopped.  Runs without one (or whose
-        transfer fails) re-dispatch fresh.  Must NOT hold
-        ``self._lock``: shipping blocks on the survivor's ``ckpt_ack``,
-        which its reader thread delivers."""
         for request in orphans:
             try:
-                self._redispatch_orphan(link, request)
+                await self._redispatch_orphan(link, request)
             finally:
-                with self._lock:
-                    self._in_transit -= 1
+                self._in_transit.discard(request)
+                self._update_idle()
 
-    def _redispatch_orphan(self, link: _WorkerLink,
-                           request: FleetRequest) -> None:
-        with self._lock:
+    async def _redispatch_orphan(self, link: _WorkerLink,
+                                 request: FleetRequest) -> None:
+        """Re-place one orphan.  A request whose run had been
+        suspended to a checkpoint *migrates*: the checkpoint is shipped
+        to the new home in-band and the run continues from where it
+        stopped.  Runs without one (or whose transfer fails) re-dispatch
+        fresh; so does one whose new home dies during the shipment."""
+        while True:
             survivor = self._place(request.key)
             if survivor is None:
                 request._finish({
@@ -604,19 +630,20 @@ class FleetRouter:
             self.counters["redispatched"] += 1
             self._emit("fleet.redispatch", key=request.key,
                        rid=request.rid, worker=survivor.index)
-        source = self._migration_source(link.index, request.key)
-        extra = None
-        if source is not None:
-            extra = self._ship_checkpoint(survivor, request.key, source)
-            with self._lock:
+            source = self._migration_source(link.index, request.key)
+            extra = None
+            if source is not None:
+                extra = await self._ship_checkpoint(survivor, request.key,
+                                                    source)
                 if extra is not None:
                     self.counters["migrated"] += 1
                     self._emit("fleet.migrate", key=request.key,
                                rid=request.rid, worker=survivor.index)
                 else:
                     self.counters["migrations_failed"] += 1
-        with self._lock:
-            self._dispatch(request, survivor, extra=extra)
+            if survivor.alive:
+                self._dispatch(request, survivor, extra=extra)
+                return
 
     def _sweep_stale_temps(self, dead_index: int) -> None:
         """Delete the atomic-write temps (``<key>.rck.tmp.<pid>``) a
@@ -641,8 +668,8 @@ class FleetRouter:
                             ckpt_filename(key))
         return path if os.path.exists(path) else None
 
-    def _ship_checkpoint(self, link: _WorkerLink, key: str,
-                         path: str) -> dict[str, Any] | None:
+    async def _ship_checkpoint(self, link: _WorkerLink, key: str,
+                               path: str) -> dict[str, Any] | None:
         """Ship one ``.rck`` file to a worker in-band: chunked base64
         frames bracketed by ``ckpt_begin``/``ckpt_end``, acknowledged
         after the worker re-verifies the sha256 and the ``RPROCKP1``
@@ -654,34 +681,24 @@ class FleetRouter:
                 data = fh.read()
         except OSError:
             return None
-        xid = next(self._xids)
-        waiter: list[Any] = [threading.Event(), None]
-        with self._ckpt_lock:
-            self._ckpt_waiters[xid] = waiter
+        xid = next(self._ids)
+        ack = self._expect("ckpt_ack", xid)
         try:
-            send_msg(link.sock, {
-                "op": "ckpt_begin", "xid": xid, "key": key,
-                "size": len(data),
-                "sha256": hashlib.sha256(data).hexdigest(),
-            }, link.send_lock)
+            link.send({"op": "ckpt_begin", "xid": xid, "key": key,
+                       "size": len(data),
+                       "sha256": hashlib.sha256(data).hexdigest()})
             for off in range(0, len(data), CKPT_CHUNK_BYTES):
                 chunk = data[off:off + CKPT_CHUNK_BYTES]
-                send_msg(link.sock, {
-                    "op": "ckpt_chunk", "xid": xid,
-                    "data": base64.b64encode(chunk).decode(),
-                }, link.send_lock)
-            send_msg(link.sock, {"op": "ckpt_end", "xid": xid},
-                     link.send_lock)
-        except OSError:
-            with self._ckpt_lock:
-                self._ckpt_waiters.pop(xid, None)
+                link.send({"op": "ckpt_chunk", "xid": xid,
+                           "data": base64.b64encode(chunk).decode()})
+                await link.writer.drain()
+            link.send({"op": "ckpt_end", "xid": xid})
+            reply = await asyncio.wait_for(ack, self.ckpt_ack_timeout_s)
+        except (OSError, asyncio.TimeoutError):
             return None
-        if not waiter[0].wait(timeout=self.ckpt_ack_timeout_s):
-            with self._ckpt_lock:
-                self._ckpt_waiters.pop(xid, None)
-            return None
-        ack = waiter[1]
-        if not (isinstance(ack, dict) and ack.get("ok")):
+        finally:
+            ack.cancel()
+        if not reply.get("ok"):
             return None
         try:
             # consumed: the receiver now owns the only live copy, and
@@ -695,7 +712,7 @@ class FleetRouter:
 
     def _memo_lookup(self, key: str) -> dict[str, Any] | None:
         """A fresh sealed-final payload for ``key``, or None (expired
-        entries evicted on the way).  Lock held by the caller."""
+        entries evicted on the way)."""
         entry = self._memo.get(key)
         if entry is None:
             return None
@@ -708,7 +725,7 @@ class FleetRouter:
     def _memo_store(self, key: str, msg: dict[str, Any]) -> None:
         """Cache a worker's ``done`` if it is a sealed *final* answer.
         Bounded: expired entries purged, then earliest-expiry evicted
-        over ``fleet_memo_max``.  Lock held by the caller."""
+        over ``fleet_memo_max``."""
         if self.fleet_memo_ttl_s <= 0:
             return
         if not (msg.get("state") == "completed" and msg.get("final")
@@ -736,24 +753,6 @@ class FleetRouter:
                                  args=args))
         except Exception:
             pass
-
-    def _worker_stats(self, link: _WorkerLink,
-                      timeout_s: float) -> dict[str, Any] | None:
-        rid = next(self._stats_rids)
-        waiter: list[Any] = [threading.Event(), None]
-        with self._lock:
-            self._stats_waiters[rid] = waiter
-            try:
-                send_msg(link.sock, {"op": "stats", "rid": rid},
-                         link.send_lock)
-            except OSError:
-                self._stats_waiters.pop(rid, None)
-                return None
-        if not waiter[0].wait(timeout=timeout_s):
-            with self._lock:
-                self._stats_waiters.pop(rid, None)
-            return None
-        return waiter[1]
 
 
 def summarize_fleet(requests: list[FleetRequest],

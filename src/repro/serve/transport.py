@@ -23,7 +23,7 @@ Helpers: :func:`parse_endpoint` (``"host:port"`` → tuple),
 :func:`serve_worker_listener` (the accept loop behind
 ``repro serve-worker``), and :func:`spawn_local_tcp_worker` (fork a
 localhost TCP worker and report its bound port — what tests, the
-bench's TCP leg, and the tutorial use to stand up a fleet without
+latency benchmark and the tutorial use to stand up a fleet without
 separate terminals).
 """
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import socket
 from typing import Any, Callable
 
@@ -68,6 +69,9 @@ class ForkTransport:
 
 
 def _fork_entry(sock: socket.socket, config: dict[str, Any]) -> None:
+    # a worker forked while a front end handles SIGTERM (a respawn under
+    # ``serve_front``) must still die of it
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     worker_main(sock, config)
 
 

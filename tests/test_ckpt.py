@@ -483,9 +483,8 @@ class TestFleetRespawnAndMigration:
                                      slo={"deadline_s": 300.0})
                         for i in range(9)]
             time.sleep(0.5)
-            with fleet._lock:
-                victim = next((l for l in fleet._links if l.inflight),
-                              fleet._links[0])
+            victim = next((l for l in fleet._links if l.inflight),
+                          fleet._links[0])
             os.kill(victim.process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             while (fleet.alive_workers() < 3
@@ -519,8 +518,7 @@ class TestFleetRespawnAndMigration:
             victim = None
             deadline = time.monotonic() + 60.0
             while victim is None and time.monotonic() < deadline:
-                with fleet._lock:
-                    candidates = [l for l in fleet._links if l.inflight]
+                candidates = [l for l in fleet._links if l.inflight]
                 for link in candidates:
                     os.kill(link.process.pid, signal.SIGSTOP)
                     workdir = tmp_path / f"w{link.index}"

@@ -114,6 +114,16 @@ class TestFleetRoundTrip:
         for r in requests:
             r.result(timeout_s=0.0)
 
+    def test_stats_ask_every_worker_at_once(self):
+        """Two frozen workers cost one ``timeout_s``, not two."""
+        with tiny_fleet(workers=2) as fleet:
+            with frozen_workers(fleet):
+                start = time.monotonic()
+                stats = fleet.aggregate_stats(timeout_s=0.5)
+                took = time.monotonic() - start
+        assert took < 0.9, took
+        assert stats["per_worker"] == [None, None]
+
 
 class TestRouterDoesNoCompute:
     """The router keys, places and memoises on the spec alone."""
@@ -189,14 +199,13 @@ def kill_a_busy_worker(fleet, submit):
     would stay pending on a stopped process.)"""
     with frozen_workers(fleet) as links:
         requests = submit()
-        with fleet._lock:
-            victim = next(link for link in links if link.inflight)
+        victim = next(link for link in links if link.inflight)
         victim.process.kill()
     return requests
 
 
 def wait_for_deaths(fleet, count, timeout_s=30.0):
-    """The router learns of a death from its reader thread's EOF."""
+    """The router learns of a death where the link's reader ends."""
     deadline = time.monotonic() + timeout_s
     while (fleet.counters["worker_deaths"] < count
            and time.monotonic() < deadline):
@@ -227,13 +236,16 @@ class TestFailover:
         """A dead worker's orphans sit in no link's ``inflight`` while
         they wait to be re-placed (a checkpoint shipment can hold that
         open for seconds); ``drain`` must not call the fleet idle."""
-        gate, entered = threading.Event(), threading.Event()
+        gate, entered = asyncio.Event(), threading.Event()
         with tiny_fleet(workers=2, respawn=False) as fleet:
-            def held_open(dead_index, key):
-                entered.set()
-                gate.wait(timeout=30.0)
+            redispatch = fleet._redispatch_orphan
 
-            fleet._migration_source = held_open
+            async def held_open(link, request):
+                entered.set()
+                await gate.wait()
+                await redispatch(link, request)
+
+            fleet._redispatch_orphan = held_open
             try:
                 requests = kill_a_busy_worker(fleet, lambda: [
                     fleet.submit("2dconv", size=24, seed=i, slo=SLO_OK)
@@ -249,7 +261,7 @@ class TestFailover:
                 assert any(not r.done for r in requests)
                 assert fleet.drain(timeout_s=0.2) is False
             finally:
-                gate.set()
+                fleet.loop.call_soon_threadsafe(gate.set)
             assert fleet.drain(timeout_s=90.0)
             summary = summarize_fleet(requests)
         assert summary["failed"] == 0
@@ -284,6 +296,28 @@ class TestFailover:
         assert any(r.result(0.0)["state"] == "failed"
                    for r in requests)
 
+    def test_worker_forked_under_a_sigterm_handler_dies_of_sigterm(self):
+        """A respawn under ``serve_front`` forks while SIGTERM has a
+        handler; the worker must not inherit it."""
+        from repro.serve.transport import ForkTransport
+
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            process, sock = ForkTransport().spawn(0, {})
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            sock.settimeout(20.0)
+            send_msg(sock, {"op": "stats", "rid": 1})
+            recv_op(sock, "stats")          # the worker is running
+            process.terminate()
+            process.join(timeout=5.0)
+            assert process.exitcode == -signal.SIGTERM
+        finally:
+            if process.is_alive():
+                process.kill()
+            sock.close()
+
     def test_submit_after_total_death_fails_immediately(self):
         with tiny_fleet(workers=1, respawn=False) as fleet:
             fleet._links[0].process.terminate()
@@ -291,6 +325,28 @@ class TestFailover:
             request = fleet.submit("dwt53", size=16, slo=SLO_OK)
             outcome = request.result(timeout_s=10.0)
         assert outcome["state"] == "failed"
+
+
+class TestThreadingModel:
+    """All of the router's I/O runs on one loop thread of its own."""
+
+    def test_router_adds_one_thread_through_a_respawn(self):
+        before = set(threading.enumerate())
+        fleet = tiny_fleet(workers=3).start()
+        try:
+            added = set(threading.enumerate()) - before
+            assert len(added) == 1, added
+            fleet._links[0].process.kill()
+            wait_for_deaths(fleet, 1)
+            deadline = time.monotonic() + 30.0
+            while (fleet.alive_workers() < 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert fleet.counters["respawns"] == 1
+            assert set(threading.enumerate()) - before == added
+        finally:
+            fleet.shutdown()
+        assert not set(threading.enumerate()) - before
 
 
 class TestBackpressure:

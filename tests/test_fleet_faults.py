@@ -83,9 +83,8 @@ class TestTcpWorkerSigkill:
                 victim = None
                 deadline = time.monotonic() + 60.0
                 while victim is None and time.monotonic() < deadline:
-                    with fleet._lock:
-                        candidates = [l for l in fleet._links
-                                      if l.inflight]
+                    candidates = [l for l in fleet._links
+                                  if l.inflight]
                     for link in candidates:
                         pid = procs[link.index].pid
                         os.kill(pid, signal.SIGSTOP)
@@ -150,9 +149,8 @@ class TestConnectionDrop:
                 deadline = time.monotonic() + 30.0
                 victim = None
                 while victim is None and time.monotonic() < deadline:
-                    with fleet._lock:
-                        victim = next((l for l in fleet._links
-                                       if l.inflight), None)
+                    victim = next((l for l in fleet._links
+                                   if l.inflight), None)
                     if victim is None:
                         time.sleep(0.01)
                 assert victim is not None, "no in-flight work to orphan"
@@ -211,8 +209,7 @@ class TestFleetMemo:
             owner = sealed["worker"]
             assert owner is not None
 
-            with fleet._lock:
-                victim = fleet._links[owner]
+            victim = fleet._links[owner]
             victim.process.terminate()
             deadline = time.monotonic() + 30.0
             while (fleet.counters["worker_deaths"] < 1

@@ -25,8 +25,8 @@ import time
 import pytest
 
 from repro.serve.aiofront import AioFleetClient, AioFrontend
-from repro.serve.fleet import (FrameError, MAX_FRAME, recv_msg,
-                               send_msg)
+from repro.serve.fleet import (FrameError, MAX_FRAME, read_msg,
+                               recv_msg, send_msg)
 from repro.serve.router import (FleetRequest, FleetRouter,
                                 summarize_fleet)
 from repro.serve.transport import (parse_endpoint,
@@ -40,7 +40,25 @@ _LEN = struct.Struct(">I")
 
 # -- frame bound / parse unit tests (no worker involved) ----------------
 
+def read_msg_on(sock, max_frame=MAX_FRAME):
+    """``read_msg`` (the asyncio reader) for one frame off ``sock``."""
+    async def read():
+        reader, writer = await asyncio.open_connection(sock=sock)
+        try:
+            return await asyncio.wait_for(read_msg(reader, max_frame),
+                                          10.0)
+        finally:
+            writer.close()
+
+    return asyncio.run(read())
+
+
 class TestRecvMsgBound:
+    """One frame codec: every case runs against the blocking reader
+    here and against the asyncio reader in the subclass below."""
+
+    recv = staticmethod(recv_msg)
+
     def _pair(self):
         a, b = socket.socketpair()
         a.settimeout(10.0)
@@ -54,7 +72,7 @@ class TestRecvMsgBound:
             # on the declared length alone, before any allocation
             a.sendall(_LEN.pack(MAX_FRAME + 1))
             with pytest.raises(FrameError, match="exceeds"):
-                recv_msg(b)
+                self.recv(b)
         finally:
             a.close()
             b.close()
@@ -64,7 +82,7 @@ class TestRecvMsgBound:
         try:
             send_msg(a, {"op": "stats", "pad": "x" * 64})
             with pytest.raises(FrameError, match="max_frame 16"):
-                recv_msg(b, max_frame=16)
+                self.recv(b, max_frame=16)
         finally:
             a.close()
             b.close()
@@ -73,7 +91,7 @@ class TestRecvMsgBound:
         a, b = self._pair()
         try:
             send_msg(a, {"op": "stats"})
-            assert recv_msg(b, max_frame=64) == {"op": "stats"}
+            assert self.recv(b, max_frame=64) == {"op": "stats"}
         finally:
             a.close()
             b.close()
@@ -84,7 +102,7 @@ class TestRecvMsgBound:
             payload = b"this is not json"
             a.sendall(_LEN.pack(len(payload)) + payload)
             with pytest.raises(FrameError, match="not JSON"):
-                recv_msg(b)
+                self.recv(b)
         finally:
             a.close()
             b.close()
@@ -95,7 +113,7 @@ class TestRecvMsgBound:
             payload = b"[1, 2, 3]"
             a.sendall(_LEN.pack(len(payload)) + payload)
             with pytest.raises(FrameError, match="not a JSON object"):
-                recv_msg(b)
+                self.recv(b)
         finally:
             a.close()
             b.close()
@@ -105,7 +123,7 @@ class TestRecvMsgBound:
         try:
             a.sendall(b"\x00\x00")   # 2 of 4 header bytes
             a.close()
-            assert recv_msg(b) is None
+            assert self.recv(b) is None
         finally:
             b.close()
 
@@ -114,9 +132,13 @@ class TestRecvMsgBound:
         try:
             a.sendall(_LEN.pack(100) + b"x" * 10)
             a.close()
-            assert recv_msg(b) is None
+            assert self.recv(b) is None
         finally:
             b.close()
+
+
+class TestReadMsgBound(TestRecvMsgBound):
+    recv = staticmethod(read_msg_on)
 
 
 # -- the same negatives against a live TCP worker -----------------------
