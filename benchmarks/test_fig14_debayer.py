@@ -25,3 +25,5 @@ def test_fig14_debayer(benchmark):
     early = [s for t, s in fig.rows if t <= 0.35]
     assert early and max(early) > 10.0
     assert 1.0 <= runtimes[-1] <= 3.0
+    # EXPERIMENTS.md: precise at 1.80x (archived table's precision)
+    assert round(runtimes[-1], 3) == 1.800

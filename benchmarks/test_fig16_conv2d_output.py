@@ -21,3 +21,7 @@ def test_fig16_conv2d_output(benchmark):
     assert time_to_paper_snr == time_to_paper_snr  # not NaN
     assert time_to_paper_snr <= 1.0, \
         "the paper's 15.8 dB operating point lies below baseline runtime"
+    # EXPERIMENTS.md's headline, at the archived table's precision:
+    # 19.5 dB at the 21 % halt, the paper's SNR reached at 0.11x
+    assert round(measured_snr, 3) == 19.461
+    assert round(time_to_paper_snr, 3) == 0.113

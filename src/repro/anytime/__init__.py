@@ -8,7 +8,7 @@ pseudo-random sampling.
 """
 
 from .fill import (ConstantFill, FillPolicy, MeanFill, NearestFill,
-                   TreeFill, sample_levels)
+                   Painter, TreeFill, sample_levels)
 from .lfsr import MAXIMAL_TAPS, Lfsr, lfsr_sequence
 from .operators import REGISTRY as OPERATOR_REGISTRY
 from .operators import Operator, get_operator, register_operator
@@ -22,8 +22,8 @@ from .precision import (AnytimeDotProduct, anytime_dot, bit_planes,
                         keep_top_bits, quantize_to_bits)
 
 __all__ = [
-    "ConstantFill", "FillPolicy", "MeanFill", "NearestFill", "TreeFill",
-    "sample_levels",
+    "ConstantFill", "FillPolicy", "MeanFill", "NearestFill", "Painter",
+    "TreeFill", "sample_levels",
     "MAXIMAL_TAPS", "Lfsr", "lfsr_sequence",
     "OPERATOR_REGISTRY", "Operator", "get_operator", "register_operator",
     "StrideSchedule", "geometric_strides", "perforated_indices",

@@ -23,8 +23,8 @@ import numpy as np
 
 from .permutations import _widths, order_levels, sample_levels
 
-__all__ = ["FillPolicy", "TreeFill", "NearestFill", "ConstantFill",
-           "MeanFill", "sample_levels"]
+__all__ = ["FillPolicy", "Painter", "TreeFill", "TreePainter",
+           "NearestFill", "ConstantFill", "MeanFill", "sample_levels"]
 
 
 class FillPolicy:
@@ -42,6 +42,10 @@ class FillPolicy:
 
     ``fill`` returns a new array of the same shape with every element
     holding a valid approximation.  It must not modify ``dense``.
+
+    A stage publishing a pass's versions calls :meth:`start` once per
+    pass and :meth:`Painter.advance` once per version instead, which lets
+    a policy keep work between versions (:class:`TreeFill` does).
     """
 
     #: how many leading axes of ``dense`` the permutation indexes
@@ -50,6 +54,30 @@ class FillPolicy:
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
         raise NotImplementedError
+
+    def start(self, dense: np.ndarray, order: np.ndarray) -> "Painter":
+        """A painter for one pass that samples into ``dense`` in
+        ``order``.  ``dense`` is read again at every advance, so the
+        caller keeps writing its samples into the same array."""
+        return Painter(self, dense, order)
+
+
+class Painter:
+    """One pass's fill: :meth:`advance` returns what
+    :meth:`FillPolicy.fill` returns for the first ``count`` samples.
+
+    This base painter keeps nothing between calls: every advance fills
+    from the whole prefix.
+    """
+
+    def __init__(self, policy: FillPolicy, dense: np.ndarray,
+                 order: np.ndarray) -> None:
+        self.policy = policy
+        self.dense = dense
+        self.order = order
+
+    def advance(self, count: int) -> np.ndarray:
+        return self.policy.fill(self.dense, self.order, count)
 
 
 def _spatial_shape(dense: np.ndarray, order: np.ndarray,
@@ -84,53 +112,117 @@ class TreeFill(FillPolicy):
     spatial dimensions; ``spatial_ndim`` selects how many leading axes the
     permutation indexes (e.g. 2 for an RGB image sampled per pixel).
 
-    The fill is one pass over a coarse grid: samples land on a grid with
-    one cell per block of the finest complete level, the grid is repeated
-    up a level wherever finer samples exist, and the full-resolution grid
-    is cropped to the output once.  Per-sample levels come from
-    :func:`~repro.anytime.permutations.order_levels`, which keeps them
-    beside the memoised order they describe.
+    The painting is :class:`TreePainter`'s, which keeps its grid from
+    one version of a pass to the next; :meth:`fill` is a new painter
+    advanced once.
     """
 
     def __init__(self, spatial_ndim: int | None = None) -> None:
         self.spatial_ndim = spatial_ndim
 
+    def start(self, dense: np.ndarray, order: np.ndarray) -> "TreePainter":
+        return TreePainter(self, dense, order)
+
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
-        shape = _spatial_shape(dense, order, self.spatial_ndim)
+        return self.start(dense, order).advance(count)
+
+
+class TreePainter(Painter):
+    """:class:`TreeFill`'s painter: a grid onto which each advance
+    paints only the samples that are new since the last one.
+
+    The grid has one cell per block of the finest level painted so
+    far, over the output padded to a power of two along every spatial
+    axis; a level-k coordinate is a multiple of its block, so
+    ``c >> shift`` is its cell.  An advance paints
+    ``order[painted:count]`` one level at a time, coarsest first.  A
+    level finer than the grid first refines it, repeating each cell
+    over the finer cells it covers (once per level and pass, not per
+    version); the level's samples then land on their cells, over the
+    coarser values there.  Per-sample levels come from
+    :func:`~repro.anytime.permutations.order_levels`, which keeps them
+    beside the memoised order they describe.
+
+    Painting onto what is there gives the fill of the whole prefix as
+    long as no new sample is coarser than the grid, which holds at
+    every advance along a tree permutation.  When it does not (a
+    non-tree order), or when ``count`` falls below what is painted, the
+    painter starts a blank grid and paints the prefix afresh.
+
+    :meth:`advance` returns the grid repeated up to full resolution and
+    cropped, always a new array: a stage's ``Write`` hands it to its
+    buffer, which freezes it as the published version, while the next
+    advance paints the grid again.
+    """
+
+    def __init__(self, policy: TreeFill, dense: np.ndarray,
+                 order: np.ndarray) -> None:
+        super().__init__(policy, dense, order)
+        self.shape = _spatial_shape(dense, order, policy.spatial_ndim)
+        self.trailing = dense.shape[len(self.shape):]
+        self.widths = _widths(self.shape)
+        self.levels, self.at_or_below = order_levels(order, self.shape)
+        self._blank()
+
+    def _blank(self) -> None:
+        self.level = 0
+        self.grid = np.zeros((1,) * len(self.shape) + self.trailing,
+                             dtype=self.dense.dtype)
+        self.painted = 0
+        #: samples painted per level
+        self.seen = np.zeros(len(self.at_or_below), dtype=np.int64)
+
+    def _shifts(self, level: int) -> list[int]:
+        """log2 of a ``level`` block's extent along each spatial axis."""
+        return [max(w - level, 0) for w in self.widths]
+
+    def advance(self, count: int) -> np.ndarray:
         if count <= 0:
-            return np.zeros_like(dense)
-        count = min(count, len(order))
-        levels, at_or_below = order_levels(order, shape)
-        widths = _widths(shape)
-        # The finest fully complete level's blocks tile the whole output,
-        # so coarser levels cannot show through: they paint at its size.
-        complete = max(int(np.searchsorted(at_or_below, count,
-                                           side="right")) - 1, 0)
-        prefix = order[:count]
-        prefix_levels = levels[:count]
-        coords = np.unravel_index(prefix, shape)
-        trailing = dense.shape[len(shape):]
-        values = dense.reshape((-1,) + trailing)[prefix]
-        # log2 of the block extent per axis; a level-k coordinate is a
-        # multiple of its block, so ``c >> shift`` is its grid cell
-        shifts = [max(w - complete, 0) for w in widths]
-        grid = np.zeros(tuple(-(-s >> b) for s, b in zip(shape, shifts))
-                        + trailing, dtype=dense.dtype)
-        sel = prefix_levels <= complete
-        grid[tuple(c[sel] >> b for c, b in zip(coords, shifts))] = \
+            return np.zeros_like(self.dense)
+        count = min(count, len(self.order))
+        if count < self.painted or (
+                count > self.painted
+                and self.levels[self.painted:count].min() < self.level):
+            self._blank()
+        self._paint(self.painted, count)
+        self.painted = count
+        out = _upsample(self.grid, self._shifts(self.level))
+        crop = out[tuple(slice(0, s) for s in self.shape)]
+        return crop.copy() if out is self.grid else \
+            np.ascontiguousarray(crop)
+
+    def _paint(self, start: int, stop: int) -> None:
+        new = self.order[start:stop]
+        if not len(new):
+            return
+        levels = self.levels[start:stop]
+        self.seen += np.bincount(levels, minlength=len(self.seen))
+        short = np.flatnonzero(np.cumsum(self.seen) < self.at_or_below)
+        # The finest level whose samples are all painted tiles the
+        # output: new samples at or below it land on its cells, since
+        # the rest of their own coarser blocks belongs to its samples.
+        complete = max(int(short[0]) - 1 if len(short)
+                       else len(self.seen) - 1, 0)
+        coords = np.unravel_index(new, self.shape)
+        values = self.dense.reshape((-1,) + self.trailing)[new]
+        self._scatter(coords, values, levels <= complete, complete)
+        for k in range(complete + 1, int(levels.max()) + 1):
+            self._scatter(coords, values, levels == k, k)
+
+    def _scatter(self, coords: tuple[np.ndarray, ...], values: np.ndarray,
+                 sel: np.ndarray, level: int) -> None:
+        """Put the selected samples on their ``level`` cells, refining
+        the grid to ``level`` first."""
+        if not sel.any():
+            return
+        shifts = self._shifts(level)
+        if level > self.level:
+            self.grid = _upsample(self.grid, [
+                a - b for a, b in zip(self._shifts(self.level), shifts)])
+            self.level = level
+        self.grid[tuple(c[sel] >> s for c, s in zip(coords, shifts))] = \
             values[sel]
-        for k in range(complete + 1, int(prefix_levels.max()) + 1):
-            sel = prefix_levels == k
-            if not sel.any():
-                continue
-            finer = [max(w - k, 0) for w in widths]
-            grid = _upsample(grid, [a - b for a, b in zip(shifts, finer)])
-            shifts = finer
-            grid[tuple(c[sel] >> b for c, b in zip(coords, shifts))] = \
-                values[sel]
-        grid = _upsample(grid, shifts)
-        return np.ascontiguousarray(grid[tuple(slice(0, s) for s in shape)])
 
 
 class NearestFill(FillPolicy):

@@ -171,9 +171,9 @@ def sample_size_sweep(image: np.ndarray,
             np.log2(max(image.shape)))) ] + [n]
         sample_sizes = sorted({min(s, n) for s in sample_sizes})
     order = sample_order(TreePermutation(), image.shape)
-    fill = TreeFill(spatial_ndim=2)
     rng = np.random.default_rng(seed)
     dense = np.zeros(image.shape, dtype=np.uint8)
+    painter = TreeFill(spatial_ndim=2).start(dense, order)
     weights = kernel.reshape(-1, 1).astype(np.int64)
     total = int(kernel.sum())
     rows: list[tuple[int, float]] = []
@@ -189,6 +189,6 @@ def sample_size_sweep(image: np.ndarray,
             vals = np.clip((acc + total // 2) // total, 0, 255)
             dense.reshape(-1)[idx] = vals.astype(np.uint8)
             done = size
-        approx = fill.fill(dense, order, done)
+        approx = painter.advance(done)
         rows.append((done, snr_db(approx, reference)))
     return rows

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from ..anytime.fill import TreeFill
+from ..anytime.fill import Painter, TreeFill
 from ..anytime.permutations import TreePermutation
 from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
@@ -150,11 +150,14 @@ class KMeansAssignStage(DiffusiveStage):
         if count >= self.n_elements or self._completed_passes > 0:
             assign = state["assign"].copy()
         else:
-            assign = self._fill.fill(state["assign"], self.order, count)
+            assign = self._painter.advance(count)
         return {"assign": assign,
                 "sums": state["sums"].copy(),
                 "counts": state["counts"].copy(),
                 "centroids_in": values[0]}
+
+    def start_painter(self, state: dict[str, Any]) -> Painter:
+        return self._fill.start(state["assign"], self.order)
 
     def precise(self, input_values: dict[str, Any]) -> dict[str, Any]:
         centroids = input_values[self.inputs[0].name]

@@ -448,7 +448,7 @@ def _interrupt_on(spec: Any, image: np.ndarray, executor: str,
                          f"of {DEFAULT_EXECUTORS}")
     buffer = automaton.graph.buffers[automaton.terminal_buffer_name]
     deadline = _time.monotonic() + timeout_s
-    while buffer.version < min_versions \
+    while buffer.version < min_versions and not handle.finished \
             and _time.monotonic() < deadline:
         _time.sleep(0.002)
     handle.checkpoint(path)

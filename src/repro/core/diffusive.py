@@ -24,6 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..anytime.fill import Painter
 from ..anytime.permutations import Permutation, sample_order
 from .buffer import Snapshot, VersionedBuffer
 from .channel import UpdateChannel
@@ -161,6 +162,11 @@ class DiffusiveStage(Stage):
         #: for replay when a checkpoint lands between fold and emit
         self._folded = 0
         self._pending_update: Any = None
+        #: the fill painter of the pass in flight (see
+        #: :meth:`start_painter`): made when a pass starts, dropped when
+        #: it ends and never checkpointed, so a restored pass repaints
+        #: its prefix once
+        self._painter: Painter | None = None
         #: contract-mode trim (see :mod:`repro.core.contract`): when
         #: set, each pass processes only the first ``element_limit``
         #: elements of the permutation.  The stage then computes a
@@ -188,6 +194,13 @@ class DiffusiveStage(Stage):
                     values: tuple[Any, ...]) -> Any:
         """Publishable output after ``count`` of ``n`` elements."""
         raise NotImplementedError
+
+    def start_painter(self, state: Any) -> Painter | None:
+        """The fill :class:`~repro.anytime.fill.Painter` that
+        :meth:`materialize` advances during a pass over ``state``, kept
+        as ``self._painter``; None for kernels that publish without a
+        fill."""
+        return None
 
     def batch_chunks(self, state: Any, indices: np.ndarray,
                      values: tuple[Any, ...]) -> Any:
@@ -261,6 +274,15 @@ class DiffusiveStage(Stage):
             state = self.init_state(values)
             self._folded = 0
         self._state = state
+        self._painter = self.start_painter(state)
+        try:
+            yield from self._pass(state, order, values, resume,
+                                  inputs_final)
+        finally:
+            self._painter = None
+
+    def _pass(self, state: Any, order: np.ndarray, values: tuple[Any, ...],
+              resume: dict[str, Any] | None, inputs_final: bool) -> Body:
         if self.reorder and not (resume is not None and self._folded):
             yield Compute(
                 self.reorder_engine.reorder_cost(len(order)),

@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..anytime.fill import FillPolicy, TreeFill
+from ..anytime.fill import FillPolicy, Painter, TreeFill
 from ..anytime.permutations import Permutation, TreePermutation
 from .buffer import VersionedBuffer
 from .channel import UpdateChannel
@@ -100,7 +100,7 @@ class MapStage(DiffusiveStage):
         # progressively while the rest keep last-pass values — the
         # published output never regresses to a coarse fill.
         self.persistent_state = True
-        # materialize() returns state.copy() or fill.fill(...) — both
+        # materialize() returns state.copy() or a painter's copy — both
         # freshly allocated — so writes can transfer ownership and skip
         # the buffer's defensive copy.
         self.fresh_materialize = True
@@ -145,7 +145,10 @@ class MapStage(DiffusiveStage):
             # or a warm start seeded it); later chunks refine elements
             # in place, no fill needed.
             return state.copy()
-        return self.fill.fill(state, self.order, count)
+        return self._painter.advance(count)
+
+    def start_painter(self, state: np.ndarray) -> Painter:
+        return self.fill.start(state, self.order)
 
     def precise(self, input_values: dict[str, Any]) -> np.ndarray:
         values = tuple(input_values[b.name] for b in self.inputs)

@@ -50,7 +50,8 @@ def interrupted_checkpoint(record, image, path, src="simulated",
               else automaton.launch_threaded(**launch_kw))
     terminal = automaton.graph.buffers[automaton.terminal_buffer_name]
     deadline = time.monotonic() + 60.0
-    while terminal.version < 2 and time.monotonic() < deadline:
+    while terminal.version < 2 and not handle.finished \
+            and time.monotonic() < deadline:
         time.sleep(0.002)
     handle.checkpoint(str(path))
     handle.request_stop()
@@ -315,11 +316,10 @@ class TestServerSuspendResume:
         assert not os.listdir(tmp_path)
 
     def test_keyed_suspend_checkpoint_is_named_by_ckpt_filename(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, suspend_only):
         """A keyed run suspends to ``ckpt_filename(key)``: the one name
         a fleet router looks for when it migrates a dead worker's run."""
         from repro.serve import SLO, AnytimeServer
-        from repro.apps import calibrate_app
         from repro.serve.fleet import ckpt_filename
 
         names = []
@@ -333,14 +333,16 @@ class TestServerSuspendResume:
             return suspended
 
         monkeypatch.setattr(AnytimeServer, "_suspend", recording)
-        calib = calibrate_app(app="2dconv", size=96)
-        with AnytimeServer(slots=1, queue_limit=4, quantum_s=0.005,
+        with AnytimeServer(slots=1, quantum_s=0.01, tick_s=0.002,
+                           starvation_s=60.0,
+                           policy=suspend_only("r0", "blocker"),
                            resume_dir=str(tmp_path)) as server:
-            sessions = [server.submit(calib["builder"],
-                                      SLO(deadline_s=120.0),
-                                      metric=calib["metric"],
-                                      name=f"r{i}", key=f"2dconv:k/{i}")
-                        for i in range(3)]
+            sessions = [server.submit(staircase, SLO(deadline_s=120.0),
+                                      name="r0", key="2dconv:k/0")]
+            wait_until(lambda: sessions[0].snapshot().version >= 1)
+            sessions.append(server.submit(
+                lambda: staircase(name="slow"), SLO(deadline_s=120.0),
+                name="blocker", key="2dconv:k/1"))
             assert server.drain(timeout_s=150.0)
         assert all(s.result(0.0).state.value == "completed"
                    for s in sessions)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.anytime.fill import (ConstantFill, MeanFill, NearestFill,
                                 TreeFill, sample_levels)
-from repro.anytime.permutations import (LfsrPermutation, TreePermutation,
-                                        sample_order)
+from repro.anytime.permutations import (LfsrPermutation,
+                                        ReversedPermutation, TreePermutation,
+                                        _widths, sample_order)
 
 
 @pytest.fixture
@@ -119,6 +120,133 @@ class TestSharedTreeFill:
             for count in (1, 5, 40, 200):
                 assert np.array_equal(shared.fill(dense, order, count),
                                       TreeFill().fill(dense, order, count))
+
+
+def block_paint(dense, order, count, spatial_ndim=None):
+    """The tree fill one sample at a time: coarsest level first, each
+    sample paints the block it owns at its level, clipped to the
+    output."""
+    shape = dense.shape[:spatial_ndim] if spatial_ndim else dense.shape
+    out = np.zeros_like(dense)
+    prefix = order[:max(count, 0)]
+    levels = sample_levels(prefix, shape)
+    for i in np.argsort(levels, kind="stable"):
+        coord = np.unravel_index(prefix[i], shape)
+        block = tuple(slice(c, c + (1 << max(w - levels[i], 0)))
+                      for c, w in zip(coord, _widths(shape)))
+        out[block] = dense[coord]
+    return out
+
+
+@st.composite
+def painted_runs(draw):
+    """A tree-sampled dense array (1-D, odd 2-D or 3-D, with or without
+    an RGB axis) and a non-decreasing run of sample counts."""
+    shape = draw(st.sampled_from([
+        (draw(st.integers(1, 40)),),
+        (draw(st.integers(1, 19)), draw(st.integers(1, 19))),
+        tuple(draw(st.integers(1, 6)) for _ in range(3))]))
+    rgb = draw(st.booleans())
+    n = int(np.prod(shape))
+    dense = np.arange(n * (3 if rgb else 1), dtype=np.int64).reshape(
+        shape + ((3,) if rgb else ()))
+    counts = sorted(draw(st.lists(st.integers(0, n), min_size=1,
+                                  max_size=8)))
+    return dense, len(shape), counts
+
+
+class TestTreePainter:
+    """A pass's painter paints only each version's new samples; every
+    version must still equal the fill of the whole prefix."""
+
+    @given(painted_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_advance_matches_block_painter(self, run):
+        dense, ndim, counts = run
+        order = TreePermutation().order(dense.shape[:ndim])
+        painter = TreeFill(spatial_ndim=ndim).start(dense, order)
+        for count in counts:
+            expected = block_paint(dense, order, count, ndim)
+            assert np.array_equal(painter.advance(count), expected)
+            assert np.array_equal(
+                TreeFill(spatial_ndim=ndim).fill(dense, order, count),
+                expected)
+
+    def test_published_versions_survive_later_advances(self):
+        """Each advance returns its own array: a buffer freezes a
+        transferred write in place, so a view of the grid would let
+        the next advance rewrite a published version."""
+        from repro.core.buffer import VersionedBuffer
+
+        dense = np.arange(15 * 13, dtype=np.float64).reshape(15, 13)
+        order = TreePermutation().order(dense.shape)
+        painter = TreeFill().start(dense, order)
+        buffer = VersionedBuffer("out")
+        published = []
+        for count in (1, 4, 30, 90, 195):
+            buffer.write(painter.advance(count), transfer=True)
+            published.append((count, buffer.snapshot().value))
+        for count, value in published:
+            assert not np.shares_memory(value, painter.grid)
+            assert np.array_equal(value, block_paint(dense, order, count))
+
+    def test_count_falling_back_repaints(self, dense8, order8):
+        painter = TreeFill().start(dense8, order8)
+        painter.advance(40)
+        for count in (9, 3, 0, 17):
+            assert np.array_equal(painter.advance(count),
+                                  block_paint(dense8, order8, count))
+
+    @pytest.mark.parametrize("perm", [LfsrPermutation(seed=3),
+                                      ReversedPermutation()])
+    def test_non_tree_order_repaints_correctly(self, perm):
+        """An order whose levels go back down cannot be painted on
+        top of what is there; such an advance repaints its prefix."""
+        dense = np.arange(256, dtype=np.float64).reshape(16, 16)
+        order = perm.order((16, 16))
+        painter = TreeFill().start(dense, order)
+        for count in (1, 5, 6, 40, 200, 256):
+            assert np.array_equal(painter.advance(count),
+                                  block_paint(dense, order, count))
+
+    def test_painter_reads_samples_written_after_start(self, order8):
+        """A stage starts its painter before computing anything and
+        keeps writing into the same dense array."""
+        truth = np.arange(64, dtype=np.float64).reshape(8, 8)
+        dense = np.zeros_like(truth)
+        painter = TreeFill().start(dense, order8)
+        for start, stop in ((0, 3), (3, 20), (20, 64)):
+            dense.reshape(-1)[order8[start:stop]] = \
+                truth.reshape(-1)[order8[start:stop]]
+            assert np.array_equal(painter.advance(stop),
+                                  block_paint(truth, order8, stop))
+
+    def test_mid_pass_restore_publishes_the_uninterrupted_ladder(
+            self, tmp_path):
+        """A checkpoint taken mid-pass carries no painter: the restored
+        pass repaints its prefix once and every version it publishes is
+        the one an uninterrupted run publishes."""
+        from repro.apps.registry import get_app
+        from repro.core.automaton import AnytimeAutomaton
+        from repro.core.controller import VersionCountStop
+
+        record = get_app("debayer")
+        image = record.make_input(21, 4)
+        term = record.build(image).terminal_buffer_name
+        reference = record.build(image).run_simulated(watch={term})
+        expected = {r.version: r.value
+                    for r in reference.output_records(term)}
+        path = tmp_path / "mid.rck"
+        stopped = record.build(image).run_simulated(
+            stop=VersionCountStop(3), checkpoint_at_stop=str(path))
+        assert stopped.stopped_early
+        resumed = AnytimeAutomaton.restore(
+            str(path), builder=lambda: record.build(image))
+        records = [r for r in resumed.run_simulated(
+            watch={term}).output_records(term) if r.version > 3]
+        assert records and records[-1].final
+        for r in records:
+            assert np.array_equal(r.value, expected[r.version])
 
 
 class TestSampleLevels:
