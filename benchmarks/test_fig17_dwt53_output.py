@@ -15,3 +15,7 @@ def test_fig17_dwt53_output(benchmark):
     time_to_paper_snr = rows["runtime to reach paper SNR"][2]
     assert time_to_paper_snr == time_to_paper_snr  # not NaN
     assert time_to_paper_snr <= 1.6
+    # EXPERIMENTS.md's headline, at the archived table's precision:
+    # 13.2 dB at the 78 % halt, the paper's SNR reached at 1.14x
+    assert round(measured_snr, 3) == 13.154
+    assert round(time_to_paper_snr, 3) == 1.138

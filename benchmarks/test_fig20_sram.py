@@ -21,6 +21,9 @@ def test_fig20_sram(benchmark):
     assert math.isinf(series["0%"][-1][1])
     assert not math.isinf(series["0.001%"][-1][1])
     assert series["0.00001%"][-1][1] > series["0.001%"][-1][1] > 20.0
+    # EXPERIMENTS.md's headline, at the archived table's precision:
+    # a 1e-5 per-bit upset probability caps the final SNR at 60.8 dB
+    assert round(series["0.001%"][-1][1], 3) == 60.798
     # overlay at the smallest sample size (flips ~ elements processed)
     smallest = {label: pts[0][1] for label, pts in series.items()}
-    assert abs(smallest["0%"] - smallest["0.001%"]) < 1.0
+    assert max(smallest.values()) - min(smallest.values()) < 0.001

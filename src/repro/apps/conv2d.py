@@ -81,21 +81,76 @@ def _convolve(padded: EdgePadded, indices: np.ndarray,
     return ((acc + total // 2) // total).astype(np.uint8)
 
 
+def _check_kernel(kernel: np.ndarray | None) -> np.ndarray:
+    """``kernel`` (default :func:`blur_kernel`) as an array, rejecting
+    any shape but 2-D, square and odd-sized: the kernels centre every
+    tap on the output pixel."""
+    if kernel is None:
+        return blur_kernel()
+    kernel = np.asarray(kernel)
+    if (kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]
+            or kernel.shape[0] % 2 == 0):
+        raise ValueError(f"kernel must be 2-D, square and odd-sized, "
+                         f"got shape {kernel.shape}")
+    return kernel
+
+
 def conv2d_elements(indices: np.ndarray, image: np.ndarray,
                     kernel: np.ndarray) -> np.ndarray:
     """Convolution outputs at the given flat pixel indices (vectorized)."""
+    kernel = _check_kernel(kernel)
     return _convolve(EdgePadded(image, kernel.shape[0] // 2), indices,
                      kernel)
 
 
+def _integer_factors(weights: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(col, row)`` integer vectors with ``outer(col, row) == weights``,
+    or None when the integer kernel is not such an outer product."""
+    nonzero = np.flatnonzero(weights.any(axis=1))
+    if nonzero.size == 0:
+        return None
+    top = weights[nonzero[0]]
+    row = top // np.gcd.reduce(top)
+    pivot = np.flatnonzero(row)[0]
+    col = weights[:, pivot] // row[pivot]
+    if not np.array_equal(np.outer(col, row), weights):
+        return None
+    return col, row
+
+
 def conv2d_precise(image: np.ndarray,
                    kernel: np.ndarray | None = None) -> np.ndarray:
-    """Reference blur of the whole image."""
+    """Reference blur of the whole image, equal to
+    ``conv2d_elements(np.arange(image.size), image, kernel)``.
+
+    The sums run over shifted slices of the edge-padded int64 image: two
+    1-D passes when the integer kernel is an outer product of integer
+    vectors (every :func:`blur_kernel` is), else one slice per tap.
+    Integer sums do not depend on their order, so every output pixel is
+    the same integer the per-pixel gather computes.
+    """
     image = np.asarray(image)
-    kernel = blur_kernel() if kernel is None else kernel
-    n = image.size
-    flat = conv2d_elements(np.arange(n, dtype=np.int64), image, kernel)
-    return flat.reshape(image.shape)
+    kernel = _check_kernel(kernel)
+    weights = kernel.astype(np.int64)
+    k = weights.shape[0]
+    h, w = image.shape
+    padded = np.pad(image, k // 2, mode="edge").astype(np.int64)
+    factors = _integer_factors(weights)
+    if factors is not None:
+        col, row = factors
+        rows = row[0] * padded[:, :w]
+        for dx in range(1, k):
+            rows += row[dx] * padded[:, dx:dx + w]
+        acc = col[0] * rows[:h]
+        for dy in range(1, k):
+            acc += col[dy] * rows[dy:dy + h]
+    else:
+        acc = np.zeros((h, w), dtype=np.int64)
+        for (dy, dx), weight in np.ndenumerate(weights):
+            acc += weight * padded[dy:dy + h, dx:dx + w]
+    total = int(kernel.sum())
+    return ((acc + total // 2) // total).astype(np.uint8)
 
 
 def build_conv2d_automaton(image: np.ndarray,
@@ -114,7 +169,7 @@ def build_conv2d_automaton(image: np.ndarray,
     which also cheapens each MAC in the cost model.
     """
     image = np.asarray(image, dtype=np.uint8)
-    kernel = blur_kernel() if kernel is None else kernel
+    kernel = _check_kernel(kernel)
     if pixel_bits < 8:
         image = quantize_to_bits(image.astype(np.int64), pixel_bits,
                                  total_bits=8).astype(np.uint8)
@@ -159,7 +214,7 @@ def sample_size_sweep(image: np.ndarray,
     from ..metrics.snr import snr_db
 
     image = np.asarray(image, dtype=np.uint8)
-    kernel = blur_kernel() if kernel is None else kernel
+    kernel = _check_kernel(kernel)
     reference = conv2d_precise(image, kernel)
     work_image = image
     if pixel_bits < 8:

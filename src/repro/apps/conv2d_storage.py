@@ -34,7 +34,7 @@ from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.iterative import AccuracyLevel, IterativeStage
 from ..hw.sram import DEFAULT_VOLTAGE_LADDER, DrowsySram, VoltageLevel
-from .conv2d import blur_kernel, conv2d_elements
+from .conv2d import blur_kernel, conv2d_precise
 
 __all__ = ["build_conv2d_sram_automaton", "sram_energy_report"]
 
@@ -49,11 +49,7 @@ def _level_fn(sram: DrowsySram, level: VoltageLevel,
         sram.set_level(DEFAULT_VOLTAGE_LADDER[-1])   # nominal flush
         sram.flush(image.astype(np.int64))
         sram.set_level(level)
-        noisy = sram.read().astype(np.int64)
-        n = noisy.size
-        flat = conv2d_elements(np.arange(n, dtype=np.int64), noisy,
-                               kernel)
-        return flat.reshape(image.shape)
+        return conv2d_precise(sram.read().astype(np.int64), kernel)
 
     return compute
 

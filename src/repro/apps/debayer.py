@@ -63,11 +63,37 @@ def debayer_elements(indices: np.ndarray,
 
 
 def debayer_precise(mosaic: np.ndarray) -> np.ndarray:
-    """Reference full-image demosaic."""
+    """Reference full-image demosaic, equal to
+    ``debayer_elements(np.arange(mosaic.size), mosaic)``.
+
+    The same int16 ``horiz``/``vert``/``cross``/``diag`` planes as
+    :func:`_demosaic`, built from shifted slices of the padded mosaic and
+    placed by the four RGGB parity classes.
+    """
     mosaic = np.asarray(mosaic)
-    n = mosaic.size
-    flat = debayer_elements(np.arange(n, dtype=np.int64), mosaic)
-    return flat.reshape(mosaic.shape + (3,))
+    h, w = mosaic.shape
+    p = np.pad(mosaic, 1, mode="edge").astype(np.int16)
+
+    def at(dy: int, dx: int) -> np.ndarray:
+        return p[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+
+    here = at(0, 0)
+    up, down, left, right = at(-1, 0), at(1, 0), at(0, -1), at(0, 1)
+    horiz = (left + right + 1) // 2
+    vert = (up + down + 1) // 2
+    cross = (up + down + left + right + 2) // 4
+    diag = (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1) + 2) // 4
+
+    out = np.empty((h, w, 3), dtype=np.uint8)
+    # (row parity, col parity): R site, G on a red row, G on a blue
+    # row, B site; planes are (red, green, blue)
+    for (r, c), planes in {(0, 0): (here, cross, diag),
+                           (0, 1): (horiz, here, vert),
+                           (1, 0): (vert, here, horiz),
+                           (1, 1): (diag, cross, here)}.items():
+        for ch, plane in enumerate(planes):
+            out[r::2, c::2, ch] = plane[r::2, c::2]
+    return out
 
 
 def build_debayer_automaton(mosaic: np.ndarray, chunks: int = 32,

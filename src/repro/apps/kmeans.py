@@ -50,10 +50,39 @@ def initial_centroids(image: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     flat = np.asarray(image, dtype=np.float64).reshape(-1, 3)
     luma = flat @ np.array([0.299, 0.587, 0.114])
-    order = np.argsort(luma, kind="stable")
-    bands = np.array_split(order, k)
-    return np.stack([flat[band].mean(axis=0) if band.size
-                     else np.full(3, 128.0) for band in bands])
+    band = _luma_bands(luma, k)
+    counts = np.bincount(band, minlength=k)
+    # the pixels are whole numbers (callers pass uint8 images), so they
+    # sum exactly in any order and sum / count is the band's mean to
+    # the last bit
+    sums = _sums(flat, band, k)
+    return np.where(counts[:, None] > 0,
+                    sums / np.maximum(counts, 1)[:, None], 128.0)
+
+
+def _luma_bands(luma: np.ndarray, k: int) -> np.ndarray:
+    """Band of each pixel when the pixels, ranked by luma with ties in
+    index order (a stable sort), are split into ``k`` contiguous bands
+    as :func:`numpy.array_split` splits them.
+
+    ``np.partition`` finds the luma at each band border. A pixel is past
+    a border when it is brighter, or when it is tied with the border's
+    luma and its index order among the tied pixels reaches the border.
+    """
+    n = luma.size
+    sizes = np.full(k, n // k)
+    sizes[:n % k] += 1
+    borders = np.cumsum(sizes)[:-1]
+    borders = borders[borders < n]
+    band = np.zeros(n, dtype=np.intp)
+    for border, value in zip(borders,
+                             np.partition(luma, borders)[borders]):
+        past = luma > value
+        tied = np.flatnonzero(luma == value)
+        below = n - tied.size - np.count_nonzero(past)
+        past[tied[border - below:]] = True
+        band += past
+    return band
 
 
 def assign_pixels(pixels: np.ndarray,
@@ -198,6 +227,10 @@ def clustered_image_metric(value: dict[str, Any],
     return snr_db(value["image"], reference)
 
 
+#: pixels per :func:`assign_pixels` call in :func:`kmeans_precise`
+_ASSIGN_BLOCK = 4096
+
+
 def kmeans_precise(image: np.ndarray, k: int = 6,
                    epochs: int = 1) -> np.ndarray:
     """Reference clustered image (same epoch count as the automaton)."""
@@ -207,13 +240,17 @@ def kmeans_precise(image: np.ndarray, k: int = 6,
     centroids = initial_centroids(image, k)
     pixels = image.reshape(-1, 3)
     for _ in range(epochs):
-        labels = assign_pixels(pixels, centroids)
+        # assign_pixels is row by row, so blocks give the same labels;
+        # a block's (rows, k) distance arrays stay in cache
+        labels = np.concatenate([
+            assign_pixels(pixels[i:i + _ASSIGN_BLOCK], centroids)
+            for i in range(0, max(len(pixels), 1), _ASSIGN_BLOCK)])
         sums = _sums(pixels, labels, k)
         counts = np.bincount(labels, minlength=k)
         fresh = sums / np.maximum(counts, 1)[:, None]
         centroids = np.where(counts[:, None] > 0, fresh, centroids)
     palette = np.clip(centroids, 0, 255).astype(np.uint8)
-    return palette[labels].reshape(image.shape)
+    return np.take(palette, labels, axis=0).reshape(image.shape)
 
 
 def build_kmeans_automaton(image: np.ndarray, k: int = 6,

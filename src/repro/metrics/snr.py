@@ -43,16 +43,38 @@ def nrmse(approx: np.ndarray, reference: np.ndarray) -> float:
         return 0.0 if np.array_equal(approx, reference) else float("inf")
     return rmse(approx, reference) / span
 
+
+def _is_byte_image(a: np.ndarray) -> bool:
+    return a.dtype.kind in "iu" and a.dtype.itemsize == 1
+
+
 def snr_db(approx: np.ndarray, reference: np.ndarray) -> float:
     """Signal-to-noise ratio in decibels (∞ for an exact match).
 
     ``SNR = 10 log10( sum(reference²) / sum((reference - approx)²) )``.
+
+    Two images of 1-byte integers take both sums in int64 from an int16
+    difference, without widening either image. A squared difference is
+    then at most ``383**2``, so for fewer than ``2**53 // 383**2``
+    (about 6·10¹⁰) elements every square and every partial sum is an
+    integer below ``2**53``. float64 adds such integers exactly in any
+    order, so the float64 path would reach the same two sums and the
+    same dB bit for bit. Other dtypes take that float64 path.
     """
-    approx, reference = _as_float_pair(approx, reference)
-    noise = float(((reference - approx) ** 2).sum())
+    approx, reference = np.asarray(approx), np.asarray(reference)
+    if (_is_byte_image(approx) and _is_byte_image(reference)
+            and approx.shape == reference.shape
+            and approx.size < 2 ** 53 // 383 ** 2):
+        diff = np.subtract(reference, approx, dtype=np.int16).reshape(-1)
+        ref = reference.reshape(-1)
+        noise = float(np.einsum("i,i->", diff, diff, dtype=np.int64))
+        signal = float(np.einsum("i,i->", ref, ref, dtype=np.int64))
+    else:
+        approx, reference = _as_float_pair(approx, reference)
+        noise = float(((reference - approx) ** 2).sum())
+        signal = float((reference ** 2).sum())
     if noise == 0.0:
         return float("inf")
-    signal = float((reference ** 2).sum())
     if signal == 0.0:
         return float("-inf")
     return 10.0 * float(np.log10(signal / noise))

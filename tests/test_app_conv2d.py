@@ -27,6 +27,24 @@ class TestKernel:
         with pytest.raises(ValueError):
             blur_kernel(4)
 
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (2, 2),
+                                       (9,), (3, 3, 3)])
+    @pytest.mark.parametrize("entry", ["precise", "elements", "build"])
+    def test_entry_points_reject_bad_kernel_shapes(self, small_image,
+                                                   shape, entry):
+        """Non-square kernels used to fail deep in the gather, and even
+        ones silently blurred off-centre."""
+        kernel = np.ones(shape, dtype=np.int64)
+        calls = {
+            "precise": lambda: conv2d_precise(small_image, kernel),
+            "elements": lambda: conv2d_elements(
+                np.arange(4), small_image, kernel),
+            "build": lambda: build_conv2d_automaton(small_image,
+                                                    kernel=kernel),
+        }
+        with pytest.raises(ValueError, match="square and odd-sized"):
+            calls[entry]()
+
 
 class TestPrecise:
     def test_matches_scipy_in_interior(self, small_image):

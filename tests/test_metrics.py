@@ -11,6 +11,69 @@ from repro.metrics.profiles import ProfilePoint, RuntimeAccuracyProfile
 from repro.metrics.snr import mse, nrmse, psnr_db, rmse, snr_db
 
 
+def _float_snr_oracle(approx, reference):
+    """``snr_db`` on float64 copies: the path every dtype took before
+    1-byte images got their integer sums."""
+    approx = np.asarray(approx, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    noise = float(((reference - approx) ** 2).sum())
+    if noise == 0.0:
+        return math.inf
+    signal = float((reference ** 2).sum())
+    if signal == 0.0:
+        return -math.inf
+    return 10.0 * float(np.log10(signal / noise))
+
+
+class TestSnrIntegerPath:
+    """1-byte images take integer sums; the dB must be the float64
+    path's bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1,), (61, 61), (256, 256),
+                                       (64, 48, 3)])
+    @pytest.mark.parametrize("dtypes", [(np.uint8, np.uint8),
+                                        (np.int8, np.uint8),
+                                        (np.uint8, np.int8)])
+    def test_equals_float_path(self, shape, dtypes):
+        rng = np.random.default_rng(sum(shape))
+        ref = rng.integers(0, 256, size=shape).astype(np.uint8)
+        approx = ref ^ rng.integers(0, 8, size=shape).astype(np.uint8)
+        ref, approx = ref.view(dtypes[0]), approx.view(dtypes[1])
+        assert snr_db(approx, ref) == _float_snr_oracle(approx, ref)
+
+    def test_exact_match_is_inf(self):
+        img = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert snr_db(img, img.copy()) == math.inf
+
+    def test_zero_reference_is_minus_inf(self):
+        zero = np.zeros((8, 8, 3), dtype=np.uint8)
+        assert snr_db(zero + 1, zero) == -math.inf
+
+    def test_worst_case_noise_image(self):
+        """512x512x3 at the largest differences a byte pair can reach."""
+        rng = np.random.default_rng(0)
+        ref = rng.choice(np.array([0, 255], dtype=np.uint8),
+                         size=(512, 512, 3))
+        approx = 255 - ref
+        approx[0, 0, 0] = ref[0, 0, 0]
+        want = _float_snr_oracle(approx, ref)
+        assert snr_db(approx, ref) == want
+        signed = np.full(ref.shape, -128, dtype=np.int8)
+        assert snr_db(signed, ref) == _float_snr_oracle(signed, ref)
+
+    @given(st.integers(0, 2 ** 32), st.integers(1, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_random_images_equal_float_path(self, seed, n):
+        rng = np.random.default_rng(seed)
+        ref = rng.integers(0, 256, size=(n, 3)).astype(np.uint8)
+        approx = rng.integers(0, 256, size=(n, 3)).astype(np.uint8)
+        assert snr_db(approx, ref) == _float_snr_oracle(approx, ref)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            snr_db(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
+
+
 class TestSnr:
     def test_exact_match_is_inf(self):
         a = np.arange(10.0)
