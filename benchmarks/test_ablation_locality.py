@@ -28,3 +28,10 @@ def test_ablation_locality(benchmark):
     lfsr_plain, lfsr_pf, _ = rates["lfsr"]
     assert lfsr_pf < 0.25 * lfsr_plain
     assert seq_pf <= seq_plain
+    # EXPERIMENTS.md: miss rates 6.2 / 100 / 89 %, prefetched LFSR 0.6 %
+    # and tree 87 %, row-buffer hits 99.8 / 0 / 22 %
+    assert {name: tuple(round(v, 3) for v in r)
+            for name, r in rates.items()} == {
+        "sequential": (0.062, 0.0, 0.998),
+        "tree": (1.0, 0.875, 0.0),
+        "lfsr": (0.894, 0.006, 0.223)}

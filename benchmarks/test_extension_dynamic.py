@@ -18,3 +18,6 @@ def test_extension_dynamic_shares(benchmark):
     rows = {r[0]: r for r in fig.rows}
     # histeq benefits hugely: the apply stage inherits the machine
     assert rows["histeq"][2] < 0.75 * rows["histeq"][1]
+    # EXPERIMENTS.md: histeq 7.37x -> 3.81x, kmeans 2.58x -> 2.01x
+    assert {app: (round(s, 3), round(d, 3)) for app, s, d in fig.rows} \
+        == {"histeq": (7.373, 3.812), "kmeans": (2.584, 2.012)}

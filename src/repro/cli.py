@@ -258,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="threaded",
                        help="execution backend under forked workers")
     front.add_argument("--memo-ttl-s", type=float, default=30.0,
+                       dest="fleet_memo_ttl_s",
                        help="router-level fleet memo TTL (default 30)")
     front.add_argument("--max-pending", type=int, default=8,
                        help="per-connection in-flight bound before the "
@@ -585,9 +586,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
           f"input(s), deadline {deadline_s:.3f}s")
 
     rng = random.Random(args.seed)
-    config = {"slots": args.slots, "queue_limit": args.queue_limit,
-              "executor": args.executor, "quantum_s": args.quantum_s,
-              "coalesce": not args.no_coalesce}
+    config = _worker_config_from_args(args)
     with FleetRouter(workers=workers, endpoints=endpoints,
                      worker_config=config) as fleet:
         started = _time.monotonic()
@@ -728,6 +727,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _worker_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
+    """The worker config of ``serve --workers``, ``serve-worker`` and
+    ``serve-front``: the flags a command has, over the worker defaults
+    for those it lacks."""
     config: dict[str, Any] = {
         "slots": args.slots, "queue_limit": args.queue_limit,
         "executor": args.executor,
@@ -780,8 +782,6 @@ def _cmd_serve_front(args: argparse.Namespace) -> int:
         endpoints = [parse_endpoint(token.strip())
                      for token in args.endpoints.split(",")
                      if token.strip()]
-    config = {"slots": args.slots, "queue_limit": args.queue_limit,
-              "executor": args.executor}
 
     def announce(host: str, port: int) -> None:
         backing = (f"{len(endpoints)} TCP worker(s)" if endpoints
@@ -790,8 +790,8 @@ def _cmd_serve_front(args: argparse.Namespace) -> int:
               f"SIGTERM drains gracefully", flush=True)
 
     with FleetRouter(workers=args.workers, endpoints=endpoints,
-                     worker_config=config,
-                     fleet_memo_ttl_s=args.memo_ttl_s) as fleet:
+                     worker_config=_worker_config_from_args(args),
+                     fleet_memo_ttl_s=args.fleet_memo_ttl_s) as fleet:
         serve_front(fleet, args.host, args.port, announce=announce,
                     max_pending_per_conn=args.max_pending,
                     idle_timeout_s=args.idle_timeout_s)

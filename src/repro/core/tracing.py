@@ -42,14 +42,18 @@ Event vocabulary (the ``kind`` field):
     material of a live accuracy-vs-time stream.
 ``server.*``
     Serving-layer request lifecycle (emitted by
-    :class:`~repro.serve.AnytimeServer`, ``stage`` = request name):
+    :class:`~repro.serve.AnytimeServer`, ``stage`` = request name; a
+    run's events carry the name of its lead, the subscriber whose
+    builder launched it):
     ``server.enqueue``, ``server.admit``, ``server.preempt``,
     ``server.resume``, ``server.suspend``, ``server.restore_ckpt``,
-    ``server.park``, ``server.requeue``, ``server.coalesce`` and
-    ``server.promote`` along the way; exactly one of
-    ``server.complete``, ``server.cancel``, ``server.shed``,
-    ``server.memo_hit`` or ``server.detach`` (a subscriber leaving a
-    run another request owns) when a request ends.  Unknown kinds
+    ``server.park``, ``server.requeue``, ``server.coalesce`` (a request
+    subscribed to a same-key run) and ``server.promote`` (the run's
+    lead left, and the next subscriber leads it now) along the way;
+    exactly one of ``server.complete``, ``server.cancel``,
+    ``server.shed``, ``server.memo_hit`` or ``server.detach`` (a
+    subscriber leaving a run it does not lead) when a request ends.
+    Unknown kinds
     render as instants in the Chrome sink, so server events compose
     with per-run events in one trace file.
 

@@ -44,7 +44,8 @@ import functools
 import signal
 from typing import Any
 
-from .fleet import MAX_FRAME, FrameError, pack_msg, read_msg
+from .fleet import (FIELD_ERRORS, MAX_FRAME, FrameError, pack_msg,
+                    read_msg)
 from .router import FleetRequest, FleetRouter
 
 __all__ = ["AioFrontend", "AioFleetClient", "serve_front"]
@@ -211,30 +212,32 @@ class AioFrontend:
                     continue
                 try:
                     msg = read.result()
-                except FrameError as exc:
+                    if msg is None:
+                        return      # clean EOF or mid-frame disconnect
+                    op = msg.get("op")
+                    if op == "submit":
+                        await submit(msg)
+                    elif op == "stats":
+                        stats = await loop.run_in_executor(
+                            None, self.router.aggregate_stats)
+                        await send({"op": "stats", "rid": msg.get("rid"),
+                                    "stats": stats,
+                                    "frontend": dict(self.counters)})
+                    elif op in ("bye", "shutdown"):
+                        while pending:
+                            await deliver()
+                        await send({"op": "bye"})
+                        return
+                    # unknown ops ignored: forward compatibility
+                except (FrameError, *FIELD_ERRORS) as exc:
+                    # a corrupt frame, or one whose field is missing or
+                    # mistyped: report it and close the connection
                     self.counters["frame_errors"] += 1
                     try:
                         await send({"op": "error", "error": str(exc)})
                     except (ConnectionError, OSError):
                         pass
                     return
-                if msg is None:
-                    return          # clean EOF or mid-frame disconnect
-                op = msg.get("op")
-                if op == "submit":
-                    await submit(msg)
-                elif op == "stats":
-                    stats = await loop.run_in_executor(
-                        None, self.router.aggregate_stats)
-                    await send({"op": "stats", "rid": msg.get("rid"),
-                                "stats": stats,
-                                "frontend": dict(self.counters)})
-                elif op in ("bye", "shutdown"):
-                    while pending:
-                        await deliver()
-                    await send({"op": "bye"})
-                    return
-                # unknown ops ignored: forward compatibility
                 read = next_frame()
                 idle_since = loop.time()
         except OSError:

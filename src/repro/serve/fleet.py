@@ -54,7 +54,7 @@ from .digest import ckpt_filename, input_digest, request_key
 
 __all__ = ["pack_msg", "send_msg", "recv_msg", "read_msg", "spec_key",
            "value_digest", "ckpt_filename", "worker_main", "WORKER_DEFAULTS",
-           "MAX_FRAME", "FrameError", "CKPT_CHUNK_BYTES"]
+           "MAX_FRAME", "FrameError", "FIELD_ERRORS", "CKPT_CHUNK_BYTES"]
 
 _LEN = struct.Struct(">I")
 
@@ -72,6 +72,12 @@ class FrameError(RuntimeError):
 
     Distinct from a clean EOF (``recv_msg`` → None): the connection is
     unusable and must be closed, but the violation is reportable."""
+
+
+#: what acting on a well-formed frame raises when one of its fields is
+#: missing or of the wrong type; every reader (worker, router, front
+#: end) treats these like a :class:`FrameError`
+FIELD_ERRORS = (KeyError, ValueError, TypeError)
 
 WORKER_DEFAULTS: dict[str, Any] = {
     "slots": 2,
@@ -557,6 +563,83 @@ def worker_main(sock: socket.socket,
             except OSError:
                 return
 
+    def serve(msg: dict[str, Any]) -> bool:
+        """Act on one frame; False once the router said goodbye."""
+        op = msg.get("op")
+        if op == "submit":
+            rid = int(msg["rid"])
+            cell = None
+            try:
+                builder, metric, key = calibration(
+                    msg["app"], msg.get("size", 32), msg.get("seed", 0))
+                resume_from = (receiver.take(msg.get("resume_xfer"))
+                               or msg.get("resume_from"))
+                if resume_from:
+                    builder = _resuming_builder(resume_from, builder)
+                if msg.get("check", cfg.get("check")):
+                    builder, cell = _checked_builder(
+                        builder, hash_values=cfg["executor"] != "process")
+                slo_spec = msg.get("slo") or {}
+                slo = SLO(
+                    deadline_s=slo_spec.get("deadline_s"),
+                    target_db=slo_spec.get("target_db"),
+                    priority=float(slo_spec.get("priority", 1.0)))
+                session = server.submit(
+                    builder, slo, metric=metric, name=f"r{rid}",
+                    wait_s=float(msg.get("wait_s", 0.0)),
+                    key=key if cfg["coalesce"] else None, trace=cell)
+            except Exception as exc:
+                send_msg(sock, {
+                    "op": "done", "rid": rid, "state": "failed",
+                    "latency_s": 0.0, "queue_s": 0.0,
+                    "errors": [f"{type(exc).__name__}: {exc}"],
+                }, send_lock)
+                return True
+            stats = server.stats()
+            send_msg(sock, {
+                "op": "ack", "rid": rid,
+                "state": session.state.value,
+                "queue_depth": stats["queued"],
+                "running": stats["running"],
+                "subscribers": stats["subscribers"],
+            }, send_lock)
+            # registered after the ack went out, so a request that is
+            # terminal already (shed, memo hit) still reads ack-then-done
+            # on the wire
+            session.add_done_callback(
+                lambda session, rid=rid, cell=cell:
+                finished.put((rid, session, cell)))
+        elif op == "stats":
+            send_msg(sock, {"op": "stats", "rid": msg.get("rid"),
+                            "stats": server.stats()}, send_lock)
+        elif op == "ckpt_begin":
+            try:
+                receiver.begin(msg)
+            except (KeyError, ValueError, OSError) as exc:
+                send_msg(sock, {"op": "ckpt_ack", "xid": msg.get("xid"),
+                                "ok": False, "error": str(exc)},
+                         send_lock)
+        elif op == "ckpt_chunk":
+            try:
+                receiver.chunk(msg)
+            except (KeyError, ValueError, OSError,
+                    binascii.Error) as exc:
+                receiver.discard(int(msg.get("xid", -1)))
+                send_msg(sock, {"op": "ckpt_ack", "xid": msg.get("xid"),
+                                "ok": False, "error": str(exc)},
+                         send_lock)
+        elif op == "ckpt_end":
+            send_msg(sock, receiver.end(msg), send_lock)
+        elif op == "shutdown":
+            try:
+                send_msg(sock, {"op": "bye"}, send_lock)
+            except OSError:
+                pass
+            return False
+        # unknown ops are ignored: a newer router may speak a superset
+        # of this protocol
+        return True
+
     pump_thread = threading.Thread(target=pump, daemon=True,
                                    name="fleet-pump")
     calibrate_thread = threading.Thread(target=calibrate, daemon=True,
@@ -567,95 +650,21 @@ def worker_main(sock: socket.socket,
         while True:
             try:
                 msg = recv_msg(sock)
-            except FrameError as exc:
-                # protocol violation: report it in-band if the socket
+                # None: the router went away
+                if msg is None or not serve(msg):
+                    return
+            except (FrameError, *FIELD_ERRORS) as exc:
+                # protocol violation (a corrupt frame, or a field it
+                # lacks or mistypes): report it in-band if the socket
                 # still writes, then close — never hang, never allocate
                 # for a corrupt header
                 try:
                     send_msg(sock, {"op": "error",
-                                    "error": str(exc)}, send_lock)
+                                    "error": f"{type(exc).__name__}: "
+                                             f"{exc}"}, send_lock)
                 except OSError:
                     pass
                 return
-            if msg is None:          # router went away
-                return
-            op = msg.get("op")
-            if op == "submit":
-                rid = int(msg["rid"])
-                cell = None
-                try:
-                    builder, metric, key = calibration(
-                        msg["app"], msg.get("size", 32),
-                        msg.get("seed", 0))
-                    resume_from = (receiver.take(msg.get("resume_xfer"))
-                                   or msg.get("resume_from"))
-                    if resume_from:
-                        builder = _resuming_builder(resume_from, builder)
-                    if msg.get("check", cfg.get("check")):
-                        builder, cell = _checked_builder(
-                            builder,
-                            hash_values=cfg["executor"] != "process")
-                    slo_spec = msg.get("slo") or {}
-                    slo = SLO(
-                        deadline_s=slo_spec.get("deadline_s"),
-                        target_db=slo_spec.get("target_db"),
-                        priority=float(slo_spec.get("priority", 1.0)))
-                    session = server.submit(
-                        builder, slo, metric=metric, name=f"r{rid}",
-                        wait_s=float(msg.get("wait_s", 0.0)),
-                        key=key if cfg["coalesce"] else None,
-                        trace=cell)
-                except Exception as exc:
-                    send_msg(sock, {
-                        "op": "done", "rid": rid, "state": "failed",
-                        "latency_s": 0.0, "queue_s": 0.0,
-                        "errors": [f"{type(exc).__name__}: {exc}"],
-                    }, send_lock)
-                    continue
-                stats = server.stats()
-                send_msg(sock, {
-                    "op": "ack", "rid": rid,
-                    "state": session.state.value,
-                    "queue_depth": stats["queued"],
-                    "running": stats["running"],
-                    "subscribers": stats["subscribers"],
-                }, send_lock)
-                # registered after the ack went out, so a request that
-                # is terminal already (shed, memo hit) still reads
-                # ack-then-done on the wire
-                session.add_done_callback(
-                    lambda session, rid=rid, cell=cell:
-                    finished.put((rid, session, cell)))
-            elif op == "stats":
-                send_msg(sock, {"op": "stats",
-                                "rid": msg.get("rid"),
-                                "stats": server.stats()}, send_lock)
-            elif op == "ckpt_begin":
-                try:
-                    receiver.begin(msg)
-                except (KeyError, ValueError, OSError) as exc:
-                    send_msg(sock, {"op": "ckpt_ack",
-                                    "xid": msg.get("xid"), "ok": False,
-                                    "error": str(exc)}, send_lock)
-            elif op == "ckpt_chunk":
-                try:
-                    receiver.chunk(msg)
-                except (KeyError, ValueError, OSError,
-                        binascii.Error) as exc:
-                    receiver.discard(int(msg.get("xid", -1)))
-                    send_msg(sock, {"op": "ckpt_ack",
-                                    "xid": msg.get("xid"), "ok": False,
-                                    "error": str(exc)}, send_lock)
-            elif op == "ckpt_end":
-                send_msg(sock, receiver.end(msg), send_lock)
-            elif op == "shutdown":
-                try:
-                    send_msg(sock, {"op": "bye"}, send_lock)
-                except OSError:
-                    pass
-                return
-            # unknown ops are ignored: a newer router may speak a
-            # superset of this protocol
     except OSError:
         return
     finally:

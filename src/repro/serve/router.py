@@ -71,8 +71,9 @@ import time as _time
 from typing import Any, Callable
 
 from ..core.tracing import TraceEvent, TraceSink
-from .fleet import (CKPT_CHUNK_BYTES, FrameError, WORKER_DEFAULTS,
-                    ckpt_filename, pack_msg, read_msg, spec_key)
+from .fleet import (CKPT_CHUNK_BYTES, FIELD_ERRORS, FrameError,
+                    WORKER_DEFAULTS, ckpt_filename, pack_msg, read_msg,
+                    spec_key)
 from .transport import ForkTransport, TcpTransport
 from .workload import percentile
 
@@ -512,15 +513,18 @@ class FleetRouter:
         while True:
             try:
                 msg = await read_msg(link.reader)
-            except FrameError:
-                # the worker spoke garbage: an unusable connection
+                if msg is None or msg.get("op") == "bye":
+                    break
+                self._on_message(link, msg)
+            except (FrameError, *FIELD_ERRORS):
+                # the worker spoke garbage, or a frame with a missing or
+                # mistyped field: an unusable connection
                 self.counters["frame_errors"] += 1
                 msg = None
+                break
             except OSError:
                 msg = None
-            if msg is None or msg.get("op") == "bye":
                 break
-            self._on_message(link, msg)
         died = link.alive and msg is None and not self._closing
         link.alive = False
         link.writer.close()

@@ -4,10 +4,16 @@ The server owns the mechanism (admission, slot grants, quantum
 preemption, starvation guard); a :class:`ServePolicy` owns only the two
 decisions that differentiate schedulers:
 
-* :meth:`ServePolicy.rank_ready` — among runnable sessions (queued or
-  preempted), who gets the next free slot;
-* :meth:`ServePolicy.pick_victim` — among running sessions past their
-  quantum, who yields it.
+* :meth:`ServePolicy.rank_ready` — among runnable runs (queued or
+  preempted), which gets the next free slot;
+* :meth:`ServePolicy.pick_victim` — among running runs past their
+  quantum, which yields it.
+
+A policy ranks *runs*, not requests: coalesced requests share one run,
+and a run presents its lead's ``name`` and ``slo`` (the request whose
+builder launched it) plus its own ``_ready_since``, ``_dispatched_at``,
+``run_seconds(now)`` and ``target_met()`` — so a one-subscriber run
+ranks exactly as its request would.
 
 :class:`FairSharePolicy` is round-robin in arrival/ready order.
 :class:`MarginalGainPolicy` is the quality-aware allocator the paper's
@@ -28,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..metrics.profiles import RuntimeAccuracyProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .session import Session
+    from .session import _Run
 
 __all__ = ["ServePolicy", "FairSharePolicy", "MarginalGainPolicy"]
 
@@ -38,17 +44,17 @@ class ServePolicy:
 
     name = "fifo"
 
-    def rank_ready(self, ready: Sequence["Session"],
-                   now: float) -> list["Session"]:
-        """Runnable sessions, best-first (the server grants from the
+    def rank_ready(self, ready: Sequence["_Run"],
+                   now: float) -> list["_Run"]:
+        """Runnable runs, best-first (the server grants from the
         front).  Default: who has waited longest."""
         return sorted(ready, key=lambda s: s._ready_since)
 
-    def pick_victim(self, candidates: Sequence["Session"],
-                    ready: Sequence["Session"],
-                    now: float) -> "Session | None":
-        """Among running sessions past their quantum, who to pause so a
-        ready session can run.  None = preempt nobody this tick."""
+    def pick_victim(self, candidates: Sequence["_Run"],
+                    ready: Sequence["_Run"],
+                    now: float) -> "_Run | None":
+        """Among running runs past their quantum, which to pause so a
+        ready run can go.  None = preempt nobody this tick."""
         if not candidates:
             return None
         return max(candidates, key=lambda s: now - (s._dispatched_at or now))
@@ -74,7 +80,7 @@ class MarginalGainPolicy(ServePolicy):
         one server per application class.
     baseline_wall_s:
         Wall seconds corresponding to normalized runtime 1.0 on this
-        machine (e.g. a measured solo precise run), mapping a session's
+        machine (e.g. a measured solo precise run), mapping a run's
         accumulated slot time onto the profile's x axis.
     horizon_s:
         Lookahead window for the finite-difference slope.
@@ -145,12 +151,12 @@ class MarginalGainPolicy(ServePolicy):
                 break
         return best
 
-    def gain_rate(self, session: "Session", now: float) -> float:
-        """Expected dB/s of granting this session the next horizon,
+    def gain_rate(self, run: "_Run", now: float) -> float:
+        """Expected dB/s of granting this run the next horizon,
         weighted by its SLO priority.  Zero once its target is met."""
-        if session.target_met():
+        if run.target_met():
             return 0.0
-        t_norm = session.run_seconds(now) / self.baseline_wall_s
+        t_norm = run.run_seconds(now) / self.baseline_wall_s
         h_norm = self.horizon_s / self.baseline_wall_s
         gain_db = self._snr_at(t_norm + h_norm) - self._snr_at(t_norm)
         if gain_db <= 0.0 and t_norm < self._points[0][0]:
@@ -158,17 +164,17 @@ class MarginalGainPolicy(ServePolicy):
             # the climb to that first approximation; rank by how close
             # it is rather than flat zero.
             gain_db = self._cap - self._floor
-        return (gain_db / self.horizon_s) * session.slo.priority
+        return (gain_db / self.horizon_s) * run.slo.priority
 
-    def rank_ready(self, ready: Sequence["Session"],
-                   now: float) -> list["Session"]:
+    def rank_ready(self, ready: Sequence["_Run"],
+                   now: float) -> list["_Run"]:
         return sorted(
             ready,
             key=lambda s: (-self.gain_rate(s, now), s._ready_since))
 
-    def pick_victim(self, candidates: Sequence["Session"],
-                    ready: Sequence["Session"],
-                    now: float) -> "Session | None":
+    def pick_victim(self, candidates: Sequence["_Run"],
+                    ready: Sequence["_Run"],
+                    now: float) -> "_Run | None":
         if not candidates:
             return None
         best_ready = max((self.gain_rate(s, now) for s in ready),

@@ -2,11 +2,14 @@
 
 :class:`AnytimeServer` multiplexes concurrent automaton runs over a
 bounded pool of executor slots.  It inverts the repo's original control
-flow: executors no longer own the run loop — each admitted request is
+flow: executors no longer own the run loop — each admitted run is
 ``launch()``-ed into a :class:`~repro.core.executor.RunHandle` and
 becomes a schedulable resource the server can pause, resume, stop and
-harvest at any tick.  The anytime properties are what make this serving
-model cheap and safe:
+harvest at any tick.  What the server schedules is the *run*
+(:class:`~repro.serve.session._Run`), not the request: requests for
+the same work subscribe to one run, and each leaves it on its own
+terms (see :mod:`repro.serve.session`).  The anytime properties are
+what make this serving model cheap and safe:
 
 * **Preemption is free of bookkeeping.**  Pausing a run needs no
   checkpoint: its output buffer already holds a sealed-on-demand valid
@@ -26,9 +29,12 @@ Lifecycle (all transitions traced as ``server.*`` events)::
         └──shed (queue full)──> SHED         └──> COMPLETED/…
 
 The scheduler thread ticks every ``tick_s`` — and at once when a
-request is submitted: it harvests finished and
-expired runs, fills free slots from the ready pool (queued + preempted,
-policy-ranked, with a starvation guard), and preempts past-quantum
+request is submitted.  Its harvest is the one place an SLO is judged:
+each subscriber whose deadline passed, whose target its metric meets,
+or who cancelled leaves its run, and a run ends when it finishes or its
+last subscriber leaves (runs carry no stop condition of their own).
+The tick then fills free slots from the ready pool (queued + preempted
+runs, policy-ranked, with a starvation guard) and preempts past-quantum
 runners when ready work would gain more.  Admission applies
 backpressure (``submit(wait_s=…)`` blocks while the queue is full) and
 sheds what it cannot hold.
@@ -49,7 +55,7 @@ from ..core.faults import FaultInjector, FaultPolicy
 from ..core.tracing import TraceEvent, TraceSink
 from .digest import ckpt_filename
 from .scheduler import FairSharePolicy, ServePolicy
-from .session import Session, SessionState
+from .session import Session, SessionState, _Run
 from .slo import SLO
 
 __all__ = ["AnytimeServer", "shutdown_all_servers"]
@@ -179,9 +185,9 @@ class AnytimeServer:
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
         self._wake = threading.Condition(self._lock)   # submit -> _loop
-        self._queue: deque[Session] = deque()
-        self._scheduled: list[Session] = []   # RUNNING+PREEMPTED+RESUMABLE
-        self._parked: deque[Session] = deque()  # would-be-shed, waiting
+        self._queue: deque[_Run] = deque()
+        self._scheduled: list[_Run] = []   # RUNNING+PREEMPTED+RESUMABLE
+        self._parked: deque[_Run] = deque()  # would-be-shed, waiting
         self._ids = itertools.count(1)
         self._accepting = False
         self._stop_loop = False
@@ -255,13 +261,9 @@ class AnytimeServer:
             thread.join(timeout=timeout_s)
         with self._lock:
             now = _time.monotonic()
-            while self._queue or self._parked:
-                session = (self._queue.popleft() if self._queue
-                           else self._parked.popleft())
-                self._end(session, SessionState.CANCELLED,
-                          session.snapshot(), now)
-            for session in list(self._scheduled):
-                self._retire(session, SessionState.CANCELLED, now)
+            for run in (list(self._queue) + list(self._parked)
+                        + list(self._scheduled)):
+                self._finish(run, SessionState.CANCELLED, now)
             self._thread = None
         _LIVE_SERVERS.discard(self)
         saver = getattr(self.policy, "save_profile", None)
@@ -294,9 +296,7 @@ class AnytimeServer:
         tick (the run goes on producing versions meanwhile); only a
         deadline, a cancel or a shutdown block on it.  Once ready, a
         non-None ``error`` attribute (a string) fails the request with
-        that error.  (An un-keyed request's target is also compiled
-        into its run's stop condition, which scores — and would wait —
-        on the stage thread at each version.)
+        that error.
         ``wait_s`` is the backpressure budget: how long to block while
         the admission queue is full before giving up; on a still-full
         queue the request is returned in the terminal ``SHED`` state.
@@ -305,15 +305,16 @@ class AnytimeServer:
         :func:`repro.serve.digest.input_digest`).  When coalescing is
         on, a keyed request whose key matches a queued or running
         request attaches to that run as a *subscriber* instead of
-        consuming queue space and a slot of its own; it detaches at its
-        own deadline/target with a pinned sealed snapshot.  A keyed
-        request matching a fresh memoized final result completes
+        consuming queue space and a slot of its own; it leaves at its
+        own deadline/target with the run's newest sealed snapshot.  A
+        keyed request matching a fresh memoized final result completes
         immediately without running.
 
         ``trace`` attaches a per-request sink (e.g. a conformance
-        :class:`~repro.check.invariants.Checker`) to this request's own
-        runs, overriding the server-wide sink; it sees nothing when the
-        request is answered by coalescing or the memo.
+        :class:`~repro.check.invariants.Checker`) to the runs this
+        request leads, overriding the server-wide sink; it sees nothing
+        when the request is answered by the memo or joins a run another
+        request launched.
         """
         slo = slo or SLO()
         now = _time.monotonic()
@@ -329,13 +330,10 @@ class AnytimeServer:
             if not self._accepting:
                 self._shed(session, now, reason="not-accepting")
                 return session
-            if self.coalesce and key is not None:
-                if self._memo_answer(session, now):
-                    return session
-                host = self._find_host(key)
-                if host is not None:
-                    self._attach(session, host, now)
-                    return session
+            if self.coalesce and key is not None and (
+                    self._memo_answer(session, now)
+                    or self._join(session, now)):
+                return session
             if len(self._queue) >= self.queue_limit and wait_s > 0.0:
                 deadline = now + wait_s
                 while (len(self._queue) >= self.queue_limit
@@ -344,26 +342,24 @@ class AnytimeServer:
                     if remaining <= 0:
                         break
                     self._space.wait(timeout=remaining)
+            now = _time.monotonic()
             if not self._accepting:
-                self._shed(session, _time.monotonic(),
-                           reason="not-accepting")
+                self._shed(session, now, reason="not-accepting")
                 return session
-            if self.coalesce and key is not None:
-                # a matching run may have appeared while we waited
-                host = self._find_host(key)
-                if host is not None:
-                    self._attach(session, host, _time.monotonic())
-                    return session
-            if len(self._queue) >= self.queue_limit:
-                if self.resume_dir is not None:
-                    self._park(session, _time.monotonic())
-                else:
-                    self._shed(session, _time.monotonic(),
-                               reason="queue-full")
+            # a matching run may have appeared while we waited
+            if self.coalesce and key is not None \
+                    and self._join(session, now):
                 return session
-            session._ready_since = _time.monotonic()
-            self._queue.append(session)
-            self._trace("server.enqueue", session, session._ready_since,
+            full = len(self._queue) >= self.queue_limit
+            if full and self.resume_dir is None:
+                self._shed(session, now, reason="queue-full")
+                return session
+            run = session._run = _Run([session], _ready_since=now)
+            if full:
+                self._park(run, now)
+                return session
+            self._queue.append(run)
+            self._trace("server.enqueue", run, now,
                         queue_depth=len(self._queue))
             self._wake.notify()
             return session
@@ -387,28 +383,25 @@ class AnytimeServer:
         self._end(session, SessionState.COMPLETED, snapshot, now)
         return True
 
-    def _find_host(self, key: str) -> Session | None:
-        """A live same-key session whose run this request can join."""
-        for session in self._scheduled:
-            if session.key == key and not session._cancel_requested:
-                return session
-        for session in self._queue:
-            if session.key == key and not session._cancel_requested:
-                return session
-        return None
-
-    def _attach(self, session: Session, host: Session,
-                now: float) -> None:
-        """Attach ``session`` as a subscriber of ``host``'s run; its
-        :attr:`~Session.state` is the run's from here on."""
-        session._primary = host
+    def _join(self, session: Session, now: float) -> bool:
+        """Subscribe ``session`` to a live run of its key; True if
+        there was one.  Its :attr:`~Session.state` is the run's from
+        here on."""
+        for run in itertools.chain(self._scheduled, self._queue):
+            if run.key == session.key and not all(
+                    s._cancel_requested for s in run.subscribers):
+                break
+        else:
+            return False
+        session._run = run
         session._coalesced = True
-        if host._first_run_at is not None:
-            session._first_run_at = now   # the shared run is under way
-        host._followers.append(session)
+        if run._first_run_at is not None:
+            session._first_run_at = now   # the run is under way
+        run.subscribers.append(session)
         self.counters["coalesced"] += 1
-        self._trace("server.coalesce", session, now, primary=host.name,
-                    subscribers=1 + len(host._followers))
+        self._trace("server.coalesce", session, now, primary=run.name,
+                    subscribers=len(run.subscribers))
+        return True
 
     def _snr_of(self, session: Session,
                 snapshot: Snapshot) -> float | None:
@@ -438,19 +431,16 @@ class AnytimeServer:
         their count (``stats()["finished"]``), so its memory does not
         grow with the requests it has served."""
         with self._lock:
-            out: list[Session] = []
-            for session in (list(self._queue) + list(self._scheduled)
-                            + list(self._parked)):
-                out.append(session)
-                out.extend(session._followers)
-            return out
+            return [session for run in itertools.chain(
+                        self._queue, self._scheduled, self._parked)
+                    for session in run.subscribers]
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
-            running = sum(1 for s in self._scheduled
-                          if s.state is SessionState.RUNNING)
-            resumable = sum(1 for s in self._scheduled
-                            if s.state is SessionState.RESUMABLE)
+            running = sum(1 for run in self._scheduled
+                          if run._state is SessionState.RUNNING)
+            resumable = sum(1 for run in self._scheduled
+                            if run._state is SessionState.RESUMABLE)
             return {
                 **self.counters,
                 "queued": len(self._queue),
@@ -462,8 +452,9 @@ class AnytimeServer:
                 "finished": sum(self.counters[name] for name in (
                     "completed", "cancelled", "failed", "shed")),
                 "subscribers": sum(
-                    len(s._followers)
-                    for s in list(self._queue) + self._scheduled),
+                    len(run.subscribers) - 1
+                    for run in itertools.chain(self._queue,
+                                               self._scheduled)),
                 "memo_size": len(self._memo),
                 "slots": self.slots,
                 "queue_limit": self.queue_limit,
@@ -498,82 +489,49 @@ class AnytimeServer:
         self._preempt(now)
 
     def _harvest(self, now: float) -> None:
-        """Retire runs that ended, expired, got cancelled or met
-        target, and detach coalesced subscribers whose own SLO
-        resolved."""
-        for session in list(self._queue):
-            if not session._cancel_requested:
-                self._detach_due(session, now, slo=False)
+        """Judge every request: the one place an SLO is judged.
+
+        A subscriber leaves its run once it cancelled or its metric
+        failed and, while the run is scheduled, once its own deadline
+        passed or its metric meets its target on the run's newest
+        version.  A run that finished by itself ends with all its
+        subscribers.  A deferred metric whose reference is still being
+        computed would block this thread: scoring and finishing a run
+        wait for it a tick at a time, a deadline does not.
+        """
+        for run in list(self._queue) + list(self._parked):
+            self._release(run, now, slo=False)
+        for run in list(self._scheduled):
+            handle = run._handle
+            if handle is not None and handle.finished and all(
+                    s.metric_ready() or s.deadline_passed(now)
+                    for s in run.subscribers):
+                self._finish(run, SessionState.COMPLETED, now)
                 continue
-            self._queue.remove(session)
-            self._space.notify_all()
-            # the queued run survives for its first live subscriber
-            self._hand_off(session, now, into_queue=True)
-            self._end(session, SessionState.CANCELLED, session.snapshot(),
-                      now)
-        for session in list(self._scheduled):
-            self._detach_due(session, now)
-            if session._cancel_requested:
-                self._retire(session, SessionState.CANCELLED, now,
-                             whole_run=False)
-                continue
-            if (error := session.metric_error()) is not None:
-                self._retire(session, SessionState.FAILED, now,
-                             whole_run=False, errors=(error,))
-                continue
-            handle = session._handle
-            if handle is None:
-                # suspended to disk: the snapshot pinned at suspend time
-                # answers this session's own deadline or target
-                if session.deadline_passed(now) or session.target_met():
-                    self._retire(session, SessionState.COMPLETED, now,
-                                 whole_run=False)
-                continue
-            subscribers = [session] + session._followers
-            # a deferred metric whose reference is still being computed
-            # would block this thread: scoring and retiring a finished
-            # run wait for it a tick at a time, a deadline does not
-            scorable = all(s.metric_ready() for s in subscribers)
-            if handle.finished:
-                if scorable or session.deadline_passed(now):
-                    self._retire(session, SessionState.COMPLETED, now)
-                continue
-            if session.deadline_passed(now):
-                self._retire(session, SessionState.COMPLETED, now,
-                             whole_run=False)
-                continue
-            if session.state is not SessionState.RUNNING or not scorable:
-                continue
-            if any(s.metric is not None and s.slo.target_db is not None
-                   for s in subscribers):
-                snap = handle.snapshot()
-                for s in subscribers:
+            if run._state is SessionState.RUNNING and all(
+                    s.metric_ready() for s in run.subscribers):
+                assert handle is not None
+                snap = None
+                for s in run.subscribers:
                     if s.metric is None or s.slo.target_db is None:
                         continue
+                    if snap is None:
+                        snap = handle.snapshot()
                     if snap.version > s._last_version \
                             and snap.value is not None:
                         s._last_version = snap.version
-                        try:
-                            s._last_snr = float(s.metric(snap.value))
-                        except Exception:
-                            s._last_snr = None
-            for follower in list(session._followers):
-                if follower.target_met():
-                    self._end(follower, SessionState.COMPLETED,
-                              session.snapshot(), now, interrupted=True)
-            if session.target_met():
-                self._retire(session, SessionState.COMPLETED, now,
-                             whole_run=False)
+                        s._last_snr = self._snr_of(s, snap)
+            self._release(run, now)
 
-    def _ready(self) -> list[Session]:
+    def _ready(self) -> list[_Run]:
         return list(self._queue) + [
-            s for s in self._scheduled
-            if s.state in (SessionState.PREEMPTED,
-                           SessionState.RESUMABLE)]
+            run for run in self._scheduled
+            if run._state in (SessionState.PREEMPTED,
+                              SessionState.RESUMABLE)]
 
-    def _running(self) -> list[Session]:
-        return [s for s in self._scheduled
-                if s.state is SessionState.RUNNING]
+    def _running(self) -> list[_Run]:
+        return [run for run in self._scheduled
+                if run._state is SessionState.RUNNING]
 
     def _fill_slots(self, now: float) -> None:
         free = self.slots - len(self._running())
@@ -581,10 +539,10 @@ class AnytimeServer:
             ready = self._ready()
             if not ready:
                 return
-            starving = [s for s in ready
-                        if now - s._ready_since >= self.starvation_s]
+            starving = [run for run in ready
+                        if now - run._ready_since >= self.starvation_s]
             if starving:
-                chosen = min(starving, key=lambda s: s._ready_since)
+                chosen = min(starving, key=lambda run: run._ready_since)
             else:
                 chosen = self.policy.rank_ready(ready, now)[0]
             self._grant(chosen, now)
@@ -596,9 +554,9 @@ class AnytimeServer:
         if not ready or self.slots > len(self._running()):
             return
         candidates = [
-            s for s in self._running()
-            if s._dispatched_at is not None
-            and now - s._dispatched_at >= self.quantum_s]
+            run for run in self._running()
+            if run._dispatched_at is not None
+            and now - run._dispatched_at >= self.quantum_s]
         victim = self.policy.pick_victim(candidates, ready, now)
         if victim is None:
             return
@@ -619,58 +577,53 @@ class AnytimeServer:
 
     # -- suspend-and-resume (resume_dir mode) ----------------------------
 
-    def _ckpt_file(self, session: Session) -> str:
-        """Checkpoint path of a session: keyed requests get a stable
+    def _ckpt_file(self, run: _Run) -> str:
+        """Checkpoint path of a run: keyed runs get a stable
         key-derived name (so a fleet router can find a dead worker's
-        checkpoints), anonymous ones their name+sid."""
+        checkpoints), anonymous ones their lead's name+sid."""
         assert self.resume_dir is not None
-        name = (ckpt_filename(session.key) if session.key is not None
-                else f"{session.name}-{session.sid}.rck")
+        name = (ckpt_filename(run.key) if run.key is not None
+                else f"{run.name}-{run.sid}.rck")
         return os.path.join(self.resume_dir, name)
 
-    def _discard_ckpt(self, session: Session) -> None:
-        if session._ckpt_path is not None:
+    def _discard_ckpt(self, run: _Run) -> None:
+        if run._ckpt_path is not None:
             try:
-                os.unlink(session._ckpt_path)
+                os.unlink(run._ckpt_path)
             except OSError:
                 pass
-        session._ckpt_path = None
-        session._parked_snapshot = None
+        run._ckpt_path = None
+        run._parked_snapshot = None
 
-    def _park(self, session: Session, now: float) -> None:
+    def _park(self, run: _Run, now: float) -> None:
         """Hold a would-be-shed submission as RESUMABLE; it re-queues
         at the next tick with admission space."""
-        session._state = SessionState.RESUMABLE
-        session._ready_since = now
-        self._parked.append(session)
+        run._state = SessionState.RESUMABLE
+        self._parked.append(run)
         self.counters["parked"] += 1
-        self._trace("server.park", session, now,
+        self._trace("server.park", run, now,
                     parked_depth=len(self._parked))
 
     def _unpark(self, now: float) -> None:
         while self._parked and len(self._queue) < self.queue_limit:
-            session = self._parked.popleft()
-            if session._cancel_requested:
-                self._end(session, SessionState.CANCELLED,
-                          session.snapshot(), now)
-                continue
-            session._state = SessionState.QUEUED
-            session._ready_since = now
-            self._queue.append(session)
+            run = self._parked.popleft()
+            run._state = SessionState.QUEUED
+            run._ready_since = now
+            self._queue.append(run)
             self.counters["requeued"] += 1
-            self._trace("server.requeue", session, now,
+            self._trace("server.requeue", run, now,
                         queue_depth=len(self._queue))
 
-    def _suspend(self, session: Session, now: float) -> bool:
-        """Checkpoint a running session to disk and tear its executor
-        down entirely, turning paused-in-memory preemption into
+    def _suspend(self, run: _Run, now: float) -> bool:
+        """Checkpoint a running run to disk and tear its executor down
+        entirely, turning paused-in-memory preemption into
         RESUMABLE-on-disk.  False = checkpoint failed; the caller falls
         back to a plain pause."""
-        handle = session._handle
+        handle = run._handle
         assert handle is not None
         if handle.finished:
             return False   # harvest will complete it next tick
-        path = self._ckpt_file(session)
+        path = self._ckpt_file(run)
         try:
             handle.checkpoint(path)
         except Exception:
@@ -685,91 +638,161 @@ class AnytimeServer:
             handle.result(timeout_s=self._grace_s)
         except Exception:
             pass   # the executor is being discarded either way
-        session._parked_snapshot = handle.snapshot()
-        session._handle = None
-        session._ckpt_path = path
-        session._run_s += now - (session._dispatched_at or now)
-        session._dispatched_at = None
-        session._ready_since = now
-        session._state = SessionState.RESUMABLE
-        session._preemptions += 1
+        run._parked_snapshot = handle.snapshot()
+        run._handle = None
+        run._ckpt_path = path
+        run._run_s += now - (run._dispatched_at or now)
+        run._dispatched_at = None
+        run._ready_since = now
+        run._state = SessionState.RESUMABLE
+        run._preemptions += 1
         self.counters["preemptions"] += 1
         self.counters["suspends"] += 1
-        self._trace("server.suspend", session, now, path=path,
-                    version=session._parked_snapshot.version)
+        self._trace("server.suspend", run, now, path=path,
+                    version=run._parked_snapshot.version)
         return True
 
-    def _grant(self, session: Session, now: float) -> None:
-        """Give one slot to a ready session (launch, resume, or
-        restore-from-checkpoint)."""
-        if session.state is SessionState.PREEMPTED:
-            assert session._handle is not None
-            session._handle.resume()
-            session._state = SessionState.RUNNING
-            session._dispatched_at = now
+    def _grant(self, run: _Run, now: float) -> None:
+        """Give one slot to a ready run (launch, resume, or
+        restore-from-checkpoint) under its lead's builder, faults and
+        trace sink."""
+        if run._state is SessionState.PREEMPTED:
+            assert run._handle is not None
+            run._handle.resume()
+            run._state = SessionState.RUNNING
+            run._dispatched_at = now
             self.counters["resumes"] += 1
-            self._trace("server.resume", session, now)
+            self._trace("server.resume", run, now)
             return
-        from_ckpt = session._ckpt_path
+        from_ckpt = run._ckpt_path
         if from_ckpt is None:
-            self._queue.remove(session)
+            self._queue.remove(run)
             self._space.notify_all()
+        lead = run.lead
         try:
             if from_ckpt is not None:
                 from ..core.automaton import AnytimeAutomaton
                 automaton = AnytimeAutomaton.restore(
-                    from_ckpt, builder=session.builder)
+                    from_ckpt, builder=lead.builder)
             else:
-                automaton = session.builder()
-            if self.coalesce and session.key is not None:
-                # A shared run must outlive the primary whenever a
-                # later subscriber still needs it, so keyed runs carry
-                # no compiled stop condition; each subscriber's
-                # deadline/target is enforced at harvest instead.
-                stop = None
-            else:
-                stop = session.slo.stop_condition(
-                    now - session.submitted_at, session.metric)
-            sink = session.trace if session.trace is not None \
-                else self._sink
+                automaton = lead.builder()
+            sink = lead.trace if lead.trace is not None else self._sink
             if self.executor == "process":
                 handle = automaton.launch_processes(
-                    stop=stop, faults=session.faults,
-                    injector=self._injector, trace=sink,
-                    grace_s=self._grace_s)
+                    faults=lead.faults, injector=self._injector,
+                    trace=sink, grace_s=self._grace_s)
             else:
                 handle = automaton.launch_threaded(
-                    stop=stop, faults=session.faults,
-                    injector=self._injector, trace=sink)
+                    faults=lead.faults, injector=self._injector,
+                    trace=sink)
         except Exception as exc:
-            # a broken builder (or unreadable checkpoint) fails only
-            # this request; subscribers get requeued under their own
-            # builders
-            self._hand_off(session, now, into_queue=True)
-            if session in self._scheduled:
-                self._scheduled.remove(session)
-            self._discard_ckpt(session)
-            self._end(session, SessionState.FAILED, session.snapshot(),
-                      now, errors=(f"{type(exc).__name__}: {exc}",))
+            # a broken builder (or unreadable checkpoint) fails only the
+            # lead; the run re-queues under its next subscriber's builder
+            if from_ckpt is not None:
+                self._scheduled.remove(run)
+                self._discard_ckpt(run)
+            run._state = SessionState.QUEUED
+            run._ready_since = now
+            self._queue.append(run)
+            self._leave(run, lead, SessionState.FAILED, now,
+                        errors=(f"{type(exc).__name__}: {exc}",))
             return
-        session._handle = handle
-        session._state = SessionState.RUNNING
-        if session._first_run_at is None:
-            session._first_run_at = now
-        session._dispatched_at = now
+        run._handle = handle
+        run._state = SessionState.RUNNING
+        if run._first_run_at is None:
+            run._first_run_at = now
+        run._dispatched_at = now
         if from_ckpt is not None:
             # the run is back in memory; its on-disk state is consumed
-            self._discard_ckpt(session)
-            session._restores += 1
+            self._discard_ckpt(run)
+            run._restores += 1
             self.counters["restores"] += 1
-            self._trace("server.restore_ckpt", session, now)
+            self._trace("server.restore_ckpt", run, now)
             return
         self.counters["admitted"] += 1
-        self._scheduled.append(session)
-        self._trace("server.admit", session, now,
-                    queued_s=round(now - session.submitted_at, 6))
+        self._scheduled.append(run)
+        self._trace("server.admit", run, now,
+                    queued_s=round(now - lead.submitted_at, 6))
 
     # -- ending a request ------------------------------------------------
+
+    def _release(self, run: _Run, now: float, slo: bool = True) -> None:
+        """Let each subscriber of ``run`` go whose own request
+        resolved: it cancelled, its metric failed or, with ``slo``, its
+        deadline passed or it met its target.  :meth:`_end` turns the
+        outcome into CANCELLED or FAILED where those apply."""
+        for session in list(run.subscribers):
+            if (session._cancel_requested
+                    or session.metric_error() is not None
+                    or slo and (session.deadline_passed(now)
+                                or session.target_met())):
+                self._leave(run, session, SessionState.COMPLETED, now)
+
+    def _leave(self, run: _Run, session: Session, state: SessionState,
+               now: float, errors: tuple[str, ...] = ()) -> None:
+        """``session`` leaves ``run`` with the run's newest snapshot.
+        The last subscriber to leave ends the run; when the lead leaves
+        a run that goes on, the next subscriber leads it.  Leaving a
+        queued run interrupts nothing."""
+        interrupted = run._state is not SessionState.QUEUED
+        if len(run.subscribers) == 1:
+            self._finish(run, state, now, interrupted=interrupted,
+                         errors=errors)
+            return
+        lead = run.lead
+        self._end(session, state, run.snapshot(), now,
+                  interrupted=interrupted, errors=errors)
+        run.subscribers.remove(session)
+        if session is lead:
+            self.counters["promotions"] += 1
+            self._trace("server.promote", run, now, primary=lead.name,
+                        queued=run._state is SessionState.QUEUED)
+
+    def _finish(self, run: _Run, state: SessionState, now: float, *,
+                interrupted: bool = False,
+                errors: tuple[str, ...] = ()) -> None:
+        """End ``run`` with every subscriber still on it.
+
+        A live run is stopped (unless it finished by itself) and
+        harvested, a suspended one's checkpoint discarded, a queued or
+        parked one dropped.  The subscribers settle on one snapshot,
+        outcome, ``degraded`` flag and errors, the lead last, so that
+        the others count as ``detaches``.
+        """
+        for place in (self._scheduled, self._queue, self._parked):
+            if run in place:
+                place.remove(run)
+        self._space.notify_all()
+        handle = run._handle
+        degraded = False
+        run_result = None
+        if handle is None:
+            snapshot = run.snapshot()   # pinned at suspend time, or none
+            self._discard_ckpt(run)
+        else:
+            if not handle.finished:
+                # Deadline, met target, or cancellation of a live run:
+                # stop it now so the harvest below is bounded by
+                # wind-down time, not by grace_s.  (A naturally finished
+                # run is left alone so its result is not misreported as
+                # stopped early.)
+                handle.request_stop()
+            try:
+                run_result = handle.result(timeout_s=self._grace_s)
+                interrupted = interrupted or run_result.stopped_early
+                degraded = bool(run_result.degraded_stages
+                                or run_result.failed_stages)
+                errors += tuple(f"{stage}: {exc!r}"
+                                for stage, exc in run_result.errors)
+            except Exception as exc:
+                errors += (f"{type(exc).__name__}: {exc}",)
+            snapshot = handle.snapshot()
+        if state is SessionState.COMPLETED and not interrupted:
+            self._memoize(run.key, snapshot, now)
+        for session in run.subscribers[1:] + run.subscribers[:1]:
+            self._end(session, state, snapshot, now,
+                      interrupted=interrupted, degraded=degraded,
+                      errors=errors, run_result=run_result)
 
     def _end(self, session: Session, state: SessionState,
              snapshot: Snapshot, now: float, *, interrupted: bool = False,
@@ -777,28 +800,26 @@ class AnytimeServer:
              run_result: Any = None, **trace_args: Any) -> None:
         """The one way a session turns terminal.
 
-        Subscribers still on ``session``'s run end with it: same
-        snapshot, outcome, ``degraded`` flag and errors.  Two rules hold
-        for everyone: a cancel the client asked for outranks the
-        caller's outcome, and a completion with no output version is a
-        failure.  Each session's own metric scores the snapshot; the
-        outcome is counted (plus ``detaches`` for a subscriber leaving
-        a run it does not own) and traced.
+        Three rules hold for everyone: a cancel the client asked for
+        outranks the caller's outcome, and a completion whose metric
+        failed, or that has no output version, is a failure.  The
+        session's own metric scores the snapshot; the outcome is
+        counted (plus ``detaches`` for a subscriber leaving a run it
+        does not lead) and traced.
         """
-        for follower in list(session._followers):
-            self._end(follower, state, snapshot, now,
-                      interrupted=interrupted, degraded=degraded,
-                      errors=errors)
+        error = session.metric_error()
         if session._cancel_requested:
             state = SessionState.CANCELLED
+        elif state is SessionState.COMPLETED and error is not None:
+            state = SessionState.FAILED
+            errors += (error,)
         elif state is SessionState.COMPLETED and snapshot.version == 0:
             state = SessionState.FAILED
-        primary = session._primary
-        if primary is not None:
-            primary._followers.remove(session)
+        run = session._run
+        if run is not None and session is not run.lead:
             self.counters["detaches"] += 1
             kind = "server.detach"
-            trace_args["primary"] = primary.name
+            trace_args["primary"] = run.name
         elif session._memo_hit:
             kind = "server.memo_hit"
         else:
@@ -815,130 +836,17 @@ class AnytimeServer:
                     latency_s=round(now - session.submitted_at, 6),
                     **trace_args)
 
-    def _detach_due(self, session: Session, now: float,
-                    slo: bool = True) -> None:
-        """End the subscribers of ``session``'s run that cancelled or,
-        with ``slo``, whose own metric failed or deadline passed, each
-        on the run's newest snapshot; the run goes on."""
-        for follower in list(session._followers):
-            error = follower.metric_error() if slo else None
-            if follower._cancel_requested:
-                state = SessionState.CANCELLED
-            elif error is not None:
-                state = SessionState.FAILED
-            elif slo and follower.deadline_passed(now):
-                state = SessionState.COMPLETED
-            else:
-                continue
-            self._end(follower, state, session.snapshot(), now,
-                      interrupted=True,
-                      errors=() if error is None else (error,))
-
-    def _hand_off(self, session: Session, now: float,
-                  into_queue: bool = False) -> bool:
-        """Make ``session``'s first live subscriber the primary of its
-        run; cancelled subscribers end on the way.  False if none is
-        left, and the run is the caller's to stop.
-
-        ``into_queue`` requeues the heir under its own builder (the run
-        never started, or cannot).  Otherwise the heir inherits the run
-        as it stands, a live or paused handle or the on-disk checkpoint
-        of a suspended one, and ``session``'s place among the scheduled.
-        """
-        self._detach_due(session, now, slo=False)
-        if not session._followers:
-            return False
-        heir, *rest = session._followers
-        if into_queue:
-            heir._ready_since = now
-            self._queue.append(heir)
-        else:
-            heir._state = session._state
-            heir._handle = session._handle
-            heir._ckpt_path = session._ckpt_path
-            heir._parked_snapshot = session._parked_snapshot
-            heir._dispatched_at = session._dispatched_at
-            heir._run_s = session._run_s
-            heir._ready_since = session._ready_since
-            if heir._first_run_at is None:
-                heir._first_run_at = session._first_run_at
-            self._scheduled[self._scheduled.index(session)] = heir
-        # unlinked last: until now the heir's state read the run's
-        session._followers = []
-        heir._primary = None
-        heir._followers = rest
-        for follower in rest:
-            follower._primary = heir
-        self.counters["promotions"] += 1
-        self._trace("server.promote", heir, now, primary=session.name,
-                    queued=into_queue)
-        return True
-
-    def _retire(self, session: Session, state: SessionState, now: float,
-                whole_run: bool = True,
-                errors: tuple[str, ...] = ()) -> None:
-        """End a scheduled session, whether its run is in memory (a
-        handle) or suspended to disk (none).
-
-        ``whole_run=False`` means only *this* session's own SLO resolved
-        (deadline, target, cancel, metric error): if a live subscriber
-        inherits the run, the session leaves with the snapshot pinned
-        now, and the run continues until its most-demanding live
-        subscriber is satisfied.  Otherwise the run is stopped and
-        harvested (a suspended one's checkpoint discarded) and every
-        subscriber settles on its snapshot.
-        """
-        if not whole_run:
-            pinned = session.snapshot()
-            if self._hand_off(session, now):
-                self._end(session, state, pinned, now, interrupted=True,
-                          errors=errors)
-                return
-        self._scheduled.remove(session)
-        handle = session._handle
-        interrupted = not whole_run
-        degraded = False
-        run_result = None
-        if handle is None:
-            snapshot = session.snapshot()   # pinned at suspend time
-            self._discard_ckpt(session)
-        else:
-            if not handle.finished:
-                # Deadline, met target, or cancellation of a live run:
-                # stop it now so the harvest below is bounded by
-                # wind-down time, not by grace_s.  (A naturally finished
-                # run is left alone so its result is not misreported as
-                # stopped early.)
-                handle.request_stop()
-            if session._dispatched_at is not None:
-                session._run_s += now - session._dispatched_at
-                session._dispatched_at = None
-            try:
-                run_result = handle.result(timeout_s=self._grace_s)
-                interrupted = interrupted or run_result.stopped_early
-                degraded = bool(run_result.degraded_stages
-                                or run_result.failed_stages)
-                errors += tuple(f"{stage}: {exc!r}"
-                                for stage, exc in run_result.errors)
-            except Exception as exc:
-                errors += (f"{type(exc).__name__}: {exc}",)
-            snapshot = handle.snapshot()
-        if state is SessionState.COMPLETED and not interrupted:
-            self._memoize(session.key, snapshot, now)
-        self._end(session, state, snapshot, now, interrupted=interrupted,
-                  degraded=degraded, errors=errors, run_result=run_result)
-
     def _shed(self, session: Session, now: float, reason: str) -> None:
         self._end(session, SessionState.SHED, session.snapshot(), now,
                   reason=reason, queue_depth=len(self._queue))
 
-    def _trace(self, kind: str, session: Session, now: float,
+    def _trace(self, kind: str, who: Session | _Run, now: float,
                **extra: Any) -> None:
         if self._sink is None:
             return
         try:
             self._sink.emit(TraceEvent(
-                ts=now - self._t0, kind=kind, stage=session.name,
-                args={"sid": session.sid, **extra}))
+                ts=now - self._t0, kind=kind, stage=who.name,
+                args={"sid": who.sid, **extra}))
         except Exception:
             pass

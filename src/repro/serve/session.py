@@ -1,4 +1,4 @@
-"""Request sessions: the client's view of one automaton run being served.
+"""Request sessions: the client's view of one request being served.
 
 A :class:`Session` is returned by ``AnytimeServer.submit`` immediately —
 before the request is admitted, sometimes before it will ever run (load
@@ -8,7 +8,16 @@ shedding).  The client can watch it refine (:meth:`snapshot`,
 request is in, the snapshot is either empty (not started) or a valid
 approximation published by an atomic buffer write (Property 3).
 
-State machine::
+A session does not own an automaton run; it *subscribes* to one, a
+:class:`_Run`.  A run has one subscriber unless coalescing attached
+same-key requests to it, and every subscriber reads the run's state,
+snapshot and counts.  The run's first live subscriber is its *lead*:
+the lead's builder, faults and trace sink launch the run, and the
+lead's name and SLO are what the slot policy sees.  Since any sealed
+version is a valid answer (Property 3), each subscriber may leave the
+run at its own deadline or target; the last one to leave ends it.
+
+State machine (of the run; a subscriber reads it until it leaves)::
 
     QUEUED ──admit──> RUNNING <──resume/preempt──> PREEMPTED
       │                  │  \──suspend──> RESUMABLE ──restore──> RUNNING
@@ -67,7 +76,9 @@ class ServeResult:
     final snapshot by the request's metric (None without a metric or
     output).  ``interrupted`` means the run was stopped before its
     natural end (deadline, target reached, preempt-to-finish, cancel);
-    ``slo_met`` whether every stated objective held.
+    ``slo_met`` whether every stated objective held.  ``preemptions``
+    and ``restores`` count the request's run, so every subscriber of a
+    shared run reports the same numbers.
     """
 
     state: SessionState
@@ -107,33 +118,22 @@ class Session:
     faults: Any = None
     #: coalescing key (see :mod:`repro.serve.digest`); None = never share
     key: str | None = None
-    #: per-request trace sink; overrides the server-wide sink for this
-    #: request's own runs (a conformance Checker rides here)
+    #: per-request trace sink; overrides the server-wide sink for the
+    #: runs this request leads (a conformance Checker rides here)
     trace: Any = None
 
     # -- scheduler-owned state ------------------------------------------
-    _state: SessionState = SessionState.QUEUED
-    _handle: RunHandle | None = None
+    _run: "_Run | None" = None            # the run subscribed to, if live
+    _state: SessionState = SessionState.QUEUED   # once it has no run
     _result: ServeResult | None = None
     _done: threading.Event = field(default_factory=threading.Event)
     _cancel_requested: bool = False
     _deadline_at: float | None = None
-    _first_run_at: float | None = None
-    _dispatched_at: float | None = None   # set while holding a slot
-    _ready_since: float = 0.0             # enqueue / preempt timestamp
-    _run_s: float = 0.0                   # accumulated slot time
-    _preemptions: int = 0
+    _first_run_at: float | None = None    # joined a run under way
     _last_snr: float | None = None
     _last_version: int = 0
-    # -- coalescing links (scheduler-owned) -----------------------------
-    _primary: "Session | None" = None     # set on attached followers
-    _followers: "list[Session]" = field(default_factory=list)
-    _coalesced: bool = False              # ever served as a follower
+    _coalesced: bool = False              # attached to another's run
     _memo_hit: bool = False
-    # -- suspend-to-disk state (scheduler-owned) ------------------------
-    _ckpt_path: str | None = None         # checkpoint of a suspended run
-    _parked_snapshot: Snapshot | None = None  # pinned at suspend time
-    _restores: int = 0                    # restored-from-checkpoint count
     # -- done callbacks (guarded by their own lock, not the server's) ----
     _callbacks: "list[Callable[[Session], None]]" = field(
         default_factory=list)
@@ -141,15 +141,14 @@ class Session:
 
     def __post_init__(self) -> None:
         self._deadline_at = self.slo.deadline_at(self.submitted_at)
-        self._ready_since = self.submitted_at
 
     # -- client API ------------------------------------------------------
 
     @property
     def state(self) -> SessionState:
-        """An attached subscriber is wherever its shared run is."""
-        primary = self._primary
-        return primary.state if primary is not None else self._state
+        """A subscriber is wherever its run is."""
+        run = self._run
+        return run._state if run is not None else self._state
 
     @property
     def done(self) -> bool:
@@ -173,23 +172,16 @@ class Session:
 
     def snapshot(self) -> Snapshot:
         """The newest output version right now (empty before any)."""
+        # the run first: a session takes its result before it lets go
+        # of its run, so this order never reads a served one as empty
+        run = self._run
         result = self._result
         if result is not None:
             return result.snapshot
-        handle = self._handle
-        if handle is not None:
-            return handle.snapshot()
-        parked = self._parked_snapshot
-        if parked is not None:
-            # suspended to disk: the newest sealed version at suspend
-            # time remains a valid approximation of this answer
-            return parked
-        primary = self._primary
-        if primary is not None:
-            # attached follower: the shared run's output is this
-            # request's output (identical work, Property 3 makes any
-            # sealed version a valid answer for every subscriber)
-            return primary.snapshot()
+        if run is not None:
+            # identical work: Property 3 makes any sealed version of the
+            # run a valid answer for every subscriber
+            return run.snapshot()
         return Snapshot(self.name, None, 0, False)
 
     def stream(self, poll_s: float = 0.005,
@@ -226,12 +218,6 @@ class Session:
 
     # -- scheduler helpers ----------------------------------------------
 
-    def run_seconds(self, now: float) -> float:
-        """Total wall time spent holding a slot, up to ``now``."""
-        extra = (now - self._dispatched_at
-                 if self._dispatched_at is not None else 0.0)
-        return self._run_s + extra
-
     def target_met(self) -> bool:
         return (self.slo.target_db is not None
                 and self._last_snr is not None
@@ -255,11 +241,11 @@ class Session:
                      interrupted: bool = False, degraded: bool = False,
                      errors: tuple[str, ...] = (),
                      run_result: ThreadedResult | None = None) -> None:
+        run = self._run
         latency = now - self.submitted_at
         first_run_at = self._first_run_at
-        if first_run_at is None and self._primary is not None:
-            # a subscriber whose shared run started after it attached
-            first_run_at = self._primary._first_run_at
+        if first_run_at is None and run is not None:
+            first_run_at = run._first_run_at
         queue_s = ((first_run_at - self.submitted_at)
                    if first_run_at is not None else latency)
         slo_met = state is SessionState.COMPLETED
@@ -269,17 +255,83 @@ class Session:
             slo_met = (slo_met and snr_db is not None
                        and (snr_db >= self.slo.target_db
                             or snapshot.final))
-        self._state = state
-        self._primary = None
         self._result = ServeResult(
             state=state, snapshot=snapshot, latency_s=latency,
             queue_s=queue_s, snr_db=snr_db, slo_met=slo_met,
             interrupted=interrupted, degraded=degraded,
-            preemptions=self._preemptions, errors=errors,
-            run_result=run_result, coalesced=self._coalesced,
-            memo_hit=self._memo_hit, restores=self._restores)
+            preemptions=run._preemptions if run is not None else 0,
+            errors=errors, run_result=run_result,
+            coalesced=self._coalesced, memo_hit=self._memo_hit,
+            restores=run._restores if run is not None else 0)
+        self._state = state
+        self._run = None
         with self._callback_lock:
             self._done.set()
             callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
+
+
+@dataclass(eq=False)
+class _Run:
+    """One automaton run and the sessions subscribed to it, in attach
+    order.  Owned by the server's scheduler thread.
+
+    The first subscriber is the *lead*: its builder, faults and trace
+    sink launch the run, and the run answers to its ``name``, ``sid``
+    and ``slo`` — the policy ranks runs by their lead, exactly as it
+    would rank that request alone.  When the lead leaves a run that
+    goes on, the next subscriber leads.
+    """
+
+    subscribers: list[Session]
+    _state: SessionState = SessionState.QUEUED
+    _handle: RunHandle | None = None
+    _ckpt_path: str | None = None         # checkpoint of a suspended run
+    _parked_snapshot: Snapshot | None = None  # pinned at suspend time
+    _ready_since: float = 0.0             # enqueue / preempt timestamp
+    _dispatched_at: float | None = None   # set while holding a slot
+    _first_run_at: float | None = None
+    _run_s: float = 0.0                   # accumulated slot time
+    _preemptions: int = 0
+    _restores: int = 0                    # restored-from-checkpoint count
+
+    @property
+    def lead(self) -> Session:
+        return self.subscribers[0]
+
+    @property
+    def name(self) -> str:
+        return self.lead.name
+
+    @property
+    def sid(self) -> int:
+        return self.lead.sid
+
+    @property
+    def key(self) -> str | None:
+        return self.lead.key
+
+    @property
+    def slo(self) -> SLO:
+        return self.lead.slo
+
+    def target_met(self) -> bool:
+        return self.lead.target_met()
+
+    def run_seconds(self, now: float) -> float:
+        """Total wall time spent holding a slot, up to ``now``."""
+        extra = (now - self._dispatched_at
+                 if self._dispatched_at is not None else 0.0)
+        return self._run_s + extra
+
+    def snapshot(self) -> Snapshot:
+        """The run's newest output version: live from its executor,
+        else the one pinned when it was suspended to disk."""
+        handle = self._handle
+        if handle is not None:
+            return handle.snapshot()
+        parked = self._parked_snapshot
+        if parked is not None:
+            return parked
+        return Snapshot(self.name, None, 0, False)

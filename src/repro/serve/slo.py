@@ -8,21 +8,15 @@ these objectives cheap to enforce: a request stopped at its deadline
 returns whatever valid approximation its output buffer holds, and a
 request that reached its target dB early frees its slot for queued work.
 
-SLOs compile onto the existing :class:`~repro.core.controller`
-stop-condition algebra (``DeadlineStop | AccuracyTarget``) so the
-in-run enforcement path is exactly the one interactive and planned runs
-already use; the server adds only the between-writes enforcement a stop
-condition cannot provide (stop conditions are consulted on terminal
-writes, and a paused or stalled request writes nothing).
+The server judges every SLO in one place, its harvest tick: each
+subscriber of a run is checked against its own deadline and target
+there, and a run launches with no stop condition of its own, since a
+shared run must outlive whichever subscriber is satisfied first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
-
-from ..core.controller import (AccuracyTarget, AnyOf, DeadlineStop,
-                               StopCondition)
 
 __all__ = ["SLO"]
 
@@ -62,26 +56,3 @@ class SLO:
         if self.deadline_s is None:
             return None
         return submitted_at + self.deadline_s
-
-    def stop_condition(self, queued_s: float,
-                       metric: Callable[[Any], float] | None,
-                       ) -> StopCondition | None:
-        """Compile to the stop-condition algebra for an admitted run.
-
-        ``queued_s`` is how long the request already waited in the
-        admission queue: the in-run deadline is the *remaining* wall
-        budget (executor record times are seconds from run start).
-        ``metric`` maps an output value to dB; without one the quality
-        target cannot be checked in-run and is left to the scheduler.
-        """
-        conditions: list[StopCondition] = []
-        if self.deadline_s is not None:
-            remaining = max(self.deadline_s - queued_s, 0.0)
-            conditions.append(DeadlineStop(remaining))
-        if self.target_db is not None and metric is not None:
-            conditions.append(AccuracyTarget(metric, self.target_db))
-        if not conditions:
-            return None
-        if len(conditions) == 1:
-            return conditions[0]
-        return AnyOf(*conditions)

@@ -183,6 +183,49 @@ class TestServeCommand:
         assert not list(tmp_path.iterdir())
 
 
+class TestWorkerConfig:
+    SHARED = ["--slots", "3", "--queue-limit", "5", "--executor",
+              "process"]
+
+    def test_equal_flags_give_equal_worker_configs(self, monkeypatch):
+        """``serve --workers``, ``serve-worker`` and ``serve-front``
+        hand their workers the config of one builder, so the same flags
+        configure the same worker; ``serve-front --memo-ttl-s`` is the
+        router's memo, not the workers'."""
+        from repro import cli
+        from repro.serve import router, transport
+        from repro.serve.fleet import WORKER_DEFAULTS
+
+        class Handed(Exception):
+            """Carries the config a command gave its workers."""
+
+        def router_start(self):
+            raise Handed(self.worker_config)
+
+        def listener(listen, config, **kwargs):
+            raise Handed({**WORKER_DEFAULTS, **config})
+
+        monkeypatch.setattr(cli, "calibrate_app",
+                            lambda **kwargs: {"baseline_wall_s": 1.0})
+        monkeypatch.setattr(router.FleetRouter, "start", router_start)
+        monkeypatch.setattr(transport, "serve_worker_listener", listener)
+        configs = {}
+        for argv in (["serve", "--workers", "2"], ["serve-worker"],
+                     ["serve-front", "--memo-ttl-s", "7"]):
+            argv = argv + self.SHARED
+            with pytest.raises(Handed) as handed:
+                main(argv)
+            built = cli._worker_config_from_args(
+                cli.build_parser().parse_args(argv))
+            configs[argv[0]] = {**WORKER_DEFAULTS, **built}
+            assert handed.value.args[0] == configs[argv[0]], argv[0]
+        assert configs["serve"] == configs["serve-worker"] \
+            == configs["serve-front"]
+        assert configs["serve"]["slots"] == 3
+        assert configs["serve-front"]["memo_ttl_s"] \
+            == WORKER_DEFAULTS["memo_ttl_s"]
+
+
 @pytest.mark.check
 class TestCheckCommand:
     @pytest.mark.timeout(120)

@@ -24,6 +24,7 @@ from repro.serve import (SLO, AnytimeServer, FairSharePolicy,
                          MarginalGainPolicy, ServePolicy, Session,
                          SessionState, percentile, run_open_loop,
                          shutdown_all_servers, summarize)
+from repro.serve.session import _Run
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(120)]
 
@@ -377,12 +378,14 @@ class TestSchedulerInvariants:
 # ---------------------------------------------------------------------
 
 def make_session(name="s", run_s=0.0, slo=None, last_snr=None):
+    """A one-subscriber run, the unit a policy ranks."""
     session = Session(sid=1, name=name, builder=lambda: None,
                       slo=slo or SLO(), metric=None,
                       submitted_at=0.0)
-    session._run_s = run_s
     session._last_snr = last_snr
-    return session
+    run = _Run([session])
+    run._run_s = run_s
+    return run
 
 
 class TestMarginalGainPolicy:
@@ -435,7 +438,7 @@ class TestMarginalGainPolicy:
 
 
 # ---------------------------------------------------------------------
-# SLO compilation
+# SLO
 # ---------------------------------------------------------------------
 
 class TestSLO:
@@ -444,21 +447,6 @@ class TestSLO:
             SLO(deadline_s=0.0)
         with pytest.raises(ValueError):
             SLO(priority=0.0)
-
-    def test_queue_wait_shrinks_in_run_deadline(self):
-        from repro.core.controller import DeadlineStop
-        stop = SLO(deadline_s=1.0).stop_condition(0.4, None)
-        assert isinstance(stop, DeadlineStop)
-        assert stop.deadline == pytest.approx(0.6)
-
-    def test_both_objectives_compile_to_anyof(self):
-        from repro.core.controller import AnyOf
-        stop = SLO(deadline_s=1.0, target_db=20.0).stop_condition(
-            0.0, value_metric)
-        assert isinstance(stop, AnyOf)
-
-    def test_no_objectives_compile_to_none(self):
-        assert SLO().stop_condition(0.0, value_metric) is None
 
 
 # ---------------------------------------------------------------------
