@@ -53,7 +53,7 @@ from .transport import (ForkTransport, TcpTransport, parse_endpoint,
                         serve_worker_listener, spawn_local_tcp_worker)
 from .scheduler import FairSharePolicy, MarginalGainPolicy, ServePolicy
 from .server import AnytimeServer, shutdown_all_servers
-from .session import ServeResult, Session, SessionState, TERMINAL_STATES
+from .session import ServeResult, Session, SessionState
 from .slo import SLO
 from .workload import percentile, run_open_loop, summarize
 
@@ -61,7 +61,7 @@ __all__ = [
     "AnytimeServer", "shutdown_all_servers",
     "FairSharePolicy", "MarginalGainPolicy", "ServePolicy",
     "FleetRequest", "FleetRouter", "summarize_fleet",
-    "ServeResult", "Session", "SessionState", "TERMINAL_STATES",
+    "ServeResult", "Session", "SessionState",
     "SLO",
     "input_digest", "request_key", "spec_key", "value_digest",
     "percentile", "run_open_loop", "summarize",

@@ -14,16 +14,17 @@ and bridges them to a :class:`~repro.serve.router.FleetRouter`:
   for ``idle_timeout_s`` is told ``bye`` and closed.
 * **Graceful drain.**  ``SIGTERM``/``SIGINT`` (see :func:`serve_front`)
   or :meth:`AioFrontend.stop` stops accepting connections, rejects new
-  submits with ``state="draining"``, waits for in-flight requests to
-  finish delivering, then closes.
+  submits with ``state="draining"``, waits (:data:`DRAIN_TIMEOUT_S`
+  unless told otherwise) for in-flight requests to finish delivering,
+  then closes.
 
 Client-bound ops mirror the fleet's: ``ack`` (admission echo), ``done``
 (terminal result payload — the router's, including ``value_digest``,
 ``memo_hit`` and ``fleet_memo``), ``stats``, ``error``, ``bye``.
 Worker-bound ops accepted: ``submit`` (``rid`` chosen by the client),
-``stats``, ``bye``.  Oversized, truncated, or non-JSON frames get a
-structured ``error`` (when the socket still writes) and a close —
-never a hang.
+``stats``, ``bye``.  Frames over :data:`~repro.serve.fleet.MAX_FRAME`,
+truncated frames and non-JSON frames get a structured ``error`` (when
+the socket still writes) and a close — never a hang.
 
 :class:`AioFleetClient` is the matching client used by the tests, the
 tutorial, and the CI smoke.
@@ -44,11 +45,13 @@ import functools
 import signal
 from typing import Any
 
-from .fleet import (FIELD_ERRORS, MAX_FRAME, FrameError, pack_msg,
-                    read_msg)
+from .fleet import FIELD_ERRORS, FrameError, pack_msg, read_msg
 from .router import FleetRequest, FleetRouter
 
 __all__ = ["AioFrontend", "AioFleetClient", "serve_front"]
+
+#: seconds a graceful drain waits for in-flight requests by default
+DRAIN_TIMEOUT_S = 30.0
 
 
 class AioFrontend:
@@ -57,16 +60,12 @@ class AioFrontend:
     def __init__(self, router: FleetRouter,
                  host: str = "127.0.0.1", port: int = 0, *,
                  max_pending_per_conn: int = 8,
-                 idle_timeout_s: float = 60.0,
-                 drain_timeout_s: float = 30.0,
-                 max_frame: int = MAX_FRAME) -> None:
+                 idle_timeout_s: float = 60.0) -> None:
         self.router = router
         self.host = host
         self.port = port
         self.max_pending_per_conn = int(max_pending_per_conn)
         self.idle_timeout_s = float(idle_timeout_s)
-        self.drain_timeout_s = float(drain_timeout_s)
-        self.max_frame = int(max_frame)
         self.counters = {"connections": 0, "submits": 0, "dones": 0,
                          "rejected": 0, "frame_errors": 0,
                          "idle_closes": 0}
@@ -86,20 +85,19 @@ class AioFrontend:
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
 
-    async def stop(self, drain_timeout_s: float | None = None) -> bool:
+    async def stop(self, drain_timeout_s: float = DRAIN_TIMEOUT_S) -> bool:
         """Graceful drain: stop accepting, refuse new submits, wait
-        (bounded) for in-flight requests to deliver, close every
-        connection.  True if the drain completed cleanly."""
+        (at most ``drain_timeout_s``) for in-flight requests to
+        deliver, close every connection.  True if the drain completed
+        cleanly."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        timeout = (self.drain_timeout_s if drain_timeout_s is None
-                   else drain_timeout_s)
         clean = True
         try:
             await asyncio.wait_for(self._all_drained.wait(),
-                                   timeout=timeout)
+                                   timeout=drain_timeout_s)
         except asyncio.TimeoutError:
             clean = False
         for task in list(self._conn_tasks):
@@ -137,7 +135,7 @@ class AioFrontend:
                                       (rid, request))
 
         def next_frame() -> asyncio.Task:
-            return loop.create_task(read_msg(reader, self.max_frame))
+            return loop.create_task(read_msg(reader))
 
         async def deliver() -> None:
             """Send the ``done`` of the next request to complete
@@ -265,11 +263,9 @@ class AioFleetClient:
     """
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 max_frame: int = MAX_FRAME) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
-        self._max_frame = max_frame
         self._rids = iter(range(1, 1 << 31))
         self._acks: dict[int, asyncio.Future] = {}
         self._dones: dict[int, asyncio.Future] = {}
@@ -278,16 +274,15 @@ class AioFleetClient:
         self._task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
-    async def connect(cls, host: str, port: int,
-                      **kwargs: Any) -> "AioFleetClient":
+    async def connect(cls, host: str, port: int) -> "AioFleetClient":
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, **kwargs)
+        return cls(reader, writer)
 
     async def _read_loop(self) -> None:
         error: Exception | None = None
         try:
             while True:
-                msg = await read_msg(self._reader, self._max_frame)
+                msg = await read_msg(self._reader)
                 if msg is None:
                     return
                 op = msg.get("op")

@@ -36,22 +36,18 @@ def _feed_params(h: "hashlib._Hash", params: dict[str, Any]) -> None:
 def input_digest(app: str, data: Any = None, **params: Any) -> str:
     """Stable hash of (app name, input bytes, size params) -> hex str.
 
-    ``data`` may be an ndarray (hashed by dtype, shape and raw bytes,
-    C-contiguous), raw ``bytes``, or None (parameter-only requests, e.g.
-    a declarative fleet spec hashed without its input).
+    ``data`` may be an array (hashed by dtype, shape and raw bytes,
+    C-contiguous) or None (parameter-only requests, e.g. a declarative
+    fleet spec hashed without its input).
     Keyword ``params`` are canonicalized by sorted name; None values are
     skipped so an unset default and an absent parameter agree.
     """
     h = hashlib.sha256()
     h.update(f"app={app}".encode())
     if data is not None:
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            h.update(b"|raw")
-            h.update(bytes(data))
-        else:
-            arr = np.ascontiguousarray(np.asarray(data))
-            h.update(f"|dtype={arr.dtype.str}|shape={arr.shape}".encode())
-            h.update(arr.tobytes())
+        arr = np.ascontiguousarray(np.asarray(data))
+        h.update(f"|dtype={arr.dtype.str}|shape={arr.shape}".encode())
+        h.update(arr.tobytes())
     _feed_params(h, params)
     return h.hexdigest()
 

@@ -46,6 +46,7 @@ import struct
 import tempfile
 import threading
 from collections import OrderedDict
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -419,42 +420,36 @@ class _CkptReceiver:
 
 class _ScoreLater:
     """An app's quality metric over a precise reference that is
-    computed after the request was admitted.
+    computed after the request was admitted, on ``calibrator``.
 
     ``ready`` / ``error`` are the deferred-metric protocol of
     :meth:`AnytimeServer.submit`: the scheduler does not score with it
     until the reference is in.  A call made earlier (a deadline, a
-    cancel, a shutdown) blocks until :meth:`compute` has run.
+    cancel, a shutdown) blocks until the reference is computed.
     """
 
-    def __init__(self, record: Any, image: Any) -> None:
+    def __init__(self, record: Any, image: Any,
+                 calibrator: Executor) -> None:
         self._record = record
-        self._image = image
-        self._reference: Any = None
-        self._in = threading.Event()
-        self.error: str | None = None
         if record.reference_kind == "input":
-            self._reference = image
-            self._in.set()
+            self._reference: Future = Future()
+            self._reference.set_result(image)
+        else:
+            self._reference = calibrator.submit(record.reference, image)
 
     @property
     def ready(self) -> bool:
-        return self._in.is_set()
+        return self._reference.done()
 
-    def compute(self) -> None:
-        """Compute the reference (on the worker's calibrate thread)."""
-        try:
-            self._reference = self._record.reference(self._image)
-        except Exception as exc:
-            self.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            self._in.set()
+    @property
+    def error(self) -> str | None:
+        if not self._reference.done():
+            return None
+        exc = self._reference.exception()
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
 
     def __call__(self, value: Any) -> float:
-        self._in.wait()
-        if self.error is not None:
-            raise RuntimeError(self.error)
-        return self._record.metric(value, self._reference)
+        return self._record.metric(value, self._reference.result())
 
 
 #: calibrations (input image, builder, metric with its reference) a
@@ -496,8 +491,8 @@ def worker_main(sock: socket.socket,
 
     The reader loop (this thread) admits first and scores later: a new
     spec's input is made once, the request keyed by :func:`spec_key`,
-    submitted and acked — and only then does the calibrate
-    thread compute the precise reference the answer is scored against
+    submitted and acked — and only then does the one-thread calibrate
+    executor compute the precise reference the answer is scored against
     (FIFO, one spec at a time), while the run already produces
     versions.  The completion pump thread sends each ``done`` the
     moment its session turns terminal (a ``Session`` done callback
@@ -517,7 +512,7 @@ def worker_main(sock: socket.socket,
         resume_dir=cfg.get("resume_dir")).start()
     send_lock = threading.Lock()
     finished: queue.SimpleQueue = queue.SimpleQueue()    # -> pump
-    references: queue.SimpleQueue = queue.SimpleQueue()  # -> calibrate
+    calibrator = ThreadPoolExecutor(1, thread_name_prefix="fleet-calibrate")
     calibrations = _Lru(_CALIBRATIONS_MAX)
     receiver = _CkptReceiver(
         os.path.join(cfg["resume_dir"], "incoming")
@@ -530,9 +525,7 @@ def worker_main(sock: socket.socket,
         if entry is None:
             record = get_app(app)
             image = record.make_input(int(size), int(seed))
-            metric = _ScoreLater(record, image)
-            if not metric.ready:
-                references.put(metric)
+            metric = _ScoreLater(record, image, calibrator)
 
             def builder(record=record, image=image):
                 return record.build(image)
@@ -540,13 +533,6 @@ def worker_main(sock: socket.socket,
             entry = (builder, metric)
             calibrations.put(key, entry)
         return (*entry, key)
-
-    def calibrate() -> None:
-        while True:
-            metric = references.get()
-            if metric is None:
-                return
-            metric.compute()
 
     def pump() -> None:
         while True:
@@ -642,10 +628,7 @@ def worker_main(sock: socket.socket,
 
     pump_thread = threading.Thread(target=pump, daemon=True,
                                    name="fleet-pump")
-    calibrate_thread = threading.Thread(target=calibrate, daemon=True,
-                                        name="fleet-calibrate")
     pump_thread.start()
-    calibrate_thread.start()
     try:
         while True:
             try:
@@ -671,10 +654,9 @@ def worker_main(sock: socket.socket,
         finished.put(None)
         pump_thread.join(timeout=2.0)
         # cancels what is left, which may score against references
-        # still queued: the calibrate thread goes last
+        # still queued: the calibrator goes last
         server.shutdown()
-        references.put(None)
-        calibrate_thread.join(timeout=2.0)
+        calibrator.shutdown(cancel_futures=True)
         try:
             sock.close()
         except OSError:

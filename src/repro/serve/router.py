@@ -1,21 +1,23 @@
 """Fleet front end: shard anytime requests across worker processes.
 
-:class:`FleetRouter` owns N :mod:`~repro.serve.fleet` workers — forked
-locally over AF_UNIX socketpairs or reached over TCP
-(:mod:`repro.serve.transport`) — and places each declarative request
-``(app, size, seed, SLO)`` by its canonical work identity
-(:func:`~repro.serve.fleet.spec_key`, a hash of the spec itself: the
-router never makes an input):
+:class:`FleetRouter` owns N :mod:`~repro.serve.fleet` workers — reached
+over TCP when it is given ``endpoints``, else forked locally over
+AF_UNIX socketpairs (:mod:`repro.serve.transport`) — and places each
+declarative request ``(app, size, seed, SLO)`` by its canonical work
+identity (:func:`~repro.serve.fleet.spec_key`, a hash of the spec
+itself: the router never makes an input):
 
 * **Sticky consistent-hash placement.**  A key hashes onto a virtual-
   node ring; identical work therefore lands on the same worker, where
   the server coalesces it onto one shared run (or answers from its
-  sealed-results memo).  A short-TTL affinity table pins a key to the
-  worker that actually took it, so fallback decisions stay sticky too.
+  sealed-results memo).  An affinity table pins a key to the worker
+  that actually took it for :data:`AFFINITY_TTL_S`, so fallback
+  decisions stay sticky too.
 * **Least-loaded fallback for cold keys.**  A key the fleet has never
   seen may be diverted from its ring home to the least-loaded worker
-  when the home is clearly busier — cold keys have no run to join, so
-  placement freedom is free capacity.
+  when the home holds more than :data:`FALLBACK_MARGIN` requests more
+  — cold keys have no run to join, so placement freedom is free
+  capacity.
 * **Backpressure surfaced to the router.**  Every admission is acked
   with the worker's queue depth; a shed request is retried once on the
   least-loaded other worker before the shed is accepted as final.
@@ -39,10 +41,10 @@ router never makes an input):
   worker's key range instead.
 * **Fleet-wide memo sharing.**  When any worker seals a *final* answer
   for a key, the router caches the result payload (metrics +
-  ``value_digest``) in a bounded TTL store and answers later
-  duplicates of that key itself — whichever worker the key would now
-  land on, including after a death re-placed it — without dispatching
-  a run.  Hits are counted (``memo_hits``), traced
+  ``value_digest``) in a TTL store of at most :data:`FLEET_MEMO_MAX`
+  entries and answers later duplicates of that key itself — whichever
+  worker the key would now land on, including after a death re-placed
+  it — without dispatching a run.  Hits are counted (``memo_hits``), traced
   (``fleet.memo_hit``), and marked on the result (``memo_hit`` +
   ``fleet_memo``).
 
@@ -80,6 +82,19 @@ from .workload import percentile
 __all__ = ["FleetRouter", "FleetRequest", "summarize_fleet"]
 
 _VNODES = 64
+
+#: seconds a key stays pinned to the worker that last took it
+AFFINITY_TTL_S = 30.0
+
+#: how many more requests in flight a cold key's ring home must hold
+#: than the least-loaded worker before the key spills over to that one
+FALLBACK_MARGIN = 2
+
+#: entries the fleet-wide memo holds at most
+FLEET_MEMO_MAX = 256
+
+#: seconds a checkpoint shipment waits for the receiver's ``ckpt_ack``
+CKPT_ACK_TIMEOUT_S = 15.0
 
 
 def _ring_hash(text: str) -> int:
@@ -192,28 +207,21 @@ class FleetRouter:
 
     def __init__(self, workers: int = 2,
                  worker_config: dict[str, Any] | None = None,
-                 affinity_ttl_s: float = 30.0,
-                 fallback_margin: int = 2,
                  respawn: bool = True,
                  resume_dir: str | None = None,
                  endpoints: list[str | tuple[str, int]] | None = None,
-                 transport: Any = None,
                  fleet_memo_ttl_s: float = 30.0,
-                 fleet_memo_max: int = 256,
                  trace: TraceSink | None = None) -> None:
-        if transport is None:
-            transport = (TcpTransport(endpoints) if endpoints
-                         else ForkTransport())
-        #: how worker sockets are obtained (fork+socketpair or TCP)
-        self.transport = transport
+        #: how worker sockets are obtained: TCP to ``endpoints``, else
+        #: fork+socketpair
+        self.transport = (TcpTransport(endpoints) if endpoints
+                          else ForkTransport())
         if endpoints is not None:
             workers = len(endpoints)
         if workers <= 0:
             raise ValueError(f"workers must be positive: {workers}")
         self.n_workers = workers
         self.worker_config = {**WORKER_DEFAULTS, **(worker_config or {})}
-        self.affinity_ttl_s = affinity_ttl_s
-        self.fallback_margin = fallback_margin
         #: fork a replacement worker (same ring index) when one dies —
         #: only meaningful on a respawnable (fork) transport
         self.respawn = bool(respawn)
@@ -228,7 +236,6 @@ class FleetRouter:
         #: fleet-wide sealed-final memo: key → result payload, answered
         #: by the router itself for ``fleet_memo_ttl_s`` seconds
         self.fleet_memo_ttl_s = float(fleet_memo_ttl_s)
-        self.fleet_memo_max = int(fleet_memo_max)
         self._memo: dict[str, tuple[float, dict[str, Any]]] = {}
         self._trace_sink = trace
         self._links: list[_WorkerLink] = []
@@ -240,7 +247,6 @@ class FleetRouter:
         self._ids = itertools.count(1)
         #: (reply op, id) → the future its reply resolves
         self._waiters: dict[tuple[str, Any], asyncio.Future] = {}
-        self.ckpt_ack_timeout_s = 15.0
         self._affinity: dict[str, tuple[int, float]] = {}
         self._ring: list[tuple[int, int]] = sorted(
             (_ring_hash(f"worker-{w}/vnode-{v}"), w)
@@ -438,7 +444,7 @@ class FleetRouter:
                 "router": dict(self.counters),
                 "fleet_memo": {"size": len(self._memo),
                                "ttl_s": self.fleet_memo_ttl_s,
-                               "max": self.fleet_memo_max,
+                               "max": FLEET_MEMO_MAX,
                                "hits": self.counters["memo_hits"]},
                 "per_worker": per_worker,
                 "totals": totals}
@@ -455,18 +461,18 @@ class FleetRouter:
             index, expires_at = pinned
             link = self._links[index]
             if link.alive and now < expires_at:
-                self._affinity[key] = (index, now + self.affinity_ttl_s)
+                self._affinity[key] = (index, now + AFFINITY_TTL_S)
                 return link
             del self._affinity[key]
         home = self._ring_lookup(key)
         link = home
         least = min(alive, key=lambda cand: cand.load)
-        if home.load > least.load + self.fallback_margin:
+        if home.load > least.load + FALLBACK_MARGIN:
             # cold key, clearly uneven fleet: spill to the least-loaded
             # worker (duplicates will follow via the affinity pin)
             link = least
             self.counters["fallbacks"] += 1
-        self._affinity[key] = (link.index, now + self.affinity_ttl_s)
+        self._affinity[key] = (link.index, now + AFFINITY_TTL_S)
         return link
 
     def _ring_lookup(self, key: str) -> _WorkerLink:
@@ -578,7 +584,7 @@ class FleetRouter:
             request.redispatches += 1
             self.counters["shed_retries"] += 1
             self._affinity[request.key] = (
-                target.index, _time.monotonic() + self.affinity_ttl_s)
+                target.index, _time.monotonic() + AFFINITY_TTL_S)
             self._dispatch(request, target)
         else:
             link.inflight[request.rid] = request
@@ -697,7 +703,7 @@ class FleetRouter:
                            "data": base64.b64encode(chunk).decode()})
                 await link.writer.drain()
             link.send({"op": "ckpt_end", "xid": xid})
-            reply = await asyncio.wait_for(ack, self.ckpt_ack_timeout_s)
+            reply = await asyncio.wait_for(ack, CKPT_ACK_TIMEOUT_S)
         except (OSError, asyncio.TimeoutError):
             return None
         finally:
@@ -729,7 +735,7 @@ class FleetRouter:
     def _memo_store(self, key: str, msg: dict[str, Any]) -> None:
         """Cache a worker's ``done`` if it is a sealed *final* answer.
         Bounded: expired entries purged, then earliest-expiry evicted
-        over ``fleet_memo_max``."""
+        over :data:`FLEET_MEMO_MAX`."""
         if self.fleet_memo_ttl_s <= 0:
             return
         if not (msg.get("state") == "completed" and msg.get("final")
@@ -740,7 +746,7 @@ class FleetRouter:
                       if now >= exp]:
             del self._memo[stale]
         if key not in self._memo \
-                and len(self._memo) >= self.fleet_memo_max:
+                and len(self._memo) >= FLEET_MEMO_MAX:
             oldest = min(self._memo, key=lambda k: self._memo[k][0])
             del self._memo[oldest]
         payload = {k: v for k, v in msg.items() if k != "rid"}

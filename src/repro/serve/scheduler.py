@@ -22,13 +22,14 @@ profile (:class:`~repro.metrics.profiles.RuntimeAccuracyProfile`) gives
 each request's expected accuracy *slope* at its current run time, so the
 server keeps slots on the requests that are still climbing steeply and
 preempts the ones grinding out the last fractions of a dB — a request
-that already met its target has marginal gain zero by definition.
+that already met its target has marginal gain zero by definition.  The
+policy keeps the curve it was built with, and the slope looks
+:attr:`MarginalGainPolicy.HORIZON_S` ahead.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Sequence
 
 from ..metrics.profiles import RuntimeAccuracyProfile
@@ -82,34 +83,20 @@ class MarginalGainPolicy(ServePolicy):
         Wall seconds corresponding to normalized runtime 1.0 on this
         machine (e.g. a measured solo precise run), mapping a run's
         accumulated slot time onto the profile's x axis.
-    horizon_s:
-        Lookahead window for the finite-difference slope.
-    profile_path:
-        Optional JSON file the profile persists to, so calibration
-        survives server restarts: :class:`~repro.serve.server.
-        AnytimeServer` calls :meth:`load_profile` at ``start()`` (a
-        previously saved curve replaces the constructor's) and
-        :meth:`save_profile` at ``shutdown()``.
     """
 
     name = "gain"
 
+    #: lookahead window of the finite-difference slope, in seconds
+    HORIZON_S = 0.05
+
     def __init__(self, profile: RuntimeAccuracyProfile,
-                 baseline_wall_s: float,
-                 horizon_s: float = 0.05,
-                 profile_path: str | None = None) -> None:
+                 baseline_wall_s: float) -> None:
         if baseline_wall_s <= 0:
             raise ValueError("baseline_wall_s must be positive")
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
         if not profile.points:
             raise ValueError("profile has no points")
         self.baseline_wall_s = baseline_wall_s
-        self.horizon_s = horizon_s
-        self.profile_path = profile_path
-        self._set_profile(profile)
-
-    def _set_profile(self, profile: RuntimeAccuracyProfile) -> None:
         self.profile = profile
         finite = [p.snr_db for p in profile.points
                   if math.isfinite(p.snr_db)]
@@ -120,27 +107,6 @@ class MarginalGainPolicy(ServePolicy):
         self._floor = min(finite) if finite else 0.0
         self._points = [(p.runtime, min(p.snr_db, self._cap))
                         for p in profile.points]
-
-    def load_profile(self) -> bool:
-        """Replace the active curve with the one saved at
-        ``profile_path``; True if a non-empty saved profile was
-        adopted.  Called by the server at start."""
-        if self.profile_path is None \
-                or not os.path.exists(self.profile_path):
-            return False
-        profile = RuntimeAccuracyProfile.load(self.profile_path)
-        if not profile.points:
-            return False
-        self._set_profile(profile)
-        return True
-
-    def save_profile(self) -> bool:
-        """Persist the active curve to ``profile_path``; True if
-        written.  Called by the server at shutdown."""
-        if self.profile_path is None:
-            return False
-        self.profile.save(self.profile_path)
-        return True
 
     def _snr_at(self, t_norm: float) -> float:
         best = self._floor
@@ -157,14 +123,14 @@ class MarginalGainPolicy(ServePolicy):
         if run.target_met():
             return 0.0
         t_norm = run.run_seconds(now) / self.baseline_wall_s
-        h_norm = self.horizon_s / self.baseline_wall_s
+        h_norm = self.HORIZON_S / self.baseline_wall_s
         gain_db = self._snr_at(t_norm + h_norm) - self._snr_at(t_norm)
         if gain_db <= 0.0 and t_norm < self._points[0][0]:
             # Before the first profiled write every second still buys
             # the climb to that first approximation; rank by how close
             # it is rather than flat zero.
             gain_db = self._cap - self._floor
-        return (gain_db / self.horizon_s) * run.slo.priority
+        return (gain_db / self.HORIZON_S) * run.slo.priority
 
     def rank_ready(self, ready: Sequence["_Run"],
                    now: float) -> list["_Run"]:

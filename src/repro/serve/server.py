@@ -37,7 +37,10 @@ The tick then fills free slots from the ready pool (queued + preempted
 runs, policy-ranked, with a starvation guard) and preempts past-quantum
 runners when ready work would gain more.  Admission applies
 backpressure (``submit(wait_s=…)`` blocks while the queue is full) and
-sheds what it cannot hold.
+sheds what it cannot hold.  Two things are fixed rather than settable:
+a request that brings no fault policy degrades
+(:data:`DEFAULT_FAULTS`), and a stopped run gets :data:`GRACE_S` to
+wind down.
 """
 
 from __future__ import annotations
@@ -61,6 +64,13 @@ from .slo import SLO
 __all__ = ["AnytimeServer", "shutdown_all_servers"]
 
 _EXECUTORS = ("threaded", "process")
+
+#: fault policy of a request that brings none: graceful degradation,
+#: so one faulty request cannot take the server down with a raise
+DEFAULT_FAULTS = FaultPolicy(on_failure="degrade")
+
+#: how long a harvest waits for a stopped run to wind down
+GRACE_S = 5.0
 
 # Live servers, so test harnesses (the conftest watchdog) can reap
 # serving threads that a failing test left behind.
@@ -103,16 +113,10 @@ class AnytimeServer:
         Hard fairness override: a ready request older than this is
         granted the next slot regardless of policy ranking.  Defaults
         to ``50 * quantum_s``.
-    default_faults:
-        Fault policy applied to requests that do not bring their own;
-        defaults to per-request graceful degradation so one faulty
-        request cannot take the server down with a strict-mode raise.
     trace:
         Optional :class:`~repro.core.tracing.TraceSink` receiving
         ``server.*`` events (stage = request name) alongside whatever
         per-run events the executors emit.
-    grace_s:
-        How long a harvest waits for a stopped run to wind down.
     coalesce:
         Whether requests submitted with the same ``key`` share one run
         (see :meth:`submit`).  Subscribers detach individually at their
@@ -141,11 +145,8 @@ class AnytimeServer:
                  quantum_s: float = 0.05,
                  tick_s: float = 0.005,
                  starvation_s: float | None = None,
-                 default_faults: FaultPolicy | dict[str, FaultPolicy]
-                 | None = None,
                  injector: FaultInjector | None = None,
                  trace: TraceSink | None = None,
-                 grace_s: float = 5.0,
                  coalesce: bool = True,
                  memo_ttl_s: float = 0.0,
                  resume_dir: str | None = None) -> None:
@@ -166,11 +167,8 @@ class AnytimeServer:
         self.tick_s = tick_s
         self.starvation_s = (starvation_s if starvation_s is not None
                              else 50.0 * quantum_s)
-        self._default_faults = (default_faults if default_faults is not None
-                                else FaultPolicy(on_failure="degrade"))
         self._injector = injector
         self._sink = trace
-        self._grace_s = grace_s
         if memo_ttl_s < 0:
             raise ValueError(f"memo_ttl_s cannot be negative: {memo_ttl_s}")
         self.coalesce = bool(coalesce)
@@ -205,12 +203,6 @@ class AnytimeServer:
 
     def start(self) -> "AnytimeServer":
         """Start the scheduler thread and begin accepting requests."""
-        loader = getattr(self.policy, "load_profile", None)
-        if callable(loader):
-            try:
-                loader()
-            except Exception:
-                pass   # a stale/corrupt profile never blocks serving
         with self._lock:
             if self._thread is not None:
                 raise RuntimeError("server already started")
@@ -266,12 +258,6 @@ class AnytimeServer:
                 self._finish(run, SessionState.CANCELLED, now)
             self._thread = None
         _LIVE_SERVERS.discard(self)
-        saver = getattr(self.policy, "save_profile", None)
-        if callable(saver):
-            try:
-                saver()
-            except Exception:
-                pass
 
     # -- client API ------------------------------------------------------
 
@@ -325,8 +311,7 @@ class AnytimeServer:
                 sid=sid, name=name or f"req-{sid}", builder=builder,
                 slo=slo, metric=metric, submitted_at=now, key=key,
                 trace=trace,
-                faults=faults if faults is not None
-                else self._default_faults)
+                faults=faults if faults is not None else DEFAULT_FAULTS)
             if not self._accepting:
                 self._shed(session, now, reason="not-accepting")
                 return session
@@ -635,7 +620,7 @@ class AnytimeServer:
         try:
             if not handle.finished:
                 handle.request_stop()
-            handle.result(timeout_s=self._grace_s)
+            handle.result(timeout_s=GRACE_S)
         except Exception:
             pass   # the executor is being discarded either way
         run._parked_snapshot = handle.snapshot()
@@ -680,7 +665,7 @@ class AnytimeServer:
             if self.executor == "process":
                 handle = automaton.launch_processes(
                     faults=lead.faults, injector=self._injector,
-                    trace=sink, grace_s=self._grace_s)
+                    trace=sink, grace_s=GRACE_S)
             else:
                 handle = automaton.launch_threaded(
                     faults=lead.faults, injector=self._injector,
@@ -773,12 +758,12 @@ class AnytimeServer:
             if not handle.finished:
                 # Deadline, met target, or cancellation of a live run:
                 # stop it now so the harvest below is bounded by
-                # wind-down time, not by grace_s.  (A naturally finished
+                # wind-down time, not by GRACE_S.  (A naturally finished
                 # run is left alone so its result is not misreported as
                 # stopped early.)
                 handle.request_stop()
             try:
-                run_result = handle.result(timeout_s=self._grace_s)
+                run_result = handle.result(timeout_s=GRACE_S)
                 interrupted = interrupted or run_result.stopped_early
                 degraded = bool(run_result.degraded_stages
                                 or run_result.failed_stages)

@@ -46,7 +46,10 @@ from ..core.buffer import Snapshot
 from ..core.executor import RunHandle, ThreadedResult
 from .slo import SLO
 
-__all__ = ["Session", "SessionState", "ServeResult", "TERMINAL_STATES"]
+__all__ = ["Session", "SessionState", "ServeResult"]
+
+#: seconds :meth:`Session.stream` sleeps between looks at a live run
+STREAM_POLL_S = 0.005
 
 
 class SessionState(enum.Enum):
@@ -58,12 +61,6 @@ class SessionState(enum.Enum):
     CANCELLED = "cancelled"    # withdrawn by the client or shutdown
     SHED = "shed"              # refused by admission control
     FAILED = "failed"          # produced no output version at all
-
-
-TERMINAL_STATES = frozenset({
-    SessionState.COMPLETED, SessionState.CANCELLED,
-    SessionState.SHED, SessionState.FAILED,
-})
 
 
 @dataclass(frozen=True)
@@ -184,8 +181,7 @@ class Session:
             return run.snapshot()
         return Snapshot(self.name, None, 0, False)
 
-    def stream(self, poll_s: float = 0.005,
-               timeout_s: float | None = None) -> Iterator[Snapshot]:
+    def stream(self, timeout_s: float | None = None) -> Iterator[Snapshot]:
         """Yield each new output version as it lands (streaming
         refinement), ending with the final snapshot at a terminal
         state.  ``timeout_s`` bounds the total wait."""
@@ -201,7 +197,7 @@ class Session:
                 return
             if deadline is not None and _time.monotonic() >= deadline:
                 return
-            self._done.wait(timeout=poll_s)
+            self._done.wait(timeout=STREAM_POLL_S)
 
     def cancel(self) -> None:
         """Withdraw the request (idempotent; honored within a tick)."""

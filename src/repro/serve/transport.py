@@ -1,9 +1,10 @@
-"""Pluggable fleet transports: how a router reaches its workers.
+"""Fleet transports: how a router reaches its workers.
 
 The fleet's wire protocol (:mod:`repro.serve.fleet`) is transport-
 agnostic — length-prefixed JSON frames over any stream socket.  This
 module supplies the two ways a :class:`~repro.serve.router.FleetRouter`
-obtains those sockets:
+obtains those sockets; the router's ``endpoints`` choose between them
+(given: TCP, absent: fork):
 
 :class:`ForkTransport`
     The original single-host mode: fork a worker process per ring
@@ -39,6 +40,12 @@ from .fleet import worker_main
 
 __all__ = ["parse_endpoint", "ForkTransport", "TcpTransport",
            "serve_worker_listener", "spawn_local_tcp_worker"]
+
+#: seconds a router waits to connect to a TCP worker
+CONNECT_TIMEOUT_S = 10.0
+
+#: seconds :func:`spawn_local_tcp_worker` waits for its bound port
+START_TIMEOUT_S = 15.0
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -88,19 +95,17 @@ class TcpTransport:
 
     respawnable = False
 
-    def __init__(self, endpoints: list[str | tuple[str, int]],
-                 connect_timeout_s: float = 10.0) -> None:
+    def __init__(self, endpoints: list[str | tuple[str, int]]) -> None:
         if not endpoints:
             raise ValueError("TcpTransport needs at least one endpoint")
         self.endpoints = [ep if isinstance(ep, tuple)
                           else parse_endpoint(ep) for ep in endpoints]
-        self.connect_timeout_s = connect_timeout_s
 
     def spawn(self, index: int,
               config: dict[str, Any]) -> tuple[None, socket.socket]:
         host, port = self.endpoints[index]
         sock = socket.create_connection((host, port),
-                                        timeout=self.connect_timeout_s)
+                                        timeout=CONNECT_TIMEOUT_S)
         sock.settimeout(None)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -153,42 +158,34 @@ def serve_worker_listener(listen: str | tuple[str, int],
 
 
 def spawn_local_tcp_worker(config: dict[str, Any] | None = None,
-                           host: str = "127.0.0.1",
-                           start_timeout_s: float = 15.0,
                            ) -> tuple[Any, tuple[str, int]]:
     """Fork a localhost TCP worker; returns ``(process, (host, port))``.
 
-    The child binds an ephemeral port, reports it back over a pipe,
-    then accepts exactly one router connection and serves it to EOF.
-    The caller owns the process (terminate/join it after shutting the
-    router down).
+    The child runs :func:`serve_worker_listener` on an ephemeral
+    ``127.0.0.1`` port, reports the port back over a pipe, then serves
+    exactly one router connection to EOF.  The caller owns the process
+    (terminate/join it after shutting the router down).
     """
     ctx = multiprocessing.get_context("fork")
     ready_r, ready_w = ctx.Pipe(duplex=False)
     process = ctx.Process(
-        target=_tcp_worker_entry, args=(host, ready_w, config or {}),
+        target=_tcp_worker_entry, args=(ready_w, config),
         name="fleet-tcp-worker", daemon=True)
     process.start()
     ready_w.close()
-    if not ready_r.poll(start_timeout_s):
+    if not ready_r.poll(START_TIMEOUT_S):
         process.terminate()
         process.join(timeout=2.0)
         raise RuntimeError("TCP worker did not report a bound port")
     port = ready_r.recv()
     ready_r.close()
-    return process, (host, int(port))
+    return process, ("127.0.0.1", int(port))
 
 
-def _tcp_worker_entry(host: str, ready: Any,
-                      config: dict[str, Any]) -> None:
-    listener = socket.create_server((host, 0))
-    ready.send(listener.getsockname()[1])
-    ready.close()
-    conn, _ = listener.accept()
-    listener.close()
-    try:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError:
-        pass
-    worker_main(conn, config)
+def _tcp_worker_entry(ready: Any, config: dict[str, Any] | None) -> None:
+    def announce(host: str, port: int) -> None:
+        ready.send(port)
+        ready.close()
+
+    serve_worker_listener(("127.0.0.1", 0), config, announce=announce)
     os._exit(0)

@@ -48,13 +48,14 @@ def run_open_loop(server: AnytimeServer,
                   wait_s: float = 0.0,
                   seed: int = 0,
                   key: str | Callable[[int], str | None] | None = None,
-                  name_prefix: str = "req") -> list[Session]:
+                  ) -> list[Session]:
     """Submit ``n_requests`` on a Poisson process at ``rate_hz``.
 
     ``make_builder(i)`` returns the automaton builder for request ``i``
-    (each submission needs its own fresh-automaton thunk).  ``slo`` may
-    be one SLO for all requests or a per-request factory; ``metric``
-    is a per-request factory (or None for no metrics).  ``key`` is an
+    (each submission needs its own fresh-automaton thunk), and the
+    request is named ``req-<i>``.  ``slo`` may be one SLO for all
+    requests or a per-request factory; ``metric`` is a per-request
+    factory (or None for no metrics).  ``key`` is an
     optional coalescing key — one for all requests or a per-request
     factory (see :func:`~repro.serve.digest.input_digest`).
     Inter-arrival gaps are exponentially distributed with mean
@@ -76,7 +77,7 @@ def run_open_loop(server: AnytimeServer,
         request_key = key(i) if callable(key) else key
         sessions.append(server.submit(
             make_builder(i), slo=request_slo, metric=request_metric,
-            name=f"{name_prefix}-{i}", wait_s=wait_s,
+            name=f"req-{i}", wait_s=wait_s,
             key=request_key))
         if i + 1 < n_requests:
             _time.sleep(rng.expovariate(rate_hz))

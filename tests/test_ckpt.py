@@ -6,9 +6,8 @@ with bit-exact continuation.  These tests cover the file format's
 structured failure modes, same-executor resume, the full cross-executor
 migration matrix (via the restore-differential harness), checkpointing
 under a batched command lease, the serving layer's suspend-and-resume
-path (park on queue-full, checkpoint on preempt, restore on grant), the
-scheduler's persisted runtime-accuracy profile, and fleet worker
-re-spawn with checkpoint migration after a SIGKILL.
+path (park on queue-full, checkpoint on preempt, restore on grant), and
+fleet worker re-spawn with checkpoint migration after a SIGKILL.
 """
 
 import os
@@ -402,70 +401,6 @@ class TestServerSuspendResume:
         assert rb.snapshot.final and rb.snapshot.value == STAIRS
         assert rb.restores == 1
         assert not os.listdir(tmp_path)
-
-
-# -- persisted runtime-accuracy profiles ---------------------------------
-
-class TestProfilePersistence:
-    @staticmethod
-    def profile():
-        from repro.metrics.profiles import RuntimeAccuracyProfile
-
-        p = RuntimeAccuracyProfile(label="test")
-        p.add(0.1, 5.0)
-        p.add(0.5, 18.0)
-        p.add(1.0, 25.0)
-        return p
-
-    def test_save_then_load_round_trips_curve(self, tmp_path):
-        from repro.metrics.profiles import RuntimeAccuracyProfile
-        from repro.serve.scheduler import MarginalGainPolicy
-
-        path = tmp_path / "profile.json"
-        saver = MarginalGainPolicy(self.profile(), baseline_wall_s=1.0,
-                                   profile_path=str(path))
-        assert saver.save_profile()
-        flat = RuntimeAccuracyProfile(label="flat")
-        flat.add(1.0, 1.0)
-        loader = MarginalGainPolicy(flat, baseline_wall_s=1.0,
-                                    profile_path=str(path))
-        assert loader.load_profile()
-        assert [(p.runtime, p.snr_db) for p in loader.profile.points] \
-            == [(p.runtime, p.snr_db) for p in self.profile().points]
-
-    def test_load_without_file_is_a_noop(self, tmp_path):
-        from repro.serve.scheduler import MarginalGainPolicy
-
-        policy = MarginalGainPolicy(
-            self.profile(), baseline_wall_s=1.0,
-            profile_path=str(tmp_path / "absent.json"))
-        before = list(policy.profile.points)
-        assert not policy.load_profile()
-        assert policy.profile.points == before
-        assert not MarginalGainPolicy(
-            self.profile(), baseline_wall_s=1.0).load_profile()
-
-    @pytest.mark.serve
-    @pytest.mark.timeout(60)
-    def test_server_lifecycle_persists_profile(self, tmp_path):
-        """start() adopts a previously saved curve; shutdown() writes
-        the active one back."""
-        from repro.serve import AnytimeServer
-        from repro.serve.scheduler import MarginalGainPolicy
-
-        path = tmp_path / "profile.json"
-        first = MarginalGainPolicy(self.profile(), baseline_wall_s=1.0,
-                                   profile_path=str(path))
-        with AnytimeServer(slots=1, policy=first):
-            pass
-        assert path.exists()
-        flat = self.profile()
-        flat.add(2.0, 26.0)        # a point the saved curve lacks
-        second = MarginalGainPolicy(flat, baseline_wall_s=1.0,
-                                    profile_path=str(path))
-        with AnytimeServer(slots=1, policy=second):
-            # start() replaced the constructor's curve with the saved one
-            assert len(second.profile.points) == 3
 
 
 # -- fleet re-spawn and checkpoint migration -----------------------------
