@@ -10,7 +10,10 @@ For the tree permutation the natural fill is **progressive resolution**
 (paper Figure 5): after ``4**k`` samples of a 2-D output, each sample owns
 a ``(rows / 2**k) x (cols / 2**k)`` block and the output looks like a
 ``2**k x 2**k`` image upscaled — exactly the visualization the paper shows.
-:class:`TreeFill` implements this block-replication fill.
+:class:`TreeFill` implements this block-replication fill.  Within a pass
+its :class:`TreePainter` keeps a full-resolution canvas and paints each
+new sample's block once, so a version costs its new samples' blocks
+plus one copy of the output, not a re-upsampling of the whole grid.
 
 For unordered (pseudo-random) sampling, :class:`NearestFill` fills each
 missing element from its nearest computed neighbour, and
@@ -95,14 +98,6 @@ def _spatial_shape(dense: np.ndarray, order: np.ndarray,
     return shape
 
 
-def _upsample(grid: np.ndarray, log2_factors: list[int]) -> np.ndarray:
-    """Repeat each cell of ``grid`` ``2**f`` times along spatial axis d."""
-    for d, f in enumerate(log2_factors):
-        if f:
-            grid = np.repeat(grid, 1 << f, axis=d)
-    return grid
-
-
 class TreeFill(FillPolicy):
     """Progressive-resolution block fill for tree-sampled outputs.
 
@@ -129,31 +124,30 @@ class TreeFill(FillPolicy):
 
 
 class TreePainter(Painter):
-    """:class:`TreeFill`'s painter: a grid onto which each advance
-    paints only the samples that are new since the last one.
+    """:class:`TreeFill`'s painter: a full-resolution canvas onto which
+    each advance paints only the samples that are new since the last
+    one.
 
-    The grid has one cell per block of the finest level painted so
-    far, over the output padded to a power of two along every spatial
-    axis; a level-k coordinate is a multiple of its block, so
-    ``c >> shift`` is its cell.  An advance paints
-    ``order[painted:count]`` one level at a time, coarsest first.  A
-    level finer than the grid first refines it, repeating each cell
-    over the finer cells it covers (once per level and pass, not per
-    version); the level's samples then land on their cells, over the
+    The canvas, :attr:`grid`, covers the output padded to a power of
+    two along every spatial axis, so a level-k sample's block is whole
+    and aligned: along an axis of ``2**w`` elements it spans
+    ``2**(w - k)`` of them, from the sample's own coordinate.  An
+    advance paints ``order[painted:count]`` one level at a time,
+    coarsest first, each sample filling its block once over the
     coarser values there.  Per-sample levels come from
     :func:`~repro.anytime.permutations.order_levels`, which keeps them
     beside the memoised order they describe.
 
     Painting onto what is there gives the fill of the whole prefix as
-    long as no new sample is coarser than the grid, which holds at
-    every advance along a tree permutation.  When it does not (a
-    non-tree order), or when ``count`` falls below what is painted, the
-    painter starts a blank grid and paints the prefix afresh.
+    long as no new sample is coarser than one already painted, which
+    holds at every advance along a tree permutation.  When it does not
+    (a non-tree order), or when ``count`` falls below what is painted,
+    the painter blanks the canvas and paints the prefix afresh.
 
-    :meth:`advance` returns the grid repeated up to full resolution and
-    cropped, always a new array: a stage's ``Write`` hands it to its
-    buffer, which freezes it as the published version, while the next
-    advance paints the grid again.
+    :meth:`advance` returns the canvas cropped to the output, always a
+    new array: a stage's ``Write`` hands it to its buffer, which
+    freezes it as the published version, while the next advance paints
+    the canvas again.
     """
 
     def __init__(self, policy: TreeFill, dense: np.ndarray,
@@ -163,19 +157,33 @@ class TreePainter(Painter):
         self.trailing = dense.shape[len(self.shape):]
         self.widths = _widths(self.shape)
         self.levels, self.at_or_below = order_levels(order, self.shape)
+        #: the canvas's spatial shape: a power of two along every axis
+        self.box = tuple(1 << w for w in self.widths)
+        self.crop = tuple(slice(0, s) for s in self.shape)
+        #: flat canvas offsets of a level's block from its first cell
+        self.blocks: dict[int, np.ndarray] = {}
         self._blank()
 
-    def _blank(self) -> None:
-        self.level = 0
-        self.grid = np.zeros((1,) * len(self.shape) + self.trailing,
-                             dtype=self.dense.dtype)
-        self.painted = 0
-        #: samples painted per level
-        self.seen = np.zeros(len(self.at_or_below), dtype=np.int64)
+    def _items(self, array: np.ndarray) -> np.ndarray:
+        """``array`` flattened to one item per spatial element: the
+        trailing axes become one opaque item, which a scatter copies in
+        one go instead of value by value."""
+        if not self.trailing:
+            return array.reshape(-1)
+        size = array.dtype.itemsize * int(np.prod(self.trailing))
+        return array.reshape(-1).view(np.dtype((np.void, size)))
 
-    def _shifts(self, level: int) -> list[int]:
-        """log2 of a ``level`` block's extent along each spatial axis."""
-        return [max(w - level, 0) for w in self.widths]
+    def _blank(self) -> None:
+        self.grid = np.zeros(self.box + self.trailing,
+                             dtype=self.dense.dtype)
+        self.cells = self._items(self.grid)
+        #: the finest level painted so far
+        self.level = 0
+        self.painted = 0
+        #: samples painted at each level or coarser
+        self.below = np.zeros(len(self.at_or_below), dtype=np.int64)
+        #: the finest level whose samples are all painted, or -1
+        self.complete = -1
 
     def advance(self, count: int) -> np.ndarray:
         if count <= 0:
@@ -187,42 +195,60 @@ class TreePainter(Painter):
             self._blank()
         self._paint(self.painted, count)
         self.painted = count
-        out = _upsample(self.grid, self._shifts(self.level))
-        crop = out[tuple(slice(0, s) for s in self.shape)]
-        return crop.copy() if out is self.grid else \
-            np.ascontiguousarray(crop)
+        return self.grid[self.crop].copy()
 
     def _paint(self, start: int, stop: int) -> None:
         new = self.order[start:stop]
         if not len(new):
             return
         levels = self.levels[start:stop]
-        self.seen += np.bincount(levels, minlength=len(self.seen))
-        short = np.flatnonzero(np.cumsum(self.seen) < self.at_or_below)
+        lo, hi = int(levels.min()), int(levels.max())
+        if lo == hi:
+            self.below[lo:] += len(new)
+        else:
+            self.below += np.cumsum(np.bincount(
+                levels, minlength=len(self.below)))
+        while (self.complete + 1 < len(self.below)
+               and self.below[self.complete + 1]
+               == self.at_or_below[self.complete + 1]):
+            self.complete += 1
         # The finest level whose samples are all painted tiles the
-        # output: new samples at or below it land on its cells, since
-        # the rest of their own coarser blocks belongs to its samples.
-        complete = max(int(short[0]) - 1 if len(short)
-                       else len(self.seen) - 1, 0)
-        coords = np.unravel_index(new, self.shape)
-        values = self.dense.reshape((-1,) + self.trailing)[new]
-        self._scatter(coords, values, levels <= complete, complete)
-        for k in range(complete + 1, int(levels.max()) + 1):
-            self._scatter(coords, values, levels == k, k)
-
-    def _scatter(self, coords: tuple[np.ndarray, ...], values: np.ndarray,
-                 sel: np.ndarray, level: int) -> None:
-        """Put the selected samples on their ``level`` cells, refining
-        the grid to ``level`` first."""
-        if not sel.any():
+        # output: new samples at or below it fill only their block of
+        # it, since the rest of their own coarser blocks belongs to its
+        # other samples.
+        complete = max(self.complete, 0)
+        if self.shape == self.box:
+            at = new
+        else:
+            at = np.ravel_multi_index(np.unravel_index(new, self.shape),
+                                      self.box)
+        values = self._items(self.dense)[new]
+        if hi <= complete or lo == hi:
+            # one block size for the whole span: the common case
+            self._fill(at, values, max(lo, complete))
             return
-        shifts = self._shifts(level)
-        if level > self.level:
-            self.grid = _upsample(self.grid, [
-                a - b for a, b in zip(self._shifts(self.level), shifts)])
-            self.level = level
-        self.grid[tuple(c[sel] >> s for c, s in zip(coords, shifts))] = \
-            values[sel]
+        for level in range(complete, hi + 1):
+            sel = levels <= level if level == complete else levels == level
+            if sel.any():
+                self._fill(at[sel], values[sel], level)
+
+    def _fill(self, at: np.ndarray, values: np.ndarray,
+              level: int) -> None:
+        """Fill the ``level`` blocks that start at flat canvas cells
+        ``at`` with ``values``, looping over the blocks' cells or over
+        the samples, whichever are fewer."""
+        self.level = max(self.level, level)
+        block = self.blocks.get(level)
+        if block is None:
+            extent = [1 << max(w - level, 0) for w in self.widths]
+            block = self.blocks[level] = np.ravel_multi_index(
+                np.indices(extent).reshape(len(extent), -1), self.box)
+        if len(block) <= len(at):
+            for offset in block:
+                self.cells[at + offset] = values
+        else:
+            for first, value in zip(at, values):
+                self.cells[first + block] = value
 
 
 class NearestFill(FillPolicy):

@@ -17,6 +17,7 @@ into the gathered inputs, respectively.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..anytime.fill import TreeFill
 from ..anytime.permutations import (Permutation, TreePermutation,
@@ -68,23 +69,15 @@ def _gather_taps(indices: np.ndarray, image: np.ndarray,
     return taps
 
 
-def _convolve(padded: EdgePadded, indices: np.ndarray,
-              kernel: np.ndarray) -> np.ndarray:
-    """Convolution outputs at flat pixel indices of ``padded``'s image:
-    one gather and multiply-accumulate per tap, no tap matrix."""
-    _, _, centres = padded.locate(indices)
-    r = kernel.shape[0] // 2
-    acc = np.zeros(len(centres), dtype=np.int64)
-    for (dy, dx), weight in np.ndenumerate(kernel.astype(np.int64)):
-        acc += weight * padded.flat[centres + padded.offset(dy - r, dx - r)]
-    total = int(kernel.sum())
-    return ((acc + total // 2) // total).astype(np.uint8)
-
-
 def _check_kernel(kernel: np.ndarray | None) -> np.ndarray:
-    """``kernel`` (default :func:`blur_kernel`) as an array, rejecting
-    any shape but 2-D, square and odd-sized: the kernels centre every
-    tap on the output pixel."""
+    """``kernel`` (default :func:`blur_kernel`) as an int64 array.
+
+    Rejects any shape but 2-D, square and odd-sized (the kernels centre
+    every tap on the output pixel), weights that are not whole numbers
+    (the kernels sum integer taps exactly, so a box blur of ``1/9``
+    weights would truncate to zeros) and a sum that is not positive
+    (the kernels divide by it).
+    """
     if kernel is None:
         return blur_kernel()
     kernel = np.asarray(kernel)
@@ -92,15 +85,16 @@ def _check_kernel(kernel: np.ndarray | None) -> np.ndarray:
             or kernel.shape[0] % 2 == 0):
         raise ValueError(f"kernel must be 2-D, square and odd-sized, "
                          f"got shape {kernel.shape}")
-    return kernel
-
-
-def conv2d_elements(indices: np.ndarray, image: np.ndarray,
-                    kernel: np.ndarray) -> np.ndarray:
-    """Convolution outputs at the given flat pixel indices (vectorized)."""
-    kernel = _check_kernel(kernel)
-    return _convolve(EdgePadded(image, kernel.shape[0] // 2), indices,
-                     kernel)
+    if kernel.dtype.kind not in "biuf" or not (
+            np.isfinite(kernel).all()
+            and (kernel == np.round(kernel)).all()):
+        raise ValueError(f"kernel weights must be whole numbers, "
+                         f"got {kernel.tolist()}")
+    weights = kernel.astype(np.int64)
+    if weights.sum() <= 0:
+        raise ValueError(f"kernel weights must sum to more than 0, "
+                         f"got {int(weights.sum())}")
+    return weights
 
 
 def _integer_factors(weights: np.ndarray,
@@ -119,38 +113,85 @@ def _integer_factors(weights: np.ndarray,
     return col, row
 
 
+def _factors(weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Integer ``(col, row)`` vectors whose outer products sum to
+    ``weights``: one factor for a separable kernel (every
+    :func:`blur_kernel`), else one per kernel row, ``(e_dy, w[dy])``."""
+    separable = _integer_factors(weights)
+    if separable is not None:
+        return [separable]
+    unit = np.eye(len(weights), dtype=np.int64)
+    return list(zip(unit, weights))
+
+
+class _Filter:
+    """A checked kernel as its :func:`_factors` and normalising total."""
+
+    def __init__(self, kernel: np.ndarray | None) -> None:
+        weights = _check_kernel(kernel)
+        self.size = weights.size
+        self.radius = weights.shape[0] // 2
+        self.total = int(weights.sum())
+        #: ``(peak + 1) * magnitude`` bounds every partial sum, the
+        #: rounding offset included, over pixels of magnitude <= peak
+        self.magnitude = int(np.abs(weights).sum())
+        self.cols, self.rows = zip(*_factors(weights))
+
+    def padded(self, image: np.ndarray) -> EdgePadded:
+        """``image`` padded for this kernel, caching its row passes in
+        int32 when no partial sum can leave its range, else int64."""
+        image = np.asarray(image)
+        peak = (255 if image.dtype == np.uint8
+                else int(np.abs(image).max(initial=0)))
+        dtype = np.int32 if (peak + 1) * self.magnitude < 2 ** 31 \
+            else np.int64
+        return EdgePadded(image, self.radius, dtype, self.rows)
+
+    def _normalise(self, acc: np.ndarray) -> np.ndarray:
+        return ((acc + self.total // 2) // self.total).astype(np.uint8)
+
+    def at(self, padded: EdgePadded, indices: np.ndarray) -> np.ndarray:
+        """Outputs at flat pixel indices of ``padded``'s image: each
+        sample reads ``k`` values per factor down its column's cached
+        row passes instead of gathering all ``k * k`` taps."""
+        rows, cols, _ = padded.locate(indices)
+        passes = padded.horizontal(cols)
+        base = cols * padded.stride + rows
+        acc = np.zeros(len(base), dtype=passes.dtype)
+        for col, sums in zip(self.cols, passes):
+            flat = sums.reshape(-1)
+            for dy in np.flatnonzero(col):
+                acc += int(col[dy]) * flat[base + dy]
+        return self._normalise(acc)
+
+    def whole(self, image: np.ndarray) -> np.ndarray:
+        """Outputs at every pixel: every column's row passes, then
+        shifted slices down them."""
+        padded = self.padded(image)
+        passes = padded.horizontal(np.arange(padded.width))
+        acc = sum(np.einsum("cpk,k->cp",
+                            sliding_window_view(sums, len(col), axis=1), col)
+                  for col, sums in zip(self.cols, passes))
+        return np.ascontiguousarray(self._normalise(acc).T)
+
+
+def conv2d_elements(indices: np.ndarray, image: np.ndarray,
+                    kernel: np.ndarray) -> np.ndarray:
+    """Convolution outputs at the given flat pixel indices (vectorized)."""
+    conv = _Filter(kernel)
+    return conv.at(conv.padded(image), indices)
+
+
 def conv2d_precise(image: np.ndarray,
                    kernel: np.ndarray | None = None) -> np.ndarray:
     """Reference blur of the whole image, equal to
     ``conv2d_elements(np.arange(image.size), image, kernel)``.
 
-    The sums run over shifted slices of the edge-padded int64 image: two
-    1-D passes when the integer kernel is an outer product of integer
-    vectors (every :func:`blur_kernel` is), else one slice per tap.
+    It runs the element kernel's factors over whole columns and slices.
     Integer sums do not depend on their order, so every output pixel is
     the same integer the per-pixel gather computes.
     """
-    image = np.asarray(image)
-    kernel = _check_kernel(kernel)
-    weights = kernel.astype(np.int64)
-    k = weights.shape[0]
-    h, w = image.shape
-    padded = np.pad(image, k // 2, mode="edge").astype(np.int64)
-    factors = _integer_factors(weights)
-    if factors is not None:
-        col, row = factors
-        rows = row[0] * padded[:, :w]
-        for dx in range(1, k):
-            rows += row[dx] * padded[:, dx:dx + w]
-        acc = col[0] * rows[:h]
-        for dy in range(1, k):
-            acc += col[dy] * rows[dy:dy + h]
-    else:
-        acc = np.zeros((h, w), dtype=np.int64)
-        for (dy, dx), weight in np.ndenumerate(weights):
-            acc += weight * padded[dy:dy + h, dx:dx + w]
-    total = int(kernel.sum())
-    return ((acc + total // 2) // total).astype(np.uint8)
+    return _Filter(kernel).whole(np.asarray(image))
 
 
 def build_conv2d_automaton(image: np.ndarray,
@@ -169,26 +210,25 @@ def build_conv2d_automaton(image: np.ndarray,
     which also cheapens each MAC in the cost model.
     """
     image = np.asarray(image, dtype=np.uint8)
-    kernel = _check_kernel(kernel)
+    conv = _Filter(kernel)
     if pixel_bits < 8:
         image = quantize_to_bits(image.astype(np.int64), pixel_bits,
                                  total_bits=8).astype(np.uint8)
     b_in = VersionedBuffer("input")
     b_out = VersionedBuffer("filtered")
 
-    padded = edge_padder(kernel.shape[0] // 2)
+    padded = edge_padder(conv.padded)
 
     def element_fn(indices: np.ndarray, img: np.ndarray) -> np.ndarray:
-        return _convolve(padded(img), indices, kernel)
+        return conv.at(padded(img), indices)
 
-    taps = kernel.size
     stage = MapStage(
         "conv", b_out, (b_in,), element_fn,
         shape=image.shape, dtype=np.uint8,
         permutation=permutation or TreePermutation(),
         fill=TreeFill(spatial_ndim=2),
         chunks=chunks,
-        cost_per_element=taps * (pixel_bits / 8.0),
+        cost_per_element=conv.size * (pixel_bits / 8.0),
         prefetcher=prefetcher, reorder=reorder,
         warm_start=warm_start)
     return AnytimeAutomaton([stage], name="2dconv",

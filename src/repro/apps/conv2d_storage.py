@@ -34,7 +34,7 @@ from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.iterative import AccuracyLevel, IterativeStage
 from ..hw.sram import DEFAULT_VOLTAGE_LADDER, DrowsySram, VoltageLevel
-from .conv2d import blur_kernel, conv2d_precise
+from .conv2d import _check_kernel, conv2d_precise
 
 __all__ = ["build_conv2d_sram_automaton", "sram_energy_report"]
 
@@ -67,7 +67,7 @@ def build_conv2d_sram_automaton(
     inspection.
     """
     image = np.asarray(image, dtype=np.uint8)
-    kernel = blur_kernel() if kernel is None else kernel
+    kernel = _check_kernel(kernel)
     if ladder[-1].read_upset_prob != 0.0:
         raise ValueError(
             "the final voltage level must be nominal (zero upsets) so "

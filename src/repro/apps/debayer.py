@@ -28,27 +28,49 @@ __all__ = ["debayer_elements", "debayer_precise",
 
 def _demosaic(padded: EdgePadded, indices: np.ndarray) -> np.ndarray:
     """RGB at flat pixel indices of ``padded``'s radius-1, int16 mosaic
-    (int16 holds a sum of four uint8 sites plus rounding)."""
-    rows, cols, c = padded.locate(indices)
+    (int16 holds a sum of four uint8 sites plus rounding).
+
+    Each RGGB site class reads only the two planes it needs.  In tree
+    order every sample coarser than the finest level is an R site and
+    each of the finest level's three cosets is one class, so most calls
+    compute a single class.
+    """
+    rows, cols, centres = padded.locate(indices)
+    # site class: 0 = R, 1 = G on a red row, 2 = G on a blue row, 3 = B
+    site = (rows & 1) * 2 + (cols & 1)
+    out = np.empty((len(centres), 3), dtype=np.uint8)
+    if len(site) and (site == site[0]).all():
+        out[:] = _site_rgb(padded, centres, int(site[0]))
+        return out
+    for cls in range(4):
+        at = np.flatnonzero(site == cls)
+        if len(at):
+            out[at] = _site_rgb(padded, centres[at], cls)
+    return out
+
+
+def _site_rgb(padded: EdgePadded, centres: np.ndarray,
+              site: int) -> np.ndarray:
+    """``(n, 3)`` int16 RGB at the flat ``centres`` of one site class."""
     flat = padded.flat
 
     def at(dy: int, dx: int) -> np.ndarray:
-        return flat[c + padded.offset(dy, dx)]
+        return flat[centres + padded.offset(dy, dx)]
 
     here = at(0, 0)
     up, down, left, right = at(-1, 0), at(1, 0), at(0, -1), at(0, 1)
-    horiz = (left + right + 1) // 2
-    vert = (up + down + 1) // 2
-    cross = (up + down + left + right + 2) // 4
-    diag = (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1) + 2) // 4
-
-    # site class: 0 = R, 1 = G on a red row, 2 = G on a blue row, 3 = B
-    site = (rows & 1) * 2 + (cols & 1)
-    out = np.empty((len(c), 3), dtype=np.uint8)
-    out[:, 0] = np.choose(site, (here, horiz, vert, diag))
-    out[:, 1] = np.where((rows ^ cols) & 1, here, cross)
-    out[:, 2] = np.choose(site, (diag, vert, horiz, here))
-    return out
+    if site in (1, 2):
+        # G: red and blue from the row pair and the column pair
+        horiz = (left + right + 1) // 2
+        vert = (up + down + 1) // 2
+        planes = (horiz, here, vert) if site == 1 else (vert, here, horiz)
+    else:
+        # R or B: green from the cross, the other colour from the
+        # diagonal
+        cross = (up + down + left + right + 2) // 4
+        diag = (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1) + 2) // 4
+        planes = (here, cross, diag) if site == 0 else (diag, cross, here)
+    return np.stack(planes, axis=1)
 
 
 def debayer_elements(indices: np.ndarray,
@@ -106,7 +128,7 @@ def build_debayer_automaton(mosaic: np.ndarray, chunks: int = 32,
     mosaic = np.asarray(mosaic, dtype=np.uint8)
     b_in = VersionedBuffer("mosaic")
     b_out = VersionedBuffer("rgb")
-    padded = edge_padder(1, np.int16)
+    padded = edge_padder(lambda m: EdgePadded(m, 1, np.int16))
 
     def element_fn(indices: np.ndarray, mosaic: np.ndarray) -> np.ndarray:
         return _demosaic(padded(mosaic), indices)

@@ -210,7 +210,8 @@ def _reduce_and_recolour(partial: dict[str, Any]) -> dict[str, Any]:
     prev = np.asarray(partial["centroids_in"], dtype=np.float64)
     centroids = np.where(partial["counts"][:, None] > 0, fresh, prev)
     palette = np.clip(centroids, 0, 255).astype(np.uint8)
-    return {"centroids": centroids, "image": palette[partial["assign"]]}
+    return {"centroids": centroids,
+            "image": np.take(palette, partial["assign"], axis=0)}
 
 
 def clustered_image_metric(value: dict[str, Any],

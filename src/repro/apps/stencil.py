@@ -1,58 +1,112 @@
-"""Edge-padded flat images for fixed-footprint pixel kernels.
+"""Edge-padded images for fixed-footprint pixel kernels.
 
 2dconv and debayer read a fixed neighbourhood around each sampled pixel,
 with clamped (edge-replicated) borders.  Padding the image once by the
-neighbourhood's radius turns every clamped read into a plain gather: the
+neighbourhood's radius turns every clamped read into a plain gather.
+The padded image is kept column by column (transposed), so the
 neighbour at ``(dy, dx)`` sits at the constant flat offset
-``dy * stride + dx`` from the pixel's own position in the padded image.
+``dx * stride + dy`` from the pixel's own position, and a column's
+pixels are contiguous.
+
+A filter that is a sum of ``outer(col, row)`` factors runs in two
+passes: a horizontal one with ``row`` and a vertical one with ``col``.
+The horizontal pass at a column depends on nothing but that column's
+neighbourhood, so :meth:`EdgePadded.horizontal` computes it, over every
+padded row, for the columns a call needs and has not seen, and keeps
+it.  A pass over a sampled image then computes each column's horizontal
+sums once, as the whole-image kernel does, and each sample reads only
+``k`` values down its cached column.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["EdgePadded", "edge_padder"]
 
 
 class EdgePadded:
-    """A 2-D image padded by ``radius`` edge-replicated pixels, flattened
-    and, when ``dtype`` is given, widened once for the kernel's sums."""
+    """A 2-D image padded by ``radius`` edge-replicated pixels, stored
+    transposed and flattened and, when ``dtype`` is given, widened once
+    for the kernel's sums.
+
+    ``rows`` are the horizontal weight vectors (``2 * radius + 1``
+    taps each) whose passes :meth:`horizontal` caches.
+    """
 
     def __init__(self, image: np.ndarray, radius: int,
-                 dtype: np.dtype | type | None = None) -> None:
+                 dtype: np.dtype | type | None = None,
+                 rows: Sequence[np.ndarray] = ()) -> None:
         image = np.asarray(image)
         #: the source image, held weakly: the memo must not keep a
         #: zero-copy input view alive past its producer's shared memory
         self.source = weakref.ref(image)
         self.radius = radius
-        self.width = image.shape[1]
-        self.stride = self.width + 2 * radius
-        self.flat = np.pad(image, radius, mode="edge").reshape(-1).astype(
-            dtype or image.dtype, copy=False)
+        self.height, self.width = image.shape
+        #: flat distance between neighbouring padded columns
+        self.stride = self.height + 2 * radius
+        #: ``columns[c]`` is padded column ``c``: source column
+        #: ``c - radius``, clamped, over every padded row
+        self.columns = np.ascontiguousarray(
+            np.pad(image, radius, mode="edge").T, dtype=dtype or image.dtype)
+        self.flat = self.columns.reshape(-1)
+        self.rows = [np.asarray(row, dtype=self.flat.dtype) for row in rows]
+        #: ``passes[i, c, p]``: ``rows[i]`` applied around source column
+        #: ``c`` on padded row ``p``; valid where :attr:`filled`
+        self.passes = np.empty((len(self.rows), self.width, self.stride),
+                               dtype=self.flat.dtype)
+        self.filled = np.zeros(self.width, dtype=bool)
 
     def locate(self, indices: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, centres)`` of flat pixel indices of the source;
         ``centres`` are the pixels' positions in :attr:`flat`."""
         rows, cols = np.divmod(indices, self.width)
-        centres = (rows + self.radius) * self.stride + (cols + self.radius)
+        centres = (cols + self.radius) * self.stride + (rows + self.radius)
         return rows, cols, centres
 
     def offset(self, dy: int, dx: int) -> int:
         """Flat distance from a pixel to its ``(dy, dx)`` neighbour."""
-        return dy * self.stride + dx
+        return dx * self.stride + dy
+
+    def horizontal(self, cols: np.ndarray) -> np.ndarray:
+        """:attr:`passes`, filled at least at source columns ``cols``.
+
+        A column's sums are exact integers, computed once per image
+        whatever order the columns are asked for in.
+        """
+        mark = np.zeros(self.width, dtype=bool)
+        mark[cols] = True
+        need = np.flatnonzero(mark & ~self.filled)
+        if not len(need):
+            return self.passes
+        lo, hi = int(need[0]), int(need[-1]) + 1
+        # a run of columns (every column, for a whole image) is a view
+        # of the windows; scattered columns are gathered
+        take = slice(lo, hi) if hi - lo == len(need) else need
+        windows = sliding_window_view(self.columns, 2 * self.radius + 1,
+                                      axis=0)[take]
+        for sums, row in zip(self.passes, self.rows):
+            sums[take] = np.einsum("cpk,k->cp", windows, row)
+        self.filled[need] = True
+        return self.passes
 
 
-def edge_padder(radius: int, dtype: np.dtype | type | None = None,
+def edge_padder(pad: Callable[[np.ndarray], EdgePadded],
                 ) -> Callable[[np.ndarray], EdgePadded]:
-    """A one-slot memo of :class:`EdgePadded`, keyed on array identity.
+    """A one-slot memo of ``pad``, keyed on array identity.
 
     A stage hands its element function the same read-only input array
-    for every chunk of a pass, so the image is padded once per input
-    version instead of once per chunk.
+    for every chunk of a pass, so the image is padded, and each column's
+    horizontal passes computed, once per input version instead of once
+    per chunk.  An input that differs from the last one replaces it.
+
+    The memo has a single caller, its stage's thread: :meth:`EdgePadded.
+    horizontal` fills the cache in place without a lock.
     """
     last: EdgePadded | None = None
 
@@ -60,7 +114,7 @@ def edge_padder(radius: int, dtype: np.dtype | type | None = None,
         nonlocal last
         current = last
         if current is None or current.source() is not image:
-            current = last = EdgePadded(image, radius, dtype)
+            current = last = pad(image)
         return current
 
     return padded

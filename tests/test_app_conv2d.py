@@ -45,6 +45,41 @@ class TestKernel:
         with pytest.raises(ValueError, match="square and odd-sized"):
             calls[entry]()
 
+    @pytest.mark.parametrize("kernel,match", [
+        (np.ones((3, 3)) / 9, "whole numbers"),
+        (np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]]), "sum to more"),
+        (-blur_kernel(3), "sum to more"),
+        (np.full((3, 3), np.nan), "whole numbers"),
+    ], ids=["box_blur_ninths", "laplacian", "negative_sum", "nan"])
+    @pytest.mark.parametrize("entry", ["precise", "elements", "build",
+                                       "sweep", "sram"])
+    def test_entry_points_reject_kernels_integer_sums_cannot_compute(
+            self, small_image, kernel, match, entry):
+        """A box blur of ninths used to return an all-zero image (the
+        weights truncated to 0, the total to 1), and a zero-sum kernel
+        divided by zero with only a RuntimeWarning."""
+        from repro.apps.conv2d_storage import build_conv2d_sram_automaton
+
+        calls = {
+            "precise": lambda: conv2d_precise(small_image, kernel),
+            "elements": lambda: conv2d_elements(
+                np.arange(4), small_image, kernel),
+            "build": lambda: build_conv2d_automaton(small_image,
+                                                    kernel=kernel),
+            "sweep": lambda: sample_size_sweep(small_image,
+                                               kernel=kernel),
+            "sram": lambda: build_conv2d_sram_automaton(small_image,
+                                                        kernel=kernel),
+        }
+        with pytest.raises(ValueError, match=match):
+            calls[entry]()
+
+    def test_whole_number_float_weights_are_accepted(self, small_image):
+        kernel = blur_kernel(3)
+        assert np.array_equal(
+            conv2d_precise(small_image, kernel.astype(np.float64)),
+            conv2d_precise(small_image, kernel))
+
 
 class TestPrecise:
     def test_matches_scipy_in_interior(self, small_image):

@@ -10,6 +10,7 @@ from repro.anytime.fill import (ConstantFill, MeanFill, NearestFill,
 from repro.anytime.permutations import (LfsrPermutation,
                                         ReversedPermutation, TreePermutation,
                                         _widths, sample_order)
+from repro.core.diffusive import chunk_boundaries
 
 
 @pytest.fixture
@@ -138,17 +139,44 @@ def block_paint(dense, order, count, spatial_ndim=None):
     return out
 
 
+def owner_paint(dense, order, count, spatial_ndim=None):
+    """The tree fill element by element: each takes the value of the
+    finest prefix sample whose block holds it.  At level k the only
+    candidate is the element's coordinate with its low bits cleared to
+    a level-k block; that sample's block holds the element if it is in
+    the prefix and is itself at level k.  Vectorized per level, so it
+    checks whole 256 x 256 passes."""
+    shape = dense.shape[:spatial_ndim] if spatial_ndim else dense.shape
+    n = int(np.prod(shape))
+    out = np.zeros_like(dense)
+    sampled = np.zeros(n, dtype=bool)
+    sampled[order[:max(count, 0)]] = True
+    level = sample_levels(np.arange(n), shape)
+    coords = np.indices(shape).reshape(len(shape), -1)
+    src = dense.reshape((n,) + dense.shape[len(shape):])
+    dst = out.reshape(src.shape)
+    for k in range(max(_widths(shape), default=0) + 1):
+        owner = np.ravel_multi_index(
+            [c >> max(w - k, 0) << max(w - k, 0)
+             for c, w in zip(coords, _widths(shape))], shape)
+        hit = sampled[owner] & (level[owner] == k)
+        dst[hit] = src[owner[hit]]
+    return out
+
+
 @st.composite
 def painted_runs(draw):
-    """A tree-sampled dense array (1-D, odd 2-D or 3-D, with or without
-    an RGB axis) and a non-decreasing run of sample counts."""
+    """A tree-sampled dense array (1-D, odd 2-D or 3-D; int64 or uint8;
+    with or without an RGB axis) and a non-decreasing run of sample
+    counts."""
     shape = draw(st.sampled_from([
         (draw(st.integers(1, 40)),),
         (draw(st.integers(1, 19)), draw(st.integers(1, 19))),
         tuple(draw(st.integers(1, 6)) for _ in range(3))]))
     rgb = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.int64, np.uint8]))
     n = int(np.prod(shape))
-    dense = np.arange(n * (3 if rgb else 1), dtype=np.int64).reshape(
+    dense = (np.arange(n * (3 if rgb else 1)) % 251).astype(dtype).reshape(
         shape + ((3,) if rgb else ()))
     counts = sorted(draw(st.lists(st.integers(0, n), min_size=1,
                                   max_size=8)))
@@ -171,6 +199,33 @@ class TestTreePainter:
             assert np.array_equal(
                 TreeFill(spatial_ndim=ndim).fill(dense, order, count),
                 expected)
+
+    @given(painted_runs())
+    @settings(max_examples=40, deadline=None)
+    def test_owner_painter_is_the_block_painter(self, run):
+        dense, ndim, counts = run
+        order = TreePermutation().order(dense.shape[:ndim])
+        for count in counts:
+            assert np.array_equal(owner_paint(dense, order, count, ndim),
+                                  block_paint(dense, order, count, ndim))
+
+    @pytest.mark.parametrize("side", [61, 256])
+    @pytest.mark.parametrize("kind", ["grey", "rgb", "int64"])
+    def test_stage_spans_match_owner_painter(self, side, kind):
+        """Every version a 32-chunk stage publishes over a pass: the
+        spans chunk_boundaries hands it, on the dtypes the apps paint
+        (2dconv and histeq grey, debayer RGB, kmeans int64 labels)."""
+        rng = np.random.default_rng(side)
+        trailing, dtype = {"grey": ((), np.uint8),
+                           "rgb": ((3,), np.uint8),
+                           "int64": ((), np.int64)}[kind]
+        dense = rng.integers(0, 250, size=(side, side) + trailing
+                             ).astype(dtype)
+        order = sample_order(TreePermutation(), (side, side))
+        painter = TreeFill(spatial_ndim=2).start(dense, order)
+        for _, stop in chunk_boundaries(order.size, 32):
+            assert np.array_equal(painter.advance(stop),
+                                  owner_paint(dense, order, stop, 2))
 
     def test_published_versions_survive_later_advances(self):
         """Each advance returns its own array: a buffer freezes a

@@ -8,18 +8,26 @@ implementations they replaced, and pin every published version of every
 app to a golden hash.
 """
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.conv2d import blur_kernel, conv2d_elements, conv2d_precise
-from repro.apps.debayer import debayer_elements, debayer_precise
+from repro.anytime.permutations import (LfsrPermutation,
+                                        SequentialPermutation,
+                                        TreePermutation, sample_order)
+from repro.apps.conv2d import (blur_kernel, build_conv2d_automaton,
+                               conv2d_elements, conv2d_precise)
+from repro.apps.debayer import (build_debayer_automaton, debayer_elements,
+                                debayer_precise)
 from repro.apps.kmeans import (_luma_bands, _sums, assign_pixels,
                                initial_centroids, kmeans_precise)
 from repro.apps.registry import get_app
+from repro.core.diffusive import chunk_boundaries
 from repro.serve.fleet import value_digest
 
 #: sha256 over every app's input, reference and published terminal
@@ -223,6 +231,186 @@ def test_debayer_precise_equals_per_pixel_kernel(shape):
     mosaic = rng.integers(0, 256, size=shape).astype(np.uint8)
     assert np.array_equal(debayer_precise(mosaic),
                           _debayer_precise_oracle(mosaic))
+
+
+# -- the stages' memoised element functions against the oracles ----------
+
+def _conv_stage_fn(image, kernel):
+    """2dconv's element function as a run calls it, with its memo."""
+    return build_conv2d_automaton(image.astype(np.uint8), kernel=kernel,
+                                  ).graph.stages[0].element_fn
+
+
+def _debayer_stage_fn(mosaic):
+    return build_debayer_automaton(mosaic).graph.stages[0].element_fn
+
+
+ORDERS = {"tree": TreePermutation(), "lfsr": LfsrPermutation(seed=3),
+          "sequential": SequentialPermutation()}
+
+
+@st.composite
+def _image_shapes(draw):
+    """1 x N, N x 1, odd, 61 x 61 and 256 x 256."""
+    n = draw(st.integers(1, 40))
+    return draw(st.sampled_from([(1, n), (n, 1),
+                                 (2 * draw(st.integers(0, 10)) + 1,
+                                  2 * draw(st.integers(0, 10)) + 1),
+                                 (61, 61), (256, 256)]))
+
+
+@st.composite
+def _index_runs(draw, shape):
+    """The index sets one element function sees in a row: every chunk
+    of a tree, LFSR or sequential pass, or a few random sets (unsorted,
+    with repeats, possibly empty)."""
+    n = shape[0] * shape[1]
+    kind = draw(st.sampled_from(sorted(ORDERS) + ["random"]))
+    if kind != "random":
+        order = sample_order(ORDERS[kind], shape)
+        spans = chunk_boundaries(n, draw(st.integers(1, 40)))
+        return [order[a:b] for a, b in spans]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return [rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(data=st.data(), kernel=_integer_kernels(),
+       wide=st.booleans(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_conv2d_stage_kernel_matches_clipped_gather(data, kernel, wide,
+                                                    seed):
+    """The column cache fills as the index sets arrive; every set, in
+    every order, on uint8 and on the int64 pixels the SRAM variant
+    convolves, gets the gather's integers."""
+    shape = data.draw(_image_shapes())
+    image = np.random.default_rng(seed).integers(0, 256, size=shape)
+    image = image if wide else image.astype(np.uint8)
+    element_fn = _conv_stage_fn(image, kernel)
+    for indices in data.draw(_index_runs(shape)):
+        assert np.array_equal(element_fn(indices, image),
+                              _conv_oracle(indices, image, kernel))
+
+
+@pytest.mark.parametrize("kernel", [blur_kernel(), NOT_SEPARABLE],
+                         ids=["blur9", "not_separable"])
+@pytest.mark.parametrize("perm", sorted(ORDERS))
+def test_conv2d_stage_pass_at_256(kernel, perm):
+    """A whole pass as a run's 32 leases hand it out."""
+    image = get_app("2dconv").make_input(256, 2)
+    element_fn = _conv_stage_fn(image, kernel)
+    order = sample_order(ORDERS[perm], image.shape)
+    for a, b in chunk_boundaries(image.size, 32):
+        assert np.array_equal(element_fn(order[a:b], image),
+                              _conv_oracle(order[a:b], image, kernel))
+
+
+#: kernels whose sums fit int32 for uint8 pixels, and do not
+EDGE_OF_INT32 = {
+    "fits": np.array([[2 ** 23 - 1]]),
+    "overflows": np.array([[2 ** 23 + 2 ** 17]]),
+    "mixed_signs": np.array([[-(2 ** 21), 2 ** 21, 2 ** 21 - 1]] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_OF_INT32))
+@pytest.mark.parametrize("fill", ["white", "noise", "wide"])
+def test_conv2d_sum_width_is_exact_at_the_int32_edge(name, fill):
+    """The kernels sum in int32 only when no partial sum can leave its
+    range; white pixels reach the bound, and int64 pixels beyond uint8
+    take int64 sums."""
+    kernel = EDGE_OF_INT32[name]
+    rng = np.random.default_rng(len(name))
+    image = {"white": np.full((7, 9), 255, dtype=np.uint8),
+             "noise": rng.integers(0, 256, size=(7, 9)).astype(np.uint8),
+             "wide": rng.integers(0, 2 ** 30, size=(7, 9))}[fill]
+    idx = np.arange(image.size, dtype=np.int64)
+    expected = _conv_oracle(idx, image, kernel)
+    assert np.array_equal(conv2d_elements(idx, image, kernel), expected)
+    assert np.array_equal(_conv_stage_fn(image, kernel)(idx, image),
+                          expected)
+    assert np.array_equal(conv2d_precise(image, kernel).reshape(-1),
+                          expected)
+
+
+def _site_class(indices, width):
+    return (indices // width & 1) * 2 + (indices % width & 1)
+
+
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_debayer_stage_kernel_matches_clipped_gather(data, seed):
+    shape = data.draw(_image_shapes())
+    mosaic = np.random.default_rng(seed).integers(
+        0, 256, size=shape).astype(np.uint8)
+    element_fn = _debayer_stage_fn(mosaic)
+    for indices in data.draw(_index_runs(shape)):
+        assert np.array_equal(element_fn(indices, mosaic),
+                              _debayer_oracle(indices, mosaic))
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (61, 61), (1, 9), (9, 1)])
+def test_debayer_single_and_mixed_class_index_sets(shape):
+    mosaic = np.random.default_rng(shape[0]).integers(
+        0, 256, size=shape).astype(np.uint8)
+    element_fn = _debayer_stage_fn(mosaic)
+    everything = np.arange(mosaic.size, dtype=np.int64)
+    sites = _site_class(everything, shape[1])
+    sets = [everything[sites == cls] for cls in range(4)]
+    sets += [everything[::-1], np.concatenate([sets[3], sets[0]]),
+             everything[sites != 0]]
+    for indices in sets:
+        assert np.array_equal(element_fn(indices, mosaic),
+                              _debayer_oracle(indices, mosaic))
+
+
+def test_tree_order_chunks_are_mostly_one_site_class():
+    """The premise of the per-class kernel: in tree order every sample
+    coarser than the finest level is an R site, and each of the finest
+    level's cosets is one class."""
+    order = sample_order(TreePermutation(), (256, 256))
+    single = sum(len(set(_site_class(order[a:b], 256).tolist())) == 1
+                 for a, b in chunk_boundaries(order.size, 32))
+    assert single >= 30
+
+
+@pytest.mark.parametrize("app", ["2dconv", "debayer"])
+def test_interleaved_inputs_each_get_their_own_values(app):
+    """One element function fed two inputs by turns must not answer
+    one from the other's padded image or column cache."""
+    rng = np.random.default_rng(3)
+    first, second = (rng.integers(0, 256, size=(19, 23)).astype(np.uint8)
+                     for _ in range(2))
+    if app == "2dconv":
+        kernel = blur_kernel(5)
+        element_fn = _conv_stage_fn(first, kernel)
+
+        def oracle(indices, image):
+            return _conv_oracle(indices, image, kernel)
+    else:
+        element_fn = _debayer_stage_fn(first)
+        oracle = _debayer_oracle
+    order = sample_order(TreePermutation(), first.shape)
+    for a, b in chunk_boundaries(first.size, 8):
+        for image in (first, second, first):
+            assert np.array_equal(element_fn(order[a:b], image),
+                                  oracle(order[a:b], image))
+
+
+@pytest.mark.parametrize("app", ["2dconv", "debayer"])
+def test_memo_does_not_keep_its_input_alive(app):
+    """A process-executor stage reads its input as a view of shared
+    memory; a memo that held it would keep the mapping alive."""
+    image = np.random.default_rng(4).integers(
+        0, 256, size=(16, 16)).astype(np.uint8)
+    element_fn = (_conv_stage_fn(image, None) if app == "2dconv"
+                  else _debayer_stage_fn(image))
+    probe = image.copy()
+    element_fn(np.arange(probe.size), probe)
+    alive = weakref.ref(probe)
+    del probe
+    gc.collect()
+    assert alive() is None
 
 
 def _centroids_oracle(image, k):
