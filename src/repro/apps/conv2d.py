@@ -17,7 +17,6 @@ into the gathered inputs, respectively.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..anytime.fill import TreeFill
 from ..anytime.permutations import (Permutation, TreePermutation,
@@ -27,7 +26,7 @@ from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.mapstage import MapStage
 from ..hw.sram import flip_bits
-from .stencil import EdgePadded, edge_padder
+from .stencil import FactoredPadded, edge_padder
 
 __all__ = ["blur_kernel", "conv2d_precise", "conv2d_elements",
            "build_conv2d_automaton", "sample_size_sweep"]
@@ -132,47 +131,23 @@ class _Filter:
         self.size = weights.size
         self.radius = weights.shape[0] // 2
         self.total = int(weights.sum())
-        #: ``(peak + 1) * magnitude`` bounds every partial sum, the
-        #: rounding offset included, over pixels of magnitude <= peak
-        self.magnitude = int(np.abs(weights).sum())
-        self.cols, self.rows = zip(*_factors(weights))
+        self.factors = _factors(weights)
 
-    def padded(self, image: np.ndarray) -> EdgePadded:
-        """``image`` padded for this kernel, caching its row passes in
-        int32 when no partial sum can leave its range, else int64."""
-        image = np.asarray(image)
-        peak = (255 if image.dtype == np.uint8
-                else int(np.abs(image).max(initial=0)))
-        dtype = np.int32 if (peak + 1) * self.magnitude < 2 ** 31 \
-            else np.int64
-        return EdgePadded(image, self.radius, dtype, self.rows)
+    def padded(self, image: np.ndarray) -> FactoredPadded:
+        """``image`` padded for this kernel, with its column cache."""
+        return FactoredPadded(image, self.radius, self.factors)
 
     def _normalise(self, acc: np.ndarray) -> np.ndarray:
         return ((acc + self.total // 2) // self.total).astype(np.uint8)
 
-    def at(self, padded: EdgePadded, indices: np.ndarray) -> np.ndarray:
-        """Outputs at flat pixel indices of ``padded``'s image: each
-        sample reads ``k`` values per factor down its column's cached
-        row passes instead of gathering all ``k * k`` taps."""
-        rows, cols, _ = padded.locate(indices)
-        passes = padded.horizontal(cols)
-        base = cols * padded.stride + rows
-        acc = np.zeros(len(base), dtype=passes.dtype)
-        for col, sums in zip(self.cols, passes):
-            flat = sums.reshape(-1)
-            for dy in np.flatnonzero(col):
-                acc += int(col[dy]) * flat[base + dy]
-        return self._normalise(acc)
+    def at(self, padded: FactoredPadded, indices: np.ndarray) -> np.ndarray:
+        """Outputs at flat pixel indices of ``padded``'s image."""
+        return self._normalise(padded.sums(indices))
 
     def whole(self, image: np.ndarray) -> np.ndarray:
-        """Outputs at every pixel: every column's row passes, then
-        shifted slices down them."""
-        padded = self.padded(image)
-        passes = padded.horizontal(np.arange(padded.width))
-        acc = sum(np.einsum("cpk,k->cp",
-                            sliding_window_view(sums, len(col), axis=1), col)
-                  for col, sums in zip(self.cols, passes))
-        return np.ascontiguousarray(self._normalise(acc).T)
+        """Outputs at every pixel of ``image``."""
+        return np.ascontiguousarray(
+            self._normalise(self.padded(image).everywhere()))
 
 
 def conv2d_elements(indices: np.ndarray, image: np.ndarray,

@@ -176,8 +176,12 @@ def painted_runs(draw):
     rgb = draw(st.booleans())
     dtype = draw(st.sampled_from([np.int64, np.uint8]))
     n = int(np.prod(shape))
-    dense = (np.arange(n * (3 if rgb else 1)) % 251).astype(dtype).reshape(
-        shape + ((3,) if rgb else ()))
+    m = n * (3 if rgb else 1)
+    # every value nonzero, so no item matches a blank canvas cell; int64
+    # values are also unique, so no item matches a wrong source
+    values = np.arange(1, m + 1) if dtype is np.int64 \
+        else np.arange(m) % 255 + 1
+    dense = values.astype(dtype).reshape(shape + ((3,) if rgb else ()))
     counts = sorted(draw(st.lists(st.integers(0, n), min_size=1,
                                   max_size=8)))
     return dense, len(shape), counts

@@ -305,25 +305,25 @@ def test_conv2d_stage_pass_at_256(kernel, perm):
                               _conv_oracle(order[a:b], image, kernel))
 
 
-#: kernels whose sums fit int32 for uint8 pixels, and do not
-EDGE_OF_INT32 = {
-    "fits": np.array([[2 ** 23 - 1]]),
-    "overflows": np.array([[2 ** 23 + 2 ** 17]]),
+#: kernels with wide weights: the sums of uint8 pixels under them
+#: pass 2**31; the wide int64 pixels below pass it on their own
+WIDE_KERNELS = {
+    "single_tap": np.array([[2 ** 23 + 2 ** 17]]),
     "mixed_signs": np.array([[-(2 ** 21), 2 ** 21, 2 ** 21 - 1]] * 3),
+    "blur9": blur_kernel(),
 }
 
 
-@pytest.mark.parametrize("name", sorted(EDGE_OF_INT32))
+@pytest.mark.parametrize("name", sorted(WIDE_KERNELS))
 @pytest.mark.parametrize("fill", ["white", "noise", "wide"])
-def test_conv2d_sum_width_is_exact_at_the_int32_edge(name, fill):
-    """The kernels sum in int32 only when no partial sum can leave its
-    range; white pixels reach the bound, and int64 pixels beyond uint8
-    take int64 sums."""
-    kernel = EDGE_OF_INT32[name]
+def test_conv2d_is_exact_on_wide_sums(name, fill):
+    """Sums far beyond int32, from wide weights or from int64 pixels
+    beyond int32, are the gather's integers in every kernel."""
+    kernel = WIDE_KERNELS[name]
     rng = np.random.default_rng(len(name))
     image = {"white": np.full((7, 9), 255, dtype=np.uint8),
              "noise": rng.integers(0, 256, size=(7, 9)).astype(np.uint8),
-             "wide": rng.integers(0, 2 ** 30, size=(7, 9))}[fill]
+             "wide": rng.integers(0, 2 ** 32, size=(7, 9))}[fill]
     idx = np.arange(image.size, dtype=np.int64)
     expected = _conv_oracle(idx, image, kernel)
     assert np.array_equal(conv2d_elements(idx, image, kernel), expected)
