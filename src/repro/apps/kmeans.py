@@ -35,8 +35,8 @@ from ..core.diffusive import DiffusiveStage
 from ..core.stage import PreciseStage
 
 __all__ = ["initial_centroids", "assign_pixels", "kmeans_precise",
-           "build_kmeans_automaton", "KMeansAssignStage",
-           "clustered_image_metric"]
+           "kmeans_clustered", "build_kmeans_automaton",
+           "KMeansAssignStage", "clustered_image_metric"]
 
 
 def initial_centroids(image: np.ndarray, k: int) -> np.ndarray:
@@ -228,13 +228,14 @@ def clustered_image_metric(value: dict[str, Any],
     return snr_db(value["image"], reference)
 
 
-#: pixels per :func:`assign_pixels` call in :func:`kmeans_precise`
+#: pixels per :func:`assign_pixels` call in :func:`kmeans_clustered`
 _ASSIGN_BLOCK = 4096
 
 
-def kmeans_precise(image: np.ndarray, k: int = 6,
-                   epochs: int = 1) -> np.ndarray:
-    """Reference clustered image (same epoch count as the automaton)."""
+def kmeans_clustered(image: np.ndarray, k: int = 6,
+                     epochs: int = 1) -> dict[str, Any]:
+    """The automaton's precise output: stage 2's ``{"centroids",
+    "image"}`` after ``epochs`` whole-image passes, bit for bit."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     image = np.asarray(image, dtype=np.uint8)
@@ -246,12 +247,19 @@ def kmeans_precise(image: np.ndarray, k: int = 6,
         labels = np.concatenate([
             assign_pixels(pixels[i:i + _ASSIGN_BLOCK], centroids)
             for i in range(0, max(len(pixels), 1), _ASSIGN_BLOCK)])
-        sums = _sums(pixels, labels, k)
-        counts = np.bincount(labels, minlength=k)
-        fresh = sums / np.maximum(counts, 1)[:, None]
-        centroids = np.where(counts[:, None] > 0, fresh, centroids)
-    palette = np.clip(centroids, 0, 255).astype(np.uint8)
-    return np.take(palette, labels, axis=0).reshape(image.shape)
+        clustered = _reduce_and_recolour({
+            "assign": labels.reshape(image.shape[:2]),
+            "sums": _sums(pixels, labels, k),
+            "counts": np.bincount(labels, minlength=k),
+            "centroids_in": centroids})
+        centroids = clustered["centroids"]
+    return clustered
+
+
+def kmeans_precise(image: np.ndarray, k: int = 6,
+                   epochs: int = 1) -> np.ndarray:
+    """Reference clustered image (same epoch count as the automaton)."""
+    return kmeans_clustered(image, k, epochs)["image"]
 
 
 def build_kmeans_automaton(image: np.ndarray, k: int = 6,

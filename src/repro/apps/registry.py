@@ -27,7 +27,7 @@ from .dwt53 import (build_dwt53_automaton, reconstruct,
                     reconstruction_metric)
 from .histeq import build_histeq_automaton, histeq_precise
 from .kmeans import (build_kmeans_automaton, clustered_image_metric,
-                     kmeans_precise)
+                     kmeans_clustered)
 
 __all__ = ["AppSpec", "APP_REGISTRY", "calibrate_app", "get_app"]
 
@@ -40,6 +40,8 @@ class AppSpec:
     description: str
     make_input: Callable[[int, int], np.ndarray]
     build: Callable[[np.ndarray], AnytimeAutomaton]
+    #: with ``reference_kind == "precise"``, the run's precise terminal
+    #: value: equal, digest for digest, to ``build(image).precise_output()``
     reference: Callable[[np.ndarray], Any]
     #: metric(value, reference) -> dB; reference semantics per app
     metric: Callable[[Any, Any], float]
@@ -97,7 +99,7 @@ APP_REGISTRY: dict[str, AppSpec] = {
         make_input=lambda size, seed: clustered_image(size, seed=seed,
                                                       clusters=6),
         build=lambda image: build_kmeans_automaton(image, k=6),
-        reference=lambda image: kmeans_precise(image, k=6),
+        reference=lambda image: kmeans_clustered(image, k=6),
         metric=clustered_image_metric, reference_kind="precise",
         schedule=final_stage_shares,
         to_image=lambda value: value["image"]),

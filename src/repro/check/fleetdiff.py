@@ -24,23 +24,63 @@ Three legs (:func:`run_fleet_differential`, ``repro check --fleet``):
     first) is SIGKILLed.  Orphans must migrate via in-band ``ckpt_*``
     frames (``migrated >= 1``), every request must complete with the
     reference digest when final, and violations must stay zero —
-    including for runs restored mid-stream on the survivor.
+    including for runs restored mid-stream on the survivor.  A worker
+    answers a run with its precise reference when that comes in first,
+    which at this size ends a run in about a millisecond; the workers
+    are forked under :func:`held_reference`, so that no reference comes
+    in before the SIGKILL.  Each run then waits for its reference, and
+    a preemption suspends it to disk whether or not its ladder
+    finished, so the checkpoints exist by construction.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import os
 import signal
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
-from ..apps.registry import get_app
+from ..apps.registry import APP_REGISTRY, get_app
 from ..serve.fleet import value_digest
 from ..serve.router import FleetRouter, summarize_fleet
 from ..serve.transport import spawn_local_tcp_worker
 
-__all__ = ["FleetDifferentialReport", "run_fleet_differential"]
+__all__ = ["FleetDifferentialReport", "run_fleet_differential",
+           "held_reference"]
+
+#: longest a held reference waits for its flag file
+HOLD_S = 60.0
+#: how often a held reference looks for its flag file
+HOLD_POLL_S = 0.01
+
+
+@contextlib.contextmanager
+def held_reference(app: str, flag: str) -> Iterator[None]:
+    """Make ``app``'s precise reference late by construction.
+
+    Inside the block, the registry entry's ``reference`` first waits
+    until the file ``flag`` exists (at most :data:`HOLD_S`).  Workers forked
+    inside the block inherit that entry; the registry is restored on
+    exit.  The caller creates ``flag`` once the reference may arrive.
+    A file, not a process-shared event: a worker can be SIGKILLed while
+    its reference waits.
+    """
+    spec = APP_REGISTRY[app]
+
+    def reference(image: Any) -> Any:
+        deadline = _time.monotonic() + HOLD_S
+        while not os.path.exists(flag) and _time.monotonic() < deadline:
+            _time.sleep(HOLD_POLL_S)
+        return spec.reference(image)
+
+    APP_REGISTRY[app] = dataclasses.replace(spec, reference=reference)
+    try:
+        yield
+    finally:
+        APP_REGISTRY[app] = spec
 
 
 @dataclass
@@ -229,7 +269,11 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
                                        mig_seeds)
     mig_config = {"slots": 1, "queue_limit": 6, "quantum_s": 0.02,
                   "check": True}
-    procs, endpoints = _tcp_fleet(3, workdir, mig_config, resume=True)
+    released = os.path.join(workdir, "reference-released")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(released)
+    with held_reference("2dconv", released):
+        procs, endpoints = _tcp_fleet(3, workdir, mig_config, resume=True)
     leg: dict[str, Any] = {"leg": "migration"}
     try:
         with FleetRouter(endpoints=endpoints, resume_dir=workdir,
@@ -256,6 +300,7 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
                                    "kind": "no-checkpoint-pinned"})
             else:
                 os.kill(procs[victim.index].pid, signal.SIGKILL)
+            open(released, "w").close()
             drained = fleet.drain(timeout_s=timeout_s)
             summary = (summarize_fleet(requests) if drained else {})
             summary["drained"] = drained

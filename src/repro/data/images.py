@@ -7,7 +7,13 @@ hard edges, texture, and (for k-means) cluster-structured colour
 distributions.  See the substitution table in DESIGN.md.
 
 All generators take a seed and return ``uint8`` arrays (the apps' native
-pixel format).
+pixel format).  A fleet worker makes a request's input from its
+``(app, size, seed)`` spec, so a generator sits on every new key's
+path.  They work on whole arrays with few temporaries: 1-D axes
+broadcast instead of coordinate grids, each disc painted only inside
+its bounding rows and columns, blurs accumulated in place and the
+cluster snap as a running minimum over the centres.  Every one of
+these is exact, so the bytes are what the coordinate-grid forms made.
 """
 
 from __future__ import annotations
@@ -23,12 +29,16 @@ def gradient_image(size: int = 512, angle_deg: float = 30.0) -> np.ndarray:
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     angle = np.deg2rad(angle_deg)
-    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
-    ramp = x * np.cos(angle) + y * np.sin(angle)
-    span = ramp.max() - ramp.min()
+    axis = np.arange(size, dtype=np.float64)
+    ramp = axis * np.cos(angle) + (axis * np.sin(angle))[:, None]
+    low = ramp.min()
+    span = ramp.max() - low
     if span == 0:
         return np.zeros((size, size), dtype=np.uint8)
-    return ((ramp - ramp.min()) / span * 255).astype(np.uint8)
+    ramp -= low
+    ramp /= span
+    ramp *= 255
+    return ramp.astype(np.uint8)
 
 
 def texture_image(size: int = 512, seed: int = 0,
@@ -43,12 +53,35 @@ def texture_image(size: int = 512, seed: int = 0,
     rng = np.random.default_rng(seed)
     coarse = rng.uniform(0, 255, size=(max(size // smoothness, 1),) * 2)
     reps = int(np.ceil(size / coarse.shape[0]))
-    fine = np.kron(coarse, np.ones((reps, reps)))[:size, :size]
-    # one box-blur pass to soften the block edges of the upsample
+    fine = (coarse.repeat(reps, axis=0)[:size]
+            .repeat(reps, axis=1)[:, :size])
+    # one box-blur pass to soften the block edges of the upsample, its
+    # nine taps added in row-major order
     padded = np.pad(fine, 1, mode="edge")
-    blurred = sum(padded[dy:dy + size, dx:dx + size]
-                  for dy in range(3) for dx in range(3)) / 9.0
+    blurred = padded[:size, :size].copy()
+    for tap in range(1, 9):
+        dy, dx = divmod(tap, 3)
+        blurred += padded[dy:dy + size, dx:dx + size]
+    blurred /= 9.0
     return blurred.astype(np.uint8)
+
+
+def _paint_disc(img: np.ndarray, axis: np.ndarray, cy: float, cx: float,
+                rr: float, value: float) -> None:
+    """Set the pixels with ``(y - cy)² + (x - cx)² <= rr`` to ``value``.
+
+    Adding a non-negative term cannot round below the other, so no
+    pixel outside the rows with ``(y - cy)² <= rr`` and the columns
+    with ``(x - cx)² <= rr`` is inside: only that box is tested.
+    """
+    dy2 = (axis - cy) ** 2
+    dx2 = (axis - cx) ** 2
+    rows = np.flatnonzero(dy2 <= rr)
+    cols = np.flatnonzero(dx2 <= rr)
+    if rows.size == 0 or cols.size == 0:
+        return
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    img[box][dy2[box[0], None] + dx2[box[1]] <= rr] = value
 
 
 def scene_image(size: int = 512, seed: int = 0) -> np.ndarray:
@@ -60,19 +93,29 @@ def scene_image(size: int = 512, seed: int = 0) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     img = gradient_image(size).astype(np.float64)
-    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
+    axis = np.arange(size, dtype=np.float64)
     for _ in range(6):
         cy, cx = rng.uniform(0.1, 0.9, 2) * size
         r = rng.uniform(0.05, 0.2) * size
-        value = rng.uniform(0, 255)
-        img[(y - cy) ** 2 + (x - cx) ** 2 <= r * r] = value
+        _paint_disc(img, axis, cy, cx, r * r, rng.uniform(0, 255))
     for _ in range(4):
         y0, x0 = (rng.uniform(0.0, 0.8, 2) * size).astype(int)
         h, w = (rng.uniform(0.05, 0.25, 2) * size).astype(int)
         img[y0:y0 + h, x0:x0 + w] = rng.uniform(0, 255)
     texture = texture_image(size, seed=seed + 1).astype(np.float64)
-    img = 0.75 * img + 0.25 * texture
-    return np.clip(img, 0, 255).astype(np.uint8)
+    img *= 0.75
+    texture *= 0.25
+    img += texture
+    np.clip(img, 0, 255, out=img)
+    return img.astype(np.uint8)
+
+
+def _colour_planes(size: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The colour scene's three uint8 planes: the scene, rolled down by
+    a seventh and left by a fifth of its side."""
+    scene = scene_image(size, seed=seed)
+    return (scene, np.roll(scene, size // 7, axis=0),
+            np.roll(scene, -size // 5, axis=1))
 
 
 def bayer_mosaic(size: int = 512, seed: int = 0) -> np.ndarray:
@@ -82,13 +125,35 @@ def bayer_mosaic(size: int = 512, seed: int = 0) -> np.ndarray:
     per pixel in the RGGB pattern — exactly what a single-sensor camera
     records.
     """
-    rgb = clustered_image(size, seed=seed, clusters=0).astype(np.float64)
+    red, green, blue = _colour_planes(size, seed)
     mosaic = np.empty((size, size), dtype=np.uint8)
-    mosaic[0::2, 0::2] = rgb[0::2, 0::2, 0]     # R
-    mosaic[0::2, 1::2] = rgb[0::2, 1::2, 1]     # G
-    mosaic[1::2, 0::2] = rgb[1::2, 0::2, 1]     # G
-    mosaic[1::2, 1::2] = rgb[1::2, 1::2, 2]     # B
+    mosaic[0::2, 0::2] = red[0::2, 0::2]
+    mosaic[0::2, 1::2] = green[0::2, 1::2]
+    mosaic[1::2, 0::2] = green[1::2, 0::2]
+    mosaic[1::2, 1::2] = blue[1::2, 1::2]
     return mosaic
+
+
+def _nearest_centre(planes: list[np.ndarray],
+                    centres: np.ndarray) -> np.ndarray:
+    """Index of the nearest centre (squared Euclidean) per pixel.
+
+    The channels add in order, and a strict ``<`` keeps the first of
+    equally near centres, as ``argmin`` over a distance array would.
+    """
+    nearest = np.zeros(planes[0].shape, dtype=np.intp)
+    best = None
+    for j, centre in enumerate(centres):
+        d2 = (planes[0] - centre[0]) ** 2
+        for plane, coordinate in zip(planes[1:], centre[1:]):
+            d2 += (plane - coordinate) ** 2
+        if best is None:
+            best = d2
+            continue
+        closer = d2 < best
+        nearest[closer] = j
+        np.minimum(best, d2, out=best)
+    return nearest
 
 
 def clustered_image(size: int = 128, seed: int = 0,
@@ -99,20 +164,21 @@ def clustered_image(size: int = 128, seed: int = 0,
     as the source for the Bayer mosaic).
     """
     rng = np.random.default_rng(seed)
-    base = scene_image(size, seed=seed).astype(np.float64)
-    shifted = np.stack([
-        base,
-        np.roll(base, size // 7, axis=0),
-        np.roll(base, -size // 5, axis=1),
-    ], axis=-1)
+    planes = _colour_planes(size, seed)
     if clusters <= 0:
-        return np.clip(shifted, 0, 255).astype(np.uint8)
+        return np.stack(planes, axis=-1)
     # Snap colours toward cluster centres, with noise, so k-means has
     # real structure to find.
     centres = rng.uniform(10, 245, size=(clusters, 3))
-    flat = shifted.reshape(-1, 3)
-    # channel by channel, in the order a sum over the channel axis adds
-    d2 = sum((flat[:, ch, None] - centres[:, ch]) ** 2 for ch in range(3))
-    nearest = centres[np.argmin(d2, axis=1)]
-    noisy = 0.8 * nearest + 0.2 * flat + rng.normal(0, 6, flat.shape)
-    return np.clip(noisy, 0, 255).astype(np.uint8).reshape(shifted.shape)
+    flat = [plane.reshape(-1).astype(np.float64) for plane in planes]
+    nearest = _nearest_centre(flat, centres)
+    noise = rng.normal(0, 6, (size * size, 3))
+    out = np.empty((size * size, 3), dtype=np.uint8)
+    for ch, plane in enumerate(flat):
+        noisy = np.take(0.8 * centres[:, ch], nearest)
+        plane *= 0.2
+        noisy += plane
+        noisy += noise[:, ch]
+        np.clip(noisy, 0, 255, out=noisy)
+        out[:, ch] = noisy
+    return out.reshape(size, size, 3)

@@ -1,14 +1,8 @@
-"""Accuracy metrics, runtime-accuracy profiles, online estimators."""
+"""Accuracy metrics, runtime-accuracy profiles and deadline planning."""
 
-from .confidence import SamplingConfidence, normal_quantile
-from .estimators import (ConvergenceEstimator, ConvergenceStop,
-                         SampleAgreementEstimator)
 from .planning import DeadlinePlanner
 from .profiles import ProfilePoint, RuntimeAccuracyProfile
 from .snr import mse, nrmse, psnr_db, rmse, snr_db
 
-__all__ = ["SamplingConfidence", "normal_quantile",
-           "ConvergenceEstimator", "ConvergenceStop",
-           "SampleAgreementEstimator", "DeadlinePlanner",
-           "ProfilePoint", "RuntimeAccuracyProfile",
+__all__ = ["DeadlinePlanner", "ProfilePoint", "RuntimeAccuracyProfile",
            "mse", "nrmse", "psnr_db", "rmse", "snr_db"]

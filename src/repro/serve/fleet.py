@@ -21,6 +21,14 @@ backpressure signal), ``done`` (terminal result, sent by the worker's
 completion pump), ``stats`` (reply), ``ckpt_ack`` (transfer outcome),
 ``error`` (structured protocol violation report), ``bye``.
 
+A worker makes a new spec's input, admits the run and acks it, then
+computes the precise reference on its calibrate thread while the run
+produces versions.  The reference scores the answer and also races the
+run: when it comes in before the run finished by itself, it is the
+answer (:meth:`~repro.serve.server.AnytimeServer.submit` documents the
+protocol).  :func:`spec_key` bounds ``size`` by :data:`MAX_SPEC_SIZE`,
+so no frame holds the reader making an outsized input.
+
 Results cross the wire as metrics plus a :func:`value_digest` of the
 sealed output — not the output array itself — so conformance tests can
 assert bit-identity between coalesced and solo answers without shipping
@@ -55,7 +63,8 @@ from .digest import ckpt_filename, input_digest, request_key
 
 __all__ = ["pack_msg", "send_msg", "recv_msg", "read_msg", "spec_key",
            "value_digest", "ckpt_filename", "worker_main", "WORKER_DEFAULTS",
-           "MAX_FRAME", "FrameError", "FIELD_ERRORS", "CKPT_CHUNK_BYTES"]
+           "MAX_FRAME", "MAX_SPEC_SIZE", "FrameError", "FIELD_ERRORS",
+           "CKPT_CHUNK_BYTES"]
 
 _LEN = struct.Struct(">I")
 
@@ -194,7 +203,14 @@ class _Lru:
             self._items.popitem(last=False)
 
 
-def _spec_int(field: str, value: Any, low: int) -> int:
+#: largest ``size`` a spec may ask for: four times the largest size any
+#: figure, test or benchmark uses.  Making the input of a larger one
+#: would hold a worker's reader, and every frame behind it, for seconds.
+MAX_SPEC_SIZE = 2048
+
+
+def _spec_int(field: str, value: Any, low: int,
+              high: int | None = None) -> int:
     try:
         number = operator.index(value)
     except TypeError:
@@ -202,6 +218,8 @@ def _spec_int(field: str, value: Any, low: int) -> int:
                          f"got {value!r}") from None
     if number < low:
         raise ValueError(f"{field} must be >= {low}, got {number}")
+    if high is not None and number > high:
+        raise ValueError(f"{field} must be <= {high}, got {number}")
     return number
 
 
@@ -211,14 +229,15 @@ def spec_key(app: str, size: int, seed: int = 0) -> str:
     Spec-addressed: the input is a pure function of ``(app, size,
     seed)``, so the key hashes those fields and never makes the input.
     Rejects a bad spec cheaply: an unknown app with ``get_app``'s
-    KeyError; a non-integer, a ``size`` < 1 or a ``seed`` < 0 with a
-    ValueError naming the field.
+    KeyError; a non-integer, a ``size`` outside 1 to
+    :data:`MAX_SPEC_SIZE` or a ``seed`` < 0 with a ValueError naming
+    the field.
     """
     from ..apps.registry import get_app
 
     get_app(app)
     return request_key(app, input_digest(
-        app, None, size=_spec_int("size", size, 1),
+        app, None, size=_spec_int("size", size, 1, MAX_SPEC_SIZE),
         seed=_spec_int("seed", seed, 0)))
 
 
@@ -422,10 +441,12 @@ class _ScoreLater:
     """An app's quality metric over a precise reference that is
     computed after the request was admitted, on ``calibrator``.
 
-    ``ready`` / ``error`` are the deferred-metric protocol of
-    :meth:`AnytimeServer.submit`: the scheduler does not score with it
-    until the reference is in.  A call made earlier (a deadline, a
-    cancel, a shutdown) blocks until the reference is computed.
+    ``ready`` / ``error`` / ``on_ready`` / ``precise`` are the
+    deferred-metric protocol of :meth:`AnytimeServer.submit`: the
+    scheduler does not score with it until the reference is in, and
+    then races the reference, the run's precise terminal value,
+    against the ladder.  A call made earlier (a deadline, a cancel, a
+    shutdown) blocks until the reference is computed.
     """
 
     def __init__(self, record: Any, image: Any,
@@ -447,6 +468,22 @@ class _ScoreLater:
             return None
         exc = self._reference.exception()
         return None if exc is None else f"{type(exc).__name__}: {exc}"
+
+    @property
+    def precise(self) -> Any:
+        """The run's precise terminal value once a ``"precise"``-kind
+        reference is in without error; None before, and always for an
+        app whose reference is its input."""
+        reference = self._reference
+        if (self._record.reference_kind != "precise"
+                or not reference.done() or reference.cancelled()
+                or reference.exception() is not None):
+            return None
+        return reference.result()
+
+    def on_ready(self, fn: Any) -> None:
+        """Call ``fn()`` once the reference is in (now if it is)."""
+        self._reference.add_done_callback(lambda _: fn())
 
     def __call__(self, value: Any) -> float:
         return self._record.metric(value, self._reference.result())
@@ -485,6 +522,20 @@ def _done_message(rid: int, result: Any,
     }
 
 
+def _checked_violations(cell: _CheckedRun, snapshot: Any,
+                        metric: Any) -> int | None:
+    """A checked request's violations, plus one when its sealed final
+    is not bit for bit the precise reference it raced: that equality
+    is what makes answering with the reference sound."""
+    violations = cell.violation_count()
+    precise = metric.precise
+    if (snapshot.final and precise is not None
+            and snapshot.value is not precise
+            and value_digest(snapshot.value) != value_digest(precise)):
+        violations = (violations or 0) + 1
+    return violations
+
+
 def worker_main(sock: socket.socket,
                 config: dict[str, Any] | None = None) -> None:
     """Run one fleet worker until its socket closes.
@@ -494,10 +545,12 @@ def worker_main(sock: socket.socket,
     submitted and acked — and only then does the one-thread calibrate
     executor compute the precise reference the answer is scored against
     (FIFO, one spec at a time), while the run already produces
-    versions.  The completion pump thread sends each ``done`` the
-    moment its session turns terminal (a ``Session`` done callback
-    feeds its queue), so neither a slow run nor a slow reference blocks
-    admission of the next request.
+    versions.  A reference that comes in first is the answer; in
+    ``check`` mode a ladder's own final must equal it bit for bit.  The
+    completion pump thread sends each ``done`` the moment its session
+    turns terminal (a ``Session`` done callback feeds its queue), so
+    neither a slow run nor a slow reference blocks admission of the next
+    request.
     """
     from ..apps.registry import get_app
     from .server import AnytimeServer
@@ -539,13 +592,13 @@ def worker_main(sock: socket.socket,
             item = finished.get()
             if item is None:
                 return
-            rid, session, cell = item
-            violations = (cell.violation_count()
+            rid, session, cell, metric = item
+            result = session.result(timeout_s=0.0)
+            violations = (_checked_violations(cell, result.snapshot, metric)
                           if cell is not None else None)
             try:
                 send_msg(sock, _done_message(
-                    rid, session.result(timeout_s=0.0),
-                    violations=violations), send_lock)
+                    rid, result, violations=violations), send_lock)
             except OSError:
                 return
 
@@ -593,8 +646,8 @@ def worker_main(sock: socket.socket,
             # terminal already (shed, memo hit) still reads ack-then-done
             # on the wire
             session.add_done_callback(
-                lambda session, rid=rid, cell=cell:
-                finished.put((rid, session, cell)))
+                lambda session, rid=rid, cell=cell, metric=metric:
+                finished.put((rid, session, cell, metric)))
         elif op == "stats":
             send_msg(sock, {"op": "stats", "rid": msg.get("rid"),
                             "stats": server.stats()}, send_lock)

@@ -29,10 +29,15 @@ Lifecycle (all transitions traced as ``server.*`` events)::
         └──shed (queue full)──> SHED         └──> COMPLETED/…
 
 The scheduler thread ticks every ``tick_s`` — and at once when a
-request is submitted.  Its harvest is the one place an SLO is judged:
-each subscriber whose deadline passed, whose target its metric meets,
-or who cancelled leaves its run, and a run ends when it finishes or its
-last subscriber leaves (runs carry no stop condition of their own).
+request is submitted or a deferred metric's reference comes in.  Its
+harvest is the one place an SLO is judged: each subscriber whose
+deadline passed, whose target its metric meets, or who cancelled
+leaves its run, and a run ends when it finishes or its last subscriber
+leaves (runs carry no stop condition of their own).  A run also ends
+when its lead's metric offers the precise value first: the precise
+kernel, computed beside the run to score it, races the ladder, and a
+run that has not finished by itself answers with that value as its
+final version (``precise_wins``).
 The tick then fills free slots from the ready pool (queued + preempted
 runs, policy-ranked, with a starvation guard) and preempts past-quantum
 runners when ready work would gain more.  Admission applies
@@ -182,7 +187,11 @@ class AnytimeServer:
 
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
-        self._wake = threading.Condition(self._lock)   # submit -> _loop
+        # set by whatever should not wait out the tick: a submission, a
+        # deferred metric's reference coming in, a shutdown; set
+        # without the lock, so a reference's thread never waits on a
+        # scheduler that may be waiting on the reference
+        self._wake = threading.Event()
         self._queue: deque[_Run] = deque()
         self._scheduled: list[_Run] = []   # RUNNING+PREEMPTED+RESUMABLE
         self._parked: deque[_Run] = deque()  # would-be-shed, waiting
@@ -197,6 +206,7 @@ class AnytimeServer:
             "coalesced": 0, "memo_hits": 0, "detaches": 0,
             "promotions": 0,
             "parked": 0, "requeued": 0, "suspends": 0, "restores": 0,
+            "precise_wins": 0,
         }
 
     # -- lifecycle -------------------------------------------------------
@@ -248,7 +258,7 @@ class AnytimeServer:
             self._stop_loop = True
             thread = self._thread
             self._space.notify_all()
-            self._wake.notify_all()
+            self._wake.set()
         if thread is not None:
             thread.join(timeout=timeout_s)
         with self._lock:
@@ -282,7 +292,12 @@ class AnytimeServer:
         tick (the run goes on producing versions meanwhile); only a
         deadline, a cancel or a shutdown block on it.  Once ready, a
         non-None ``error`` attribute (a string) fails the request with
-        that error.
+        that error.  Its optional ``on_ready(fn)`` calls ``fn()`` once
+        the reference is in, which wakes the scheduler then rather than
+        a tick later.  Once ready, a non-None ``precise`` attribute is
+        the run's precise terminal value, computed beside the run: a
+        run that has not finished by itself when its lead's metric
+        offers it ends at once on it (see :meth:`_race`).
         ``wait_s`` is the backpressure budget: how long to block while
         the admission queue is full before giving up; on a still-full
         queue the request is returned in the terminal ``SHED`` state.
@@ -303,6 +318,9 @@ class AnytimeServer:
         request launched.
         """
         slo = slo or SLO()
+        on_ready = getattr(metric, "on_ready", None)
+        if on_ready is not None:
+            on_ready(self._wake.set)
         now = _time.monotonic()
         with self._lock:
             self.counters["submitted"] += 1
@@ -346,7 +364,7 @@ class AnytimeServer:
             self._queue.append(run)
             self._trace("server.enqueue", run, now,
                         queue_depth=len(self._queue))
-            self._wake.notify()
+            self._wake.set()
             return session
 
     # -- coalescing ------------------------------------------------------
@@ -450,18 +468,21 @@ class AnytimeServer:
     # -- scheduler thread ------------------------------------------------
 
     def _loop(self) -> None:
-        with self._lock:
-            while not self._stop_loop:
+        while True:
+            with self._lock:
+                if self._stop_loop:
+                    return
+                # cleared before the tick: a wake during it ticks again
+                self._wake.clear()
                 try:
                     self._tick(_time.monotonic())
                 except Exception:
                     # A tick must never kill the serving thread; broken
                     # sessions are failed individually in _tick.
                     pass
-                # the tick paces harvesting of running work; a new
-                # submission does not wait it out (the wait releases
-                # the lock, submit() notifies)
-                self._wake.wait(timeout=self.tick_s)
+            # the tick paces harvesting of running work; a submission
+            # or an arriving reference does not wait it out
+            self._wake.wait(timeout=self.tick_s)
 
     def _tick(self, now: float) -> None:
         if self._memo:
@@ -476,23 +497,28 @@ class AnytimeServer:
     def _harvest(self, now: float) -> None:
         """Judge every request: the one place an SLO is judged.
 
-        A subscriber leaves its run once it cancelled or its metric
-        failed and, while the run is scheduled, once its own deadline
-        passed or its metric meets its target on the run's newest
-        version.  A run that finished by itself ends with all its
-        subscribers.  A deferred metric whose reference is still being
-        computed would block this thread: scoring and finishing a run
-        wait for it a tick at a time, a deadline does not.
+        A run whose precise reference came in first ends on it
+        (:meth:`_race`).  Otherwise a subscriber leaves its run once it
+        cancelled or its metric failed and, while the run is scheduled,
+        once its own deadline passed or its metric meets its target on
+        the run's newest version.  A run that finished by itself ends
+        with all its subscribers.  A deferred metric whose reference is
+        still being computed would block this thread: scoring and
+        finishing a run wait for it a tick at a time, a deadline does
+        not.
         """
         for run in list(self._queue) + list(self._parked):
-            self._release(run, now, slo=False)
+            if not self._race(run, now):
+                self._release(run, now, slo=False)
         for run in list(self._scheduled):
-            handle = run._handle
-            if handle is not None and handle.finished and all(
-                    s.metric_ready() or s.deadline_passed(now)
-                    for s in run.subscribers):
-                self._finish(run, SessionState.COMPLETED, now)
+            if run.finished:
+                if all(s.metric_ready() or s.deadline_passed(now)
+                       for s in run.subscribers):
+                    self._finish(run, SessionState.COMPLETED, now)
+                    continue
+            elif self._race(run, now):
                 continue
+            handle = run._handle
             if run._state is SessionState.RUNNING and all(
                     s.metric_ready() for s in run.subscribers):
                 assert handle is not None
@@ -509,10 +535,14 @@ class AnytimeServer:
             self._release(run, now)
 
     def _ready(self) -> list[_Run]:
+        """Runs that want a slot: queued ones, and preempted or
+        suspended ones with work left (a run that finished by itself
+        needs no slot; the harvest ends it once it is scored)."""
         return list(self._queue) + [
             run for run in self._scheduled
             if run._state in (SessionState.PREEMPTED,
-                              SessionState.RESUMABLE)]
+                              SessionState.RESUMABLE)
+            and not run.finished]
 
     def _running(self) -> list[_Run]:
         return [run for run in self._scheduled
@@ -603,11 +633,12 @@ class AnytimeServer:
         """Checkpoint a running run to disk and tear its executor down
         entirely, turning paused-in-memory preemption into
         RESUMABLE-on-disk.  False = checkpoint failed; the caller falls
-        back to a plain pause."""
+        back to a plain pause.  A run that finished by itself is only
+        preempted while its metric waits for its reference; it goes to
+        disk holding its final, and the harvest completes it from
+        there."""
         handle = run._handle
         assert handle is not None
-        if handle.finished:
-            return False   # harvest will complete it next tick
         path = self._ckpt_file(run)
         try:
             handle.checkpoint(path)
@@ -701,6 +732,21 @@ class AnytimeServer:
 
     # -- ending a request ------------------------------------------------
 
+    def _race(self, run: _Run, now: float) -> bool:
+        """End ``run`` on its precise reference if its lead's metric
+        offers one; True if it did.
+
+        The precise kernel runs beside the ladder as a contract
+        algorithm beside an interruptible one, and whichever finishes
+        first answers.  The caller has checked that the ladder has not
+        finished by itself; when it has, its own final answers.
+        """
+        precise = getattr(run.lead.metric, "precise", None)
+        if precise is None:
+            return False
+        self._finish(run, SessionState.COMPLETED, now, precise=precise)
+        return True
+
     def _release(self, run: _Run, now: float, slo: bool = True) -> None:
         """Let each subscriber of ``run`` go whose own request
         resolved: it cancelled, its metric failed or, with ``slo``, its
@@ -735,14 +781,18 @@ class AnytimeServer:
 
     def _finish(self, run: _Run, state: SessionState, now: float, *,
                 interrupted: bool = False,
-                errors: tuple[str, ...] = ()) -> None:
+                errors: tuple[str, ...] = (),
+                precise: Any = None) -> None:
         """End ``run`` with every subscriber still on it.
 
         A live run is stopped (unless it finished by itself) and
         harvested, a suspended one's checkpoint discarded, a queued or
         parked one dropped.  The subscribers settle on one snapshot,
         outcome, ``degraded`` flag and errors, the lead last, so that
-        the others count as ``detaches``.
+        the others count as ``detaches``.  With ``precise``, the run
+        ended on its precise reference: the snapshot is that value as
+        the final version, one past the ladder's newest, and the
+        stopped ladder's flags and errors do not describe it.
         """
         for place in (self._scheduled, self._queue, self._parked):
             if run in place:
@@ -772,6 +822,14 @@ class AnytimeServer:
             except Exception as exc:
                 errors += (f"{type(exc).__name__}: {exc}",)
             snapshot = handle.snapshot()
+        if precise is not None:
+            snapshot = Snapshot(snapshot.name, precise,
+                                snapshot.version + 1, True)
+            interrupted = degraded = False
+            errors = ()
+            self.counters["precise_wins"] += 1
+            self._trace("server.precise_win", run, now,
+                        version=snapshot.version)
         if state is SessionState.COMPLETED and not interrupted:
             self._memoize(run.key, snapshot, now)
         for session in run.subscribers[1:] + run.subscribers[:1]:

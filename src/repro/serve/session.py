@@ -315,6 +315,15 @@ class _Run:
     def target_met(self) -> bool:
         return self.lead.target_met()
 
+    @property
+    def finished(self) -> bool:
+        """The run ended by itself: its executor wound down, or it was
+        suspended to disk holding its final version."""
+        if self._handle is not None:
+            return self._handle.finished
+        parked = self._parked_snapshot
+        return parked is not None and parked.final
+
     def run_seconds(self, now: float) -> float:
         """Total wall time spent holding a slot, up to ``now``."""
         extra = (now - self._dispatched_at

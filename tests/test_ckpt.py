@@ -10,6 +10,7 @@ path (park on queue-full, checkpoint on preempt, restore on grant), and
 fleet worker re-spawn with checkpoint migration after a SIGKILL.
 """
 
+import contextlib
 import os
 import signal
 import struct
@@ -444,11 +445,18 @@ class TestFleetRespawnAndMigration:
         the check and the kill): its orphaned requests restore on the
         replacement from the last checkpoint instead of starting over,
         and still finish with a valid answer."""
+        from repro.check.fleetdiff import held_reference
         from repro.serve.router import FleetRouter, summarize_fleet
 
         config = {"slots": 1, "queue_limit": 6, "quantum_s": 0.02}
-        with FleetRouter(workers=3, worker_config=config,
-                         resume_dir=str(tmp_path)) as fleet:
+        # no reference comes in before the SIGKILL: every run waits for
+        # its reference, and is suspended, rather than end on it
+        released = tmp_path / "reference-released"
+        with contextlib.ExitStack() as stack:
+            with held_reference("2dconv", str(released)):
+                fleet = stack.enter_context(FleetRouter(
+                    workers=3, worker_config=config,
+                    resume_dir=str(tmp_path)))
             requests = [fleet.submit("2dconv", size=128, seed=i,
                                      slo={"deadline_s": 300.0})
                         for i in range(9)]
@@ -471,6 +479,7 @@ class TestFleetRespawnAndMigration:
                     time.sleep(0.02)
             assert victim is not None, "no worker suspended a run"
             os.kill(victim.process.pid, signal.SIGKILL)
+            released.touch()
             assert fleet.drain(timeout_s=240.0)
             summary = summarize_fleet(requests)
             stats = fleet.aggregate_stats()["router"]

@@ -1,95 +1,7 @@
-"""Tests for sampling confidence intervals and warm-start streaming."""
-
-import math
+"""Tests for warm-start streaming."""
 
 import numpy as np
 import pytest
-
-from repro.anytime.permutations import LfsrPermutation
-from repro.metrics.confidence import SamplingConfidence, normal_quantile
-
-
-class TestNormalQuantile:
-    def test_known_values(self):
-        assert normal_quantile(0.95) == pytest.approx(1.96, abs=0.001)
-        assert normal_quantile(0.99) == pytest.approx(2.576, abs=0.001)
-
-    def test_scipy_fallback(self):
-        assert normal_quantile(0.5) == pytest.approx(0.6745, abs=0.001)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            normal_quantile(1.0)
-
-
-class TestSamplingConfidence:
-    def test_estimate_is_scaled_partial_sum(self):
-        sc = SamplingConfidence(population=100)
-        sc.update(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert sc.estimate() == pytest.approx(10.0 * 25)
-
-    def test_full_sample_is_exact_with_zero_halfwidth(self):
-        data = np.arange(50, dtype=np.float64)
-        sc = SamplingConfidence(population=50)
-        sc.update(data)
-        assert sc.complete
-        assert sc.estimate() == pytest.approx(data.sum())
-        assert sc.halfwidth() == 0.0
-        assert sc.satisfied(1e-9)
-
-    def test_halfwidth_shrinks_with_samples(self):
-        rng = np.random.default_rng(0)
-        data = rng.uniform(0, 100, 10_000)
-        order = LfsrPermutation(seed=2).order(len(data))
-        sc = SamplingConfidence(population=len(data))
-        widths = []
-        for cut in (100, 1000, 5000):
-            sc.update(data[order[sc.count:cut]])
-            widths.append(sc.halfwidth())
-        assert widths[0] > widths[1] > widths[2]
-
-    def test_interval_covers_truth(self):
-        """~95% coverage over seeds: check a generous majority."""
-        rng = np.random.default_rng(7)
-        data = rng.gamma(2.0, 10.0, 4096)
-        truth = data.sum()
-        hits = 0
-        trials = 40
-        for seed in range(1, trials + 1):
-            order = LfsrPermutation(seed=seed).order(len(data))
-            sc = SamplingConfidence(population=len(data))
-            sc.update(data[order[:256]])
-            if abs(sc.estimate() - truth) <= sc.halfwidth(0.95):
-                hits += 1
-        assert hits >= int(0.80 * trials)
-
-    def test_no_samples_raises(self):
-        with pytest.raises(ValueError):
-            SamplingConfidence(10).estimate()
-
-    def test_over_population_rejected(self):
-        sc = SamplingConfidence(population=3)
-        with pytest.raises(ValueError, match="population"):
-            sc.update(np.arange(4.0))
-
-    def test_single_sample_infinite_width(self):
-        sc = SamplingConfidence(population=10)
-        sc.update(np.array([5.0]))
-        assert math.isinf(sc.halfwidth())
-        assert not sc.satisfied(0.1)
-
-    def test_satisfied_threshold(self):
-        rng = np.random.default_rng(1)
-        data = rng.uniform(10, 11, 1000)  # low variance: tight CI fast
-        sc = SamplingConfidence(population=1000)
-        sc.update(data[:50])
-        assert sc.satisfied(relative_error=0.05)
-        assert not sc.satisfied(relative_error=1e-6)
-
-    def test_rejects_bad_relative_error(self):
-        sc = SamplingConfidence(10)
-        with pytest.raises(ValueError):
-            sc.satisfied(0.0)
 
 
 class TestWarmStart:

@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.check.fleetdiff import held_reference
 from repro.serve.router import FleetRouter, summarize_fleet
 from repro.serve.transport import spawn_local_tcp_worker
 
@@ -71,8 +72,12 @@ class TestTcpWorkerSigkill:
             for seed in seeds}
 
         config = {"slots": 1, "queue_limit": 6, "quantum_s": 0.02}
-        procs, endpoints = _spawn_tcp_fleet(3, config,
-                                            resume_root=tmp_path)
+        # no reference comes in before the SIGKILL: every run waits for
+        # its reference, and is suspended, rather than end on it
+        released = tmp_path / "reference-released"
+        with held_reference("2dconv", str(released)):
+            procs, endpoints = _spawn_tcp_fleet(3, config,
+                                                resume_root=tmp_path)
         try:
             with FleetRouter(endpoints=endpoints,
                              resume_dir=str(tmp_path),
@@ -99,6 +104,7 @@ class TestTcpWorkerSigkill:
                         time.sleep(0.02)
                 assert victim is not None, "no worker pinned a ckpt"
                 os.kill(procs[victim.index].pid, signal.SIGKILL)
+                released.touch()
                 assert fleet.drain(timeout_s=240.0)
                 summary = summarize_fleet(requests)
                 stats = fleet.aggregate_stats()["router"]

@@ -32,9 +32,11 @@ from repro.serve.fleet import value_digest
 
 #: sha256 over every app's input, reference and published terminal
 #: versions (see :func:`_ladder`), taken before the kernels were
-#: rewritten for speed
+#: rewritten for speed; re-taken once when kmeans's reference became
+#: the stage-2 dict (with its ``["image"]`` digested in its place, the
+#: hash is the earlier 5e943cf1…)
 GOLDEN_LADDER = \
-    "5e943cf1cc5f608326551e7907f2d41e76b22b2f8f149caca08ea66e19339b21"
+    "bc39c4ef5ad7edbdcaddc4410d38560421fdc21ea3139b2d626a8f576cb34ef5"
 
 APPS = ("2dconv", "histeq", "dwt53", "debayer", "kmeans")
 
