@@ -21,9 +21,10 @@ Three legs (:func:`run_fleet_differential`, ``repro check --fleet``):
 ``migration``
     A 3-worker TCP fleet with per-worker ``resume_dir``s; one worker
     that provably holds suspend checkpoints (frozen with SIGSTOP
-    first) is SIGKILLed.  Orphans must migrate via in-band ``ckpt_*``
-    frames (``migrated >= 1``), every request must complete with the
-    reference digest when final, and violations must stay zero —
+    first) is SIGKILLed.  Orphans must migrate in-band, the checkpoint
+    inline in the re-dispatched ``submit`` (``migrated >= 1``), every
+    request must complete with the reference digest when final, and
+    violations must stay zero —
     including for runs restored mid-stream on the survivor.  A worker
     answers a run with its precise reference when that comes in first,
     which at this size ends a run in about a millisecond; the workers

@@ -1,9 +1,13 @@
 """repro.ckpt — checkpoint, restore, and cross-executor migration.
 
-A live anytime run can be quiesced at an inter-command boundary,
-serialized to a self-describing on-disk checkpoint, and restored on
-*any* executor — simulated, threaded, or process — with bit-exact
-continuation of its output ladder.  This is the anytime model's
+A checkpoint is a live run's reply log: every publish, every input
+version a wait or poll returned, every channel emit and receive, every
+fault-policy action — names and numbers, never array values.  Taking
+one copies the log under the kernel's log lock, so no stage pauses, and
+the file is a few KiB at any image size.  Restoring rebuilds the graph
+from its app spec and re-drives the pure stage generators through that
+log on *any* executor — simulated, threaded, or process — continuing
+the output ladder bit-exactly.  This is the anytime model's
 interruptibility guarantee made durable: the output buffer always holds
 a valid approximation, so a run can also always be *moved*.
 
@@ -19,16 +23,12 @@ Entry points:
 
 from .format import (CheckpointError, FORMAT_VERSION, MAGIC,
                      load_checkpoint, read_header, write_checkpoint)
-from .state import (ResumeInfo, STATUS_COMPLETED, STATUS_DEGRADED,
-                    STATUS_FAILED, STATUS_LIVE, apply_to_graph,
-                    assemble_payload, capture_stop, restore_stop,
-                    save_checkpoint)
+from .state import (ResumeInfo, capture_stop, check_payload, replay,
+                    restore_stop, save_checkpoint)
 
 __all__ = [
     "CheckpointError", "FORMAT_VERSION", "MAGIC",
     "load_checkpoint", "read_header", "write_checkpoint",
-    "ResumeInfo", "assemble_payload", "apply_to_graph",
-    "capture_stop", "restore_stop", "save_checkpoint",
-    "STATUS_LIVE", "STATUS_COMPLETED", "STATUS_DEGRADED",
-    "STATUS_FAILED",
+    "ResumeInfo", "capture_stop", "check_payload", "replay",
+    "restore_stop", "save_checkpoint",
 ]

@@ -2,15 +2,17 @@
 
 A checkpoint file is self-describing and digest-stamped::
 
-    MAGIC (8 bytes) | u32 header length | JSON header | pickled payload
+    MAGIC (8 bytes) | u32 header length | JSON header | JSON payload
 
-The JSON header is cheap to read without unpickling anything: it names
-the automaton, the app spec that can rebuild its graph, the executor the
-run was captured on, and a SHA-256 digest of the payload bytes.  The
-payload carries numpy arrays and stage cursors, so it is pickled; the
-digest check runs *before* unpickling, turning a truncated or corrupted
-file into a structured :class:`CheckpointError` instead of an arbitrary
-unpickling crash.
+The header is cheap to read on its own: it names the automaton, the app
+spec that can rebuild its graph, the executor the run was captured on,
+a summary of the log, and the length and SHA-256 digest of the payload
+bytes.  The payload is the run's reply log plus its reports, energy,
+stop progress and duration (:mod:`repro.ckpt.state`): names and numbers
+only, never array values, so it is a few KiB at any image size and
+decoding it executes nothing.  The digest check runs before the decode,
+turning a truncated or corrupted file into a structured
+:class:`CheckpointError`.
 
 Writes are atomic: the file is assembled under a temporary name in the
 same directory and renamed into place, so a reader never observes a
@@ -23,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import struct
 from typing import Any
 
@@ -33,8 +34,9 @@ __all__ = ["CheckpointError", "FORMAT_VERSION", "MAGIC",
 #: file magic: "repro checkpoint", format generation 1
 MAGIC = b"RPROCKP1"
 
-#: bumped on any incompatible payload/header layout change
-FORMAT_VERSION = 1
+#: bumped on any incompatible payload/header layout change (2: the
+#: payload is the JSON reply log)
+FORMAT_VERSION = 2
 
 _LEN = struct.Struct("<I")
 
@@ -49,11 +51,10 @@ def write_checkpoint(path: str, payload: dict[str, Any],
                      header_extra: dict[str, Any] | None = None) -> str:
     """Serialize ``payload`` to ``path`` atomically; returns the digest.
 
-    ``header_extra`` lands in the JSON header (app spec, summary, …) and
-    must be JSON-serializable; the payload itself may hold arbitrary
-    picklable values (numpy arrays, stage cursors).
+    ``header_extra`` lands in the JSON header (app spec, summary, …);
+    both it and the payload must be JSON-serializable.
     """
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     digest = hashlib.sha256(blob).hexdigest()
     header = {"format_version": FORMAT_VERSION,
               "payload_sha256": digest,
@@ -83,7 +84,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def read_header(path: str) -> dict[str, Any]:
-    """Read and validate only the JSON header (no unpickling)."""
+    """Read and validate only the JSON header (not the payload)."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -131,10 +132,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, Any], dict[str, Any]]:
             f"checkpoint payload digest mismatch (expected "
             f"{header.get('payload_sha256')}, got {digest})")
     try:
-        payload = pickle.loads(blob)
-    except Exception as exc:
+        payload = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(
-            f"checkpoint payload failed to unpickle: {exc!r}") from exc
+            f"checkpoint payload is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint payload is not a dict")
     return header, payload

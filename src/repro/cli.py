@@ -36,8 +36,9 @@ Commands
     automaton fuzzer (``--fuzz``), or replay a saved fuzz failure
     (``--replay``).
 ``ckpt inspect <path>``
-    Print a checkpoint's self-describing header (:mod:`repro.ckpt`)
-    without unpickling its payload.
+    Print a checkpoint's self-describing header (:mod:`repro.ckpt`):
+    the log's event count per stage, the live stages and the buffer
+    versions, without reading the payload.
 
 Wall-clock performance is measured by ``benchmarks/latency``, not by
 this CLI.
@@ -332,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ckpt", help="checkpoint utilities (inspect saved runs)")
     ckpt_sub = ckpt.add_subparsers(dest="ckpt_command", required=True)
     inspect = ckpt_sub.add_parser(
-        "inspect", help="print a checkpoint's header without "
-                        "unpickling its payload")
+        "inspect", help="print a checkpoint's header (log events per "
+                        "stage, live stages, buffer versions)")
     inspect.add_argument("path", help="checkpoint file (.rck)")
     inspect.add_argument("--json", action="store_true",
                          help="emit the raw header as JSON")
@@ -828,6 +829,8 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
         print(f"  energy     {summary.get('energy', 0.0):.6g}")
         live = summary.get("live_stages") or []
         print(f"  live       {', '.join(live) if live else '(none)'}")
+        for stage, count in sorted((summary.get("events") or {}).items()):
+            print(f"  log        {stage}: {count} event(s)")
         versions = summary.get("buffer_versions") or {}
         for buffer, version in sorted(versions.items()):
             print(f"  buffer     {buffer} @ v{version}")

@@ -84,33 +84,39 @@ class AnytimeAutomaton:
     # -- checkpoint / restore (repro.ckpt) -------------------------------
 
     @classmethod
-    def restore(cls, path: str,
+    def restore(cls, checkpoint: str | dict[str, Any],
                 builder: Callable[[], "AnytimeAutomaton"] | None = None,
                 ) -> "AnytimeAutomaton":
-        """Rebuild an automaton from a checkpoint file.
+        """Rebuild an automaton from a checkpoint.
 
-        The graph itself is not serialized (stages hold closures); it is
+        ``checkpoint`` is a checkpoint file's path, or a payload already
+        loaded from one (a fleet router ships it inline).  The graph is
         rebuilt — by ``builder`` when given, else via the app registry
         from the ``app_spec`` stamped into the checkpoint header — and
-        the checkpointed state is applied on top: buffer ladders,
-        channel queues, per-stage resume cursors, energy, reports and
-        stop-condition progress.  The returned automaton is ready to
-        ``run_*``/``launch_*`` on **any** backend, regardless of which
-        executor took the checkpoint; the continuation's published
-        versions are bit-exact with the uninterrupted run.
+        the checkpoint's reply log is replayed on it
+        (:func:`repro.ckpt.replay`): the stage generators re-run up to
+        the capture, so buffers, channels, energy, reports and
+        stop-condition progress stand where they stood.  The returned
+        automaton is ready to ``run_*``/``launch_*`` on **any** backend,
+        regardless of which executor took the checkpoint; the
+        continuation's published versions are bit-exact with the
+        uninterrupted run.
         """
         from ..ckpt.format import CheckpointError, load_checkpoint
-        from ..ckpt.state import apply_to_graph
+        from ..ckpt.state import replay
 
-        header, payload = load_checkpoint(path)
+        if isinstance(checkpoint, dict):
+            header, payload = {}, checkpoint
+        else:
+            header, payload = load_checkpoint(checkpoint)
         if builder is not None:
             automaton = builder()
         else:
             spec_info = header.get("app_spec")
             if not spec_info:
                 raise CheckpointError(
-                    f"checkpoint {path!r} carries no app spec; pass "
-                    f"builder= to rebuild its graph")
+                    "checkpoint carries no app spec; pass builder= to "
+                    "rebuild its graph")
             from ..apps.registry import get_app
 
             app = get_app(str(spec_info["app"]))
@@ -118,9 +124,8 @@ class AnytimeAutomaton:
                                   int(spec_info.get("seed", 0)))
             automaton = app.build(data)
             automaton.app_spec = dict(spec_info)
+        automaton._resume_info = replay(automaton.graph, payload)
         automaton.name = str(payload.get("name", automaton.name))
-        automaton._resume_info = apply_to_graph(automaton.graph,
-                                                payload)
         return automaton
 
     @property

@@ -213,25 +213,6 @@ class VersionedBuffer:
         for event in self._watchers:
             event.set()
 
-    def restore(self, value: Any, version: int, final: bool,
-                sealed: bool = False) -> None:
-        """Reinstate a checkpointed (value, version, final, sealed) state.
-
-        Used by :mod:`repro.ckpt` when rebuilding a graph from a
-        checkpoint: the single-writer and frozen-buffer rules guard
-        *live* writes, but a restore re-creates history that already
-        passed them, so it sets the fields directly.  Only legal before
-        the graph is launched.
-        """
-        if version < 0:
-            raise ValueError(f"version cannot be negative: {version}")
-        with self._cond:
-            self._value = _freeze(value)
-            self._version = int(version)
-            self._final = bool(final)
-            self._sealed = bool(sealed)
-            self._notify()
-
     def snapshot(self) -> Snapshot:
         """Atomically read (value, version, final, sealed)."""
         with self._cond:

@@ -137,26 +137,17 @@ class UpdateChannel:
         if self.tracer is not None and not already:
             self.tracer("channel.abort", self.name, queued=queued)
 
-    def restore(self, queue: list[Any], emitted: int, received: int,
-                closed: bool, aborted: bool) -> None:
-        """Reinstate a checkpointed stream state (see :mod:`repro.ckpt`).
-
-        ``queue`` holds the updates emitted but not yet received, in
-        FIFO order; the cursors record the totals either side of it.
-        Only legal before the graph is launched.
-        """
-        if received > emitted or len(queue) != emitted - received:
-            raise ValueError(
-                f"channel {self.name!r}: inconsistent cursors "
-                f"(emitted={emitted}, received={received}, "
-                f"queued={len(queue)})")
+    def wait_ready(self, sending: bool, timeout: float) -> None:
+        """Block up to ``timeout`` until an emit (``sending``) or a recv
+        would not block, or the channel closes.  Pairs with
+        :meth:`try_emit` / :meth:`try_recv` for a caller that applies
+        them under a lock of its own."""
         with self._cond:
-            self._queue = deque(queue)
-            self.emitted = int(emitted)
-            self.received = int(received)
-            self._closed = bool(closed)
-            self._aborted = bool(aborted)
-            self._cond.notify_all()
+            self._cond.wait_for(
+                lambda: self._closed or (
+                    self.capacity is None
+                    or len(self._queue) < self.capacity if sending
+                    else bool(self._queue)), timeout)
 
     def recv(self, timeout: float | None = None) -> Any:
         """Dequeue the next update; blocks while empty.

@@ -157,15 +157,9 @@ class DiffusiveStage(Stage):
         self.supports_batch = False
         self._state: Any = None
         self._completed_passes = 0
-        #: chunks folded into ``_state`` this pass (pre-Write cursor;
-        #: see :meth:`capture_state`) and the last chunk's update, kept
-        #: for replay when a checkpoint lands between fold and emit
-        self._folded = 0
-        self._pending_update: Any = None
         #: the fill painter of the pass in flight (see
         #: :meth:`start_painter`): made when a pass starts, dropped when
-        #: it ends and never checkpointed, so a restored pass repaints
-        #: its prefix once
+        #: it ends
         self._painter: Painter | None = None
         #: contract-mode trim (see :mod:`repro.core.contract`): when
         #: set, each pass processes only the first ``element_limit``
@@ -262,28 +256,20 @@ class DiffusiveStage(Stage):
         order = self.order
         if self.element_limit is not None:
             order = order[:self.element_limit]
-        resume, self._resume_pass = self._resume_pass, None
-        if resume is not None:
-            # mid-pass restore: the dense state was reinstated by
-            # restore_state; _folded says how many chunks it embodies
+        if self.persistent_state and self._state is not None:
             state = self._state
-        elif self.persistent_state and self._state is not None:
-            state = self._state
-            self._folded = 0
         else:
             state = self.init_state(values)
-            self._folded = 0
         self._state = state
         self._painter = self.start_painter(state)
         try:
-            yield from self._pass(state, order, values, resume,
-                                  inputs_final)
+            yield from self._pass(state, order, values, inputs_final)
         finally:
             self._painter = None
 
     def _pass(self, state: Any, order: np.ndarray, values: tuple[Any, ...],
-              resume: dict[str, Any] | None, inputs_final: bool) -> Body:
-        if self.reorder and not (resume is not None and self._folded):
+              inputs_final: bool) -> Body:
+        if self.reorder:
             yield Compute(
                 self.reorder_engine.reorder_cost(len(order)),
                 label=f"{self.name}:reorder")
@@ -295,24 +281,6 @@ class DiffusiveStage(Stage):
         batchable = (self.supports_batch and self.emit_to is None
                      and self.restart_policy != "preempt")
         ci = 0
-        if resume is not None:
-            # Tail repair: the checkpoint may have caught the pass with
-            # a chunk folded into state whose emit/write effects had
-            # not yet landed (executor-authoritative counts say which).
-            # Replay exactly the missing suffix, then continue with
-            # fresh leases — legal because the lease safety rule makes
-            # the published ladder identical at any lease size.
-            ci = self._folded
-            if ci > 0:
-                if self.emit_to is not None \
-                        and resume.get("emitted", ci) < ci:
-                    yield Emit(self._pending_update)
-                if resume.get("written", ci) < ci:
-                    last = ci - 1 == len(spans) - 1
-                    yield Write(
-                        self.materialize(state, spans[ci - 1][1], values),
-                        final=inputs_final and last,
-                        transfer=self.fresh_materialize)
         while ci < len(spans):
             remaining = len(spans) - ci
             granted = 1
@@ -334,8 +302,6 @@ class DiffusiveStage(Stage):
                                               start - base, values)
                 else:
                     update = self.process_chunk(state, indices, values)
-                self._folded = ci + 1
-                self._pending_update = update
                 if self.emit_to is not None:
                     yield Emit(update)
                 last = ci == len(spans) - 1
@@ -350,43 +316,7 @@ class DiffusiveStage(Stage):
                     return
         self._completed_passes += 1
         if self.emit_to is not None:
-            yield CloseChannel()   # idempotent, so replay-safe
-
-    # -- checkpoint / restore ------------------------------------------
-
-    def _spans_per_pass(self) -> int:
-        n = self.n_elements
-        if self.element_limit is not None:
-            n = min(n, self.element_limit)
-        return len(chunk_boundaries(n, self.chunks,
-                                    schedule=self.chunk_schedule))
-
-    def _capture_pass(self, written_total: int,
-                      emitted_total: int) -> dict[str, Any]:
-        cursor: dict[str, Any] = {
-            "folded": self._folded,
-            "written": written_total - self._passes
-            * self._spans_per_pass(),
-        }
-        if self.emit_to is not None:
-            cursor["emitted"] = emitted_total
-            cursor["pending_update"] = self._pending_update
-        return cursor
-
-    def capture_state(self, written_total: int,
-                      emitted_total: int = 0) -> dict[str, Any]:
-        cursor = super().capture_state(written_total, emitted_total)
-        # dense state matters between passes too (persistent kernels)
-        cursor["state"] = self._state
-        return cursor
-
-    def restore_state(self, cursor: dict[str, Any]) -> None:
-        super().restore_state(cursor)
-        self._state = cursor.get("state")
-        self._completed_passes = int(cursor.get("passes", 0))
-        pass_cursor = cursor.get("pass") or {}
-        self._folded = int(pass_cursor.get("folded", 0))
-        self._pending_update = pass_cursor.get("pending_update")
+            yield CloseChannel()
 
     @property
     def precise_cost(self) -> float:

@@ -32,14 +32,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .buffer import Snapshot
-from .channel import ChannelClosed
 from .controller import StopCondition
 from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
-from .kernel import (HALTED, Kernel, RunResult, drive, energy_of,
-                     inputs_newer, inputs_ready, open_body, stage_cursor)
+from .kernel import HALTED, Kernel, RunResult, drive, energy_of, open_body
 from .recording import Timeline
-from .stage import CHANNEL_END
 from .tracing import TraceSink
 
 __all__ = ["ThreadedExecutor", "ThreadedResult", "RunHandle"]
@@ -115,15 +112,13 @@ class RunHandle:
     # -- checkpoint ------------------------------------------------------
 
     def checkpoint(self, path: str) -> str:
-        """Quiesce the run and serialize it to ``path`` (repro.ckpt).
+        """Write the run's reply log to ``path`` (repro.ckpt).
 
-        Pauses the run at its inter-command boundary, waits until every
-        live stage has parked, captures the authoritative state —
-        buffer ladders, channel queues, per-stage cursors, reports,
-        energy, stop progress — and writes a digest-stamped checkpoint
-        file.  The run then continues (its pause state is restored), so
-        a checkpoint is an observation, not an interruption: take one
-        and keep running, or take one and :meth:`request_stop`.
+        Copies the log — with reports, energy, stop progress and
+        duration — under the kernel's log lock and writes a
+        digest-stamped checkpoint file.  No stage pauses, so a
+        checkpoint is an observation, not an interruption: take one and
+        keep running, or take one and :meth:`request_stop`.
 
         Returns the payload digest.  Must precede any stop request (a
         stopping run seals its buffers, which is unrecoverable);
@@ -181,22 +176,14 @@ class _StageThread:
         self.event = threading.Event()
         for b in stage.inputs:
             b.subscribe(self.event)
-        #: a channel update recv() dequeued that the generator has not
-        #: been handed yet; a checkpoint taken while the stage is parked
-        #: puts it back at the head of the checkpointed queue (every
-        #: other reply is recomputed deterministically on resume)
-        self.undelivered: Any = None
 
     def live(self) -> bool:
         """The pause gate: park between commands (the preemption point)
         while paused; False once the run halts."""
-        ex, name = self.ex, self.stage.name
+        ex = self.ex
         while not ex._halt.is_set():
             if ex._gate.is_set():
-                ex._park_status.pop(name, None)
-                self.undelivered = None
                 return True
-            ex._park_status[name] = ("gate", self.undelivered)
             # the short timeout keeps the halt flag live
             ex._gate.wait(timeout=_POLL_S)
         return False
@@ -212,7 +199,7 @@ class _StageThread:
     def wait_inputs(self, seen: dict[str, int]) -> Any:
         def attempt() -> Any:
             self.event.clear()
-            reply = inputs_ready(self.stage, seen)
+            reply = self.ex.reply_wait(self.stage, seen)
             if reply is None:
                 # set by a write or seal to any input
                 self.event.wait(timeout=_POLL_S)
@@ -222,35 +209,41 @@ class _StageThread:
         return self._block("inputs", attempt)
 
     def poll_inputs(self, seen: dict[str, int]) -> bool:
-        return inputs_newer(self.stage, seen)
+        return self.ex.reply_poll(self.stage, seen)
 
     def emit(self, update: Any) -> Any:
         # A halt before the update could be enqueued stops the stage at
         # the emit (HALTED) instead of dropping the update and letting
         # the generator run on to its next wait.  ChannelClosed
         # propagates to the fault policy.
-        return self._block("emit", lambda: self.stage.emit_to.emit(
-            update, timeout=_POLL_S))
+        channel = self.stage.emit_to
+
+        def attempt() -> None:
+            if not self.ex.try_emit(self.stage, update):
+                channel.wait_ready(sending=True, timeout=_POLL_S)
+                raise TimeoutError
+
+        return self._block("emit", attempt)
 
     def close_channel(self) -> None:
-        self.stage.emit_to.close()
+        self.ex.close_channel(self.stage)
 
     def recv(self) -> Any:
-        def attempt() -> Any:
-            try:
-                return self.stage.channel.recv(timeout=_POLL_S)
-            except ChannelClosed:
-                return CHANNEL_END
+        channel = self.stage.channel
 
-        update = self._block("recv", attempt)
-        if update is not CHANNEL_END:
-            self.undelivered = update
-        return update
+        def attempt() -> Any:
+            got, update = self.ex.try_recv(self.stage)
+            if not got:
+                channel.wait_ready(sending=False, timeout=_POLL_S)
+                raise TimeoutError
+            return update
+
+        return self._block("recv", attempt)
 
     def _block(self, kind: str, attempt: Callable[[], Any]) -> Any:
         """Repeat ``attempt`` — one bounded wait, raising TimeoutError
         when it expires — until it answers or the run halts."""
-        ex, name = self.ex, self.stage.name
+        ex = self.ex
         started = ex.now()
         blocked = False
         try:
@@ -258,15 +251,11 @@ class _StageThread:
                 try:
                     return attempt()
                 except TimeoutError:
-                    # A blocked wait is a quiesce point too: under pause
-                    # the producers are parked, so nothing can satisfy it.
                     blocked = True
-                    ex._park_status[name] = ("wait", kind)
             return HALTED
         finally:
-            ex._park_status.pop(name, None)
             if blocked:
-                ex.record_wait(name, started, kind)
+                ex.record_wait(self.stage.name, started, kind)
 
 
 class ThreadedExecutor(Kernel):
@@ -330,9 +319,6 @@ class ThreadedExecutor(Kernel):
         self._gate.set()
         #: one thread per relaunched stage; None until launch()
         self._threads: dict[str, threading.Thread] | None = None
-        #: where each stage thread is parked or blocked (the quiesce
-        #: detector for checkpoints)
-        self._park_status: dict[str, tuple] = {}
 
     def request_stop(self) -> None:
         """Interrupt the automaton (thread-safe, idempotent)."""
@@ -385,9 +371,10 @@ class ThreadedExecutor(Kernel):
         while not self._halt.is_set():
             self.start(stage.name, first)
             first = False
+            gen = open_body(stage, self.injector, True,
+                            self.replayed(stage.name))
             try:
-                outcome = drive(open_body(stage, self.injector, True),
-                                None, backend)
+                outcome = drive(gen, None, backend)
             except BaseException as exc:   # noqa: BLE001 - reported
                 action, delay = self.on_failure(
                     stage, exc, halting=self._halt.is_set())
@@ -400,62 +387,9 @@ class ThreadedExecutor(Kernel):
             self.finish(stage, outcome)
             return
 
-    # -- checkpoint (repro.ckpt) -----------------------------------------
-
-    def _effects(self) -> tuple:
-        """A counter of externally visible progress; stable across two
-        polls (with every live stage parked) means the run is quiesced."""
-        versions = sum(b.version for b in self.graph.buffers.values())
-        chans = sum(c.emitted + c.received
-                    for c in self.graph.channels.values())
-        with self._lock:
-            return (versions, chans, len(self.timeline.records),
-                    self.meter.total)
-
-    def _settle(self, timeout_s: float = 30.0) -> None:
-        """Wait (with the gate down) until every live stage thread is
-        parked at the gate or blocked in a wait, and nothing moved
-        between two consecutive polls."""
-        from ..ckpt.format import CheckpointError
-
-        deadline = _time.monotonic() + timeout_s
-        prev: tuple | None = None
-        while _time.monotonic() < deadline:
-            live = {n for n, t in self._threads.items() if t.is_alive()}
-            state = (dict(self._park_status), self._effects())
-            if live <= set(state[0]) and state == prev:
-                return
-            prev = state
-            _time.sleep(_POLL_S)
-        stuck = sorted(
-            n for n, t in self._threads.items()
-            if t.is_alive() and n not in self._park_status)
-        raise CheckpointError(
-            f"run failed to quiesce within {timeout_s}s "
-            f"(unparked stages: {stuck})")
-
     def _checkpoint(self, path: str) -> str:
-        """Quiesce, capture, serialize; restores the pause state."""
         self._check_checkpointable(self._threads is not None)
-        was_paused = self._is_paused()
-        self._set_paused(True)
-        try:
-            self._settle()
-            live: dict[str, Any] = {}
-            requeue: dict[str, list] = {}
-            for s in self.graph.stages:
-                thread = self._threads.get(s.name)
-                if thread is None or not thread.is_alive():
-                    continue
-                park = self._park_status.get(s.name)
-                if park is not None and park[0] == "gate" \
-                        and park[1] is not None:
-                    requeue.setdefault(s.channel.name, []).append(park[1])
-                live[s.name] = stage_cursor(s)
-            return self._save(path, live, requeue)
-        finally:
-            if not was_paused:
-                self._set_paused(False)
+        return self._save(path)
 
     # -- whole-run driver ------------------------------------------------
 
@@ -471,7 +405,7 @@ class ThreadedExecutor(Kernel):
         self._t0 = _time.perf_counter()
         self.install_hooks()
         finished = (self._resume.finished if self._resume is not None
-                    else {})
+                    else set())
         # Stages that were already terminal at checkpoint time are not
         # relaunched: their buffers are final or sealed (a relaunch
         # would be rejected by the frozen-buffer rule) and their reports

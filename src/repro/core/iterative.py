@@ -94,13 +94,7 @@ class IterativeStage(Stage):
         # levels: no preemption polls (same rule as DiffusiveStage).
         batchable = (self.supports_batch and self.emit_to is None
                      and self.restart_policy != "preempt")
-        resume, self._resume_pass = self._resume_pass, None
         i = 0
-        if resume is not None:
-            # Levels are pure: resume at the first unpublished level
-            # and recompute an interrupted one whole — the republished
-            # ladder is bit-identical by Property 1.
-            i = max(0, int(resume.get("written", 0)))
         while i <= last:
             remaining = last - i + 1
             granted = 1
@@ -122,11 +116,6 @@ class IterativeStage(Stage):
                 if j != last and (yield from self.preempted()):
                     return
             i += granted
-
-    def _capture_pass(self, written_total: int,
-                      emitted_total: int) -> dict[str, Any]:
-        return {"written": written_total
-                - self._passes * len(self.levels)}
 
     def precise(self, input_values: dict[str, Any]) -> Any:
         values = tuple(input_values[b.name] for b in self.inputs)

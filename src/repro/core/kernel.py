@@ -15,12 +15,19 @@ once the run halts) and the effects ``compute(cmd)``, ``write(cmd)``,
 ``wait_inputs(seen)``, ``poll_inputs(seen)``, ``emit(update)``,
 ``close_channel()`` and ``recv()``.  An effect returns the value sent
 back into the generator, or an :class:`Outcome` that ends the pump.
+
+:class:`Kernel` also keeps the run's reply log (:attr:`Kernel.log`): one
+event per effect whose outcome the backend chose or whose order
+matters, appended under the lock that applies the effect.  A stage is
+pure, so its command stream is a function of the replies it receives,
+and the log is all a checkpoint needs (see :mod:`repro.ckpt`).
 """
 
 from __future__ import annotations
 
 import threading
 import time as _time
+from dataclasses import asdict
 from typing import Any, Generator
 
 from ..hw.energy import EnergyMeter
@@ -28,14 +35,16 @@ from .controller import StopCondition
 from .faults import FaultInjector, FaultPolicy, StageReport, resolve_policy
 from .graph import AutomatonGraph
 from .recording import Timeline, WriteRecord
-from .stage import (CloseChannel, Compute, Emit, Lease, PollInputs, Recv,
-                    Stage, WaitInputs, Write)
+from .channel import ChannelClosed
+from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, Lease,
+                    PollInputs, Recv, Stage, WaitInputs, Write)
 from .syncstage import SynchronousStage
 from .tracing import TraceEvent, TraceSink, active_sink
 
 __all__ = ["drive", "Outcome", "DONE", "HALTED", "EXHAUSTED", "SUSPENDED",
            "Kernel", "RunResult", "ExecutionError", "inputs_ready",
-           "inputs_newer", "open_body", "energy_of", "stage_cursor"]
+           "inputs_newer", "open_body", "energy_of", "final_lands",
+           "seal_stage"]
 
 
 class ExecutionError(RuntimeError):
@@ -117,16 +126,32 @@ def _effect(cmd: Any, b: Any) -> Any:
 
 
 def open_body(stage: Stage, injector: FaultInjector | None,
-              realtime: bool) -> Generator:
-    """A fresh generator for one attempt, instrumented by the injector.
+              realtime: bool, replayed: tuple | None = None) -> Generator:
+    """The generator for one attempt, instrumented by the injector.
 
-    ``realtime`` picks how an injected delay spends time: a real sleep
-    (wall-clock backends) or a zero-energy ``Compute`` (virtual time).
+    ``replayed`` is a restored stage's ``(generator, pending reply)``
+    pair (see :mod:`repro.ckpt`): the attempt continues it instead of a
+    fresh ``body()``.  ``realtime`` picks how an injected delay spends
+    time: a real sleep (wall-clock backends) or a zero-energy
+    ``Compute`` (virtual time).
     """
-    gen = stage.body()
+    gen = stage.body() if replayed is None else _continue(*replayed)
     if injector is None:
         return gen
     return injector.wrap(stage.name, gen, realtime=realtime)
+
+
+def _continue(gen: Generator, reply: Any) -> Generator:
+    """A fresh generator that sends ``reply`` into ``gen`` first."""
+    try:
+        while True:
+            try:
+                cmd = gen.send(reply)
+            except StopIteration:
+                return
+            reply = yield cmd
+    finally:
+        gen.close()
 
 
 def energy_of(cmd: Compute) -> float:
@@ -160,11 +185,26 @@ def inputs_newer(stage: Stage, seen: dict[str, int]) -> bool:
     return isinstance(reply, dict) and bool(reply)
 
 
-def stage_cursor(stage: Stage) -> dict[str, Any]:
-    """A live stage's checkpoint cursor, from its buffer's and channel's
-    authoritative counts of the effects that landed."""
-    emitted = stage.emit_to.emitted if stage.emit_to is not None else 0
-    return stage.capture_state(stage.output.version, emitted)
+def final_lands(stage: Stage, final: bool) -> bool:
+    """Whether a write asking for ``final`` publishes a final version:
+    a synchronous stage whose update stream was cut short publishes an
+    approximation, not the precise output."""
+    return final and not (isinstance(stage, SynchronousStage)
+                          and stage.channel.aborted)
+
+
+def seal_stage(stage: Stage) -> None:
+    """Freeze everything the stage feeds, so consumers stop waiting.
+
+    Sealing an already-final buffer is a harmless flag; aborting the
+    emit channel releases a consumer blocked mid-stream, and aborting
+    the consumed channel a producer blocked on it (its next emit raises
+    ChannelClosed and its own policy takes over)."""
+    stage.output.seal()
+    if stage.emit_to is not None and not stage.emit_to.closed:
+        stage.emit_to.abort()
+    if isinstance(stage, SynchronousStage) and not stage.channel.closed:
+        stage.channel.abort()
 
 
 class RunResult:
@@ -237,14 +277,26 @@ class Kernel:
         self.reports = {s.name: StageReport(stage=s.name)
                         for s in graph.stages}
         self._lock = threading.Lock()
+        #: the reply log (see :mod:`repro.ckpt`): each event is appended
+        #: under ``_log_lock`` together with the effect it records, so
+        #: a reply naming a version always follows that version's
+        #: publish.  Reentrant: sealing a stage's outputs may wake and
+        #: answer a blocked consumer on the simulator.
+        self.log: list[tuple] = []
+        self._log_lock = threading.RLock()
+        #: restored stages' ``(generator, pending reply)`` pairs, each
+        #: taken once by the stage's first attempt (:meth:`replayed`)
+        self._replayed: dict[str, tuple] = {}
         self._t0 = 0.0
         self._ended_at: float | None = None    # now() when the run ended
         self._final_result: Any = None
         self.t_offset = 0.0
-        # A run that resumes a checkpoint continues its energy, clock,
-        # reports and stop-condition progress (see repro.ckpt).
+        # A run that resumes a checkpoint continues its log, energy,
+        # clock, reports and stop-condition progress (see repro.ckpt).
         self._resume = resume
         if resume is not None:
+            self.log = list(resume.log)
+            self._replayed = dict(resume.replayed)
             self.meter.charge(resume.energy)
             self.t_offset = float(resume.duration)
             self.reports = resume.seed_reports(
@@ -306,6 +358,11 @@ class Kernel:
 
     # -- attempts, energy and writes ---------------------------------------
 
+    def replayed(self, name: str) -> tuple | None:
+        """A restored stage's replayed generator and pending reply, for
+        its first attempt only (:func:`open_body`); None otherwise."""
+        return self._replayed.pop(name, None)
+
     def start(self, name: str, first: bool = False) -> None:
         """Count and trace one attempt of a stage.
 
@@ -323,24 +380,27 @@ class Kernel:
 
     def publish(self, stage: Stage, value: Any, final: bool,
                 transfer: bool = False) -> int:
-        """Apply one ``Write``: publish, record, sample, check the stop.
+        """Apply one ``Write``: publish, log, record, sample, check the
+        stop.
 
         Returns the version.  Raises ``ValueError`` when the buffer is
         frozen (final or sealed) or written by a foreign stage.
         """
         name = stage.output.name
-        if final and isinstance(stage, SynchronousStage) \
-                and stage.channel.aborted:
-            # The update stream was cut short: the aggregate is an
-            # approximation, not the precise output.
-            final = False
-            self.reports[stage.name].degraded = True
-        version = stage.output.write(value, final, writer=stage.name,
-                                     transfer=transfer)
+        with self._log_lock:
+            landed = final_lands(stage, final)
+            if final and not landed:
+                self.reports[stage.name].degraded = True
+            final = landed
+            version = stage.output.write(value, final, writer=stage.name,
+                                         transfer=transfer)
+            now, energy = self.now(), self.meter.total
+            self.log.append((stage.name, "w", version, int(final), now,
+                             energy))
         value = self._recorded(name, value, version, final)
         watched = name in self.watch
-        record = WriteRecord(self.now(), name, version, final,
-                             self.meter.total, value if watched else None)
+        record = WriteRecord(now, name, version, final, energy,
+                             value if watched else None)
         with self._lock:
             self.timeline.add(record)
         if watched and self.sink is not None \
@@ -354,6 +414,61 @@ class Kernel:
             self.request_stop()
         return version
 
+    # -- logged replies ----------------------------------------------------
+
+    def reply_wait(self, stage: Stage, seen: dict[str, int]) -> Any:
+        """The reply to ``WaitInputs(seen)`` (:func:`inputs_ready`),
+        logged; None to keep waiting."""
+        with self._log_lock:
+            reply = inputs_ready(stage, seen)
+            if reply is not None:
+                self.log.append((stage.name, "r", None
+                                 if reply is EXHAUSTED
+                                 else [s.version for s in reply.values()]))
+        return reply
+
+    def reply_poll(self, stage: Stage, seen: dict[str, int]) -> bool:
+        """The reply to ``PollInputs(seen)``, logged."""
+        with self._log_lock:
+            newer = inputs_newer(stage, seen)
+            self.log.append((stage.name, "p", int(newer)))
+        return newer
+
+    def try_emit(self, stage: Stage, update: Any) -> bool:
+        """Enqueue one update if the channel has room, logged.  Raises
+        ``ChannelClosed`` when the stream was aborted."""
+        with self._log_lock:
+            sent = stage.emit_to.try_emit(update)
+            if sent:
+                self.log.append((stage.name, "e", 1))
+        return sent
+
+    def drop_emit(self, stage: Stage) -> None:
+        """Log an emit answered without enqueueing: the simulator's
+        blocked producer whose stream was aborted under it."""
+        with self._log_lock:
+            self.log.append((stage.name, "e", 0))
+
+    def try_recv(self, stage: Any) -> tuple[bool, Any]:
+        """``(True, update)`` — or ``(True, CHANNEL_END)`` once the
+        channel is closed and drained — logged; ``(False, None)`` while
+        it is empty."""
+        with self._log_lock:
+            try:
+                got, update = stage.channel.try_recv()
+            except ChannelClosed:
+                got, update = True, CHANNEL_END
+            if got:
+                self.log.append((stage.name, "v",
+                                 int(update is not CHANNEL_END)))
+        return got, update
+
+    def close_channel(self, stage: Stage) -> None:
+        """Apply ``CloseChannel``, logged."""
+        with self._log_lock:
+            stage.emit_to.close()
+            self.log.append((stage.name, "c"))
+
     def _recorded(self, name: str, value: Any, version: int,
                   final: bool) -> Any:
         """The value a write records when its buffer is watched."""
@@ -366,19 +481,9 @@ class Kernel:
     # -- seal, degrade and finish -----------------------------------------
 
     def seal_outputs(self, stage: Stage) -> None:
-        """Freeze everything the stage feeds, so consumers stop waiting.
-
-        Sealing an already-final buffer is a harmless flag; aborting the
-        emit channel releases a consumer blocked mid-stream."""
-        stage.output.seal()
-        if stage.emit_to is not None and not stage.emit_to.closed:
-            stage.emit_to.abort()
-        if isinstance(stage, SynchronousStage) \
-                and not stage.channel.closed:
-            # The consumer died: release a producer blocked on the full
-            # channel (its next emit raises ChannelClosed and its own
-            # policy takes over).
-            stage.channel.abort()
+        """Freeze everything the stage feeds (:func:`seal_stage`); the
+        simulator also wakes whoever was blocked on it."""
+        seal_stage(stage)
 
     def finish(self, stage: Stage, outcome: str) -> None:
         """Close a stage's attempt after :func:`drive` returned.
@@ -388,17 +493,19 @@ class Kernel:
         demoted, degrades.
         """
         report = self.reports[stage.name]
-        if outcome == HALTED:
-            status = "stopped" if self.stop_requested else "halted"
-        elif outcome == DONE and not report.degraded:
-            status = "completed"
-            report.completed = True
-        else:
-            status = "degraded"
-            report.degraded = True
-        self.trace("stage.finish", stage=stage.name, status=status)
-        if outcome != HALTED:
-            self.seal_outputs(stage)
+        with self._log_lock:
+            if outcome == HALTED:
+                status = "stopped" if self.stop_requested else "halted"
+            elif outcome == DONE and not report.degraded:
+                status = "completed"
+                report.completed = True
+            else:
+                status = "degraded"
+                report.degraded = True
+            self.trace("stage.finish", stage=stage.name, status=status)
+            if outcome != HALTED:
+                self.log.append((stage.name, "d", str(outcome)))
+                self.seal_outputs(stage)
 
     def on_failure(self, stage: Stage, exc: BaseException,
                    halting: bool = False) -> tuple[str, float]:
@@ -417,6 +524,7 @@ class Kernel:
             self.errors.append((name, exc))
         self.trace("stage.finish", stage=name, status="error",
                    error=repr(exc))
+        delay = 0.0
         if self.stop is not None and self.stop.on_failure(name, exc):
             self.request_stop()
             action = "stop"
@@ -434,13 +542,15 @@ class Kernel:
                 delay = policy.restart_delay(failures)
                 self.trace("stage.restart", stage=name,
                            failures=failures, delay=delay)
-                return action, delay
-        if action == "fail":
-            report.failed = True
-        else:
-            report.degraded = True
-        self.seal_outputs(stage)
-        return action, 0.0
+        with self._log_lock:
+            self.log.append((name, "f", action))
+            if action != "restart":
+                if action == "fail":
+                    report.failed = True
+                else:
+                    report.degraded = True
+                self.seal_outputs(stage)
+        return action, delay
 
     # -- checkpoint and finalise -------------------------------------------
 
@@ -462,40 +572,23 @@ class Kernel:
                 "cannot checkpoint a stopping run: shutdown seals "
                 "every buffer (checkpoint before request_stop)")
 
-    def _save(self, path: str, live: dict[str, Any],
-              requeue: dict[str, list] | None = None) -> str:
-        """Write a checkpoint of the quiesced run; returns its digest.
+    def _save(self, path: str) -> str:
+        """Write a checkpoint: a copy of the log plus reports, energy,
+        stop progress and duration, taken under the log lock — no stage
+        is paused.  Returns the payload digest."""
+        from ..ckpt.state import capture_stop, save_checkpoint
 
-        ``live`` maps every still-running stage to its cursor (None: it
-        resumes from a fresh generator).  A live stage stays LIVE even
-        when its degraded flag is already set (final-after-abort); the
-        flag rides along in its restored report.  ``requeue`` puts
-        dequeued but undelivered channel updates back at the head of the
-        checkpointed queues.
-        """
-        from ..ckpt.state import (STATUS_COMPLETED, STATUS_DEGRADED,
-                                  STATUS_FAILED, STATUS_LIVE,
-                                  assemble_payload, save_checkpoint)
-
-        stages: dict[str, dict[str, Any]] = {}
-        for s in self.graph.stages:
-            report = self.reports[s.name]
-            if s.name in live:
-                status = STATUS_LIVE
-            elif report.failed:
-                status = STATUS_FAILED
-            elif report.degraded:
-                status = STATUS_DEGRADED
-            else:
-                status = STATUS_COMPLETED
-            stages[s.name] = {"status": status,
-                              "cursor": live.get(s.name)}
-        payload = assemble_payload(
-            self.graph, name=self.run_name, executor=self.EXECUTOR,
-            stages=stages, reports=self.reports, energy=self.meter.total,
-            timeline=self._full_timeline(), duration=self.now(),
-            stop=self.stop, channel_requeue=requeue,
-            buffer_values={n: self._value_of(n) for n in self.graph.buffers})
+        with self._log_lock:
+            payload = {
+                "name": self.run_name, "executor": self.EXECUTOR,
+                "stages": {s.name: s.output.name
+                           for s in self.graph.stages},
+                "log": list(self.log),
+                "reports": {n: asdict(r) for n, r in self.reports.items()},
+                "energy": float(self.meter.total),
+                "duration": float(self.now()),
+                "stop": capture_stop(self.stop),
+            }
         return save_checkpoint(path, payload, app_spec=self.app_spec)
 
     def _shutdown_io(self) -> None:

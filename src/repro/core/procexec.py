@@ -44,9 +44,10 @@ Design notes and tradeoffs:
 - **Worker death is a fault.**  A worker that dies without reporting
   (segfault, ``kill -9``) is handled through the stage's
   :class:`~repro.core.faults.FaultPolicy` like any raise: ``restart``
-  re-forks the stage from the parent's pristine copy (a re-forked
-  diffusive stage loses its dense state and injected-fault counters —
-  accuracy may transiently regress, which in-process restarts avoid),
+  re-forks the stage from the parent's copy with a fresh body (a
+  re-forked diffusive stage loses the dense state and injected-fault
+  counters its worker built — accuracy may transiently regress, which
+  in-process restarts avoid),
   ``degrade`` seals its output, ``fail`` halts the run.
 - **Shutdown never leaks.**  On completion, stop, fault-halt or
   ``timeout_s`` expiry the parent answers every parked request with a
@@ -70,7 +71,7 @@ from .executor import RunHandle, ThreadedResult
 from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
 from .kernel import (DONE, EXHAUSTED, HALTED, Kernel, drive, energy_of,
-                     inputs_newer, inputs_ready, open_body)
+                     open_body)
 from .stage import CHANNEL_END
 from .shmplane import SegmentRegistry, SlabWriter, decode_payload
 from .tracing import TraceSink
@@ -97,10 +98,13 @@ class _Worker:
 
     def __init__(self, stage, conn, slots: int, lock,
                  injector: FaultInjector | None, tracing: bool,
-                 lease_k: int) -> None:
+                 lease_k: int, replayed: tuple | None) -> None:
         self.stage = stage
         self.conn = conn
         self.injector = injector
+        #: a restored stage's replayed generator and pending reply,
+        #: which the first attempt continues (repro.ckpt)
+        self.replayed = replayed
         self.lease_k = int(lease_k)
         #: drive() counts every command here, Leases answered locally
         #: included; each message carries the count since the previous
@@ -112,8 +116,8 @@ class _Worker:
             stage.output.name, slots, lock,
             on_segment=lambda names: self._post(("segments", names)))
         # Resumed runs (repro.ckpt) fork with the output buffer already
-        # holding its checkpointed ladder; version numbering continues
-        # from there (zero on a fresh run).
+        # holding its replayed ladder; version numbering continues from
+        # there (zero on a fresh run).
         self._version = stage.output.version
         #: write credits from the parent's last wait / sync-write reply:
         #: how many upcoming non-final writes may skip their replies
@@ -139,14 +143,6 @@ class _Worker:
             reply = self.conn.recv()
             if reply[0] == "revoke":
                 # lease revoked mid-request; credits already zero
-                continue
-            if reply[0] == "capture":
-                # checkpoint quiesce (repro.ckpt): the parent asks for
-                # this stage's resume cursor while our request stays
-                # unanswered; reply[1]/reply[2] are the authoritative
-                # write/emit counts it has applied so far
-                self._post(("state", self.stage.capture_state(reply[1],
-                                                              reply[2])))
                 continue
             # any reply proves the parent consumed every message sent
             # before this request (pipe FIFO) — streamed leased writes
@@ -186,9 +182,6 @@ class _Worker:
             self._run_stage()
         finally:
             self.writer.close()
-            # zero-copy input views must die before the attachments
-            # backing them close, or the unmap fails (BufferError)
-            self.stage.release_inputs()
             self.registry.close_all()
             try:
                 self.conn.close()
@@ -197,9 +190,10 @@ class _Worker:
 
     def _run_stage(self) -> None:
         while True:
+            gen = open_body(self.stage, self.injector, True, self.replayed)
+            self.replayed = None
             try:
-                outcome = drive(open_body(self.stage, self.injector, True),
-                                None, self)
+                outcome = drive(gen, None, self)
             except BaseException as exc:   # noqa: BLE001 - reported
                 reply = self._request(("failed", repr(exc)))
                 if reply[1] == "restart":
@@ -266,7 +260,7 @@ class _Worker:
 
 
 def _worker_main(stage, conn, inherited, slots, lock, injector,
-                 tracing, lease_k) -> None:
+                 tracing, lease_k, replayed) -> None:
     for other in inherited:
         # parent-end copies of earlier pipes, inherited through fork;
         # closing them keeps EOF detection per worker crisp
@@ -275,7 +269,7 @@ def _worker_main(stage, conn, inherited, slots, lock, injector,
         except OSError:   # pragma: no cover - defensive
             pass
     _Worker(stage, conn, slots, lock, injector, tracing,
-            lease_k).run()
+            lease_k, replayed).run()
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +367,6 @@ class ProcessExecutor(Kernel):
         #: control message ("recv" = worker->parent, "send" = reply);
         #: the zero-copy test uses it to prove descriptor-only traffic
         self._message_tap: Callable[[str, str, tuple], None] | None = None
-        # Checkpoint support (repro.ckpt).  A checkpoint request is a
-        # small reactor-side state machine: phase 1 quiesces (worker
-        # requests are diverted unanswered into _qparked), phase 2
-        # round-trips ("capture", ...) to every parked worker for its
-        # cursor, phase 3 writes the file and replays the diverted
-        # requests as if nothing happened.
-        self._ckpt_request: str | None = None
-        self._ckpt_phase = 0
-        self._ckpt_expect: set[str] = set()
-        self._captured: dict[str, dict] = {}
-        self._qparked: list[tuple[_WorkerHandle, tuple]] = []
-        self._ckpt_event: threading.Event | None = None
-        self._ckpt_result: tuple | None = None
-        self._ckpt_revoked = False
 
     def request_stop(self) -> None:
         """Interrupt the automaton (effective at the next reactor turn)."""
@@ -453,6 +433,9 @@ class ProcessExecutor(Kernel):
     # -- lifecycle -------------------------------------------------------
 
     def _launch(self, w: _WorkerHandle, first: bool = False) -> None:
+        """Fork one stage's worker.  Only the first launch continues a
+        restored stage's replayed generator; a re-fork after the worker
+        died opens a fresh body."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         inherited = [h.conn for h in self._workers.values()
                      if h.conn is not None]
@@ -461,7 +444,8 @@ class ProcessExecutor(Kernel):
             args=(w.stage, child_conn, inherited,
                   self._slots[w.stage.output.name],
                   self._locks[w.stage.output.name],
-                  self.injector, self.sink is not None, self.lease_k),
+                  self.injector, self.sink is not None, self.lease_k,
+                  self.replayed(w.stage.name) if first else None),
             name=f"stage-{w.stage.name}", daemon=True)
         proc.start()
         child_conn.close()
@@ -479,8 +463,6 @@ class ProcessExecutor(Kernel):
                 pass
             w.conn = None
         self._parked = [p for p in self._parked if p.worker is not w]
-        self._qparked = [(ww, m) for ww, m in self._qparked
-                         if ww is not w]
 
     def _reply(self, w: _WorkerHandle, msg: tuple) -> None:
         if self._message_tap is not None:
@@ -497,7 +479,7 @@ class ProcessExecutor(Kernel):
     # -- request servicing ----------------------------------------------
 
     def _try_wait(self, w: _WorkerHandle, seen: dict) -> tuple | None:
-        reply = inputs_ready(w.stage, seen)
+        reply = self.reply_wait(w.stage, seen)
         if reply is None:
             return None
         if reply is EXHAUSTED:
@@ -532,17 +514,16 @@ class ProcessExecutor(Kernel):
         if kind == "wait":
             return self._try_wait(w, payload)
         if kind == "poll":
-            return ("ok", inputs_newer(w.stage, payload))
+            return ("ok", self.reply_poll(w.stage, payload))
         if kind == "emit":
             try:
-                return ("ok",) if w.stage.emit_to.try_emit(payload) else None
+                return ("ok",) if self.try_emit(w.stage, payload) else None
             except ChannelClosed as exc:
                 return ("raise", "closed", str(exc))
-        try:   # kind == "recv"
-            got, update = w.stage.channel.try_recv()
-        except ChannelClosed:
-            return ("end",)
-        return ("update", update) if got else None
+        got, update = self.try_recv(w.stage)   # kind == "recv"
+        if not got:
+            return None
+        return ("end",) if update is CHANNEL_END else ("update", update)
 
     def _service_parked(self) -> None:
         """Retry every parked request until a pass makes no progress."""
@@ -566,29 +547,11 @@ class ProcessExecutor(Kernel):
         if self._message_tap is not None:
             self._message_tap("recv", w.stage.name, msg)
         kind = msg[0]
-        if self._ckpt_phase > 0 and not self._halted:
-            # Quiescing for a checkpoint: divert every request that
-            # needs a reply (blocking commands and synchronous writes)
-            # unanswered — the worker stays parked at its command
-            # boundary.  Leased writes stream on through: they are
-            # effects already committed worker-side and must land
-            # before capture (pipe FIFO guarantees they did, relative
-            # to the blocking request that follows them).
-            if kind in ("wait", "poll", "emit", "recv",
-                        "close_channel"):
-                self._qparked.append((w, msg))
-                return
-            if kind == "write" and not msg[3]:
-                self._qparked.append((w, msg))
-                return
         # the worker's kernel counted these commands since its previous
         # message (Leases are answered worker-side)
         self.reports[w.stage.name].commands += msg[-1]
         msg = msg[:-1]
-        if kind == "state":
-            # a quiesced worker's resume cursor (checkpoint phase 2)
-            self._captured[w.stage.name] = msg[1]
-        elif kind == "energy":
+        if kind == "energy":
             self.charge(msg[1])
         elif kind == "segments":
             self._registry.register(msg[1])
@@ -663,7 +626,7 @@ class ProcessExecutor(Kernel):
                 error, w.pending_error = w.pending_error, None
                 self._reply(w, error)
                 return
-            w.stage.emit_to.close()
+            self.close_channel(w.stage)
             self._reply(w, ("halt",) if self._halted else ("ok",))
         elif kind == "failed":
             w.pending_error = None
@@ -682,7 +645,7 @@ class ProcessExecutor(Kernel):
         ``in_process=True`` means the worker is alive, blocked on the
         action reply (restart keeps its diffusive state and injector
         counters); ``False`` means the process died and restart means a
-        re-fork from the parent's pristine stage copy.
+        re-fork from the parent's stage copy.
         """
         action, delay = self.on_failure(w.stage, exc, halting=self._halted)
         if action == "restart":
@@ -746,24 +709,6 @@ class ProcessExecutor(Kernel):
         for parked in self._parked:
             self._reply(parked.worker, ("halt",))
         self._parked.clear()
-        # abort any in-flight checkpoint: its diverted workers get the
-        # same halt, and the requester an error instead of a file
-        for w, _msg in self._qparked:
-            self._reply(w, ("halt",))
-        self._qparked.clear()
-        if self._ckpt_request is not None and self.stop_requested:
-            # a stop raced the quiesce: shutdown seals every buffer, so
-            # the capture is lost — the requester gets an error.  (A
-            # *natural* wind-down is fine: the requester captures the
-            # completed state directly once the reactor exits.)
-            from ..ckpt.format import CheckpointError
-            self._ckpt_result = ("error", CheckpointError(
-                "run halted while a checkpoint was being taken"))
-            self._ckpt_request = None
-            self._ckpt_phase = 0
-            self._ckpt_revoked = False
-            if self._ckpt_event is not None:
-                self._ckpt_event.set()
         for w in self._workers.values():
             w.restart_at = None   # no re-forks once halting
 
@@ -801,124 +746,9 @@ class ProcessExecutor(Kernel):
         self._ext_writers.clear()
         self._registry.unlink_all()
 
-    # -- checkpoint (repro.ckpt) -----------------------------------------
-
-    def _quiesced(self) -> bool:
-        """Every live, non-terminal worker is blocked on an unanswered
-        request (pre-quiesce parked or quiesce-diverted) or is waiting
-        out a re-fork backoff.  Leased writes have then all drained:
-        they were sent before the blocking request, and the pipe is
-        FIFO."""
-        blocked = {p.worker.stage.name for p in self._parked}
-        blocked.update(w.stage.name for w, _m in self._qparked)
-        for w in self._workers.values():
-            if w.terminal or w.restart_at is not None:
-                continue
-            if w.conn is None:
-                continue   # death being resolved; EOF path will run
-            if w.stage.name not in blocked:
-                return False
-        return True
-
-    def _ckpt_step(self) -> None:
-        """One reactor turn of the checkpoint state machine."""
-        if self._ckpt_phase == 1:
-            if not self._ckpt_revoked:
-                # not needed for convergence (credits are only granted
-                # by replies, which are diverted) but collapses the
-                # quiesce latency for deeply-leased streaming workers
-                self._ckpt_revoked = True
-                self._revoke_leases()
-            if not self._quiesced():
-                return
-            # ask every blocked worker for its resume cursor, passing
-            # the authoritative applied-write / applied-emit counts
-            self._ckpt_expect = set()
-            for w in self._workers.values():
-                if w.terminal or w.conn is None \
-                        or w.restart_at is not None:
-                    continue
-                written = w.stage.output.version
-                emitted = (w.stage.emit_to.emitted
-                           if w.stage.emit_to is not None else 0)
-                try:
-                    w.conn.send(("capture", written, emitted))
-                    self._ckpt_expect.add(w.stage.name)
-                except (BrokenPipeError, OSError):
-                    pass   # dying worker: resumes fresh (cursor None)
-            self._ckpt_phase = 2
-            return
-        if self._ckpt_phase == 2:
-            # drop expectations for workers that died mid-capture
-            self._ckpt_expect = {
-                n for n in self._ckpt_expect
-                if self._workers[n].conn is not None}
-            if not self._ckpt_expect <= set(self._captured):
-                return
-            try:
-                result = ("ok", self._ckpt_write(self._ckpt_request))
-            except BaseException as exc:   # noqa: BLE001 - reported
-                result = ("error", exc)
-            self._ckpt_result = result
-            self._ckpt_request = None
-            self._ckpt_phase = 0
-            self._ckpt_revoked = False
-            self._captured = {}
-            # replay the diverted requests: the run continues as if the
-            # checkpoint never happened
-            qparked, self._qparked = self._qparked, []
-            for w, msg in qparked:
-                if w.conn is not None:
-                    self._handle(w, msg)
-            self._service_parked()
-            if self._ckpt_event is not None:
-                self._ckpt_event.set()
-
-    def _ckpt_write(self, path: str) -> str:
-        """Write the checkpoint file (run is quiesced).  A worker in
-        re-fork backoff has no cursor: it resumes from a fresh generator,
-        re-consuming current snapshots (same as a process-death restart
-        would)."""
-        if self._final_result is not None:
-            from ..ckpt.format import CheckpointError
-            raise CheckpointError(
-                "cannot checkpoint a collected run: its shared-"
-                "memory plane has been released")
-        return self._save(path, {name: self._captured.get(name)
-                                 for name, w in self._workers.items()
-                                 if not w.terminal})
-
     def _checkpoint(self, path: str) -> str:
-        """Request a checkpoint from the reactor and wait for it."""
         self._check_checkpointable(self._reactor is not None)
-        if self._halted or not self._reactor.is_alive():
-            # the run already wound down naturally: every stage is
-            # terminal, so the capture is a plain read of parent-side
-            # state once the reactor finishes its cleanup
-            self._reactor.join(timeout=self.grace_s + 10.0)
-            self._check_checkpointable(True)
-            return self._ckpt_write(path)
-        event = threading.Event()
-        self._ckpt_event = event
-        self._ckpt_result = None
-        self._captured = {}
-        self._ckpt_revoked = False
-        self._ckpt_phase = 1
-        self._ckpt_request = path    # the reactor picks this up
-        while not event.wait(timeout=_WAIT_S):
-            if not self._reactor.is_alive():
-                break
-        if self._ckpt_result is None:
-            # reactor exited mid-request (run completed): capture the
-            # final state directly — no concurrency left to manage
-            self._ckpt_request = None
-            self._ckpt_phase = 0
-            return self._ckpt_write(path)
-        status, value = self._ckpt_result
-        self._ckpt_result = None
-        if status == "error":
-            raise value
-        return value
+        return self._save(path)
 
     # -- RunHandle protocol ----------------------------------------------
 
@@ -980,7 +810,7 @@ class ProcessExecutor(Kernel):
             pass
         self._encode_externals()
         finished = (self._resume.finished
-                    if self._resume is not None else {})
+                    if self._resume is not None else set())
         try:
             for w in self._workers.values():
                 if w.stage.name in finished:
@@ -1020,18 +850,11 @@ class ProcessExecutor(Kernel):
                 if self._halted and self.now() > self._grace_deadline:
                     self._terminate_stragglers()
                 self._spawn_due_restarts()
-                quiescing = (self._ckpt_request is not None
-                             and not self._halted)
-                if quiescing:
-                    self._ckpt_step()
-                    quiescing = self._ckpt_request is not None
-                if self._paused and not self._halted and not quiescing:
+                if self._paused and not self._halted:
                     # preempted: leave workers parked on their pipes;
                     # halt/stop checks above stay live.  Revoke leases
                     # once per pause episode so streaming workers stop
-                    # spending credits and sync up promptly.  (A
-                    # checkpoint of a paused run overrides this branch:
-                    # the quiesce needs the pipes drained.)
+                    # spending credits and sync up promptly.
                     if not self._pause_revoked:
                         self._pause_revoked = True
                         self._revoke_leases()
@@ -1044,10 +867,7 @@ class ProcessExecutor(Kernel):
                         self._drain(conn)
                 else:
                     _time.sleep(_WAIT_S)
-                if not quiescing:
-                    # while quiescing, parked requests stay parked (a
-                    # blocked worker is exactly what the capture wants)
-                    self._service_parked()
+                self._service_parked()
         finally:
             self._initiate_halt()
             self._terminate_stragglers()

@@ -33,13 +33,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..hw.energy import EnergyTable
-from .channel import ChannelClosed
 from .controller import StopCondition
 from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
 from .kernel import (DONE, EXHAUSTED, HALTED, SUSPENDED, ExecutionError,
-                     Kernel, RunResult, drive, energy_of, inputs_newer,
-                     inputs_ready, open_body, stage_cursor)
+                     Kernel, RunResult, drive, energy_of, open_body)
 from .recording import Timeline
 from .scheduling import SchedulingPolicy, proportional_shares
 from .stage import CHANNEL_END, Stage
@@ -138,7 +136,7 @@ class _Process:
         self.sim._wake_readers(self.stage.output.name)
 
     def wait_inputs(self, seen: dict[str, int]) -> Any:
-        reply = inputs_ready(self.stage, seen)
+        reply = self.sim.reply_wait(self.stage, seen)
         if reply is not None:
             return reply
         self.waiting_inputs = dict(seen)
@@ -147,32 +145,29 @@ class _Process:
         return self._suspend("inputs")
 
     def poll_inputs(self, seen: dict[str, int]) -> bool:
-        return inputs_newer(self.stage, seen)
+        return self.sim.reply_poll(self.stage, seen)
 
     def emit(self, update: Any) -> Any:
-        channel = self.stage.emit_to
-        if not channel.closed and channel.full:
-            self.waiting_emit = update
-            return self._suspend("emit")
         # ChannelClosed here means the consumer died and aborted the
         # stream; it reaches the fault policy like any stage error
-        channel.emit(update)
-        self.sim._wake_consumer(channel)
+        if not self.sim.try_emit(self.stage, update):
+            self.waiting_emit = update
+            return self._suspend("emit")
+        self.sim._wake_consumer(self.stage.emit_to)
         return None
 
     def close_channel(self) -> None:
-        self.stage.emit_to.close()
+        self.sim.close_channel(self.stage)
         self.sim._wake_consumer(self.stage.emit_to)
 
     def recv(self) -> Any:
         channel = self.stage.channel
-        try:
-            ok, update = channel.try_recv()
-        except ChannelClosed:
-            return CHANNEL_END
+        ok, update = self.sim.try_recv(self.stage)
         if not ok:
             self.waiting_recv = True
             return self._suspend("recv")
+        if update is CHANNEL_END:
+            return update
         # the dequeue made room for a producer blocked on a full channel
         self.sim._wake_producer(channel)
         return update
@@ -226,15 +221,14 @@ class SimulatedExecutor(Kernel):
         bit-identical at any setting.
     resume:
         A :class:`~repro.ckpt.state.ResumeInfo` from a restored
-        checkpoint: finished stages are not re-run, the virtual clock,
+        checkpoint: live stages continue their replayed generators,
+        finished stages are not re-run, the virtual clock,
         energy meter, stage reports and stop-condition progress
         continue from the interrupted run, and the result's timeline
         is prefixed with the interrupted run's records.
     checkpoint_at_stop:
         Optional path: when the run ends (stop condition or natural
-        completion), capture a checkpoint there.  Virtual time has no
-        live threads to quiesce — the event loop's rest state *is* the
-        quiesced state — so the capture is synchronous and exact.
+        completion), write its reply log there as a checkpoint.
     """
 
     EXECUTOR = "simulated"
@@ -326,8 +320,8 @@ class SimulatedExecutor(Kernel):
             return
         consumer.waiting_recv = False
         self._end_wait(consumer)
-        update = channel.try_recv()[1] if len(channel) else CHANNEL_END
-        self._schedule(consumer, self._clock, update)
+        self._schedule(consumer, self._clock,
+                       self.try_recv(consumer.stage)[1])
 
     def _wake_producer(self, channel: Any) -> None:
         """Resume a producer blocked on a full channel: its pending
@@ -338,8 +332,10 @@ class SimulatedExecutor(Kernel):
             return
         pending, producer.waiting_emit = producer.waiting_emit, _NO_PENDING
         self._end_wait(producer)
-        if not channel.closed:
-            channel.emit(pending)
+        if channel.closed:
+            self.drop_emit(producer.stage)
+        else:
+            self.try_emit(producer.stage, pending)
         self._schedule(producer, self._clock, None)
 
     def seal_outputs(self, stage: Stage) -> None:
@@ -385,7 +381,8 @@ class SimulatedExecutor(Kernel):
 
             self._pool = ProcessorPool(self.total_cores, self.shares)
         self.install_hooks()
-        finished = self._resume.finished if self._resume is not None else {}
+        finished = (self._resume.finished if self._resume is not None
+                    else set())
         for name in sorted(procs):
             proc = procs[name]
             if name in finished:
@@ -395,7 +392,8 @@ class SimulatedExecutor(Kernel):
                 proc.done = True
                 continue
             self.start(name, first=True)
-            proc.gen = open_body(proc.stage, self.injector, False)
+            proc.gen = open_body(proc.stage, self.injector, False,
+                                 self.replayed(name))
             self._schedule(proc, self._clock, None)
         # Deadlines are enforced by the kernel itself: no event past the
         # deadline executes, so the timeline never contains an output
@@ -434,7 +432,7 @@ class SimulatedExecutor(Kernel):
                 # finishes the stage degraded.
                 if proc.waiting_inputs is None:
                     continue
-                payload = inputs_ready(proc.stage, proc.waiting_inputs)
+                payload = self.reply_wait(proc.stage, proc.waiting_inputs)
                 if payload is None:
                     continue
                 proc.waiting_inputs = None
@@ -453,32 +451,6 @@ class SimulatedExecutor(Kernel):
         for name in undone:
             self.finish(procs[name].stage, HALTED)
         if self.checkpoint_at_stop is not None:
-            self._write_checkpoint(self.checkpoint_at_stop, procs)
+            self._save(self.checkpoint_at_stop)
         return self._finalize(energy=self.meter.total,
                               shares=dict(self.shares))
-
-    # -- checkpoint (repro.ckpt) -----------------------------------------
-
-    def _write_checkpoint(self, path: str,
-                          procs: dict[str, _Process]) -> str:
-        """Capture the run at the event loop's rest point.
-
-        Virtual time needs no quiesce: between events nothing is
-        mid-flight except (a) generators parked at their last yielded
-        command — covered by the stage cursor protocol — and (b) heap
-        events carrying a channel update that was dequeued but never
-        delivered to its synchronous consumer; those are requeued into
-        the checkpointed channel state so no stream element is lost.
-        """
-        requeue: dict[str, list[Any]] = {}
-        for _at, _sq, pname, payload in sorted(self._heap):
-            p = procs[pname]
-            # a consumer is only ever resumed with None (a compute
-            # completion or restart), an update, or the stream's end
-            if p.done or not isinstance(p.stage, SynchronousStage) \
-                    or payload is None or payload is CHANNEL_END:
-                continue
-            requeue.setdefault(p.stage.channel.name, []).append(payload)
-        live = {n: stage_cursor(p.stage) for n, p in procs.items()
-                if not p.done}
-        return self._save(path, live, requeue)

@@ -207,18 +207,6 @@ class Stage:
         self.emit_to = emit_to
         self.restart_policy = restart_policy
         self._seen: dict[str, int] = {}
-        # Checkpoint bookkeeping (see repro.ckpt).  All transitions
-        # below happen *before* the yield whose effect they describe,
-        # so a generator suspended at any command boundary carries a
-        # cursor from which the remaining command stream can be
-        # replayed exactly (already-applied effects are skipped via the
-        # executor-supplied authoritative write/emit counts).
-        self._passes = 0                  # completed consumer passes
-        self._in_pass = False             # run_once currently active
-        self._pass_snaps: dict[str, Snapshot] | None = None
-        self._pass_final = False
-        self._resume: dict[str, Any] | None = None   # pending cursor
-        self._resume_pass: dict[str, Any] | None = None
         output.register_writer(name)
 
     # -- protocol -----------------------------------------------------
@@ -227,31 +215,7 @@ class Stage:
         """The stage's full command stream (asynchronous consumer loop)."""
         seen = {b.name: 0 for b in self.inputs}
         passes = 0
-        self._passes = 0
-        self._in_pass = False
         self._seen = dict(seen)
-        resume, self._resume = self._resume, None
-        if resume is not None:
-            passes = self._passes = int(resume.get("passes", 0))
-            if resume.get("seen"):
-                seen = dict(resume["seen"])
-            self._seen = dict(seen)
-            if resume.get("in_pass"):
-                snaps = {
-                    n: Snapshot(n, value, version, final, sealed)
-                    for n, (value, version, final, sealed)
-                    in (resume.get("pass_inputs") or {}).items()}
-                inputs_final = bool(resume.get("inputs_final"))
-                self._pass_snaps = snaps
-                self._pass_final = inputs_final
-                self._in_pass = True
-                self._resume_pass = dict(resume.get("pass") or {})
-                yield from self.run_once(snaps, inputs_final)
-                self._in_pass = False
-                passes += 1
-                self._passes = passes
-                if inputs_final:
-                    return
         while True:
             snaps = yield WaitInputs(dict(seen))
             seen = {n: s.version for n, s in snaps.items()}
@@ -265,61 +229,10 @@ class Stage:
                     f"stage {self.name!r} streams updates but saw a "
                     f"second input version; synchronous parents must "
                     f"consume final inputs only")
-            self._pass_snaps = snaps
-            self._pass_final = inputs_final
-            self._in_pass = True
             yield from self.run_once(snaps, inputs_final)
-            self._in_pass = False
             passes += 1
-            self._passes = passes
             if inputs_final:
                 break
-
-    # -- checkpoint / restore ------------------------------------------
-
-    def capture_state(self, written_total: int,
-                      emitted_total: int = 0) -> dict[str, Any]:
-        """Picklable mid-run cursor for :mod:`repro.ckpt`.
-
-        ``written_total`` / ``emitted_total`` are the *authoritative*
-        executor-side counts of this stage's applied output writes and
-        channel emits — the stage's own post-yield bookkeeping cannot
-        know whether its last command's effect landed, so the split
-        between "already published" and "still to publish" always comes
-        from the executor.
-        """
-        cursor: dict[str, Any] = {
-            "passes": self._passes,
-            "in_pass": self._in_pass,
-            "inputs_final": self._pass_final,
-            "seen": dict(self._seen),
-        }
-        if self._in_pass:
-            cursor["pass_inputs"] = {
-                n: (s.value, s.version, s.final, s.sealed)
-                for n, s in (self._pass_snaps or {}).items()}
-            cursor["pass"] = self._capture_pass(written_total,
-                                                emitted_total)
-        return cursor
-
-    def restore_state(self, cursor: dict[str, Any]) -> None:
-        """Arm the stage to resume from ``cursor`` on its next body()."""
-        self._resume = dict(cursor)
-
-    def release_inputs(self) -> None:
-        """Drop the pass snapshots kept for :meth:`capture_state`.
-
-        A process worker calls this once its stage is done, before it
-        unmaps the shared memory those snapshots' arrays view.
-        """
-        self._pass_snaps = None
-
-    def _capture_pass(self, written_total: int,
-                      emitted_total: int) -> dict[str, Any]:
-        """Mid-pass fields for :meth:`capture_state`; subclasses with a
-        resumable ``run_once`` override this (the base restarts an
-        interrupted pass from its beginning)."""
-        return {}
 
     def run_once(self, snaps: dict[str, Snapshot],
                  inputs_final: bool) -> Body:
@@ -385,16 +298,9 @@ class PreciseStage(Stage):
 
     def run_once(self, snaps: dict[str, Snapshot],
                  inputs_final: bool) -> Body:
-        resume, self._resume_pass = self._resume_pass, None
-        if resume is not None and resume.get("written", 0) >= 1:
-            return   # the pass's single version is already published
         yield Compute(self._cost, label=f"{self.name}:precise")
         value = self.fn(*self.input_values(snaps))
         yield Write(value, final=inputs_final)
-
-    def _capture_pass(self, written_total: int,
-                      emitted_total: int) -> dict[str, Any]:
-        return {"written": written_total - self._passes}
 
     def precise(self, input_values: dict[str, Any]) -> Any:
         return self.fn(*(input_values[b.name] for b in self.inputs))

@@ -62,75 +62,20 @@ class SynchronousStage(Stage):
         self.update_cost = update_cost
         self.precise_fn = precise_fn
         self._precise_cost = float(precise_cost)
-        # Checkpoint bookkeeping (repro.ckpt): the accumulator and fold
-        # count live on the instance — updated *before* the Write yield
-        # that publishes them — and a received-but-unfolded update is
-        # stashed so no element of the stream can be lost mid-capture.
-        self._acc: Any = None
-        self._folded = 0
-        self._ended = False
-        self._pending_update: Any = None
 
     def body(self) -> Body:
-        resume, self._resume = self._resume, None
-        if resume is None:
-            self._acc = self.initial_fn()
-            self._folded = 0
-            self._ended = False
-            self._pending_update = None
-        else:
-            written = int(resume.get("written", 0))
-            if self._ended:
-                # only the final republication can be outstanding
-                if written <= self._folded:
-                    yield Write(self._acc, final=True)
-                return
-            if self._pending_update is not None:
-                # an update left the channel but was never folded
-                update, self._pending_update = self._pending_update, None
-                yield Compute(self.update_cost(update),
-                              label=f"{self.name}:update")
-                self._acc = self.update_fn(self._acc, update)
-                self._folded += 1
-                yield Write(self._acc, final=False)
-            elif written < self._folded:
-                # the fold landed but its publication did not
-                yield Write(self._acc, final=False)
+        acc = self.initial_fn()
         while True:
             update = yield Recv()
             if update is CHANNEL_END:
-                self._ended = True
                 break
-            self._pending_update = update
             yield Compute(self.update_cost(update),
                           label=f"{self.name}:update")
-            self._acc = self.update_fn(self._acc, update)
-            self._folded += 1
-            self._pending_update = None
-            yield Write(self._acc, final=False)
+            acc = self.update_fn(acc, update)
+            yield Write(acc, final=False)
         # Re-publish the accumulated output as final: every update was
         # consumed, so the aggregate equals the precise output.
-        yield Write(self._acc, final=True)
-
-    # -- checkpoint / restore ------------------------------------------
-
-    def capture_state(self, written_total: int,
-                      emitted_total: int = 0) -> dict[str, Any]:
-        return {
-            "sync": True,
-            "acc": self._acc,
-            "folded": self._folded,
-            "ended": self._ended,
-            "pending": self._pending_update,
-            "written": written_total,
-        }
-
-    def restore_state(self, cursor: dict[str, Any]) -> None:
-        super().restore_state(cursor)
-        self._acc = cursor.get("acc")
-        self._folded = int(cursor.get("folded", 0))
-        self._ended = bool(cursor.get("ended", False))
-        self._pending_update = cursor.get("pending")
+        yield Write(acc, final=True)
 
     def run_once(self, snaps, inputs_final):  # pragma: no cover
         raise NotImplementedError(

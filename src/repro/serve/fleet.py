@@ -12,14 +12,15 @@ different worker when its home worker dies: building the automaton
 from the spec is idempotent and the anytime model makes any re-run's
 sealed versions equally valid answers.
 
-Worker-bound ops: ``submit`` ``stats`` ``shutdown`` plus the in-band
-checkpoint transfer ``ckpt_begin`` / ``ckpt_chunk`` / ``ckpt_end``
-(chunked base64 ``.rck`` bytes, sha256-verified, so migration never
-assumes a shared filesystem).
+Worker-bound ops: ``submit`` ``stats`` ``shutdown``.  A ``submit``
+that migrates a suspended run carries the run's checkpoint payload
+inline as its ``resume`` object — a reply log of names and numbers
+(:mod:`repro.ckpt`), so migration never assumes a shared filesystem and
+the worker decodes nothing executable.
 Router-bound ops: ``ack`` (admission outcome + queue depth, the
 backpressure signal), ``done`` (terminal result, sent by the worker's
-completion pump), ``stats`` (reply), ``ckpt_ack`` (transfer outcome),
-``error`` (structured protocol violation report), ``bye``.
+completion pump), ``stats`` (reply), ``error`` (structured protocol
+violation report), ``bye``.
 
 A worker makes a new spec's input, admits the run and acks it, then
 computes the precise reference on its calibrate thread while the run
@@ -40,18 +41,14 @@ with :class:`FrameError` before any allocation, so a corrupt or hostile
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
 import contextlib
 import hashlib
 import json
 import math
 import operator
-import os
 import queue
 import socket
 import struct
-import tempfile
 import threading
 from collections import OrderedDict
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
@@ -63,18 +60,17 @@ from .digest import ckpt_filename, input_digest, request_key
 
 __all__ = ["pack_msg", "send_msg", "recv_msg", "read_msg", "spec_key",
            "value_digest", "ckpt_filename", "worker_main", "WORKER_DEFAULTS",
-           "MAX_FRAME", "MAX_SPEC_SIZE", "FrameError", "FIELD_ERRORS",
-           "CKPT_CHUNK_BYTES"]
+           "MAX_FRAME", "MAX_SPEC_SIZE", "FrameError", "FIELD_ERRORS"]
 
 _LEN = struct.Struct(">I")
 
-#: upper bound on one frame's JSON payload; large enough for a
-#: base64-encoded checkpoint chunk with headroom, small enough that a
-#: corrupt length prefix cannot trigger an unbounded allocation
-MAX_FRAME = 16 * 1024 * 1024
-
-#: raw bytes per in-band checkpoint chunk (~341 KiB after base64)
-CKPT_CHUNK_BYTES = 256 * 1024
+#: upper bound on one frame's JSON payload, small enough that a corrupt
+#: length prefix cannot trigger an unbounded allocation.  The largest
+#: frame the fleet sends is a ``submit`` whose ``resume`` carries a
+#: run's whole reply log.  The longest in the test suite, a 256² histeq
+#: run simulated to its final, is 264 events in 12 KiB — a log grows
+#: with versions, not pixels — so 256 KiB leaves twenty-fold headroom
+MAX_FRAME = 256 * 1024
 
 
 class FrameError(RuntimeError):
@@ -269,22 +265,24 @@ def value_digest(value: Any) -> str:
 
 # -- the worker process --------------------------------------------------
 
-def _resuming_builder(path: str, builder: Any) -> Any:
-    """A builder that continues a migrated run from its checkpoint,
-    falling back to a fresh build when the file is gone or unreadable
-    (a fresh run's sealed versions are equally valid answers)."""
+def _resuming_builder(resume: dict[str, Any], builder: Any) -> Any:
+    """A builder whose first automaton continues a migrated run from
+    its checkpoint payload; later ones, and one whose payload does not
+    replay, are fresh builds (a fresh run's sealed versions are equally
+    valid answers).  The payload is consumed once: a past is never
+    resumed twice."""
+    pending = [resume]
+
     def build() -> Any:
         from ..ckpt import CheckpointError
         from ..core.automaton import AnytimeAutomaton
-        try:
-            automaton = AnytimeAutomaton.restore(path, builder=builder)
-        except (CheckpointError, OSError):
-            return builder()
-        try:
-            os.unlink(path)   # consumed: never resume the past twice
-        except OSError:
-            pass
-        return automaton
+        if pending:
+            try:
+                return AnytimeAutomaton.restore(pending.pop(),
+                                                builder=builder)
+            except CheckpointError:
+                pass
+        return builder()
     return build
 
 
@@ -341,100 +339,6 @@ def _checked_builder(builder: Any, hash_values: bool) -> tuple[Any, _CheckedRun]
         return automaton
 
     return build, cell
-
-
-class _CkptReceiver:
-    """Reassemble in-band checkpoint transfers (``ckpt_begin`` /
-    ``ckpt_chunk`` / ``ckpt_end``) into local ``.rck`` files.
-
-    Bytes are verified twice before a transfer is accepted: the running
-    sha256 must match the sender's declared digest, and the assembled
-    file must carry a valid ``RPROCKP1`` header (magic, format version,
-    and the header's own payload digest — :func:`repro.ckpt.read_header`).
-    """
-
-    def __init__(self, spool_dir: str | None) -> None:
-        self._spool_dir = spool_dir
-        self._open: dict[int, dict[str, Any]] = {}
-        self._ready: dict[int, str] = {}
-
-    def _spool(self) -> str:
-        if self._spool_dir is None:
-            self._spool_dir = tempfile.mkdtemp(prefix="fleet-xfer-")
-        os.makedirs(self._spool_dir, exist_ok=True)
-        return self._spool_dir
-
-    def begin(self, msg: dict[str, Any]) -> None:
-        xid = int(msg["xid"])
-        self.discard(xid)
-        path = os.path.join(self._spool(),
-                            f"xfer-{xid}-{ckpt_filename(msg['key'])}")
-        self._open[xid] = {
-            "path": path, "fh": open(path, "wb"),
-            "sha": hashlib.sha256(), "received": 0,
-            "size": int(msg["size"]), "declared": str(msg["sha256"]),
-        }
-
-    def chunk(self, msg: dict[str, Any]) -> None:
-        state = self._open.get(int(msg["xid"]))
-        if state is None:
-            return
-        data = base64.b64decode(msg["data"])
-        state["fh"].write(data)
-        state["sha"].update(data)
-        state["received"] += len(data)
-
-    def end(self, msg: dict[str, Any]) -> dict[str, Any]:
-        """Finish a transfer; returns the ``ckpt_ack`` reply body."""
-        xid = int(msg["xid"])
-        state = self._open.pop(xid, None)
-        if state is None:
-            return {"op": "ckpt_ack", "xid": xid, "ok": False,
-                    "error": "unknown transfer id"}
-        state["fh"].close()
-        error = None
-        if state["received"] != state["size"]:
-            error = (f"size mismatch: declared {state['size']}, "
-                     f"received {state['received']}")
-        elif state["sha"].hexdigest() != state["declared"]:
-            error = "sha256 mismatch"
-        else:
-            from ..ckpt import CheckpointError, read_header
-            try:
-                read_header(state["path"])
-            except (CheckpointError, OSError) as exc:
-                error = f"invalid checkpoint: {exc}"
-        if error is not None:
-            try:
-                os.unlink(state["path"])
-            except OSError:
-                pass
-            return {"op": "ckpt_ack", "xid": xid, "ok": False,
-                    "error": error}
-        self._ready[xid] = state["path"]
-        return {"op": "ckpt_ack", "xid": xid, "ok": True}
-
-    def take(self, xid: Any) -> str | None:
-        """Claim a verified transfer's local path (once)."""
-        if xid is None:
-            return None
-        return self._ready.pop(int(xid), None)
-
-    def discard(self, xid: int) -> None:
-        for table in (self._open, self._ready):
-            state = table.pop(xid, None)
-            if state is None:
-                continue
-            path = state["path"] if isinstance(state, dict) else state
-            if isinstance(state, dict):
-                try:
-                    state["fh"].close()
-                except OSError:
-                    pass
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
 
 class _ScoreLater:
@@ -553,6 +457,7 @@ def worker_main(sock: socket.socket,
     request.
     """
     from ..apps.registry import get_app
+    from ..ckpt import check_payload
     from .server import AnytimeServer
     from .slo import SLO
 
@@ -567,9 +472,6 @@ def worker_main(sock: socket.socket,
     finished: queue.SimpleQueue = queue.SimpleQueue()    # -> pump
     calibrator = ThreadPoolExecutor(1, thread_name_prefix="fleet-calibrate")
     calibrations = _Lru(_CALIBRATIONS_MAX)
-    receiver = _CkptReceiver(
-        os.path.join(cfg["resume_dir"], "incoming")
-        if cfg.get("resume_dir") else None)
 
     def calibration(app: str, size: Any, seed: Any) -> tuple:
         # the key is the frame's spec's, never the router's word for it
@@ -607,14 +509,15 @@ def worker_main(sock: socket.socket,
         op = msg.get("op")
         if op == "submit":
             rid = int(msg["rid"])
+            resume = msg.get("resume")
+            if resume is not None:
+                check_payload(resume)
             cell = None
             try:
                 builder, metric, key = calibration(
                     msg["app"], msg.get("size", 32), msg.get("seed", 0))
-                resume_from = (receiver.take(msg.get("resume_xfer"))
-                               or msg.get("resume_from"))
-                if resume_from:
-                    builder = _resuming_builder(resume_from, builder)
+                if resume is not None:
+                    builder = _resuming_builder(resume, builder)
                 if msg.get("check", cfg.get("check")):
                     builder, cell = _checked_builder(
                         builder, hash_values=cfg["executor"] != "process")
@@ -651,24 +554,6 @@ def worker_main(sock: socket.socket,
         elif op == "stats":
             send_msg(sock, {"op": "stats", "rid": msg.get("rid"),
                             "stats": server.stats()}, send_lock)
-        elif op == "ckpt_begin":
-            try:
-                receiver.begin(msg)
-            except (KeyError, ValueError, OSError) as exc:
-                send_msg(sock, {"op": "ckpt_ack", "xid": msg.get("xid"),
-                                "ok": False, "error": str(exc)},
-                         send_lock)
-        elif op == "ckpt_chunk":
-            try:
-                receiver.chunk(msg)
-            except (KeyError, ValueError, OSError,
-                    binascii.Error) as exc:
-                receiver.discard(int(msg.get("xid", -1)))
-                send_msg(sock, {"op": "ckpt_ack", "xid": msg.get("xid"),
-                                "ok": False, "error": str(exc)},
-                         send_lock)
-        elif op == "ckpt_end":
-            send_msg(sock, receiver.end(msg), send_lock)
         elif op == "shutdown":
             try:
                 send_msg(sock, {"op": "bye"}, send_lock)

@@ -29,14 +29,15 @@ itself: the router never makes an input):
   worker's key range with zero ring churn).  The dead worker's
   in-flight requests are re-dispatched — and when the fleet runs with
   a ``resume_dir``, a request whose run had been suspended to a
-  checkpoint (:mod:`repro.ckpt`) *migrates*: the router ships the dead
-  worker's last checkpoint to the new home **in-band** (chunked,
-  sha256-verified ``ckpt_*`` frames — no shared filesystem between
-  workers assumed) and the run continues from where it stopped instead
-  of starting over.  Requests without a checkpoint, or whose transfer
-  is refused, fall back to verbatim re-dispatch — requests are specs,
-  not closures, so a re-run is safe and its sealed versions are
-  equally valid answers.  Remote (TCP) workers are not respawned: the
+  checkpoint (:mod:`repro.ckpt`) *migrates*: the checkpoint is the
+  run's reply log, a few KiB at any image size, so the router puts the
+  dead worker's last one **inline** in the re-dispatched ``submit``
+  frame as its ``resume`` object (no shared filesystem between workers
+  assumed) and the run continues from where it stopped instead of
+  starting over.  Requests without a readable checkpoint fall back to
+  verbatim re-dispatch — requests are specs, not closures, so a re-run
+  is safe and its sealed versions are equally valid answers; so does
+  one whose ``resume`` the new home cannot replay.  Remote (TCP) workers are not respawned: the
   router does not own their processes, so survivors absorb the dead
   worker's key range instead.
 * **Fleet-wide memo sharing.**  When any worker seals a *final* answer
@@ -61,8 +62,8 @@ the public methods are thin calls onto it, and
 from __future__ import annotations
 
 import asyncio
-import base64
 import bisect
+import contextlib
 import glob
 import hashlib
 import itertools
@@ -73,9 +74,8 @@ import time as _time
 from typing import Any, Callable
 
 from ..core.tracing import TraceEvent, TraceSink
-from .fleet import (CKPT_CHUNK_BYTES, FIELD_ERRORS, FrameError,
-                    WORKER_DEFAULTS, ckpt_filename, pack_msg, read_msg,
-                    spec_key)
+from .fleet import (FIELD_ERRORS, MAX_FRAME, FrameError, WORKER_DEFAULTS,
+                    ckpt_filename, pack_msg, read_msg, spec_key)
 from .transport import ForkTransport, TcpTransport
 from .workload import percentile
 
@@ -93,8 +93,9 @@ FALLBACK_MARGIN = 2
 #: entries the fleet-wide memo holds at most
 FLEET_MEMO_MAX = 256
 
-#: seconds a checkpoint shipment waits for the receiver's ``ckpt_ack``
-CKPT_ACK_TIMEOUT_S = 15.0
+#: room a ``submit`` frame leaves its ``resume`` object: the rest of a
+#: frame is a spec, an SLO and a few ids
+_SUBMIT_BYTES = 1024
 
 
 def _ring_hash(text: str) -> int:
@@ -227,9 +228,9 @@ class FleetRouter:
         self.respawn = bool(respawn)
         #: router-visible checkpoint root: worker ``i`` suspends runs
         #: under ``resume_dir/w<i>/``; after a death the router reads
-        #: the dead worker's checkpoints there and ships them to the
-        #: new home in-band (the *destination* needs no shared
-        #: filesystem)
+        #: the dead worker's checkpoints there and sends them to the new
+        #: home inline in the re-dispatched ``submit`` (the
+        #: *destination* needs no shared filesystem)
         self.resume_dir = resume_dir
         if resume_dir is not None:
             os.makedirs(resume_dir, exist_ok=True)
@@ -551,9 +552,8 @@ class FleetRouter:
             self._update_idle()
         elif op == "ack":
             self._on_ack(link, msg)
-        elif op in ("stats", "ckpt_ack"):
-            waiter = self._waiters.get(
-                (op, msg.get("rid" if op == "stats" else "xid")))
+        elif op == "stats":
+            waiter = self._waiters.get((op, msg.get("rid")))
             if waiter is not None and not waiter.done():
                 waiter.set_result(msg)
         elif op == "error":
@@ -625,35 +625,27 @@ class FleetRouter:
     async def _redispatch_orphan(self, link: _WorkerLink,
                                  request: FleetRequest) -> None:
         """Re-place one orphan.  A request whose run had been
-        suspended to a checkpoint *migrates*: the checkpoint is shipped
-        to the new home in-band and the run continues from where it
-        stopped.  Runs without one (or whose transfer fails) re-dispatch
-        fresh; so does one whose new home dies during the shipment."""
-        while True:
-            survivor = self._place(request.key)
-            if survivor is None:
-                request._finish({
-                    "state": "failed",
-                    "errors": [f"worker {link.index} died"]})
-                return
-            request.redispatches += 1
-            self.counters["redispatched"] += 1
-            self._emit("fleet.redispatch", key=request.key,
+        suspended to a checkpoint *migrates*: the checkpoint's payload
+        rides in the re-dispatched ``submit`` as its ``resume`` object
+        and the run continues from where it stopped.  Runs without a
+        readable one re-dispatch fresh."""
+        survivor = self._place(request.key)
+        if survivor is None:
+            request._finish({
+                "state": "failed",
+                "errors": [f"worker {link.index} died"]})
+            return
+        request.redispatches += 1
+        self.counters["redispatched"] += 1
+        self._emit("fleet.redispatch", key=request.key,
+                   rid=request.rid, worker=survivor.index)
+        resume = self._take_checkpoint(link.index, request.key)
+        if resume is not None:
+            self.counters["migrated"] += 1
+            self._emit("fleet.migrate", key=request.key,
                        rid=request.rid, worker=survivor.index)
-            source = self._migration_source(link.index, request.key)
-            extra = None
-            if source is not None:
-                extra = await self._ship_checkpoint(survivor, request.key,
-                                                    source)
-                if extra is not None:
-                    self.counters["migrated"] += 1
-                    self._emit("fleet.migrate", key=request.key,
-                               rid=request.rid, worker=survivor.index)
-                else:
-                    self.counters["migrations_failed"] += 1
-            if survivor.alive:
-                self._dispatch(request, survivor, extra=extra)
-                return
+        self._dispatch(request, survivor,
+                       extra=None if resume is None else {"resume": resume})
 
     def _sweep_stale_temps(self, dead_index: int) -> None:
         """Delete the atomic-write temps (``<key>.rck.tmp.<pid>``) a
@@ -669,54 +661,31 @@ class FleetRouter:
             except OSError:
                 pass
 
-    def _migration_source(self, dead_index: int,
-                          key: str) -> str | None:
-        """The dead worker's last checkpoint of this key, if any."""
+    def _take_checkpoint(self, dead_index: int,
+                         key: str) -> dict[str, Any] | None:
+        """The payload of the dead worker's last checkpoint of this key,
+        if one is readable and fits a frame.  The file is consumed
+        either way: a past must never be resumed twice."""
         if self.resume_dir is None:
             return None
         path = os.path.join(self.resume_dir, f"w{dead_index}",
                             ckpt_filename(key))
-        return path if os.path.exists(path) else None
+        if not os.path.exists(path):
+            return None
+        from ..ckpt import CheckpointError, load_checkpoint
 
-    async def _ship_checkpoint(self, link: _WorkerLink, key: str,
-                               path: str) -> dict[str, Any] | None:
-        """Ship one ``.rck`` file to a worker in-band: chunked base64
-        frames bracketed by ``ckpt_begin``/``ckpt_end``, acknowledged
-        after the worker re-verifies the sha256 and the ``RPROCKP1``
-        header.  Returns the ``{"resume_xfer": xid}`` submit extra on
-        success, None on any failure (the caller falls back to a fresh
-        re-dispatch — always safe, anytime re-runs are valid)."""
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            return None
-        xid = next(self._ids)
-        ack = self._expect("ckpt_ack", xid)
-        try:
-            link.send({"op": "ckpt_begin", "xid": xid, "key": key,
-                       "size": len(data),
-                       "sha256": hashlib.sha256(data).hexdigest()})
-            for off in range(0, len(data), CKPT_CHUNK_BYTES):
-                chunk = data[off:off + CKPT_CHUNK_BYTES]
-                link.send({"op": "ckpt_chunk", "xid": xid,
-                           "data": base64.b64encode(chunk).decode()})
-                await link.writer.drain()
-            link.send({"op": "ckpt_end", "xid": xid})
-            reply = await asyncio.wait_for(ack, CKPT_ACK_TIMEOUT_S)
-        except (OSError, asyncio.TimeoutError):
-            return None
+            header, payload = load_checkpoint(path)
+        except CheckpointError:
+            payload = None
         finally:
-            ack.cancel()
-        if not reply.get("ok"):
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        if payload is None or \
+                header["payload_len"] + _SUBMIT_BYTES > MAX_FRAME:
+            self.counters["migrations_failed"] += 1
             return None
-        try:
-            # consumed: the receiver now owns the only live copy, and
-            # a past must never be resumed twice
-            os.unlink(path)
-        except OSError:
-            pass
-        return {"resume_xfer": xid}
+        return payload
 
     # -- fleet-wide memo -------------------------------------------------
 

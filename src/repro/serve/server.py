@@ -571,7 +571,12 @@ class AnytimeServer:
         candidates = [
             run for run in self._running()
             if run._dispatched_at is not None
-            and now - run._dispatched_at >= self.quantum_s]
+            and now - run._dispatched_at >= self.quantum_s
+            # holding its final and scoreable, a run leaves at the next
+            # harvest: preempting it would only suspend a run that
+            # nothing restores
+            and not (run.snapshot().final
+                     and all(s.metric_ready() for s in run.subscribers))]
         victim = self.policy.pick_victim(candidates, ready, now)
         if victim is None:
             return
@@ -640,6 +645,9 @@ class AnytimeServer:
         handle = run._handle
         assert handle is not None
         path = self._ckpt_file(run)
+        # paused first, so the run does not race on to versions the
+        # checkpoint will not hold while the file is written
+        handle.pause()
         try:
             handle.checkpoint(path)
         except Exception:

@@ -17,8 +17,8 @@ obtains those sockets; the router's ``endpoints`` choose between them
     (``repro serve-worker --listen host:port``) over ``AF_INET``.  The
     router does not own those processes, so a dead worker is *not*
     respawned — its keys and in-flight requests migrate to survivors,
-    with suspend checkpoints shipped in-band (the destination never
-    needs a shared filesystem).
+    with suspend checkpoints inline in the re-dispatched ``submit``
+    (the destination never needs a shared filesystem).
 
 Helpers: :func:`parse_endpoint` (``"host:port"`` → tuple),
 :func:`serve_worker_listener` (the accept loop behind

@@ -1,13 +1,16 @@
 """Checkpoint/restore subsystem (``repro.ckpt``).
 
-A live anytime run quiesces at an inter-command boundary, serializes to
-a self-describing on-disk checkpoint, and restores on *any* executor
-with bit-exact continuation.  These tests cover the file format's
+A checkpoint is a live run's reply log, copied without pausing the run;
+restoring replays the log on a freshly built graph and continues on
+*any* executor, bit-exactly.  These tests cover the file format's
 structured failure modes, same-executor resume, the full cross-executor
 migration matrix (via the restore-differential harness), checkpointing
-under a batched command lease, the serving layer's suspend-and-resume
-path (park on queue-full, checkpoint on preempt, restore on grant), and
-fleet worker re-spawn with checkpoint migration after a SIGKILL.
+under a batched command lease, a synchronous pipeline checkpointed
+mid-stream, a restored run checkpointed and restored again, a log whose
+length does not grow with the image, ``repro ckpt inspect``, the
+serving layer's suspend-and-resume path (park on queue-full, checkpoint
+on preempt, restore on grant), and fleet worker re-spawn with
+checkpoint migration after a SIGKILL.
 """
 
 import contextlib
@@ -36,10 +39,11 @@ def values_equal(a, b):
 
 
 def interrupted_checkpoint(record, image, path, src="simulated",
-                           **launch_kw):
-    """Run ``record``'s app on ``src``, interrupt it mid-flight, and
-    write a checkpoint to ``path``."""
-    automaton = record.build(image)
+                           automaton=None, **launch_kw):
+    """Run ``record``'s app (or ``automaton``) on ``src``, interrupt it
+    mid-flight, and write a checkpoint to ``path``."""
+    if automaton is None:
+        automaton = record.build(image)
     if src == "simulated":
         result = automaton.run_simulated(stop=VersionCountStop(2),
                                          checkpoint_at_stop=str(path))
@@ -49,8 +53,9 @@ def interrupted_checkpoint(record, image, path, src="simulated",
               if src == "process"
               else automaton.launch_threaded(**launch_kw))
     terminal = automaton.graph.buffers[automaton.terminal_buffer_name]
+    target = terminal.version + 2
     deadline = time.monotonic() + 60.0
-    while terminal.version < 2 and not handle.finished \
+    while terminal.version < target and not handle.finished \
             and time.monotonic() < deadline:
         time.sleep(0.002)
     handle.checkpoint(str(path))
@@ -243,6 +248,165 @@ class TestCheckpointUnderLease:
         finals = [r for r in result.timeline.for_buffer(tname)
                   if r.final]
         assert len(finals) == 1
+
+
+@pytest.mark.check
+class TestReplayLog:
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("executor",
+                             ["simulated", "threaded", "process"])
+    def test_sync_pipeline_checkpointed_mid_stream_is_bit_exact(
+            self, executor, tmp_path):
+        """The Figure 10 synchronous organization, checkpointed while
+        its child holds a received update it has not folded yet: the
+        restored stream neither loses nor repeats an update."""
+        from repro.apps.pipeline_demo import build_organization
+        from repro.core.faults import FaultInjector
+
+        def build():
+            return build_organization("sync", m=32)
+
+        precise = build().precise_output()
+        path = tmp_path / "sync.rck"
+        automaton = build()
+        if executor == "simulated":
+            automaton.run_simulated(stop=VersionCountStop(1),
+                                    watch={"G"},
+                                    checkpoint_at_stop=str(path))
+        else:
+            # the child stalls on its first fold, so the capture lands
+            # between its receive and its publish
+            injector = FaultInjector.from_specs(["g:2:delay=0.5"])
+            launch = (automaton.launch_processes
+                      if executor == "process"
+                      else automaton.launch_threaded)
+            handle = launch(injector=injector)
+            channel = automaton.graph.channels["F"]
+            wait_until(lambda: channel.received >= 1)
+            handle.checkpoint(str(path))
+            handle.request_stop()
+            handle.result()
+        live = read_header(str(path))["summary"]["live_stages"]
+        assert "g" in live
+        resumed = AnytimeAutomaton.restore(str(path), builder=build)
+        result = {"simulated": resumed.run_simulated,
+                  "threaded": lambda: resumed.run_threaded(
+                      timeout_s=60.0),
+                  "process": lambda: resumed.run_processes(
+                      timeout_s=60.0)}[executor]()
+        assert result.completed
+        assert values_equal(result.final_values["G"], precise)
+        ladder = result.timeline.for_buffer("G")
+        assert [r.version for r in ladder] == list(
+            range(1, len(ladder) + 1))
+        assert [r.final for r in ladder].count(True) == 1
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("middle", ["threaded", "process"])
+    def test_restored_run_checkpointed_again_is_bit_exact(
+            self, middle, tmp_path):
+        """Restore, run on, checkpoint again, restore again: the second
+        checkpoint's log extends the first, and the logical run is the
+        uninterrupted one."""
+        record = get_app("histeq")
+        image = record.make_input(32, 4)
+        tname = record.build(image).terminal_buffer_name
+        precise = record.build(image).precise_output()
+        first, second = tmp_path / "first.rck", tmp_path / "second.rck"
+        interrupted_checkpoint(record, image, first)
+        restored = AnytimeAutomaton.restore(
+            str(first), builder=lambda: record.build(image))
+        interrupted_checkpoint(None, None, second, src=middle,
+                               automaton=restored)
+        _, once = load_checkpoint(str(first))
+        _, twice = load_checkpoint(str(second))
+        assert twice["log"][:len(once["log"])] == once["log"]
+        again = AnytimeAutomaton.restore(
+            str(second), builder=lambda: record.build(image))
+        result = again.run_simulated()
+        assert result.completed
+        assert values_equal(result.final_values[tname], precise)
+        ladder = result.timeline.for_buffer(tname)
+        assert [r.version for r in ladder] == list(
+            range(1, len(ladder) + 1))
+        assert [r.final for r in ladder].count(True) == 1
+
+    @pytest.mark.timeout(300)
+    def test_checkpoints_taken_under_thread_churn_all_replay(
+            self, tmp_path):
+        """Each event is logged under the lock that applies its effect,
+        so a copy of the log taken at any moment is a consistent cut:
+        with more stage threads than cores and a 10 µs switch interval,
+        every checkpoint of a live run replays and finishes bit-exact."""
+        import sys
+
+        record = get_app("histeq")
+        image = record.make_input(96, 5)
+        tname = record.build(image).terminal_buffer_name
+        precise = record.build(image).precise_output()
+        paths = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            handle = record.build(image).launch_threaded()
+            while not handle.finished and len(paths) < 12:
+                paths.append(tmp_path / f"{len(paths)}.rck")
+                handle.checkpoint(str(paths[-1]))
+                time.sleep(0.002)
+            assert handle.wait(timeout_s=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(paths) >= 2
+        for path in paths:
+            resumed = AnytimeAutomaton.restore(
+                str(path), builder=lambda: record.build(image))
+            result = resumed.run_simulated()
+            assert result.completed, path
+            assert values_equal(result.final_values[tname], precise)
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("app", ["2dconv", "kmeans", "dwt53",
+                                     "debayer", "histeq"])
+    def test_log_length_does_not_grow_with_the_image(self, app,
+                                                     tmp_path):
+        """Checkpointed at the same version, a 24² and a 256² run log
+        the same number of events: the log counts effects, not
+        pixels."""
+        record = get_app(app)
+        counts = []
+        for size in (24, 256):
+            path = tmp_path / f"{size}.rck"
+            record.build(record.make_input(size, 0)).run_simulated(
+                stop=VersionCountStop(8), checkpoint_at_stop=str(path))
+            counts.append(len(load_checkpoint(str(path))[1]["log"]))
+        assert counts[0] == counts[1]
+
+    def test_version_one_file_is_a_structured_error(self, tmp_path):
+        """A pickled format-1 checkpoint is refused at its header,
+        before anything reads its payload."""
+        path = tmp_path / "v1.rck"
+        header = b'{"format_version": 1, "payload_len": 4}'
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header
+                         + b"\x80\x04N.")
+        with pytest.raises(CheckpointError, match="format_version 1"):
+            AnytimeAutomaton.restore(
+                str(path), builder=lambda: get_app("dwt53").build(
+                    get_app("dwt53").make_input(16, 0)))
+
+    def test_inspect_prints_the_log_summary(self, tmp_path, capsys):
+        from repro.cli import main
+
+        record = get_app("histeq")
+        path = tmp_path / "run.rck"
+        interrupted_checkpoint(record, record.make_input(24, 0), path)
+        summary = read_header(str(path))["summary"]
+        assert main(["ckpt", "inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        for stage, count in summary["events"].items():
+            assert f"log        {stage}: {count} event(s)" in out
+        assert "live       " + ", ".join(summary["live_stages"]) in out
+        for buffer, version in summary["buffer_versions"].items():
+            assert f"buffer     {buffer} @ v{version}" in out
 
 
 # -- serving-layer suspend-and-resume ------------------------------------

@@ -77,6 +77,21 @@ class TestRecvMsgBound:
             a.close()
             b.close()
 
+    def test_frame_at_the_bound_passes(self):
+        a, b = self._pair()
+        pad = "x" * (MAX_FRAME - len('{"op":"stats","pad":""}'))
+        frame = {"op": "stats", "pad": pad}
+        # a full-size frame outgrows the socket buffer: send it from
+        # a thread while the reader drains it
+        sender = threading.Thread(target=send_msg, args=(a, frame))
+        sender.start()
+        try:
+            assert self.recv(b) == frame
+        finally:
+            sender.join(timeout=10.0)
+            a.close()
+            b.close()
+
     def test_custom_max_frame_parameter(self):
         a, b = self._pair()
         try:

@@ -1,12 +1,16 @@
 """A well-formed frame with a missing or mistyped field.
 
 The frame codec rejects bytes that are not a JSON object
-(``FrameError``); a JSON object whose ``rid``, ``xid`` or
+(``FrameError``); a JSON object whose ``rid``, ``resume`` or
 ``queue_depth`` is missing or of the wrong type gets past it.  Each of
 the three readers (the worker, the client-facing front end and the
 router's worker links) must treat such a frame like a ``FrameError``:
 count it, answer with an ``error`` frame where a reply is possible,
 and end that one connection — never raise out of its loop.
+
+A ``resume`` object of the right shape that does not replay on the
+worker's graph is not a protocol violation: the worker runs the spec
+fresh, so the answer is still the precise one.
 """
 
 import asyncio
@@ -26,10 +30,12 @@ pytestmark = [pytest.mark.serve, pytest.mark.timeout(60)]
 @pytest.mark.parametrize("frame", [
     {"op": "submit", "app": "dwt53"},
     {"op": "submit", "rid": "x", "app": "dwt53"},
-    {"op": "ckpt_end"},
-    {"op": "ckpt_end", "xid": "x"},
-], ids=["submit-no-rid", "submit-bad-rid", "ckpt-end-no-xid",
-        "ckpt-end-bad-xid"])
+    {"op": "submit", "rid": 1, "app": "dwt53", "resume": "x"},
+    {"op": "submit", "rid": 1, "app": "dwt53",
+     "resume": {"stages": {}, "log": {}, "reports": {}, "energy": 0.0,
+                "duration": 0.0}},
+], ids=["submit-no-rid", "submit-bad-rid", "submit-resume-not-object",
+        "submit-resume-log-not-list"])
 def test_worker_answers_a_bad_field_with_an_error_frame(frame):
     router_end, worker_end = socket.socketpair()
     router_end.settimeout(10.0)
@@ -53,6 +59,98 @@ def test_worker_answers_a_bad_field_with_an_error_frame(frame):
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert raised == []
+
+
+def _worker_pair(config=None):
+    """A worker on one end of a socketpair; returns the other end and
+    the worker thread."""
+    router_end, worker_end = socket.socketpair()
+    router_end.settimeout(60.0)
+    thread = threading.Thread(
+        target=worker_main, args=(worker_end, {"slots": 1, **(config or {})}),
+        daemon=True)
+    thread.start()
+    return router_end, thread
+
+
+def _submit(sock, **fields):
+    """Send one dwt53 submit; returns its ``done`` frame."""
+    send_msg(sock, {"op": "submit", "rid": 1, "app": "dwt53", "size": 16,
+                    "seed": 0, "slo": {"deadline_s": 60.0}, **fields})
+    frames = [recv_msg(sock), recv_msg(sock)]
+    assert [f["op"] for f in frames] == ["ack", "done"], frames
+    return frames[1]
+
+
+def _checkpoint_payload(tmp_path):
+    """The payload of a dwt53 16² run checkpointed at version 2."""
+    from repro.apps.registry import get_app
+    from repro.ckpt import load_checkpoint
+    from repro.core.controller import VersionCountStop
+
+    record = get_app("dwt53")
+    path = tmp_path / "run.rck"
+    record.build(record.make_input(16, 0)).run_simulated(
+        stop=VersionCountStop(2), checkpoint_at_stop=str(path))
+    return path, load_checkpoint(str(path))[1]
+
+
+def _precise_digest():
+    from repro.apps.registry import get_app
+    from repro.serve.fleet import value_digest
+
+    record = get_app("dwt53")
+    return value_digest(
+        record.build(record.make_input(16, 0)).precise_output())
+
+
+def _never_published(payload):
+    """A wait reply naming a version its producer never publishes."""
+    log = [list(event) for event in payload["log"]]
+    wait = next(e for e in log if e[1] == "r" and e[2])
+    wait[2] = [v + 1000 for v in wait[2]]
+    return {**payload, "log": log}
+
+
+def _unknown_stage(payload):
+    return {**payload, "log": [["no-such-stage", "p", 0]]
+            + [list(event) for event in payload["log"]]}
+
+
+@pytest.mark.parametrize("corrupt", [_never_published, _unknown_stage],
+                         ids=["wait-for-unpublished-version",
+                              "unknown-stage"])
+def test_inconsistent_resume_runs_fresh_to_the_precise_answer(
+        corrupt, tmp_path):
+    _, payload = _checkpoint_payload(tmp_path)
+    sock, thread = _worker_pair()
+    try:
+        done = _submit(sock, resume=corrupt(payload))
+        send_msg(sock, {"op": "shutdown"})
+        assert recv_msg(sock) == {"op": "bye"}
+    finally:
+        sock.close()
+    thread.join(timeout=10.0)
+    assert done["state"] == "completed" and done["final"], done
+    assert done["value_digest"] == _precise_digest()
+
+
+def test_resume_from_a_path_is_ignored(tmp_path):
+    """``submit`` takes no worker-local path: naming a checkpoint file
+    neither reads nor deletes it, and the spec runs fresh."""
+    path, _ = _checkpoint_payload(tmp_path)
+    before = path.read_bytes()
+    sock, thread = _worker_pair()
+    try:
+        done = _submit(sock, resume_from=str(path))
+        send_msg(sock, {"op": "shutdown"})
+        assert recv_msg(sock) == {"op": "bye"}
+    finally:
+        sock.close()
+    thread.join(timeout=10.0)
+    assert path.read_bytes() == before
+    assert done["state"] == "completed" and done["final"], done
+    assert done["value_digest"] == _precise_digest()
 
 
 class _NoRouter:
