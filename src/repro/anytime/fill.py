@@ -64,6 +64,11 @@ class FillPolicy:
         caller keeps writing its samples into the same array."""
         return Painter(self, dense, order)
 
+    def warm(self, order: np.ndarray,
+             dense_shape: tuple[int, ...]) -> None:
+        """Derive ahead of any pass what a painter over ``order`` into
+        a dense array of ``dense_shape`` reads and no sample changes."""
+
 
 class Painter:
     """One pass's fill: :meth:`advance` returns what
@@ -83,18 +88,19 @@ class Painter:
         return self.policy.fill(self.dense, self.order, count)
 
 
-def _spatial_shape(dense: np.ndarray, order: np.ndarray,
+def _spatial_shape(dense_shape: tuple[int, ...], order: np.ndarray,
                    spatial_ndim: int | None) -> tuple[int, ...]:
-    """Infer which leading axes of ``dense`` the flat ``order`` indexes."""
+    """Infer which leading axes of a dense array of ``dense_shape`` the
+    flat ``order`` indexes."""
     if spatial_ndim is not None:
-        shape = dense.shape[:spatial_ndim]
+        shape = tuple(dense_shape[:spatial_ndim])
     else:
-        shape = dense.shape
+        shape = tuple(dense_shape)
     n = int(np.prod(shape)) if shape else 1
     if n != len(order):
         raise ValueError(
             f"order length {len(order)} does not match spatial shape "
-            f"{shape} of dense array {dense.shape}")
+            f"{shape} of dense array {tuple(dense_shape)}")
     return shape
 
 
@@ -117,6 +123,11 @@ class TreeFill(FillPolicy):
 
     def start(self, dense: np.ndarray, order: np.ndarray) -> "TreePainter":
         return TreePainter(self, dense, order)
+
+    def warm(self, order: np.ndarray,
+             dense_shape: tuple[int, ...]) -> None:
+        order_levels(order, _spatial_shape(dense_shape, order,
+                                           self.spatial_ndim))
 
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
@@ -153,7 +164,7 @@ class TreePainter(Painter):
     def __init__(self, policy: TreeFill, dense: np.ndarray,
                  order: np.ndarray) -> None:
         super().__init__(policy, dense, order)
-        self.shape = _spatial_shape(dense, order, policy.spatial_ndim)
+        self.shape = _spatial_shape(dense.shape, order, policy.spatial_ndim)
         self.trailing = dense.shape[len(self.shape):]
         self.widths = _widths(self.shape)
         self.levels, self.at_or_below = order_levels(order, self.shape)
@@ -265,7 +276,7 @@ class NearestFill(FillPolicy):
              count: int) -> np.ndarray:
         from scipy import ndimage
 
-        shape = _spatial_shape(dense, order, self.spatial_ndim)
+        shape = _spatial_shape(dense.shape, order, self.spatial_ndim)
         if count <= 0:
             return np.zeros_like(dense)
         count = min(count, len(order))
@@ -289,7 +300,7 @@ class ConstantFill(FillPolicy):
 
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
-        shape = _spatial_shape(dense, order, self.spatial_ndim)
+        shape = _spatial_shape(dense.shape, order, self.spatial_ndim)
         out = np.full_like(dense, self.value)
         if count > 0:
             count = min(count, len(order))
@@ -308,7 +319,7 @@ class MeanFill(FillPolicy):
 
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
-        shape = _spatial_shape(dense, order, self.spatial_ndim)
+        shape = _spatial_shape(dense.shape, order, self.spatial_ndim)
         if count <= 0:
             return np.zeros_like(dense)
         count = min(count, len(order))

@@ -10,11 +10,21 @@ register width from 2 to 32 bits.  A maximal-length LFSR of width ``w``
 cycles through all ``2**w - 1`` non-zero states exactly once before
 repeating, which is what makes it usable as a bijective permutation
 generator: every state is visited exactly once per period.
+
+:meth:`Lfsr.step` clocks the register once and is the reference.
+:meth:`Lfsr.walk` yields the same states as an array, a block at a
+time: one clock is a linear map over GF(2), so ``k`` clocks are one
+too, given by the images of the ``w`` basis states.  With those images
+as per-byte XOR tables, the states ``k`` clocks after a block of ``k``
+states are a few table lookups over the whole block, and the walk
+doubles its length each round.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+
+import numpy as np
 
 __all__ = ["MAXIMAL_TAPS", "Lfsr", "lfsr_sequence"]
 
@@ -108,14 +118,39 @@ class Lfsr:
         """Number of states before the sequence repeats (maximal taps)."""
         return (1 << self.width) - 1
 
-    def step(self) -> int:
-        """Advance one clock and return the new state."""
-        s = self._state
+    def _next(self, s: int) -> int:
+        """The state one clock after ``s``."""
         fb = 0
         for t in self.taps:
             fb ^= (s >> (t - 1)) & 1
-        self._state = ((s << 1) | fb) & self._mask
+        return ((s << 1) | fb) & self._mask
+
+    def step(self) -> int:
+        """Advance one clock and return the new state."""
+        self._state = self._next(self._state)
         return self._state
+
+    def walk(self, count: int) -> np.ndarray:
+        """The next ``count`` states as an int64 array: the values of
+        ``count`` calls to :meth:`step`, which it advances the register
+        by, at whole-array speed."""
+        out = np.empty(count, dtype=np.int64)
+        if count <= 0:
+            return out
+        out[0] = self.step()
+        # images of the basis states under ``done`` clocks, one clock
+        # to begin with
+        jump = np.array([self._next(1 << j) for j in range(self.width)],
+                        dtype=np.int64)
+        done = 1
+        while done < count:
+            tables = _byte_tables(jump)
+            take = min(done, count - done)
+            out[done:done + take] = _apply(tables, out[:take])
+            jump = _apply(tables, jump)    # ``done`` clocks twice over
+            done += take
+        self._state = int(out[-1])
+        return out
 
     def reset(self) -> None:
         """Restore the initial seed state."""
@@ -125,6 +160,29 @@ class Lfsr:
         """Yield the next ``count`` states."""
         for _ in range(count):
             yield self.step()
+
+
+def _byte_tables(images: np.ndarray) -> list[np.ndarray]:
+    """Per-byte XOR tables of a GF(2) linear map given by ``images``,
+    the images of the basis states: ``tables[k][v]`` is the image of
+    byte value ``v`` at byte ``k`` of a state."""
+    images = np.concatenate(
+        (images, np.zeros(-len(images) % 8, dtype=np.int64)))
+    tables = []
+    for k in range(0, len(images), 8):
+        table = np.zeros(256, dtype=np.int64)
+        for b in range(8):
+            table[1 << b:2 << b] = table[:1 << b] ^ images[k + b]
+        tables.append(table)
+    return tables
+
+
+def _apply(tables: list[np.ndarray], states: np.ndarray) -> np.ndarray:
+    """The linear map of ``tables`` applied to every state."""
+    out = tables[0][states & 0xFF]
+    for k, table in enumerate(tables[1:], 1):
+        out ^= table[(states >> (8 * k)) & 0xFF]
+    return out
 
 
 def lfsr_sequence(width: int, seed: int = 1,

@@ -28,10 +28,14 @@ Stages do not call :meth:`Permutation.order` themselves: they ask
 ``(permutation, shape)`` that validates each order once, hands out one
 shared read-only array, and keeps the order's tree levels
 (:func:`order_levels`) beside it for :class:`~repro.anytime.fill.TreeFill`.
+Every executor fills it before a run starts (see
+:meth:`~repro.core.stage.Stage.warm`), so a forked stage worker inherits
+the parent's entries instead of deriving its own.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -264,8 +268,7 @@ class LfsrPermutation(Permutation):
         width = min(width, 32)
         seed = (self.seed - 1) % ((1 << width) - 1) + 1
         lfsr = Lfsr(width, seed=seed, taps=self.taps)
-        states = np.fromiter(lfsr.states(lfsr.period),
-                             dtype=np.int64, count=lfsr.period)
+        states = lfsr.walk(lfsr.period)
         # Maximal-length LFSR states cover [1, 2**width - 1] exactly once,
         # so the states below n are exactly the indices 1..n-1, each once.
         out = states[states < n]
@@ -371,6 +374,19 @@ class _MemoEntry:
 _memo: OrderedDict[tuple[Permutation, tuple[int, ...]], _MemoEntry] = \
     OrderedDict()
 _memo_lock = threading.Lock()
+
+
+def _unheld_lock_in_child() -> None:
+    """A forked child starts with an unheld memo lock.  Only the forking
+    thread lives on in the child, so a lock another thread held at the
+    fork would stay held there for good, and the child's first memo
+    lookup would block forever."""
+    global _memo_lock
+    _memo_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unheld_lock_in_child)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

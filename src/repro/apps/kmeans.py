@@ -130,7 +130,7 @@ class KMeansAssignStage(DiffusiveStage):
             chunks=chunks, cost_per_element=4.0 * k,
             prefetcher=prefetcher)
         self.k = k
-        self._fill = TreeFill(spatial_ndim=2)
+        self.fill = TreeFill(spatial_ndim=2)
         # assignment is elementwise in the pixels, so several chunks can
         # be assigned in one vectorized pass; the per-chunk accumulator
         # updates (bincount) still run level by level in
@@ -186,7 +186,10 @@ class KMeansAssignStage(DiffusiveStage):
                 "centroids_in": values[0]}
 
     def start_painter(self, state: dict[str, Any]) -> Painter:
-        return self._fill.start(state["assign"], self.order)
+        return self.fill.start(state["assign"], self.order)
+
+    def warm(self) -> None:
+        self.fill.warm(self.order, self.shape)
 
     def precise(self, input_values: dict[str, Any]) -> dict[str, Any]:
         centroids = input_values[self.inputs[0].name]

@@ -240,6 +240,9 @@ class DiffusiveStage(Stage):
         """
         return sample_order(self.permutation, self.shape)
 
+    def warm(self) -> None:
+        sample_order(self.permutation, self.shape)
+
     @property
     def penalty(self) -> float:
         if self.reorder:

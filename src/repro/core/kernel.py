@@ -276,6 +276,13 @@ class Kernel:
         self.errors: list[tuple[str, BaseException]] = []
         self.reports = {s.name: StageReport(stage=s.name)
                         for s in graph.stages}
+        for stage in graph.stages:
+            try:
+                stage.warm()
+            except ValueError:
+                # a permutation that is no bijection fails again in the
+                # stage's body, where its fault policy handles it
+                pass
         self._lock = threading.Lock()
         #: the reply log (see :mod:`repro.ckpt`): each event is appended
         #: under ``_log_lock`` together with the effect it records, so

@@ -150,6 +150,9 @@ class MapStage(DiffusiveStage):
     def start_painter(self, state: np.ndarray) -> Painter:
         return self.fill.start(state, self.order)
 
+    def warm(self) -> None:
+        self.fill.warm(self.order, self.out_shape)
+
     def precise(self, input_values: dict[str, Any]) -> np.ndarray:
         values = tuple(input_values[b.name] for b in self.inputs)
         out = np.zeros(self.out_shape, dtype=self.dtype)

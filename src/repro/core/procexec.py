@@ -27,6 +27,14 @@ Design notes and tradeoffs:
   they cannot be pickled, so workers are forked (the graph is inherited
   copy-on-write).  :class:`ProcessExecutor` raises on platforms without
   the ``fork`` start method.
+- **Workers start warm.**  What a stage body reads and no input
+  changes (its sample order and, for a tree fill, the order's levels)
+  is derived into the per-process memo of
+  :mod:`repro.anytime.permutations` when the run state is built, on the
+  caller's thread (:meth:`~repro.core.stage.Stage.warm`), so every fork
+  (a restored stage's first one and a re-fork after a death included)
+  inherits it copy-on-write instead of deriving it and throwing it
+  away on exit.  Later runs in the parent hit the same memo.
 - **Channel emits travel inline.**  Synchronous-pipeline updates are
   usually small (per-chunk partials); they are pickled over the control
   pipe.  The slab plane covers buffer versions, which dominate traffic.

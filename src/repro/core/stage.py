@@ -244,6 +244,12 @@ class Stage:
         """
         raise NotImplementedError
 
+    def warm(self) -> None:
+        """Derive into this process's memos what the body reads and no
+        input changes.  Every executor calls it before the run starts,
+        so the work is done once per process, and a forked stage worker
+        inherits it.  The base stage has nothing to derive."""
+
     def preempted(self) -> Body:
         """Helper for preemptible sequences: yields a poll, returns
         True when a newer input version should abort the current pass."""

@@ -348,12 +348,18 @@ class TestReplayLog:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            handle = record.build(image).launch_threaded()
-            while not handle.finished and len(paths) < 12:
-                paths.append(tmp_path / f"{len(paths)}.rck")
-                handle.checkpoint(str(paths[-1]))
-                time.sleep(0.002)
-            assert handle.wait(timeout_s=60.0)
+            # one run lasts a few milliseconds, about as long as a
+            # checkpoint under this churn, so runs repeat until a dozen
+            # checkpoints are taken
+            for _ in range(24):
+                handle = record.build(image).launch_threaded()
+                while not handle.finished and len(paths) < 12:
+                    paths.append(tmp_path / f"{len(paths)}.rck")
+                    handle.checkpoint(str(paths[-1]))
+                    time.sleep(0.002)
+                assert handle.wait(timeout_s=60.0)
+                if len(paths) >= 12:
+                    break
         finally:
             sys.setswitchinterval(interval)
         assert len(paths) >= 2

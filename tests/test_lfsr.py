@@ -81,3 +81,39 @@ class TestLfsr:
         base = set(lfsr_sequence(8, seed=1))
         other = set(lfsr_sequence(8, seed=111))
         assert base == other
+
+
+class TestWalk:
+    """``Lfsr.walk`` jumps whole blocks of clocks at once; ``step`` is
+    the reference it must match state for state."""
+
+    @pytest.mark.parametrize("width", range(2, 21))
+    def test_walk_matches_step_for_every_width(self, width):
+        period = (1 << width) - 1
+        # one wrap past the period, cut short at the widest registers
+        count = min(period + 3, 70_000)
+        for seed in (1, 2, period // 3 or 1, period):
+            reference, walker = Lfsr(width, seed), Lfsr(width, seed)
+            expected = [reference.step() for _ in range(count)]
+            assert walker.walk(count).tolist() == expected
+            assert walker.state == reference.state
+
+    def test_walk_continues_where_step_left_off(self):
+        reference, walker = Lfsr(12, seed=77), Lfsr(12, seed=77)
+        expected = [reference.step() for _ in range(5000)]
+        got = [walker.step() for _ in range(3)]
+        got += walker.walk(1000).tolist()
+        got += [walker.step() for _ in range(7)]
+        got += walker.walk(3990).tolist()
+        assert got == expected
+
+    def test_walk_with_explicit_taps(self):
+        taps = (10, 3)   # maximal for width 10: x^10 + x^3 + 1
+        reference, walker = Lfsr(10, 5, taps), Lfsr(10, 5, taps)
+        expected = [reference.step() for _ in range(reference.period)]
+        assert walker.walk(walker.period).tolist() == expected
+
+    def test_empty_walk_leaves_the_register(self):
+        lfsr = Lfsr(8, seed=9)
+        assert len(lfsr.walk(0)) == 0
+        assert lfsr.state == 9

@@ -1,5 +1,7 @@
 """Tests for sampling permutations (paper Section III-B2)."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.anytime.permutations import (LfsrPermutation, Permutation,
                                         sample_order, split_blocked,
                                         split_cyclic)
 from repro.anytime import permutations
+from repro.anytime.lfsr import Lfsr
 
 ALL_PERMS = [SequentialPermutation(), ReversedPermutation(),
              StridedPermutation(3), StridedPermutation(7),
@@ -261,3 +264,64 @@ class TestSampleOrderMemo:
             sample_order(SequentialPermutation(), (n,))
             assert len(permutations._memo) <= permutations.ORDER_MEMO_CAP
         assert len(permutations._memo) == permutations.ORDER_MEMO_CAP
+
+
+class TestLfsrOrderIsTheScalarWalk:
+    """``LfsrPermutation.order`` walks its register a block at a time;
+    the order must be the one the scalar ``Lfsr.step`` walk gives."""
+
+    @staticmethod
+    def scalar_order(n, seed):
+        width = max(2, int(np.ceil(np.log2(n))))
+        if n == 1 << width:
+            width += 1
+        lfsr = Lfsr(width, seed=(seed - 1) % ((1 << width) - 1) + 1)
+        states = [lfsr.step() for _ in range(lfsr.period)]
+        return np.array([0] + [s for s in states if s < n])
+
+    @pytest.mark.parametrize("n", [2, 3, 100, 4096, 65536, 262144])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_order_equals_scalar_walk(self, n, seed):
+        assert np.array_equal(LfsrPermutation(seed=seed).order(n),
+                              self.scalar_order(n, seed))
+
+
+class TestMemoForkSafety:
+    @pytest.mark.timeout(60)
+    def test_fork_while_another_thread_holds_the_memo_lock(self):
+        """A worker forked while another parent thread holds the memo
+        lock starts with the lock free, so its first lookup does not
+        block.  The executor takes the lock itself while it warms the
+        memo, so the second thread takes it after the executor exists
+        and holds it across every fork."""
+        pytest.importorskip("multiprocessing.shared_memory")
+        from repro.core.automaton import AnytimeAutomaton
+        from repro.core.buffer import VersionedBuffer
+        from repro.core.mapstage import MapStage
+        from repro.core.procexec import ProcessExecutor
+
+        image = np.arange(256, dtype=np.float64).reshape(16, 16)
+        stage = MapStage("m", VersionedBuffer("out"),
+                         (VersionedBuffer("in"),),
+                         lambda idx, im: np.asarray(im).reshape(-1)[idx],
+                         shape=(16, 16), dtype=np.float64,
+                         permutation=TreePermutation(), chunks=4)
+        automaton = AnytimeAutomaton([stage], external={"in": image})
+        executor = ProcessExecutor(automaton.graph)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with permutations._memo_lock:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait()
+        try:
+            result = executor.run(timeout_s=20.0)
+        finally:
+            release.set()
+            holder.join()
+        assert result.completed
+        assert np.array_equal(result.final_values["out"], image)

@@ -9,6 +9,8 @@ tests pin:
 - the descriptor-only wire protocol (via the executor's message tap),
 - the fault runtime (in-process restarts, re-fork after hard worker
   death, degradation, strict mode),
+- warm workers (sample orders and tree levels derived in the parent,
+  never in a forked worker),
 - clean shutdown on timeout (no orphaned workers, no leaked
   shared-memory segments).
 
@@ -25,6 +27,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro.anytime import permutations
 from repro.anytime.permutations import TreePermutation
 from repro.core.automaton import AnytimeAutomaton
 from repro.core.buffer import VersionedBuffer
@@ -37,14 +40,15 @@ from repro.core.tracing import InMemorySink
 pytestmark = pytest.mark.timeout(120)
 
 
-def map_automaton(chunks=8, fn=None):
+def map_automaton(chunks=8, fn=None, permutation=None):
     img = np.arange(64, dtype=np.float64).reshape(8, 8)
     b_in = VersionedBuffer("in")
     b_out = VersionedBuffer("out")
     fn = fn or (lambda idx, im: np.asarray(im).reshape(-1)[idx] * 3)
     stage = MapStage("m", b_out, (b_in,), fn,
                      shape=(8, 8), dtype=np.float64,
-                     permutation=TreePermutation(), chunks=chunks)
+                     permutation=permutation or TreePermutation(),
+                     chunks=chunks)
     return AnytimeAutomaton([stage], external={"in": img}), img * 3
 
 
@@ -209,6 +213,99 @@ class TestFaults:
         assert not result.completed
         assert report.degraded
         assert auto.graph.buffers["out"].sealed
+
+
+@pytest.fixture()
+def derivations(monkeypatch, request):
+    """A tree permutation that counts its order derivations, and a
+    count of tree-level derivations, each split between this process
+    and any other; the counters are shared across fork.  The
+    permutation's key is this test's own, so its memo starts cold."""
+    ctx = mp.get_context("fork")
+    counts = {f"{kind}_{where}": ctx.Value("i", 0)
+              for kind in ("orders", "levels")
+              for where in ("here", "elsewhere")}
+    parent = os.getpid()
+
+    def count(kind):
+        where = "here" if os.getpid() == parent else "elsewhere"
+        counter = counts[f"{kind}_{where}"]
+        with counter.get_lock():
+            counter.value += 1
+
+    sample_levels = permutations.sample_levels
+
+    def counting_levels(order, shape):
+        count("levels")
+        return sample_levels(order, shape)
+
+    monkeypatch.setattr(permutations, "sample_levels", counting_levels)
+
+    class Counting(TreePermutation):
+        def __init__(self):
+            self.tag = request.node.nodeid
+
+        def order(self, shape):
+            count("orders")
+            return super().order(shape)
+
+    return Counting, lambda: {k: v.value for k, v in counts.items()}
+
+
+class TestWarmWorkers:
+    """Each executor derives a stage's sample order and tree levels
+    before its run starts, so a forked worker inherits them and
+    derives neither: not on a fresh run, a restored run's first fork,
+    or a re-fork after a worker died."""
+
+    ONCE_HERE = {"orders_here": 1, "orders_elsewhere": 0,
+                 "levels_here": 1, "levels_elsewhere": 0}
+
+    def test_two_runs_derive_once_in_the_parent(self, derivations):
+        Counting, counts = derivations
+        for _ in range(2):
+            auto, ref = map_automaton(permutation=Counting())
+            result = auto.run_processes(timeout_s=60.0)
+            assert result.completed
+            assert np.array_equal(result.final_values["out"], ref)
+        assert counts() == self.ONCE_HERE
+
+    def test_restored_run_derives_nothing_in_workers(self, derivations,
+                                                     tmp_path):
+        Counting, counts = derivations
+        path = str(tmp_path / "m.rck")
+        auto, ref = map_automaton(permutation=Counting())
+        auto.run_simulated(stop=VersionCountStop(2),
+                           checkpoint_at_stop=path)
+        permutations._memo.clear()    # the restore starts cold
+        resumed = AnytimeAutomaton.restore(
+            path, builder=lambda: map_automaton(
+                permutation=Counting())[0])
+        result = resumed.run_processes(timeout_s=60.0)
+        assert result.completed
+        assert np.array_equal(result.final_values["out"], ref)
+        assert counts() == {"orders_here": 2, "orders_elsewhere": 0,
+                            "levels_here": 2, "levels_elsewhere": 0}
+
+    def test_refork_after_kill_derives_nothing(self, derivations,
+                                               tmp_path):
+        Counting, counts = derivations
+        flag = str(tmp_path / "died-once")
+
+        def fn(idx, im, path=flag):
+            if not os.path.exists(path):
+                open(path, "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return np.asarray(im).reshape(-1)[idx] * 3
+
+        auto, ref = map_automaton(fn=fn, permutation=Counting())
+        result = auto.run_processes(
+            faults=FaultPolicy(max_retries=1, on_failure="restart"),
+            timeout_s=60.0)
+        assert result.completed
+        assert result.stage_reports["m"].attempts == 2
+        assert np.array_equal(result.final_values["out"], ref)
+        assert counts() == self.ONCE_HERE
 
 
 class TestCommandLeases:
