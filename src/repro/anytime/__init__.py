@@ -4,9 +4,12 @@ Everything needed to turn an approximate-computing technique into an
 *anytime* one (paper Section III-B): sampling permutations, commutative
 operators and weighting, progressive fill policies, loop-perforation
 schedules, bit-serial reduced precision, and the LFSR that drives
-pseudo-random sampling.
+pseudo-random sampling.  A tree order's chunks are strided cosets
+(:mod:`repro.anytime.coset`), which an element function marked with
+:func:`reads_cosets` takes as slices.
 """
 
+from .coset import Coset, reads_cosets
 from .fill import (ConstantFill, FillPolicy, MeanFill, NearestFill,
                    Painter, TreeFill, sample_levels)
 from .lfsr import MAXIMAL_TAPS, Lfsr, lfsr_sequence
@@ -22,6 +25,7 @@ from .precision import (AnytimeDotProduct, anytime_dot, bit_planes,
                         keep_top_bits, quantize_to_bits)
 
 __all__ = [
+    "Coset", "reads_cosets",
     "ConstantFill", "FillPolicy", "MeanFill", "NearestFill", "Painter",
     "TreeFill", "sample_levels",
     "MAXIMAL_TAPS", "Lfsr", "lfsr_sequence",

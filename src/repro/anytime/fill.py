@@ -14,6 +14,9 @@ a ``(rows / 2**k) x (cols / 2**k)`` block and the output looks like a
 its :class:`TreePainter` keeps a full-resolution canvas and paints each
 new sample's block once, so a version costs its new samples' blocks
 plus one copy of the output, not a re-upsampling of the whole grid.
+Where the new samples of one block size form a strided coset (every
+chunk of a tree order over a power-of-two shape does), their blocks are
+painted as one broadcast assignment into a strided view of the canvas.
 
 For unordered (pseudo-random) sampling, :class:`NearestFill` fills each
 missing element from its nearest computed neighbour, and
@@ -22,9 +25,13 @@ missing element from its nearest computed neighbour, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .permutations import _widths, order_levels, sample_levels
+from .coset import Coset, as_items
+from .permutations import _widths, derive_cosets, order_levels, \
+    sample_levels, span_cosets
 
 __all__ = ["FillPolicy", "Painter", "TreeFill", "TreePainter",
            "NearestFill", "ConstantFill", "MeanFill", "sample_levels"]
@@ -64,10 +71,11 @@ class FillPolicy:
         caller keeps writing its samples into the same array."""
         return Painter(self, dense, order)
 
-    def warm(self, order: np.ndarray,
-             dense_shape: tuple[int, ...]) -> None:
+    def warm(self, order: np.ndarray, dense_shape: tuple[int, ...],
+             spans: Sequence[tuple[int, int]] = ()) -> None:
         """Derive ahead of any pass what a painter over ``order`` into
-        a dense array of ``dense_shape`` reads and no sample changes."""
+        a dense array of ``dense_shape`` reads and no sample changes;
+        a pass advances it to the end of each of ``spans`` in turn."""
 
 
 class Painter:
@@ -124,14 +132,46 @@ class TreeFill(FillPolicy):
     def start(self, dense: np.ndarray, order: np.ndarray) -> "TreePainter":
         return TreePainter(self, dense, order)
 
-    def warm(self, order: np.ndarray,
-             dense_shape: tuple[int, ...]) -> None:
-        order_levels(order, _spatial_shape(dense_shape, order,
-                                           self.spatial_ndim))
+    def warm(self, order: np.ndarray, dense_shape: tuple[int, ...],
+             spans: Sequence[tuple[int, int]] = ()) -> None:
+        shape = _spatial_shape(dense_shape, order, self.spatial_ndim)
+        levels, at_or_below = order_levels(order, shape)
+
+        def runs() -> list[tuple[int, int]]:
+            """The runs a pass's painter paints, advanced span after
+            span from the start of the order."""
+            out = []
+            for start, stop in spans:
+                part = levels[start:stop]
+                complete = int(np.searchsorted(at_or_below, stop,
+                                               side="right")) - 1
+                out += [(start + a, start + b) for a, b, _ in _level_runs(
+                    part, int(part.min()), int(part.max()),
+                    max(complete, 0)) or ()]
+            return out
+
+        derive_cosets(order, shape, ("paint", *spans), runs)
 
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
         return self.start(dense, order).advance(count)
+
+
+def _level_runs(levels: np.ndarray, lo: int, hi: int, complete: int,
+                ) -> list[tuple[int, int, int]] | None:
+    """``(start, stop, level)``: the runs of a span whose samples have
+    ``levels`` (from ``lo`` to ``hi``) that :class:`TreePainter` paints
+    with ``level`` blocks each, when ``complete`` is the finest level
+    all of whose samples are painted with the span; None when the
+    levels are out of order, so the runs are no spans."""
+    if hi <= complete or lo == hi:
+        return [(0, len(levels), max(lo, complete))]
+    if (levels[1:] < levels[:-1]).any():
+        return None
+    edges = np.searchsorted(levels, np.arange(complete + 1, hi + 1))
+    cuts = [0, *edges.tolist(), len(levels)]
+    return [(a, b, level) for a, b, level in zip(
+        cuts[:-1], cuts[1:], range(complete, hi + 1)) if b > a]
 
 
 class TreePainter(Painter):
@@ -155,6 +195,12 @@ class TreePainter(Painter):
     (a non-tree order), or when ``count`` falls below what is painted,
     the painter blanks the canvas and paints the prefix afresh.
 
+    A run of new samples painted with one block size whose span of the
+    order is a coset the memo holds
+    (:func:`~repro.anytime.permutations.span_cosets`) is read from the
+    dense array by slices and painted as one broadcast assignment: the
+    canvas viewed as blocks of that size, strided to the coset.
+
     :meth:`advance` returns the canvas cropped to the output, always a
     new array: a stage's ``Write`` hands it to its buffer, which
     freezes it as the published version, while the next advance paints
@@ -168,6 +214,7 @@ class TreePainter(Painter):
         self.trailing = dense.shape[len(self.shape):]
         self.widths = _widths(self.shape)
         self.levels, self.at_or_below = order_levels(order, self.shape)
+        self.cosets = span_cosets(order, self.shape)
         #: the canvas's spatial shape: a power of two along every axis
         self.box = tuple(1 << w for w in self.widths)
         self.crop = tuple(slice(0, s) for s in self.shape)
@@ -175,19 +222,13 @@ class TreePainter(Painter):
         self.blocks: dict[int, np.ndarray] = {}
         self._blank()
 
-    def _items(self, array: np.ndarray) -> np.ndarray:
-        """``array`` flattened to one item per spatial element: the
-        trailing axes become one opaque item, which a scatter copies in
-        one go instead of value by value."""
-        if not self.trailing:
-            return array.reshape(-1)
-        size = array.dtype.itemsize * int(np.prod(self.trailing))
-        return array.reshape(-1).view(np.dtype((np.void, size)))
-
     def _blank(self) -> None:
         self.grid = np.zeros(self.box + self.trailing,
                              dtype=self.dense.dtype)
-        self.cells = self._items(self.grid)
+        #: the canvas as one item per spatial element: trailing axes
+        #: are one opaque item, which a copy moves in one go
+        self.items = as_items(self.grid, len(self.shape))
+        self.cells = self.items.reshape(-1)
         #: the finest level painted so far
         self.level = 0
         self.painted = 0
@@ -209,13 +250,12 @@ class TreePainter(Painter):
         return self.grid[self.crop].copy()
 
     def _paint(self, start: int, stop: int) -> None:
-        new = self.order[start:stop]
-        if not len(new):
+        if stop <= start:
             return
         levels = self.levels[start:stop]
         lo, hi = int(levels.min()), int(levels.max())
         if lo == hi:
-            self.below[lo:] += len(new)
+            self.below[lo:] += stop - start
         else:
             self.below += np.cumsum(np.bincount(
                 levels, minlength=len(self.below)))
@@ -228,20 +268,56 @@ class TreePainter(Painter):
         # it, since the rest of their own coarser blocks belongs to its
         # other samples.
         complete = max(self.complete, 0)
+        runs = _level_runs(levels, lo, hi, complete)
+        if runs is not None:
+            for a, b, level in runs:
+                self._paint_run(start + a, start + b, level)
+            return
+        at, values = self._gather(start, stop)
+        for level in range(complete, hi + 1):
+            sel = levels <= level if level == complete else levels == level
+            if sel.any():
+                self._fill(at[sel], values[sel], level)
+
+    def _gather(self, start: int, stop: int,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The flat canvas cells and dense items of ``order[start:stop]``."""
+        new = self.order[start:stop]
         if self.shape == self.box:
             at = new
         else:
             at = np.ravel_multi_index(np.unravel_index(new, self.shape),
                                       self.box)
-        values = self._items(self.dense)[new]
-        if hi <= complete or lo == hi:
-            # one block size for the whole span: the common case
-            self._fill(at, values, max(lo, complete))
-            return
-        for level in range(complete, hi + 1):
-            sel = levels <= level if level == complete else levels == level
-            if sel.any():
-                self._fill(at[sel], values[sel], level)
+        return at, as_items(self.dense, len(self.shape)).reshape(-1)[new]
+
+    def _paint_run(self, start: int, stop: int, level: int) -> None:
+        """Paint ``order[start:stop]`` with ``level`` blocks."""
+        self.level = max(self.level, level)
+        extent = [1 << max(w - level, 0) for w in self.widths]
+        coset = self.cosets.get((start, stop))
+        if coset is not None and all(
+                a % e == 0 and (n == 1 or s % e == 0)
+                for (a, s, n), e in zip(coset.axes, extent)):
+            self._paint_coset(coset, extent)
+        else:
+            self._fill(*self._gather(start, stop), level)
+
+    def _paint_coset(self, coset: Coset, extent: list[int]) -> None:
+        """Paint the blocks of ``extent`` cells at ``coset``'s samples,
+        each of which starts one: the canvas as a grid of such blocks,
+        strided to the coset, takes the samples' values broadcast over
+        each block."""
+        blocks, pick, spread = [], [], []
+        for box, e, (start, stride, count) in zip(self.box, extent,
+                                                  coset.axes):
+            step = max(stride // e, 1)
+            blocks += [box // e, e]
+            pick += [slice(start // e, start // e + step * (count - 1) + 1,
+                           step), slice(None)]
+            spread += [count, 1]
+        view = self.items.reshape(blocks)
+        values = as_items(self.dense, len(self.shape))[coset.slices]
+        view[tuple(pick)] = values.reshape(spread)
 
     def _fill(self, at: np.ndarray, values: np.ndarray,
               level: int) -> None:

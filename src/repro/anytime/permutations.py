@@ -28,9 +28,12 @@ Stages do not call :meth:`Permutation.order` themselves: they ask
 ``(permutation, shape)`` that validates each order once, hands out one
 shared read-only array, and keeps the order's tree levels
 (:func:`order_levels`) beside it for :class:`~repro.anytime.fill.TreeFill`.
-Every executor fills it before a run starts (see
-:meth:`~repro.core.stage.Stage.warm`), so a forked stage worker inherits
-the parent's entries instead of deriving its own.
+The same entry keeps the :class:`~repro.anytime.coset.Coset` of each
+span of the order a stage or its painter addresses
+(:func:`derive_cosets`), so a chunk that is a strided coset is read and
+written with slices.  Every executor fills the memo before a run starts
+(see :meth:`~repro.core.stage.Stage.warm`), so a forked stage worker
+inherits the parent's entries instead of deriving its own.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
+from .coset import Coset, find_coset, join_cosets
 from .lfsr import MAXIMAL_TAPS, Lfsr
 
 __all__ = [
@@ -58,6 +62,8 @@ __all__ = [
     "sample_levels",
     "sample_order",
     "order_levels",
+    "derive_cosets",
+    "span_cosets",
 ]
 
 
@@ -361,14 +367,21 @@ ORDER_MEMO_CAP = 16
 
 
 class _MemoEntry:
-    """One validated read-only order and, once asked for, its levels."""
+    """One validated read-only order and, once asked for, its levels
+    and the cosets of its spans."""
 
-    __slots__ = ("order", "shape", "levels")
+    __slots__ = ("order", "shape", "levels", "cosets", "derived")
 
     def __init__(self, order: np.ndarray, shape: tuple[int, ...]) -> None:
         self.order = order
         self.shape = shape
         self.levels: tuple[np.ndarray, np.ndarray] | None = None
+        #: ``(start, stop)`` -> the coset ``order[start:stop]`` visits,
+        #: or None for a span that is none; replaced, never changed in
+        #: place, so a reader's copy stays whole
+        self.cosets: dict[tuple[int, int], Coset | None] = {}
+        #: the keys :func:`derive_cosets` has derived spans for
+        self.derived: set[Hashable] = set()
 
 
 _memo: OrderedDict[tuple[Permutation, tuple[int, ...]], _MemoEntry] = \
@@ -429,6 +442,14 @@ def sample_order(permutation: Permutation,
     return entry.order
 
 
+def _entry_of(order: np.ndarray,
+              shape: tuple[int, ...]) -> _MemoEntry | None:
+    """The memo entry that handed out ``order`` over ``shape``."""
+    with _memo_lock:
+        return next((e for e in _memo.values()
+                     if e.order is order and e.shape == shape), None)
+
+
 def order_levels(order: np.ndarray, shape: Sequence[int],
                  ) -> tuple[np.ndarray, np.ndarray]:
     """``(levels, at_or_below)`` of a sample order over ``shape``.
@@ -439,9 +460,7 @@ def order_levels(order: np.ndarray, shape: Sequence[int],
     other array is measured afresh on every call.
     """
     shape = tuple(shape)
-    with _memo_lock:
-        entry = next((e for e in _memo.values()
-                      if e.order is order and e.shape == shape), None)
+    entry = _entry_of(order, shape)
     if entry is not None and entry.levels is not None:
         return entry.levels
     # uint8 holds any level (at most 40 bits, see TreePermutation) at
@@ -453,3 +472,46 @@ def order_levels(order: np.ndarray, shape: Sequence[int],
     if entry is not None:
         entry.levels = result
     return result
+
+
+def derive_cosets(order: np.ndarray, shape: Sequence[int], key: Hashable,
+                  spans: Callable[[], Iterable[tuple[int, int]]]) -> None:
+    """Find, once per ``key`` and process, the coset each
+    ``order[start:stop]`` of ``spans()`` visits
+    (:func:`~repro.anytime.coset.find_coset`) and keep it on the memo
+    entry of ``order``, which :func:`sample_order` handed out; any other
+    array has no entry to keep it on.  A span that two known cosets
+    split is joined from their axes
+    (:func:`~repro.anytime.coset.join_cosets`), so a run of chunks
+    costs no pass over its samples.  A key seen before costs a set
+    lookup, so every run may warm its stages."""
+    shape = tuple(shape)
+    entry = _entry_of(order, shape)
+    if entry is None or key in entry.derived:
+        return
+    known = dict(entry.cosets)
+    # a span that two known cosets split is found from their axes
+    stops: dict[int, list[int]] = {}
+    for a, b in known:
+        stops.setdefault(a, []).append(b)
+    for a, c in spans():
+        if (a, c) in known:
+            continue
+        b = next((b for b in stops.get(a, ()) if b < c
+                  and known[a, b] is not None
+                  and known.get((b, c)) is not None), None)
+        known[a, c] = (find_coset(order[a:c], shape) if b is None
+                       else join_cosets(known[a, b], known[b, c]))
+        stops.setdefault(a, []).append(c)
+    with _memo_lock:
+        entry.cosets = {**entry.cosets, **known}
+        entry.derived.add(key)
+
+
+def span_cosets(order: np.ndarray, shape: Sequence[int],
+                ) -> dict[tuple[int, int], Coset | None]:
+    """The cosets :func:`derive_cosets` found for spans of ``order``
+    over ``shape``, by ``(start, stop)``: nothing is derived here, so
+    a span not derived ahead keeps its index array."""
+    entry = _entry_of(order, tuple(shape))
+    return entry.cosets if entry is not None else {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..anytime.coset import Coset, reads_cosets
 from ..anytime.fill import TreeFill
 from ..anytime.permutations import (Permutation, TreePermutation,
                                     sample_order)
@@ -140,19 +141,16 @@ class _Filter:
     def _normalise(self, acc: np.ndarray) -> np.ndarray:
         return ((acc + self.total // 2) // self.total).astype(np.uint8)
 
-    def at(self, padded: FactoredPadded, indices: np.ndarray) -> np.ndarray:
-        """Outputs at flat pixel indices of ``padded``'s image."""
-        return self._normalise(padded.sums(indices))
-
-    def whole(self, image: np.ndarray) -> np.ndarray:
-        """Outputs at every pixel of ``image``."""
-        return np.ascontiguousarray(
-            self._normalise(self.padded(image).everywhere()))
+    def at(self, padded: FactoredPadded,
+           samples: Coset | np.ndarray) -> np.ndarray:
+        """Outputs at a sample set of ``padded``'s image."""
+        return self._normalise(padded.sums(samples))
 
 
-def conv2d_elements(indices: np.ndarray, image: np.ndarray,
+def conv2d_elements(indices: Coset | np.ndarray, image: np.ndarray,
                     kernel: np.ndarray) -> np.ndarray:
-    """Convolution outputs at the given flat pixel indices (vectorized)."""
+    """Convolution outputs at the given flat pixel indices, or at a
+    coset of the image, shaped like the sample set (vectorized)."""
     conv = _Filter(kernel)
     return conv.at(conv.padded(image), indices)
 
@@ -162,11 +160,14 @@ def conv2d_precise(image: np.ndarray,
     """Reference blur of the whole image, equal to
     ``conv2d_elements(np.arange(image.size), image, kernel)``.
 
-    It runs the element kernel's factors over whole columns and slices.
-    Integer sums do not depend on their order, so every output pixel is
-    the same integer the per-pixel gather computes.
+    It is the element kernel on the whole image as one stride-1 coset:
+    the factors run over whole columns and slices.  Integer sums do not
+    depend on their order, so every output pixel is the same integer
+    the per-pixel gather computes.
     """
-    return _Filter(kernel).whole(np.asarray(image))
+    image = np.asarray(image)
+    return np.ascontiguousarray(
+        conv2d_elements(Coset.whole(image.shape), image, kernel))
 
 
 def build_conv2d_automaton(image: np.ndarray,
@@ -194,8 +195,10 @@ def build_conv2d_automaton(image: np.ndarray,
 
     padded = edge_padder(conv.padded)
 
-    def element_fn(indices: np.ndarray, img: np.ndarray) -> np.ndarray:
-        return conv.at(padded(img), indices)
+    @reads_cosets
+    def element_fn(samples: Coset | np.ndarray,
+                   img: np.ndarray) -> np.ndarray:
+        return conv.at(padded(img), samples)
 
     stage = MapStage(
         "conv", b_out, (b_in,), element_fn,

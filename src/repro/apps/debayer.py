@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..anytime.coset import Coset, reads_cosets
 from ..anytime.fill import TreeFill
 from ..anytime.permutations import Permutation, TreePermutation
 from ..core.automaton import AnytimeAutomaton
@@ -26,96 +27,103 @@ __all__ = ["debayer_elements", "debayer_precise",
            "build_debayer_automaton"]
 
 
-def _demosaic(padded: EdgePadded, indices: np.ndarray) -> np.ndarray:
-    """RGB at flat pixel indices of ``padded``'s radius-1, int16 mosaic
-    (int16 holds a sum of four uint8 sites plus rounding).
+def _demosaic(padded: EdgePadded,
+              samples: Coset | np.ndarray) -> np.ndarray:
+    """RGB at a sample set of ``padded``'s radius-1, int16 mosaic (int16
+    holds a sum of four uint8 sites plus rounding), shaped like the
+    sample set.
 
-    Each RGGB site class reads only the two planes it needs.  In tree
-    order every sample coarser than the finest level is an R site and
-    each of the finest level's three cosets is one class, so most calls
-    compute a single class.
+    Each RGGB site class reads only the two planes it needs.  A coset
+    whose strides are even holds one class; any other splits into its
+    stride-2 cosets, one class each, and the whole image is four of
+    them.  In tree order every sample coarser than the finest level is
+    an R site and each of the finest level's three cosets is one class,
+    so most chunks compute a single class.
     """
-    rows, cols, centres = padded.locate(indices)
-    # site class: 0 = R, 1 = G on a red row, 2 = G on a blue row, 3 = B
-    site = (rows & 1) * 2 + (cols & 1)
-    out = np.empty((len(centres), 3), dtype=np.uint8)
-    if len(site) and (site == site[0]).all():
-        out[:] = _site_rgb(padded, centres, int(site[0]))
-        return out
-    for cls in range(4):
-        at = np.flatnonzero(site == cls)
-        if len(at):
-            out[at] = _site_rgb(padded, centres[at], cls)
+    grid = samples.counts if isinstance(samples, Coset) else samples.shape
+    out = np.empty(grid + (3,), dtype=np.uint8)
+    for part, where, site in _site_classes(samples, padded.width):
+        for ch, plane in enumerate(_site_rgb(padded, part, site)):
+            out[where + (ch,)] = plane
     return out
 
 
-def _site_rgb(padded: EdgePadded, centres: np.ndarray,
-              site: int) -> np.ndarray:
-    """``(n, 3)`` int16 RGB at the flat ``centres`` of one site class."""
-    flat = padded.flat
+def _site_classes(samples: Coset | np.ndarray, width: int,
+                  ) -> list[tuple[Coset | np.ndarray, tuple, int]]:
+    """``(part, where, site)``: ``samples`` cut into parts of one site
+    class each (0 = R, 1 = G on a red row, 2 = G on a blue row, 3 = B),
+    with each part's place among ``samples``."""
+    if isinstance(samples, Coset):
+        parts = [samples]
+        for axis in (0, 1):
+            parts = [half for part in parts for half in (
+                part.split(axis) if part.axes[axis][1] % 2 else [part])]
+        return [(part, part.within(samples),
+                 (part.axes[0][0] & 1) * 2 + (part.axes[1][0] & 1))
+                for part in parts]
+    rows, cols = np.divmod(samples, width)
+    site = (rows & 1) * 2 + (cols & 1)
+    if not len(site):
+        return []
+    if (site == site[0]).all():
+        return [(samples, (slice(None),), int(site[0]))]
+    return [(samples[at], (at,), cls) for cls in range(4)
+            if len(at := np.flatnonzero(site == cls))]
+
+
+def _site_rgb(padded: EdgePadded, samples: Coset | np.ndarray,
+              site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int16 red, green and blue planes at a sample set of one site
+    class, each shaped like it."""
+    read = padded.reader(samples)
+    r = padded.radius
 
     def at(dy: int, dx: int) -> np.ndarray:
-        return flat[centres + padded.offset(dy, dx)]
+        return read.at(padded.rows, r + dy, r + dx)
 
     here = at(0, 0)
     up, down, left, right = at(-1, 0), at(1, 0), at(0, -1), at(0, 1)
     if site in (1, 2):
         # G: red and blue from the row pair and the column pair
-        horiz = (left + right + 1) // 2
-        vert = (up + down + 1) // 2
-        planes = (horiz, here, vert) if site == 1 else (vert, here, horiz)
-    else:
-        # R or B: green from the cross, the other colour from the
-        # diagonal
-        cross = (up + down + left + right + 2) // 4
-        diag = (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1) + 2) // 4
-        planes = (here, cross, diag) if site == 0 else (diag, cross, here)
-    return np.stack(planes, axis=1)
+        horiz = _mean(left, right)
+        vert = _mean(up, down)
+        return (horiz, here, vert) if site == 1 else (vert, here, horiz)
+    # R or B: green from the cross, the other colour from the diagonal
+    cross = _mean(up, down, left, right)
+    diag = _mean(at(-1, -1), at(-1, 1), at(1, -1), at(1, 1))
+    return (here, cross, diag) if site == 0 else (diag, cross, here)
 
 
-def debayer_elements(indices: np.ndarray,
+def _mean(*sites: np.ndarray) -> np.ndarray:
+    """The rounded mean of two or four non-negative int16 sites: their
+    sum plus half the count, floor-divided by the count as a shift."""
+    acc = sites[0] + sites[1]
+    for more in sites[2:]:
+        acc += more
+    acc += len(sites) // 2
+    acc >>= len(sites).bit_length() - 1
+    return acc
+
+
+def debayer_elements(indices: Coset | np.ndarray,
                      mosaic: np.ndarray) -> np.ndarray:
-    """RGB values at the given flat pixel indices of an RGGB mosaic.
+    """RGB values at the given flat pixel indices of an RGGB mosaic, or
+    at a coset of it.
 
-    Returns an ``(n, 3)`` uint8 array.  Bilinear interpolation: missing
-    planes average the nearest sites of that colour (2 or 4 neighbours
-    depending on the site class).
+    Returns a uint8 array shaped like the sample set plus an axis of 3.
+    Bilinear interpolation: missing planes average the nearest sites of
+    that colour (2 or 4 neighbours depending on the site class).
     """
     return _demosaic(EdgePadded(mosaic, 1, np.int16), indices)
 
 
 def debayer_precise(mosaic: np.ndarray) -> np.ndarray:
     """Reference full-image demosaic, equal to
-    ``debayer_elements(np.arange(mosaic.size), mosaic)``.
-
-    The same int16 ``horiz``/``vert``/``cross``/``diag`` planes as
-    :func:`_demosaic`, built from shifted slices of the padded mosaic and
-    placed by the four RGGB parity classes.
-    """
+    ``debayer_elements(np.arange(mosaic.size), mosaic)``: the element
+    kernel on the whole image as one stride-1 coset, whose four parity
+    classes are its four stride-2 cosets."""
     mosaic = np.asarray(mosaic)
-    h, w = mosaic.shape
-    p = np.pad(mosaic, 1, mode="edge").astype(np.int16)
-
-    def at(dy: int, dx: int) -> np.ndarray:
-        return p[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-
-    here = at(0, 0)
-    up, down, left, right = at(-1, 0), at(1, 0), at(0, -1), at(0, 1)
-    horiz = (left + right + 1) // 2
-    vert = (up + down + 1) // 2
-    cross = (up + down + left + right + 2) // 4
-    diag = (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1) + 2) // 4
-
-    out = np.empty((h, w, 3), dtype=np.uint8)
-    # (row parity, col parity): R site, G on a red row, G on a blue
-    # row, B site; planes are (red, green, blue)
-    for (r, c), planes in {(0, 0): (here, cross, diag),
-                           (0, 1): (horiz, here, vert),
-                           (1, 0): (vert, here, horiz),
-                           (1, 1): (diag, cross, here)}.items():
-        for ch, plane in enumerate(planes):
-            out[r::2, c::2, ch] = plane[r::2, c::2]
-    return out
+    return debayer_elements(Coset.whole(mosaic.shape), mosaic)
 
 
 def build_debayer_automaton(mosaic: np.ndarray, chunks: int = 32,
@@ -130,8 +138,10 @@ def build_debayer_automaton(mosaic: np.ndarray, chunks: int = 32,
     b_out = VersionedBuffer("rgb")
     padded = edge_padder(lambda m: EdgePadded(m, 1, np.int16))
 
-    def element_fn(indices: np.ndarray, mosaic: np.ndarray) -> np.ndarray:
-        return _demosaic(padded(mosaic), indices)
+    @reads_cosets
+    def element_fn(samples: Coset | np.ndarray,
+                   mosaic: np.ndarray) -> np.ndarray:
+        return _demosaic(padded(mosaic), samples)
 
     stage = MapStage(
         "demosaic", b_out, (b_in,), element_fn,

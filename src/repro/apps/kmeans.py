@@ -27,12 +27,14 @@ from typing import Any
 
 import numpy as np
 
+from ..anytime.coset import Coset, read_samples, write_samples
 from ..anytime.fill import Painter, TreeFill
 from ..anytime.permutations import TreePermutation
 from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.diffusive import DiffusiveStage
 from ..core.stage import PreciseStage
+from ..data.images import nearest_centre
 
 __all__ = ["initial_centroids", "assign_pixels", "kmeans_precise",
            "kmeans_clustered", "build_kmeans_automaton",
@@ -87,20 +89,20 @@ def _luma_bands(luma: np.ndarray, k: int) -> np.ndarray:
 
 def assign_pixels(pixels: np.ndarray,
                   centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid (squared Euclidean) per pixel row.
+    """Index of the nearest centroid (squared Euclidean) per pixel, over
+    the last axis of ``pixels`` (an ``(n, 3)`` list or an ``(h, w, 3)``
+    grid), shaped like the pixels less that axis.
 
-    Distances accumulate channel by channel in ``(n, k)`` arrays, in the
-    same order as a sum over the channel axis, without an ``(n, k, 3)``
-    temporary.
+    It is :func:`~repro.data.images.nearest_centre` over the pixels'
+    float64 channel planes: a running minimum whose float64 distances
+    and first-index tie rule are those of an ``argmin`` over an
+    ``(n, k)`` distance array.
     """
     pixels = np.asarray(pixels)
     centroids = np.asarray(centroids, dtype=np.float64)
-    d2 = np.zeros((len(pixels), len(centroids)))
-    for ch in range(centroids.shape[1]):
-        diff = pixels[:, ch, None] - centroids[:, ch]
-        diff *= diff
-        d2 += diff
-    return np.argmin(d2, axis=1)
+    planes = [pixels[..., ch].astype(np.float64)
+              for ch in range(centroids.shape[1])]
+    return nearest_centre(planes, centroids)
 
 
 def _sums(pixels: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -136,6 +138,8 @@ class KMeansAssignStage(DiffusiveStage):
         # updates (bincount) still run level by level in
         # apply_chunk, keeping every published partial bit-identical
         self.supports_batch = True
+        # pixels are read, and labels written, through sample sets
+        self.reads_cosets = True
 
     def init_state(self, values: tuple[Any, ...]) -> dict[str, Any]:
         prev = self._state
@@ -145,34 +149,37 @@ class KMeansAssignStage(DiffusiveStage):
                 "sums": np.zeros((self.k, 3), dtype=np.float64),
                 "counts": np.zeros(self.k, dtype=np.int64)}
 
-    def process_chunk(self, state: dict[str, Any], indices: np.ndarray,
+    def process_chunk(self, state: dict[str, Any],
+                      samples: Coset | np.ndarray,
                       values: tuple[Any, ...]) -> Any:
-        centroids, image = values
-        pixels = np.asarray(image).reshape(-1, 3)[indices]
-        labels = assign_pixels(pixels, centroids)
-        return self._fold(state, indices, pixels, labels)
+        pixels, labels = self.batch_chunks(state, samples, values)
+        return self._fold(state, samples, pixels, labels)
 
-    def _fold(self, state: dict[str, Any], indices: np.ndarray,
+    def _fold(self, state: dict[str, Any], samples: Coset | np.ndarray,
               pixels: np.ndarray, labels: np.ndarray) -> Any:
-        state["assign"].reshape(-1)[indices] = labels
-        # pixels are integers, so adding the chunk's sums is exact
-        state["sums"] += _sums(pixels, labels, self.k)
-        state["counts"] += np.bincount(labels, minlength=self.k)
-        return (indices, labels)
+        write_samples(state["assign"], samples, labels, 2)
+        # pixels are integers, so adding the chunk's sums is exact, and
+        # in any order: a coset's raster order gives the same bits
+        flat = labels.reshape(-1)
+        state["sums"] += _sums(pixels.reshape(-1, 3), flat, self.k)
+        state["counts"] += np.bincount(flat, minlength=self.k)
+        return (samples, labels)
 
-    def batch_chunks(self, state: dict[str, Any], indices: np.ndarray,
+    def batch_chunks(self, state: dict[str, Any],
+                     samples: Coset | np.ndarray,
                      values: tuple[Any, ...]) -> tuple[np.ndarray,
                                                        np.ndarray]:
         centroids, image = values
-        pixels = np.asarray(image).reshape(-1, 3)[indices]
+        pixels = read_samples(np.asarray(image), samples, 2)
         return pixels, assign_pixels(pixels, centroids)
 
-    def apply_chunk(self, state: dict[str, Any], indices: np.ndarray,
-                    batch: tuple[np.ndarray, np.ndarray], offset: int,
+    def apply_chunk(self, state: dict[str, Any],
+                    samples: Coset | np.ndarray,
+                    batch: tuple[np.ndarray, np.ndarray],
+                    at: tuple[slice, ...],
                     values: tuple[Any, ...]) -> Any:
         pixels, labels = batch
-        span = slice(offset, offset + len(indices))
-        return self._fold(state, indices, pixels[span], labels[span])
+        return self._fold(state, samples, pixels[at], labels[at])
 
     def materialize(self, state: dict[str, Any], count: int,
                     values: tuple[Any, ...]) -> dict[str, Any]:
@@ -189,7 +196,8 @@ class KMeansAssignStage(DiffusiveStage):
         return self.fill.start(state["assign"], self.order)
 
     def warm(self) -> None:
-        self.fill.warm(self.order, self.shape)
+        super().warm()
+        self.fill.warm(self.order, self.shape, self.chunk_spans)
 
     def precise(self, input_values: dict[str, Any]) -> dict[str, Any]:
         centroids = input_values[self.inputs[0].name]
@@ -214,7 +222,9 @@ def _reduce_and_recolour(partial: dict[str, Any]) -> dict[str, Any]:
     centroids = np.where(partial["counts"][:, None] > 0, fresh, prev)
     palette = np.clip(centroids, 0, 255).astype(np.uint8)
     return {"centroids": centroids,
-            "image": np.take(palette, partial["assign"], axis=0)}
+            # labels are always in [0, k): "clip" skips the bounds check
+            "image": np.take(palette, partial["assign"], axis=0,
+                             mode="clip")}
 
 
 def clustered_image_metric(value: dict[str, Any],
@@ -232,7 +242,7 @@ def clustered_image_metric(value: dict[str, Any],
 
 
 #: pixels per :func:`assign_pixels` call in :func:`kmeans_clustered`
-_ASSIGN_BLOCK = 4096
+_ASSIGN_BLOCK = 16384
 
 
 def kmeans_clustered(image: np.ndarray, k: int = 6,
@@ -245,8 +255,8 @@ def kmeans_clustered(image: np.ndarray, k: int = 6,
     centroids = initial_centroids(image, k)
     pixels = image.reshape(-1, 3)
     for _ in range(epochs):
-        # assign_pixels is row by row, so blocks give the same labels;
-        # a block's (rows, k) distance arrays stay in cache
+        # assign_pixels is pixel by pixel, so blocks give the same
+        # labels; a block's few float64 planes stay in cache
         labels = np.concatenate([
             assign_pixels(pixels[i:i + _ASSIGN_BLOCK], centroids)
             for i in range(0, max(len(pixels), 1), _ASSIGN_BLOCK)])

@@ -20,18 +20,21 @@ closed after the last chunk (paper Section III-C2).
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Sequence
 
 import numpy as np
 
+from ..anytime.coset import Coset
 from ..anytime.fill import Painter
-from ..anytime.permutations import Permutation, sample_order
+from ..anytime.permutations import (Permutation, derive_cosets,
+                                    sample_order, span_cosets)
 from .buffer import Snapshot, VersionedBuffer
 from .channel import UpdateChannel
 from .stage import (Body, CloseChannel, Compute, Emit, Lease, Stage,
                     Write, access_penalty)
 
-__all__ = ["DiffusiveStage", "chunk_boundaries"]
+__all__ = ["DiffusiveStage", "chunk_boundaries", "leased_spans"]
 
 
 def chunk_boundaries(n: int, chunks: int,
@@ -45,6 +48,14 @@ def chunk_boundaries(n: int, chunks: int,
     tradeoff — early availability vs. update frequency) while the total
     version count stays the same.
     """
+    return list(_boundaries(int(n), int(chunks), schedule, float(growth)))
+
+
+@functools.lru_cache(maxsize=64)
+def _boundaries(n: int, chunks: int, schedule: str,
+                growth: float) -> tuple[tuple[int, int], ...]:
+    """:func:`chunk_boundaries`, kept per process: every pass and every
+    run's warm step asks for the same few."""
     if n < 0:
         raise ValueError(f"n cannot be negative: {n}")
     if chunks < 1:
@@ -65,8 +76,22 @@ def chunk_boundaries(n: int, chunks: int,
         edges[-1] = n
     else:
         raise ValueError(f"unknown chunk schedule {schedule!r}")
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
-            if b > a]
+    return tuple((int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
+                 if b > a)
+
+
+def leased_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``spans`` and every aligned power-of-two run of them — the runs
+    of ``2**j`` spans from a multiple of ``2**j`` — each as one
+    ``(start, stop)``: what one :class:`Lease` of a pass can fuse when
+    its grants are powers of two."""
+    out = list(spans)
+    width = 2
+    while width <= len(spans):
+        out += [(spans[i][0], spans[i + width - 1][1])
+                for i in range(0, len(spans) - width + 1, width)]
+        width *= 2
+    return out
 
 
 class DiffusiveStage(Stage):
@@ -155,6 +180,14 @@ class DiffusiveStage(Stage):
         #: the published versions are bit-identical at any lease size.
         #: Subclasses with a pure, slice-decomposable kernel opt in.
         self.supports_batch = False
+        #: whether the kernel operations take a sample set — a
+        #: :class:`~repro.anytime.coset.Coset` where the chunk (or the
+        #: fused run) is one, else the index array — instead of always
+        #: the index array.  A coset's samples come in raster order of
+        #: its grid, not in visit order, so a stage that streams its
+        #: updates to a channel keeps the index arrays.  Subclasses
+        #: whose kernels read and write through a sample set opt in.
+        self.reads_cosets = False
         self._state: Any = None
         self._completed_passes = 0
         #: the fill painter of the pass in flight (see
@@ -176,7 +209,8 @@ class DiffusiveStage(Stage):
 
     def process_chunk(self, state: Any, indices: np.ndarray,
                       values: tuple[Any, ...]) -> Any:
-        """Fold one chunk of permuted flat indices into ``state``.
+        """Fold one chunk of permuted flat indices (or its sample set,
+        see :attr:`reads_cosets`) into ``state``.
 
         Returns the update object streamed to a synchronous child (ignored
         when no channel is attached); return None when the update is not
@@ -201,21 +235,23 @@ class DiffusiveStage(Stage):
         """Vectorized pre-computation over several chunks at once.
 
         ``indices`` is the concatenation of the next k chunks' permuted
-        flat indices.  Must be **pure**: no mutation of ``state`` — the
-        per-level state evolution happens chunk by chunk in
-        :meth:`apply_chunk`, which is what keeps each published version
-        bit-identical to the unbatched execution.
+        flat indices, or the coset they make up together.  Must be
+        **pure**: no mutation of ``state`` — the per-level state
+        evolution happens chunk by chunk in :meth:`apply_chunk`, which
+        is what keeps each published version bit-identical to the
+        unbatched execution.
         """
         raise NotImplementedError
 
     def apply_chunk(self, state: Any, indices: np.ndarray, batch: Any,
-                    offset: int, values: tuple[Any, ...]) -> Any:
-        """Fold one chunk's slice of a :meth:`batch_chunks` result into
+                    at: tuple[slice, ...], values: tuple[Any, ...]) -> Any:
+        """Fold one chunk's share of a :meth:`batch_chunks` result into
         ``state``.
 
-        ``batch[offset:offset + len(indices)]`` (along the element axis)
-        is this chunk's share.  Same return contract as
-        :meth:`process_chunk`.
+        ``batch[at]`` is this chunk's share: a run of the element axis
+        for index arrays, the chunk's place in the fused grid
+        (:meth:`~repro.anytime.coset.Coset.within`) for cosets.  Same
+        return contract as :meth:`process_chunk`.
         """
         raise NotImplementedError
 
@@ -240,8 +276,19 @@ class DiffusiveStage(Stage):
         """
         return sample_order(self.permutation, self.shape)
 
+    @property
+    def chunk_spans(self) -> list[tuple[int, int]]:
+        """The ``(start, stop)`` spans of the order a whole pass
+        publishes a version after."""
+        return chunk_boundaries(self.n_elements, self.chunks,
+                                schedule=self.chunk_schedule)
+
     def warm(self) -> None:
-        sample_order(self.permutation, self.shape)
+        order = self.order
+        if self.reads_cosets:
+            spans = self.chunk_spans
+            derive_cosets(order, self.shape, ("leases", *spans),
+                          lambda: leased_spans(spans))
 
     @property
     def penalty(self) -> float:
@@ -283,6 +330,10 @@ class DiffusiveStage(Stage):
         # levels: no synchronous update stream and no preemption polls.
         batchable = (self.supports_batch and self.emit_to is None
                      and self.restart_policy != "preempt")
+        # Cosets come in raster order, so only a stage with no update
+        # stream reads them; they were derived ahead (see warm).
+        cosets = (span_cosets(order, self.shape)
+                  if self.reads_cosets and self.emit_to is None else {})
         ci = 0
         while ci < len(spans):
             remaining = len(spans) - ci
@@ -290,21 +341,33 @@ class DiffusiveStage(Stage):
             if batchable and remaining > 1:
                 granted = yield Lease(remaining)
                 granted = max(1, min(int(granted), remaining))
+            run = spans[ci:ci + granted]
             batch = None
-            base = 0
             if granted > 1:
-                base = spans[ci][0]
-                fused = order[base:spans[ci + granted - 1][1]]
-                batch = self.batch_chunks(state, fused, values)
-            for start, stop in spans[ci:ci + granted]:
-                indices = order[start:stop]
+                base, end = run[0][0], run[-1][1]
+                fused = cosets.get((base, end))
+                parts = [cosets.get(span) for span in run]
+                if fused is None or any(p is None for p in parts):
+                    fused = None
+                    parts = [order[a:b] for a, b in run]
+                batch = self.batch_chunks(
+                    state, order[base:end] if fused is None else fused,
+                    values)
+            for j, (start, stop) in enumerate(run):
                 yield Compute(self.chunk_cost(stop - start),
                               label=f"{self.name}:chunk{ci}")
                 if batch is not None:
-                    update = self.apply_chunk(state, indices, batch,
-                                              start - base, values)
+                    samples = parts[j]
+                    at = (samples.within(fused)
+                          if isinstance(samples, Coset)
+                          else (slice(start - base, stop - base),))
+                    update = self.apply_chunk(state, samples, batch, at,
+                                              values)
                 else:
-                    update = self.process_chunk(state, indices, values)
+                    samples = cosets.get((start, stop))
+                    if samples is None:
+                        samples = order[start:stop]
+                    update = self.process_chunk(state, samples, values)
                 if self.emit_to is not None:
                     yield Emit(update)
                 last = ci == len(spans) - 1

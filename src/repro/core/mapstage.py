@@ -14,6 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ..anytime.coset import write_samples
 from ..anytime.fill import FillPolicy, Painter, TreeFill
 from ..anytime.permutations import Permutation, TreePermutation
 from .buffer import VersionedBuffer
@@ -31,7 +32,11 @@ class MapStage(DiffusiveStage):
     element_fn:
         ``element_fn(flat_indices, *input_values) -> values`` — computes
         the output elements at the given flat indices (vectorized).  Must
-        be pure (Property 1).
+        be pure (Property 1).  A function marked with
+        :func:`~repro.anytime.coset.reads_cosets` takes a sample set
+        instead: a chunk that is a strided coset comes as its
+        :class:`~repro.anytime.coset.Coset`, and its values, shaped like
+        the coset's grid, are written with slices.
     out_shape:
         Shape of the output array; its leading axes (as many as
         ``shape``) are the sampled element space, trailing axes (e.g.
@@ -108,6 +113,7 @@ class MapStage(DiffusiveStage):
         # computed in one call and scattered chunk by chunk — each
         # published level stays bit-identical to unbatched execution.
         self.supports_batch = True
+        self.reads_cosets = bool(getattr(element_fn, "reads_cosets", False))
 
     def init_state(self, values: tuple[Any, ...]) -> np.ndarray:
         if self.warm_start is not None:
@@ -117,9 +123,7 @@ class MapStage(DiffusiveStage):
     def process_chunk(self, state: np.ndarray, indices: np.ndarray,
                       values: tuple[Any, ...]) -> Any:
         computed = self.element_fn(indices, *values)
-        flat = state.reshape((self.n_elements,)
-                             + self.out_shape[len(self.shape):])
-        flat[indices] = computed
+        write_samples(state, indices, computed, len(self.shape))
         return (indices, computed)
 
     def batch_chunks(self, state: np.ndarray, indices: np.ndarray,
@@ -129,12 +133,10 @@ class MapStage(DiffusiveStage):
         return np.asarray(self.element_fn(indices, *values))
 
     def apply_chunk(self, state: np.ndarray, indices: np.ndarray,
-                    batch: np.ndarray, offset: int,
+                    batch: np.ndarray, at: tuple[slice, ...],
                     values: tuple[Any, ...]) -> Any:
-        computed = batch[offset:offset + len(indices)]
-        flat = state.reshape((self.n_elements,)
-                             + self.out_shape[len(self.shape):])
-        flat[indices] = computed
+        computed = batch[at]
+        write_samples(state, indices, computed, len(self.shape))
         return (indices, computed)
 
     def materialize(self, state: np.ndarray, count: int,
@@ -151,7 +153,8 @@ class MapStage(DiffusiveStage):
         return self.fill.start(state, self.order)
 
     def warm(self) -> None:
-        self.fill.warm(self.order, self.out_shape)
+        super().warm()
+        self.fill.warm(self.order, self.out_shape, self.chunk_spans)
 
     def precise(self, input_values: dict[str, Any]) -> np.ndarray:
         values = tuple(input_values[b.name] for b in self.inputs)

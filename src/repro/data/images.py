@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["scene_image", "bayer_mosaic", "clustered_image",
-           "gradient_image", "texture_image"]
+           "gradient_image", "texture_image", "nearest_centre"]
 
 
 def gradient_image(size: int = 512, angle_deg: float = 30.0) -> np.ndarray:
@@ -134,25 +134,33 @@ def bayer_mosaic(size: int = 512, seed: int = 0) -> np.ndarray:
     return mosaic
 
 
-def _nearest_centre(planes: list[np.ndarray],
-                    centres: np.ndarray) -> np.ndarray:
-    """Index of the nearest centre (squared Euclidean) per pixel.
+def nearest_centre(planes: list[np.ndarray],
+                   centres: np.ndarray) -> np.ndarray:
+    """Index of the nearest centre (squared Euclidean) per pixel of
+    float64 channel ``planes``, shaped like a plane.
 
     The channels add in order, and a strict ``<`` keeps the first of
     equally near centres, as ``argmin`` over a distance array would.
+    Each square is ``t * t`` of ``t = plane - coordinate``, the bits
+    ``t ** 2`` gives; the running minimum reuses four buffers of one
+    plane each.
     """
-    nearest = np.zeros(planes[0].shape, dtype=np.intp)
-    best = None
+    shape = planes[0].shape
+    nearest = np.zeros(shape, dtype=np.intp)
+    best, d2, term = (np.empty(shape) for _ in range(3))
+    closer = np.empty(shape, dtype=bool)
     for j, centre in enumerate(centres):
-        d2 = (planes[0] - centre[0]) ** 2
+        out = best if j == 0 else d2
+        np.subtract(planes[0], centre[0], out=out)
+        out *= out
         for plane, coordinate in zip(planes[1:], centre[1:]):
-            d2 += (plane - coordinate) ** 2
-        if best is None:
-            best = d2
-            continue
-        closer = d2 < best
-        nearest[closer] = j
-        np.minimum(best, d2, out=best)
+            np.subtract(plane, coordinate, out=term)
+            term *= term
+            out += term
+        if j:
+            np.less(d2, best, out=closer)
+            np.copyto(nearest, j, where=closer)
+            np.minimum(best, d2, out=best)
     return nearest
 
 
@@ -171,7 +179,7 @@ def clustered_image(size: int = 128, seed: int = 0,
     # real structure to find.
     centres = rng.uniform(10, 245, size=(clusters, 3))
     flat = [plane.reshape(-1).astype(np.float64) for plane in planes]
-    nearest = _nearest_centre(flat, centres)
+    nearest = nearest_centre(flat, centres)
     noise = rng.normal(0, 6, (size * size, 3))
     out = np.empty((size * size, 3), dtype=np.uint8)
     for ch, plane in enumerate(flat):

@@ -1,11 +1,14 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing as mp
 import os
 import signal
 
 import numpy as np
 import pytest
 
+from repro.anytime import permutations
+from repro.anytime.permutations import TreePermutation
 from repro.data import bayer_mosaic, clustered_image, scene_image
 
 try:
@@ -148,3 +151,53 @@ def suspend_only():
                         None)
 
     return SuspendOnly
+
+
+@pytest.fixture()
+def derivations(monkeypatch, request):
+    """A tree permutation that counts its order derivations, and counts
+    of tree-level and coset derivations, each split between this
+    process and any other; the counters are shared across fork.  The
+    permutation's key is this test's own, so its memo starts cold.
+
+    ``counts(*kinds)`` reads the counters of ``kinds`` (by default
+    orders and levels) as ``{f"{kind}_{here|elsewhere}": n}``.
+    """
+    ctx = mp.get_context("fork")
+    kinds = ("orders", "levels", "cosets")
+    counters = {f"{kind}_{where}": ctx.Value("i", 0)
+                for kind in kinds for where in ("here", "elsewhere")}
+    parent = os.getpid()
+
+    def count(kind):
+        where = "here" if os.getpid() == parent else "elsewhere"
+        counter = counters[f"{kind}_{where}"]
+        with counter.get_lock():
+            counter.value += 1
+
+    def counting(kind, fn):
+        def counted(*args):
+            count(kind)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(permutations, "sample_levels",
+                        counting("levels", permutations.sample_levels))
+    for name in ("find_coset", "join_cosets"):
+        monkeypatch.setattr(permutations, name,
+                            counting("cosets", getattr(permutations, name)))
+
+    class Counting(TreePermutation):
+        def __init__(self):
+            self.tag = request.node.nodeid
+
+        def order(self, shape):
+            count("orders")
+            return super().order(shape)
+
+    def counts(*which):
+        which = which or ("orders", "levels")
+        return {k: v.value for k, v in counters.items()
+                if k.rsplit("_", 1)[0] in which}
+
+    return Counting, counts

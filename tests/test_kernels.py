@@ -415,6 +415,65 @@ def test_memo_does_not_keep_its_input_alive(app):
     assert alive() is None
 
 
+def _assign_oracle(pixels, centroids):
+    """The assignment :func:`assign_pixels` was before it became a
+    running minimum: ``(n, k)`` squared distances, channel by channel,
+    and ``argmin``."""
+    pixels = np.asarray(pixels)
+    centroids = np.asarray(centroids, dtype=np.float64)
+    d2 = np.zeros((len(pixels), len(centroids)))
+    for ch in range(centroids.shape[1]):
+        diff = pixels[:, ch, None] - centroids[:, ch]
+        diff *= diff
+        d2 += diff
+    return np.argmin(d2, axis=1)
+
+
+@st.composite
+def _tied_assignments(draw):
+    """k in 1..9 centroids, some duplicated, and pixels of which some
+    sit exactly halfway between two centroids (even coordinate sums,
+    so the midpoint is a whole pixel) or on a centroid."""
+    k = draw(st.integers(1, 9))
+    coord = st.integers(0, 127).map(lambda v: 2 * v)
+    centroids = [draw(st.lists(coord, min_size=3, max_size=3))
+                 for _ in range(k)]
+    for j in range(1, k):
+        if draw(st.booleans()):
+            centroids[j] = centroids[draw(st.integers(0, j - 1))]
+    centroids = np.array(centroids, dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    pixels = [rng.integers(0, 256, size=(draw(st.integers(0, 40)), 3))]
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = (draw(st.integers(0, k - 1)) for _ in range(2))
+        pixels.append(((centroids[a] + centroids[b]) // 2)[None])
+    pixels = np.concatenate(pixels).astype(np.uint8)
+    return rng.permutation(pixels), centroids
+
+
+@given(case=_tied_assignments(), fractional=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_assign_pixels_breaks_ties_as_argmin(case, fractional):
+    """The running minimum keeps the first of equally near centroids,
+    as ``argmin`` does, with the same float64 distances."""
+    pixels, centroids = case
+    if fractional:
+        centroids = centroids + 0.5
+    got = assign_pixels(pixels, centroids)
+    assert got.tolist() == _assign_oracle(pixels, centroids).tolist()
+    grid = assign_pixels(pixels.reshape(1, -1, 3), centroids)
+    assert grid.reshape(-1).tolist() == got.tolist()
+
+
+def test_assign_pixels_on_app_input_equals_argmin():
+    image = get_app("kmeans").make_input(64, 5)
+    pixels = image.reshape(-1, 3)
+    for k in range(1, 10):
+        centroids = initial_centroids(image, k)
+        assert np.array_equal(assign_pixels(pixels, centroids),
+                              _assign_oracle(pixels, centroids))
+
+
 def _centroids_oracle(image, k):
     """The stable-argsort seeding :func:`initial_centroids` replaced."""
     flat = np.asarray(image, dtype=np.float64).reshape(-1, 3)

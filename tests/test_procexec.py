@@ -215,43 +215,6 @@ class TestFaults:
         assert auto.graph.buffers["out"].sealed
 
 
-@pytest.fixture()
-def derivations(monkeypatch, request):
-    """A tree permutation that counts its order derivations, and a
-    count of tree-level derivations, each split between this process
-    and any other; the counters are shared across fork.  The
-    permutation's key is this test's own, so its memo starts cold."""
-    ctx = mp.get_context("fork")
-    counts = {f"{kind}_{where}": ctx.Value("i", 0)
-              for kind in ("orders", "levels")
-              for where in ("here", "elsewhere")}
-    parent = os.getpid()
-
-    def count(kind):
-        where = "here" if os.getpid() == parent else "elsewhere"
-        counter = counts[f"{kind}_{where}"]
-        with counter.get_lock():
-            counter.value += 1
-
-    sample_levels = permutations.sample_levels
-
-    def counting_levels(order, shape):
-        count("levels")
-        return sample_levels(order, shape)
-
-    monkeypatch.setattr(permutations, "sample_levels", counting_levels)
-
-    class Counting(TreePermutation):
-        def __init__(self):
-            self.tag = request.node.nodeid
-
-        def order(self, shape):
-            count("orders")
-            return super().order(shape)
-
-    return Counting, lambda: {k: v.value for k, v in counts.items()}
-
-
 class TestWarmWorkers:
     """Each executor derives a stage's sample order and tree levels
     before its run starts, so a forked worker inherits them and
