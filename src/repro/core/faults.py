@@ -160,9 +160,11 @@ class StageReport:
     backpressured emit) and ``wait_time`` their total duration — virtual
     work units under the simulator, wall seconds elsewhere.
     ``round_trips`` counts completed control-pipe request/reply pairs on
-    the process backend (always 0 elsewhere) — the data-plane overhead
-    the batched command leases amortize; ``benchmarks/latency`` reports
-    it per published version (``procexec.round_trips_per_version``).
+    the process backend (always 0 elsewhere): one per worker request
+    (write, wait, poll, emit, receive, channel close or failure
+    report); ``benchmarks/latency``
+    reports it per published terminal version
+    (``procexec.round_trips_per_version``).
     """
 
     stage: str

@@ -38,17 +38,16 @@ Design notes and tradeoffs:
 - **Channel emits travel inline.**  Synchronous-pipeline updates are
   usually small (per-chunk partials); they are pickled over the control
   pipe.  The slab plane covers buffer versions, which dominate traffic.
-- **Command leases amortize round-trips.**  Replies to waits and
-  synchronous writes carry *write credits* (capped by ``lease_k``): a
-  worker holding credits streams its next non-final writes without
-  waiting for per-write replies — one pipe round-trip per lease
-  instead of per accuracy level.  Grants are *speculative* (doubled)
-  when every input snapshot is already final or sealed, since no
-  future reply can change the stage's command stream.  Credits are
-  revoked (``("revoke",)``) on pause and halt so ``repro.serve``
-  quantum preemption and shutdown stay prompt, and a lease-held slab
-  slot is only reused after a later synchronous reply proves the
-  parent consumed the streamed write (pipe FIFO ordering).
+- **Every request gets exactly one reply.**  A worker message is
+  either one-way bookkeeping (``energy``, ``segments``, ``epoch``,
+  ``trace``, the outcome) or a request — ``write`` included — that
+  blocks for its reply, so the parent has recorded a write before the
+  worker can reuse its slab slot, and a ring of ``consumers + 2``
+  slots always has one free.  A :class:`~repro.core.stage.Lease` is
+  answered inside the worker at zero round-trips; it only widens the
+  stage's batched compute.  A reply per write cost about 4 % at 256²
+  and was flat or faster at 1024² than streamed writes
+  (EXPERIMENTS.md).
 - **Worker death is a fault.**  A worker that dies without reporting
   (segfault, ``kill -9``) is handled through the stage's
   :class:`~repro.core.faults.FaultPolicy` like any raise: ``restart``
@@ -127,9 +126,6 @@ class _Worker:
         # holding its replayed ladder; version numbering continues from
         # there (zero on a fresh run).
         self._version = stage.output.version
-        #: write credits from the parent's last wait / sync-write reply:
-        #: how many upcoming non-final writes may skip their replies
-        self._credits = 0
         if tracing and injector is not None:
             # raw worker clock; the parent delta-corrects against the
             # epoch handshake below, so merged traces are monotone even
@@ -145,18 +141,8 @@ class _Worker:
         self._counted = commands
 
     def _request(self, msg: tuple) -> tuple:
-        self._credits = 0
         self._post(msg)
-        while True:
-            reply = self.conn.recv()
-            if reply[0] == "revoke":
-                # lease revoked mid-request; credits already zero
-                continue
-            # any reply proves the parent consumed every message sent
-            # before this request (pipe FIFO) — streamed leased writes
-            # included, so their slab slots are safe to reuse
-            self.writer.release_held()
-            return reply
+        return self.conn.recv()
 
     def _ask(self, *msg: Any) -> Any:
         """A synchronous request: the reply, HALTED when the run is
@@ -170,17 +156,6 @@ class _Worker:
                 raise ChannelClosed(reply[2])
             raise RuntimeError(reply[2])
         return reply
-
-    def _drain_revokes(self) -> None:
-        """Consume asynchronous lease revocations before a leased write.
-
-        Between requests the only unsolicited parent->worker messages
-        are ``("revoke",)`` — replies are always consumed inside
-        :meth:`_request` — so a non-blocking drain here is safe.
-        """
-        while self.conn.poll():
-            if self.conn.recv()[0] == "revoke":
-                self._credits = 0
 
     def run(self) -> None:
         try:
@@ -222,22 +197,9 @@ class _Worker:
 
     def write(self, cmd: Any) -> Any:
         self._version += 1
-        if self._credits > 0:
-            self._drain_revokes()
-        if self._credits > 0 and not cmd.final:
-            # leased write: stream it, no reply round-trip; the slot
-            # stays held until a later sync reply
-            self._credits -= 1
-            payload = self.writer.encode(cmd.value, self._version,
-                                         hold=True)
-            self._post(("write", payload, False, True))
-            return None
         payload = self.writer.encode(cmd.value, self._version)
-        reply = self._ask("write", payload, bool(cmd.final), False)
-        if reply is HALTED:
-            return reply
-        self._credits = reply[2]
-        return None
+        reply = self._ask("write", payload, bool(cmd.final))
+        return HALTED if reply is HALTED else None
 
     def wait_inputs(self, seen: dict[str, int]) -> Any:
         reply = self._ask("wait", dict(seen))
@@ -245,7 +207,6 @@ class _Worker:
             return reply
         if reply[0] == "exhausted":
             return EXHAUSTED
-        self._credits = reply[2]
         return {name: Snapshot(name, decode_payload(p, self.registry),
                                version, final, sealed)
                 for name, p, version, final, sealed in reply[1]}
@@ -299,7 +260,7 @@ class _Parked:
 
 class _WorkerHandle:
     __slots__ = ("stage", "proc", "conn", "terminal", "restart_at",
-                 "epoch_raw", "epoch_rel", "pending_error")
+                 "epoch_raw", "epoch_rel")
 
     def __init__(self, stage) -> None:
         self.stage = stage
@@ -309,7 +270,6 @@ class _WorkerHandle:
         self.restart_at: float | None = None   # pending re-fork deadline
         self.epoch_raw: float | None = None    # worker perf_counter epoch
         self.epoch_rel = 0.0           # parent-relative receipt time
-        self.pending_error: tuple | None = None   # failed leased write
 
 
 class ProcessExecutor(Kernel):
@@ -348,11 +308,8 @@ class ProcessExecutor(Kernel):
         self.grace_s = float(grace_s)
         self._ctx = mp.get_context("fork")
         self._locks = {name: self._ctx.Lock() for name in graph.buffers}
-        # latest + one pin per consumer + a spare, plus headroom for
-        # lease-held slots of streamed writes awaiting a sync reply
-        # (at most one speculative grant of 2 * lease_k in flight)
-        self._slots = {name: max(3, len(graph.consumers_of(name)) + 2
-                                 + 2 * self.lease_k)
+        # latest + one pin per consumer + a spare
+        self._slots = {name: max(3, len(graph.consumers_of(name)) + 2)
                        for name in graph.buffers}
         self._registry = SegmentRegistry()
         self._payloads: dict[str, Any] = {}
@@ -363,7 +320,6 @@ class ProcessExecutor(Kernel):
         self._parked: list[_Parked] = []
         self._halted = False
         self._paused = False
-        self._pause_revoked = False
         self._grace_deadline = 0.0
         self._timeout_s: float | None = None
         self._reactor: threading.Thread | None = None
@@ -458,7 +414,7 @@ class ProcessExecutor(Kernel):
         proc.start()
         child_conn.close()
         w.proc, w.conn, w.restart_at = proc, parent_conn, None
-        w.epoch_raw, w.pending_error = None, None
+        w.epoch_raw = None
         self._by_conn[parent_conn] = w
         self.start(w.stage.name, first)
 
@@ -475,10 +431,9 @@ class ProcessExecutor(Kernel):
     def _reply(self, w: _WorkerHandle, msg: tuple) -> None:
         if self._message_tap is not None:
             self._message_tap("send", w.stage.name, msg)
-        if msg[0] != "revoke":
-            # every non-revoke parent->worker message answers a blocked
-            # worker request: one completed pipe round-trip
-            self.reports[w.stage.name].round_trips += 1
+        # every parent->worker message answers a blocked worker
+        # request: one completed pipe round-trip
+        self.reports[w.stage.name].round_trips += 1
         try:
             w.conn.send(msg)
         except (BrokenPipeError, OSError):
@@ -494,25 +449,7 @@ class ProcessExecutor(Kernel):
             return ("exhausted",)
         wire = [(n, self._hand_payload(w.stage.name, n), s.version,
                  s.final, s.sealed) for n, s in reply.items()]
-        return ("snaps", wire, self._wait_credits(reply.values()))
-
-    def _wait_credits(self, snaps) -> int:
-        """Write credits granted alongside an input snapshot.
-
-        Speculative (doubled) when every input is already final or
-        sealed — and for source stages, which have no inputs at all —
-        because then no future reply can change the stage's command
-        stream, so a longer unacknowledged write run is safe.
-        """
-        if self.lease_k <= 1:
-            return 0
-        if all(s.final or s.sealed for s in snaps):
-            return 2 * self.lease_k
-        return self.lease_k
-
-    def _write_credits(self) -> int:
-        """Write credits refreshed by a synchronous write reply."""
-        return 0 if self.lease_k <= 1 else self.lease_k
+        return ("snaps", wire)
 
     #: blocking request kind -> its stage.wait label
     _BLOCKING = {"wait": "inputs", "emit": "emit", "recv": "recv"}
@@ -580,48 +517,22 @@ class ProcessExecutor(Kernel):
                 ts = min(w.epoch_rel + (ts - w.epoch_raw), self.now())
             self.trace(msg[1], stage=w.stage.name, ts=ts, **msg[3])
         elif kind == "write":
-            leased = msg[3]
             if self._halted or self.stop_requested:
                 # mirror the threaded halt check before each command: a
-                # write racing shutdown must not hit a sealed buffer
-                # (a leased write expects no reply — just drop it; the
-                # worker halts at its next synchronous request).  A
-                # stop *request* counts too: a leased worker may have
-                # streamed writes past the one that satisfied the stop
-                # condition before the reactor loop could halt — under
-                # sync semantics those writes never happen, so they
-                # must not be recorded here either
-                if not leased:
-                    self._reply(w, ("halt",))
-                return
-            if w.pending_error is not None:
-                # an earlier leased write failed: under sync semantics
-                # the stage would have raised there, so later streamed
-                # writes never happen — drop them and deliver the
-                # error at the worker's next synchronous request
-                if not leased:
-                    error, w.pending_error = w.pending_error, None
-                    self._reply(w, error)
+                # write racing shutdown must not hit a sealed buffer,
+                # and one after the stop condition fired (another
+                # worker's, drained before the loop could halt) is not
+                # recorded
+                self._reply(w, ("halt",))
                 return
             try:
-                result = ("ok", self.publish(w.stage, msg[1], msg[2]))
+                self._reply(w, ("ok", self.publish(w.stage, msg[1],
+                                                   msg[2])))
             except ValueError as exc:
-                result = ("raise", "error", str(exc))
-            if leased:
-                if result[0] == "raise":
-                    w.pending_error = result
-                return
-            if result[0] == "raise":
-                self._reply(w, result)
-            else:
-                self._reply(w, result + (self._write_credits(),))
+                self._reply(w, ("raise", "error", str(exc)))
         elif kind in ("wait", "poll", "emit", "recv"):
             if self._halted:
                 self._reply(w, ("halt",))
-                return
-            if w.pending_error is not None:
-                error, w.pending_error = w.pending_error, None
-                self._reply(w, error)
                 return
             payload = msg[1] if len(msg) > 1 else None
             reply = self._service(w, kind, payload)
@@ -630,14 +541,9 @@ class ProcessExecutor(Kernel):
             else:
                 self._reply(w, reply)
         elif kind == "close_channel":
-            if w.pending_error is not None and not self._halted:
-                error, w.pending_error = w.pending_error, None
-                self._reply(w, error)
-                return
             self.close_channel(w.stage)
             self._reply(w, ("halt",) if self._halted else ("ok",))
         elif kind == "failed":
-            w.pending_error = None
             self._on_failure(w, RuntimeError(msg[1]), in_process=True)
         elif kind in (DONE, EXHAUSTED, HALTED):
             w.terminal = True
@@ -697,22 +603,10 @@ class ProcessExecutor(Kernel):
                 f"(exitcode={w.proc.exitcode})"),
             in_process=False)
 
-    def _revoke_leases(self) -> None:
-        """Zero every live worker's write credits (reactor thread only).
-
-        A worker mid-lease sees the revoke before its next leased write
-        (:meth:`_Worker._drain_revokes`) or inside its blocked request
-        loop, and falls back to synchronous operation immediately.
-        """
-        for w in self._workers.values():
-            if w.conn is not None and not w.terminal:
-                self._reply(w, ("revoke",))
-
     def _initiate_halt(self) -> None:
         if self._halted:
             return
         self._halted = True
-        self._revoke_leases()
         self._grace_deadline = self.now() + self.grace_s
         for parked in self._parked:
             self._reply(parked.worker, ("halt",))
@@ -860,15 +754,9 @@ class ProcessExecutor(Kernel):
                 self._spawn_due_restarts()
                 if self._paused and not self._halted:
                     # preempted: leave workers parked on their pipes;
-                    # halt/stop checks above stay live.  Revoke leases
-                    # once per pause episode so streaming workers stop
-                    # spending credits and sync up promptly.
-                    if not self._pause_revoked:
-                        self._pause_revoked = True
-                        self._revoke_leases()
+                    # halt/stop checks above stay live
                     _time.sleep(_WAIT_S)
                     continue
-                self._pause_revoked = False
                 if conns:
                     for conn in mp_connection.wait(conns,
                                                    timeout=_WAIT_S):

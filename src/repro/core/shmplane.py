@@ -138,24 +138,16 @@ class SlabRing:
                 f"unpin of unpinned slot {slot} in {self.name}")
         self._header[slot, 1] -= 1
 
-    def pick_slot(self, exclude) -> int | None:
-        """An unpinned slot not in ``exclude`` (None when full).
+    def pick_slot(self, skip: int | None) -> int | None:
+        """An unpinned slot other than ``skip`` (None when full).
 
-        ``exclude`` is a slot index, an iterable of slot indices, or
-        None.  Caller holds the buffer lock.  With ``consumers + 2``
-        slots (plus lease headroom, see
-        :class:`~repro.core.procexec.ProcessExecutor`) this never
-        returns None (latest + one pin per consumer + held leased
-        writes + a spare).
+        ``skip`` is the writer's most recent slot, or None.  Caller
+        holds the buffer lock.  With ``consumers + 2`` slots this never
+        returns None (latest + one pin per consumer + a spare): every
+        process write waits for its reply, so no slot is in flight.
         """
-        if exclude is None:
-            exclude = ()
-        elif isinstance(exclude, int):
-            exclude = (exclude,)
         for slot in range(self.slots):
-            if slot in exclude:
-                continue
-            if self._header[slot, 1] == 0:
+            if slot != skip and self._header[slot, 1] == 0:
                 return slot
         return None
 
@@ -394,31 +386,12 @@ class SlabWriter:
         self.ring: SlabRing | None = None
         self._retired: list[SlabRing] = []
         self._last_slot: int | None = None
-        #: slots of lease-streamed writes the coordinator has not yet
-        #: acknowledged (no reply was requested); excluded from reuse
-        #: until a later synchronous reply proves consumption
-        self._held: set[int] = set()
-        self._hold_next = False
 
-    def encode(self, value: Any, version: int,
-               hold: bool = False) -> Any:
-        """Encode ``value`` into the slab; ``hold=True`` marks the
-        written slot as lease-held (see :meth:`release_held`)."""
-        self._hold_next = hold
-        try:
-            return encode_payload(
-                value, lambda arrays: self._place(arrays, version))
-        finally:
-            self._hold_next = False
-
-    def release_held(self) -> None:
-        """Forget lease-held slots.
-
-        Called when a synchronous reply arrives: pipe FIFO ordering
-        guarantees the coordinator has processed every write streamed
-        before the request, so those slots are safe to reuse.
-        """
-        self._held.clear()
+    def encode(self, value: Any, version: int) -> Any:
+        """Encode ``value`` into the slab (inline when it holds no
+        array)."""
+        return encode_payload(
+            value, lambda arrays: self._place(arrays, version))
 
     def _place(self, arrays: list[np.ndarray],
                version: int) -> list[NDRef]:
@@ -429,24 +402,16 @@ class SlabWriter:
             slot_bytes = max(int(total * self.GROWTH), total, 1)
             self.ring = SlabRing.create(self.slots, slot_bytes)
             self._last_slot = None
-            # retired rings are never rewritten, so holds on them are
-            # moot — and stale indices must not shadow new-ring slots
-            self._held.clear()
             self.on_segment([self.ring.name])
         ring = self.ring
-        exclude = set(self._held)
-        if self._last_slot is not None:
-            exclude.add(self._last_slot)
         with self.lock:
-            slot = ring.pick_slot(exclude=exclude)
+            slot = ring.pick_slot(self._last_slot)
             if slot is None:   # pragma: no cover - sizing invariant
                 raise RuntimeError(
                     f"no free slab slot for buffer "
                     f"{self.buffer_name!r} ({self.slots} slots)")
             placements = ring.write_arrays(slot, version, arrays)
         self._last_slot = slot
-        if self._hold_next:
-            self._held.add(slot)
         return [NDRef(ring.name, ring.slots, ring.slot_bytes, slot,
                       offset, shape, dtype)
                 for offset, shape, dtype in placements]

@@ -117,10 +117,7 @@ class Lease:
     next ``k`` levels in one pass, but it must still yield the exact same
     per-level :class:`Compute`/:class:`Write` command sequence it would
     have yielded unbatched, so the published version ladder is
-    bit-identical for every grant size (the lease safety rule).  On the
-    process backend a grant additionally lets the worker stream that many
-    writes without waiting for per-write replies (one pipe round trip per
-    lease instead of per level).
+    bit-identical for every grant size (the lease safety rule).
     """
 
     want: int = 1

@@ -264,8 +264,7 @@ class TestLeasedPreemptPins:
     def test_preempting_leased_stage_keeps_pins_balanced(self):
         """Regression for the lease protocol under the serving layer:
         preempt/resume of a process run whose worker holds a command
-        lease (and un-acked fire-and-forget writes) must never unpin a
-        slot twice or lose a pin — the checker's pin-balance invariant
+        lease must never unpin a slot twice or lose a pin — the checker's pin-balance invariant
         stays silent across the whole server trace."""
         from repro.check import Checker
 
