@@ -32,9 +32,17 @@ __all__ = ["Coset", "as_items", "find_coset", "join_cosets",
 class Coset:
     """The samples ``start + stride * i`` (``i < count``) along each
     spatial axis of ``shape``, one ``(start, stride, count)`` per axis
-    in :attr:`axes`."""
+    in :attr:`axes`.
 
-    __slots__ = ("axes", "shape")
+    A coset never changes, so what a chunk reads it by is derived once:
+    :attr:`slices` when it is made, and its place in each coset that
+    holds it (:meth:`within`) and its halves (:meth:`split`) the first
+    time they are asked for.  The cosets of an order's spans live in
+    the per-process memo, so every pass after the first only looks
+    them up.
+    """
+
+    __slots__ = ("axes", "shape", "slices", "_within", "_halves")
 
     def __init__(self, axes: Sequence[tuple[int, int, int]],
                  shape: Sequence[int]) -> None:
@@ -43,6 +51,13 @@ class Coset:
         self.axes = tuple((int(a), int(s) if n > 1 else 1, int(n))
                           for a, s, n in axes)
         self.shape = tuple(int(s) for s in shape)
+        #: the samples as one slice per axis: an array indexed by them
+        #: is the grid's strided view
+        self.slices = tuple(self.span(d) for d in range(len(self.axes)))
+        #: :meth:`within` by the outer coset's axes
+        self._within: dict[tuple, tuple[slice, ...]] = {}
+        #: :meth:`split` by axis
+        self._halves: dict[int, list[Coset]] = {}
 
     @classmethod
     def whole(cls, shape: Sequence[int]) -> "Coset":
@@ -65,10 +80,6 @@ class Coset:
         start += shift
         return slice(start, start + stride * (count - 1) + 1, stride)
 
-    @property
-    def slices(self) -> tuple[slice, ...]:
-        return tuple(self.span(d) for d in range(len(self.axes)))
-
     def indices(self) -> np.ndarray:
         """The samples' flat indices into ``shape``, shaped like the
         grid."""
@@ -84,27 +95,36 @@ class Coset:
 
     def within(self, outer: "Coset") -> tuple[slice, ...]:
         """Where this coset's samples sit in the grid of ``outer``,
-        which holds them all."""
-        out = []
-        for (start, stride, count), (o_start, o_stride, _) in zip(
-                self.axes, outer.axes):
-            first = (start - o_start) // o_stride
-            step = max(stride // o_stride, 1)
-            out.append(slice(first, first + step * (count - 1) + 1, step))
-        return tuple(out)
+        which holds them all; kept on this coset, so a second ask is a
+        lookup."""
+        at = self._within.get(outer.axes)
+        if at is None:
+            out = []
+            for (start, stride, count), (o_start, o_stride, _) in zip(
+                    self.axes, outer.axes):
+                first = (start - o_start) // o_stride
+                step = max(stride // o_stride, 1)
+                out.append(slice(first, first + step * (count - 1) + 1,
+                                 step))
+            at = self._within[outer.axes] = tuple(out)
+        return at
 
     def split(self, axis: int) -> list["Coset"]:
         """This coset as two of twice the stride along ``axis``: the
         even and the odd positions of its progression there (one, when
-        it holds a single sample there)."""
-        start, stride, count = self.axes[axis]
-        parts = []
-        for first, n in ((start, (count + 1) // 2),
-                         (start + stride, count // 2)):
-            if n:
-                axes = list(self.axes)
-                axes[axis] = (first, 2 * stride, n)
-                parts.append(Coset(axes, self.shape))
+        it holds a single sample there).  Kept on this coset: a second
+        ask returns the same list."""
+        parts = self._halves.get(axis)
+        if parts is None:
+            start, stride, count = self.axes[axis]
+            parts = []
+            for first, n in ((start, (count + 1) // 2),
+                             (start + stride, count // 2)):
+                if n:
+                    axes = list(self.axes)
+                    axes[axis] = (first, 2 * stride, n)
+                    parts.append(Coset(axes, self.shape))
+            self._halves[axis] = parts
         return parts
 
     def __eq__(self, other: object) -> bool:

@@ -17,6 +17,8 @@ plus one copy of the output, not a re-upsampling of the whole grid.
 Where the new samples of one block size form a strided coset (every
 chunk of a tree order over a power-of-two shape does), their blocks are
 painted as one broadcast assignment into a strided view of the canvas.
+Those assignments are worked out once per process, as one
+:class:`PaintPlan` per span of a pass, and replayed by every pass.
 
 For unordered (pseudo-random) sampling, :class:`NearestFill` fills each
 missing element from its nearest computed neighbour, and
@@ -29,11 +31,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .coset import Coset, as_items
-from .permutations import _widths, derive_cosets, order_levels, \
-    sample_levels, span_cosets
+from .coset import as_items
+from .permutations import _widths, derive_cosets, derive_plans, \
+    order_levels, sample_levels, span_cosets, span_plans
 
-__all__ = ["FillPolicy", "Painter", "TreeFill", "TreePainter",
+__all__ = ["FillPolicy", "Painter", "TreeFill", "TreePainter", "PaintPlan",
            "NearestFill", "ConstantFill", "MeanFill", "sample_levels"]
 
 
@@ -134,6 +136,10 @@ class TreeFill(FillPolicy):
 
     def warm(self, order: np.ndarray, dense_shape: tuple[int, ...],
              spans: Sequence[tuple[int, int]] = ()) -> None:
+        """Derive the cosets of the runs a pass's painter paints and the
+        :class:`PaintPlan` of each of ``spans``, on the memo entry of
+        ``order``.  Plans are spatial: one serves every dtype and
+        trailing shape of ``dense_shape``'s spatial axes."""
         shape = _spatial_shape(dense_shape, order, self.spatial_ndim)
         levels, at_or_below = order_levels(order, shape)
 
@@ -150,7 +156,18 @@ class TreeFill(FillPolicy):
                     max(complete, 0)) or ()]
             return out
 
+        def plans() -> dict[tuple[int, int], PaintPlan]:
+            """The plans of a pass's spans, along a tree order only: no
+            advance along it repaints, so each span is painted over
+            what the spans before it left.  The scratch painter's
+            canvas is never touched."""
+            if (levels[1:] < levels[:-1]).any():
+                return {}
+            return TreePainter(self, np.broadcast_to(np.uint8(0), shape),
+                               order)._plan_pass(spans)
+
         derive_cosets(order, shape, ("paint", *spans), runs)
+        derive_plans(order, shape, ("plans", *spans), plans)
 
     def fill(self, dense: np.ndarray, order: np.ndarray,
              count: int) -> np.ndarray:
@@ -172,6 +189,57 @@ def _level_runs(levels: np.ndarray, lo: int, hi: int, complete: int,
     cuts = [0, *edges.tolist(), len(levels)]
     return [(a, b, level) for a, b, level in zip(
         cuts[:-1], cuts[1:], range(complete, hi + 1)) if b > a]
+
+
+#: one block assignment of a :class:`PaintPlan`: the canvas viewed as
+#: ``blocks`` (block count and block extent along each axis), picked
+#: to the coset's blocks, takes the dense samples at ``slices``
+#: reshaped to ``spread`` (one value per block, broadcast over it)
+Strided = tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ...],
+                tuple[slice, ...]]
+
+
+class PaintPlan:
+    """What one advance of a :class:`TreePainter` over
+    ``order[start:stop]`` does, from any canvas that holds the fill of
+    ``order[:start]`` and no sample finer than the span's coarsest (so
+    the advance paints over it): its bookkeeping after the advance and
+    its steps.
+
+    Each step paints one run of new samples with one block size, as
+    ``(start, stop, level, strided)``: ``strided`` is the run's block
+    assignment (:data:`Strided`) when the run is a coset whose blocks
+    the canvas tiles, else None and the run is gathered.  ``steps`` is
+    None when the span's levels are out of order (not a tree order):
+    then its samples are gathered and painted a level at a time.
+
+    Nothing in a plan depends on the dense array's dtype or trailing
+    axes, or on how the canvas came to hold ``order[:start]``.  Along a
+    tree order, whose levels never fall, every forward advance paints
+    over its canvas, so a plan whose every step is strided
+    (:attr:`strided`) is derived once per process by
+    :meth:`TreeFill.warm` and replayed by every pass.
+    """
+
+    __slots__ = ("start", "stop", "level", "below", "complete", "steps")
+
+    def __init__(self, start: int, stop: int, level: int,
+                 below: np.ndarray, complete: int,
+                 steps: list[tuple[int, int, int, Strided | None]] | None,
+                 ) -> None:
+        self.start, self.stop = start, stop
+        #: the finest level the advance paints
+        self.level = level
+        #: samples at each level or coarser, painted after the advance
+        self.below = below
+        #: the finest level all of whose samples are painted after it
+        self.complete = complete
+        self.steps = steps
+
+    @property
+    def strided(self) -> bool:
+        return self.steps is not None and all(
+            step[3] is not None for step in self.steps)
 
 
 class TreePainter(Painter):
@@ -201,6 +269,14 @@ class TreePainter(Painter):
     dense array by slices and painted as one broadcast assignment: the
     canvas viewed as blocks of that size, strided to the coset.
 
+    What an advance paints is its :class:`PaintPlan`.  An advance from
+    one boundary of a warmed pass to the next replays the plan the memo
+    keeps for that span
+    (:func:`~repro.anytime.permutations.span_plans`), so a version
+    costs its block assignments and one copy of the output.  Any other
+    advance (a count that falls back, a span whose runs are no cosets,
+    a non-tree order) derives its plan afresh and paints it.
+
     :meth:`advance` returns the canvas cropped to the output, always a
     new array: a stage's ``Write`` hands it to its buffer, which
     freezes it as the published version, while the next advance paints
@@ -215,6 +291,9 @@ class TreePainter(Painter):
         self.widths = _widths(self.shape)
         self.levels, self.at_or_below = order_levels(order, self.shape)
         self.cosets = span_cosets(order, self.shape)
+        self.plans = span_plans(order, self.shape)
+        #: the dense array as one item per spatial element
+        self.source = as_items(dense, len(self.shape))
         #: the canvas's spatial shape: a power of two along every axis
         self.box = tuple(1 << w for w in self.widths)
         self.crop = tuple(slice(0, s) for s in self.shape)
@@ -241,43 +320,90 @@ class TreePainter(Painter):
         if count <= 0:
             return np.zeros_like(self.dense)
         count = min(count, len(self.order))
-        if count < self.painted or (
-                count > self.painted
-                and self.levels[self.painted:count].min() < self.level):
-            self._blank()
-        self._paint(self.painted, count)
+        # a kept plan is of a tree order, along which an advance that
+        # moves forward never repaints
+        plan = self.plans.get((self.painted, count))
+        if plan is None:
+            if count < self.painted or (
+                    count > self.painted
+                    and self.levels[self.painted:count].min() < self.level):
+                self._blank()
+            if count > self.painted:
+                plan = self._plan(self.painted, count)
+        if plan is not None:
+            self._play(plan)
         self.painted = count
         return self.grid[self.crop].copy()
 
-    def _paint(self, start: int, stop: int) -> None:
-        if stop <= start:
-            return
+    def _plan(self, start: int, stop: int) -> PaintPlan:
+        """The plan of painting ``order[start:stop]`` over the canvas,
+        which holds the fill of ``order[:start]``."""
         levels = self.levels[start:stop]
         lo, hi = int(levels.min()), int(levels.max())
         if lo == hi:
-            self.below[lo:] += stop - start
+            below = self.below.copy()
+            below[lo:] += stop - start
         else:
-            self.below += np.cumsum(np.bincount(
+            below = self.below + np.cumsum(np.bincount(
                 levels, minlength=len(self.below)))
-        while (self.complete + 1 < len(self.below)
-               and self.below[self.complete + 1]
-               == self.at_or_below[self.complete + 1]):
-            self.complete += 1
+        below.flags.writeable = False
+        complete = self.complete
+        while (complete + 1 < len(below)
+               and below[complete + 1] == self.at_or_below[complete + 1]):
+            complete += 1
         # The finest level whose samples are all painted tiles the
         # output: new samples at or below it fill only their block of
         # it, since the rest of their own coarser blocks belongs to its
         # other samples.
-        complete = max(self.complete, 0)
-        runs = _level_runs(levels, lo, hi, complete)
-        if runs is not None:
-            for a, b, level in runs:
-                self._paint_run(start + a, start + b, level)
+        floor = max(complete, 0)
+        runs = _level_runs(levels, lo, hi, floor)
+        steps = None if runs is None else [
+            (start + a, start + b, level,
+             self._strided(start + a, start + b, level))
+            for a, b, level in runs]
+        return PaintPlan(start, stop, max(hi, floor), below, complete, steps)
+
+    def _plan_pass(self, spans: Sequence[tuple[int, int]],
+                   ) -> dict[tuple[int, int], PaintPlan]:
+        """The plans of a pass along a tree order that advances this
+        painter to the end of each of ``spans`` in turn, for the spans
+        whose every step is strided.  Only the bookkeeping advances:
+        the canvas is never painted."""
+        plans = {}
+        for start, stop in spans:
+            if start != self.painted or stop <= start:
+                break
+            plan = self._plan(start, stop)
+            self._settle(plan)
+            self.painted = stop
+            if plan.strided:
+                plans[start, stop] = plan
+        return plans
+
+    def _settle(self, plan: PaintPlan) -> None:
+        """Take the bookkeeping of ``plan`` painted."""
+        self.below, self.complete = plan.below, plan.complete
+        self.level = max(self.level, plan.level)
+
+    def _play(self, plan: PaintPlan) -> None:
+        """Paint ``plan`` onto the canvas."""
+        self._settle(plan)
+        if plan.steps is None:
+            at, values = self._gather(plan.start, plan.stop)
+            levels = self.levels[plan.start:plan.stop]
+            floor = max(plan.complete, 0)
+            for level in range(floor, plan.level + 1):
+                sel = levels <= level if level == floor else levels == level
+                if sel.any():
+                    self._fill(at[sel], values[sel], level)
             return
-        at, values = self._gather(start, stop)
-        for level in range(complete, hi + 1):
-            sel = levels <= level if level == complete else levels == level
-            if sel.any():
-                self._fill(at[sel], values[sel], level)
+        for start, stop, level, strided in plan.steps:
+            if strided is None:
+                self._fill(*self._gather(start, stop), level)
+            else:
+                blocks, pick, spread, slices = strided
+                self.items.reshape(blocks)[pick] = \
+                    self.source[slices].reshape(spread)
 
     def _gather(self, start: int, stop: int,
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -288,43 +414,35 @@ class TreePainter(Painter):
         else:
             at = np.ravel_multi_index(np.unravel_index(new, self.shape),
                                       self.box)
-        return at, as_items(self.dense, len(self.shape)).reshape(-1)[new]
+        return at, self.source.reshape(-1)[new]
 
-    def _paint_run(self, start: int, stop: int, level: int) -> None:
-        """Paint ``order[start:stop]`` with ``level`` blocks."""
-        self.level = max(self.level, level)
-        extent = [1 << max(w - level, 0) for w in self.widths]
+    def _strided(self, start: int, stop: int, level: int) -> Strided | None:
+        """The block assignment that paints ``order[start:stop]`` with
+        ``level`` blocks, when the run is a coset that starts one block
+        at each of its samples; None otherwise.  The canvas as a grid of
+        such blocks, strided to the coset, takes the samples' values
+        broadcast over each block."""
         coset = self.cosets.get((start, stop))
-        if coset is not None and all(
+        extent = [1 << max(w - level, 0) for w in self.widths]
+        if coset is None or not all(
                 a % e == 0 and (n == 1 or s % e == 0)
                 for (a, s, n), e in zip(coset.axes, extent)):
-            self._paint_coset(coset, extent)
-        else:
-            self._fill(*self._gather(start, stop), level)
-
-    def _paint_coset(self, coset: Coset, extent: list[int]) -> None:
-        """Paint the blocks of ``extent`` cells at ``coset``'s samples,
-        each of which starts one: the canvas as a grid of such blocks,
-        strided to the coset, takes the samples' values broadcast over
-        each block."""
+            return None
         blocks, pick, spread = [], [], []
-        for box, e, (start, stride, count) in zip(self.box, extent,
+        for box, e, (first, stride, count) in zip(self.box, extent,
                                                   coset.axes):
             step = max(stride // e, 1)
             blocks += [box // e, e]
-            pick += [slice(start // e, start // e + step * (count - 1) + 1,
+            pick += [slice(first // e, first // e + step * (count - 1) + 1,
                            step), slice(None)]
             spread += [count, 1]
-        view = self.items.reshape(blocks)
-        values = as_items(self.dense, len(self.shape))[coset.slices]
-        view[tuple(pick)] = values.reshape(spread)
+        return tuple(blocks), tuple(pick), tuple(spread), coset.slices
 
     def _fill(self, at: np.ndarray, values: np.ndarray,
               level: int) -> None:
         """Fill the ``level`` blocks that start at flat canvas cells
         ``at`` with ``values``, looping over the blocks' cells or over
         the samples, whichever are fewer."""
-        self.level = max(self.level, level)
         block = self.blocks.get(level)
         if block is None:
             extent = [1 << max(w - level, 0) for w in self.widths]

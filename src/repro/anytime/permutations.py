@@ -31,8 +31,11 @@ shared read-only array, and keeps the order's tree levels
 The same entry keeps the :class:`~repro.anytime.coset.Coset` of each
 span of the order a stage or its painter addresses
 (:func:`derive_cosets`), so a chunk that is a strided coset is read and
-written with slices.  Every executor fills the memo before a run starts
-(see :meth:`~repro.core.stage.Stage.warm`), so a forked stage worker
+written with slices, and the paint plan of each span a tree painter
+advances over (:func:`derive_plans`), so a version's fill replays its
+strided block assignments instead of deriving them.  Every executor
+fills the memo before a run starts (see
+:meth:`~repro.core.stage.Stage.warm`), so a forked stage worker
 inherits the parent's entries instead of deriving its own.
 """
 
@@ -42,6 +45,7 @@ import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -64,6 +68,8 @@ __all__ = [
     "order_levels",
     "derive_cosets",
     "span_cosets",
+    "derive_plans",
+    "span_plans",
 ]
 
 
@@ -367,10 +373,10 @@ ORDER_MEMO_CAP = 16
 
 
 class _MemoEntry:
-    """One validated read-only order and, once asked for, its levels
-    and the cosets of its spans."""
+    """One validated read-only order and, once asked for, its levels,
+    the cosets of its spans and the paint plans of its passes."""
 
-    __slots__ = ("order", "shape", "levels", "cosets", "derived")
+    __slots__ = ("order", "shape", "levels", "cosets", "plans", "derived")
 
     def __init__(self, order: np.ndarray, shape: tuple[int, ...]) -> None:
         self.order = order
@@ -380,7 +386,12 @@ class _MemoEntry:
         #: or None for a span that is none; replaced, never changed in
         #: place, so a reader's copy stays whole
         self.cosets: dict[tuple[int, int], Coset | None] = {}
-        #: the keys :func:`derive_cosets` has derived spans for
+        #: ``(start, stop)`` -> the :class:`~repro.anytime.fill.PaintPlan`
+        #: of advancing a tree painter over that span; replaced like
+        #: :attr:`cosets`
+        self.plans: dict[tuple[int, int], Any] = {}
+        #: the keys :func:`derive_cosets` and :func:`derive_plans` have
+        #: derived spans for
         self.derived: set[Hashable] = set()
 
 
@@ -475,7 +486,7 @@ def order_levels(order: np.ndarray, shape: Sequence[int],
 
 
 def derive_cosets(order: np.ndarray, shape: Sequence[int], key: Hashable,
-                  spans: Callable[[], Iterable[tuple[int, int]]]) -> None:
+                  spans: Callable[[], Iterable[tuple[int, int]]]) -> bool:
     """Find, once per ``key`` and process, the coset each
     ``order[start:stop]`` of ``spans()`` visits
     (:func:`~repro.anytime.coset.find_coset`) and keep it on the memo
@@ -484,11 +495,12 @@ def derive_cosets(order: np.ndarray, shape: Sequence[int], key: Hashable,
     split is joined from their axes
     (:func:`~repro.anytime.coset.join_cosets`), so a run of chunks
     costs no pass over its samples.  A key seen before costs a set
-    lookup, so every run may warm its stages."""
+    lookup, so every run may warm its stages.  True when this call
+    derived them."""
     shape = tuple(shape)
     entry = _entry_of(order, shape)
     if entry is None or key in entry.derived:
-        return
+        return False
     known = dict(entry.cosets)
     # a span that two known cosets split is found from their axes
     stops: dict[int, list[int]] = {}
@@ -506,6 +518,7 @@ def derive_cosets(order: np.ndarray, shape: Sequence[int], key: Hashable,
     with _memo_lock:
         entry.cosets = {**entry.cosets, **known}
         entry.derived.add(key)
+    return True
 
 
 def span_cosets(order: np.ndarray, shape: Sequence[int],
@@ -515,3 +528,27 @@ def span_cosets(order: np.ndarray, shape: Sequence[int],
     a span not derived ahead keeps its index array."""
     entry = _entry_of(order, tuple(shape))
     return entry.cosets if entry is not None else {}
+
+
+def derive_plans(order: np.ndarray, shape: Sequence[int], key: Hashable,
+                 plans: Callable[[], dict[tuple[int, int], Any]]) -> None:
+    """Keep, once per ``key`` and process, the paint plans ``plans()``
+    derives for spans of ``order`` over ``shape`` on the memo entry
+    :func:`sample_order` made for it (see
+    :meth:`~repro.anytime.fill.TreeFill.warm`), as
+    :func:`derive_cosets` keeps cosets."""
+    entry = _entry_of(order, tuple(shape))
+    if entry is None or key in entry.derived:
+        return
+    found = plans()
+    with _memo_lock:
+        entry.plans = {**entry.plans, **found}
+        entry.derived.add(key)
+
+
+def span_plans(order: np.ndarray, shape: Sequence[int],
+               ) -> dict[tuple[int, int], Any]:
+    """The paint plans :func:`derive_plans` kept for spans of ``order``
+    over ``shape``, by ``(start, stop)``."""
+    entry = _entry_of(order, tuple(shape))
+    return entry.plans if entry is not None else {}

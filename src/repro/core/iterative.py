@@ -26,6 +26,10 @@ class AccuracyLevel:
     ----------
     fn:
         ``fn(*input_values) -> output``.  Must be pure (Property 1).
+        Its output is handed to the stage's buffer, which freezes an
+        array in place rather than copy it (an ownership-transfer
+        ``Write``): ``fn`` returns a fresh array, an input, or a view
+        of either, never one it goes on changing.
     cost:
         Work units of this level.
     label:
@@ -81,7 +85,8 @@ class IterativeStage(Stage):
         Lease safety rule: each returned output must be bit-identical
         to ``self.levels[j].fn(*values)`` — a lease may only elide
         round-trips (and share work across levels), never change what
-        gets published.
+        gets published.  Each output is written as a level's is,
+        frozen in place (see :class:`AccuracyLevel`).
         """
         raise NotImplementedError
 
@@ -112,7 +117,8 @@ class IterativeStage(Stage):
                                        else ""))
                 out = (batch[j - i] if batch is not None
                        else level.fn(*values))
-                yield Write(out, final=inputs_final and j == last)
+                yield Write(out, final=inputs_final and j == last,
+                            transfer=True)
                 if j != last and (yield from self.preempted()):
                     return
             i += granted

@@ -401,6 +401,9 @@ class Kernel:
             final = landed
             version = stage.output.write(value, final, writer=stage.name,
                                          transfer=transfer)
+            # record what the buffer stored: after a plain write that is
+            # a frozen copy, and the writer may go on changing its own
+            value = stage.output.snapshot().value
             now, energy = self.now(), self.meter.total
             self.log.append((stage.name, "w", version, int(final), now,
                              energy))

@@ -179,7 +179,8 @@ class AnytimeServer:
         self.coalesce = bool(coalesce)
         self.memo_ttl_s = float(memo_ttl_s)
         self._memo: dict[str, tuple[float, Snapshot]] = {}
-        self._last_score: tuple[Any, Snapshot | None, float | None] = (
+        #: the last score: (metric, (buffer name, version, final), SNR)
+        self._last_score: tuple[Any, tuple | None, float | None] = (
             None, None, None)
         self.resume_dir = resume_dir
         if resume_dir is not None:
@@ -408,18 +409,24 @@ class AnytimeServer:
 
     def _snr_of(self, session: Session,
                 snapshot: Snapshot) -> float | None:
-        """``session``'s metric on ``snapshot``; subscribers settling
-        on one snapshot with one metric score it once."""
+        """``session``'s metric on ``snapshot``.  A version scored
+        last with the same metric is not scored again: not by the
+        subscribers settling on it, nor when the request the harvest
+        scored it for ends on it.  Each ``snapshot()`` is a new object,
+        so the version names it, with its finality: a precise
+        reference that ends a run is published as a final version
+        after the ladder's last."""
         if session.metric is None or snapshot.value is None:
             return None
-        metric, scored, snr = self._last_score
-        if metric is session.metric and scored is snapshot:
+        scored = (snapshot.name, snapshot.version, snapshot.final)
+        metric, last, snr = self._last_score
+        if metric is session.metric and last == scored:
             return snr
         try:
             snr = float(session.metric(snapshot.value))
         except Exception:
             snr = None
-        self._last_score = (session.metric, snapshot, snr)
+        self._last_score = (session.metric, scored, snr)
         return snr
 
     def _memoize(self, key: str | None, snapshot: Snapshot,

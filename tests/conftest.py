@@ -7,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.anytime import permutations
+from repro.anytime import fill, permutations
 from repro.anytime.permutations import TreePermutation
 from repro.data import bayer_mosaic, clustered_image, scene_image
 
@@ -156,15 +156,17 @@ def suspend_only():
 @pytest.fixture()
 def derivations(monkeypatch, request):
     """A tree permutation that counts its order derivations, and counts
-    of tree-level and coset derivations, each split between this
-    process and any other; the counters are shared across fork.  The
-    permutation's key is this test's own, so its memo starts cold.
+    of tree-level, coset and paint-plan derivations, each split between
+    this process and any other; the counters are shared across fork.
+    A plan derivation is any :class:`~repro.anytime.fill.TreePainter`
+    advance that works out its paint instead of replaying a kept plan.
+    The permutation's key is this test's own, so its memo starts cold.
 
     ``counts(*kinds)`` reads the counters of ``kinds`` (by default
     orders and levels) as ``{f"{kind}_{here|elsewhere}": n}``.
     """
     ctx = mp.get_context("fork")
-    kinds = ("orders", "levels", "cosets")
+    kinds = ("orders", "levels", "cosets", "plans")
     counters = {f"{kind}_{where}": ctx.Value("i", 0)
                 for kind in kinds for where in ("here", "elsewhere")}
     parent = os.getpid()
@@ -186,6 +188,8 @@ def derivations(monkeypatch, request):
     for name in ("find_coset", "join_cosets"):
         monkeypatch.setattr(permutations, name,
                             counting("cosets", getattr(permutations, name)))
+    monkeypatch.setattr(fill.TreePainter, "_plan",
+                        counting("plans", fill.TreePainter._plan))
 
     class Counting(TreePermutation):
         def __init__(self):

@@ -76,14 +76,16 @@ def _same_ladders(x, y):
 
 @pytest.fixture()
 def gathers(monkeypatch):
-    """Switch the cosets off: stages and painters find none, so every
-    span takes its index array."""
+    """Switch the cosets off: stages and painters find none, and
+    painters no paint plan (whose steps are strided), so every span
+    takes its index array."""
     def nothing(order, shape):
         return {}
 
     def off():
         monkeypatch.setattr(diffusive, "span_cosets", nothing)
         monkeypatch.setattr(fill_module, "span_cosets", nothing)
+        monkeypatch.setattr(fill_module, "span_plans", nothing)
     return off
 
 

@@ -9,7 +9,7 @@ from repro.anytime.fill import (ConstantFill, MeanFill, NearestFill,
                                 TreeFill, sample_levels)
 from repro.anytime.permutations import (LfsrPermutation,
                                         ReversedPermutation, TreePermutation,
-                                        _widths, sample_order)
+                                        _widths, sample_order, span_plans)
 from repro.core.diffusive import chunk_boundaries
 
 
@@ -306,6 +306,166 @@ class TestTreePainter:
         assert records and records[-1].final
         for r in records:
             assert np.array_equal(r.value, expected[r.version])
+
+
+def _dense(shape, kind, seed=0):
+    """A dense array of ``shape`` in the dtype an app paints: grey
+    (2dconv, histeq), RGB (debayer) or int64 labels (kmeans)."""
+    trailing, dtype = {"grey": ((), np.uint8), "rgb": ((3,), np.uint8),
+                       "int64": ((), np.int64)}[kind]
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 250, size=tuple(shape) + trailing).astype(dtype)
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+PLANNED = [(32, 32), (256, 256), (256, 128)]
+
+
+class TestPaintPlans:
+    """A warmed pass's painter replays the plan the memo keeps for each
+    span, and the replay is the plan worked out afresh, bit for bit."""
+
+    def _warmed(self, shape, kind, chunks=32):
+        dense = _dense(shape, kind)
+        order = sample_order(TreePermutation(), shape)
+        spans = chunk_boundaries(order.size, chunks)
+        fill = TreeFill(spatial_ndim=len(shape))
+        fill.warm(order, dense.shape, spans)
+        return dense, order, spans, fill
+
+    @pytest.mark.parametrize("shape", PLANNED,
+                             ids=[f"{h}x{w}" for h, w in PLANNED])
+    @pytest.mark.parametrize("kind", ["grey", "rgb", "int64"])
+    def test_a_whole_pass_replays_what_it_would_derive(self, shape, kind):
+        dense, order, spans, fill = self._warmed(shape, kind)
+        replayed = fill.start(dense, order)
+        assert set(spans) <= set(replayed.plans)
+        derived = fill.start(dense, order)
+        derived.plans = {}
+        for _, stop in spans:
+            assert _same(replayed.advance(stop), derived.advance(stop))
+            assert (replayed.level, replayed.complete) == \
+                (derived.level, derived.complete)
+            # the bookkeeping counts the prefix, however it was painted
+            below = np.cumsum(np.bincount(
+                replayed.levels[:stop], minlength=len(replayed.below)))
+            assert np.array_equal(replayed.below, below)
+            assert np.array_equal(derived.below, below)
+        assert np.array_equal(replayed.grid, derived.grid)
+
+    @pytest.mark.parametrize("shape", PLANNED,
+                             ids=[f"{h}x{w}" for h, w in PLANNED])
+    def test_replays_mix_with_derived_advances(self, shape):
+        """A run fused by a lease, a count that falls back and a
+        repeated count take the derived path; the plans after them
+        still replay onto the canvas they left."""
+        dense, order, spans, fill = self._warmed(shape, "rgb")
+        stops = [b for _, b in spans]
+        counts = [stops[0], stops[1], stops[3], stops[7], stops[8],
+                  stops[2], stops[3], stops[3], stops[15], stops[16],
+                  stops[17], stops[31]]
+        painter = fill.start(dense, order)
+        for count in counts:
+            assert np.array_equal(painter.advance(count),
+                                  owner_paint(dense, order, count, 2))
+
+    @pytest.mark.parametrize("app", ["2dconv", "debayer", "kmeans"])
+    @pytest.mark.parametrize("size", [32, 256])
+    @pytest.mark.parametrize("lease_k", [1, 8])
+    def test_stage_ladders_are_the_same_without_plans(self, app, size,
+                                                      lease_k, monkeypatch):
+        """Every version a stage publishes, its chunks computed one by
+        one or fused by a lease, is the version it publishes when no
+        plan is kept."""
+        from repro.anytime import fill as fill_module
+        from repro.apps.registry import get_app
+
+        spec = get_app(app)
+        data = spec.make_input(size, 5)
+        ladders = []
+        for plans in (True, False):
+            if not plans:
+                monkeypatch.setattr(fill_module, "span_plans",
+                                    lambda order, shape: {})
+            auto = spec.build(data)
+            names = set(auto.graph.buffers)
+            result = auto.run_simulated(total_cores=32, watch=names,
+                                        lease_k=lease_k)
+            assert result.completed
+            ladders.append({name: [r.value for r in
+                                   result.output_records(name)]
+                            for name in names})
+        with_plans, without = ladders
+        assert with_plans.keys() == without.keys()
+        for name, versions in with_plans.items():
+            assert len(versions) == len(without[name])
+            assert all(_same(a, b) for a, b in zip(versions, without[name]))
+
+    @pytest.mark.parametrize("shape, perm", [
+        ((61, 61), TreePermutation()), ((62, 62), TreePermutation()),
+        ((16, 16), LfsrPermutation(seed=3)),
+        ((16, 16), ReversedPermutation())],
+        ids=["61x61", "62x62", "lfsr", "reversed"])
+    def test_no_plan_where_spans_are_no_cosets(self, shape, perm):
+        order = sample_order(perm, shape)
+        spans = chunk_boundaries(order.size, 32)
+        fill = TreeFill()
+        fill.warm(order, shape, spans)
+        assert span_plans(order, shape) == {}
+        dense = _dense(shape, "int64")
+        painter = fill.start(dense, order)
+        for _, stop in spans:
+            assert np.array_equal(painter.advance(stop),
+                                  block_paint(dense, order, stop))
+
+    def test_a_plan_is_shared_by_dtypes_and_trailing_axes(self):
+        """Plans are spatial: warming for grey, RGB and int64 outputs
+        of one order derives them once."""
+        order = sample_order(TreePermutation(), (64, 64))
+        spans = chunk_boundaries(order.size, 16)
+        TreeFill(spatial_ndim=2).warm(order, (64, 64), spans)
+        plans = span_plans(order, (64, 64))
+        for kind in ("rgb", "int64"):
+            dense = _dense((64, 64), kind)
+            TreeFill(spatial_ndim=2).warm(order, dense.shape, spans)
+            assert span_plans(order, (64, 64)) is plans
+            painter = TreeFill(spatial_ndim=2).start(dense, order)
+            for _, stop in spans:
+                assert np.array_equal(painter.advance(stop),
+                                      owner_paint(dense, order, stop, 2))
+
+
+class TestWarmWorkers:
+    """Plans are derived in a stage's warm step, in the parent: no run
+    after the first derives one, and no forked worker does."""
+
+    def test_runs_after_the_first_derive_no_plan(self, derivations):
+        from repro.apps.conv2d import build_conv2d_automaton
+        from repro.data import scene_image
+
+        Counting, counts = derivations
+        image = scene_image(32, seed=1)
+        reference = build_conv2d_automaton(image).precise_output()
+        found = []
+        for executor in ("run_threaded", "run_processes", "run_threaded",
+                         "run_processes"):
+            auto = build_conv2d_automaton(image, permutation=Counting(),
+                                          chunks=8)
+            result = getattr(auto, executor)(timeout_s=60.0)
+            assert result.completed
+            assert np.array_equal(result.final_values["filtered"],
+                                  reference)
+            found.append(counts("plans"))
+        # one derivation per span, in the first run's warm step
+        assert found[0] == {"plans_here": 8, "plans_elsewhere": 0}
+        assert found[-1] == found[0]
 
 
 class TestSampleLevels:

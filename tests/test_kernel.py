@@ -12,9 +12,11 @@ from each executor.
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.apps.registry import get_app
+from repro.core.automaton import AnytimeAutomaton
 from repro.core.buffer import VersionedBuffer
 from repro.core.executor import ThreadedExecutor
 from repro.core.faults import FaultPolicy, StageReport
@@ -24,8 +26,8 @@ from repro.core.kernel import (DONE, EXHAUSTED, HALTED, SUSPENDED, Kernel,
 from repro.core.procexec import ProcessExecutor
 from repro.core.simexec import SimulatedExecutor
 from repro.core.stage import (CloseChannel, Compute, Emit, Lease,
-                              PollInputs, PreciseStage, Recv, WaitInputs,
-                              Write)
+                              PollInputs, PreciseStage, Recv, Stage,
+                              WaitInputs, Write)
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -238,3 +240,43 @@ def test_single_stage_counters_agree_across_executors(app):
                          for n, r in result.stage_reports.items()}
     assert counters["run_threaded"] == counters["run_simulated"]
     assert counters["run_processes"] == counters["run_simulated"]
+
+
+class _ChangesAfterWriting(Stage):
+    """Writes one array with a plain ``Write``, then changes it in place
+    and writes it again: a plain write promises nothing about the
+    array afterwards."""
+
+    def __init__(self, out):
+        super().__init__("m", out, ())
+
+    def run_once(self, snaps, inputs_final):
+        value = np.zeros(4)
+        yield Compute(1.0)
+        yield Write(value)
+        value += 1
+        yield Compute(1.0)
+        yield Write(value, final=True)
+
+    def precise(self, input_values):
+        return np.ones(4)
+
+    @property
+    def precise_cost(self):
+        return 2.0
+
+
+@pytest.mark.parametrize("run", ["run_simulated", "run_threaded",
+                                 "run_processes"])
+def test_timeline_records_hold_the_published_value(run):
+    """A record holds the version its buffer stored, not the writer's
+    array, which the writer may change after a plain write."""
+    out = VersionedBuffer("out")
+    auto = AnytimeAutomaton([_ChangesAfterWriting(out)])
+    kwargs = {} if run == "run_simulated" else {"timeout_s": 60.0}
+    result = getattr(auto, run)(watch={"out"}, **kwargs)
+    assert result.completed
+    records = result.output_records("out")
+    assert [r.version for r in records] == [1, 2]
+    assert np.array_equal(records[0].value, np.zeros(4))
+    assert np.array_equal(records[1].value, np.ones(4))

@@ -213,6 +213,44 @@ class TestLifecycle:
         assert result.snapshot.version < 100
         assert result.slo_met
 
+    def test_a_met_target_scores_each_version_once(self):
+        """The harvest scores the version that meets the target, and
+        the request then ends on that version: a fresh snapshot object
+        of it must not be scored again."""
+        from repro.core.stage import Compute, Stage, Write
+
+        class Staircase(Stage):
+            """Writes 1, 2, ...; each step's slow part comes before its
+            ``Compute``, so a stop landing there halts the stage
+            before it writes again."""
+
+            def run_once(self, snaps, inputs_final):
+                for value in range(1, LEVELS + 1):
+                    time.sleep(0.2)
+                    yield Compute(1.0)
+                    yield Write(value, final=value == LEVELS)
+
+            def precise(self, input_values):
+                return LEVELS
+
+        scored = []
+
+        def counting_metric(value):
+            scored.append(value)
+            return float(value)
+
+        def build():
+            return AnytimeAutomaton([Staircase(
+                "work", VersionedBuffer("out"), ())])
+
+        with AnytimeServer(slots=1, queue_limit=2) as server:
+            session = server.submit(build, SLO(target_db=2.0),
+                                    metric=counting_metric)
+            result = session.result(timeout_s=30.0)
+        assert result.state is SessionState.COMPLETED and result.slo_met
+        assert result.snapshot.version == 2
+        assert scored == [1, 2]
+
     def test_submit_after_shutdown_is_shed(self):
         server = AnytimeServer(slots=1).start()
         server.shutdown()
