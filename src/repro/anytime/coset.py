@@ -36,13 +36,12 @@ class Coset:
 
     A coset never changes, so what a chunk reads it by is derived once:
     :attr:`slices` when it is made, and its place in each coset that
-    holds it (:meth:`within`) and its halves (:meth:`split`) the first
-    time they are asked for.  The cosets of an order's spans live in
-    the per-process memo, so every pass after the first only looks
-    them up.
+    holds it (:meth:`within`) the first time it is asked for.  The
+    cosets of an order's spans live in the per-process memo, so every
+    pass after the first only looks them up.
     """
 
-    __slots__ = ("axes", "shape", "slices", "_within", "_halves")
+    __slots__ = ("axes", "shape", "slices", "_within")
 
     def __init__(self, axes: Sequence[tuple[int, int, int]],
                  shape: Sequence[int]) -> None:
@@ -56,8 +55,6 @@ class Coset:
         self.slices = tuple(self.span(d) for d in range(len(self.axes)))
         #: :meth:`within` by the outer coset's axes
         self._within: dict[tuple, tuple[slice, ...]] = {}
-        #: :meth:`split` by axis
-        self._halves: dict[int, list[Coset]] = {}
 
     @classmethod
     def whole(cls, shape: Sequence[int]) -> "Coset":
@@ -112,19 +109,15 @@ class Coset:
     def split(self, axis: int) -> list["Coset"]:
         """This coset as two of twice the stride along ``axis``: the
         even and the odd positions of its progression there (one, when
-        it holds a single sample there).  Kept on this coset: a second
-        ask returns the same list."""
-        parts = self._halves.get(axis)
-        if parts is None:
-            start, stride, count = self.axes[axis]
-            parts = []
-            for first, n in ((start, (count + 1) // 2),
-                             (start + stride, count // 2)):
-                if n:
-                    axes = list(self.axes)
-                    axes[axis] = (first, 2 * stride, n)
-                    parts.append(Coset(axes, self.shape))
-            self._halves[axis] = parts
+        it holds a single sample there)."""
+        start, stride, count = self.axes[axis]
+        parts = []
+        for first, n in ((start, (count + 1) // 2),
+                         (start + stride, count // 2)):
+            if n:
+                axes = list(self.axes)
+                axes[axis] = (first, 2 * stride, n)
+                parts.append(Coset(axes, self.shape))
         return parts
 
     def __eq__(self, other: object) -> bool:

@@ -485,8 +485,26 @@ def order_levels(order: np.ndarray, shape: Sequence[int],
     return result
 
 
+def _derive_once(order: np.ndarray, shape: tuple[int, ...],
+                 key: Hashable, field: str,
+                 derive: Callable[[_MemoEntry], dict]) -> None:
+    """The memo's once-per-key rule: unless ``key`` was seen on the
+    entry :func:`sample_order` made for ``order`` over ``shape``, merge
+    what ``derive(entry)`` returns into the entry's dict ``field`` and
+    note the key.  The dict is replaced, never changed in place, so a
+    reader's copy stays whole; any array but a memoised order has no
+    entry, and nothing is derived for it."""
+    entry = _entry_of(order, shape)
+    if entry is None or key in entry.derived:
+        return
+    found = derive(entry)
+    with _memo_lock:
+        setattr(entry, field, {**getattr(entry, field), **found})
+        entry.derived.add(key)
+
+
 def derive_cosets(order: np.ndarray, shape: Sequence[int], key: Hashable,
-                  spans: Callable[[], Iterable[tuple[int, int]]]) -> bool:
+                  spans: Callable[[], Iterable[tuple[int, int]]]) -> None:
     """Find, once per ``key`` and process, the coset each
     ``order[start:stop]`` of ``spans()`` visits
     (:func:`~repro.anytime.coset.find_coset`) and keep it on the memo
@@ -495,30 +513,27 @@ def derive_cosets(order: np.ndarray, shape: Sequence[int], key: Hashable,
     split is joined from their axes
     (:func:`~repro.anytime.coset.join_cosets`), so a run of chunks
     costs no pass over its samples.  A key seen before costs a set
-    lookup, so every run may warm its stages.  True when this call
-    derived them."""
+    lookup, so every run may warm its stages."""
     shape = tuple(shape)
-    entry = _entry_of(order, shape)
-    if entry is None or key in entry.derived:
-        return False
-    known = dict(entry.cosets)
-    # a span that two known cosets split is found from their axes
-    stops: dict[int, list[int]] = {}
-    for a, b in known:
-        stops.setdefault(a, []).append(b)
-    for a, c in spans():
-        if (a, c) in known:
-            continue
-        b = next((b for b in stops.get(a, ()) if b < c
-                  and known[a, b] is not None
-                  and known.get((b, c)) is not None), None)
-        known[a, c] = (find_coset(order[a:c], shape) if b is None
-                       else join_cosets(known[a, b], known[b, c]))
-        stops.setdefault(a, []).append(c)
-    with _memo_lock:
-        entry.cosets = {**entry.cosets, **known}
-        entry.derived.add(key)
-    return True
+
+    def find(entry: _MemoEntry) -> dict[tuple[int, int], Coset | None]:
+        known = dict(entry.cosets)
+        # a span that two known cosets split is found from their axes
+        stops: dict[int, list[int]] = {}
+        for a, b in known:
+            stops.setdefault(a, []).append(b)
+        for a, c in spans():
+            if (a, c) in known:
+                continue
+            b = next((b for b in stops.get(a, ()) if b < c
+                      and known[a, b] is not None
+                      and known.get((b, c)) is not None), None)
+            known[a, c] = (find_coset(order[a:c], shape) if b is None
+                           else join_cosets(known[a, b], known[b, c]))
+            stops.setdefault(a, []).append(c)
+        return known
+
+    _derive_once(order, shape, key, "cosets", find)
 
 
 def span_cosets(order: np.ndarray, shape: Sequence[int],
@@ -537,13 +552,8 @@ def derive_plans(order: np.ndarray, shape: Sequence[int], key: Hashable,
     :func:`sample_order` made for it (see
     :meth:`~repro.anytime.fill.TreeFill.warm`), as
     :func:`derive_cosets` keeps cosets."""
-    entry = _entry_of(order, tuple(shape))
-    if entry is None or key in entry.derived:
-        return
-    found = plans()
-    with _memo_lock:
-        entry.plans = {**entry.plans, **found}
-        entry.derived.add(key)
+    _derive_once(order, tuple(shape), key, "plans",
+                 lambda entry: plans())
 
 
 def span_plans(order: np.ndarray, shape: Sequence[int],

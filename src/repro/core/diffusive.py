@@ -85,18 +85,10 @@ def leased_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     of ``2**j`` spans from a multiple of ``2**j`` — each as one
     ``(start, stop)``: what one :class:`Lease` of a pass can fuse when
     its grants are powers of two."""
-    return list(spans) + [(run[0][0], run[-1][1])
-                          for run in _aligned_runs(spans)]
-
-
-def _aligned_runs(spans: list[tuple[int, int]],
-                  ) -> list[list[tuple[int, int]]]:
-    """Every aligned run of two or more ``spans`` whose length is a
-    power of two, as the spans it fuses."""
-    out = []
+    out = list(spans)
     width = 2
     while width <= len(spans):
-        out += [spans[i:i + width]
+        out += [(spans[i][0], spans[i + width - 1][1])
                 for i in range(0, len(spans) - width + 1, width)]
         width *= 2
     return out
@@ -295,17 +287,8 @@ class DiffusiveStage(Stage):
         order = self.order
         if self.reads_cosets:
             spans = self.chunk_spans
-            if derive_cosets(order, self.shape, ("leases", *spans),
-                             lambda: leased_spans(spans)):
-                # each chunk's place in every fused run that holds it,
-                # kept on the chunk's coset for every later pass
-                cosets = span_cosets(order, self.shape)
-                for run in _aligned_runs(spans):
-                    fused = cosets.get((run[0][0], run[-1][1]))
-                    parts = [cosets.get(span) for span in run]
-                    if fused is not None and None not in parts:
-                        for part in parts:
-                            part.within(fused)
+            derive_cosets(order, self.shape, ("leases", *spans),
+                          lambda: leased_spans(spans))
 
     @property
     def penalty(self) -> float:

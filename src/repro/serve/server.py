@@ -179,9 +179,10 @@ class AnytimeServer:
         self.coalesce = bool(coalesce)
         self.memo_ttl_s = float(memo_ttl_s)
         self._memo: dict[str, tuple[float, Snapshot]] = {}
-        #: the last score: (metric, (buffer name, version, final), SNR)
-        self._last_score: tuple[Any, tuple | None, float | None] = (
-            None, None, None)
+        #: the last score: (metric, value, (buffer name, version,
+        #: final), SNR)
+        self._last_score: tuple[Any, Any, tuple | None,
+                                float | None] = (None, None, None, None)
         self.resume_dir = resume_dir
         if resume_dir is not None:
             os.makedirs(resume_dir, exist_ok=True)
@@ -413,20 +414,23 @@ class AnytimeServer:
         last with the same metric is not scored again: not by the
         subscribers settling on it, nor when the request the harvest
         scored it for ends on it.  Each ``snapshot()`` is a new object,
-        so the version names it, with its finality: a precise
-        reference that ends a run is published as a final version
-        after the ladder's last."""
+        but every snapshot of one version of one run holds the same
+        value object, so that value names it, with the version and
+        its finality.  Runs that share a metric and a buffer name
+        reach the same version with different values; the value
+        keeps one run's score from answering for another's."""
         if session.metric is None or snapshot.value is None:
             return None
         scored = (snapshot.name, snapshot.version, snapshot.final)
-        metric, last, snr = self._last_score
-        if metric is session.metric and last == scored:
+        metric, value, last, snr = self._last_score
+        if (metric is session.metric and value is snapshot.value
+                and last == scored):
             return snr
         try:
             snr = float(session.metric(snapshot.value))
         except Exception:
             snr = None
-        self._last_score = (session.metric, scored, snr)
+        self._last_score = (session.metric, snapshot.value, scored, snr)
         return snr
 
     def _memoize(self, key: str | None, snapshot: Snapshot,

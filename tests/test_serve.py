@@ -18,6 +18,7 @@ from repro.core.automaton import AnytimeAutomaton
 from repro.core.buffer import VersionedBuffer
 from repro.core.executor import RunHandle
 from repro.core.iterative import AccuracyLevel, IterativeStage
+from repro.core.stage import Compute, Stage, Write
 from repro.metrics.planning import DeadlinePlanner
 from repro.metrics.profiles import RuntimeAccuracyProfile
 from repro.serve import (SLO, AnytimeServer, FairSharePolicy,
@@ -57,6 +58,30 @@ def slow_automaton(levels=LEVELS, sleep_s=SLEEP_S, fail_at=None):
 def value_metric(value):
     """Quality metric: the staircase value itself, as 'dB'."""
     return float(value)
+
+
+class Staircase(Stage):
+    """Writes ``scale`` times 1, 2, ...; each step's slow part comes
+    before its ``Compute``, so a stop landing there halts the stage
+    before it writes again."""
+
+    def __init__(self, *args, scale=1, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.scale = scale
+
+    def run_once(self, snaps, inputs_final):
+        for step in range(1, LEVELS + 1):
+            time.sleep(0.2)
+            yield Compute(1.0)
+            yield Write(self.scale * step, final=step == LEVELS)
+
+    def precise(self, input_values):
+        return self.scale * LEVELS
+
+
+def staircase_automaton(scale=1):
+    return AnytimeAutomaton([Staircase("work", VersionedBuffer("out"), (),
+                                       scale=scale)])
 
 
 def assert_valid(snapshot, levels=LEVELS):
@@ -217,39 +242,38 @@ class TestLifecycle:
         """The harvest scores the version that meets the target, and
         the request then ends on that version: a fresh snapshot object
         of it must not be scored again."""
-        from repro.core.stage import Compute, Stage, Write
-
-        class Staircase(Stage):
-            """Writes 1, 2, ...; each step's slow part comes before its
-            ``Compute``, so a stop landing there halts the stage
-            before it writes again."""
-
-            def run_once(self, snaps, inputs_final):
-                for value in range(1, LEVELS + 1):
-                    time.sleep(0.2)
-                    yield Compute(1.0)
-                    yield Write(value, final=value == LEVELS)
-
-            def precise(self, input_values):
-                return LEVELS
-
         scored = []
 
         def counting_metric(value):
             scored.append(value)
             return float(value)
 
-        def build():
-            return AnytimeAutomaton([Staircase(
-                "work", VersionedBuffer("out"), ())])
-
         with AnytimeServer(slots=1, queue_limit=2) as server:
-            session = server.submit(build, SLO(target_db=2.0),
+            session = server.submit(staircase_automaton,
+                                    SLO(target_db=2.0),
                                     metric=counting_metric)
             result = session.result(timeout_s=30.0)
         assert result.state is SessionState.COMPLETED and result.slo_met
         assert result.snapshot.version == 2
         assert scored == [1, 2]
+
+    def test_runs_sharing_a_metric_are_scored_apart(self):
+        """Two concurrent runs share one metric and one buffer name and
+        hold different values at each version: the score of one run's
+        version must not answer for the other's."""
+        with AnytimeServer(slots=2, queue_limit=2) as server:
+            low = server.submit(staircase_automaton, SLO(target_db=2.0),
+                                metric=value_metric)
+            high = server.submit(lambda: staircase_automaton(scale=10),
+                                 SLO(target_db=5.0), metric=value_metric)
+            results = [low.result(timeout_s=30.0),
+                       high.result(timeout_s=30.0)]
+        for result in results:
+            assert result.state is SessionState.COMPLETED
+            assert result.slo_met
+            assert result.snr_db == value_metric(result.snapshot.value)
+        assert [r.snapshot.version for r in results] == [2, 1]
+        assert [r.snr_db for r in results] == [2.0, 10.0]
 
     def test_submit_after_shutdown_is_shed(self):
         server = AnytimeServer(slots=1).start()
