@@ -2,13 +2,14 @@
 
 Every aligned power-of-two block of a tree order over a power-of-two
 shape visits a *coset*: the product of one arithmetic progression per
-axis.  That holds for each chunk of a pass and for each aligned run of
-chunks a :class:`~repro.core.stage.Lease` fuses, because such a block
-fixes the high bits of the sequence index and the tree permutation
-hands each sequence bit to one coordinate bit.  A coset is read,
-written and painted with slices, so a kernel given one needs no index
-array, no gather and no scatter (the paper's in-memory reordering of a
-deterministic permutation, IV-C3, with no copy at all).
+axis.  That holds for each chunk of a pass and for each run of chunks
+a batching stage fuses (:data:`~repro.core.stage.BATCH` of them, a
+power of two), because such a block fixes the high bits of the
+sequence index and the tree permutation hands each sequence bit to
+one coordinate bit.  A coset is read, written and painted with slices,
+so a kernel given one needs no index array, no gather and no scatter
+(the paper's in-memory reordering of a deterministic permutation,
+IV-C3, with no copy at all).
 
 The output-sampled kernels take one *sample set*: a :class:`Coset`, or
 a flat index array as the fallback.  A coset enumerates its samples in

@@ -134,18 +134,18 @@ def dwt53_perforated(image: np.ndarray, stride: int,
 class PerforatedDWTStage(IterativeStage):
     """The dwt53 forward stage, with vectorized multi-level batching.
 
-    Under a command lease the stage fuses the granted perforation
-    levels into one kernel call that computes the *row pass once* at
-    the finest granted stride and derives every coarser stride's row
-    pass from it by subsampling: ``dwt53_rows`` operates on each row
-    independently, so when ``s_min`` divides ``s``,
+    The stage fuses each run of :data:`~repro.core.stage.BATCH`
+    perforation levels into one kernel call that computes the *row
+    pass once* at the run's finest stride and derives every coarser
+    stride's row pass from it by subsampling: ``dwt53_rows`` operates
+    on each row independently, so when ``s_min`` divides ``s``,
 
         ``dwt53_rows(img[::s]) == dwt53_rows(img[::s_min])[::s//s_min]``
 
     holds bit-exactly (integer lifting).  The column pass cannot be
     shared — each stride's column input is its own row-pass output — so
     it stays per-level.  Outputs are bit-identical to the per-level
-    path (the lease safety rule), which the ladder-equality
+    path (the batch safety rule), which the ladder-equality
     conformance test enforces.
 
     Batching is enabled only at wavelet depth 1 (deeper transforms

@@ -149,22 +149,6 @@ class KMeansAssignStage(DiffusiveStage):
                 "sums": np.zeros((self.k, 3), dtype=np.float64),
                 "counts": np.zeros(self.k, dtype=np.int64)}
 
-    def process_chunk(self, state: dict[str, Any],
-                      samples: Coset | np.ndarray,
-                      values: tuple[Any, ...]) -> Any:
-        pixels, labels = self.batch_chunks(state, samples, values)
-        return self._fold(state, samples, pixels, labels)
-
-    def _fold(self, state: dict[str, Any], samples: Coset | np.ndarray,
-              pixels: np.ndarray, labels: np.ndarray) -> Any:
-        write_samples(state["assign"], samples, labels, 2)
-        # pixels are integers, so adding the chunk's sums is exact, and
-        # in any order: a coset's raster order gives the same bits
-        flat = labels.reshape(-1)
-        state["sums"] += _sums(pixels.reshape(-1, 3), flat, self.k)
-        state["counts"] += np.bincount(flat, minlength=self.k)
-        return (samples, labels)
-
     def batch_chunks(self, state: dict[str, Any],
                      samples: Coset | np.ndarray,
                      values: tuple[Any, ...]) -> tuple[np.ndarray,
@@ -178,8 +162,14 @@ class KMeansAssignStage(DiffusiveStage):
                     batch: tuple[np.ndarray, np.ndarray],
                     at: tuple[slice, ...],
                     values: tuple[Any, ...]) -> Any:
-        pixels, labels = batch
-        return self._fold(state, samples, pixels[at], labels[at])
+        pixels, labels = batch[0][at], batch[1][at]
+        write_samples(state["assign"], samples, labels, 2)
+        # pixels are integers, so adding the chunk's sums is exact, and
+        # in any order: a coset's raster order gives the same bits
+        flat = labels.reshape(-1)
+        state["sums"] += _sums(pixels.reshape(-1, 3), flat, self.k)
+        state["counts"] += np.bincount(flat, minlength=self.k)
+        return (samples, labels)
 
     def materialize(self, state: dict[str, Any], count: int,
                     values: tuple[Any, ...]) -> dict[str, Any]:

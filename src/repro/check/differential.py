@@ -138,8 +138,7 @@ def _values_equal(a: Any, b: Any) -> bool:
 
 def _observe(spec: Any, image: np.ndarray, executor: str,
              reference: Any, timeout_s: float,
-             tolerance_db: float | None,
-             lease_k: int = 8) -> RunObservation:
+             tolerance_db: float | None) -> RunObservation:
     """Run one fresh build on one executor with a checker attached."""
     automaton = spec.build(image)
     precise = automaton.precise_output()
@@ -151,7 +150,7 @@ def _observe(spec: Any, image: np.ndarray, executor: str,
     t0 = _time.perf_counter()
     kwargs: dict[str, Any] = dict(
         trace=checker, trace_metric=spec.metric,
-        trace_reference=reference, lease_k=lease_k)
+        trace_reference=reference)
     if executor == "simulated":
         result = automaton.run_simulated(schedule=spec.schedule, **kwargs)
     elif executor == "threaded":
@@ -283,15 +282,13 @@ def run_differential(app: str = "2dconv", size: int = 24, seed: int = 0,
                      executors: tuple[str, ...] = DEFAULT_EXECUTORS,
                      serve: bool = True, timeout_s: float = 120.0,
                      tolerance_db: float | None = "default",
-                     progress: Callable[[str], None] | None = None,
-                     lease_k: int = 8) -> DifferentialReport:
+                     progress: Callable[[str], None]
+                     | None = None) -> DifferentialReport:
     """Run one app across executors and cross-check the guarantees.
 
     ``tolerance_db="default"`` looks the app up in
     :data:`ACCURACY_TOLERANCE_DB`; pass a float (or None to disable)
-    to override.  ``lease_k`` is forwarded to every executor leg —
-    the report must come out identical at any setting (the lease
-    safety rule: batching may not change the published versions).
+    to override.
     """
     spec = get_app(app)
     image = spec.make_input(size, seed)
@@ -310,7 +307,7 @@ def run_differential(app: str = "2dconv", size: int = 24, seed: int = 0,
         if progress:
             progress(f"  {app}: {executor} executor ...")
         obs = _observe(spec, image, executor, reference, timeout_s,
-                       tolerance_db, lease_k=lease_k)
+                       tolerance_db)
         observations.append(obs)
         if not obs.completed:
             note("incomplete", f"{executor} run did not complete",
@@ -459,8 +456,8 @@ def _interrupt_on(spec: Any, image: np.ndarray, executor: str,
 def _observe_restore(spec: Any, image: np.ndarray, src: str, dst: str,
                      precise: Any, reference: Any,
                      ref_source_counts: dict[str, int], path: str,
-                     timeout_s: float, tolerance_db: float | None,
-                     lease_k: int = 8) -> dict[str, Any]:
+                     timeout_s: float,
+                     tolerance_db: float | None) -> dict[str, Any]:
     """One leg: checkpoint on ``src``, continue on ``dst``, verify."""
     from ..ckpt import read_header
     from ..core.automaton import AnytimeAutomaton
@@ -483,7 +480,7 @@ def _observe_restore(spec: Any, image: np.ndarray, src: str, dst: str,
     checker.seed_resumed(restored.graph)
     kwargs: dict[str, Any] = dict(
         trace=checker, trace_metric=spec.metric,
-        trace_reference=reference, lease_k=lease_k)
+        trace_reference=reference)
     if dst == "simulated":
         result = restored.run_simulated(schedule=spec.schedule,
                                         **kwargs)
@@ -554,8 +551,7 @@ def run_restore_differential(app: str = "2dconv", size: int = 48,
                              timeout_s: float = 120.0,
                              tolerance_db: float | None = "default",
                              progress: Callable[[str], None]
-                             | None = None,
-                             lease_k: int = 8) -> RestoreReport:
+                             | None = None) -> RestoreReport:
     """Checkpoint/restore conformance across executor pairs.
 
     ``pairs`` defaults to every ordered (src, dst) combination of the
@@ -602,8 +598,7 @@ def run_restore_differential(app: str = "2dconv", size: int = 48,
         path = os.path.join(workdir, f"{app}-{src}-to-{dst}.rck")
         leg = _observe_restore(spec, image, src, dst, precise,
                                reference, ref_source_counts, path,
-                               timeout_s, tolerance_db,
-                               lease_k=lease_k)
+                               timeout_s, tolerance_db)
         legs.append(leg)
         if leg["ok"]:
             if own_workdir:

@@ -173,11 +173,6 @@ def save_checkpoint(path: str, payload: dict[str, Any],
 # ---------------------------------------------------------------------------
 # Restore (checkpoint -> replayed graph)
 
-#: lease grant during replay: the command stream is the same at any
-#: grant (the lease rule), so this only sets how much work each
-#: vectorized kernel call fuses; it matches the executors' default
-REPLAY_LEASE = 8
-
 
 @dataclass
 class ResumeInfo:
@@ -221,7 +216,6 @@ class _Replay:
     def __init__(self, stage: Stage) -> None:
         self.stage = stage
         self.report = StageReport(stage=stage.name)   # drive counts here
-        self.lease_k = REPLAY_LEASE
         self.gen = stage.body()
         self.reply: Any = None       # owed to the generator, not yet sent
         self.kind = ""               # the logged command it stands at

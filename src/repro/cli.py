@@ -319,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "files; failing legs leave their .rck "
                             "files here for post-mortem (default: a "
                             "temporary directory)")
-    check.add_argument("--lease-k", type=int, default=8,
-                       help="restore mode: command lease size for the "
-                            "process-executor legs (default 8)")
     check.add_argument("--fleet", action="store_true",
                        help="transport differential: the same "
                             "duplicate-heavy workload on AF_UNIX and "
@@ -873,7 +870,7 @@ def _cmd_check_restore(args: argparse.Namespace) -> int:
         report = run_restore_differential(
             app=app, size=args.size, seed=args.seed, pairs=pairs,
             workdir=args.workdir, timeout_s=args.timeout_s,
-            lease_k=args.lease_k, progress=print)
+            progress=print)
         reports.append(report)
         print(report.summary())
         for mismatch in report.mismatches:

@@ -184,7 +184,6 @@ class AnytimeAutomaton:
                       trace_metric: Callable[[Any, Any], float]
                       | None = None,
                       trace_reference: Any = None,
-                      lease_k: int = 8,
                       checkpoint_at_stop: str | None = None) -> SimResult:
         """Deterministic virtual-time execution (the evaluation path).
 
@@ -194,9 +193,7 @@ class AnytimeAutomaton:
         ``faults``/``injector``/``strict`` configure the fault-tolerance
         runtime (see :mod:`repro.core.faults`);
         ``trace``/``trace_metric``/``trace_reference`` the observability
-        layer (see :mod:`repro.core.tracing`); ``lease_k`` caps batched
-        command leases (``1`` disables batching — outputs are
-        bit-identical either way, see :class:`~repro.core.stage.Lease`).
+        layer (see :mod:`repro.core.tracing`).
         """
         self._claim_run()
         executor = SimulatedExecutor(self.graph, total_cores=total_cores,
@@ -207,7 +204,6 @@ class AnytimeAutomaton:
                                      strict=strict, trace=trace,
                                      trace_metric=trace_metric,
                                      trace_reference=trace_reference,
-                                     lease_k=lease_k,
                                      resume=self._resume_info,
                                      checkpoint_at_stop=checkpoint_at_stop)
         self._bind_executor(executor)
@@ -223,8 +219,7 @@ class AnytimeAutomaton:
                      trace: TraceSink | None = None,
                      trace_metric: Callable[[Any, Any], float]
                      | None = None,
-                     trace_reference: Any = None,
-                     lease_k: int = 8) -> ThreadedResult:
+                     trace_reference: Any = None) -> ThreadedResult:
         """Wall-clock execution on real threads (the interactive path).
 
         ``faults``/``injector``/``strict`` configure the fault-tolerance
@@ -238,7 +233,6 @@ class AnytimeAutomaton:
                                     strict=strict, trace=trace,
                                     trace_metric=trace_metric,
                                     trace_reference=trace_reference,
-                                    lease_k=lease_k,
                                     resume=self._resume_info)
         self._bind_executor(executor)
         return executor.run(timeout_s=timeout_s)
@@ -254,8 +248,7 @@ class AnytimeAutomaton:
                       trace_metric: Callable[[Any, Any], float]
                       | None = None,
                       trace_reference: Any = None,
-                      grace_s: float = 5.0,
-                      lease_k: int = 8) -> ThreadedResult:
+                      grace_s: float = 5.0) -> ThreadedResult:
         """Wall-clock execution on one process per stage (true
         parallelism).
 
@@ -274,8 +267,7 @@ class AnytimeAutomaton:
                                    strict=strict, trace=trace,
                                    trace_metric=trace_metric,
                                    trace_reference=trace_reference,
-                                   grace_s=grace_s, lease_k=lease_k,
-                                   resume=self._resume_info)
+                                   grace_s=grace_s, resume=self._resume_info)
         self._bind_executor(executor)
         return executor.run(timeout_s=timeout_s)
 
@@ -288,8 +280,7 @@ class AnytimeAutomaton:
                         trace: TraceSink | None = None,
                         trace_metric: Callable[[Any, Any], float]
                         | None = None,
-                        trace_reference: Any = None,
-                        lease_k: int = 8) -> RunHandle:
+                        trace_reference: Any = None) -> RunHandle:
         """Start a threaded run without blocking; returns a
         :class:`~repro.core.executor.RunHandle`.
 
@@ -304,7 +295,6 @@ class AnytimeAutomaton:
                                     strict=strict, trace=trace,
                                     trace_metric=trace_metric,
                                     trace_reference=trace_reference,
-                                    lease_k=lease_k,
                                     resume=self._resume_info)
         self._bind_executor(executor)
         return executor.launch()
@@ -319,8 +309,7 @@ class AnytimeAutomaton:
                          trace_metric: Callable[[Any, Any], float]
                          | None = None,
                          trace_reference: Any = None,
-                         grace_s: float = 5.0,
-                         lease_k: int = 8) -> RunHandle:
+                         grace_s: float = 5.0) -> RunHandle:
         """Start a process-parallel run without blocking; returns a
         :class:`~repro.core.executor.RunHandle` (see
         :meth:`launch_threaded` for the preemption semantics)."""
@@ -332,8 +321,7 @@ class AnytimeAutomaton:
                                    strict=strict, trace=trace,
                                    trace_metric=trace_metric,
                                    trace_reference=trace_reference,
-                                   grace_s=grace_s, lease_k=lease_k,
-                                   resume=self._resume_info)
+                                   grace_s=grace_s, resume=self._resume_info)
         self._bind_executor(executor)
         return executor.launch()
 

@@ -25,16 +25,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..anytime.coset import Coset
 from ..anytime.fill import Painter
 from ..anytime.permutations import (Permutation, derive_cosets,
                                     sample_order, span_cosets)
 from .buffer import Snapshot, VersionedBuffer
 from .channel import UpdateChannel
-from .stage import (Body, CloseChannel, Compute, Emit, Lease, Stage,
-                    Write, access_penalty)
+from .stage import (Body, CloseChannel, Compute, Emit, Stage, Write,
+                    access_penalty)
 
-__all__ = ["DiffusiveStage", "chunk_boundaries", "leased_spans"]
+__all__ = ["DiffusiveStage", "chunk_boundaries", "fused_runs"]
 
 
 def chunk_boundaries(n: int, chunks: int,
@@ -80,18 +79,11 @@ def _boundaries(n: int, chunks: int, schedule: str,
                  if b > a)
 
 
-def leased_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """``spans`` and every aligned power-of-two run of them — the runs
-    of ``2**j`` spans from a multiple of ``2**j`` — each as one
-    ``(start, stop)``: what one :class:`Lease` of a pass can fuse when
-    its grants are powers of two."""
-    out = list(spans)
-    width = 2
-    while width <= len(spans):
-        out += [(spans[i][0], spans[i + width - 1][1])
-                for i in range(0, len(spans) - width + 1, width)]
-        width *= 2
-    return out
+def fused_runs(spans: Sequence[tuple[int, int]],
+               width: int) -> list[Sequence[tuple[int, int]]]:
+    """``spans`` cut into consecutive runs of ``width`` (the last one
+    may be shorter): the chunks each kernel call of a pass fuses."""
+    return [spans[i:i + width] for i in range(0, len(spans), width)]
 
 
 class DiffusiveStage(Stage):
@@ -105,8 +97,8 @@ class DiffusiveStage(Stage):
     permutation:
         The sampling permutation (must be bijective; paper III-B2).
     chunks:
-        Number of intermediate output versions per pass — the output
-        granularity knob of paper Section IV-C2.
+        Number of intermediate output versions per pass (at least 1) —
+        the output granularity knob of paper Section IV-C2.
     chunk_schedule:
         ``"uniform"`` (default) or ``"geometric"``: geometric spans
         grow by 2x each, trading update regularity for a much earlier
@@ -122,8 +114,10 @@ class DiffusiveStage(Stage):
         the access penalty drops to 1.0 and one streaming reorder pass
         is charged at the start of each pass.
 
-    Subclasses implement :meth:`init_state`, :meth:`process_chunk`,
-    :meth:`materialize` and :meth:`precise`.
+    Subclasses implement :meth:`init_state`, :meth:`materialize`,
+    :meth:`precise` and either :meth:`process_chunk` or, for a stage
+    that batches (:attr:`~repro.core.stage.Stage.supports_batch`),
+    :meth:`batch_chunks` and :meth:`apply_chunk`.
     """
 
     def __init__(self, name: str, output: VersionedBuffer,
@@ -151,6 +145,9 @@ class DiffusiveStage(Stage):
         if chunk_schedule not in ("uniform", "geometric"):
             raise ValueError(
                 f"unknown chunk schedule {chunk_schedule!r}")
+        if chunks < 1:
+            raise ValueError(
+                f"stage {name!r}: chunks must be >= 1, got {chunks}")
         self.chunk_schedule = chunk_schedule
         self.shape = ((int(shape),) if isinstance(shape, (int, np.integer))
                       else tuple(int(s) for s in shape))
@@ -172,14 +169,6 @@ class DiffusiveStage(Stage):
         #: in place instead of copying it defensively, so publishing a
         #: version costs O(1) array allocations.  Subclasses set this.
         self.fresh_materialize = False
-        #: whether the kernel can compute several chunks' elements in a
-        #: single vectorized pass (see :meth:`batch_chunks`).  When set,
-        #: the stage asks the executor for a :class:`Lease` and fuses up
-        #: to the granted number of levels into one numpy call — while
-        #: still yielding the identical per-level command sequence, so
-        #: the published versions are bit-identical at any lease size.
-        #: Subclasses with a pure, slice-decomposable kernel opt in.
-        self.supports_batch = False
         #: whether the kernel operations take a sample set — a
         #: :class:`~repro.anytime.coset.Coset` where the chunk (or the
         #: fused run) is one, else the index array — instead of always
@@ -210,7 +199,8 @@ class DiffusiveStage(Stage):
     def process_chunk(self, state: Any, indices: np.ndarray,
                       values: tuple[Any, ...]) -> Any:
         """Fold one chunk of permuted flat indices (or its sample set,
-        see :attr:`reads_cosets`) into ``state``.
+        see :attr:`reads_cosets`) into ``state``: the kernel of a stage
+        that does not batch.
 
         Returns the update object streamed to a synchronous child (ignored
         when no channel is attached); return None when the update is not
@@ -232,16 +222,17 @@ class DiffusiveStage(Stage):
 
     def batch_chunks(self, state: Any, indices: np.ndarray,
                      values: tuple[Any, ...]) -> Any:
-        """Vectorized pre-computation over several chunks at once.
+        """Vectorized pre-computation over a run of chunks at once.
 
-        ``indices`` is the concatenation of the next k chunks' permuted
-        flat indices, or the coset they make up together.  Must be
-        **pure**: no mutation of ``state`` — the per-level state
-        evolution happens chunk by chunk in :meth:`apply_chunk`, which
-        is what keeps each published version bit-identical to the
-        unbatched execution.
+        ``indices`` is the concatenation of the run's permuted flat
+        indices, or the coset they make up together; a run may be one
+        chunk.  Must be **pure**: no mutation of ``state`` — the
+        per-chunk state evolution happens in :meth:`apply_chunk`, which
+        is what keeps each published version bit-identical whatever the
+        run's length.  A stage that does not batch computes nothing
+        here.
         """
-        raise NotImplementedError
+        return None
 
     def apply_chunk(self, state: Any, indices: np.ndarray, batch: Any,
                     at: tuple[slice, ...], values: tuple[Any, ...]) -> Any:
@@ -251,9 +242,10 @@ class DiffusiveStage(Stage):
         ``batch[at]`` is this chunk's share: a run of the element axis
         for index arrays, the chunk's place in the fused grid
         (:meth:`~repro.anytime.coset.Coset.within`) for cosets.  Same
-        return contract as :meth:`process_chunk`.
+        return contract as :meth:`process_chunk`, which a stage that
+        does not batch folds its one-chunk runs with.
         """
-        raise NotImplementedError
+        return self.process_chunk(state, indices, values)
 
     # -- machinery -------------------------------------------------------
 
@@ -286,9 +278,11 @@ class DiffusiveStage(Stage):
     def warm(self) -> None:
         order = self.order
         if self.reads_cosets:
-            spans = self.chunk_spans
-            derive_cosets(order, self.shape, ("leases", *spans),
-                          lambda: leased_spans(spans))
+            spans, width = self.chunk_spans, self.batch_width
+            derive_cosets(order, self.shape, ("runs", width, *spans),
+                          lambda: spans + [
+                              (run[0][0], run[-1][1])
+                              for run in fused_runs(spans, width)])
 
     @property
     def penalty(self) -> float:
@@ -325,49 +319,26 @@ class DiffusiveStage(Stage):
                 label=f"{self.name}:reorder")
         spans = chunk_boundaries(len(order), self.chunks,
                                  schedule=self.chunk_schedule)
-        # Batched multi-level execution is only legal when the command
-        # stream cannot depend on executor replies between the fused
-        # levels: no synchronous update stream and no preemption polls.
-        batchable = (self.supports_batch and self.emit_to is None
-                     and self.restart_policy != "preempt")
         # Cosets come in raster order, so only a stage with no update
         # stream reads them; they were derived ahead (see warm).
         cosets = (span_cosets(order, self.shape)
                   if self.reads_cosets and self.emit_to is None else {})
         ci = 0
-        while ci < len(spans):
-            remaining = len(spans) - ci
-            granted = 1
-            if batchable and remaining > 1:
-                granted = yield Lease(remaining)
-                granted = max(1, min(int(granted), remaining))
-            run = spans[ci:ci + granted]
-            batch = None
-            if granted > 1:
-                base, end = run[0][0], run[-1][1]
-                fused = cosets.get((base, end))
-                parts = [cosets.get(span) for span in run]
-                if fused is None or any(p is None for p in parts):
-                    fused = None
-                    parts = [order[a:b] for a, b in run]
-                batch = self.batch_chunks(
-                    state, order[base:end] if fused is None else fused,
-                    values)
-            for j, (start, stop) in enumerate(run):
+        for run in fused_runs(spans, self.batch_width):
+            base, end = run[0][0], run[-1][1]
+            fused = cosets.get((base, end))
+            parts = [cosets.get(span) for span in run]
+            if fused is None or any(p is None for p in parts):
+                fused = None
+                parts = [order[a:b] for a, b in run]
+            batch = self.batch_chunks(
+                state, order[base:end] if fused is None else fused, values)
+            for samples, (start, stop) in zip(parts, run):
                 yield Compute(self.chunk_cost(stop - start),
                               label=f"{self.name}:chunk{ci}")
-                if batch is not None:
-                    samples = parts[j]
-                    at = (samples.within(fused)
-                          if isinstance(samples, Coset)
-                          else (slice(start - base, stop - base),))
-                    update = self.apply_chunk(state, samples, batch, at,
-                                              values)
-                else:
-                    samples = cosets.get((start, stop))
-                    if samples is None:
-                        samples = order[start:stop]
-                    update = self.process_chunk(state, samples, values)
+                at = ((slice(start - base, stop - base),) if fused is None
+                      else samples.within(fused))
+                update = self.apply_chunk(state, samples, batch, at, values)
                 if self.emit_to is not None:
                     yield Emit(update)
                 last = ci == len(spans) - 1

@@ -169,7 +169,6 @@ class _StageThread:
         self.ex = ex
         self.stage = stage
         self.report = ex.reports[stage.name]
-        self.lease_k = ex.lease_k
         # One wake-up event subscribed to every input buffer: a write to
         # *any* input wakes the stage promptly (no rotation, no
         # busy-polling a single input).
@@ -285,12 +284,6 @@ class ThreadedExecutor(Kernel):
         When both tracing and a metric are supplied, each watched write
         additionally emits an ``accuracy.sample`` event with
         ``metric(value, trace_reference)``.
-    lease_k:
-        Cap on :class:`~repro.core.stage.Lease` grants — how many
-        accuracy levels a stage may batch into one vectorized kernel
-        pass.  ``1`` disables batching (each level computed on its own,
-        the historical behavior); the published versions are
-        bit-identical at any setting.
     """
 
     EXECUTOR = "threaded"
@@ -305,13 +298,11 @@ class ThreadedExecutor(Kernel):
                  trace: TraceSink | None = None,
                  trace_metric: Any = None,
                  trace_reference: Any = None,
-                 lease_k: int = 8,
                  resume: Any = None) -> None:
         super().__init__(graph, stop=stop, watch=watch, faults=faults,
                          injector=injector, strict=strict, trace=trace,
                          trace_metric=trace_metric,
-                         trace_reference=trace_reference, lease_k=lease_k,
-                         resume=resume)
+                         trace_reference=trace_reference, resume=resume)
         self._halt = threading.Event()
         # The pause gate: cleared = stage threads park between commands
         # (preemption boundary for the serving scheduler).

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from .buffer import Snapshot, VersionedBuffer
-from .stage import Body, Compute, Lease, Stage, Write
+from .stage import Body, Compute, Stage, Write
 
 __all__ = ["IterativeStage", "AccuracyLevel"]
 
@@ -73,20 +73,18 @@ class IterativeStage(Stage):
                         f"({a.cost} -> {b.cost}); pass allow_any_costs="
                         f"True if intended")
         self.levels = list(levels)
-        #: subclasses that implement :meth:`batch_levels` set this True
-        #: to take multi-level command leases (PR 6's protocol)
-        self.supports_batch = False
 
     def batch_levels(self, values: tuple[Any, ...], start: int,
                      count: int) -> "Sequence[Any]":
         """Compute levels ``start .. start+count-1`` in one vectorized
-        call, returning their outputs in level order.
+        call, returning their outputs in level order; a stage that sets
+        :attr:`~repro.core.stage.Stage.supports_batch` implements it.
 
-        Lease safety rule: each returned output must be bit-identical
-        to ``self.levels[j].fn(*values)`` — a lease may only elide
-        round-trips (and share work across levels), never change what
-        gets published.  Each output is written as a level's is,
-        frozen in place (see :class:`AccuracyLevel`).
+        Batch safety rule: each returned output must be bit-identical
+        to ``self.levels[j].fn(*values)`` — fusing levels may share work
+        across them, never change what gets published.  Each output is
+        written as a level's is, frozen in place (see
+        :class:`AccuracyLevel`).
         """
         raise NotImplementedError
 
@@ -94,22 +92,12 @@ class IterativeStage(Stage):
                  inputs_final: bool) -> Body:
         values = self.input_values(snaps)
         last = len(self.levels) - 1
-        # Fusing levels under a lease is only legal when the command
-        # stream cannot depend on executor replies between the fused
-        # levels: no preemption polls (same rule as DiffusiveStage).
-        batchable = (self.supports_batch and self.emit_to is None
-                     and self.restart_policy != "preempt")
-        i = 0
-        while i <= last:
-            remaining = last - i + 1
-            granted = 1
-            if batchable and remaining > 1:
-                granted = yield Lease(remaining)
-                granted = max(1, min(int(granted), remaining))
-            batch = None
-            if granted > 1:
-                batch = self.batch_levels(values, i, granted)
-            for j in range(i, i + granted):
+        width = self.batch_width
+        for i in range(0, last + 1, width):
+            count = min(width, last + 1 - i)
+            batch = (self.batch_levels(values, i, count) if count > 1
+                     else None)
+            for j in range(i, i + count):
                 level = self.levels[j]
                 yield Compute(level.cost,
                               label=f"{self.name}:L{j}"
@@ -121,7 +109,6 @@ class IterativeStage(Stage):
                             transfer=True)
                 if j != last and (yield from self.preempted()):
                     return
-            i += granted
 
     def precise(self, input_values: dict[str, Any]) -> Any:
         values = tuple(input_values[b.name] for b in self.inputs)

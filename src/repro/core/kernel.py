@@ -1,17 +1,17 @@
 """The command protocol's meaning, written once.
 
-Stages are generators of eight commands (:mod:`repro.core.stage`); the
+Stages are generators of seven commands (:mod:`repro.core.stage`); the
 three executors are effect backends around this module that differ only
 in how they block and how time advances.  :func:`drive` pumps one stage
-generator: it counts every command, answers ``Lease`` itself and hands
-each other command to the backend's effect.  Threaded and process-worker
-effects block inline; a simulated effect returns :data:`SUSPENDED` (on
-``Compute``, or a wait, recv or emit that cannot proceed) and the event
-loop resumes the stage later with the delivered value.  :class:`Kernel`
-holds the run state every executor shares and the rules over it.
+generator: it counts every command and hands each to the backend's
+effect.  Threaded and process-worker effects block inline; a simulated
+effect returns :data:`SUSPENDED` (on ``Compute``, or a wait, recv or
+emit that cannot proceed) and the event loop resumes the stage later
+with the delivered value.  :class:`Kernel` holds the run state every
+executor shares and the rules over it.
 
-A backend provides ``stage``, ``report``, ``lease_k``, ``live()`` (False
-once the run halts) and the effects ``compute(cmd)``, ``write(cmd)``,
+A backend provides ``stage``, ``report``, ``live()`` (False once the
+run halts) and the effects ``compute(cmd)``, ``write(cmd)``,
 ``wait_inputs(seen)``, ``poll_inputs(seen)``, ``emit(update)``,
 ``close_channel()`` and ``recv()``.  An effect returns the value sent
 back into the generator, or an :class:`Outcome` that ends the pump.
@@ -36,8 +36,8 @@ from .faults import FaultInjector, FaultPolicy, StageReport, resolve_policy
 from .graph import AutomatonGraph
 from .recording import Timeline, WriteRecord
 from .channel import ChannelClosed
-from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, Lease,
-                    PollInputs, Recv, Stage, WaitInputs, Write)
+from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, PollInputs,
+                    Recv, Stage, WaitInputs, Write)
 from .syncstage import SynchronousStage
 from .tracing import TraceEvent, TraceSink, active_sink
 
@@ -113,10 +113,6 @@ def _effect(cmd: Any, b: Any) -> Any:
         return b.close_channel()
     if isinstance(cmd, Recv):
         return b.recv()
-    if isinstance(cmd, Lease):
-        # an advisory batching width: the stage yields the same command
-        # stream at any grant, so no backend needs a say in it
-        return max(1, min(cmd.want, b.lease_k))
     raise TypeError(
         f"stage {b.stage.name!r} yielded unknown command {cmd!r}")
 
@@ -248,11 +244,8 @@ class Kernel:
                  faults: FaultPolicy | dict[str, FaultPolicy] | None,
                  injector: FaultInjector | None, strict: bool,
                  trace: TraceSink | None, trace_metric: Any,
-                 trace_reference: Any, lease_k: int, resume: Any) -> None:
-        if lease_k < 1:
-            raise ValueError(f"lease_k must be >= 1, got {lease_k}")
+                 trace_reference: Any, resume: Any) -> None:
         self.graph = graph
-        self.lease_k = int(lease_k)
         self.stop = stop
         if watch is None:
             watch = {t.output.name for t in graph.terminal_stages()}

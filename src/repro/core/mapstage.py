@@ -109,9 +109,9 @@ class MapStage(DiffusiveStage):
         # freshly allocated — so writes can transfer ownership and skip
         # the buffer's defensive copy.
         self.fresh_materialize = True
-        # element_fn is pure and elementwise, so several chunks can be
+        # element_fn is pure and elementwise, so a run of chunks is
         # computed in one call and scattered chunk by chunk — each
-        # published level stays bit-identical to unbatched execution.
+        # published version is the one a call per chunk would give.
         self.supports_batch = True
         self.reads_cosets = bool(getattr(element_fn, "reads_cosets", False))
 
@@ -120,16 +120,10 @@ class MapStage(DiffusiveStage):
             return self.warm_start.copy()
         return np.zeros(self.out_shape, dtype=self.dtype)
 
-    def process_chunk(self, state: np.ndarray, indices: np.ndarray,
-                      values: tuple[Any, ...]) -> Any:
-        computed = self.element_fn(indices, *values)
-        write_samples(state, indices, computed, len(self.shape))
-        return (indices, computed)
-
     def batch_chunks(self, state: np.ndarray, indices: np.ndarray,
                      values: tuple[Any, ...]) -> np.ndarray:
-        # one element_fn call for all fused chunks; pure — the dense
-        # state is untouched until apply_chunk scatters level by level
+        # one element_fn call for the run's chunks; pure — the dense
+        # state is untouched until apply_chunk scatters chunk by chunk
         return np.asarray(self.element_fn(indices, *values))
 
     def apply_chunk(self, state: np.ndarray, indices: np.ndarray,

@@ -43,9 +43,10 @@ Design notes and tradeoffs:
   ``trace``, the outcome) or a request — ``write`` included — that
   blocks for its reply, so the parent has recorded a write before the
   worker can reuse its slab slot, and a ring of ``consumers + 2``
-  slots always has one free.  A :class:`~repro.core.stage.Lease` is
-  answered inside the worker at zero round-trips; it only widens the
-  stage's batched compute.  A reply per write cost about 4 % at 256²
+  slots always has one free.  How many chunks a stage fuses into one
+  kernel call is the stage's own constant
+  (:data:`~repro.core.stage.BATCH`), so batching costs no message.  A
+  reply per write cost about 4 % at 256²
   and was flat or faster at 1024² than streamed writes
   (EXPERIMENTS.md).
 - **Worker death is a fault.**  A worker that dies without reporting
@@ -105,17 +106,16 @@ class _Worker:
 
     def __init__(self, stage, conn, slots: int, lock,
                  injector: FaultInjector | None, tracing: bool,
-                 lease_k: int, replayed: tuple | None) -> None:
+                 replayed: tuple | None) -> None:
         self.stage = stage
         self.conn = conn
         self.injector = injector
         #: a restored stage's replayed generator and pending reply,
         #: which the first attempt continues (repro.ckpt)
         self.replayed = replayed
-        self.lease_k = int(lease_k)
-        #: drive() counts every command here, Leases answered locally
-        #: included; each message carries the count since the previous
-        #: one, so the parent's report sees them all
+        #: drive() counts every command here; each message carries the
+        #: count since the previous one, so the parent's report sees
+        #: them all
         self.report = StageReport(stage=stage.name)
         self._counted = 0
         self.registry = SegmentRegistry()
@@ -229,7 +229,7 @@ class _Worker:
 
 
 def _worker_main(stage, conn, inherited, slots, lock, injector,
-                 tracing, lease_k, replayed) -> None:
+                 tracing, replayed) -> None:
     for other in inherited:
         # parent-end copies of earlier pipes, inherited through fork;
         # closing them keeps EOF detection per worker crisp
@@ -237,8 +237,7 @@ def _worker_main(stage, conn, inherited, slots, lock, injector,
             other.close()
         except OSError:   # pragma: no cover - defensive
             pass
-    _Worker(stage, conn, slots, lock, injector, tracing,
-            lease_k, replayed).run()
+    _Worker(stage, conn, slots, lock, injector, tracing, replayed).run()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,6 @@ class ProcessExecutor(Kernel):
                  trace_metric: Any = None,
                  trace_reference: Any = None,
                  grace_s: float = 5.0,
-                 lease_k: int = 8,
                  resume: Any = None) -> None:
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
@@ -303,8 +301,7 @@ class ProcessExecutor(Kernel):
         super().__init__(graph, stop=stop, watch=watch, faults=faults,
                          injector=injector, strict=strict, trace=trace,
                          trace_metric=trace_metric,
-                         trace_reference=trace_reference, lease_k=lease_k,
-                         resume=resume)
+                         trace_reference=trace_reference, resume=resume)
         self.grace_s = float(grace_s)
         self._ctx = mp.get_context("fork")
         self._locks = {name: self._ctx.Lock() for name in graph.buffers}
@@ -408,7 +405,7 @@ class ProcessExecutor(Kernel):
             args=(w.stage, child_conn, inherited,
                   self._slots[w.stage.output.name],
                   self._locks[w.stage.output.name],
-                  self.injector, self.sink is not None, self.lease_k,
+                  self.injector, self.sink is not None,
                   self.replayed(w.stage.name) if first else None),
             name=f"stage-{w.stage.name}", daemon=True)
         proc.start()
@@ -493,7 +490,7 @@ class ProcessExecutor(Kernel):
             self._message_tap("recv", w.stage.name, msg)
         kind = msg[0]
         # the worker's kernel counted these commands since its previous
-        # message (Leases are answered worker-side)
+        # message
         self.reports[w.stage.name].commands += msg[-1]
         msg = msg[:-1]
         if kind == "energy":

@@ -96,7 +96,7 @@ class _Process:
     stage's completion and suspends it; a wait, recv or emit that cannot
     proceed records what it waits for and suspends it."""
 
-    __slots__ = ("sim", "stage", "report", "lease_k", "gen", "done",
+    __slots__ = ("sim", "stage", "report", "gen", "done",
                  "waiting_inputs", "waiting_recv", "waiting_emit",
                  "wait_started", "wait_kind")
 
@@ -104,7 +104,6 @@ class _Process:
         self.sim = sim
         self.stage = stage
         self.report = sim.reports[stage.name]
-        self.lease_k = sim.lease_k
         self.gen: Any = None
         self.done = False
         self.waiting_inputs: dict[str, int] | None = None
@@ -214,11 +213,6 @@ class SimulatedExecutor(Kernel):
         additionally emits an ``accuracy.sample`` event with
         ``metric(value, trace_reference)`` — the accuracy-vs-time event
         stream.
-    lease_k:
-        Cap on :class:`~repro.core.stage.Lease` grants — how many
-        accuracy levels a stage may batch into one vectorized kernel
-        pass.  ``1`` disables batching; the published versions are
-        bit-identical at any setting.
     resume:
         A :class:`~repro.ckpt.state.ResumeInfo` from a restored
         checkpoint: live stages continue their replayed generators,
@@ -248,14 +242,12 @@ class SimulatedExecutor(Kernel):
                  trace: TraceSink | None = None,
                  trace_metric: Any = None,
                  trace_reference: Any = None,
-                 lease_k: int = 8,
                  resume: Any = None,
                  checkpoint_at_stop: str | None = None) -> None:
         super().__init__(graph, stop=stop, watch=watch, faults=faults,
                          injector=injector, strict=strict, trace=trace,
                          trace_metric=trace_metric,
-                         trace_reference=trace_reference, lease_k=lease_k,
-                         resume=resume)
+                         trace_reference=trace_reference, resume=resume)
         if total_cores <= 0:
             raise ValueError(f"total_cores must be positive: {total_cores}")
         #: when True, cores are reassigned dynamically: the policy's

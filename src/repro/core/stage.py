@@ -5,11 +5,13 @@ An automaton stage is written as a *generator of commands*: it yields
 version), :class:`WaitInputs` (block until an input buffer has a newer
 version), :class:`PollInputs` (ask whether one has),
 :class:`Emit`/:class:`CloseChannel` (stream updates to a synchronous
-child), :class:`Recv` (consume such updates) and :class:`Lease` (ask how
-many levels to batch).  One kernel (:mod:`repro.core.kernel`) interprets
-the stream for all three executors — the deterministic discrete-event
-simulator, real threads and one process per stage — so a stage is
-written once and runs identically under any of them.
+child) and :class:`Recv` (consume such updates).  One kernel
+(:mod:`repro.core.kernel`) interprets the stream for all three
+executors — the deterministic discrete-event simulator, real threads
+and one process per stage — so a stage is written once and runs
+identically under any of them.  How many chunks or levels a stage
+computes per kernel call is its own choice (:data:`BATCH`), not a
+command.
 
 The base :class:`Stage` provides the asynchronous-pipeline consumer loop
 of paper Section III-C1: wait until every input has a version, run the
@@ -30,7 +32,7 @@ from .channel import UpdateChannel
 
 __all__ = [
     "Compute", "Write", "WaitInputs", "PollInputs", "Emit", "CloseChannel",
-    "Recv", "Lease", "Command", "CHANNEL_END", "Stage", "PreciseStage",
+    "Recv", "Command", "CHANNEL_END", "BATCH", "Stage", "PreciseStage",
     "DEFAULT_ACCESS_PENALTIES", "access_penalty",
 ]
 
@@ -107,28 +109,7 @@ class Recv:
     """
 
 
-@dataclass(frozen=True)
-class Lease:
-    """Ask how many accuracy levels the stage may batch before its next
-    mandatory synchronization point.
-
-    The executor responds with an int grant in ``[1, want]``.  A grant of
-    ``k`` is *advisory*: the stage may vectorize the computation of its
-    next ``k`` levels in one pass, but it must still yield the exact same
-    per-level :class:`Compute`/:class:`Write` command sequence it would
-    have yielded unbatched, so the published version ladder is
-    bit-identical for every grant size (the lease safety rule).
-    """
-
-    want: int = 1
-
-    def __post_init__(self) -> None:
-        if self.want < 1:
-            raise ValueError(f"lease want must be >= 1: {self.want}")
-
-
-Command = (Compute, Write, WaitInputs, PollInputs, Emit, CloseChannel,
-           Recv, Lease)
+Command = (Compute, Write, WaitInputs, PollInputs, Emit, CloseChannel, Recv)
 
 #: sentinel sent in response to :class:`Recv` on a drained, closed channel
 CHANNEL_END = object()
@@ -167,6 +148,15 @@ def access_penalty(permutation_name: str,
 
 Body = Generator[Any, Any, None]
 
+#: How many chunks or accuracy levels a batching stage fuses into one
+#: vectorized kernel call (:attr:`Stage.batch_width`).  The stage still
+#: yields one ``Compute`` and one ``Write`` per chunk or level, so every
+#: published version is bit-identical at any width (the batch safety
+#: rule): the width only sets how much is computed before the first of
+#: a run's writes.  Read when a pass starts, so a forked worker sees the
+#: value its parent had.
+BATCH = 8
+
 
 class Stage:
     """Base class for all computation stages.
@@ -203,6 +193,11 @@ class Stage:
         self.inputs = tuple(inputs)
         self.emit_to = emit_to
         self.restart_policy = restart_policy
+        #: whether the kernel can compute several chunks or levels in
+        #: one vectorized call and still publish each one's version bit
+        #: for bit (see :attr:`batch_width`).  Subclasses with a pure,
+        #: slice-decomposable kernel opt in.
+        self.supports_batch = False
         self._seen: dict[str, int] = {}
         output.register_writer(name)
 
@@ -240,6 +235,17 @@ class Stage:
         down the pipeline exactly when the precise inputs were used.
         """
         raise NotImplementedError
+
+    @property
+    def batch_width(self) -> int:
+        """How many chunks or levels one kernel call of a pass fuses:
+        :data:`BATCH` for a stage that batches, 1 for one that does not
+        or whose command stream may depend on a reply between them (an
+        update stream, or preemption polls)."""
+        if (self.supports_batch and self.emit_to is None
+                and self.restart_policy != "preempt"):
+            return BATCH
+        return 1
 
     def warm(self) -> None:
         """Derive into this process's memos what the body reads and no

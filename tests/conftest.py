@@ -205,3 +205,13 @@ def derivations(monkeypatch, request):
                 if k.rsplit("_", 1)[0] in which}
 
     return Counting, counts
+
+
+@pytest.fixture()
+def batch(monkeypatch):
+    """``batch(k)`` sets how many chunks or levels a batching stage
+    fuses (:data:`repro.core.stage.BATCH`) for this test; forked stage
+    workers inherit it."""
+    from repro.core import stage
+
+    return lambda width: monkeypatch.setattr(stage, "BATCH", width)

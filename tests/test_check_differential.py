@@ -47,16 +47,16 @@ class TestCrossExecutor:
 
 
 class TestLeaseEquivalence:
-    """The lease safety rule, enforced by the harness: batching under a
-    command lease may only elide round-trips, never change what gets
-    published."""
+    """The batch safety rule, enforced by the harness: fusing chunks or
+    levels into one kernel call may only share work, never change what
+    gets published."""
 
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("lease_k", [1, 8])
-    def test_differential_clean_at_any_lease(self, lease_k):
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_differential_clean_at_any_lease(self, width, batch):
+        batch(width)
         report = run_differential(app="2dconv", size=16, serve=False,
-                                  executors=("simulated", "threaded"),
-                                  lease_k=lease_k)
+                                  executors=("simulated", "threaded"))
         assert report.ok, report.mismatches
         for obs in report.observations:
             assert obs.completed and obs.final_matches_precise
@@ -67,11 +67,11 @@ class TestLeaseEquivalence:
     @pytest.mark.parametrize("executor",
                              ["simulated", "threaded", "process"])
     def test_version_ladder_bit_identical_across_lease_sizes(
-            self, executor, app):
+            self, executor, app, batch):
         """Every published version — not just the final — must be bit
-        for bit the same whether the executor grants leases of 1 or 8
-        levels.  Covers both batching families: diffusive chunk fusion
-        (2dconv) and iterative level fusion (dwt53)."""
+        for bit the same whether stages fuse 1 or 8 chunks or levels
+        per kernel call.  Covers both batching families: diffusive chunk
+        fusion (2dconv) and iterative level fusion (dwt53)."""
         import numpy as np
 
         from repro.apps.registry import get_app
@@ -79,26 +79,25 @@ class TestLeaseEquivalence:
         spec = get_app(app)
         image = spec.make_input(16, 0)
         ladders = {}
-        for lease_k in (1, 8):
+        for width in (1, 8):
+            batch(width)
             automaton = spec.build(image)
             if executor == "simulated":
-                result = automaton.run_simulated(lease_k=lease_k)
+                result = automaton.run_simulated()
             elif executor == "threaded":
-                result = automaton.run_threaded(timeout_s=120.0,
-                                                lease_k=lease_k)
+                result = automaton.run_threaded(timeout_s=120.0)
             else:
-                result = automaton.run_processes(timeout_s=120.0,
-                                                 lease_k=lease_k)
+                result = automaton.run_processes(timeout_s=120.0)
             assert result.completed
-            ladders[lease_k] = result.output_records(
+            ladders[width] = result.output_records(
                 automaton.terminal_buffer_name)
-        sync, leased = ladders[1], ladders[8]
-        assert [r.version for r in sync] == \
-            [r.version for r in leased]
-        for s, l in zip(sync, leased):
-            assert s.final == l.final
-            assert np.array_equal(s.value, l.value), \
-                f"version {s.version} diverged under a lease"
+        single, fused = ladders[1], ladders[8]
+        assert [r.version for r in single] == \
+            [r.version for r in fused]
+        for s, f in zip(single, fused):
+            assert s.final == f.final
+            assert np.array_equal(s.value, f.value), \
+                f"version {s.version} diverged when fused"
 
 
 class TestMismatchDetection:

@@ -92,3 +92,11 @@ class TestGeometricStage:
         with pytest.raises(ValueError, match="schedule"):
             MapStage("m", VersionedBuffer("o"), (), lambda i: i,
                      shape=16, chunk_schedule="zeno")
+
+    @pytest.mark.parametrize("chunks", [0, -3])
+    def test_rejects_chunks_below_one_in_stage(self, chunks):
+        """A stage with no chunk is refused when it is built, not when
+        its body first runs."""
+        with pytest.raises(ValueError, match="chunks must be >= 1"):
+            MapStage("m", VersionedBuffer("o"), (), lambda i: i,
+                     shape=16, chunks=chunks)

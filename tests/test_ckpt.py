@@ -5,12 +5,12 @@ restoring replays the log on a freshly built graph and continues on
 *any* executor, bit-exactly.  These tests cover the file format's
 structured failure modes, same-executor resume, the full cross-executor
 migration matrix (via the restore-differential harness), checkpointing
-under a batched command lease, a synchronous pipeline checkpointed
-mid-stream, a restored run checkpointed and restored again, a log whose
-length does not grow with the image, ``repro ckpt inspect``, the
-serving layer's suspend-and-resume path (park on queue-full, checkpoint
-on preempt, restore on grant), and fleet worker re-spawn with
-checkpoint migration after a SIGKILL.
+a stage that fuses chunks into one kernel call, a synchronous pipeline
+checkpointed mid-stream, a restored run checkpointed and restored
+again, a log whose length does not grow with the image, ``repro ckpt
+inspect``, the serving layer's suspend-and-resume path (park on
+queue-full, checkpoint on preempt, restore on grant), and fleet worker
+re-spawn with checkpoint migration after a SIGKILL.
 """
 
 import contextlib
@@ -225,20 +225,20 @@ class TestCrossExecutorMigration:
 @pytest.mark.check
 class TestCheckpointUnderLease:
     @pytest.mark.timeout(180)
-    @pytest.mark.parametrize("lease_k", [2, 8])
-    def test_leased_commands_drain_before_capture(self, lease_k,
-                                                  tmp_path):
-        """Checkpointing a process run that batches commands under a
-        lease (lease_k > 1) must quiesce the outstanding batch first:
-        the continuation is still bit-exact and publishes exactly one
-        final version."""
+    @pytest.mark.parametrize("width", [2, 8])
+    def test_leased_commands_drain_before_capture(self, width, tmp_path,
+                                                  batch):
+        """Checkpointing a process run whose stage fuses chunks into one
+        kernel call (a width above 1) captures it between the writes of
+        a fused run: the continuation is still bit-exact and publishes
+        exactly one final version."""
+        batch(width)
         record = get_app("2dconv")
         image = record.make_input(32, 3)
         tname = record.build(image).terminal_buffer_name
         reference = record.build(image).run_simulated()
         path = tmp_path / "leased.rck"
-        interrupted_checkpoint(record, image, path, src="process",
-                               lease_k=lease_k)
+        interrupted_checkpoint(record, image, path, src="process")
         resumed = AnytimeAutomaton.restore(
             str(path), builder=lambda: record.build(image))
         result = resumed.run_threaded(timeout_s=120.0)

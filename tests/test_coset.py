@@ -1,12 +1,13 @@
 """Strided cosets: tree-order chunks read, written and painted by slice.
 
 Every chunk of a tree order over a power-of-two shape, and every
-aligned power-of-two run of chunks a lease fuses, is a coset — one
-arithmetic progression per axis.  These tests pin the memo's cosets to
-the order they describe, and the coset path of every kernel that takes
-one (2dconv, debayer, kmeans, the ``MapStage`` scatter, the tree
-painter) to the index-array path bit for bit.  Spans that are no coset
-(61², 62², a geometric schedule, an unaligned grant) keep the index
+aligned power-of-two run of chunks (a batching stage fuses runs of
+``BATCH``), is a coset — one arithmetic progression per axis.  These
+tests pin the memo's cosets to the order they describe, and the coset
+path of every kernel that takes one (2dconv, debayer, kmeans, the
+``MapStage`` scatter, the tree painter) to the index-array path bit
+for bit.  Spans that are no coset
+(61², 62², a geometric schedule, an unaligned run) keep the index
 arrays, and publish the same ladder.
 """
 
@@ -29,7 +30,7 @@ from repro.apps.registry import get_app
 from repro.core import diffusive
 from repro.core.automaton import AnytimeAutomaton
 from repro.core.buffer import VersionedBuffer
-from repro.core.diffusive import chunk_boundaries, leased_spans
+from repro.core.diffusive import chunk_boundaries
 from repro.core.faults import FaultPolicy
 from repro.core.mapstage import MapStage
 from repro.data import bayer_mosaic, clustered_image, scene_image
@@ -43,13 +44,26 @@ NOT_SEPARABLE = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
 POWER_OF_TWO = [(32, 32), (64, 64), (256, 256), (1024, 1024), (256, 128)]
 
 
+def _aligned_runs(spans):
+    """``spans`` and every aligned power-of-two run of them — the runs
+    of ``2**j`` spans from a multiple of ``2**j`` — each as one
+    ``(start, stop)``."""
+    out = list(spans)
+    width = 2
+    while width <= len(spans):
+        out += [(spans[i][0], spans[i + width - 1][1])
+                for i in range(0, len(spans) - width + 1, width)]
+        width *= 2
+    return out
+
+
 def _cosets(shape, chunks=32, schedule="uniform"):
     """The tree order over ``shape``, its chunk spans, and the memo's
-    cosets of every span a lease can fuse."""
+    cosets of every aligned power-of-two run of them."""
     order = sample_order(TreePermutation(), shape)
     spans = chunk_boundaries(order.size, chunks, schedule=schedule)
     derive_cosets(order, shape, ("test", chunks, schedule),
-                  lambda: leased_spans(spans))
+                  lambda: _aligned_runs(spans))
     return order, spans, span_cosets(order, shape)
 
 
@@ -95,7 +109,7 @@ def gathers(monkeypatch):
                          ids=[f"{h}x{w}" for h, w in POWER_OF_TWO])
 def test_every_chunk_and_aligned_run_is_a_coset(shape):
     order, spans, cosets = _cosets(shape)
-    runs = leased_spans(spans)
+    runs = _aligned_runs(spans)
     assert len(runs) == 63
     for a, b in runs:
         coset = cosets[a, b]
@@ -178,7 +192,7 @@ def _samples(shape):
     run of a 32-chunk tree pass — plus the whole image and cosets of
     every parity and of odd strides."""
     _, spans, cosets = _cosets(shape)
-    found = [cosets[span] for span in leased_spans(spans)]
+    found = [cosets[span] for span in _aligned_runs(spans)]
     extra = [Coset.whole(shape)]
     h, w = shape
     for r0 in (0, 1):
@@ -244,7 +258,11 @@ def test_kmeans_coset_path_is_the_gather_path(shape):
         state = stage.init_state((centroids, image))
         for a, b in spans:
             samples = cosets[a, b] if use_cosets else order[a:b]
-            stage.process_chunk(state, samples, (centroids, image))
+            at = (samples.within(samples) if use_cosets
+                  else (slice(0, b - a),))
+            values = (centroids, image)
+            computed = stage.batch_chunks(state, samples, values)
+            stage.apply_chunk(state, samples, computed, at, values)
             states.append({key: np.copy(value)
                            for key, value in state.items()})
     half = len(states) // 2
@@ -254,7 +272,8 @@ def test_kmeans_coset_path_is_the_gather_path(shape):
 
 def test_mapstage_apply_chunk_places_each_share():
     """A fused batch over a run's coset, shared out by ``within``,
-    writes what per-chunk element calls write."""
+    writes what a batch of one chunk's index array writes, chunk by
+    chunk."""
     shape = (32, 32)
     image = np.arange(1024, dtype=np.int64).reshape(shape)
     order, spans, cosets = _cosets(shape)
@@ -271,7 +290,9 @@ def test_mapstage_apply_chunk_places_each_share():
     for a, b in run:
         stage.apply_chunk(fused, cosets[a, b], batch,
                           cosets[a, b].within(whole), (image,))
-        stage.process_chunk(by_chunk, order[a:b], (image,))
+        alone = stage.batch_chunks(by_chunk, order[a:b], (image,))
+        stage.apply_chunk(by_chunk, order[a:b], alone, (slice(0, b - a),),
+                          (image,))
     assert np.array_equal(fused, by_chunk)
 
 
@@ -333,18 +354,18 @@ def test_a_geometric_schedule_publishes_the_same_ladder(gathers):
     assert _same_ladders(with_cosets, _ladder(auto))
 
 
-@pytest.mark.parametrize("lease_k", [3, 8])
-def test_threaded_grants_publish_the_same_versions(lease_k, gathers):
-    """A grant of 3 fuses unaligned runs (index arrays); 8 fuses
+@pytest.mark.parametrize("width", [3, 8])
+def test_threaded_grants_publish_the_same_versions(width, gathers, batch):
+    """A width of 3 fuses unaligned runs (index arrays); 8 fuses
     aligned ones (cosets)."""
+    batch(width)
     image = scene_image(128, seed=2)
     values = {}
     for use_cosets in (True, False):
         if not use_cosets:
             gathers()
         auto = build_conv2d_automaton(image)
-        result = auto.run_threaded(watch={"filtered"}, timeout_s=60,
-                                   lease_k=lease_k)
+        result = auto.run_threaded(watch={"filtered"}, timeout_s=60)
         values[use_cosets] = [r.value for r in
                               result.output_records("filtered")]
     assert len(values[True]) == len(values[False]) == 32
@@ -352,16 +373,60 @@ def test_threaded_grants_publish_the_same_versions(lease_k, gathers):
                for a, b in zip(values[True], values[False]))
 
 
-def test_a_whole_pass_grant_over_chunks_that_are_no_coset(gathers):
+def test_a_whole_pass_grant_over_chunks_that_are_no_coset(gathers, batch):
     """At 61² the whole order is the stride-1 coset but no chunk is one,
-    so a grant of the whole pass fuses index arrays."""
+    so a run of the whole pass fuses index arrays."""
+    batch(32)
     image = scene_image(61, seed=3)
     _, spans, cosets = _cosets(image.shape)
     assert cosets[0, image.size] == Coset.whole(image.shape)
-    with_cosets = _ladder(build_conv2d_automaton(image), lease_k=32)
+    with_cosets = _ladder(build_conv2d_automaton(image))
     gathers()
-    assert _same_ladders(
-        with_cosets, _ladder(build_conv2d_automaton(image), lease_k=32))
+    assert _same_ladders(with_cosets,
+                         _ladder(build_conv2d_automaton(image)))
+
+
+def test_every_fused_run_reads_its_derived_coset(monkeypatch, gathers,
+                                                 batch):
+    """Each run of ``BATCH`` chunks a 256² 2dconv pass fuses, and each
+    chunk it shares the run out to, is the coset the warm step derived,
+    at 8 and again at 16 once the same order's memo holds the runs of
+    8.  A 30-chunk pass fuses 8, 8, 8 and a tail of 6 chunks that are
+    no cosets, and publishes the bits its gathers do."""
+    image = get_app("2dconv").make_input(256, 1)
+
+    def spied(auto):
+        stage = auto.graph.stages[0]
+        seen = {"batch": [], "apply": []}
+        for kind, name in (("batch", "batch_chunks"),
+                           ("apply", "apply_chunk")):
+            def spy(state, samples, *rest, kind=kind,
+                    real=getattr(stage, name)):
+                seen[kind].append(samples)
+                return real(state, samples, *rest)
+            monkeypatch.setattr(stage, name, spy)
+        return auto, seen
+
+    for width in (8, 16):
+        batch(width)
+        auto, seen = spied(build_conv2d_automaton(image))
+        assert _ladder(auto)[-1][1]
+        runs = 32 // width
+        assert [s.size for s in seen["batch"]] == [image.size // runs] * runs
+        assert len(seen["apply"]) == 32
+        assert all(isinstance(s, Coset)
+                   for s in seen["batch"] + seen["apply"])
+    batch(8)
+
+    auto, seen = spied(_conv_stage_automaton(image, chunks=30))
+    with_cosets = _ladder(auto)
+    spans = chunk_boundaries(image.size, 30)
+    assert [len(s) for s in seen["batch"]] == [
+        spans[b - 1][1] - spans[a][0]
+        for a, b in ((0, 8), (8, 16), (16, 24), (24, 30))]
+    gathers()
+    assert _same_ladders(with_cosets,
+                         _ladder(_conv_stage_automaton(image, chunks=30)))
 
 
 # -- forked stage workers inherit the cosets ------------------------------

@@ -363,7 +363,7 @@ class TestPaintPlans:
     @pytest.mark.parametrize("shape", PLANNED,
                              ids=[f"{h}x{w}" for h, w in PLANNED])
     def test_replays_mix_with_derived_advances(self, shape):
-        """A run fused by a lease, a count that falls back and a
+        """A fused run of chunks, a count that falls back and a
         repeated count take the derived path; the plans after them
         still replay onto the canvas they left."""
         dense, order, spans, fill = self._warmed(shape, "rgb")
@@ -378,12 +378,14 @@ class TestPaintPlans:
 
     @pytest.mark.parametrize("app", ["2dconv", "debayer", "kmeans"])
     @pytest.mark.parametrize("size", [32, 256])
-    @pytest.mark.parametrize("lease_k", [1, 8])
+    @pytest.mark.parametrize("width", [1, 8])
     def test_stage_ladders_are_the_same_without_plans(self, app, size,
-                                                      lease_k, monkeypatch):
+                                                      width, monkeypatch,
+                                                      batch):
         """Every version a stage publishes, its chunks computed one by
-        one or fused by a lease, is the version it publishes when no
-        plan is kept."""
+        one or fused eight to a kernel call, is the version it publishes
+        when no plan is kept."""
+        batch(width)
         from repro.anytime import fill as fill_module
         from repro.apps.registry import get_app
 
@@ -396,8 +398,7 @@ class TestPaintPlans:
                                     lambda order, shape: {})
             auto = spec.build(data)
             names = set(auto.graph.buffers)
-            result = auto.run_simulated(total_cores=32, watch=names,
-                                        lease_k=lease_k)
+            result = auto.run_simulated(total_cores=32, watch=names)
             assert result.completed
             ladders.append({name: [r.value for r in
                                    result.output_records(name)]

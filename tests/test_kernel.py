@@ -1,12 +1,12 @@
-"""The command kernel: one interpreter of the eight-command protocol.
+"""The command kernel: one interpreter of the seven-command protocol.
 
 A scripted stage generator runs against a fake backend that records
 every effect, so each rule of :func:`repro.core.kernel.drive` is pinned
-without an executor: dispatch, command counting, Lease clamping,
-suspend and resume, and how a pump ends.  The executor tests then run
-real apps on all three executors: each run must be freed by reference
-counting, and single-stage apps must report the same per-stage counters
-from each executor.
+without an executor: dispatch, command counting, suspend and resume,
+and how a pump ends.  The executor tests then run real apps on all
+three executors: each run must be freed by reference counting, and
+single-stage apps must report the same per-stage counters from each
+executor.
 """
 
 import gc
@@ -25,9 +25,9 @@ from repro.core.kernel import (DONE, EXHAUSTED, HALTED, SUSPENDED, Kernel,
                                drive)
 from repro.core.procexec import ProcessExecutor
 from repro.core.simexec import SimulatedExecutor
-from repro.core.stage import (CloseChannel, Compute, Emit, Lease,
-                              PollInputs, PreciseStage, Recv, Stage,
-                              WaitInputs, Write)
+from repro.core.stage import (CloseChannel, Compute, Emit, PollInputs,
+                              PreciseStage, Recv, Stage, WaitInputs,
+                              Write)
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -40,10 +40,9 @@ class FakeBackend:
     """Logs each effect as ``(effect, argument)`` and answers from
     ``replies`` (default None, like a write or a compute)."""
 
-    def __init__(self, lease_k=4, replies=None, live=True):
+    def __init__(self, replies=None, live=True):
         self.stage = FakeStage()
         self.report = StageReport(stage="s")
-        self.lease_k = lease_k
         self.replies = dict(replies or {})
         self.calls = []
         self._live = live
@@ -92,16 +91,15 @@ class TestDispatch:
         received = []
         commands = [WaitInputs({"in": 0}), PollInputs({"in": 1}),
                     Compute(2.0), Write("v1"), Emit("x"), CloseChannel(),
-                    Recv(), Lease(3)]
+                    Recv()]
         outcome = drive(scripted(commands, received), None, backend)
         assert outcome == DONE
         assert backend.calls == [
             ("wait_inputs", {"in": 0}), ("poll_inputs", {"in": 1}),
             ("compute", 2.0), ("write", "v1"), ("emit", "x"),
             ("close_channel", None), ("recv", None)]
-        # Lease never reaches the backend: the kernel answers it
         assert received == [{"in": "snap"}, True, None, None, None, None,
-                            "update", 3]
+                            "update"]
         assert backend.report.commands == len(commands)
 
     def test_unknown_command_raises_type_error_naming_the_stage(self):
@@ -110,15 +108,6 @@ class TestDispatch:
         with pytest.raises(TypeError, match="stage 's'.*unknown command"):
             drive(gen, None, backend)
         assert gen.gi_frame is None, "a failed attempt is closed"
-
-    @pytest.mark.parametrize("want, lease_k, grant", [
-        (1, 4, 1), (3, 4, 3), (4, 4, 4), (9, 4, 4), (5, 1, 1), (2, 0, 1)])
-    def test_lease_grant_is_clamped_to_one_and_lease_k(self, want,
-                                                       lease_k, grant):
-        received = []
-        drive(scripted([Lease(want)], received), None,
-              FakeBackend(lease_k=lease_k))
-        assert received == [grant]
 
     def test_effect_error_closes_the_generator_and_propagates(self):
         class Frozen(FakeBackend):
@@ -188,8 +177,7 @@ def test_a_halting_run_degrades_instead_of_restarting():
     kernel = _Idle(AutomatonGraph([stage]), stop=None, watch=None,
                    faults=FaultPolicy(on_failure="restart", max_retries=3),
                    injector=None, strict=False, trace=None,
-                   trace_metric=None, trace_reference=None, lease_k=8,
-                   resume=None)
+                   trace_metric=None, trace_reference=None, resume=None)
     assert kernel.on_failure(stage, RuntimeError("a"))[0] == "restart"
     action, _ = kernel.on_failure(stage, RuntimeError("b"), halting=True)
     assert action == "degrade"
@@ -227,7 +215,7 @@ def test_a_finished_run_is_freed_by_reference_counting(executor):
 @pytest.mark.parametrize("app", ["2dconv", "debayer", "dwt53"])
 def test_single_stage_counters_agree_across_executors(app):
     """Every executor counts the same commands: the process backend
-    answers Leases worker-side and must still report them."""
+    counts them worker-side and must still report them."""
     spec = get_app(app)
     data = spec.make_input(32, 3)
     counters = {}

@@ -273,37 +273,41 @@ class TestWarmWorkers:
 
 
 class TestCommandLeases:
-    def test_leased_run_is_bit_identical_to_sync(self):
-        """The lease safety rule made executable: the version ladder a
-        leased worker publishes must equal the one-round-trip-per-command
-        protocol's ladder bit for bit."""
+    """A stage's batching width (:data:`repro.core.stage.BATCH`) in a
+    process worker."""
+
+    def test_leased_run_is_bit_identical_to_sync(self, batch):
+        """The batch safety rule made executable: the version ladder a
+        worker publishes fusing 8 chunks per kernel call must equal the
+        one-chunk-per-call ladder bit for bit."""
         results = {}
         for k in (1, 8):
+            batch(k)
             auto, _ = map_automaton(chunks=8)
-            executor = ProcessExecutor(auto.graph, lease_k=k)
-            results[k] = executor.run(timeout_s=60.0)
-        sync, leased = results[1], results[8]
-        assert sync.completed and leased.completed
-        s_recs = sync.output_records("out")
-        l_recs = leased.output_records("out")
-        assert [r.version for r in s_recs] == [r.version for r in l_recs]
-        for s, l in zip(s_recs, l_recs):
-            assert s.final == l.final
-            assert np.array_equal(s.value, l.value)
+            results[k] = ProcessExecutor(auto.graph).run(timeout_s=60.0)
+        single, fused = results[1], results[8]
+        assert single.completed and fused.completed
+        s_recs = single.output_records("out")
+        f_recs = fused.output_records("out")
+        assert [r.version for r in s_recs] == [r.version for r in f_recs]
+        for s, f in zip(s_recs, f_recs):
+            assert s.final == f.final
+            assert np.array_equal(s.value, f.value)
 
     #: worker messages that block for a reply; every other worker
     #: message (energy, segments, epoch, trace, the outcome) is one-way
     REQUESTS = ("write", "wait", "poll", "emit", "recv", "close_channel",
                 "failed")
 
-    @pytest.mark.parametrize("lease_k", [1, 8])
-    def test_lease_k_one_run_has_no_leased_writes(self, lease_k):
-        """A lease widens only the stage's batched compute: at any
-        ``lease_k`` every worker request, each write included, gets
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_lease_k_one_run_has_no_leased_writes(self, width, batch):
+        """The batching width widens only the stage's fused compute: at
+        any width every worker request, each write included, gets
         exactly one reply before the worker sends its next request, so
         a ring of ``consumers + 2`` slots always has one free."""
+        batch(width)
         auto, _ = map_automaton(chunks=8)
-        executor = ProcessExecutor(auto.graph, lease_k=lease_k)
+        executor = ProcessExecutor(auto.graph)
         taps = []
         executor._message_tap = lambda d, s, m: taps.append((d, s, m))
         result = executor.run(timeout_s=60.0)
@@ -325,20 +329,15 @@ class TestCommandLeases:
         for m in writes:
             assert [r.slots for r in payload_arrays(m[1])] == [slots]
 
-    def test_lease_k_validated(self):
-        auto, _ = map_automaton()
-        with pytest.raises(ValueError, match="lease_k"):
-            ProcessExecutor(auto.graph, lease_k=0)
-
     def test_faulty_leased_run_still_recovers(self):
-        """A fault raised mid-lease drives the normal restart path to an
-        exact result."""
+        """A fault raised inside a fused run of 8 chunks drives the
+        normal restart path to an exact result."""
         auto, ref = map_automaton(chunks=32)
         injector = FaultInjector.from_specs(["m:3:error"])
         executor = ProcessExecutor(
             auto.graph, faults=FaultPolicy(max_retries=2,
                                            on_failure="restart"),
-            injector=injector, lease_k=8)
+            injector=injector)
         result = executor.run(timeout_s=60.0)
         report = result.stage_reports["m"]
         assert result.completed
@@ -421,13 +420,14 @@ class TestShutdownHygiene:
         executor._cleanup_plane = spy
         return captured
 
-    def test_timeout_reaps_workers_and_segments(self):
-        """The PR's bugfix: ``timeout_s`` expiry must leave no orphaned
-        worker processes and no leaked shared-memory segments."""
+    def test_timeout_reaps_workers_and_segments(self, batch):
+        """``timeout_s`` expiry must leave no orphaned worker processes
+        and no leaked shared-memory segments."""
+        # a width of 1 keeps the kernel un-batched so every chunk pays
+        # its sleep and the run reliably outlives the timeout
+        batch(1)
         auto, _ = self._slow_automaton()
-        # lease_k=1 keeps the kernel un-batched so every chunk pays its
-        # sleep and the run reliably outlives the timeout
-        executor = ProcessExecutor(auto.graph, lease_k=1)
+        executor = ProcessExecutor(auto.graph)
         names = self._spy_segment_names(executor)
         result = executor.run(timeout_s=0.3)
         assert result.stopped_early and not result.completed

@@ -303,7 +303,7 @@ class TestLifecycle:
 class TestLeasedPreemptPins:
     @staticmethod
     def _leased_builder(tag, size=16, chunks=32, sleep_s=0.04):
-        """A diffusive map automaton (leased on the process backend)
+        """A diffusive map automaton (fusing 8 chunks per kernel call)
         with per-request buffer names so one Checker can watch the
         whole server without cross-request version collisions."""
         from repro.anytime.permutations import TreePermutation
@@ -324,10 +324,11 @@ class TestLeasedPreemptPins:
         return AnytimeAutomaton([stage], external={f"in-{tag}": img})
 
     def test_preempting_leased_stage_keeps_pins_balanced(self):
-        """Regression for the lease protocol under the serving layer:
-        preempt/resume of a process run whose worker holds a command
-        lease must never unpin a slot twice or lose a pin — the checker's pin-balance invariant
-        stays silent across the whole server trace."""
+        """Regression for batched stages under the serving layer:
+        preempt/resume of a process run whose worker is inside a fused
+        run of chunks must never unpin a slot twice or lose a pin — the
+        checker's pin-balance invariant stays silent across the whole
+        server trace."""
         from repro.check import Checker
 
         checker = Checker()
