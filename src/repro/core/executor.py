@@ -146,6 +146,18 @@ class RunHandle:
         """Block until the run finishes; False on timeout."""
         return self.executor._wait_done(timeout_s)
 
+    def watch(self, event: threading.Event) -> None:
+        """Set ``event`` on every new version or seal of the watched
+        terminal buffer, and once when the run ends — by then
+        :attr:`finished` is True, so a waiter that clears the event
+        before it looks misses no end.  Set at once if the run has
+        already ended."""
+        self.executor._watch_run(event)
+
+    def unwatch(self, event: threading.Event) -> None:
+        """Undo :meth:`watch`."""
+        self.executor._unwatch_run(event)
+
     # -- collection ------------------------------------------------------
 
     def result(self, timeout_s: float | None = None) -> ThreadedResult:
@@ -171,8 +183,8 @@ class _StageThread:
         self.report = ex.reports[stage.name]
         # One wake-up event subscribed to every input buffer: a write to
         # *any* input wakes the stage promptly (no rotation, no
-        # busy-polling a single input).
-        self.event = threading.Event()
+        # busy-polling a single input), and so does a halt.
+        self.event = ex._input_events[stage.name]
         for b in stage.inputs:
             b.subscribe(self.event)
 
@@ -200,8 +212,10 @@ class _StageThread:
             self.event.clear()
             reply = self.ex.reply_wait(self.stage, seen)
             if reply is None:
-                # set by a write or seal to any input
-                self.event.wait(timeout=_POLL_S)
+                # set by a write or seal to any input, or by a halt
+                # after this check
+                if not self.ex._halt.is_set():
+                    self.event.wait(timeout=_POLL_S)
                 raise TimeoutError
             return reply
 
@@ -304,19 +318,32 @@ class ThreadedExecutor(Kernel):
                          trace_metric=trace_metric,
                          trace_reference=trace_reference, resume=resume)
         self._halt = threading.Event()
+        #: each stage's input wake-up event (:class:`_StageThread`)
+        self._input_events = {s.name: threading.Event()
+                              for s in graph.stages}
         # The pause gate: cleared = stage threads park between commands
         # (preemption boundary for the serving scheduler).
         self._gate = threading.Event()
         self._gate.set()
         #: one thread per relaunched stage; None until launch()
         self._threads: dict[str, threading.Thread] | None = None
+        #: stage threads not yet wound down, counted under ``_lock``:
+        #: the last one out ends the run (:meth:`_run_ended`)
+        self._live = 0
 
     def request_stop(self) -> None:
         """Interrupt the automaton (thread-safe, idempotent)."""
         self.stop_requested = True
-        self._halt.set()
+        self._halt_stages()
         # release paused threads so they can observe the halt
         self._gate.set()
+
+    def _halt_stages(self) -> None:
+        """Halt the run: a stage waiting on its inputs sees it at once,
+        not at its next poll."""
+        self._halt.set()
+        for event in self._input_events.values():
+            event.set()
 
     # -- RunHandle protocol ----------------------------------------------
 
@@ -331,8 +358,7 @@ class ThreadedExecutor(Kernel):
         return not self._gate.is_set()
 
     def _is_active(self) -> bool:
-        return self._threads is not None and any(
-            t.is_alive() for t in self._threads.values())
+        return self._live > 0
 
     def _wait_done(self, timeout_s: float | None) -> bool:
         """Join all stage threads; False if ``timeout_s`` expired first."""
@@ -354,6 +380,16 @@ class ThreadedExecutor(Kernel):
     # -- per-stage thread ------------------------------------------------
 
     def _run_stage(self, stage: Any) -> None:
+        try:
+            self._pump_stage(stage)
+        finally:
+            with self._lock:
+                self._live -= 1
+                last = self._live == 0
+            if last:
+                self._run_ended()
+
+    def _pump_stage(self, stage: Any) -> None:
         # the backend lives on this thread's stack only: it points back
         # at the executor, and a reference the other way would make
         # every finished run wait for the cyclic collector to free it
@@ -373,7 +409,7 @@ class ThreadedExecutor(Kernel):
                     self._halt.wait(delay)   # a halt cuts the backoff
                     continue
                 if action == "fail":
-                    self._halt.set()
+                    self._halt_stages()
                 return
             self.finish(stage, outcome)
             return
@@ -405,6 +441,9 @@ class ThreadedExecutor(Kernel):
             s.name: threading.Thread(target=self._run_stage, args=(s,),
                                      name=f"stage-{s.name}", daemon=True)
             for s in self.graph.stages if s.name not in finished}
+        self._live = len(self._threads)
+        if not self._live:
+            self._run_ended()
         for t in self._threads.values():
             t.start()
         return RunHandle(self)

@@ -287,6 +287,9 @@ class Kernel:
         #: restored stages' ``(generator, pending reply)`` pairs, each
         #: taken once by the stage's first attempt (:meth:`replayed`)
         self._replayed: dict[str, tuple] = {}
+        #: events set once when the run ends (:meth:`_watch_run`); None
+        #: once it has ended
+        self._end_events: list[threading.Event] | None = []
         self._t0 = 0.0
         self._ended_at: float | None = None    # now() when the run ended
         self._final_result: Any = None
@@ -400,7 +403,9 @@ class Kernel:
             now, energy = self.now(), self.meter.total
             self.log.append((stage.name, "w", version, int(final), now,
                              energy))
-        value = self._recorded(name, value, version, final)
+            # under the lock too, so :meth:`_peek` never sees a version
+            # whose value is not recorded yet
+            value = self._recorded(name, value, version, final)
         watched = name in self.watch
         record = WriteRecord(now, name, version, final, energy,
                              value if watched else None)
@@ -650,3 +655,27 @@ class Kernel:
 
     def _peek(self) -> Any:
         return self.graph.buffers[self._watch_name()].snapshot()
+
+    def _watch_run(self, event: threading.Event) -> None:
+        """Set ``event`` on every write or seal of the watched terminal
+        buffer, and once when the run ends (at once if it has)."""
+        self.graph.buffers[self._watch_name()].subscribe(event)
+        with self._lock:
+            if self._end_events is not None:
+                self._end_events.append(event)
+                return
+        event.set()
+
+    def _unwatch_run(self, event: threading.Event) -> None:
+        self.graph.buffers[self._watch_name()].unsubscribe(event)
+        with self._lock:
+            if self._end_events is not None and event in self._end_events:
+                self._end_events.remove(event)
+
+    def _run_ended(self) -> None:
+        """Wake every :meth:`_watch_run` event; the subclass calls this
+        once, after ``_is_active()`` turned False."""
+        with self._lock:
+            events, self._end_events = self._end_events or [], None
+        for event in events:
+            event.set()

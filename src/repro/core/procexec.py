@@ -320,6 +320,8 @@ class ProcessExecutor(Kernel):
         self._grace_deadline = 0.0
         self._timeout_s: float | None = None
         self._reactor: threading.Thread | None = None
+        #: True from launch until the reactor has wound the run down
+        self._active = False
         #: newest decoded value per watched buffer (the handle's peek
         #: path — decoding a slab from outside the reactor could race a
         #: writer reusing slots, so the reactor caches at write time)
@@ -665,7 +667,7 @@ class ProcessExecutor(Kernel):
         return self._paused
 
     def _is_active(self) -> bool:
-        return self._reactor is not None and self._reactor.is_alive()
+        return self._active
 
     def _wait_done(self, timeout_s: float | None) -> bool:
         if self._reactor is None:
@@ -675,15 +677,13 @@ class ProcessExecutor(Kernel):
 
     def _peek(self) -> Snapshot:
         name = self._watch_name()
-        flags = self.graph.buffers[name].snapshot()
-        cached = self._latest.get(name)
-        if cached is None:
-            return Snapshot(name, None, flags.version, flags.final,
-                            flags.sealed)
-        if cached.version == flags.version:
-            return Snapshot(name, cached.value, flags.version,
-                            flags.final, flags.sealed)
-        return cached   # a write raced the flag read; cached is valid
+        # a write records its value under the log lock (Kernel.publish),
+        # so a watcher woken by the write finds that value here
+        with self._log_lock:
+            flags = self.graph.buffers[name].snapshot()
+            cached = self._latest.get(name)
+        return Snapshot(name, None if cached is None else cached.value,
+                        flags.version, flags.final, flags.sealed)
 
     # -- whole-run driver --------------------------------------------------
 
@@ -727,6 +727,7 @@ class ProcessExecutor(Kernel):
         self._reactor = threading.Thread(target=self._reactor_main,
                                          name="procexec-reactor",
                                          daemon=True)
+        self._active = True
         self._reactor.start()
         return RunHandle(self)
 
@@ -766,6 +767,8 @@ class ProcessExecutor(Kernel):
             self._terminate_stragglers()
             self._join_all()
             self._ended_at = self.now()
+            self._active = False
+            self._run_ended()
 
     def _result_fields(self) -> dict[str, Any]:
         fields = super()._result_fields()   # decodes the final values

@@ -90,6 +90,8 @@ WORKER_DEFAULTS: dict[str, Any] = {
     "queue_limit": 8,
     "executor": "threaded",
     "quantum_s": 0.02,
+    # paces deadlines and quanta only: submissions, references, new
+    # versions and ended runs wake the scheduler at once
     "tick_s": 0.005,
     "coalesce": True,
     "memo_ttl_s": 5.0,

@@ -28,16 +28,18 @@ Lifecycle (all transitions traced as ``server.*`` events)::
     submit ──enqueue──> QUEUED ──admit──> RUNNING ⇄ PREEMPTED
         └──shed (queue full)──> SHED         └──> COMPLETED/…
 
-The scheduler thread ticks every ``tick_s`` — and at once when a
-request is submitted or a deferred metric's reference comes in.  Its
-harvest is the one place an SLO is judged: each subscriber whose
-deadline passed, whose target its metric meets, or who cancelled
-leaves its run, and a run ends when it finishes or its last subscriber
-leaves (runs carry no stop condition of their own).  A run also ends
-when its lead's metric offers the precise value first: the precise
-kernel, computed beside the run to score it, races the ladder, and a
-run that has not finished by itself answers with that value as its
-final version (``precise_wins``).
+The scheduler thread ticks at once when a request is submitted, a
+deferred metric's reference comes in, a running run publishes or seals
+a version of its watched terminal buffer, or a run ends
+(:meth:`~repro.core.executor.RunHandle.watch`); ``tick_s`` only paces
+deadlines and quanta.  Its harvest is the one place an SLO is judged:
+each subscriber whose deadline passed, whose target its metric meets,
+or who cancelled leaves its run, and a run ends when it finishes or
+its last subscriber leaves (runs carry no stop condition of their
+own).  A run also ends when its lead's metric offers the precise value
+first: the precise kernel, computed beside the run to score it, races
+the ladder, and a run that has not finished by itself answers with
+that value as its final version (``precise_wins``).
 The tick then fills free slots from the ready pool (queued + preempted
 runs, policy-ranked, with a starvation guard) and preempts past-quantum
 runners when ready work would gain more.  Admission applies
@@ -113,7 +115,9 @@ class AnytimeServer:
     quantum_s:
         Minimum slot tenure before a run becomes preemptible.
     tick_s:
-        Scheduler tick period.
+        Longest the scheduler sleeps between ticks, which paces
+        deadlines and quanta.  Submissions, arriving references, new
+        versions and ended runs wake it at once.
     starvation_s:
         Hard fairness override: a ready request older than this is
         granted the next slot regardless of policy ranking.  Defaults
@@ -190,9 +194,10 @@ class AnytimeServer:
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
         # set by whatever should not wait out the tick: a submission, a
-        # deferred metric's reference coming in, a shutdown; set
-        # without the lock, so a reference's thread never waits on a
-        # scheduler that may be waiting on the reference
+        # deferred metric's reference coming in, a running run's new
+        # version or its end, a shutdown; set without the lock, so a
+        # reference's thread or a stage never waits on a scheduler that
+        # may be waiting on it
         self._wake = threading.Event()
         self._queue: deque[_Run] = deque()
         self._scheduled: list[_Run] = []   # RUNNING+PREEMPTED+RESUMABLE
@@ -234,19 +239,19 @@ class AnytimeServer:
 
     def drain(self, timeout_s: float | None = None) -> bool:
         """Stop accepting, let in-flight work finish; True if it did."""
+        deadline = (None if timeout_s is None
+                    else _time.monotonic() + timeout_s)
         with self._lock:
             self._accepting = False
             self._space.notify_all()
-        deadline = (None if timeout_s is None
-                    else _time.monotonic() + timeout_s)
-        while True:
-            with self._lock:
-                if not self._queue and not self._scheduled \
-                        and not self._parked:
-                    return True
-            if deadline is not None and _time.monotonic() >= deadline:
-                return False
-            _time.sleep(self.tick_s)
+            # _finish notifies each time a run leaves
+            while self._queue or self._scheduled or self._parked:
+                remaining = (None if deadline is None
+                             else deadline - _time.monotonic())
+                if remaining is not None and remaining <= 0:
+                    return False
+                self._space.wait(timeout=remaining)
+            return True
 
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Cancel everything in flight and stop the scheduler thread.
@@ -491,8 +496,9 @@ class AnytimeServer:
                     # A tick must never kill the serving thread; broken
                     # sessions are failed individually in _tick.
                     pass
-            # the tick paces harvesting of running work; a submission
-            # or an arriving reference does not wait it out
+            # the tick paces deadlines and quanta; a submission, an
+            # arriving reference, a new version or a run's end does
+            # not wait it out
             self._wake.wait(timeout=self.tick_s)
 
     def _tick(self, now: float) -> None:
@@ -515,8 +521,8 @@ class AnytimeServer:
         the run's newest version.  A run that finished by itself ends
         with all its subscribers.  A deferred metric whose reference is
         still being computed would block this thread: scoring and
-        finishing a run wait for it a tick at a time, a deadline does
-        not.
+        finishing a run wait for a tick that finds it in (its
+        ``on_ready`` wakes one), a deadline does not.
         """
         for run in list(self._queue) + list(self._parked):
             if not self._race(run, now):
@@ -667,6 +673,7 @@ class AnytimeServer:
             except OSError:
                 pass
             return False
+        handle.unwatch(self._wake)
         try:
             if not handle.finished:
                 handle.request_stop()
@@ -733,6 +740,8 @@ class AnytimeServer:
                         errors=(f"{type(exc).__name__}: {exc}",))
             return
         run._handle = handle
+        # every version and the run's end wake the harvest
+        handle.watch(self._wake)
         run._state = SessionState.RUNNING
         if run._first_run_at is None:
             run._first_run_at = now
@@ -824,6 +833,7 @@ class AnytimeServer:
             snapshot = run.snapshot()   # pinned at suspend time, or none
             self._discard_ckpt(run)
         else:
+            handle.unwatch(self._wake)
             if not handle.finished:
                 # Deadline, met target, or cancellation of a live run:
                 # stop it now so the harvest below is bounded by

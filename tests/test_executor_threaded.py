@@ -120,6 +120,26 @@ class TestInterruption:
         assert res.stopped_early
         assert len(res.output_records("out")) >= 2
 
+    def test_stop_wakes_a_stage_waiting_on_its_inputs(self, monkeypatch):
+        """A halt reaches a stage blocked on its inputs at once, not at
+        its next poll: with the poll at 30 s, the run still winds down
+        within two seconds of the stop."""
+        import repro.core.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "_POLL_S", 30.0)
+        b_x = VersionedBuffer("x")
+        b_x.write(1)            # an input that never gets a newer version
+        b_g = VersionedBuffer("G")
+        g = PreciseStage("g", b_g, (b_x,), lambda x: x * 10, cost=1.0)
+        handle = AnytimeAutomaton([g]).launch_threaded()
+        while b_g.version < 1:          # g now waits for x's next version
+            time.sleep(0.002)
+        time.sleep(0.05)
+        stopped = time.monotonic()
+        handle.request_stop()
+        assert handle.result().stopped_early
+        assert time.monotonic() - stopped < 2.0
+
     def test_timeout_halts(self):
         img = np.arange(16, dtype=np.float64)
         b_in = VersionedBuffer("in")

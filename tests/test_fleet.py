@@ -103,8 +103,11 @@ class TestFleetRoundTrip:
 
     def test_fleet_stats_aggregate(self):
         with tiny_fleet(workers=2) as fleet:
-            requests = [fleet.submit("dwt53", size=16, seed=i % 3,
-                                     slo=SLO_OK) for i in range(9)]
+            # every repeat is dispatched: no final can reach the router
+            # memo before the last submission is in
+            with frozen_workers(fleet):
+                requests = [fleet.submit("dwt53", size=16, seed=i % 3,
+                                         slo=SLO_OK) for i in range(9)]
             assert fleet.drain(timeout_s=90.0)
             stats = fleet.aggregate_stats()
         assert stats["workers"] == 2 and stats["alive"] == 2

@@ -765,6 +765,82 @@ class TestHandOffs:
 
 
 # ---------------------------------------------------------------------
+# Harvest wakes: a run's new version or its end wakes the scheduler
+# ---------------------------------------------------------------------
+
+#: a tick no request here can wait out: every answer below must come
+#: from a wake, and a lost one fails in two seconds instead of hanging
+IDLE_TICK_S = 30.0
+EXECUTORS = ("threaded", "process")
+
+
+class TestHarvestWakes:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_target_is_met_without_a_tick(self, executor):
+        with AnytimeServer(slots=1, executor=executor,
+                           tick_s=IDLE_TICK_S) as server:
+            session = server.submit(lambda: slow_automaton(levels=100),
+                                    SLO(target_db=4.0),
+                                    metric=value_metric)
+            result = session.result(timeout_s=2.0)
+        assert result.state is SessionState.COMPLETED and result.slo_met
+        assert 4 <= result.snapshot.version < 100
+        assert_valid(result.snapshot, levels=100)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_run_to_final_leaves_at_its_end(self, executor, small_image):
+        from repro.apps.conv2d import build_conv2d_automaton
+        from repro.metrics.snr import snr_db
+
+        image = small_image[:24, :24]
+        reference = build_conv2d_automaton(image).precise_output()
+        with AnytimeServer(slots=1, executor=executor,
+                           tick_s=IDLE_TICK_S) as server:
+            session = server.submit(
+                lambda: build_conv2d_automaton(image),
+                metric=lambda value: snr_db(value, reference))
+            result = session.result(timeout_s=2.0)
+        assert result.state is SessionState.COMPLETED
+        assert result.snapshot.final and not result.interrupted
+        assert math.isinf(result.snr_db) and result.snr_db > 0
+
+    @pytest.mark.parametrize("launch", ["launch_threaded",
+                                        "launch_processes"])
+    def test_end_wake_comes_after_finished(self, launch):
+        """A waiter that clears the event before it looks at
+        ``finished`` sees the run's end: the last wake finds the run
+        finished, and no wake comes after it."""
+        handle = getattr(slow_automaton(levels=5), launch)()
+        seen = []
+
+        class Recording(threading.Event):
+            def set(self):
+                seen.append(handle.finished)
+                super().set()
+
+        event = Recording()
+        handle.watch(event)
+        while True:
+            assert event.wait(timeout=2.0), "the run ended without a wake"
+            event.clear()
+            if handle.finished:
+                break
+        assert handle.result(timeout_s=2.0).completed
+        assert seen[-1] is True and seen.count(True) == 1
+        late = threading.Event()
+        handle.watch(late)              # an ended run wakes at once
+        assert late.is_set()
+
+    def test_drain_returns_when_the_last_run_leaves(self):
+        with AnytimeServer(slots=2, tick_s=IDLE_TICK_S) as server:
+            for _ in range(3):
+                server.submit(lambda: slow_automaton(levels=3))
+            started = time.monotonic()
+            assert server.drain(timeout_s=2.0)
+            assert time.monotonic() - started < 2.0
+
+
+# ---------------------------------------------------------------------
 # Watchdog interplay (conftest satellite)
 # ---------------------------------------------------------------------
 
