@@ -137,17 +137,27 @@ class UpdateChannel:
         if self.tracer is not None and not already:
             self.tracer("channel.abort", self.name, queued=queued)
 
-    def wait_ready(self, sending: bool, timeout: float) -> None:
+    def wait_ready(self, sending: bool, timeout: float,
+                   halt: threading.Event | None = None) -> None:
         """Block up to ``timeout`` until an emit (``sending``) or a recv
-        would not block, or the channel closes.  Pairs with
-        :meth:`try_emit` / :meth:`try_recv` for a caller that applies
-        them under a lock of its own."""
+        would not block, the channel closes, or ``halt`` is set (whoever
+        sets it then calls :meth:`wake`).  Pairs with :meth:`try_emit` /
+        :meth:`try_recv` for a caller that applies them under a lock of
+        its own."""
         with self._cond:
             self._cond.wait_for(
-                lambda: self._closed or (
+                lambda: self._closed
+                or (halt is not None and halt.is_set()) or (
                     self.capacity is None
                     or len(self._queue) < self.capacity if sending
                     else bool(self._queue)), timeout)
+
+    def wake(self) -> None:
+        """Make every :meth:`wait_ready` look at its conditions again:
+        a run that halts sets its halt event, then wakes its channels,
+        so a stage blocked on one sees the halt at once."""
+        with self._cond:
+            self._cond.notify_all()
 
     def recv(self, timeout: float | None = None) -> Any:
         """Dequeue the next update; blocks while empty.

@@ -37,6 +37,7 @@ from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
 from .kernel import HALTED, Kernel, RunResult, drive, energy_of, open_body
 from .recording import Timeline
+from .syncstage import SynchronousStage
 from .tracing import TraceSink
 
 __all__ = ["ThreadedExecutor", "ThreadedResult", "RunHandle"]
@@ -233,7 +234,8 @@ class _StageThread:
 
         def attempt() -> None:
             if not self.ex.try_emit(self.stage, update):
-                channel.wait_ready(sending=True, timeout=_POLL_S)
+                channel.wait_ready(sending=True, timeout=_POLL_S,
+                                   halt=self.ex._halt)
                 raise TimeoutError
 
         return self._block("emit", attempt)
@@ -247,7 +249,8 @@ class _StageThread:
         def attempt() -> Any:
             got, update = self.ex.try_recv(self.stage)
             if not got:
-                channel.wait_ready(sending=False, timeout=_POLL_S)
+                channel.wait_ready(sending=False, timeout=_POLL_S,
+                                   halt=self.ex._halt)
                 raise TimeoutError
             return update
 
@@ -321,6 +324,11 @@ class ThreadedExecutor(Kernel):
         #: each stage's input wake-up event (:class:`_StageThread`)
         self._input_events = {s.name: threading.Event()
                               for s in graph.stages}
+        #: every update channel a stage emits to or receives from
+        self._channels = (
+            {s.emit_to for s in graph.stages if s.emit_to is not None}
+            | {s.channel for s in graph.stages
+               if isinstance(s, SynchronousStage)})
         # The pause gate: cleared = stage threads park between commands
         # (preemption boundary for the serving scheduler).
         self._gate = threading.Event()
@@ -339,11 +347,13 @@ class ThreadedExecutor(Kernel):
         self._gate.set()
 
     def _halt_stages(self) -> None:
-        """Halt the run: a stage waiting on its inputs sees it at once,
-        not at its next poll."""
+        """Halt the run: a stage waiting on its inputs or blocked on a
+        channel sees it at once, not at its next poll."""
         self._halt.set()
         for event in self._input_events.values():
             event.set()
+        for channel in self._channels:
+            channel.wake()
 
     # -- RunHandle protocol ----------------------------------------------
 

@@ -26,23 +26,33 @@ what make this serving model cheap and safe:
 Lifecycle (all transitions traced as ``server.*`` events)::
 
     submit ──enqueue──> QUEUED ──admit──> RUNNING ⇄ PREEMPTED
-        └──shed (queue full)──> SHED         └──> COMPLETED/…
+        │                 │                  └──> COMPLETED/…
+        │                 └─(held)─reference─> COMPLETED (precise)
+        └──shed (queue full)──> SHED
 
-The scheduler thread ticks at once when a request is submitted, a
-deferred metric's reference comes in, a running run publishes or seals
-a version of its watched terminal buffer, or a run ends
-(:meth:`~repro.core.executor.RunHandle.watch`); ``tick_s`` only paces
-deadlines and quanta.  Its harvest is the one place an SLO is judged:
-each subscriber whose deadline passed, whose target its metric meets,
-or who cancelled leaves its run, and a run ends when it finishes or
-its last subscriber leaves (runs carry no stop condition of their
-own).  A run also ends when its lead's metric offers the precise value
-first: the precise kernel, computed beside the run to score it, races
-the ladder, and a run that has not finished by itself answers with
-that value as its final version (``precise_wins``).
-The tick then fills free slots from the ready pool (queued + preempted
-runs, policy-ranked, with a starvation guard) and preempts past-quantum
-runners when ready work would gain more.  Admission applies
+The scheduler thread ticks at once when a request is submitted,
+cancelled or streamed, a deferred metric's reference comes in, a
+running run publishes or seals a version of its watched terminal
+buffer, or a run ends (:meth:`~repro.core.executor.RunHandle.watch`);
+``tick_s`` only paces deadlines and quanta.  Its harvest is the one
+place an SLO is judged: each subscriber whose deadline passed, whose
+target its metric meets, or who cancelled leaves its run, and a run
+ends when it finishes or its last subscriber leaves (runs carry no
+stop condition of their own).  A run also ends when its lead's metric
+offers the precise value first: the precise kernel, computed beside
+the run to score it, races the ladder, and a run that has not
+finished by itself answers with that value as its final version
+(``precise_wins``).  The ladder can only answer first for a
+subscriber that takes an unscored version: one with a deadline, a
+per-request trace sink or a stream.  A queued run with none of these
+is *held* (:attr:`~repro.serve.session._Run.held`): it stays queued,
+is not launched, and its reference answers it at version 1, so the
+reference does not share the process with a ladder that cannot answer
+first.  A subscriber that brings one of them, or a metric that turns
+out not to race, makes the run launchable.  The tick then fills free
+slots from the ready pool (queued runs that are not held, and
+preempted ones; policy-ranked, with a starvation guard) and preempts
+past-quantum runners when ready work would gain more.  Admission applies
 backpressure (``submit(wait_s=…)`` blocks while the queue is full) and
 sheds what it cannot hold.  Two things are fixed rather than settable:
 a request that brings no fault policy degrades
@@ -116,8 +126,8 @@ class AnytimeServer:
         Minimum slot tenure before a run becomes preemptible.
     tick_s:
         Longest the scheduler sleeps between ticks, which paces
-        deadlines and quanta.  Submissions, arriving references, new
-        versions and ended runs wake it at once.
+        deadlines and quanta.  Submissions, cancels, streams, arriving
+        references, new versions and ended runs wake it at once.
     starvation_s:
         Hard fairness override: a ready request older than this is
         granted the next slot regardless of policy ranking.  Defaults
@@ -194,10 +204,10 @@ class AnytimeServer:
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
         # set by whatever should not wait out the tick: a submission, a
-        # deferred metric's reference coming in, a running run's new
-        # version or its end, a shutdown; set without the lock, so a
-        # reference's thread or a stage never waits on a scheduler that
-        # may be waiting on it
+        # cancel or a stream, a deferred metric's reference coming in,
+        # a running run's new version or its end, a shutdown; set
+        # without the lock, so a reference's thread, a client or a
+        # stage never waits on a scheduler that may be waiting on it
         self._wake = threading.Event()
         self._queue: deque[_Run] = deque()
         self._scheduled: list[_Run] = []   # RUNNING+PREEMPTED+RESUMABLE
@@ -304,7 +314,13 @@ class AnytimeServer:
         a tick later.  Once ready, a non-None ``precise`` attribute is
         the run's precise terminal value, computed beside the run: a
         run that has not finished by itself when its lead's metric
-        offers it ends at once on it (see :meth:`_race`).
+        offers it ends at once on it (see :meth:`_race`).  A request
+        whose metric has a ``precise`` attribute and is not ready yet,
+        that has no deadline and no ``trace`` and is not streamed, can
+        only be answered by that value: its run is held in the queue,
+        not launched, until the reference ends it or a subscriber
+        that can take a ladder version joins (see
+        :attr:`~repro.serve.session._Run.held`).
         ``wait_s`` is the backpressure budget: how long to block while
         the admission queue is full before giving up; on a still-full
         queue the request is returned in the terminal ``SHED`` state.
@@ -337,6 +353,7 @@ class AnytimeServer:
                 slo=slo, metric=metric, submitted_at=now, key=key,
                 trace=trace,
                 faults=faults if faults is not None else DEFAULT_FAULTS)
+            session._wake = self._wake.set
             if not self._accepting:
                 self._shed(session, now, reason="not-accepting")
                 return session
@@ -411,6 +428,8 @@ class AnytimeServer:
         self.counters["coalesced"] += 1
         self._trace("server.coalesce", session, now, primary=run.name,
                     subscribers=len(run.subscribers))
+        # a subscriber that can take a ladder version ends a hold
+        self._wake.set()
         return True
 
     def _snr_of(self, session: Session,
@@ -552,10 +571,11 @@ class AnytimeServer:
             self._release(run, now)
 
     def _ready(self) -> list[_Run]:
-        """Runs that want a slot: queued ones, and preempted or
-        suspended ones with work left (a run that finished by itself
-        needs no slot; the harvest ends it once it is scored)."""
-        return list(self._queue) + [
+        """Runs that want a slot: queued ones not held for their
+        reference, and preempted or suspended ones with work left (a
+        run that finished by itself needs no slot; the harvest ends it
+        once it is scored)."""
+        return [run for run in self._queue if not run.held] + [
             run for run in self._scheduled
             if run._state in (SessionState.PREEMPTED,
                               SessionState.RESUMABLE)

@@ -25,6 +25,10 @@ State machine (of the run; a subscriber reads it until it leaves)::
       v                  v
     CANCELLED|SHED    COMPLETED | CANCELLED | FAILED
 
+A QUEUED run that only its precise reference can answer is *held*
+(:attr:`_Run.held`): it is not admitted while held, and the reference
+ends it COMPLETED at version 1.
+
 ``SHED`` is deliberately distinct from ``CANCELLED``: a shed request was
 refused by admission control (the server's choice, under overload); a
 cancelled one was withdrawn (the client's choice, or server shutdown).
@@ -131,6 +135,10 @@ class Session:
     _last_version: int = 0
     _coalesced: bool = False              # attached to another's run
     _memo_hit: bool = False
+    _streaming: bool = False              # the client called stream()
+    #: wakes the server's scheduler (set by ``submit``); a cancel or a
+    #: stream acts at once, not at the next tick
+    _wake: "Callable[[], None] | None" = None
     # -- done callbacks (guarded by their own lock, not the server's) ----
     _callbacks: "list[Callable[[Session], None]]" = field(
         default_factory=list)
@@ -184,7 +192,16 @@ class Session:
     def stream(self, timeout_s: float | None = None) -> Iterator[Snapshot]:
         """Yield each new output version as it lands (streaming
         refinement), ending with the final snapshot at a terminal
-        state.  ``timeout_s`` bounds the total wait."""
+        state.  ``timeout_s`` bounds the total wait.
+
+        A client that streams reads the ladder, so the call itself
+        launches a run that was held for its precise reference (see
+        :meth:`holds_for_reference`)."""
+        self._streaming = True
+        self._wake_server()
+        return self._stream(timeout_s)
+
+    def _stream(self, timeout_s: float | None) -> Iterator[Snapshot]:
         deadline = (None if timeout_s is None
                     else _time.monotonic() + timeout_s)
         seen = 0
@@ -200,8 +217,15 @@ class Session:
             self._done.wait(timeout=STREAM_POLL_S)
 
     def cancel(self) -> None:
-        """Withdraw the request (idempotent; honored within a tick)."""
+        """Withdraw the request (idempotent); the server's scheduler
+        acts on it at once."""
         self._cancel_requested = True
+        self._wake_server()
+
+    def _wake_server(self) -> None:
+        wake = self._wake
+        if wake is not None:
+            wake()
 
     def result(self, timeout_s: float | None = None) -> ServeResult:
         """Block for the terminal outcome; TimeoutError on timeout."""
@@ -231,6 +255,19 @@ class Session:
     def metric_error(self) -> str | None:
         """Why a deferred metric's reference could not be computed."""
         return getattr(self.metric, "error", None)
+
+    def holds_for_reference(self) -> bool:
+        """True while nothing but the precise reference can answer this
+        request: it has no deadline, its deferred metric races (offers
+        ``precise``) and is not ready yet, and nobody reads the ladder —
+        no per-request trace sink, no :meth:`stream`.  Until the
+        reference is in, no version can be scored nor a finished
+        ladder leave, and once it is in it is the answer; a ladder run
+        meanwhile would only share the process with the reference."""
+        return (self._deadline_at is None and self.trace is None
+                and not self._streaming
+                and hasattr(self.metric, "precise")
+                and not self.metric_ready())
 
     def _terminalize(self, state: SessionState, snapshot: Snapshot,
                      now: float, snr_db: float | None = None,
@@ -314,6 +351,14 @@ class _Run:
 
     def target_met(self) -> bool:
         return self.lead.target_met()
+
+    @property
+    def held(self) -> bool:
+        """Queued for its precise reference alone: no subscriber can
+        take an answer from the ladder before the reference is in
+        (:meth:`Session.holds_for_reference`), so the run is not
+        launched, and the reference ends it."""
+        return all(s.holds_for_reference() for s in self.subscribers)
 
     @property
     def finished(self) -> bool:

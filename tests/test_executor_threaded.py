@@ -140,6 +140,29 @@ class TestInterruption:
         assert handle.result().stopped_early
         assert time.monotonic() - stopped < 2.0
 
+    def test_stop_wakes_a_stage_blocked_on_a_channel(self, monkeypatch):
+        """A halt reaches a stage blocked on a channel at once: in
+        Figure 10's synchronous pipeline, with the producer stalled and
+        then paused, the consumer waits on the empty channel, and with
+        the poll at 1 s the run still winds down within 0.2 s."""
+        import repro.core.executor as executor_module
+        from repro.apps.pipeline_demo import build_organization
+        from repro.core.faults import FaultInjector, FaultSpec
+
+        monkeypatch.setattr(executor_module, "_POLL_S", 1.0)
+        # f stalls before its first command, so it has emitted nothing
+        injector = FaultInjector([FaultSpec("f", at=1, kind="delay",
+                                            delay=0.2)])
+        handle = build_organization("sync", m=16).launch_threaded(
+            injector=injector)
+        time.sleep(0.05)        # g now waits on the empty channel
+        handle.pause()          # f parks at the gate after its stall
+        time.sleep(0.3)
+        stopped = time.monotonic()
+        handle.request_stop()
+        assert handle.result().stopped_early
+        assert time.monotonic() - stopped < 0.2
+
     def test_timeout_halts(self):
         img = np.arange(16, dtype=np.float64)
         b_in = VersionedBuffer("in")

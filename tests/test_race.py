@@ -3,10 +3,11 @@
 A deferred metric whose reference is the run's precise terminal value
 offers it as ``precise`` once it is in; a run that has not finished by
 itself then ends on it, as its final version, one past the ladder's
-newest.  The server-side tests drive the reference with a test
-``Future``; the worker-side ones check the registry's reference
-contract and the ``check``-mode digest comparison that makes the race
-sound.
+newest.  A request that only the reference can answer (no deadline,
+no trace sink, no stream) holds its run in the queue until it is in.
+The server-side tests drive the reference with a test ``Future``;
+the worker-side ones check the registry's reference contract and the
+``check``-mode digest comparison that makes the race sound.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from repro.apps.registry import APP_REGISTRY, get_app
 from repro.core.automaton import AnytimeAutomaton
 from repro.core.buffer import VersionedBuffer
 from repro.core.iterative import AccuracyLevel, IterativeStage
+from repro.core.tracing import InMemorySink
 from repro.serve import SLO, AnytimeServer, SessionState
 from repro.serve.fleet import (_ScoreLater, recv_msg, send_msg,
                                value_digest, worker_main)
@@ -76,6 +78,11 @@ class RaceMetric:
         return float(value)
 
 
+#: a deadline far off: the request can take a ladder version, so its
+#: run is launched and races its reference rather than wait for it
+LADDER = SLO(deadline_s=60.0)
+
+
 def wait_for_version(session, version, timeout_s=10.0):
     deadline = time.monotonic() + timeout_s
     while session.snapshot().version < version:
@@ -88,7 +95,8 @@ class TestServerRace:
         metric = RaceMetric()
         # a long tick: only the reference's callback can answer soon
         with AnytimeServer(slots=1, tick_s=0.5) as server:
-            session = server.submit(staircase, metric=metric, key="k")
+            session = server.submit(staircase, LADDER, metric=metric,
+                                    key="k")
             wait_for_version(session, 3)
             arrived = time.monotonic()
             metric.arrive()
@@ -158,7 +166,8 @@ class TestServerRace:
     def test_race_answer_is_memoised(self):
         metric = RaceMetric()
         with AnytimeServer(slots=1, memo_ttl_s=60.0) as server:
-            first = server.submit(staircase, metric=metric, key="k")
+            first = server.submit(staircase, LADDER, metric=metric,
+                                  key="k")
             wait_for_version(first, 1)
             metric.arrive()
             answer = first.result(timeout_s=10.0)
@@ -171,7 +180,8 @@ class TestServerRace:
     def test_stream_ends_on_the_race_answer_at_a_higher_version(self):
         metric = RaceMetric()
         with AnytimeServer(slots=1) as server:
-            session = server.submit(staircase, metric=metric, key="k")
+            session = server.submit(staircase, LADDER, metric=metric,
+                                    key="k")
             wait_for_version(session, 2)
             threading.Timer(0.05, metric.arrive).start()
             seen = list(session.stream(timeout_s=10.0))
@@ -182,9 +192,10 @@ class TestServerRace:
 
     def test_references_from_many_threads_end_each_request_once(self):
         """References land from more threads than cores, with a short
-        switch interval, while short ladders finish by themselves: each
-        request ends once, on its run's one final, and each run ends
-        once, on its reference or on its own final."""
+        switch interval, while short ladders finish by themselves (every
+        other key; the rest are held for their reference): each request
+        ends once, on its run's one final, and each run ends once, on
+        its reference or on its own final."""
         import random
         import sys
 
@@ -198,6 +209,7 @@ class TestServerRace:
                 sessions = [
                     server.submit(lambda: staircase(levels=30,
                                                     sleep_s=0.001),
+                                  LADDER if i % 2 else None,
                                   metric=metric, key=f"k{i}")
                     for i, metric in enumerate(metrics)
                     for _ in range(2)]
@@ -225,7 +237,7 @@ class TestServerRace:
             self):
         metric = RaceMetric()
         with AnytimeServer(slots=1, quantum_s=0.02) as server:
-            done = server.submit(lambda: staircase(levels=2),
+            done = server.submit(lambda: staircase(levels=2), LADDER,
                                  metric=metric, key="k")
             other = server.submit(staircase)
             wait_for_version(other, 10)
@@ -242,7 +254,7 @@ class TestServerRace:
         metric = RaceMetric()
         with AnytimeServer(slots=1, quantum_s=0.02,
                            resume_dir=str(tmp_path)) as server:
-            done = server.submit(lambda: staircase(levels=2),
+            done = server.submit(lambda: staircase(levels=2), LADDER,
                                  metric=metric, key="k")
             other = server.submit(staircase)
             wait_for_version(other, 10)
@@ -263,7 +275,7 @@ class TestServerRace:
     def test_a_finished_ladder_answers_with_its_own_final(self):
         metric = RaceMetric()
         with AnytimeServer(slots=1) as server:
-            session = server.submit(lambda: staircase(levels=3),
+            session = server.submit(lambda: staircase(levels=3), LADDER,
                                     metric=metric, key="k")
             wait_for_version(session, 3)
             time.sleep(0.05)       # finished by itself, still unscored
@@ -273,6 +285,137 @@ class TestServerRace:
         assert result.snapshot.final and result.snapshot.version == 3
         assert not result.run_result.stopped_early
         assert stats["precise_wins"] == 0
+
+
+class TestHeldRun:
+    """A request that only its precise reference can answer waits for
+    it: with no deadline, a racing metric that is not ready, no trace
+    sink and no stream, no ladder version can leave before the
+    reference, and once it is in it is the answer.  Its run stays
+    queued and is never launched."""
+
+    def test_the_reference_answers_at_version_1_without_a_launch(self):
+        metric = RaceMetric()
+        built = []
+
+        def builder():
+            built.append(1)
+            return staircase()
+
+        with AnytimeServer(slots=1) as server:
+            session = server.submit(builder, metric=metric, key="k")
+            time.sleep(0.1)     # many ticks, and a free slot
+            assert session.state is SessionState.QUEUED
+            assert server.stats()["queued"] == 1
+            metric.arrive()
+            result = session.result(timeout_s=10.0)
+            stats = server.stats()
+        assert built == []
+        assert stats["admitted"] == 0 and stats["precise_wins"] == 1
+        assert result.state is SessionState.COMPLETED and result.slo_met
+        assert result.snapshot.final and result.snapshot.version == 1
+        assert value_digest(result.snapshot.value) \
+            == value_digest(metric.precise)
+        assert result.run_result is None and not result.interrupted
+
+    @pytest.mark.parametrize("joiner", [{"slo": LADDER},
+                                        {"trace": InMemorySink()}],
+                             ids=["deadline", "trace"])
+    def test_a_subscriber_that_reads_the_ladder_launches_the_run(
+            self, joiner):
+        metric = RaceMetric()
+        with AnytimeServer(slots=1) as server:
+            held = server.submit(staircase, metric=metric, key="k")
+            time.sleep(0.05)
+            assert server.stats()["admitted"] == 0
+            joined = server.submit(staircase, metric=metric, key="k",
+                                   **joiner)
+            wait_for_version(held, 2)
+            metric.arrive()
+            results = [s.result(timeout_s=10.0) for s in (held, joined)]
+            stats = server.stats()
+        assert stats["admitted"] == 1 and stats["coalesced"] == 1
+        assert stats["precise_wins"] == 1
+        assert results[0].snapshot is results[1].snapshot
+        assert results[0].snapshot.final \
+            and results[0].snapshot.version > 2
+
+    def test_a_leading_trace_sink_launches_the_run(self):
+        metric = RaceMetric()
+        sink = InMemorySink()
+        with AnytimeServer(slots=1) as server:
+            held = server.submit(staircase, metric=metric, key="held")
+            traced = server.submit(staircase, metric=metric, key="traced",
+                                   trace=sink)
+            wait_for_version(traced, 2)
+            assert held.state is SessionState.QUEUED
+            metric.arrive()
+            results = [s.result(timeout_s=10.0) for s in (held, traced)]
+            stats = server.stats()
+        assert stats["admitted"] == 1 and stats["precise_wins"] == 2
+        assert results[0].snapshot.version == 1
+        assert results[1].snapshot.final and results[1].snapshot.version > 2
+        assert sink.for_kind("stage.start")
+
+    def test_a_stream_launches_the_run(self):
+        metric = RaceMetric()
+        with AnytimeServer(slots=1) as server:
+            session = server.submit(staircase, metric=metric, key="k")
+            time.sleep(0.05)
+            assert server.stats()["admitted"] == 0
+            stream = session.stream(timeout_s=10.0)
+            first = next(stream)      # a ladder version: launched
+            metric.arrive()
+            seen = [first, *stream]
+            stats = server.stats()
+        assert stats["admitted"] == 1 and stats["precise_wins"] == 1
+        assert not first.final and seen[-1].final
+        assert seen[-1].value == LEVELS
+
+    def test_only_a_racing_metric_holds(self):
+        """dwt53's reference is its input, ready at once and never
+        ``precise``: its ladder runs as before.  2dconv's, held back on
+        the calibrate thread, keeps its run queued until it is in."""
+        gate = threading.Event()
+        apps = {name: get_app(name) for name in ("dwt53", "2dconv")}
+        images = {name: spec.make_input(24, 0)
+                  for name, spec in apps.items()}
+        with ThreadPoolExecutor(1) as calibrator, \
+                AnytimeServer(slots=2) as server:
+            calibrator.submit(gate.wait, 30.0)
+            sessions = {
+                name: server.submit(
+                    lambda spec=spec, image=images[name]:
+                    spec.build(image),
+                    metric=_ScoreLater(spec, images[name], calibrator),
+                    key=name)
+                for name, spec in apps.items()}
+            dwt53 = sessions["dwt53"].result(timeout_s=30.0)
+            assert sessions["2dconv"].state is SessionState.QUEUED
+            assert server.stats()["admitted"] == 1
+            gate.set()
+            conv = sessions["2dconv"].result(timeout_s=30.0)
+            stats = server.stats()
+        assert dwt53.state is SessionState.COMPLETED
+        assert dwt53.snapshot.final and dwt53.snapshot.version > 1
+        assert conv.snapshot.final and conv.snapshot.version == 1
+        assert stats["admitted"] == 1 and stats["precise_wins"] == 1
+
+    def test_cancel_ends_a_held_request_at_once(self):
+        """A held run publishes no versions to wake the scheduler: the
+        cancel itself does, well inside the tick and a ladder step."""
+        metric = RaceMetric()
+        with AnytimeServer(slots=1, tick_s=0.5) as server:
+            session = server.submit(lambda: staircase(sleep_s=0.3),
+                                    metric=metric, key="k")
+            time.sleep(0.1)
+            cancelled = time.monotonic()
+            session.cancel()
+            assert session.wait(timeout_s=5.0)
+            waited = time.monotonic() - cancelled
+            metric.arrive()
+        assert session.result().state is SessionState.CANCELLED
+        assert waited < 0.05
 
 
 # -- the reference contract ----------------------------------------------
@@ -340,6 +483,26 @@ def late_reference(monkeypatch):
             spec, name=app, reference=reference))
 
     return register
+
+
+def test_a_worker_answers_target_requests_with_their_references():
+    """256² 2dconv requests with a target and no deadline, sent back to
+    back so that later references queue on the calibrate thread: each
+    leaves on its reference, the first and only version, scored
+    exactly."""
+    seeds = range(4)
+    with inproc_worker({}) as sock:
+        for seed in seeds:
+            send_msg(sock, {"op": "submit", "rid": seed, "app": "2dconv",
+                            "size": 256, "seed": seed,
+                            "slo": {"target_db": 20.0}})
+        frames = [recv_msg(sock) for _ in range(2 * len(seeds))]
+    dones = [f for f in frames if f["op"] == "done"]
+    assert sorted(f["rid"] for f in dones) == list(seeds), frames
+    for done in dones:
+        assert done["state"] == "completed" and done["slo_met"]
+        assert done["version"] == 1 and done["final"]
+        assert done["precise_snr"]
 
 
 def test_check_mode_counts_a_wrong_reference_as_a_violation(
