@@ -91,14 +91,59 @@ def dwt53_forward(image: np.ndarray, levels: int = 1) -> np.ndarray:
 
 def dwt53_inverse(coeffs: np.ndarray, levels: int = 1) -> np.ndarray:
     """Exact inverse of :func:`dwt53_forward`."""
-    coeffs = np.asarray(coeffs, dtype=np.int64).copy()
-    hs = [coeffs.shape[0] >> k for k in range(levels)]
-    ws = [coeffs.shape[1] >> k for k in range(levels)]
-    for h, w in zip(reversed(hs), reversed(ws)):
-        sub = coeffs[:h, :w]
-        sub[:] = idwt53_rows(sub.T).T
-        sub[:] = idwt53_rows(sub)
-    return coeffs
+    return _inverse(coeffs, levels).astype(np.int64, copy=False)
+
+
+def _inverse(coeffs: np.ndarray, levels: int) -> np.ndarray:
+    """The inverse transform, in int32 where :func:`_int32_exact` proves
+    that no sum overflows it (any image's coefficients), else in int64.
+    Both passes lift along axis 0 of a view, the row pass on the
+    transposed view, so no line is copied or concatenated."""
+    coeffs = np.asarray(coeffs)
+    dtype = np.int32 if _int32_exact(coeffs, levels) else np.int64
+    work = coeffs.astype(dtype)
+    scratch = np.empty_like(work)
+    for k in reversed(range(levels)):
+        h, w = coeffs.shape[0] >> k, coeffs.shape[1] >> k
+        if h % 2 or w % 2:
+            raise ValueError(f"idwt53 needs even extents, got {h}x{w}")
+        _ilift(work[:h, :w], scratch[:h, :w])
+        _ilift(scratch[:h, :w].T, work[:h, :w].T)
+    return work
+
+
+def _int32_exact(coeffs: np.ndarray, levels: int) -> bool:
+    """Whether every value the inverse forms fits int32.  A pass forms
+    sums of two values and then values at most ``3m + 4`` from inputs
+    of magnitude ``m``, so ``4m + 8`` bounds a pass's every sum and
+    output; the inverse runs two passes a level."""
+    if coeffs.size == 0:
+        return True
+    bound = max(int(coeffs.max()), -int(coeffs.min()))
+    for _ in range(2 * levels):
+        bound = 4 * bound + 8
+    return bound <= np.iinfo(np.int32).max
+
+
+def _ilift(c: np.ndarray, out: np.ndarray) -> None:
+    """One inverse lifting pass along axis 0 of ``c`` into ``out``, a
+    distinct array of its shape and dtype: :func:`idwt53_rows` along
+    the first axis, written into the even and odd lines in place."""
+    half = c.shape[0] // 2
+    s, d = c[:half], c[half:]
+    even, odd = out[0::2], out[1::2]
+    # even[i] = s[i] - floor((d[i-1] + d[i] + 2) / 4), d[-1] := d[0]
+    np.add(d[:-1], d[1:], out=even[1:])
+    np.add(d[0], d[0], out=even[0])
+    even += 2
+    even >>= 2
+    np.subtract(s, even, out=even)
+    # odd[i] = d[i] + floor((even[i] + even[i+1]) / 2),
+    # even[half] := even[half-1]
+    np.add(even[:-1], even[1:], out=odd[:-1])
+    np.add(even[-1], even[-1], out=odd[-1])
+    odd >>= 1
+    odd += d
 
 
 def _perforate_lines(data: np.ndarray, stride: int) -> np.ndarray:
@@ -222,8 +267,7 @@ def build_dwt53_automaton(image: np.ndarray,
 
 def reconstruct(coeffs: np.ndarray, levels: int = 1) -> np.ndarray:
     """Invert a coefficient version back to pixel space (clipped u8)."""
-    return np.clip(dwt53_inverse(coeffs, levels=levels),
-                   0, 255).astype(np.uint8)
+    return np.clip(_inverse(coeffs, levels), 0, 255).astype(np.uint8)
 
 
 def reconstruction_metric(levels: int = 1):

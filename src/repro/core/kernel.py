@@ -34,6 +34,7 @@ from ..hw.energy import EnergyMeter
 from .controller import StopCondition
 from .faults import FaultInjector, FaultPolicy, StageReport, resolve_policy
 from .graph import AutomatonGraph
+from .memory import keep_freed_pages
 from .recording import Timeline, WriteRecord
 from .channel import ChannelClosed
 from .stage import (CHANNEL_END, CloseChannel, Compute, Emit, PollInputs,
@@ -245,6 +246,7 @@ class Kernel:
                  injector: FaultInjector | None, strict: bool,
                  trace: TraceSink | None, trace_metric: Any,
                  trace_reference: Any, resume: Any) -> None:
+        keep_freed_pages()
         self.graph = graph
         self.stop = stop
         if watch is None:

@@ -43,13 +43,14 @@ offers the precise value first: the precise kernel, computed beside
 the run to score it, races the ladder, and a run that has not
 finished by itself answers with that value as its final version
 (``precise_wins``).  The ladder can only answer first for a
-subscriber that takes an unscored version: one with a deadline, a
-per-request trace sink or a stream.  A queued run with none of these
-is *held* (:attr:`~repro.serve.session._Run.held`): it stays queued,
-is not launched, and its reference answers it at version 1, so the
-reference does not share the process with a ladder that cannot answer
-first.  A subscriber that brings one of them, or a metric that turns
-out not to race, makes the run launchable.  The tick then fills free
+subscriber that takes an unscored version: one with a deadline or a
+stream, or a lead with a per-request trace sink (the run traces to its
+lead's sink alone).  A queued run with none of these is *held*
+(:attr:`~repro.serve.session._Run.held`): it stays queued, is not
+launched, and its reference answers it at version 1, so the reference
+does not share the process with a ladder that cannot answer first.  A
+subscriber that joins with a deadline or streams, or a metric that
+turns out not to race, makes the run launchable.  The tick then fills free
 slots from the ready pool (queued runs that are not held, and
 preempted ones; policy-ranked, with a starvation guard) and preempts
 past-quantum runners when ready work would gain more.  Admission applies
@@ -316,11 +317,11 @@ class AnytimeServer:
         run that has not finished by itself when its lead's metric
         offers it ends at once on it (see :meth:`_race`).  A request
         whose metric has a ``precise`` attribute and is not ready yet,
-        that has no deadline and no ``trace`` and is not streamed, can
-        only be answered by that value: its run is held in the queue,
-        not launched, until the reference ends it or a subscriber
-        that can take a ladder version joins (see
-        :attr:`~repro.serve.session._Run.held`).
+        that has no deadline and is not streamed, can only be answered
+        by that value, unless it leads its run with a ``trace``: the
+        run is held in the queue, not launched, until the reference
+        ends it or a subscriber that can take a ladder version joins
+        (see :attr:`~repro.serve.session._Run.held`).
         ``wait_s`` is the backpressure budget: how long to block while
         the admission queue is full before giving up; on a still-full
         queue the request is returned in the terminal ``SHED`` state.

@@ -259,13 +259,14 @@ class Session:
     def holds_for_reference(self) -> bool:
         """True while nothing but the precise reference can answer this
         request: it has no deadline, its deferred metric races (offers
-        ``precise``) and is not ready yet, and nobody reads the ladder —
-        no per-request trace sink, no :meth:`stream`.  Until the
-        reference is in, no version can be scored nor a finished
-        ladder leave, and once it is in it is the answer; a ladder run
-        meanwhile would only share the process with the reference."""
-        return (self._deadline_at is None and self.trace is None
-                and not self._streaming
+        ``precise``) and is not ready yet, and it does not read the
+        ladder through :meth:`stream`.  Until the reference is in, no
+        version can be scored nor a finished ladder leave, and once it
+        is in it is the answer; a ladder run meanwhile would only share
+        the process with the reference.  A per-request trace sink reads
+        the ladder too, but only the lead's sees its run
+        (:attr:`_Run.held`)."""
+        return (self._deadline_at is None and not self._streaming
                 and hasattr(self.metric, "precise")
                 and not self.metric_ready())
 
@@ -356,9 +357,12 @@ class _Run:
     def held(self) -> bool:
         """Queued for its precise reference alone: no subscriber can
         take an answer from the ladder before the reference is in
-        (:meth:`Session.holds_for_reference`), so the run is not
-        launched, and the reference ends it."""
-        return all(s.holds_for_reference() for s in self.subscribers)
+        (:meth:`Session.holds_for_reference`), and the lead has no
+        trace sink to record the ladder (the run traces to the lead's
+        sink only, so a joiner's sink does not launch it).  The run is
+        not launched, and the reference ends it."""
+        return (self.lead.trace is None
+                and all(s.holds_for_reference() for s in self.subscribers))
 
     @property
     def finished(self) -> bool:

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.apps.dwt53 import (build_dwt53_automaton, dwt53_forward,
-                              dwt53_inverse, dwt53_perforated,
-                              dwt53_rows, idwt53_rows, reconstruct,
-                              reconstruction_metric)
+from repro.apps.dwt53 import (_int32_exact, build_dwt53_automaton,
+                              dwt53_forward, dwt53_inverse,
+                              dwt53_perforated, dwt53_rows, idwt53_rows,
+                              reconstruct, reconstruction_metric)
+from repro.apps.registry import get_app
 from repro.metrics.snr import snr_db
 
 
@@ -125,3 +126,63 @@ class TestAutomaton:
         assert math.isinf(metric(coeffs, small_image))
         approx = dwt53_perforated(small_image, 4)
         assert metric(approx, small_image) < math.inf
+
+
+def _transposing_inverse(coeffs, levels):
+    """The inverse as it was first written, each column pass a transposed
+    round trip through :func:`idwt53_rows`: the reference the lifting
+    in place must equal."""
+    coeffs = np.asarray(coeffs, dtype=np.int64).copy()
+    hs = [coeffs.shape[0] >> k for k in range(levels)]
+    ws = [coeffs.shape[1] >> k for k in range(levels)]
+    for h, w in zip(reversed(hs), reversed(ws)):
+        sub = coeffs[:h, :w]
+        sub[:] = idwt53_rows(sub.T).T
+        sub[:] = idwt53_rows(sub)
+    return coeffs
+
+
+class TestInverseInPlace:
+    """The scorer's inverse lifts along axis 0 of views, in int32 where
+    a range check proves it exact: it must equal the transposing
+    inverse bit for bit."""
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_ladder_version(self, seed, levels):
+        image = get_app("dwt53").make_input(64, seed)
+        auto = build_dwt53_automaton(image, levels=levels)
+        records = auto.run_simulated(total_cores=8.0) \
+            .output_records("coeffs")
+        assert len(records) > 3
+        for record in records:
+            coeffs = record.value
+            assert coeffs.dtype == np.int64
+            expected = _transposing_inverse(coeffs, levels)
+            inverse = dwt53_inverse(coeffs, levels=levels)
+            assert inverse.dtype == np.int64
+            assert np.array_equal(inverse, expected)
+            assert np.array_equal(
+                reconstruct(coeffs, levels=levels),
+                np.clip(expected, 0, 255).astype(np.uint8))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_large_coefficients_take_the_int64_path(self, levels):
+        rng = np.random.default_rng(levels)
+        for magnitude in (2 ** 28, 2 ** 40, 2 ** 58):
+            coeffs = rng.integers(-magnitude, magnitude, size=(32, 48))
+            assert not _int32_exact(coeffs, levels)
+            assert np.array_equal(dwt53_inverse(coeffs, levels=levels),
+                                  _transposing_inverse(coeffs, levels))
+        # int32's own edge: the largest coefficient it still takes
+        # overflows nothing
+        edge = 2 ** 31 // 4 ** (2 * levels) - 64
+        coeffs = rng.integers(-edge, edge, size=(32, 48))
+        coeffs[0, 0], coeffs[-1, -1] = edge, -edge
+        assert _int32_exact(coeffs, levels)
+        assert np.array_equal(dwt53_inverse(coeffs, levels=levels),
+                              _transposing_inverse(coeffs, levels))
+
+    def test_rejects_odd_extent(self):
+        with pytest.raises(ValueError, match="even"):
+            dwt53_inverse(np.zeros((12, 10), dtype=np.int64), levels=2)

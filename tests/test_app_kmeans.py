@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.apps.kmeans import (assign_pixels, build_kmeans_automaton,
+from repro.apps.kmeans import (_luma_bands, assign_pixels,
+                               build_kmeans_automaton,
                                clustered_image_metric, initial_centroids,
                                kmeans_precise)
 from repro.core.scheduling import final_stage_shares
@@ -25,6 +26,36 @@ class TestInitialCentroids:
     def test_rejects_bad_k(self, small_rgb):
         with pytest.raises(ValueError):
             initial_centroids(small_rgb, 0)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 256])
+    @pytest.mark.parametrize("k", [1, 5, 6, 13])
+    def test_bands_are_the_stable_rank_split(self, levels, k):
+        """The sorted border lumas give the bands the partitioned ones
+        did, and both are the stable luma ranking split as
+        ``np.array_split`` splits it — on inputs made of few distinct
+        lumas, so nearly every border falls inside a run of ties."""
+        rng = np.random.default_rng(levels * 100 + k)
+        for n in (k, 97, 4096):
+            luma = rng.integers(0, levels, n).astype(np.float64) * 0.587
+            partitioned = np.zeros(n, dtype=np.intp)
+            sizes = np.full(k, n // k)
+            sizes[:n % k] += 1
+            borders = np.cumsum(sizes)[:-1]
+            borders = borders[borders < n]
+            for border, value in zip(borders,
+                                     np.partition(luma, borders)[borders]):
+                past = luma > value
+                tied = np.flatnonzero(luma == value)
+                below = n - tied.size - np.count_nonzero(past)
+                past[tied[border - below:]] = True
+                partitioned += past
+            ranked = np.empty(n, dtype=np.intp)
+            order = np.argsort(luma, kind="stable")
+            for band, part in enumerate(np.array_split(order, k)):
+                ranked[part] = band
+            bands = _luma_bands(luma, k)
+            assert np.array_equal(bands, partitioned)
+            assert np.array_equal(bands, ranked)
 
 
 class TestAssign:

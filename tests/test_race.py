@@ -318,9 +318,8 @@ class TestHeldRun:
             == value_digest(metric.precise)
         assert result.run_result is None and not result.interrupted
 
-    @pytest.mark.parametrize("joiner", [{"slo": LADDER},
-                                        {"trace": InMemorySink()}],
-                             ids=["deadline", "trace"])
+    @pytest.mark.parametrize("joiner", [{"slo": LADDER}],
+                             ids=["deadline"])
     def test_a_subscriber_that_reads_the_ladder_launches_the_run(
             self, joiner):
         metric = RaceMetric()
@@ -339,6 +338,32 @@ class TestHeldRun:
         assert results[0].snapshot is results[1].snapshot
         assert results[0].snapshot.final \
             and results[0].snapshot.version > 2
+
+    def test_a_joining_trace_sink_leaves_the_run_held(self):
+        """A run traces to its lead's sink only: a joiner's sink would
+        see nothing of a ladder it launched, so it launches none, and
+        the reference answers both requests."""
+        metric = RaceMetric()
+        sink = InMemorySink()
+        with AnytimeServer(slots=1) as server:
+            held = server.submit(staircase, metric=metric, key="k")
+            time.sleep(0.05)
+            joined = server.submit(staircase, metric=metric, key="k",
+                                   trace=sink)
+            time.sleep(0.1)     # many ticks, and a free slot
+            assert server.stats()["admitted"] == 0
+            assert joined.state is SessionState.QUEUED
+            metric.arrive()
+            results = [s.result(timeout_s=10.0) for s in (held, joined)]
+            stats = server.stats()
+        assert stats["admitted"] == 0 and stats["coalesced"] == 1
+        assert stats["precise_wins"] == 1
+        for result in results:
+            assert result.state is SessionState.COMPLETED
+            assert result.snapshot.final and result.snapshot.version == 1
+            assert value_digest(result.snapshot.value) \
+                == value_digest(metric.precise)
+        assert not sink.for_kind("stage.start")
 
     def test_a_leading_trace_sink_launches_the_run(self):
         metric = RaceMetric()
