@@ -33,11 +33,11 @@ uphold those guarantees on the same automaton:
     executor B, and requires the continuation to be indistinguishable
     from a never-interrupted run.
 :mod:`repro.check.fleetdiff`
-    A transport differential for the serving fleet: the same
-    duplicate-heavy workload on AF_UNIX and TCP fleets must seal
-    bit-identical finals, and a SIGKILLed TCP worker's runs must
-    migrate in-band and still finish bit-exact with zero invariant
-    violations (``repro check --fleet``).
+    A differential for the serving fleet: a duplicate-heavy workload
+    on a TCP fleet must seal finals bit-identical to the in-process
+    reference, and a SIGKILLed worker's runs must migrate in-band and
+    still finish bit-exact with zero invariant violations
+    (``repro check --fleet``).
 :mod:`repro.check.fuzz`
     Property-based fuzzing of random automata (iterative / diffusive /
     synchronous mixes, every sampling permutation, fault-injection

@@ -1,22 +1,21 @@
-"""Transport-differential conformance for the serving fleet.
+"""Differential conformance for the serving fleet.
 
-The anytime guarantee must be transport-invariant: the *same*
-duplicate-heavy workload served by an AF_UNIX (fork) fleet and by a
-TCP fleet must seal bit-identical finals per request key, and killing
-a TCP worker mid-run must end in a bit-exact final after the in-band
+A duplicate-heavy workload served by a TCP fleet must seal finals
+bit-identical to the precise reference computed in-process, and killing
+a worker mid-run must end in a bit-exact final after the in-band
 checkpoint migration — with zero invariant violations from a
 :class:`~repro.check.invariants.Checker` attached to every worker-side
 run (``check=True`` worker config) and none either when answers come
 from the router's fleet-wide memo.
 
-Three legs (:func:`run_fleet_differential`, ``repro check --fleet``):
+Two legs (:func:`run_fleet_differential`, ``repro check --fleet``):
 
-``unix`` / ``tcp``
-    The same duplicate-heavy spec list on a 2-worker fork fleet and a
-    2-worker localhost TCP fleet.  Per-key ``value_digest`` sets must
-    be singletons, equal across transports, and equal to the precise
-    reference digest computed in-process.  Both legs must report
-    memo/coalesce sharing (the duplicates) and zero violations.
+``tcp``
+    A duplicate-heavy spec list on a 2-worker localhost TCP fleet.
+    Per-key ``value_digest`` sets must be singletons and equal to the
+    precise reference digest computed in-process.  The leg reports
+    memo/coalesce sharing (the duplicates) and must have zero
+    violations.
 
 ``migration``
     A 3-worker TCP fleet with per-worker ``resume_dir``s; one worker
@@ -86,7 +85,7 @@ def held_reference(app: str, flag: str) -> Iterator[None]:
 
 @dataclass
 class FleetDifferentialReport:
-    """Transport matrix + migration outcome for one duplicate-heavy
+    """Digest and migration outcome for one duplicate-heavy
     workload (see module docstring for the leg contracts)."""
 
     app: str
@@ -112,8 +111,8 @@ class FleetDifferentialReport:
 
 def _reference_digests(app: str, size: int,
                        seeds: list[int]) -> dict[int, str]:
-    """Precise in-process outputs per seed — the transport-independent
-    ground truth every fleet's finals must match bit-exactly."""
+    """Precise in-process outputs per seed — the ground truth every
+    fleet's finals must match bit-exactly."""
     spec = get_app(app)
     return {seed: value_digest(
                 spec.build(spec.make_input(size, seed)).precise_output())
@@ -177,7 +176,7 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
                            timeout_s: float = 240.0,
                            progress: Callable[[str], None]
                            | None = None) -> FleetDifferentialReport:
-    """AF_UNIX vs TCP digest equality plus the kill-one-TCP-worker
+    """TCP fleet digests against the reference plus the kill-one-worker
     in-band migration leg (module docstring has the full contract).
 
     The duplicate-heavy workload is ``distinct`` seeds ×
@@ -201,7 +200,8 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
               "check": True}
     reference = _reference_digests(app, size, seeds)
 
-    def check_digests(leg: str, digests: dict[int, set[str]],
+    def check_digests(leg: str, reference: dict[int, str],
+                      digests: dict[int, set[str]],
                       violations: list[int | None],
                       summary: dict[str, Any]) -> dict[str, Any]:
         for seed, seen in sorted(digests.items()):
@@ -220,6 +220,9 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
                                "counts": bad})
         if not summary.get("drained"):
             mismatches.append({"leg": leg, "kind": "drain-timeout"})
+        elif summary.get("failed"):
+            mismatches.append({"leg": leg, "kind": "failed",
+                               "count": summary["failed"]})
         return {
             "leg": leg,
             "drained": bool(summary.get("drained")),
@@ -233,15 +236,7 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
                         for s, d in sorted(digests.items())},
         }
 
-    # -- leg 1: AF_UNIX fork fleet ---------------------------------------
-    note("leg unix: 2-worker fork fleet")
-    with FleetRouter(workers=2, worker_config=config) as fleet:
-        requests, summary = _run_leg(fleet, specs, slo, timeout_s)
-        digests_unix, violations = _collect(requests)
-    legs.append(check_digests("unix", digests_unix, violations,
-                              summary))
-
-    # -- leg 2: TCP fleet, same workload ---------------------------------
+    # -- leg 1: TCP fleet, duplicate-heavy workload ----------------------
     note("leg tcp: 2-worker localhost TCP fleet")
     procs, endpoints = _tcp_fleet(2, workdir, config, resume=False)
     try:
@@ -251,17 +246,10 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
             digests_tcp, violations = _collect(requests)
     finally:
         _reap(procs)
-    legs.append(check_digests("tcp", digests_tcp, violations, summary))
-    if {s: sorted(d) for s, d in digests_unix.items()} \
-            != {s: sorted(d) for s, d in digests_tcp.items()}:
-        mismatches.append({"leg": "unix-vs-tcp",
-                           "kind": "digest-set-mismatch",
-                           "unix": {str(s): sorted(d) for s, d
-                                    in digests_unix.items()},
-                           "tcp": {str(s): sorted(d) for s, d
-                                   in digests_tcp.items()}})
+    legs.append(check_digests("tcp", reference, digests_tcp, violations,
+                              summary))
 
-    # -- leg 3: kill one TCP worker, require in-band migration -----------
+    # -- leg 2: kill one TCP worker, require in-band migration -----------
     note("leg migration: SIGKILL one TCP worker mid-run")
     mig_seeds = list(range(6))
     mig_specs = [("2dconv", migration_size, seed)
@@ -275,7 +263,6 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
         os.unlink(released)
     with held_reference("2dconv", released):
         procs, endpoints = _tcp_fleet(3, workdir, mig_config, resume=True)
-    leg: dict[str, Any] = {"leg": "migration"}
     try:
         with FleetRouter(endpoints=endpoints, resume_dir=workdir,
                          worker_config=mig_config) as fleet:
@@ -309,35 +296,14 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
             digests_mig, violations = _collect(requests)
     finally:
         _reap(procs)
-    for seed, seen in sorted(digests_mig.items()):
-        expected = mig_reference[seed]
-        if seen != {expected}:
-            mismatches.append({"leg": "migration", "seed": seed,
-                               "kind": "digest-vs-reference",
-                               "digests": sorted(seen),
-                               "reference": expected})
-    bad = [v for v in violations if v not in (0, None)]
-    if bad:
-        mismatches.append({"leg": "migration", "kind": "violations",
-                           "counts": bad})
-    if not summary.get("drained"):
-        mismatches.append({"leg": "migration", "kind": "drain-timeout"})
-    elif summary.get("failed"):
-        mismatches.append({"leg": "migration", "kind": "failed",
-                           "count": summary["failed"]})
+    leg = check_digests("migration", mig_reference, digests_mig,
+                        violations, summary)
     if victim is not None and counters.get("migrated", 0) < 1:
         mismatches.append({"leg": "migration",
                            "kind": "no-in-band-migration",
                            "counters": counters})
-    leg.update({
-        "drained": bool(summary.get("drained")),
-        "completed": summary.get("completed"),
-        "failed": summary.get("failed"),
-        "worker_deaths": counters.get("worker_deaths"),
-        "migrated": counters.get("migrated"),
-        "violations_checked": sum(1 for v in violations
-                                  if v is not None),
-    })
+    leg.update(worker_deaths=counters.get("worker_deaths"),
+               migrated=counters.get("migrated"))
     legs.append(leg)
 
     return FleetDifferentialReport(

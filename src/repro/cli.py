@@ -320,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "files here for post-mortem (default: a "
                             "temporary directory)")
     check.add_argument("--fleet", action="store_true",
-                       help="transport differential: the same "
-                            "duplicate-heavy workload on AF_UNIX and "
-                            "TCP fleets must seal identical digests, "
-                            "and a SIGKILLed TCP worker's runs must "
-                            "migrate in-band and finish bit-exact")
+                       help="fleet differential: a duplicate-heavy "
+                            "workload on a TCP fleet must seal the "
+                            "reference's digests, and a SIGKILLed "
+                            "worker's runs must migrate in-band and "
+                            "finish bit-exact")
 
     ckpt = sub.add_parser(
         "ckpt", help="checkpoint utilities (inspect saved runs)")
@@ -898,8 +898,8 @@ def _cmd_check_fleet(args: argparse.Namespace) -> int:
         print(f"error: unknown app {app!r}; known: "
               f"{sorted(APP_REGISTRY)}", file=sys.stderr)
         return 2
-    print(f"{app}: fleet transport differential "
-          f"(AF_UNIX vs TCP + kill-one-worker migration)")
+    print(f"{app}: fleet differential "
+          f"(TCP fleet + kill-one-worker migration)")
     report = run_fleet_differential(
         app=app, size=args.size, workdir=args.workdir,
         timeout_s=args.timeout_s, progress=print)

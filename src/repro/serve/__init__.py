@@ -34,8 +34,9 @@ single shared run::
         fleet.drain(timeout_s=60.0)
         print(summarize_fleet(requests))
 
-Cross-host: the same router rides TCP instead of fork+socketpair —
-launch workers with ``repro serve-worker --listen host:port`` and pass
+Every worker is a TCP listener; by default the router forks its own on
+localhost.  Cross-host: launch workers with ``repro serve-worker
+--listen host:port`` and pass
 ``FleetRouter(endpoints=["hostA:9701", "hostB:9701"])`` (see
 :mod:`repro.serve.transport`).  External clients connect through the
 asyncio front end (:mod:`repro.serve.aiofront`, imported lazily —
@@ -49,8 +50,8 @@ from .digest import input_digest, request_key
 from .fleet import (FrameError, MAX_FRAME, spec_key, value_digest,
                     worker_main)
 from .router import FleetRequest, FleetRouter, summarize_fleet
-from .transport import (ForkTransport, TcpTransport, parse_endpoint,
-                        serve_worker_listener, spawn_local_tcp_worker)
+from .transport import (parse_endpoint, serve_worker_listener,
+                        spawn_local_tcp_worker)
 from .scheduler import FairSharePolicy, MarginalGainPolicy, ServePolicy
 from .server import AnytimeServer, shutdown_all_servers
 from .session import ServeResult, Session, SessionState
@@ -66,6 +67,5 @@ __all__ = [
     "input_digest", "request_key", "spec_key", "value_digest",
     "percentile", "run_open_loop", "summarize",
     "FrameError", "MAX_FRAME", "worker_main",
-    "ForkTransport", "TcpTransport", "parse_endpoint",
-    "serve_worker_listener", "spawn_local_tcp_worker",
+    "parse_endpoint", "serve_worker_listener", "spawn_local_tcp_worker",
 ]

@@ -2,15 +2,14 @@
 
 A serving fleet is a front-end :class:`~repro.serve.router.FleetRouter`
 plus N workers.  Each worker runs one
-:class:`~repro.serve.server.AnytimeServer` behind a stdlib socket —
-either a forked process on an ``AF_UNIX`` socketpair or a remote
-process reached over TCP (:mod:`repro.serve.transport`) — speaking a
-length-prefixed JSON protocol (4-byte big-endian length + UTF-8 JSON
-object).  Requests are *declarative* — ``(app, size, seed, SLO)`` —
-never closures, so the router can re-dispatch one verbatim to a
-different worker when its home worker dies: building the automaton
-from the spec is idempotent and the anytime model makes any re-run's
-sealed versions equally valid answers.
+:class:`~repro.serve.server.AnytimeServer` behind a TCP socket — forked
+by the router or launched elsewhere (:mod:`repro.serve.transport`) —
+and serves it from one asyncio loop, speaking a length-prefixed JSON
+protocol (4-byte big-endian length + UTF-8 JSON object).  Requests are
+*declarative* — ``(app, size, seed, SLO)`` — never closures, so the
+router can re-dispatch one verbatim to a different worker when its home
+worker dies: building the automaton from the spec is idempotent and the
+anytime model makes any re-run's sealed versions equally valid answers.
 
 Worker-bound ops: ``submit`` ``stats`` ``shutdown``.  A ``submit``
 that migrates a suspended run carries the run's checkpoint payload
@@ -18,9 +17,9 @@ inline as its ``resume`` object — a reply log of names and numbers
 (:mod:`repro.ckpt`), so migration never assumes a shared filesystem and
 the worker decodes nothing executable.
 Router-bound ops: ``ack`` (admission outcome + queue depth, the
-backpressure signal), ``done`` (terminal result, sent by the worker's
-completion pump), ``stats`` (reply), ``error`` (structured protocol
-violation report), ``bye``.
+backpressure signal), ``done`` (terminal result, handed to the worker's
+loop by the session's done callback), ``stats`` (reply), ``error``
+(structured protocol violation report), ``bye``.
 
 A worker makes a new spec's input, admits the run and acks it, then
 computes the precise reference on its calibrate thread while the run
@@ -46,10 +45,8 @@ import hashlib
 import json
 import math
 import operator
-import queue
 import socket
 import struct
-import threading
 from collections import OrderedDict
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any
@@ -112,11 +109,9 @@ def pack_msg(obj: dict[str, Any]) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-def send_msg(sock: socket.socket, obj: dict[str, Any],
-             lock: threading.Lock | None = None) -> None:
-    """Send one length-prefixed JSON message (atomic under ``lock``)."""
-    with lock or contextlib.nullcontext():
-        sock.sendall(pack_msg(obj))
+def send_msg(sock: socket.socket, obj: dict[str, Any]) -> None:
+    """Send one length-prefixed JSON message."""
+    sock.sendall(pack_msg(obj))
 
 
 def _frame_length(header: bytes, max_frame: int) -> int:
@@ -446,17 +441,18 @@ def worker_main(sock: socket.socket,
                 config: dict[str, Any] | None = None) -> None:
     """Run one fleet worker until its socket closes.
 
-    The reader loop (this thread) admits first and scores later: a new
-    spec's input is made once, the request keyed by :func:`spec_key`,
-    submitted and acked — and only then does the one-thread calibrate
-    executor compute the precise reference the answer is scored against
-    (FIFO, one spec at a time), while the run already produces
-    versions.  A reference that comes in first is the answer; in
-    ``check`` mode a ladder's own final must equal it bit for bit.  The
-    completion pump thread sends each ``done`` the moment its session
-    turns terminal (a ``Session`` done callback feeds its queue), so
-    neither a slow run nor a slow reference blocks admission of the next
-    request.
+    One asyncio loop on the calling thread reads every frame and writes
+    every reply.  It admits first and scores later: a new spec's input
+    is made once, the request keyed by :func:`spec_key`, submitted and
+    acked — and only then does the one-thread calibrate executor
+    compute the precise reference the answer is scored against (FIFO,
+    one spec at a time), while the run already produces versions.  A
+    reference that comes in first is the answer; in ``check`` mode a
+    ladder's own final must equal it bit for bit.  Each ``Session``
+    done callback, on whichever thread turned the session terminal,
+    hands its ``done`` to the loop (``call_soon_threadsafe``), so
+    neither a slow run nor a slow reference blocks admission of the
+    next request.
     """
     from ..apps.registry import get_app
     from ..ckpt import check_payload
@@ -470,8 +466,6 @@ def worker_main(sock: socket.socket,
         tick_s=float(cfg["tick_s"]), coalesce=bool(cfg["coalesce"]),
         memo_ttl_s=float(cfg["memo_ttl_s"]),
         resume_dir=cfg.get("resume_dir")).start()
-    send_lock = threading.Lock()
-    finished: queue.SimpleQueue = queue.SimpleQueue()    # -> pump
     calibrator = ThreadPoolExecutor(1, thread_name_prefix="fleet-calibrate")
     calibrations = _Lru(_CALIBRATIONS_MAX)
 
@@ -491,113 +485,107 @@ def worker_main(sock: socket.socket,
             calibrations.put(key, entry)
         return (*entry, key)
 
-    def pump() -> None:
-        while True:
-            item = finished.get()
-            if item is None:
-                return
-            rid, session, cell, metric = item
+    async def serve_link() -> None:
+        loop = asyncio.get_running_loop()
+        reader, writer = await asyncio.open_connection(sock=sock)
+
+        def send(msg: dict[str, Any]) -> None:
+            if not writer.is_closing():
+                writer.write(pack_msg(msg))
+
+        def send_done(rid: int, session: Any, cell: _CheckedRun | None,
+                      metric: _ScoreLater) -> None:
             result = session.result(timeout_s=0.0)
             violations = (_checked_violations(cell, result.snapshot, metric)
                           if cell is not None else None)
-            try:
-                send_msg(sock, _done_message(
-                    rid, result, violations=violations), send_lock)
-            except OSError:
-                return
+            send(_done_message(rid, result, violations=violations))
 
-    def serve(msg: dict[str, Any]) -> bool:
-        """Act on one frame; False once the router said goodbye."""
-        op = msg.get("op")
-        if op == "submit":
-            rid = int(msg["rid"])
-            resume = msg.get("resume")
-            if resume is not None:
-                check_payload(resume)
-            cell = None
-            try:
-                builder, metric, key = calibration(
-                    msg["app"], msg.get("size", 32), msg.get("seed", 0))
+        def on_done(*args: Any) -> None:
+            # on any thread; once the router is gone the loop is closed
+            # and nobody is left to tell
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(send_done, *args)
+
+        def serve(msg: dict[str, Any]) -> bool:
+            """Act on one frame; False once the router said goodbye."""
+            op = msg.get("op")
+            if op == "submit":
+                rid = int(msg["rid"])
+                resume = msg.get("resume")
                 if resume is not None:
-                    builder = _resuming_builder(resume, builder)
-                if msg.get("check", cfg.get("check")):
-                    builder, cell = _checked_builder(
-                        builder, hash_values=cfg["executor"] != "process")
-                slo_spec = msg.get("slo") or {}
-                slo = SLO(
-                    deadline_s=slo_spec.get("deadline_s"),
-                    target_db=slo_spec.get("target_db"),
-                    priority=float(slo_spec.get("priority", 1.0)))
-                session = server.submit(
-                    builder, slo, metric=metric, name=f"r{rid}",
-                    wait_s=float(msg.get("wait_s", 0.0)),
-                    key=key if cfg["coalesce"] else None, trace=cell)
-            except Exception as exc:
-                send_msg(sock, {
-                    "op": "done", "rid": rid, "state": "failed",
-                    "latency_s": 0.0, "queue_s": 0.0,
-                    "errors": [f"{type(exc).__name__}: {exc}"],
-                }, send_lock)
-                return True
-            stats = server.stats()
-            send_msg(sock, {
-                "op": "ack", "rid": rid,
-                "state": session.state.value,
-                "queue_depth": stats["queued"],
-                "running": stats["running"],
-                "subscribers": stats["subscribers"],
-            }, send_lock)
-            # registered after the ack went out, so a request that is
-            # terminal already (shed, memo hit) still reads ack-then-done
-            # on the wire
-            session.add_done_callback(
-                lambda session, rid=rid, cell=cell, metric=metric:
-                finished.put((rid, session, cell, metric)))
-        elif op == "stats":
-            send_msg(sock, {"op": "stats", "rid": msg.get("rid"),
-                            "stats": server.stats()}, send_lock)
-        elif op == "shutdown":
-            try:
-                send_msg(sock, {"op": "bye"}, send_lock)
-            except OSError:
-                pass
-            return False
-        # unknown ops are ignored: a newer router may speak a superset
-        # of this protocol
-        return True
-
-    pump_thread = threading.Thread(target=pump, daemon=True,
-                                   name="fleet-pump")
-    pump_thread.start()
-    try:
-        while True:
-            try:
-                msg = recv_msg(sock)
-                # None: the router went away
-                if msg is None or not serve(msg):
-                    return
-            except (FrameError, *FIELD_ERRORS) as exc:
-                # protocol violation (a corrupt frame, or a field it
-                # lacks or mistypes): report it in-band if the socket
-                # still writes, then close — never hang, never allocate
-                # for a corrupt header
+                    check_payload(resume)
+                cell = None
                 try:
-                    send_msg(sock, {"op": "error",
-                                    "error": f"{type(exc).__name__}: "
-                                             f"{exc}"}, send_lock)
-                except OSError:
-                    pass
-                return
-    except OSError:
-        return
+                    builder, metric, key = calibration(
+                        msg["app"], msg.get("size", 32), msg.get("seed", 0))
+                    if resume is not None:
+                        builder = _resuming_builder(resume, builder)
+                    if msg.get("check", cfg.get("check")):
+                        builder, cell = _checked_builder(
+                            builder, hash_values=cfg["executor"] != "process")
+                    slo_spec = msg.get("slo") or {}
+                    slo = SLO(
+                        deadline_s=slo_spec.get("deadline_s"),
+                        target_db=slo_spec.get("target_db"),
+                        priority=float(slo_spec.get("priority", 1.0)))
+                    session = server.submit(
+                        builder, slo, metric=metric, name=f"r{rid}",
+                        wait_s=float(msg.get("wait_s", 0.0)),
+                        key=key if cfg["coalesce"] else None, trace=cell)
+                except Exception as exc:
+                    send({"op": "done", "rid": rid, "state": "failed",
+                          "latency_s": 0.0, "queue_s": 0.0,
+                          "errors": [f"{type(exc).__name__}: {exc}"]})
+                    return True
+                stats = server.stats()
+                send({"op": "ack", "rid": rid,
+                      "state": session.state.value,
+                      "queue_depth": stats["queued"],
+                      "running": stats["running"],
+                      "subscribers": stats["subscribers"]})
+                # the done goes through the loop's queue, so a request
+                # that is terminal already (shed, memo hit) still reads
+                # ack-then-done on the wire
+                session.add_done_callback(
+                    lambda session, rid=rid, cell=cell, metric=metric:
+                    on_done(rid, session, cell, metric))
+            elif op == "stats":
+                send({"op": "stats", "rid": msg.get("rid"),
+                      "stats": server.stats()})
+            elif op == "shutdown":
+                send({"op": "bye"})
+                return False
+            # unknown ops are ignored: a newer router may speak a superset
+            # of this protocol
+            return True
+
+        try:
+            while True:
+                try:
+                    msg = await read_msg(reader)
+                    # None: the router went away
+                    if msg is None or not serve(msg):
+                        return
+                except (FrameError, *FIELD_ERRORS) as exc:
+                    # protocol violation (a corrupt frame, or a field it
+                    # lacks or mistypes): report it in-band, then close —
+                    # never hang, never allocate for a corrupt header
+                    send({"op": "error",
+                          "error": f"{type(exc).__name__}: {exc}"})
+                    return
+        except OSError:
+            return
+        finally:
+            # flushes what is written before the socket closes
+            writer.close()
+            with contextlib.suppress(OSError):
+                await writer.wait_closed()
+
+    try:
+        asyncio.run(serve_link())
     finally:
-        finished.put(None)
-        pump_thread.join(timeout=2.0)
         # cancels what is left, which may score against references
         # still queued: the calibrator goes last
         server.shutdown()
         calibrator.shutdown(cancel_futures=True)
-        try:
-            sock.close()
-        except OSError:
-            pass
+        sock.close()

@@ -1,8 +1,8 @@
 """Fleet front end: shard anytime requests across worker processes.
 
-:class:`FleetRouter` owns N :mod:`~repro.serve.fleet` workers — reached
-over TCP when it is given ``endpoints``, else forked locally over
-AF_UNIX socketpairs (:mod:`repro.serve.transport`) — and places each
+:class:`FleetRouter` talks TCP to N :mod:`~repro.serve.fleet` workers —
+the ones at its ``endpoints``, else ones it forks on localhost and owns
+(:mod:`repro.serve.transport`) — and places each
 declarative request ``(app, size, seed, SLO)`` by its canonical work
 identity (:func:`~repro.serve.fleet.spec_key`, a hash of the spec
 itself: the router never makes an input):
@@ -22,12 +22,12 @@ itself: the router never makes an input):
   with the worker's queue depth; a shed request is retried once on the
   least-loaded other worker before the shed is accepted as final.
 * **Worker-death failover, re-spawn, and checkpoint migration.**  A
-  dead worker (its link's reader ends on EOF, a reset or a garbage
-  frame — the one place a death is detected) is replaced: a fresh worker is
-  forked at the same index and rejoins the consistent-hash ring (the
-  ring maps onto indices, so the replacement inherits the dead
-  worker's key range with zero ring churn).  The dead worker's
-  in-flight requests are re-dispatched — and when the fleet runs with
+  dead worker the router started (its link's reader ends on EOF, a
+  reset or a garbage frame — the one place a death is detected) is
+  replaced: a fresh worker is forked at the same index and rejoins the
+  consistent-hash ring (the ring maps onto indices, so the replacement
+  inherits the dead worker's key range with zero ring churn).  The dead
+  worker's in-flight requests are re-dispatched — and when the fleet runs with
   a ``resume_dir``, a request whose run had been suspended to a
   checkpoint (:mod:`repro.ckpt`) *migrates*: the checkpoint is the
   run's reply log, a few KiB at any image size, so the router puts the
@@ -37,9 +37,9 @@ itself: the router never makes an input):
   starting over.  Requests without a readable checkpoint fall back to
   verbatim re-dispatch — requests are specs, not closures, so a re-run
   is safe and its sealed versions are equally valid answers; so does
-  one whose ``resume`` the new home cannot replay.  Remote (TCP) workers are not respawned: the
-  router does not own their processes, so survivors absorb the dead
-  worker's key range instead.
+  one whose ``resume`` the new home cannot replay.  Workers at
+  ``endpoints`` are not respawned: the router does not own their
+  processes, so survivors absorb the dead worker's key range instead.
 * **Fleet-wide memo sharing.**  When any worker seals a *final* answer
   for a key, the router caches the result payload (metrics +
   ``value_digest``) in a TTL store of at most :data:`FLEET_MEMO_MAX`
@@ -76,7 +76,8 @@ from typing import Any, Callable
 from ..core.tracing import TraceEvent, TraceSink
 from .fleet import (FIELD_ERRORS, MAX_FRAME, FrameError, WORKER_DEFAULTS,
                     ckpt_filename, pack_msg, read_msg, spec_key)
-from .transport import ForkTransport, TcpTransport
+from .transport import (connect_worker, parse_endpoint,
+                        spawn_local_tcp_worker)
 from .workload import percentile
 
 __all__ = ["FleetRouter", "FleetRequest", "summarize_fleet"]
@@ -198,7 +199,8 @@ class _WorkerLink:
 
 
 class FleetRouter:
-    """Route requests across ``workers`` forked AnytimeServer workers.
+    """Route requests across ``workers`` AnytimeServer workers: forked
+    and owned, or the ones at ``endpoints``.
 
     Worker behaviour (slots, queue bound, executor, coalescing, memo
     TTL) comes from ``worker_config`` merged over
@@ -213,18 +215,20 @@ class FleetRouter:
                  endpoints: list[str | tuple[str, int]] | None = None,
                  fleet_memo_ttl_s: float = 30.0,
                  trace: TraceSink | None = None) -> None:
-        #: how worker sockets are obtained: TCP to ``endpoints``, else
-        #: fork+socketpair
-        self.transport = (TcpTransport(endpoints) if endpoints
-                          else ForkTransport())
+        #: workers someone else launched, one per ring index, configured
+        #: by whoever launched them (of ``worker_config``, only ``check``
+        #: crosses the wire); None: the router forks and owns its own
+        self.endpoints = None if endpoints is None else [
+            ep if isinstance(ep, tuple) else parse_endpoint(ep)
+            for ep in endpoints]
         if endpoints is not None:
             workers = len(endpoints)
         if workers <= 0:
             raise ValueError(f"workers must be positive: {workers}")
         self.n_workers = workers
         self.worker_config = {**WORKER_DEFAULTS, **(worker_config or {})}
-        #: fork a replacement worker (same ring index) when one dies —
-        #: only meaningful on a respawnable (fork) transport
+        #: fork a replacement (same ring index) when a worker the router
+        #: started dies
         self.respawn = bool(respawn)
         #: router-visible checkpoint root: worker ``i`` suspends runs
         #: under ``resume_dir/w<i>/``; after a death the router reads
@@ -282,13 +286,20 @@ class FleetRouter:
         return self
 
     def _spawn(self, index: int) -> tuple[Any, socket.socket]:
-        """Fork the worker at ring index ``index``, or connect to it,
-        through the transport."""
+        """``(process, socket)`` of the worker at ring index ``index``:
+        one the router forks (process owned), or its endpoint's (None)."""
+        if self.endpoints is not None:
+            return None, connect_worker(self.endpoints[index])
         config = dict(self.worker_config)
         if self.resume_dir is not None:
             config["resume_dir"] = os.path.join(self.resume_dir,
                                                 f"w{index}")
-        return self.transport.spawn(index, config)
+        process, endpoint = spawn_local_tcp_worker(config)
+        try:
+            return process, connect_worker(endpoint)
+        except OSError:
+            process.kill()
+            raise
 
     async def _connect(self, index: int, process: Any,
                        sock: socket.socket) -> _WorkerLink:
@@ -592,9 +603,9 @@ class FleetRouter:
 
     async def _mark_dead(self, link: _WorkerLink) -> None:
         """Record a worker's death, replace it at the same ring index
-        (fork transport: the replacement takes over the dead worker's
-        key range without remapping anyone else's), and re-place its
-        orphaned in-flight requests."""
+        when the router owns it (the replacement takes over the dead
+        worker's key range without remapping anyone else's), and
+        re-place its orphaned in-flight requests."""
         self.counters["worker_deaths"] += 1
         self._emit("fleet.worker_death", worker=link.index,
                    orphans=len(link.inflight))
@@ -605,7 +616,7 @@ class FleetRouter:
         link.inflight.clear()
         self._in_transit.update(orphans)
         self._sweep_stale_temps(link.index)
-        if self.respawn and self.transport.respawnable:
+        if self.respawn and self.endpoints is None:
             try:
                 fresh = await self._connect(link.index,
                                             *self._spawn(link.index))

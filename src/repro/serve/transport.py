@@ -1,31 +1,28 @@
-"""Fleet transports: how a router reaches its workers.
+"""Fleet transport: how a router reaches its workers.
 
-The fleet's wire protocol (:mod:`repro.serve.fleet`) is transport-
-agnostic — length-prefixed JSON frames over any stream socket.  This
-module supplies the two ways a :class:`~repro.serve.router.FleetRouter`
-obtains those sockets; the router's ``endpoints`` choose between them
-(given: TCP, absent: fork):
+The fleet's wire protocol (:mod:`repro.serve.fleet`) is length-prefixed
+JSON frames over a TCP socket, and every worker is the same TCP
+listener.  A :class:`~repro.serve.router.FleetRouter` reaches its
+workers one of two ways:
 
-:class:`ForkTransport`
-    The original single-host mode: fork a worker process per ring
-    index over an ``AF_UNIX`` socketpair.  Dead workers are
-    re-forkable (``respawnable``), so the router replaces them at the
-    same ring index.
-
-:class:`TcpTransport`
-    Cross-host mode: connect to externally launched workers
-    (``repro serve-worker --listen host:port``) over ``AF_INET``.  The
-    router does not own those processes, so a dead worker is *not*
-    respawned — its keys and in-flight requests migrate to survivors,
-    with suspend checkpoints inline in the re-dispatched ``submit``
-    (the destination never needs a shared filesystem).
+* **Owned local workers** (no ``endpoints``): the router forks each one
+  with :func:`spawn_local_tcp_worker` and connects to it.  It owns the
+  process, so with ``respawn`` it forks a replacement at a dead
+  worker's ring index.
+* **Endpoints**: the router connects to workers someone else launched
+  (``repro serve-worker --listen host:port``), possibly on other hosts.
+  It does not own them, so a death is terminal for that ring index; its
+  keys and in-flight requests migrate to survivors, with suspend
+  checkpoints inline in the re-dispatched ``submit`` (the destination
+  never needs a shared filesystem).
 
 Helpers: :func:`parse_endpoint` (``"host:port"`` → tuple),
-:func:`serve_worker_listener` (the accept loop behind
+:func:`connect_worker` (the router's side of either way),
+:func:`serve_worker_listener` (bind and serve, behind
 ``repro serve-worker``), and :func:`spawn_local_tcp_worker` (fork a
-localhost TCP worker and report its bound port — what tests, the
-latency benchmark and the tutorial use to stand up a fleet without
-separate terminals).
+localhost worker on a port bound before the fork — what the router,
+tests, the latency benchmark and the tutorial use to stand up a fleet
+without separate terminals).
 """
 
 from __future__ import annotations
@@ -38,14 +35,11 @@ from typing import Any, Callable
 
 from .fleet import worker_main
 
-__all__ = ["parse_endpoint", "ForkTransport", "TcpTransport",
-           "serve_worker_listener", "spawn_local_tcp_worker"]
+__all__ = ["parse_endpoint", "connect_worker", "serve_worker_listener",
+           "spawn_local_tcp_worker"]
 
 #: seconds a router waits to connect to a TCP worker
 CONNECT_TIMEOUT_S = 10.0
-
-#: seconds :func:`spawn_local_tcp_worker` waits for its bound port
-START_TIMEOUT_S = 15.0
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -57,61 +51,32 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class ForkTransport:
-    """Fork one worker per ring index over an AF_UNIX socketpair."""
-
-    #: the router may fork a replacement at a dead worker's ring index
-    respawnable = True
-
-    def spawn(self, index: int,
-              config: dict[str, Any]) -> tuple[Any, socket.socket]:
-        ctx = multiprocessing.get_context("fork")
-        parent_sock, child_sock = socket.socketpair()
-        process = ctx.Process(
-            target=_fork_entry, args=(child_sock, config),
-            name=f"fleet-worker-{index}", daemon=True)
-        process.start()
-        child_sock.close()
-        return process, parent_sock
+def _no_delay(sock: socket.socket) -> socket.socket:
+    # a frame is small and a reply often follows another at once: Nagle
+    # would hold it for the peer's delayed ACK (40 ms on Linux)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
-def _fork_entry(sock: socket.socket, config: dict[str, Any]) -> None:
-    # a worker forked while a front end handles SIGTERM (a respawn under
-    # ``serve_front``) must still die of it
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    worker_main(sock, config)
+def connect_worker(endpoint: tuple[str, int]) -> socket.socket:
+    """A blocking ``TCP_NODELAY`` connection to the worker at
+    ``endpoint``."""
+    sock = socket.create_connection(endpoint, timeout=CONNECT_TIMEOUT_S)
+    sock.settimeout(None)
+    return _no_delay(sock)
 
 
-class TcpTransport:
-    """Connect to externally launched TCP workers, one per endpoint.
-
-    The worker at ``endpoints[i]`` takes ring index ``i``.  Worker
-    behaviour (slots, executor, resume_dir, …) is fixed by whoever
-    launched the worker; the router's ``worker_config`` does not cross
-    the wire.  Workers are not owned by the router: a death is
-    terminal for that ring index (no respawn), and survivors absorb
-    its key range.
-    """
-
-    respawnable = False
-
-    def __init__(self, endpoints: list[str | tuple[str, int]]) -> None:
-        if not endpoints:
-            raise ValueError("TcpTransport needs at least one endpoint")
-        self.endpoints = [ep if isinstance(ep, tuple)
-                          else parse_endpoint(ep) for ep in endpoints]
-
-    def spawn(self, index: int,
-              config: dict[str, Any]) -> tuple[None, socket.socket]:
-        host, port = self.endpoints[index]
-        sock = socket.create_connection((host, port),
-                                        timeout=CONNECT_TIMEOUT_S)
-        sock.settimeout(None)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        return None, sock
+def _serve(listener: socket.socket, config: dict[str, Any] | None,
+           once: bool) -> None:
+    """Accept one router at a time on ``listener`` and run
+    :func:`~repro.serve.fleet.worker_main` on it (a fresh
+    ``AnytimeServer`` per connection)."""
+    while True:
+        conn, _ = listener.accept()
+        with conn:
+            worker_main(_no_delay(conn), config)
+        if once:
+            return
 
 
 def serve_worker_listener(listen: str | tuple[str, int],
@@ -121,71 +86,39 @@ def serve_worker_listener(listen: str | tuple[str, int],
                           | None = None) -> None:
     """Bind a TCP listener and serve routers (``repro serve-worker``).
 
-    Accepts one router connection at a time and runs
-    :func:`~repro.serve.fleet.worker_main` on it (a fresh
-    ``AnytimeServer`` per connection); returns after the first router
-    disconnects unless ``once=False``.  ``announce`` receives the
-    actually bound ``(host, port)`` — useful with port 0.
+    Returns after the first router disconnects unless ``once=False``.
+    ``announce`` receives the actually bound ``(host, port)`` — useful
+    with port 0.
     """
     host, port = (parse_endpoint(listen) if isinstance(listen, str)
                   else listen)
-    listener = socket.create_server((host, port))
-    try:
-        bound = listener.getsockname()
+    with socket.create_server((host, port)) as listener:
         if announce is not None:
-            announce(bound[0], bound[1])
-        while True:
-            conn, _ = listener.accept()
-            try:
-                conn.setsockopt(socket.IPPROTO_TCP,
-                                socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            try:
-                worker_main(conn, config)
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            if once:
-                return
-    finally:
-        try:
-            listener.close()
-        except OSError:
-            pass
+            announce(*listener.getsockname()[:2])
+        _serve(listener, config, once)
 
 
 def spawn_local_tcp_worker(config: dict[str, Any] | None = None,
                            ) -> tuple[Any, tuple[str, int]]:
     """Fork a localhost TCP worker; returns ``(process, (host, port))``.
 
-    The child runs :func:`serve_worker_listener` on an ephemeral
-    ``127.0.0.1`` port, reports the port back over a pipe, then serves
-    exactly one router connection to EOF.  The caller owns the process
-    (terminate/join it after shutting the router down).
+    The port is bound here, before the fork, so the caller can connect
+    at once: the child accepts exactly one router connection, serves it
+    to EOF and exits.  The caller owns the process (terminate/join it
+    after shutting the router down).
     """
-    ctx = multiprocessing.get_context("fork")
-    ready_r, ready_w = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_tcp_worker_entry, args=(ready_w, config),
-        name="fleet-tcp-worker", daemon=True)
-    process.start()
-    ready_w.close()
-    if not ready_r.poll(START_TIMEOUT_S):
-        process.terminate()
-        process.join(timeout=2.0)
-        raise RuntimeError("TCP worker did not report a bound port")
-    port = ready_r.recv()
-    ready_r.close()
-    return process, ("127.0.0.1", int(port))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        process = multiprocessing.get_context("fork").Process(
+            target=_local_worker_entry, args=(listener, config),
+            name="fleet-tcp-worker", daemon=True)
+        process.start()
+        return process, listener.getsockname()[:2]
 
 
-def _tcp_worker_entry(ready: Any, config: dict[str, Any] | None) -> None:
-    def announce(host: str, port: int) -> None:
-        ready.send(port)
-        ready.close()
-
-    serve_worker_listener(("127.0.0.1", 0), config, announce=announce)
+def _local_worker_entry(listener: socket.socket,
+                        config: dict[str, Any] | None) -> None:
+    # a worker forked while its spawner handles SIGTERM (a respawn under
+    # ``serve_front``) must still die of it
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _serve(listener, config, once=True)
     os._exit(0)

@@ -302,15 +302,15 @@ class TestFailover:
     def test_worker_forked_under_a_sigterm_handler_dies_of_sigterm(self):
         """A respawn under ``serve_front`` forks while SIGTERM has a
         handler; the worker must not inherit it."""
-        from repro.serve.transport import ForkTransport
+        from repro.serve.transport import spawn_local_tcp_worker
 
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
-            process, sock = ForkTransport().spawn(0, {})
+            process, endpoint = spawn_local_tcp_worker({})
         finally:
             signal.signal(signal.SIGTERM, previous)
+        sock = socket.create_connection(endpoint, timeout=20.0)
         try:
-            sock.settimeout(20.0)
             send_msg(sock, {"op": "stats", "rid": 1})
             recv_op(sock, "stats")          # the worker is running
             process.terminate()
@@ -496,6 +496,96 @@ class TestAdmitFirstScoreLater:
                 assert recv_op(sock, "done")["state"] == "completed"
         assert keys == {f"r{rid}": spec_key(app, 16, rid)
                         for rid, app in enumerate(apps, start=1)}
+
+
+class TestTerminalAtAdmission:
+    """A request that is terminal the moment it is admitted still reads
+    ``ack``, then ``done``, on the wire."""
+
+    def test_shed_request_reads_ack_then_done(self):
+        with inproc_worker({"queue_limit": 0}) as sock:
+            send_msg(sock, {"op": "submit", "rid": 1, "app": "dwt53",
+                            "size": 16, "seed": 0, "slo": SLO_OK})
+            ack = recv_op(sock, "ack")
+            done = recv_op(sock, "done")
+        assert ack["rid"] == done["rid"] == 1
+        assert ack["state"] == done["state"] == "shed"
+
+    def test_memo_hit_reads_ack_then_done(self):
+        with inproc_worker({"memo_ttl_s": 60.0}) as sock:
+            for rid in (1, 2):
+                send_msg(sock, {"op": "submit", "rid": rid,
+                                "app": "dwt53", "size": 16, "seed": 0})
+                ack = recv_op(sock, "ack")
+                done = recv_op(sock, "done")
+                assert ack["rid"] == done["rid"] == rid
+                assert done["state"] == "completed" and done["final"]
+        assert ack["state"] == "completed"
+        assert done["memo_hit"]
+
+
+class TestServeWorkerListener:
+    def test_both_ends_of_a_link_send_without_delay(self, monkeypatch):
+        """An accepted socket is not ``TCP_NODELAY`` by itself: a
+        ``done`` right behind its ``ack`` would wait out the router's
+        delayed ACK."""
+        from repro.serve import transport
+
+        def nodelay(sock):
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        seen, bound = [], []
+        announced = threading.Event()
+        monkeypatch.setattr(transport, "worker_main",
+                            lambda conn, config: seen.append(nodelay(conn)))
+
+        def announce(host, port):
+            bound.append((host, port))
+            announced.set()
+
+        thread = threading.Thread(
+            target=transport.serve_worker_listener,
+            args=(("127.0.0.1", 0),), kwargs={"announce": announce},
+            daemon=True)
+        thread.start()
+        assert announced.wait(timeout=20.0)
+        with transport.connect_worker(bound[0]) as router_end:
+            assert nodelay(router_end)
+            thread.join(timeout=20.0)
+        assert not thread.is_alive()
+        assert seen and seen[0]
+
+    def test_forever_serves_a_second_router(self):
+        """``serve-worker --forever``: after one router disconnects,
+        the listener serves the next."""
+        import multiprocessing
+
+        from repro.serve.transport import serve_worker_listener
+
+        ctx = multiprocessing.get_context("fork")
+        bound_r, bound_w = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=serve_worker_listener, args=(("127.0.0.1", 0), {}),
+            kwargs={"once": False,
+                    "announce": lambda host, port: bound_w.send(
+                        (host, port))},
+            daemon=True)
+        process.start()
+        try:
+            assert bound_r.poll(20.0)
+            endpoint = bound_r.recv()
+            with socket.create_connection(endpoint, timeout=20.0) as first:
+                send_msg(first, {"op": "shutdown"})
+                recv_op(first, "bye")
+                assert recv_msg(first) is None
+            with socket.create_connection(endpoint,
+                                          timeout=20.0) as second:
+                send_msg(second, {"op": "stats", "rid": 1})
+                assert recv_op(second, "stats")["rid"] == 1
+            assert process.is_alive()
+        finally:
+            process.kill()
+            process.join(timeout=10.0)
 
 
 class TestSpecIdentity:
