@@ -52,10 +52,8 @@ def main() -> None:
 
     for name in ("threaded", "process"):
         automaton = build_conv2d_automaton(image)
-        run = (automaton.run_threaded if name == "threaded"
-               else automaton.run_processes)
         start = time.perf_counter()
-        result = run(timeout_s=300.0)
+        result = automaton.run(name, timeout_s=300.0)
         wall = time.perf_counter() - start
         records = result.output_records(automaton.terminal_buffer_name)
         final_snr = snr_db(records[-1].value, reference)

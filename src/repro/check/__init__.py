@@ -50,10 +50,10 @@ uphold those guarantees on the same automaton:
 CLI: ``python -m repro check`` (see ``repro check --help``).
 """
 
-from .differential import (ACCURACY_TOLERANCE_DB, DEFAULT_APPS,
-                           DEFAULT_EXECUTORS, DifferentialReport,
-                           RestoreReport, RunObservation,
-                           run_differential, run_restore_differential)
+from .differential import (DEFAULT_APPS, DEFAULT_EXECUTORS,
+                           DifferentialReport, RestoreReport,
+                           RunObservation, run_differential,
+                           run_restore_differential)
 from .fleetdiff import FleetDifferentialReport, run_fleet_differential
 from .invariants import (CheckFailure, Checker, CheckReport, Violation,
                          check_events)
@@ -66,7 +66,7 @@ __all__ = [
     "run_differential", "DifferentialReport", "RunObservation",
     "run_restore_differential", "RestoreReport",
     "run_fleet_differential", "FleetDifferentialReport",
-    "ACCURACY_TOLERANCE_DB", "DEFAULT_APPS", "DEFAULT_EXECUTORS",
+    "DEFAULT_APPS", "DEFAULT_EXECUTORS",
     "run_self_test", "SELF_TEST_CASES", "SelfTestCase",
     "SelfTestOutcome", "SelfTestReport",
 ]

@@ -35,29 +35,20 @@ from typing import Any, Callable
 import numpy as np
 
 from ..apps.registry import get_app
+from ..core.backends import EXECUTORS, executor_class
 from ..core.tracing import InMemorySink
 from .invariants import Checker, CheckReport
 
 __all__ = ["RunObservation", "DifferentialReport", "run_differential",
            "RestoreReport", "run_restore_differential",
-           "DEFAULT_EXECUTORS", "DEFAULT_APPS", "ACCURACY_TOLERANCE_DB"]
+           "DEFAULT_EXECUTORS", "DEFAULT_APPS"]
 
-DEFAULT_EXECUTORS = ("simulated", "threaded", "process")
+#: every executor in the table (:data:`repro.core.backends.EXECUTORS`)
+DEFAULT_EXECUTORS = tuple(EXECUTORS)
 
 #: the acceptance trio: a diffusive map app, an iterative multi-stage
 #: app, and a loop-perforated wavelet app
 DEFAULT_APPS = ("2dconv", "kmeans", "dwt53")
-
-#: per-app accuracy-regression tolerance (dB) for the monotone-accuracy
-#: check; None exempts apps whose metric is non-monotone by design
-#: (kmeans' assignment refinement can transiently lower SNR while
-#: centroids move, dwt53's reconstruction metric jumps across
-#: perforation levels)
-ACCURACY_TOLERANCE_DB: dict[str, float | None] = {
-    "2dconv": None,
-    "kmeans": None,
-    "dwt53": None,
-}
 
 
 @dataclass
@@ -136,6 +127,32 @@ def _values_equal(a: Any, b: Any) -> bool:
     return bool(a == b)
 
 
+def _checked_run(automaton: Any, executor: str, schedule: Any,
+                 timeout_s: float, tolerance_db: float | None,
+                 forward: Any = None,
+                 **trace: Any) -> tuple[Any, Checker]:
+    """Run ``automaton`` on ``executor`` under an invariant checker.
+
+    The checker reads the executor's two facts
+    (:mod:`repro.core.backends`): values are hashed only where the
+    buffers hold them, and only a virtual-time trace is held to one
+    event order.  A virtual-time run takes ``schedule``, a wall-clock
+    run ``timeout_s``; a restored automaton seeds the checker first.
+    """
+    backend = executor_class(executor)
+    checker = Checker.for_graph(
+        automaton.graph, hash_values=backend.HOLDS_VALUES,
+        strict_order=not backend.WALL_CLOCK, forward=forward,
+        tolerances={automaton.terminal_buffer_name: tolerance_db})
+    if automaton.resumed:
+        checker.seed_resumed(automaton.graph)
+    clock = ({"timeout_s": timeout_s} if backend.WALL_CLOCK
+             else {"schedule": schedule})
+    result = automaton.run(executor, trace=checker, **clock, **trace)
+    checker.close()
+    return result, checker
+
+
 def _observe(spec: Any, image: np.ndarray, executor: str,
              reference: Any, timeout_s: float,
              tolerance_db: float | None) -> RunObservation:
@@ -143,25 +160,11 @@ def _observe(spec: Any, image: np.ndarray, executor: str,
     automaton = spec.build(image)
     precise = automaton.precise_output()
     mem = InMemorySink()
-    checker = Checker.for_graph(
-        automaton.graph, hash_values=(executor != "process"),
-        strict_order=(executor == "simulated"), forward=mem,
-        tolerances={automaton.terminal_buffer_name: tolerance_db})
     t0 = _time.perf_counter()
-    kwargs: dict[str, Any] = dict(
-        trace=checker, trace_metric=spec.metric,
-        trace_reference=reference)
-    if executor == "simulated":
-        result = automaton.run_simulated(schedule=spec.schedule, **kwargs)
-    elif executor == "threaded":
-        result = automaton.run_threaded(timeout_s=timeout_s, **kwargs)
-    elif executor == "process":
-        result = automaton.run_processes(timeout_s=timeout_s, **kwargs)
-    else:
-        raise ValueError(f"unknown executor {executor!r}; expected one "
-                         f"of {DEFAULT_EXECUTORS}")
+    result, checker = _checked_run(
+        automaton, executor, spec.schedule, timeout_s, tolerance_db,
+        forward=mem, trace_metric=spec.metric, trace_reference=reference)
     wall = _time.perf_counter() - t0
-    checker.close()
 
     terminal = automaton.terminal_buffer_name
     final_rec = result.timeline.final_record(terminal)
@@ -281,21 +284,21 @@ def _observe_serve(spec: Any, size: int, seed: int,
 def run_differential(app: str = "2dconv", size: int = 24, seed: int = 0,
                      executors: tuple[str, ...] = DEFAULT_EXECUTORS,
                      serve: bool = True, timeout_s: float = 120.0,
-                     tolerance_db: float | None = "default",
+                     tolerance_db: float | None = None,
                      progress: Callable[[str], None]
                      | None = None) -> DifferentialReport:
     """Run one app across executors and cross-check the guarantees.
 
-    ``tolerance_db="default"`` looks the app up in
-    :data:`ACCURACY_TOLERANCE_DB`; pass a float (or None to disable)
-    to override.
+    ``tolerance_db`` bounds how far (dB) the terminal buffer's accuracy
+    may fall below its running best; None (the default) exempts it, as
+    the apps' metrics are non-monotone by design (kmeans' assignment
+    refinement can lower SNR while centroids move, dwt53's metric jumps
+    across perforation levels).
     """
     spec = get_app(app)
     image = spec.make_input(size, seed)
     reference = (spec.reference(image)
                  if spec.reference_kind != "input" else image)
-    if tolerance_db == "default":
-        tolerance_db = ACCURACY_TOLERANCE_DB.get(app)
 
     observations: list[RunObservation] = []
     mismatches: list[dict[str, Any]] = []
@@ -421,7 +424,7 @@ def _interrupt_on(spec: Any, image: np.ndarray, executor: str,
                   min_versions: int = 2) -> None:
     """Run a fresh build on ``executor``, checkpoint it mid-run.
 
-    The simulated leg interrupts deterministically via a stop
+    A virtual-time leg interrupts deterministically via a stop
     condition's ``checkpoint_at_stop``; the wall-clock legs launch,
     poll the terminal buffer for signs of progress, and checkpoint the
     live handle.  A fast run may complete before the checkpoint lands —
@@ -431,18 +434,12 @@ def _interrupt_on(spec: Any, image: np.ndarray, executor: str,
     from ..core.controller import VersionCountStop
 
     automaton = spec.build(image)
-    if executor == "simulated":
-        automaton.run_simulated(schedule=spec.schedule,
-                                stop=VersionCountStop(min_versions),
-                                checkpoint_at_stop=path)
+    if not executor_class(executor).WALL_CLOCK:
+        automaton.run(executor, schedule=spec.schedule,
+                      stop=VersionCountStop(min_versions),
+                      checkpoint_at_stop=path)
         return
-    if executor == "threaded":
-        handle = automaton.launch_threaded()
-    elif executor == "process":
-        handle = automaton.launch_processes()
-    else:
-        raise ValueError(f"unknown executor {executor!r}; expected one "
-                         f"of {DEFAULT_EXECUTORS}")
+    handle = automaton.launch(executor)
     buffer = automaton.graph.buffers[automaton.terminal_buffer_name]
     deadline = _time.monotonic() + timeout_s
     while buffer.version < min_versions and not handle.finished \
@@ -473,25 +470,9 @@ def _observe_restore(spec: Any, image: np.ndarray, src: str, dst: str,
     restored = AnytimeAutomaton.restore(
         path, builder=lambda: spec.build(image))
     terminal = restored.terminal_buffer_name
-    checker = Checker.for_graph(
-        restored.graph, hash_values=(dst != "process"),
-        strict_order=(dst == "simulated"),
-        tolerances={terminal: tolerance_db})
-    checker.seed_resumed(restored.graph)
-    kwargs: dict[str, Any] = dict(
-        trace=checker, trace_metric=spec.metric,
-        trace_reference=reference)
-    if dst == "simulated":
-        result = restored.run_simulated(schedule=spec.schedule,
-                                        **kwargs)
-    elif dst == "threaded":
-        result = restored.run_threaded(timeout_s=timeout_s, **kwargs)
-    elif dst == "process":
-        result = restored.run_processes(timeout_s=timeout_s, **kwargs)
-    else:
-        raise ValueError(f"unknown executor {dst!r}; expected one "
-                         f"of {DEFAULT_EXECUTORS}")
-    checker.close()
+    result, checker = _checked_run(
+        restored, dst, spec.schedule, timeout_s, tolerance_db,
+        trace_metric=spec.metric, trace_reference=reference)
     wall = _time.perf_counter() - t0
 
     if not result.completed:
@@ -549,16 +530,17 @@ def run_restore_differential(app: str = "2dconv", size: int = 48,
                              pairs: list[tuple[str, str]] | None = None,
                              workdir: str | None = None,
                              timeout_s: float = 120.0,
-                             tolerance_db: float | None = "default",
+                             tolerance_db: float | None = None,
                              progress: Callable[[str], None]
                              | None = None) -> RestoreReport:
     """Checkpoint/restore conformance across executor pairs.
 
     ``pairs`` defaults to every ordered (src, dst) combination of the
-    three executors — the six cross-executor migrations plus the three
+    executors — with three, six cross-executor migrations plus three
     same-executor resumes.  Checkpoints are written under ``workdir``
     (a temp directory when None) and left in place on failure so CI can
-    attach them as artifacts.
+    attach them as artifacts.  ``tolerance_db`` is as in
+    :func:`run_differential`.
     """
     import os
     import tempfile
@@ -568,8 +550,6 @@ def run_restore_differential(app: str = "2dconv", size: int = 48,
     reference = (spec.reference(image)
                  if spec.reference_kind != "input" else image)
     precise = spec.build(image).precise_output()
-    if tolerance_db == "default":
-        tolerance_db = ACCURACY_TOLERANCE_DB.get(app)
     if pairs is None:
         pairs = [(a, b) for a in DEFAULT_EXECUTORS
                  for b in DEFAULT_EXECUTORS]

@@ -14,11 +14,13 @@ violations:
     accuracy regresses mid-run, a stage that mutates its published
     value after sealing it, a stage that writes a sibling's buffer
     out-of-band.  These prove the checker catches misbehavior through
-    the same trace plumbing real runs use.  (The process executor
-    isolates workers so in-worker mutation and foreign writes never
-    reach the parent's buffers — exactly the protection Property 2
-    wants — so those cases run on the simulated and threaded executors
-    only; the accuracy-regression case runs on all three.)
+    the same trace plumbing real runs use.  (An executor whose buffers
+    do not hold the published values — the process executor isolates
+    workers, so in-worker mutation and foreign writes never reach the
+    parent's buffers, exactly the protection Property 2 wants — cannot
+    show those two, so they run only where ``HOLDS_VALUES`` is declared
+    (:mod:`repro.core.backends`); the accuracy-regression case runs on
+    every executor.)
 
 **tamper** cases
     The runtime itself refuses some violations (a
@@ -40,17 +42,24 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core.automaton import AnytimeAutomaton
+from ..core.backends import EXECUTORS, executor_names
 from ..core.buffer import VersionedBuffer
+from ..core.scheduling import proportional_shares
 from ..core.stage import Compute, PreciseStage, Stage, Write
 from ..core.tracing import TraceEvent
 from ..metrics.snr import snr_db
+from .differential import _checked_run
 from .invariants import Checker, CheckReport, check_events
 
 __all__ = ["SelfTestCase", "SelfTestOutcome", "SelfTestReport",
            "SELF_TEST_CASES", "run_self_test", "LIVE_EXECUTORS"]
 
-#: executors live cases may run on
-LIVE_EXECUTORS = ("simulated", "threaded", "process")
+#: executors live cases may run on: every one in the table
+LIVE_EXECUTORS = tuple(EXECUTORS)
+
+#: executors whose buffers hold the published values, so a value
+#: mutated or written out-of-band inside a stage reaches the checker
+_VALUE_HOLDERS = executor_names(HOLDS_VALUES=True)
 
 
 @dataclass(frozen=True)
@@ -263,23 +272,10 @@ def _run_live(build: Callable[[VersionedBuffer], list[Stage]],
     stages = build(b_in)
     automaton = AnytimeAutomaton(stages, name="selftest",
                                  external={"in": data})
-    checker = Checker.for_graph(
-        automaton.graph, hash_values=(executor != "process"),
-        strict_order=(executor == "simulated"),
-        tolerances={automaton.terminal_buffer_name: tolerance_db})
-    kwargs: dict[str, Any] = {"trace": checker}
-    if metric:
-        kwargs["trace_metric"] = snr_db
-        kwargs["trace_reference"] = data
-    if executor == "simulated":
-        automaton.run_simulated(**kwargs)
-    elif executor == "threaded":
-        automaton.run_threaded(timeout_s=60.0, **kwargs)
-    elif executor == "process":
-        automaton.run_processes(timeout_s=60.0, **kwargs)
-    else:
-        raise ValueError(f"unknown executor {executor!r}")
-    checker.close()
+    trace = ({"trace_metric": snr_db, "trace_reference": data}
+             if metric else {})
+    _, checker = _checked_run(automaton, executor, proportional_shares,
+                              60.0, tolerance_db, **trace)
     return checker.report()
 
 
@@ -423,11 +419,11 @@ SELF_TEST_CASES: tuple[SelfTestCase, ...] = (
     SelfTestCase(
         "live-post-seal-mutation", "value-mutated", "live",
         "a stage mutates its published final value after sealing",
-        _live_mutation, executors=("simulated", "threaded")),
+        _live_mutation, executors=_VALUE_HOLDERS),
     SelfTestCase(
         "live-foreign-write", "foreign-writer", "live",
         "a stage pokes a sibling's buffer out-of-band",
-        _live_foreign_write, executors=("simulated", "threaded")),
+        _live_foreign_write, executors=_VALUE_HOLDERS),
 )
 
 

@@ -17,7 +17,7 @@ Entry points:
   (see :mod:`repro.core.executor` / :mod:`repro.core.procexec`);
 * ``checkpoint_at_stop=path`` on the simulated executor;
 * ``AnytimeAutomaton.restore(path)`` to rebuild an automaton from a
-  checkpoint and ``launch_*``/``run_*`` it on any backend;
+  checkpoint and ``run``/``launch`` it on any backend;
 * ``repro ckpt inspect`` / ``repro check --restore`` on the CLI.
 """
 

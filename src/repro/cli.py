@@ -52,6 +52,7 @@ import sys
 from typing import Any, Sequence
 
 from .apps.registry import APP_REGISTRY, calibrate_app, get_app
+from .core.backends import EXECUTORS, executor_class, executor_names
 from .core.contract import run_contract
 from .core.controller import (AccuracyTarget, AnyOf, DeadlineStop,
                               EnergyBudget, StopCondition)
@@ -66,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="The Anytime Automaton (ISCA 2016) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
+    wall_clock = executor_names(WALL_CLOCK=True)
 
     sub.add_parser("apps", help="list evaluation applications")
 
@@ -76,15 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--cores", type=float, default=32.0,
                      help="simulated core count (default 32)")
-    run.add_argument("--executor",
-                     choices=("simulated", "threaded", "process"),
+    run.add_argument("--executor", choices=tuple(EXECUTORS),
                      default="simulated",
                      help="execution backend: deterministic virtual-"
                           "time simulation (default), real threads, or "
                           "one process per stage over shared memory")
     run.add_argument("--timeout-s", type=float, default=None,
                      metavar="SECONDS",
-                     help="wall-clock timeout (threaded/process "
+                     help="wall-clock timeout (wall-clock "
                           "executors only)")
     run.add_argument("--deadline", type=float, default=None,
                      metavar="FRAC",
@@ -158,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="fair",
                        help="slot-allocation policy: round-robin fair "
                             "share or profile-guided marginal gain")
-    serve.add_argument("--executor", choices=("threaded", "process"),
+    serve.add_argument("--executor", choices=wall_clock,
                        default="threaded",
                        help="execution backend under the server")
     serve.add_argument("--deadline-s", type=float, default=None,
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="concurrent executor slots (default 2)")
     worker.add_argument("--queue-limit", type=int, default=8,
                         help="admission queue bound (default 8)")
-    worker.add_argument("--executor", choices=("threaded", "process"),
+    worker.add_argument("--executor", choices=wall_clock,
                         default="threaded",
                         help="execution backend under the worker")
     worker.add_argument("--quantum-s", type=float, default=0.02,
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     front.add_argument("--queue-limit", type=int, default=8,
                        help="admission queue bound per worker "
                             "(default 8)")
-    front.add_argument("--executor", choices=("threaded", "process"),
+    front.add_argument("--executor", choices=wall_clock,
                        default="threaded",
                        help="execution backend under forked workers")
     front.add_argument("--memo-ttl-s", type=float, default=30.0,
@@ -280,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "harness (default 24)")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--executors", type=str,
-                       default="simulated,threaded,process",
+                       default=",".join(EXECUTORS),
                        help="comma-separated executors to cross-check "
-                            "(default: all three)")
+                            "(default: all of them)")
     check.add_argument("--no-serve", action="store_true",
                        help="skip the AnytimeServer preempt/resume leg")
     check.add_argument("--timeout-s", type=float, default=120.0,
@@ -384,7 +385,8 @@ def _make_faults(args: argparse.Namespace,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.executor != "simulated":
+    wall_clock = executor_class(args.executor).WALL_CLOCK
+    if wall_clock:
         incompatible = [flag for flag, used in (
             ("--contract", args.contract),
             ("--dynamic", args.dynamic),
@@ -392,14 +394,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ("--energy-budget", args.energy_budget is not None),
         ) if used]
         if incompatible:
-            print(f"error: {', '.join(incompatible)} require(s) the "
-                  f"simulated executor (virtual time / core shares); "
-                  f"use --timeout-s or --target-snr with "
-                  f"--executor {args.executor}", file=sys.stderr)
+            virtual = ", ".join(executor_names(WALL_CLOCK=False))
+            print(f"error: {', '.join(incompatible)} require(s) a "
+                  f"virtual-time executor ({virtual}); use --timeout-s "
+                  f"or --target-snr with --executor {args.executor}",
+                  file=sys.stderr)
             return 2
     elif args.timeout_s is not None:
-        print("error: --timeout-s is wall-clock; the simulated "
-              "executor takes --deadline (virtual time) instead",
+        print(f"error: --timeout-s is wall-clock; the {args.executor} "
+              f"executor takes --deadline (virtual time) instead",
               file=sys.stderr)
         return 2
 
@@ -448,36 +451,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 return 2
         sink = (make_sink(args.trace, args.trace_format)
                 if args.trace is not None else None)
+        clock: dict[str, Any] = (
+            {"timeout_s": args.timeout_s} if wall_clock else
+            {"total_cores": args.cores, "schedule": spec.schedule,
+             "dynamic_shares": args.dynamic})
         try:
-            if args.executor == "simulated":
-                result = automaton.run_simulated(
-                    total_cores=args.cores,
-                    schedule=spec.schedule,
-                    stop=stop,
-                    dynamic_shares=args.dynamic,
-                    faults=faults,
-                    injector=injector,
-                    strict=args.strict,
-                    trace=sink,
-                    trace_metric=(spec.metric if sink is not None
-                                  else None),
-                    trace_reference=(reference if sink is not None
-                                     else None))
-            else:
-                runner = (automaton.run_threaded
-                          if args.executor == "threaded"
-                          else automaton.run_processes)
-                result = runner(
-                    stop=stop,
-                    timeout_s=args.timeout_s,
-                    faults=faults,
-                    injector=injector,
-                    strict=args.strict,
-                    trace=sink,
-                    trace_metric=(spec.metric if sink is not None
-                                  else None),
-                    trace_reference=(reference if sink is not None
-                                     else None))
+            result = automaton.run(
+                args.executor, stop=stop, faults=faults,
+                injector=injector, strict=args.strict, trace=sink,
+                trace_metric=spec.metric if sink is not None else None,
+                trace_reference=reference if sink is not None else None,
+                **clock)
         finally:
             if sink is not None:
                 sink.close()
@@ -495,16 +479,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "condition fired; give it more budget")
         return 1
 
-    if args.executor == "simulated":
+    if wall_clock:
+        # wall-clock executors: real seconds, no virtual baseline
+        time_header, scale = "time (s)", 1.0
+    else:
         # normalize against the *untrimmed* application's baseline so
         # contract-mode runtimes compare against the same yardstick
         baseline = (spec.build(image).baseline_duration(args.cores)
                     if args.contract
                     else automaton.baseline_duration(args.cores))
         time_header, scale = "runtime", baseline
-    else:
-        # wall-clock executors: real seconds, no virtual baseline
-        time_header, scale = "time (s)", 1.0
     state = ("stopped early" if result.stopped_early
              else "completed" if result.completed
              else "degraded")
@@ -850,10 +834,10 @@ def _cmd_check_restore(args: argparse.Namespace) -> int:
                 continue
             sep = ":" if ":" in token else ">"
             src, _, dst = token.partition(sep)
-            known = ("simulated", "threaded", "process")
-            if src not in known or dst not in known:
+            if src not in EXECUTORS or dst not in EXECUTORS:
                 print(f"error: bad pair {token!r}; want SRC:DST with "
-                      f"executors from {known}", file=sys.stderr)
+                      f"executors from {tuple(EXECUTORS)}",
+                      file=sys.stderr)
                 return 2
             pairs.append((src, dst))
 
@@ -937,19 +921,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"replay of {args.replay} passed: {summary}")
         return 0
 
-    if args.self_test:
-        from .check import run_self_test
-        executors = tuple(e.strip()
-                          for e in args.executors.split(",") if e.strip())
-        report = run_self_test(executors=executors, progress=print)
-        print(report.summary())
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
-            print(f"report written to {args.json}")
-        return 0 if report.ok else 1
-
     if args.fuzz:
         from .check.fuzz import fuzz
         seed_file = args.fuzz_seed_file or "fuzz-failure.json"
@@ -964,6 +935,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
               f"examples")
         return 0
 
+    executors = tuple(e.strip()
+                      for e in args.executors.split(",") if e.strip())
+    unknown = [e for e in executors if e not in EXECUTORS]
+    if unknown:
+        print(f"error: unknown executor(s) {unknown}; known: "
+              f"{', '.join(EXECUTORS)}", file=sys.stderr)
+        return 2
+
+    if args.self_test:
+        from .check import run_self_test
+        report = run_self_test(executors=executors, progress=print)
+        print(report.summary())
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(report.to_dict(), fh, indent=2)
+                fh.write("\n")
+            print(f"report written to {args.json}")
+        return 0 if report.ok else 1
+
     from .check import DEFAULT_APPS, run_differential
     apps = args.apps or list(DEFAULT_APPS)
     unknown = [a for a in apps if a not in APP_REGISTRY]
@@ -971,8 +961,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"error: unknown app(s) {unknown}; known: "
               f"{sorted(APP_REGISTRY)}", file=sys.stderr)
         return 2
-    executors = tuple(e.strip()
-                      for e in args.executors.split(",") if e.strip())
     reports = []
     for app in apps:
         print(f"{app}: differential conformance on "

@@ -3,11 +3,13 @@
 Stages (precise, iterative, diffusive: map and reduction, synchronous
 consumers), single-writer versioned buffers, update channels, the DAG,
 three executors (deterministic discrete-event simulation, real threads,
-and one process per stage over a shared-memory data plane), stop
-conditions, scheduling policies and property validators.
+and one process per stage over a shared-memory data plane) listed by
+name in one table (:mod:`repro.core.backends`), stop conditions,
+scheduling policies and property validators.
 """
 
 from .automaton import AnytimeAutomaton
+from .backends import EXECUTORS, executor_class, executor_names
 from .buffer import Snapshot, VersionedBuffer
 from .channel import ChannelClosed, UpdateChannel
 from .contract import ContractPlan, plan_contract, run_contract
@@ -39,6 +41,7 @@ from .tracing import (ChromeTraceSink, InMemorySink, JsonlSink, NullSink,
 
 __all__ = [
     "AnytimeAutomaton",
+    "EXECUTORS", "executor_class", "executor_names",
     "Snapshot", "VersionedBuffer",
     "ChannelClosed", "UpdateChannel",
     "ContractPlan", "plan_contract", "run_contract",

@@ -11,7 +11,12 @@ hands to a user.  Typical flow::
 or interactively::
 
     stop = ManualStop()
-    result = automaton.run_threaded(stop=stop)     # stop.stop() any time
+    result = automaton.run("threaded", stop=stop)  # stop.stop() any time
+
+``run(executor, **options)`` and ``launch(executor, **options)`` pick a
+backend by its name in :data:`~repro.core.backends.EXECUTORS`; the
+``run_*``/``launch_*`` methods are the same calls with the name spelled
+in.
 """
 
 from __future__ import annotations
@@ -20,14 +25,11 @@ from typing import Any, Callable
 
 from ..metrics.profiles import RuntimeAccuracyProfile
 from ..metrics.snr import snr_db
-from .controller import StopCondition
-from .executor import RunHandle, ThreadedExecutor, ThreadedResult
-from .faults import FaultInjector, FaultPolicy
+from .backends import executor_class, executor_names
+from .executor import RunHandle, ThreadedResult
 from .graph import AutomatonGraph
-from .scheduling import SchedulingPolicy, proportional_shares
-from .simexec import SimResult, SimulatedExecutor
+from .simexec import SimResult
 from .stage import Stage
-from .tracing import TraceSink
 
 __all__ = ["AnytimeAutomaton"]
 
@@ -97,8 +99,8 @@ class AnytimeAutomaton:
         (:func:`repro.ckpt.replay`): the stage generators re-run up to
         the capture, so buffers, channels, energy, reports and
         stop-condition progress stand where they stood.  The returned
-        automaton is ready to ``run_*``/``launch_*`` on **any** backend,
-        regardless of which executor took the checkpoint; the
+        automaton is ready to :meth:`run` or :meth:`launch` on **any**
+        backend, regardless of which executor took the checkpoint; the
         continuation's published versions are bit-exact with the
         uninterrupted run.
         """
@@ -133,11 +135,6 @@ class AnytimeAutomaton:
         """True when this automaton was built by :meth:`restore`."""
         return self._resume_info is not None
 
-    def _bind_executor(self, executor: Any) -> None:
-        """Stamp checkpoint identity onto an executor before launch."""
-        executor.run_name = self.name
-        executor.app_spec = self.app_spec
-
     # -- references ------------------------------------------------------
 
     @property
@@ -170,167 +167,86 @@ class AnytimeAutomaton:
 
     # -- execution ---------------------------------------------------------
 
-    def run_simulated(self, total_cores: float = 32.0,
-                      schedule: SchedulingPolicy | dict[str, float]
-                      = proportional_shares,
-                      stop: StopCondition | None = None,
-                      watch: set[str] | None = None,
-                      dynamic_shares: bool = False,
-                      faults: FaultPolicy | dict[str, FaultPolicy]
-                      | None = None,
-                      injector: FaultInjector | None = None,
-                      strict: bool = False,
-                      trace: TraceSink | None = None,
-                      trace_metric: Callable[[Any, Any], float]
-                      | None = None,
-                      trace_reference: Any = None,
-                      checkpoint_at_stop: str | None = None) -> SimResult:
+    def run(self, executor: str, **options: Any) -> Any:
+        """Run on the executor called ``executor`` until completion, a
+        stop condition or ``timeout_s``; returns its result.
+
+        ``executor`` names an entry of
+        :data:`~repro.core.backends.EXECUTORS`; ``options`` are that
+        class's keywords (``stop``, ``watch``, ``faults``, ``injector``,
+        ``strict``, ``trace``, ``trace_metric``, ``trace_reference``;
+        ``total_cores``, ``schedule``, ``dynamic_shares`` and
+        ``checkpoint_at_stop`` on the simulator), plus ``timeout_s`` on
+        a wall-clock executor.  ``faults``/``injector``/``strict``
+        configure the fault-tolerance runtime (see
+        :mod:`repro.core.faults`); ``trace``/``trace_metric``/
+        ``trace_reference`` the observability layer (see
+        :mod:`repro.core.tracing`).
+        """
+        cls = executor_class(executor)
+        timeout = ({"timeout_s": options.pop("timeout_s")}
+                   if cls.WALL_CLOCK and "timeout_s" in options else {})
+        return self._start(cls, options).run(**timeout)
+
+    def launch(self, executor: str, **options: Any) -> RunHandle:
+        """Start a wall-clock run without blocking; returns a
+        :class:`~repro.core.executor.RunHandle`.
+
+        The preemptible form of :meth:`run`: the caller (e.g. the
+        :mod:`repro.serve` scheduler) owns the run loop — it can pause,
+        resume, stop, checkpoint and collect the run at any moment, and
+        the output buffer always holds a valid approximation.
+        """
+        cls = executor_class(executor)
+        if not cls.WALL_CLOCK:
+            raise ValueError(
+                f"executor {executor!r} runs in virtual time and cannot "
+                f"be launched; launch one of "
+                f"{', '.join(executor_names(WALL_CLOCK=True))}")
+        return self._start(cls, options).launch()
+
+    def _start(self, cls: Any, options: dict[str, Any]) -> Any:
+        """Build this single-use automaton's executor and claim it; an
+        option the executor rejects leaves the automaton unclaimed."""
+        if self._ran:
+            raise RuntimeError(
+                f"automaton {self.name!r} was already executed; build a "
+                f"fresh one per run")
+        executor = cls(self.graph, resume=self._resume_info, **options)
+        self._ran = True
+        # checkpoint identity, stamped into checkpoint headers
+        executor.run_name = self.name
+        executor.app_spec = self.app_spec
+        return executor
+
+    def run_simulated(self, **options: Any) -> SimResult:
         """Deterministic virtual-time execution (the evaluation path).
 
         ``dynamic_shares=True`` turns the policy's shares into weights
         for generalized processor sharing: idle stages donate their
         cores (paper IV-C2's dynamic thread reassignment).
-        ``faults``/``injector``/``strict`` configure the fault-tolerance
-        runtime (see :mod:`repro.core.faults`);
-        ``trace``/``trace_metric``/``trace_reference`` the observability
-        layer (see :mod:`repro.core.tracing`).
         """
-        self._claim_run()
-        executor = SimulatedExecutor(self.graph, total_cores=total_cores,
-                                     schedule=schedule, stop=stop,
-                                     watch=watch,
-                                     dynamic_shares=dynamic_shares,
-                                     faults=faults, injector=injector,
-                                     strict=strict, trace=trace,
-                                     trace_metric=trace_metric,
-                                     trace_reference=trace_reference,
-                                     resume=self._resume_info,
-                                     checkpoint_at_stop=checkpoint_at_stop)
-        self._bind_executor(executor)
-        return executor.run()
+        return self.run("simulated", **options)
 
-    def run_threaded(self, stop: StopCondition | None = None,
-                     watch: set[str] | None = None,
-                     timeout_s: float | None = None,
-                     faults: FaultPolicy | dict[str, FaultPolicy]
-                     | None = None,
-                     injector: FaultInjector | None = None,
-                     strict: bool = False,
-                     trace: TraceSink | None = None,
-                     trace_metric: Callable[[Any, Any], float]
-                     | None = None,
-                     trace_reference: Any = None) -> ThreadedResult:
-        """Wall-clock execution on real threads (the interactive path).
+    def run_threaded(self, **options: Any) -> ThreadedResult:
+        """Wall-clock execution on real threads (the interactive path)."""
+        return self.run("threaded", **options)
 
-        ``faults``/``injector``/``strict`` configure the fault-tolerance
-        runtime (see :mod:`repro.core.faults`);
-        ``trace``/``trace_metric``/``trace_reference`` the observability
-        layer (see :mod:`repro.core.tracing`).
-        """
-        self._claim_run()
-        executor = ThreadedExecutor(self.graph, stop=stop, watch=watch,
-                                    faults=faults, injector=injector,
-                                    strict=strict, trace=trace,
-                                    trace_metric=trace_metric,
-                                    trace_reference=trace_reference,
-                                    resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.run(timeout_s=timeout_s)
-
-    def run_processes(self, stop: StopCondition | None = None,
-                      watch: set[str] | None = None,
-                      timeout_s: float | None = None,
-                      faults: FaultPolicy | dict[str, FaultPolicy]
-                      | None = None,
-                      injector: FaultInjector | None = None,
-                      strict: bool = False,
-                      trace: TraceSink | None = None,
-                      trace_metric: Callable[[Any, Any], float]
-                      | None = None,
-                      trace_reference: Any = None,
-                      grace_s: float = 5.0) -> ThreadedResult:
+    def run_processes(self, **options: Any) -> ThreadedResult:
         """Wall-clock execution on one process per stage (true
-        parallelism).
+        parallelism): stages run in forked workers that exchange ndarray
+        payloads through shared-memory slabs (see
+        :mod:`repro.core.procexec`).  Requires the ``fork`` start
+        method (POSIX)."""
+        return self.run("process", **options)
 
-        Same semantics and result type as :meth:`run_threaded`, but
-        stages run in forked worker processes that exchange ndarray
-        payloads through shared-memory slabs instead of the GIL-bound
-        thread pool (see :mod:`repro.core.procexec`).  ``grace_s``
-        bounds how long shutdown waits for workers before terminating
-        them.  Requires the ``fork`` start method (POSIX).
-        """
-        from .procexec import ProcessExecutor
+    def launch_threaded(self, **options: Any) -> RunHandle:
+        """:meth:`launch` on real threads."""
+        return self.launch("threaded", **options)
 
-        self._claim_run()
-        executor = ProcessExecutor(self.graph, stop=stop, watch=watch,
-                                   faults=faults, injector=injector,
-                                   strict=strict, trace=trace,
-                                   trace_metric=trace_metric,
-                                   trace_reference=trace_reference,
-                                   grace_s=grace_s, resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.run(timeout_s=timeout_s)
-
-    def launch_threaded(self, stop: StopCondition | None = None,
-                        watch: set[str] | None = None,
-                        faults: FaultPolicy | dict[str, FaultPolicy]
-                        | None = None,
-                        injector: FaultInjector | None = None,
-                        strict: bool = False,
-                        trace: TraceSink | None = None,
-                        trace_metric: Callable[[Any, Any], float]
-                        | None = None,
-                        trace_reference: Any = None) -> RunHandle:
-        """Start a threaded run without blocking; returns a
-        :class:`~repro.core.executor.RunHandle`.
-
-        The preemptible form of :meth:`run_threaded`: the caller (e.g.
-        the :mod:`repro.serve` scheduler) owns the run loop — it can
-        pause, resume, stop and collect the run at any moment, and the
-        output buffer always holds a valid approximation.
-        """
-        self._claim_run()
-        executor = ThreadedExecutor(self.graph, stop=stop, watch=watch,
-                                    faults=faults, injector=injector,
-                                    strict=strict, trace=trace,
-                                    trace_metric=trace_metric,
-                                    trace_reference=trace_reference,
-                                    resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.launch()
-
-    def launch_processes(self, stop: StopCondition | None = None,
-                         watch: set[str] | None = None,
-                         faults: FaultPolicy | dict[str, FaultPolicy]
-                         | None = None,
-                         injector: FaultInjector | None = None,
-                         strict: bool = False,
-                         trace: TraceSink | None = None,
-                         trace_metric: Callable[[Any, Any], float]
-                         | None = None,
-                         trace_reference: Any = None,
-                         grace_s: float = 5.0) -> RunHandle:
-        """Start a process-parallel run without blocking; returns a
-        :class:`~repro.core.executor.RunHandle` (see
-        :meth:`launch_threaded` for the preemption semantics)."""
-        from .procexec import ProcessExecutor
-
-        self._claim_run()
-        executor = ProcessExecutor(self.graph, stop=stop, watch=watch,
-                                   faults=faults, injector=injector,
-                                   strict=strict, trace=trace,
-                                   trace_metric=trace_metric,
-                                   trace_reference=trace_reference,
-                                   grace_s=grace_s, resume=self._resume_info)
-        self._bind_executor(executor)
-        return executor.launch()
-
-    def _claim_run(self) -> None:
-        if self._ran:
-            raise RuntimeError(
-                f"automaton {self.name!r} was already executed; build a "
-                f"fresh one per run")
-        self._ran = True
+    def launch_processes(self, **options: Any) -> RunHandle:
+        """:meth:`launch` on one process per stage."""
+        return self.launch("process", **options)
 
     # -- analysis -----------------------------------------------------------
 

@@ -304,6 +304,8 @@ class ThreadedExecutor(Kernel):
     """
 
     EXECUTOR = "threaded"
+    WALL_CLOCK = True
+    HOLDS_VALUES = True
     RESULT = ThreadedResult
 
     def __init__(self, graph: AutomatonGraph,

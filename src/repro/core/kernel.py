@@ -234,7 +234,10 @@ class Kernel:
     (:meth:`now` defaults to wall seconds since ``_t0``, continuing a
     resumed run's clock) and whatever blocks, schedules and resumes the
     stage generators.  ``EXECUTOR`` names the backend in checkpoints and
-    error messages; ``RESULT`` is the result class it returns.
+    error messages; ``RESULT`` is the result class it returns.  Each
+    subclass also declares ``WALL_CLOCK`` and ``HOLDS_VALUES``, the two
+    facts callers read instead of its name (see
+    :mod:`repro.core.backends`).
     """
 
     EXECUTOR = ""

@@ -89,6 +89,10 @@ __all__ = ["ProcessExecutor"]
 #: reactor poll interval (halt/timeout/restart checks stay live)
 _WAIT_S = 0.02
 
+#: how long shutdown waits for workers to exit voluntarily before
+#: terminating them
+GRACE_S = 5.0
+
 
 # ---------------------------------------------------------------------------
 # Worker side
@@ -275,11 +279,13 @@ class ProcessExecutor(Kernel):
     """Runs an :class:`AutomatonGraph` on one process per stage.
 
     Parameters mirror :class:`~repro.core.executor.ThreadedExecutor`
-    (the result type is shared); ``grace_s`` bounds how long shutdown
-    waits for workers to exit voluntarily before terminating them.
+    (the result type is shared); shutdown gives workers :data:`GRACE_S`
+    to exit voluntarily before terminating them.
     """
 
     EXECUTOR = "process"
+    WALL_CLOCK = True
+    HOLDS_VALUES = False
     RESULT = ThreadedResult
 
     def __init__(self, graph: AutomatonGraph,
@@ -291,7 +297,6 @@ class ProcessExecutor(Kernel):
                  trace: TraceSink | None = None,
                  trace_metric: Any = None,
                  trace_reference: Any = None,
-                 grace_s: float = 5.0,
                  resume: Any = None) -> None:
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
@@ -302,7 +307,6 @@ class ProcessExecutor(Kernel):
                          injector=injector, strict=strict, trace=trace,
                          trace_metric=trace_metric,
                          trace_reference=trace_reference, resume=resume)
-        self.grace_s = float(grace_s)
         self._ctx = mp.get_context("fork")
         self._locks = {name: self._ctx.Lock() for name in graph.buffers}
         # latest + one pin per consumer + a spare
@@ -606,7 +610,7 @@ class ProcessExecutor(Kernel):
         if self._halted:
             return
         self._halted = True
-        self._grace_deadline = self.now() + self.grace_s
+        self._grace_deadline = self.now() + GRACE_S
         for parked in self._parked:
             self._reply(parked.worker, ("halt",))
         self._parked.clear()
@@ -630,7 +634,7 @@ class ProcessExecutor(Kernel):
                 w.proc.terminate()
 
     def _join_all(self) -> None:
-        deadline = _time.perf_counter() + max(self.grace_s, 1.0)
+        deadline = _time.perf_counter() + GRACE_S
         for w in self._workers.values():
             if w.proc is None:
                 continue

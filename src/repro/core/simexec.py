@@ -226,6 +226,8 @@ class SimulatedExecutor(Kernel):
     """
 
     EXECUTOR = "simulated"
+    WALL_CLOCK = False
+    HOLDS_VALUES = True
     RESULT = SimResult
 
     def __init__(self, graph: AutomatonGraph,

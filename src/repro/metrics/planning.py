@@ -72,47 +72,22 @@ class DeadlinePlanner:
             total_cores: float = 32.0,
             metric: Callable[[Any, Any], float] | None = None,
             reference: Any = None,
-            executor: str = "simulated",
-            baseline_wall_s: float | None = None,
             **run_kwargs: Any) -> tuple[Any, float]:
-        """Build an automaton, run it to the planned budget, and return
-        ``(result, planned_budget)``.
+        """Build an automaton, run it on the simulator to the planned
+        budget, and return ``(result, planned_budget)``.
 
         The run uses a :class:`~repro.core.controller.DeadlineStop` at
-        the planned budget — and because the automaton is interruptible,
+        the planned budget times the baseline duration at
+        ``total_cores`` — and because the automaton is interruptible,
         a caller that finds the output unacceptable can simply run a
         fresh automaton with a larger margin.
-
-        ``executor`` selects the execution backend: ``"simulated"``
-        (virtual time; the historical behavior and default),
-        ``"threaded"`` or ``"process"`` (wall clock).  The planned
-        budget is normalized runtime, so the wall-clock backends need
-        ``baseline_wall_s`` — the measured solo precise wall time that
-        corresponds to normalized runtime 1.0 on this machine — to
-        place the deadline; ``total_cores`` only applies to the
-        simulator.
         """
         from ..core.controller import DeadlineStop
 
         budget = self.budget_for(target_db)
         automaton = builder()
-        if executor == "simulated":
-            deadline = automaton.baseline_duration(total_cores) * budget
-            result = automaton.run_simulated(
-                total_cores=total_cores, stop=DeadlineStop(deadline),
-                **run_kwargs)
-        elif executor in ("threaded", "process"):
-            if baseline_wall_s is None or baseline_wall_s <= 0:
-                raise ValueError(
-                    f"executor {executor!r} needs baseline_wall_s (the "
-                    f"wall seconds of a solo precise run) to convert "
-                    f"the normalized budget into a wall-clock deadline")
-            deadline = baseline_wall_s * budget
-            run_method = (automaton.run_threaded if executor == "threaded"
-                          else automaton.run_processes)
-            result = run_method(stop=DeadlineStop(deadline), **run_kwargs)
-        else:
-            raise ValueError(
-                f"unknown executor {executor!r}; pick from "
-                f"('simulated', 'threaded', 'process')")
+        deadline = automaton.baseline_duration(total_cores) * budget
+        result = automaton.run_simulated(
+            total_cores=total_cores, stop=DeadlineStop(deadline),
+            **run_kwargs)
         return result, budget

@@ -318,17 +318,21 @@ class _CheckedRun:
         return sum(len(c.violations) for c in self.checkers)
 
 
-def _checked_builder(builder: Any, hash_values: bool) -> tuple[Any, _CheckedRun]:
+def _checked_builder(builder: Any, executor: str) -> tuple[Any, _CheckedRun]:
     """Wrap ``builder`` so every automaton it yields gets a fresh
-    per-run Checker (seeded when the graph was restored mid-stream)."""
+    per-run Checker (seeded when the graph was restored mid-stream)
+    that hashes published values where ``executor``'s buffers hold
+    them."""
     cell = _CheckedRun()
 
     def build() -> Any:
         from ..check import Checker
+        from ..core.backends import executor_class
 
         automaton = builder()
-        checker = Checker.for_graph(automaton.graph,
-                                    hash_values=hash_values)
+        checker = Checker.for_graph(
+            automaton.graph,
+            hash_values=executor_class(executor).HOLDS_VALUES)
         if any(buf.snapshot().version > 0
                for buf in automaton.graph.buffers.values()):
             checker.seed_resumed(automaton.graph)
@@ -522,7 +526,7 @@ def worker_main(sock: socket.socket,
                         builder = _resuming_builder(resume, builder)
                     if msg.get("check", cfg.get("check")):
                         builder, cell = _checked_builder(
-                            builder, hash_values=cfg["executor"] != "process")
+                            builder, cfg["executor"])
                     slo_spec = msg.get("slo") or {}
                     slo = SLO(
                         deadline_s=slo_spec.get("deadline_s"),

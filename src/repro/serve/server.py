@@ -71,6 +71,7 @@ import weakref
 from collections import deque
 from typing import Any, Callable
 
+from ..core.backends import executor_class, executor_names
 from ..core.buffer import Snapshot
 from ..core.faults import FaultInjector, FaultPolicy
 from ..core.tracing import TraceEvent, TraceSink
@@ -80,8 +81,6 @@ from .session import Session, SessionState, _Run
 from .slo import SLO
 
 __all__ = ["AnytimeServer", "shutdown_all_servers"]
-
-_EXECUTORS = ("threaded", "process")
 
 #: fault policy of a request that brings none: graceful degradation,
 #: so one faulty request cannot take the server down with a raise
@@ -119,8 +118,10 @@ class AnytimeServer:
         Bound on the admission queue; submissions beyond it are shed
         (after ``wait_s`` of backpressure, if the caller asked for any).
     executor:
-        ``"threaded"`` (in-process stage threads) or ``"process"``
-        (one forked worker per stage; POSIX only).
+        The name of a wall-clock executor in
+        :data:`~repro.core.backends.EXECUTORS`: ``"threaded"``
+        (in-process stage threads, the default) or ``"process"`` (one
+        forked worker per stage; POSIX only).
     policy:
         Slot-allocation policy; default :class:`FairSharePolicy`.
     quantum_s:
@@ -174,9 +175,10 @@ class AnytimeServer:
             raise ValueError(f"slots must be positive: {slots}")
         if queue_limit < 0:
             raise ValueError(f"queue_limit cannot be negative: {queue_limit}")
-        if executor not in _EXECUTORS:
+        if not executor_class(executor).WALL_CLOCK:
             raise ValueError(
-                f"unknown executor {executor!r}; pick from {_EXECUTORS}")
+                f"executor {executor!r} runs in virtual time; serve on "
+                f"one of {', '.join(executor_names(WALL_CLOCK=True))}")
         if quantum_s <= 0 or tick_s <= 0:
             raise ValueError("quantum_s and tick_s must be positive")
         self.slots = slots
@@ -739,15 +741,9 @@ class AnytimeServer:
                     from_ckpt, builder=lead.builder)
             else:
                 automaton = lead.builder()
-            sink = lead.trace if lead.trace is not None else self._sink
-            if self.executor == "process":
-                handle = automaton.launch_processes(
-                    faults=lead.faults, injector=self._injector,
-                    trace=sink, grace_s=GRACE_S)
-            else:
-                handle = automaton.launch_threaded(
-                    faults=lead.faults, injector=self._injector,
-                    trace=sink)
+            handle = automaton.launch(
+                self.executor, faults=lead.faults, injector=self._injector,
+                trace=lead.trace if lead.trace is not None else self._sink)
         except Exception as exc:
             # a broken builder (or unreadable checkpoint) fails only the
             # lead; the run re-queues under its next subscriber's builder

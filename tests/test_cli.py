@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.registry import APP_REGISTRY, get_app
 from repro.cli import main
+from repro.core.backends import EXECUTORS
 from repro.data.pnm import read_pnm
 
 
@@ -258,6 +259,19 @@ class TestCheckCommand:
     def test_check_rejects_unknown_app(self, capsys):
         assert main(["check", "fft", "--no-serve"]) == 2
         assert "unknown app" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [
+        ["dwt53", "--size", "16", "--no-serve"], ["--self-test"]],
+        ids=["differential", "self-test"])
+    def test_check_rejects_unknown_executor_before_any_leg(self, mode,
+                                                            capsys):
+        assert main(["check", *mode,
+                     "--executors", "simulated,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err
+        for name in EXECUTORS:
+            assert name in captured.err
+        assert captured.out == ""
 
     @pytest.mark.slow
     @pytest.mark.timeout(300)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.apps.registry import get_app
 from repro.core.automaton import AnytimeAutomaton
+from repro.core.backends import EXECUTORS, executor_class, executor_names
 from repro.core.buffer import VersionedBuffer
 from repro.core.executor import ThreadedExecutor
 from repro.core.faults import FaultPolicy, StageReport
@@ -268,3 +269,45 @@ def test_timeline_records_hold_the_published_value(run):
     assert [r.version for r in records] == [1, 2]
     assert np.array_equal(records[0].value, np.zeros(4))
     assert np.array_equal(records[1].value, np.ones(4))
+
+
+@pytest.mark.parametrize("name", list(EXECUTORS))
+def test_every_table_entry_runs_to_the_precise_output(name):
+    """Each executor in the table reaches the precise output bit for
+    bit through ``run(name)``, and each wall-clock one through
+    ``launch(name)`` as well; the class it names carries that name."""
+    spec = get_app("2dconv")
+    image = spec.make_input(24, 0)
+    backend = executor_class(name)
+    assert backend.EXECUTOR == name
+    auto = spec.build(image)
+    result = auto.run(name, **({"timeout_s": 60.0}
+                               if backend.WALL_CLOCK else {}))
+    assert result.completed
+    terminal = auto.terminal_buffer_name
+    assert np.array_equal(result.final_values[terminal],
+                          auto.precise_output())
+    if backend.WALL_CLOCK:
+        auto = spec.build(image)
+        result = auto.launch(name).result(timeout_s=60.0)
+        assert result.completed
+        assert np.array_equal(result.final_values[terminal],
+                              auto.precise_output())
+
+
+@pytest.mark.parametrize("call", [
+    lambda auto: auto.launch("simulated"),
+    lambda auto: auto.run("bogus"),
+], ids=["launch-virtual-time", "run-unknown"])
+def test_a_name_outside_the_table_or_its_clock_names_the_table(call):
+    spec = get_app("2dconv")
+    auto = spec.build(spec.make_input(24, 0))
+    with pytest.raises(ValueError) as err:
+        call(auto)
+    for name in EXECUTORS:
+        assert name in str(err.value)
+
+
+def test_only_the_simulator_runs_in_virtual_time_and_only_the_process_backend_holds_descriptors():
+    assert executor_names(WALL_CLOCK=False) == ("simulated",)
+    assert executor_names(HOLDS_VALUES=False) == ("process",)

@@ -573,7 +573,7 @@ class TestAcceptance:
 
 
 # ---------------------------------------------------------------------
-# Planner executor choice (bugfix)
+# Planner: a run to the planned budget on the simulator
 # ---------------------------------------------------------------------
 
 class TestPlannerExecutorChoice:
@@ -586,26 +586,6 @@ class TestPlannerExecutorChoice:
         p = DeadlinePlanner(margin=1.2)
         p.calibrate(profile)
         return p
-
-    def test_threaded_executor_runs_to_wall_budget(self):
-        planner = self.planner()
-        result, budget = planner.run(
-            lambda: slow_automaton(levels=100), target_db=10.0,
-            executor="threaded", baseline_wall_s=0.1)
-        assert budget == pytest.approx(0.2 * 1.2)
-        assert result.stopped_early
-        assert result.output_records("out"), \
-            "stopped run must still have published versions"
-
-    def test_wall_executor_requires_baseline(self):
-        with pytest.raises(ValueError, match="baseline_wall_s"):
-            self.planner().run(slow_automaton, target_db=10.0,
-                               executor="threaded")
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            self.planner().run(slow_automaton, target_db=10.0,
-                               executor="quantum")
 
     def test_simulated_default_unchanged(self):
         def graded_automaton():
