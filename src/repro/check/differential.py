@@ -28,6 +28,7 @@ Everything lands in a machine-readable :class:`DifferentialReport`
 
 from __future__ import annotations
 
+import threading
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -426,10 +427,12 @@ def _interrupt_on(spec: Any, image: np.ndarray, executor: str,
 
     A virtual-time leg interrupts deterministically via a stop
     condition's ``checkpoint_at_stop``; the wall-clock legs launch,
-    poll the terminal buffer for signs of progress, and checkpoint the
-    live handle.  A fast run may complete before the checkpoint lands —
-    that is a legal capture too (the restore then merely replays a
-    finished run), so no retry is needed.
+    wait on an event the run sets at each terminal version and at its
+    end (:meth:`RunHandle.watch`, as the server waits) until
+    ``min_versions`` are out, the run ends or ``timeout_s`` passes, and
+    checkpoint the live handle.  A fast run may complete before the
+    checkpoint lands — that is a legal capture too (the restore then
+    merely replays a finished run), so no retry is needed.
     """
     from ..core.controller import VersionCountStop
 
@@ -442,9 +445,18 @@ def _interrupt_on(spec: Any, image: np.ndarray, executor: str,
     handle = automaton.launch(executor)
     buffer = automaton.graph.buffers[automaton.terminal_buffer_name]
     deadline = _time.monotonic() + timeout_s
-    while buffer.version < min_versions and not handle.finished \
-            and _time.monotonic() < deadline:
-        _time.sleep(0.002)
+    progressed = threading.Event()
+    handle.watch(progressed)
+    try:
+        while True:
+            progressed.clear()
+            remaining = deadline - _time.monotonic()
+            if buffer.version >= min_versions or handle.finished \
+                    or remaining <= 0:
+                break
+            progressed.wait(remaining)
+    finally:
+        handle.unwatch(progressed)
     handle.checkpoint(path)
     handle.request_stop()
     handle.result()

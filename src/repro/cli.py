@@ -280,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input edge length for the differential "
                             "harness (default 24)")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--executors", type=str,
-                       default=",".join(EXECUTORS),
-                       help="comma-separated executors to cross-check "
-                            "(default: all of them)")
+    check.add_argument("--executors", type=str, default=None,
+                       help="comma-separated executors to cross-check; "
+                            "with --restore, every ordered pair of "
+                            "them (default: all of them)")
     check.add_argument("--no-serve", action="store_true",
                        help="skip the AnytimeServer preempt/resume leg")
     check.add_argument("--timeout-s", type=float, default=120.0,
@@ -309,11 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "run, checkpoint it, restore it on every "
                             "other executor, and require the "
                             "continuation to be bit-exact")
-    check.add_argument("--pairs", type=str, default=None,
-                       metavar="SRC:DST,...",
-                       help="restore mode: comma-separated "
-                            "source:destination executor pairs "
-                            "(default: all ordered pairs)")
     check.add_argument("--workdir", type=str, default=None,
                        metavar="DIR",
                        help="restore mode: directory for checkpoint "
@@ -820,27 +815,13 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_restore(args: argparse.Namespace) -> int:
+def _cmd_check_restore(args: argparse.Namespace,
+                       executors: tuple[str, ...]) -> int:
     import json
 
     from .check import run_restore_differential
 
-    pairs = None
-    if args.pairs:
-        pairs = []
-        for token in args.pairs.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            sep = ":" if ":" in token else ">"
-            src, _, dst = token.partition(sep)
-            if src not in EXECUTORS or dst not in EXECUTORS:
-                print(f"error: bad pair {token!r}; want SRC:DST with "
-                      f"executors from {tuple(EXECUTORS)}",
-                      file=sys.stderr)
-                return 2
-            pairs.append((src, dst))
-
+    pairs = [(src, dst) for src in executors for dst in executors]
     apps = args.apps or ["2dconv", "kmeans", "dwt53"]
     unknown = [a for a in apps if a not in APP_REGISTRY]
     if unknown:
@@ -906,10 +887,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
     import json
 
     if args.fleet:
+        if args.executors is not None:
+            from .serve.fleet import WORKER_DEFAULTS
+            print(f"error: --fleet runs its workers on the "
+                  f"{WORKER_DEFAULTS['executor']} executor; it takes "
+                  f"no --executors", file=sys.stderr)
+            return 2
         return _cmd_check_fleet(args)
 
+    executors = tuple(EXECUTORS) if args.executors is None else tuple(
+        e.strip() for e in args.executors.split(",") if e.strip())
+    unknown = [e for e in executors if e not in EXECUTORS]
+    if unknown:
+        print(f"error: unknown executor(s) {unknown}; known: "
+              f"{', '.join(EXECUTORS)}", file=sys.stderr)
+        return 2
+
     if args.restore:
-        return _cmd_check_restore(args)
+        return _cmd_check_restore(args, executors)
 
     if args.replay is not None:
         from .check.fuzz import replay
@@ -934,14 +929,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"no falsifying automaton in {args.max_examples} "
               f"examples")
         return 0
-
-    executors = tuple(e.strip()
-                      for e in args.executors.split(",") if e.strip())
-    unknown = [e for e in executors if e not in EXECUTORS]
-    if unknown:
-        print(f"error: unknown executor(s) {unknown}; known: "
-              f"{', '.join(EXECUTORS)}", file=sys.stderr)
-        return 2
 
     if args.self_test:
         from .check import run_self_test

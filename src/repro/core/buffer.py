@@ -17,7 +17,6 @@ producer.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -88,13 +87,13 @@ class VersionedBuffer:
         Buffer name (unique within an automaton graph).
 
     Thread safety: writes and snapshots are serialized by an internal
-    condition variable, which also lets threaded consumers block until a
-    newer version appears (:meth:`wait_newer`).
+    lock.  A consumer waits for a newer version on an event registered
+    with :meth:`subscribe`, which every write and seal sets.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._value: Any = None
         self._version = 0
         self._final = False
@@ -111,7 +110,7 @@ class VersionedBuffer:
 
         Raises ``ValueError`` if another stage already owns it.
         """
-        with self._cond:
+        with self._lock:
             if self._writer is not None and self._writer != stage_name:
                 raise ValueError(
                     f"buffer {self.name!r} already written by "
@@ -125,17 +124,17 @@ class VersionedBuffer:
 
     @property
     def version(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._version
 
     @property
     def final(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._final
 
     @property
     def sealed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._sealed
 
     def write(self, value: Any, final: bool = False,
@@ -152,7 +151,7 @@ class VersionedBuffer:
         defensive copy is skipped and the array is frozen in place
         (see :func:`_freeze`).
         """
-        with self._cond:
+        with self._lock:
             if writer is not None and self._writer is not None \
                     and writer != self._writer:
                 raise ValueError(
@@ -183,7 +182,7 @@ class VersionedBuffer:
         producer will ever publish (it degraded or the run is winding
         down), so waiting longer is pointless.
         """
-        with self._cond:
+        with self._lock:
             already = self._sealed
             self._sealed = True
             self._notify()
@@ -198,48 +197,22 @@ class VersionedBuffer:
         subscribes one event to each and waits on that single event
         (the threaded executor's multi-input wake-up path).
         """
-        with self._cond:
+        with self._lock:
             if event not in self._watchers:
                 self._watchers.append(event)
 
     def unsubscribe(self, event: threading.Event) -> None:
-        with self._cond:
+        with self._lock:
             if event in self._watchers:
                 self._watchers.remove(event)
 
     def _notify(self) -> None:
-        # caller holds self._cond
-        self._cond.notify_all()
+        # caller holds self._lock
         for event in self._watchers:
             event.set()
 
     def snapshot(self) -> Snapshot:
         """Atomically read (value, version, final, sealed)."""
-        with self._cond:
-            return Snapshot(self.name, self._value, self._version,
-                            self._final, self._sealed)
-
-    def wait_newer(self, version: int, timeout: float | None = None,
-                   ) -> Snapshot:
-        """Block until the buffer holds a version newer than ``version``.
-
-        Returns the current snapshot on wake-up (which may still be the
-        old version if the timeout expired).  The wait is re-armed
-        across spurious wakeups and notifies for writes that do not
-        satisfy the predicate, honoring the *total* ``timeout`` across
-        all of them; a final or sealed buffer returns immediately
-        (nothing newer can ever appear).
-        """
-        with self._cond:
-            deadline = (None if timeout is None
-                        else time.monotonic() + timeout)
-            while (self._version <= version and not self._final
-                   and not self._sealed):
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._cond.wait(remaining):
-                    break
+        with self._lock:
             return Snapshot(self.name, self._value, self._version,
                             self._final, self._sealed)

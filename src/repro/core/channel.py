@@ -20,7 +20,8 @@ __all__ = ["ChannelClosed", "UpdateChannel"]
 
 
 class ChannelClosed(Exception):
-    """Raised when receiving from a closed, drained channel."""
+    """Raised by a receive from a closed, drained channel, and by an
+    emit into a closed one."""
 
 
 class UpdateChannel:
@@ -31,8 +32,8 @@ class UpdateChannel:
     name:
         Channel name (for diagnostics).
     capacity:
-        Maximum queued updates before the producer blocks (None =
-        unbounded).  Capacity 1 reproduces the paper's strictest
+        Maximum queued updates before :meth:`try_emit` refuses and the
+        producer waits (None = unbounded).  Capacity 1 reproduces the paper's strictest
         synchronization: the producer may run at most one update ahead.
     """
 
@@ -72,29 +73,9 @@ class UpdateChannel:
             return (self.capacity is not None
                     and len(self._queue) >= self.capacity)
 
-    def emit(self, update: Any, timeout: float | None = None) -> None:
-        """Enqueue one update; blocks while the channel is full."""
-        with self._cond:
-            if self._closed:
-                raise ChannelClosed(
-                    f"emit on closed channel {self.name!r}")
-            while (self.capacity is not None
-                   and len(self._queue) >= self.capacity):
-                if not self._cond.wait(timeout):
-                    raise TimeoutError(
-                        f"emit timed out on full channel {self.name!r}")
-                if self._closed:
-                    raise ChannelClosed(
-                        f"emit on closed channel {self.name!r}")
-            self._queue.append(update)
-            self.emitted += 1
-            self._cond.notify_all()
-            queued = len(self._queue)
-        if self.tracer is not None:
-            self.tracer("channel.emit", self.name, queued=queued)
-
     def try_emit(self, update: Any) -> bool:
-        """Non-blocking emit; returns False when full."""
+        """Enqueue one update; returns False when full.  Raises
+        :class:`ChannelClosed` once the channel is closed."""
         with self._cond:
             if self._closed:
                 raise ChannelClosed(
@@ -125,8 +106,8 @@ class UpdateChannel:
         Unlike :meth:`close`, an aborted channel marks the stream
         *incomplete*: updates were lost, so the consumer's aggregate
         must not be published as final.  Queued updates remain
-        receivable; a blocked producer is released (its next emit
-        raises :class:`ChannelClosed`).
+        receivable; a producer waiting in :meth:`wait_ready` is released
+        (its next emit raises :class:`ChannelClosed`).
         """
         with self._cond:
             already = self._aborted
@@ -137,20 +118,20 @@ class UpdateChannel:
         if self.tracer is not None and not already:
             self.tracer("channel.abort", self.name, queued=queued)
 
-    def wait_ready(self, sending: bool, timeout: float,
+    def wait_ready(self, sending: bool,
                    halt: threading.Event | None = None) -> None:
-        """Block up to ``timeout`` until an emit (``sending``) or a recv
-        would not block, the channel closes, or ``halt`` is set (whoever
-        sets it then calls :meth:`wake`).  Pairs with :meth:`try_emit` /
-        :meth:`try_recv` for a caller that applies them under a lock of
-        its own."""
+        """Block until an emit (``sending``) or a receive would not
+        block, the channel closes, or ``halt`` is set (whoever sets it
+        then calls :meth:`wake`).  The one way to wait on a channel:
+        pairs with :meth:`try_emit` / :meth:`try_recv`, which a caller
+        may apply under a lock of its own."""
         with self._cond:
             self._cond.wait_for(
                 lambda: self._closed
                 or (halt is not None and halt.is_set()) or (
                     self.capacity is None
                     or len(self._queue) < self.capacity if sending
-                    else bool(self._queue)), timeout)
+                    else bool(self._queue)))
 
     def wake(self) -> None:
         """Make every :meth:`wait_ready` look at its conditions again:
@@ -159,30 +140,9 @@ class UpdateChannel:
         with self._cond:
             self._cond.notify_all()
 
-    def recv(self, timeout: float | None = None) -> Any:
-        """Dequeue the next update; blocks while empty.
-
-        Raises :class:`ChannelClosed` once the channel is closed and
-        drained — the consumer's signal to finalize its output.
-        """
-        with self._cond:
-            while not self._queue:
-                if self._closed:
-                    raise ChannelClosed(
-                        f"channel {self.name!r} is closed and drained")
-                if not self._cond.wait(timeout):
-                    raise TimeoutError(
-                        f"recv timed out on channel {self.name!r}")
-            update = self._queue.popleft()
-            self.received += 1
-            self._cond.notify_all()
-            queued = len(self._queue)
-        if self.tracer is not None:
-            self.tracer("channel.recv", self.name, queued=queued)
-        return update
-
     def try_recv(self) -> tuple[bool, Any]:
-        """Non-blocking receive: (True, update) or (False, None).
+        """Dequeue the next update: (True, update), or (False, None)
+        while the channel is empty.
 
         Raises :class:`ChannelClosed` when closed and drained.
         """

@@ -3,9 +3,11 @@
 One thread per stage, each pumping its stage through the shared kernel
 (:func:`~repro.core.kernel.drive`) against wall-clock time: the actual
 NumPy work happens inside the stage generator between yields, so
-:class:`Compute` only charges the stage's declared energy; waits block
-on buffer wake-up events, and channels use their built-in blocking
-operations.
+:class:`Compute` only charges the stage's declared energy.  Every wait
+blocks, with no timeout, on the one event its state change sets: the
+pause gate, a stage's input event (set by a write or seal of any input)
+and a channel's :meth:`~repro.core.channel.UpdateChannel.wait_ready`;
+a halt sets each of them.
 
 This executor exists for what simulation cannot give — genuine
 interactive interruption on a live machine (stop the automaton the moment
@@ -42,7 +44,8 @@ from .tracing import TraceSink
 
 __all__ = ["ThreadedExecutor", "ThreadedResult", "RunHandle"]
 
-_POLL_S = 0.005
+#: an attempt's "not yet": :meth:`_StageThread._block` tries again
+_AGAIN = object()
 
 
 @dataclass
@@ -96,7 +99,7 @@ class RunHandle:
         self.executor._set_paused(True)
 
     def resume(self) -> None:
-        """Undo :meth:`pause`; progress restarts within one poll tick."""
+        """Undo :meth:`pause`; parked stages go on at once."""
         self.executor._set_paused(False)
 
     @property
@@ -191,13 +194,12 @@ class _StageThread:
 
     def live(self) -> bool:
         """The pause gate: park between commands (the preemption point)
-        while paused; False once the run halts."""
+        while paused; False once the run halts (a halt opens the gate)."""
         ex = self.ex
         while not ex._halt.is_set():
             if ex._gate.is_set():
                 return True
-            # the short timeout keeps the halt flag live
-            ex._gate.wait(timeout=_POLL_S)
+            ex._gate.wait()
         return False
 
     def compute(self, cmd: Any) -> None:
@@ -212,13 +214,13 @@ class _StageThread:
         def attempt() -> Any:
             self.event.clear()
             reply = self.ex.reply_wait(self.stage, seen)
-            if reply is None:
-                # set by a write or seal to any input, or by a halt
-                # after this check
-                if not self.ex._halt.is_set():
-                    self.event.wait(timeout=_POLL_S)
-                raise TimeoutError
-            return reply
+            if reply is not None:
+                return reply
+            # set by a write or seal to any input, or by a halt after
+            # this check
+            if not self.ex._halt.is_set():
+                self.event.wait()
+            return _AGAIN
 
         return self._block("inputs", attempt)
 
@@ -232,11 +234,11 @@ class _StageThread:
         # propagates to the fault policy.
         channel = self.stage.emit_to
 
-        def attempt() -> None:
-            if not self.ex.try_emit(self.stage, update):
-                channel.wait_ready(sending=True, timeout=_POLL_S,
-                                   halt=self.ex._halt)
-                raise TimeoutError
+        def attempt() -> Any:
+            if self.ex.try_emit(self.stage, update):
+                return None
+            channel.wait_ready(sending=True, halt=self.ex._halt)
+            return _AGAIN
 
         return self._block("emit", attempt)
 
@@ -248,26 +250,25 @@ class _StageThread:
 
         def attempt() -> Any:
             got, update = self.ex.try_recv(self.stage)
-            if not got:
-                channel.wait_ready(sending=False, timeout=_POLL_S,
-                                   halt=self.ex._halt)
-                raise TimeoutError
-            return update
+            if got:
+                return update
+            channel.wait_ready(sending=False, halt=self.ex._halt)
+            return _AGAIN
 
         return self._block("recv", attempt)
 
     def _block(self, kind: str, attempt: Callable[[], Any]) -> Any:
-        """Repeat ``attempt`` — one bounded wait, raising TimeoutError
-        when it expires — until it answers or the run halts."""
+        """Repeat ``attempt`` — one wait, :data:`_AGAIN` when it woke
+        without an answer — until it answers or the run halts."""
         ex = self.ex
         started = ex.now()
         blocked = False
         try:
             while not ex._halt.is_set():
-                try:
-                    return attempt()
-                except TimeoutError:
-                    blocked = True
+                reply = attempt()
+                if reply is not _AGAIN:
+                    return reply
+                blocked = True
             return HALTED
         finally:
             if blocked:
@@ -338,20 +339,23 @@ class ThreadedExecutor(Kernel):
         #: one thread per relaunched stage; None until launch()
         self._threads: dict[str, threading.Thread] | None = None
         #: stage threads not yet wound down, counted under ``_lock``:
-        #: the last one out ends the run (:meth:`_run_ended`)
+        #: the last one out ends the run (:meth:`_run_ended`), which
+        #: sets ``_done``
         self._live = 0
+        self._done = threading.Event()
+        self._end_events.append(self._done)
 
     def request_stop(self) -> None:
         """Interrupt the automaton (thread-safe, idempotent)."""
         self.stop_requested = True
         self._halt_stages()
-        # release paused threads so they can observe the halt
-        self._gate.set()
 
     def _halt_stages(self) -> None:
-        """Halt the run: a stage waiting on its inputs or blocked on a
-        channel sees it at once, not at its next poll."""
+        """Halt the run: set every event a stage can wait on, so a stage
+        parked at the gate, waiting on its inputs or blocked on a
+        channel sees the halt at once."""
         self._halt.set()
+        self._gate.set()
         for event in self._input_events.values():
             event.set()
         for channel in self._channels:
@@ -361,8 +365,10 @@ class ThreadedExecutor(Kernel):
 
     def _set_paused(self, paused: bool) -> None:
         if paused:
-            if not self._halt.is_set():
-                self._gate.clear()
+            self._gate.clear()
+            if self._halt.is_set():
+                # a halt that raced the clear keeps the gate open
+                self._gate.set()
         else:
             self._gate.set()
 
@@ -373,18 +379,12 @@ class ThreadedExecutor(Kernel):
         return self._live > 0
 
     def _wait_done(self, timeout_s: float | None) -> bool:
-        """Join all stage threads; False if ``timeout_s`` expired first."""
+        """Wait for the last stage thread to wind down; False if
+        ``timeout_s`` expired first."""
         if self._threads is None:
             raise RuntimeError("executor was never launched")
-        deadline = (None if timeout_s is None
-                    else _time.monotonic() + timeout_s)
-        for t in self._threads.values():
-            while t.is_alive():
-                t.join(timeout=_POLL_S)
-                if deadline is not None \
-                        and _time.monotonic() >= deadline:
-                    if self._is_active():
-                        return False
+        if not self._done.wait(timeout_s):
+            return False
         if self._ended_at is None:
             self._ended_at = self.now()
         return True

@@ -608,10 +608,10 @@ class Kernel:
         """Freeze all buffers and channels after an interrupted run.
 
         A timeout or stop condition halts the stages, but anything
-        *outside* the executor blocked on the graph — a UI thread in
-        ``buffer.wait_newer``, a producer stuck emitting into a full,
-        never-closed channel — would hang forever on objects no stage
-        will touch again.  Sealing is idempotent and aborting is skipped
+        *outside* the executor waiting on the graph — a UI thread on an
+        event it subscribed to a buffer, a producer in ``wait_ready``
+        on a full, never-closed channel — would wait forever on objects
+        no stage will touch again.  Sealing is idempotent and aborting is skipped
         for channels already closed, so a clean shutdown is unaffected.
         """
         for b in self.graph.buffers.values():

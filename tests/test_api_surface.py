@@ -67,9 +67,8 @@ class TestChannelCounters:
         from repro.core.channel import UpdateChannel
 
         ch = UpdateChannel("x")
-        ch.emit(1)
-        ch.try_emit(2)
-        ch.recv(timeout=0.1)
+        assert ch.try_emit(1) and ch.try_emit(2)
+        assert ch.try_recv() == (True, 1)
         assert ch.emitted == 2 and ch.received == 1
 
 

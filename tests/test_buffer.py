@@ -1,6 +1,7 @@
 """Tests for versioned buffers (paper Properties 2 and 3)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -106,93 +107,94 @@ class TestPropertyThree:
         assert not torn, "readers observed a torn write (Property 3)"
 
 
+def wait_newer(b, version, event):
+    """Wait for a version of ``b`` newer than ``version`` on an event
+    subscribed to it, as the threaded executor's input wait does: clear
+    the event, look, and block only while nothing newer can appear."""
+    while True:
+        event.clear()
+        snap = b.snapshot()
+        if snap.version > version or snap.exhausted:
+            return snap
+        event.wait()
+
+
+def subscribed(b):
+    event = threading.Event()
+    b.subscribe(event)
+    return event
+
+
+def waiting(b, version, got):
+    """A thread blocked in :func:`wait_newer`; it appends the snapshot
+    it returns to ``got``."""
+    event = subscribed(b)
+    t = threading.Thread(
+        target=lambda: got.append(wait_newer(b, version, event)),
+        daemon=True)
+    t.start()
+    time.sleep(0.05)
+    assert not got
+    return t
+
+
+@pytest.mark.timeout(30)
 class TestWaitNewer:
+    """Waiting for a newer version through a subscribed event: a lost
+    wakeup hangs the waiter, which the conftest watchdog fails."""
+
     def test_returns_immediately_when_newer_exists(self):
         b = VersionedBuffer("b")
         b.write(1)
-        snap = b.wait_newer(0, timeout=0.01)
+        snap = wait_newer(b, 0, subscribed(b))
         assert snap.version == 1
 
     def test_wakes_on_write(self):
         b = VersionedBuffer("b")
         got = []
-
-        def waiter():
-            got.append(b.wait_newer(0, timeout=5.0))
-
-        t = threading.Thread(target=waiter)
-        t.start()
+        t = waiting(b, 0, got)
         b.write("hello")
-        t.join(timeout=5.0)
+        t.join(5.0)
+        assert not t.is_alive()
         assert got and got[0].value == "hello"
 
-    def test_timeout_returns_stale_snapshot(self):
+    def test_wakes_on_seal(self):
         b = VersionedBuffer("b")
-        snap = b.wait_newer(0, timeout=0.01)
-        assert snap.empty
+        b.write(1)
+        got = []
+        t = waiting(b, 1, got)
+        b.seal()
+        t.join(5.0)
+        assert not t.is_alive()
+        assert got[0].version == 1 and got[0].sealed
 
     def test_final_buffer_returns_without_wait(self):
         b = VersionedBuffer("b")
         b.write(1, final=True)
-        snap = b.wait_newer(5, timeout=0.01)
+        snap = wait_newer(b, 5, subscribed(b))
         assert snap.final
 
     def test_unsatisfying_notifies_do_not_end_wait_early(self):
-        """Writes that don't satisfy the version predicate notify the
-        condition; the wait must re-arm instead of returning stale."""
-        import time
-
+        """Writes that don't satisfy the version predicate set the event;
+        the wait must re-arm instead of returning stale."""
         b = VersionedBuffer("b")
         b.write("v1")
-
-        def chatter():
-            for _ in range(10):
-                time.sleep(0.01)
-                b.write("noise")
-
-        t = threading.Thread(target=chatter, daemon=True)
-        timeout = 0.3
-        t0 = time.monotonic()
-        t.start()
-        snap = b.wait_newer(100, timeout=timeout)
-        elapsed = time.monotonic() - t0
-        t.join()
-        # each of the 10 notifies satisfied nothing; the wait must hold
-        # for the whole timeout, not return on the first wakeup
-        assert elapsed >= timeout * 0.9
-        assert snap.version == 11 and not snap.final
-
-    def test_timeout_spans_multiple_wakeups(self):
-        """The total timeout is honored across wakeups (the old
-        single-wait version would restart the clock or return early)."""
-        import time
-
-        b = VersionedBuffer("b")
-        b.write(0)
-        stop = threading.Event()
-
-        def chatter():
-            while not stop.is_set():
-                b.write("noise")
-                time.sleep(0.005)
-
-        t = threading.Thread(target=chatter, daemon=True)
-        t.start()
-        t0 = time.monotonic()
-        b.wait_newer(10 ** 9, timeout=0.2)
-        elapsed = time.monotonic() - t0
-        stop.set()
-        t.join()
-        assert 0.15 <= elapsed < 2.0
+        got = []
+        t = waiting(b, 11, got)
+        for _ in range(10):
+            b.write("noise")
+            time.sleep(0.005)
+        assert not got and b.version == 11
+        b.write("v12")
+        t.join(5.0)
+        assert not t.is_alive()
+        assert got[0].version == 12 and got[0].value == "v12"
 
     def test_sealed_buffer_returns_without_wait(self):
         b = VersionedBuffer("b")
         b.write(1)
         b.seal()
-        import time
-        t0 = time.monotonic()
-        snap = b.wait_newer(5, timeout=5.0)
-        assert time.monotonic() - t0 < 1.0
+        snap = wait_newer(b, 5, subscribed(b))
         assert snap.sealed and not snap.final and snap.exhausted
 
 

@@ -261,8 +261,9 @@ class TestCheckCommand:
         assert "unknown app" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [
-        ["dwt53", "--size", "16", "--no-serve"], ["--self-test"]],
-        ids=["differential", "self-test"])
+        ["dwt53", "--size", "16", "--no-serve"], ["--self-test"],
+        ["--restore", "dwt53", "--size", "16"]],
+        ids=["differential", "self-test", "restore"])
     def test_check_rejects_unknown_executor_before_any_leg(self, mode,
                                                             capsys):
         assert main(["check", *mode,
@@ -271,6 +272,23 @@ class TestCheckCommand:
         assert "bogus" in captured.err
         for name in EXECUTORS:
             assert name in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.timeout(120)
+    def test_check_restore_runs_the_pairs_of_its_executors(self, capsys):
+        assert main(["check", "--restore", "dwt53", "--size", "16",
+                     "--executors", "threaded"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(", restore on ") == 1
+        assert "across [threaded>threaded]" in out
+
+    def test_check_fleet_rejects_executors_before_any_leg(self, capsys):
+        from repro.serve.fleet import WORKER_DEFAULTS
+
+        assert main(["check", "--fleet", "--executors", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert WORKER_DEFAULTS["executor"] in captured.err
+        assert "--executors" in captured.err
         assert captured.out == ""
 
     @pytest.mark.slow

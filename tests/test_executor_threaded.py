@@ -120,13 +120,9 @@ class TestInterruption:
         assert res.stopped_early
         assert len(res.output_records("out")) >= 2
 
-    def test_stop_wakes_a_stage_waiting_on_its_inputs(self, monkeypatch):
-        """A halt reaches a stage blocked on its inputs at once, not at
-        its next poll: with the poll at 30 s, the run still winds down
-        within two seconds of the stop."""
-        import repro.core.executor as executor_module
-
-        monkeypatch.setattr(executor_module, "_POLL_S", 30.0)
+    def test_stop_wakes_a_stage_waiting_on_its_inputs(self):
+        """A halt reaches a stage blocked on its inputs at once: the run
+        winds down within two seconds of the stop."""
         b_x = VersionedBuffer("x")
         b_x.write(1)            # an input that never gets a newer version
         b_g = VersionedBuffer("G")
@@ -140,16 +136,14 @@ class TestInterruption:
         assert handle.result().stopped_early
         assert time.monotonic() - stopped < 2.0
 
-    def test_stop_wakes_a_stage_blocked_on_a_channel(self, monkeypatch):
+    def test_stop_wakes_a_stage_blocked_on_a_channel(self):
         """A halt reaches a stage blocked on a channel at once: in
         Figure 10's synchronous pipeline, with the producer stalled and
-        then paused, the consumer waits on the empty channel, and with
-        the poll at 1 s the run still winds down within 0.2 s."""
-        import repro.core.executor as executor_module
+        then paused, the consumer waits on the empty channel, and the
+        run winds down within 0.2 s of the stop."""
         from repro.apps.pipeline_demo import build_organization
         from repro.core.faults import FaultInjector, FaultSpec
 
-        monkeypatch.setattr(executor_module, "_POLL_S", 1.0)
         # f stalls before its first command, so it has emitted nothing
         injector = FaultInjector([FaultSpec("f", at=1, kind="delay",
                                             delay=0.2)])

@@ -395,7 +395,7 @@ class TestEmitHaltRegression:
         executor = ThreadedExecutor(graph)
         executor._t0 = time.perf_counter()
 
-        ch.emit("fill")                    # channel now at capacity
+        assert ch.try_emit("fill")         # channel now at capacity
         progressed = []
 
         def gen():
@@ -403,7 +403,7 @@ class TestEmitHaltRegression:
             progressed.append(True)        # must never run
             yield Write(0, final=True)
 
-        timer = threading.Timer(0.05, executor._halt.set)
+        timer = threading.Timer(0.05, executor._halt_stages)
         timer.start()
         try:
             outcome = drive(gen(), None, _StageThread(executor, producer))
