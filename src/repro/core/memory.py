@@ -12,9 +12,11 @@ block freed so far, so how a run's arrays are served depends on what
 the process ran before.
 
 :func:`keep_freed_pages` fixes both thresholds once per process, at
-the first :class:`~repro.core.kernel.Kernel`; forked workers inherit
-them.  Blocks up to :data:`MMAP_THRESHOLD` come from the heap, and up
-to :data:`TRIM_THRESHOLD` of free memory stays at its top, so the
+the first :class:`~repro.core.kernel.Kernel`, or at the start of a
+fleet worker, which may answer every request with a precise pass and
+never build one; forked workers inherit them.  Blocks up to
+:data:`MMAP_THRESHOLD` come from the heap, and up to
+:data:`TRIM_THRESHOLD` of free memory stays at its top, so the
 resident set stays near its high-water mark.  EXPERIMENTS.md ("Freed
 pages stay resident") holds the measurements the two constants were
 chosen from.

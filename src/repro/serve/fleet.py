@@ -22,11 +22,11 @@ loop by the session's done callback), ``stats`` (reply), ``error``
 (structured protocol violation report), ``bye``.
 
 A worker makes a new spec's input, admits the run and acks it, then
-computes the precise reference on its calibrate thread while the run
-produces versions.  The reference scores the answer and also races the
-run: when it comes in before the run finished by itself, it is the
-answer (:meth:`~repro.serve.server.AnytimeServer.submit` documents the
-protocol).  :func:`spec_key` bounds ``size`` by :data:`MAX_SPEC_SIZE`,
+computes the run's precise value on its calibrate thread.  That value
+races the run: when it comes in before the run finished by itself, it
+is the answer (:meth:`~repro.serve.server.AnytimeServer.submit`
+documents the protocol), and a request with no deadline launches no
+run at all.  :func:`spec_key` bounds ``size`` by :data:`MAX_SPEC_SIZE`,
 so no frame holds the reader making an outsized input.
 
 Results cross the wire as metrics plus a :func:`value_digest` of the
@@ -87,7 +87,7 @@ WORKER_DEFAULTS: dict[str, Any] = {
     "queue_limit": 8,
     "executor": "threaded",
     "quantum_s": 0.02,
-    # paces deadlines and quanta only: submissions, references, new
+    # paces deadlines and quanta only: submissions, precise values, new
     # versions and ended runs wake the scheduler at once
     "tick_s": 0.005,
     "coalesce": True,
@@ -343,15 +343,21 @@ def _checked_builder(builder: Any, executor: str) -> tuple[Any, _CheckedRun]:
 
 
 class _ScoreLater:
-    """An app's quality metric over a precise reference that is
-    computed after the request was admitted, on ``calibrator``.
+    """An app's quality metric over its reference, plus the run's
+    precise terminal value, computed after the request was admitted,
+    on ``calibrator``.
 
     ``ready`` / ``error`` / ``on_ready`` / ``precise`` are the
     deferred-metric protocol of :meth:`AnytimeServer.submit`: the
     scheduler does not score with it until the reference is in, and
-    then races the reference, the run's precise terminal value,
-    against the ladder.  A call made earlier (a deadline, a cancel, a
-    shutdown) blocks until the reference is computed.
+    races the precise value, once it is in, against the ladder.  Where
+    the reference is the precise value (``reference_kind ==
+    "precise"``) one pass computes both.  Where it is the input
+    (dwt53), the metric is ready at once, so a ladder can be scored
+    from its first version, and the precise pass is the automaton's
+    own, ``build(image).precise_output()``.  A call made before the
+    reference is in (a deadline, a cancel, a shutdown) blocks until it
+    is computed.
     """
 
     def __init__(self, record: Any, image: Any,
@@ -360,8 +366,11 @@ class _ScoreLater:
         if record.reference_kind == "input":
             self._reference: Future = Future()
             self._reference.set_result(image)
+            self._precise = calibrator.submit(
+                lambda: record.build(image).precise_output())
         else:
-            self._reference = calibrator.submit(record.reference, image)
+            self._reference = self._precise = calibrator.submit(
+                record.reference, image)
 
     @property
     def ready(self) -> bool:
@@ -369,26 +378,27 @@ class _ScoreLater:
 
     @property
     def error(self) -> str | None:
-        if not self._reference.done():
+        """Why the precise pass failed; None while it runs or once it
+        is in."""
+        if not self._precise.done():
             return None
-        exc = self._reference.exception()
+        exc = self._precise.exception()
         return None if exc is None else f"{type(exc).__name__}: {exc}"
 
     @property
     def precise(self) -> Any:
-        """The run's precise terminal value once a ``"precise"``-kind
-        reference is in without error; None before, and always for an
-        app whose reference is its input."""
-        reference = self._reference
-        if (self._record.reference_kind != "precise"
-                or not reference.done() or reference.cancelled()
-                or reference.exception() is not None):
+        """The run's precise terminal value once it is in without
+        error; None before."""
+        precise = self._precise
+        if (not precise.done() or precise.cancelled()
+                or precise.exception() is not None):
             return None
-        return reference.result()
+        return precise.result()
 
     def on_ready(self, fn: Any) -> None:
-        """Call ``fn()`` once the reference is in (now if it is)."""
-        self._reference.add_done_callback(lambda _: fn())
+        """Call ``fn()`` once the precise pass ended (now if it has);
+        the reference is in by then."""
+        self._precise.add_done_callback(lambda _: fn())
 
     def __call__(self, value: Any) -> float:
         return self._record.metric(value, self._reference.result())
@@ -446,23 +456,28 @@ def worker_main(sock: socket.socket,
     """Run one fleet worker until its socket closes.
 
     One asyncio loop on the calling thread reads every frame and writes
-    every reply.  It admits first and scores later: a new spec's input
-    is made once, the request keyed by :func:`spec_key`, submitted and
-    acked — and only then does the one-thread calibrate executor
-    compute the precise reference the answer is scored against (FIFO,
-    one spec at a time), while the run already produces versions.  A
-    reference that comes in first is the answer; in ``check`` mode a
-    ladder's own final must equal it bit for bit.  Each ``Session``
-    done callback, on whichever thread turned the session terminal,
-    hands its ``done`` to the loop (``call_soon_threadsafe``), so
-    neither a slow run nor a slow reference blocks admission of the
-    next request.
+    every reply.  It admits first and computes later: a new spec's
+    input is made once, the request keyed by :func:`spec_key`,
+    submitted and acked — and only then does the one-thread calibrate
+    executor compute the run's precise value (FIFO, one spec at a
+    time).  A request with no deadline, no stream and no check is held
+    until that value answers it at version 1, on every app; one that
+    can take a ladder version launches its run at once, and the value
+    races it.  In ``check`` mode a ladder's own final must equal the
+    value bit for bit.  Each ``Session`` done callback, on whichever
+    thread turned the session terminal, hands its ``done`` to the loop
+    (``call_soon_threadsafe``), so neither a slow run nor a slow
+    precise pass blocks admission of the next request.  The process's
+    allocator policy (:func:`~repro.core.memory.keep_freed_pages`) is
+    set before the first input is made.
     """
     from ..apps.registry import get_app
     from ..ckpt import check_payload
+    from ..core.memory import keep_freed_pages
     from .server import AnytimeServer
     from .slo import SLO
 
+    keep_freed_pages()
     cfg = {**WORKER_DEFAULTS, **(config or {})}
     server = AnytimeServer(
         slots=int(cfg["slots"]), queue_limit=int(cfg["queue_limit"]),

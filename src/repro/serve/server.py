@@ -27,43 +27,46 @@ Lifecycle (all transitions traced as ``server.*`` events)::
 
     submit ──enqueue──> QUEUED ──admit──> RUNNING ⇄ PREEMPTED
         │                 │                  └──> COMPLETED/…
-        │                 └─(held)─reference─> COMPLETED (precise)
+        │                 └─(held)─precise value─> COMPLETED (v1)
         └──shed (queue full)──> SHED
 
 The scheduler thread ticks at once when a request is submitted,
-cancelled or streamed, a deferred metric's reference comes in, a
+cancelled or streamed, a deferred metric's precise value comes in, a
 running run publishes or seals a version of its watched terminal
-buffer, or a run ends (:meth:`~repro.core.executor.RunHandle.watch`);
-``tick_s`` only paces deadlines and quanta.  Its harvest is the one
-place an SLO is judged: each subscriber whose deadline passed, whose
-target its metric meets, or who cancelled leaves its run, and a run
-ends when it finishes or its last subscriber leaves (runs carry no
-stop condition of their own).  A run also ends when its lead's metric
-offers the precise value first: the precise kernel, computed beside
-the run to score it, races the ladder, and a run that has not
+buffer, or a run ends (:meth:`~repro.core.executor.RunHandle.watch`).
+``tick_s`` only paces deadlines and quanta, and the thread takes that
+clock wait only while something is paced (:meth:`_pace`); otherwise it
+sleeps until the next memo entry expires, or until woken.  Its harvest
+is the one place an SLO is judged: each subscriber whose deadline
+passed, whose target its metric meets, or who cancelled leaves its
+run, and a run ends when it finishes or its last subscriber leaves
+(runs carry no stop condition of their own).  A run also ends when its
+lead's metric offers the precise value first: the precise kernel,
+computed beside the run, races the ladder, and a run that has not
 finished by itself answers with that value as its final version
-(``precise_wins``).  The ladder can only answer first for a
-subscriber that takes an unscored version: one with a deadline or a
-stream, or a lead with a per-request trace sink (the run traces to its
-lead's sink alone).  A queued run with none of these is *held*
+(``precise_wins``).  The ladder can only answer first for a subscriber
+that takes an unscored version: one with a deadline or a stream, or a
+lead with a per-request trace sink (the run traces to its lead's sink
+alone).  A queued run with none of these is *held*
 (:attr:`~repro.serve.session._Run.held`): it stays queued, is not
-launched, and its reference answers it at version 1, so the reference
-does not share the process with a ladder that cannot answer first.  A
-subscriber that joins with a deadline or streams, or a metric that
-turns out not to race, makes the run launchable.  The tick then fills free
-slots from the ready pool (queued runs that are not held, and
-preempted ones; policy-ranked, with a starvation guard) and preempts
-past-quantum runners when ready work would gain more.  Admission applies
-backpressure (``submit(wait_s=…)`` blocks while the queue is full) and
-sheds what it cannot hold.  Two things are fixed rather than settable:
-a request that brings no fault policy degrades
-(:data:`DEFAULT_FAULTS`), and a stopped run gets :data:`GRACE_S` to
-wind down.
+launched, and the precise value answers it at version 1, so the
+precise pass does not share the process with a ladder that cannot
+answer first.  A subscriber that joins with a deadline or streams
+makes the run launchable, and a precise pass that fails fails the
+request.  The tick then fills free slots from the ready pool (queued
+runs that are not held, and preempted ones; policy-ranked, with a
+starvation guard) and preempts past-quantum runners when ready work
+would gain more.  Admission applies backpressure (``submit(wait_s=…)``
+blocks while the queue is full) and sheds what it cannot hold.  Two
+things are fixed rather than settable: a request that brings no fault
+policy degrades (:data:`DEFAULT_FAULTS`), and a stopped run gets
+:data:`GRACE_S` to wind down.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 import time as _time
@@ -127,9 +130,10 @@ class AnytimeServer:
     quantum_s:
         Minimum slot tenure before a run becomes preemptible.
     tick_s:
-        Longest the scheduler sleeps between ticks, which paces
-        deadlines and quanta.  Submissions, cancels, streams, arriving
-        references, new versions and ended runs wake it at once.
+        Longest the scheduler sleeps between ticks while a deadline or
+        a quantum may come due.  Submissions, cancels, streams,
+        arriving precise values, new versions and ended runs wake it at
+        once; with nothing paced it takes no clock wait.
     starvation_s:
         Hard fairness override: a ready request older than this is
         granted the next slot regardless of policy ranking.  Defaults
@@ -207,9 +211,9 @@ class AnytimeServer:
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
         # set by whatever should not wait out the tick: a submission, a
-        # cancel or a stream, a deferred metric's reference coming in,
-        # a running run's new version or its end, a shutdown; set
-        # without the lock, so a reference's thread, a client or a
+        # cancel or a stream, a deferred metric's precise value coming
+        # in, a running run's new version or its end, a shutdown; set
+        # without the lock, so a calibrate thread, a client or a
         # stage never waits on a scheduler that may be waiting on it
         self._wake = threading.Event()
         self._queue: deque[_Run] = deque()
@@ -313,17 +317,21 @@ class AnytimeServer:
         deadline, a cancel or a shutdown block on it.  Once ready, a
         non-None ``error`` attribute (a string) fails the request with
         that error.  Its optional ``on_ready(fn)`` calls ``fn()`` once
-        the reference is in, which wakes the scheduler then rather than
-        a tick later.  Once ready, a non-None ``precise`` attribute is
-        the run's precise terminal value, computed beside the run: a
-        run that has not finished by itself when its lead's metric
-        offers it ends at once on it (see :meth:`_race`).  A request
-        whose metric has a ``precise`` attribute and is not ready yet,
-        that has no deadline and is not streamed, can only be answered
-        by that value, unless it leads its run with a ``trace``: the
-        run is held in the queue, not launched, until the reference
-        ends it or a subscriber that can take a ladder version joins
-        (see :attr:`~repro.serve.session._Run.held`).
+        the reference and any precise value are in, which wakes the
+        scheduler then rather than a tick later; a held run whose
+        metric has none is paced by ``tick_s``.  A metric that races
+        has a ``precise`` attribute: None until the run's precise
+        terminal value, computed beside the run, is in, then that
+        value, which the metric must score ∞ (the server takes that
+        score without a call).  A run that has not finished by itself
+        when its lead's metric offers it ends at once on it (see
+        :meth:`_race`).  A request whose racing metric offers neither
+        that value nor an error yet, that has no deadline and is not
+        streamed, can only be answered by that value, unless it leads
+        its run with a ``trace``: the run is held in the queue, not
+        launched, until the precise value ends it, its ``error`` fails
+        it, or a subscriber that can take a ladder version joins (see
+        :attr:`~repro.serve.session._Run.held`).
         ``wait_s`` is the backpressure budget: how long to block while
         the admission queue is full before giving up; on a still-full
         queue the request is returned in the terminal ``SHED`` state.
@@ -445,9 +453,12 @@ class AnytimeServer:
         value object, so that value names it, with the version and
         its finality.  Runs that share a metric and a buffer name
         reach the same version with different values; the value
-        keeps one run's score from answering for another's."""
+        keeps one run's score from answering for another's.  The
+        metric's own ``precise`` value scores ∞ without a call."""
         if session.metric is None or snapshot.value is None:
             return None
+        if snapshot.value is getattr(session.metric, "precise", None):
+            return math.inf
         scored = (snapshot.name, snapshot.version, snapshot.final)
         metric, value, last, snr = self._last_score
         if (metric is session.metric and value is snapshot.value
@@ -514,14 +525,36 @@ class AnytimeServer:
                 self._wake.clear()
                 try:
                     self._tick(_time.monotonic())
+                    timeout = self._pace(_time.monotonic())
                 except Exception:
                     # A tick must never kill the serving thread; broken
                     # sessions are failed individually in _tick.
-                    pass
-            # the tick paces deadlines and quanta; a submission, an
-            # arriving reference, a new version or a run's end does
-            # not wait it out
-            self._wake.wait(timeout=self.tick_s)
+                    timeout = self.tick_s
+            # a submission, an arriving precise value, a new version or
+            # a run's end does not wait out the timeout
+            self._wake.wait(timeout=timeout)
+
+    def _pace(self, now: float) -> float | None:
+        """How long the scheduler may sleep before its next tick.
+
+        ``tick_s`` while something is paced: a scheduled or parked
+        run (deadlines, quanta, space to re-queue), a queued run that
+        is not held (a slot, a deadline), or a held run with a metric
+        that has no ``on_ready`` to wake the scheduler when its
+        precise value comes in.  Otherwise every change sets the wake,
+        so the thread sleeps until the earliest memo entry expires, or
+        for good with an empty memo.
+        """
+        if self._scheduled or self._parked or any(
+                not run.held or any(
+                    getattr(s.metric, "on_ready", None) is None
+                    for s in run.subscribers)
+                for run in self._queue):
+            return self.tick_s
+        if self._memo:
+            return max(0.0, min(expires_at for expires_at, _
+                                in self._memo.values()) - now)
+        return None
 
     def _tick(self, now: float) -> None:
         if self._memo:
@@ -536,7 +569,7 @@ class AnytimeServer:
     def _harvest(self, now: float) -> None:
         """Judge every request: the one place an SLO is judged.
 
-        A run whose precise reference came in first ends on it
+        A run whose precise value came in first ends on it
         (:meth:`_race`).  Otherwise a subscriber leaves its run once it
         cancelled or its metric failed and, while the run is scheduled,
         once its own deadline passed or its metric meets its target on
@@ -575,7 +608,7 @@ class AnytimeServer:
 
     def _ready(self) -> list[_Run]:
         """Runs that want a slot: queued ones not held for their
-        reference, and preempted or suspended ones with work left (a
+        precise value, and preempted or suspended ones with work left (a
         run that finished by itself needs no slot; the harvest ends it
         once it is scored)."""
         return [run for run in self._queue if not run.held] + [
@@ -778,7 +811,7 @@ class AnytimeServer:
     # -- ending a request ------------------------------------------------
 
     def _race(self, run: _Run, now: float) -> bool:
-        """End ``run`` on its precise reference if its lead's metric
+        """End ``run`` on its precise value if its lead's metric
         offers one; True if it did.
 
         The precise kernel runs beside the ladder as a contract
@@ -835,7 +868,7 @@ class AnytimeServer:
         parked one dropped.  The subscribers settle on one snapshot,
         outcome, ``degraded`` flag and errors, the lead last, so that
         the others count as ``detaches``.  With ``precise``, the run
-        ended on its precise reference: the snapshot is that value as
+        ended on its precise value: the snapshot is that value as
         the final version, one past the ladder's newest, and the
         stopped ladder's flags and errors do not describe it.
         """

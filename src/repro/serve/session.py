@@ -25,8 +25,8 @@ State machine (of the run; a subscriber reads it until it leaves)::
       v                  v
     CANCELLED|SHED    COMPLETED | CANCELLED | FAILED
 
-A QUEUED run that only its precise reference can answer is *held*
-(:attr:`_Run.held`): it is not admitted while held, and the reference
+A QUEUED run that only its precise value can answer is *held*
+(:attr:`_Run.held`): it is not admitted while held, and that value
 ends it COMPLETED at version 1.
 
 ``SHED`` is deliberately distinct from ``CANCELLED``: a shed request was
@@ -195,7 +195,7 @@ class Session:
         state.  ``timeout_s`` bounds the total wait.
 
         A client that streams reads the ladder, so the call itself
-        launches a run that was held for its precise reference (see
+        launches a run that was held for its precise value (see
         :meth:`holds_for_reference`)."""
         self._streaming = True
         self._wake_server()
@@ -253,22 +253,26 @@ class Session:
         return bool(getattr(self.metric, "ready", True))
 
     def metric_error(self) -> str | None:
-        """Why a deferred metric's reference could not be computed."""
+        """Why a deferred metric's reference or precise value could
+        not be computed."""
         return getattr(self.metric, "error", None)
 
     def holds_for_reference(self) -> bool:
-        """True while nothing but the precise reference can answer this
-        request: it has no deadline, its deferred metric races (offers
-        ``precise``) and is not ready yet, and it does not read the
-        ladder through :meth:`stream`.  Until the reference is in, no
-        version can be scored nor a finished ladder leave, and once it
-        is in it is the answer; a ladder run meanwhile would only share
-        the process with the reference.  A per-request trace sink reads
-        the ladder too, but only the lead's sees its run
+        """True while nothing but the precise value can answer this
+        request: it has no deadline, it does not read the ladder
+        through :meth:`stream`, and its deferred metric races (has a
+        ``precise`` attribute) but offers neither that value nor an
+        error yet.  With no deadline, a ladder version answers only by
+        meeting a target or by finishing, and the precise value, once
+        in, answers first or equally; a ladder run meanwhile would only
+        share the process with the precise pass.  This holds on every
+        app, also where the metric scores at once because its
+        reference is the input.  A per-request trace sink reads the
+        ladder too, but only the lead's sees its run
         (:attr:`_Run.held`)."""
         return (self._deadline_at is None and not self._streaming
-                and hasattr(self.metric, "precise")
-                and not self.metric_ready())
+                and getattr(self.metric, "precise", False) is None
+                and self.metric_error() is None)
 
     def _terminalize(self, state: SessionState, snapshot: Snapshot,
                      now: float, snr_db: float | None = None,
@@ -355,12 +359,12 @@ class _Run:
 
     @property
     def held(self) -> bool:
-        """Queued for its precise reference alone: no subscriber can
-        take an answer from the ladder before the reference is in
+        """Queued for its precise value alone: no subscriber takes an
+        answer from the ladder before that value is in
         (:meth:`Session.holds_for_reference`), and the lead has no
         trace sink to record the ladder (the run traces to the lead's
         sink only, so a joiner's sink does not launch it).  The run is
-        not launched, and the reference ends it."""
+        not launched, and the precise value ends it at version 1."""
         return (self.lead.trace is None
                 and all(s.holds_for_reference() for s in self.subscribers))
 

@@ -87,3 +87,50 @@ def test_the_policy_is_idempotent():
     faults, applied = refill_faults(calls=3)
     assert applied == [True, True, True]
     assert faults < 256
+
+
+WORKER_CHILD = """
+import resource
+import socket
+import threading
+import numpy as np
+from repro.core import memory
+from repro.serve.fleet import recv_msg, send_msg, worker_main
+
+ours, theirs = socket.socketpair()
+worker = threading.Thread(target=worker_main, args=(theirs, {}))
+worker.start()
+send_msg(ours, {"op": "stats", "rid": 1})
+assert recv_msg(ours)["op"] == "stats"
+applied = memory._applied
+
+def hold_and_free():
+    held = [np.empty(2 << 20, dtype=np.uint8) for _ in range(8)]
+    for array in held:
+        array.fill(1)
+    del held
+
+hold_and_free()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+hold_and_free()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+send_msg(ours, {"op": "shutdown"})
+worker.join(timeout=30.0)
+print(faults, applied)
+"""
+
+
+def test_a_worker_sets_the_policy_before_its_first_request():
+    """A worker that has answered no submit has built no ``Kernel``,
+    and a held request never builds one: the worker sets the policy
+    itself, before it makes its first input."""
+    environ = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    environ["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-c", WORKER_CHILD],
+                          env=environ, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults, applied = proc.stdout.split()
+    assert applied == "True"
+    assert int(faults) < 256

@@ -12,6 +12,7 @@ the worker-side ones check the registry's reference contract and the
 
 import contextlib
 import dataclasses
+import math
 import socket
 import threading
 import time
@@ -397,10 +398,11 @@ class TestHeldRun:
         assert not first.final and seen[-1].final
         assert seen[-1].value == LEVELS
 
-    def test_only_a_racing_metric_holds(self):
-        """dwt53's reference is its input, ready at once and never
-        ``precise``: its ladder runs as before.  2dconv's, held back on
-        the calibrate thread, keeps its run queued until it is in."""
+    def test_every_app_holds_for_its_precise_value(self):
+        """dwt53's metric scores at once (its reference is its input),
+        2dconv's waits for its reference: both offer their precise
+        value from the calibrate thread, and with no deadline both
+        stay queued until it answers them at version 1."""
         gate = threading.Event()
         apps = {name: get_app(name) for name in ("dwt53", "2dconv")}
         images = {name: spec.make_input(24, 0)
@@ -408,23 +410,29 @@ class TestHeldRun:
         with ThreadPoolExecutor(1) as calibrator, \
                 AnytimeServer(slots=2) as server:
             calibrator.submit(gate.wait, 30.0)
+            metrics = {name: _ScoreLater(spec, images[name], calibrator)
+                       for name, spec in apps.items()}
             sessions = {
                 name: server.submit(
                     lambda spec=spec, image=images[name]:
                     spec.build(image),
-                    metric=_ScoreLater(spec, images[name], calibrator),
-                    key=name)
+                    metric=metrics[name], key=name)
                 for name, spec in apps.items()}
-            dwt53 = sessions["dwt53"].result(timeout_s=30.0)
-            assert sessions["2dconv"].state is SessionState.QUEUED
-            assert server.stats()["admitted"] == 1
+            time.sleep(0.1)     # many slots free, nothing launched
+            assert metrics["dwt53"].ready
+            assert not metrics["2dconv"].ready
+            assert all(s.state is SessionState.QUEUED
+                       for s in sessions.values())
             gate.set()
-            conv = sessions["2dconv"].result(timeout_s=30.0)
+            results = {name: s.result(timeout_s=30.0)
+                       for name, s in sessions.items()}
             stats = server.stats()
-        assert dwt53.state is SessionState.COMPLETED
-        assert dwt53.snapshot.final and dwt53.snapshot.version > 1
-        assert conv.snapshot.final and conv.snapshot.version == 1
-        assert stats["admitted"] == 1 and stats["precise_wins"] == 1
+        for name, result in results.items():
+            assert result.state is SessionState.COMPLETED
+            assert result.snapshot.final and result.snapshot.version == 1
+            assert value_digest(result.snapshot.value) == value_digest(
+                apps[name].build(images[name]).precise_output())
+        assert stats["admitted"] == 0 and stats["precise_wins"] == 2
 
     def test_cancel_ends_a_held_request_at_once(self):
         """A held run publishes no versions to wake the scheduler: the
@@ -459,12 +467,43 @@ def test_reference_is_the_precise_output(app, size):
             == value_digest(spec.build(image).precise_output())
 
 
-def test_every_figure_app_but_dwt53_races():
+def test_every_figure_app_races():
+    """Four apps offer their reference as the precise value; dwt53,
+    whose reference is its input, is ready to score at once and offers
+    its automaton's own precise pass once the calibrate thread ran it
+    (the next test checks that value)."""
     assert PRECISE_APPS == ["2dconv", "debayer", "histeq", "kmeans"]
     spec = get_app("dwt53")
+    gate = threading.Event()
     with ThreadPoolExecutor(1) as calibrator:
+        calibrator.submit(gate.wait, 30.0)
         metric = _ScoreLater(spec, spec.make_input(16, 0), calibrator)
         assert metric.ready and metric.precise is None
+        assert metric.error is None
+        gate.set()
+    assert metric.precise is not None
+
+
+@pytest.mark.parametrize("size", [16, 32, 256])
+@pytest.mark.parametrize("app", sorted(APP_REGISTRY))
+def test_the_offered_precise_value_is_the_ladders_final(app, size):
+    """What answers a held request is bit for bit what the ladder
+    would have ended on, and its metric scores it ∞: the server's
+    shortcut returns exactly what the metric would."""
+    spec = get_app(app)
+    for seed in range(3):
+        image = spec.make_input(size, seed)
+        with ThreadPoolExecutor(1) as calibrator:
+            metric = _ScoreLater(spec, image, calibrator)
+        offered = metric.precise
+        automaton = spec.build(image)
+        ladder = automaton.run_threaded(timeout_s=60.0)
+        assert ladder.completed
+        final = ladder.final_values[automaton.terminal_buffer_name]
+        assert value_digest(offered) \
+            == value_digest(spec.build(image).precise_output()) \
+            == value_digest(final)
+        assert metric(offered) == math.inf
 
 
 # -- soundness in check mode ----------------------------------------------
@@ -528,6 +567,81 @@ def test_a_worker_answers_target_requests_with_their_references():
         assert done["state"] == "completed" and done["slo_met"]
         assert done["version"] == 1 and done["final"]
         assert done["precise_snr"]
+
+
+def test_a_worker_answers_a_dwt53_target_request_with_no_ladder():
+    """dwt53's metric scores at once, but with no deadline only its
+    precise pass answers: held, never launched, answered at
+    version 1."""
+    with inproc_worker({}) as sock:
+        send_msg(sock, {"op": "submit", "rid": 1, "app": "dwt53",
+                        "size": 64, "seed": 0,
+                        "slo": {"target_db": 20.0}})
+        frames = [recv_msg(sock), recv_msg(sock)]
+        send_msg(sock, {"op": "stats", "rid": 2})
+        stats = recv_msg(sock)["stats"]
+    assert [f["op"] for f in frames] == ["ack", "done"], frames
+    done = frames[1]
+    assert done["state"] == "completed" and done["slo_met"]
+    assert done["version"] == 1 and done["final"] and done["precise_snr"]
+    assert stats["precise_wins"] == 1 and stats["admitted"] == 0
+
+
+def test_a_dwt53_deadline_request_scores_its_ladder_first():
+    """With a deadline the ladder can answer: it launches at once and
+    its versions are scored against the input while the precise pass
+    still waits on the calibrate thread."""
+    spec = get_app("dwt53")
+    image = spec.make_input(24, 0)
+    gate = threading.Event()
+    with ThreadPoolExecutor(1) as calibrator, \
+            AnytimeServer(slots=1) as server:
+        calibrator.submit(gate.wait, 30.0)
+        metric = _ScoreLater(spec, image, calibrator)
+        session = server.submit(lambda: spec.build(image),
+                                SLO(deadline_s=60.0, target_db=4.0),
+                                metric=metric, key="k")
+        result = session.result(timeout_s=30.0)
+        assert metric.precise is None
+        gate.set()
+        stats = server.stats()
+    assert result.state is SessionState.COMPLETED and result.slo_met
+    assert result.snr_db is not None and result.snr_db >= 4.0
+    assert stats["admitted"] == 1 and stats["precise_wins"] == 0
+
+
+def broken_precise(kind):
+    """A copy of a figure app whose precise pass raises: dwt53's
+    automaton cannot be built, or 2dconv's reference fails."""
+    def fail(*_):
+        raise RuntimeError("the precise pass broke")
+
+    if kind == "input":
+        return dataclasses.replace(get_app("dwt53"), name="broken",
+                                   build=fail)
+    return dataclasses.replace(get_app("2dconv"), name="broken",
+                               reference=fail)
+
+
+@pytest.mark.parametrize("kind", ["input", "precise"])
+def test_a_failing_precise_pass_fails_its_held_request(monkeypatch,
+                                                        kind):
+    """One ``done``, failed, with the error's text; the next frame is
+    the answer to the next op, not a second ``done``."""
+    monkeypatch.setitem(APP_REGISTRY, "broken", broken_precise(kind))
+    with inproc_worker({}) as sock:
+        send_msg(sock, {"op": "submit", "rid": 1, "app": "broken",
+                        "size": 16, "seed": 0})
+        frames = [recv_msg(sock), recv_msg(sock)]
+        send_msg(sock, {"op": "stats", "rid": 2})
+        after = recv_msg(sock)
+    assert [f["op"] for f in frames] == ["ack", "done"], frames
+    done = frames[1]
+    assert done["state"] == "failed"
+    assert done["errors"] == ["RuntimeError: the precise pass broke"]
+    assert after["op"] == "stats"
+    assert after["stats"]["failed"] == 1
+    assert after["stats"]["admitted"] == 0
 
 
 def test_check_mode_counts_a_wrong_reference_as_a_violation(

@@ -1,10 +1,15 @@
-"""One wake per change: the threaded executor's waits have no timer.
+"""One wake per change: the threaded executor's waits have no timer,
+and the server's scheduler takes a clock wait only while something is
+paced.
 
 A stage blocked on its inputs, on a channel or at the pause gate looks
 at its state again only when the event that ends its wait is set, so a
 stage blocked on something that never changes costs nothing, and a lost
-wakeup hangs its run.  Every test carries a watchdog timeout, so a lost
-wakeup fails instead of hanging the suite.
+wakeup hangs its run.  The scheduler of an ``AnytimeServer`` ticks every
+``tick_s`` only while a deadline, a quantum or a metric without
+``on_ready`` may need it, and sleeps until the next memo expiry
+otherwise.  Every test carries a watchdog timeout, so a lost wakeup
+fails instead of hanging the suite.
 """
 
 import random
@@ -24,6 +29,8 @@ from repro.core.faults import FaultInjector, FaultSpec
 from repro.core.iterative import AccuracyLevel, IterativeStage
 from repro.core.kernel import Kernel
 from repro.core.stage import PreciseStage
+from repro.serve import SLO, AnytimeServer, SessionState
+from tests.test_race import RaceMetric, staircase
 
 
 def count_calls(monkeypatch, method):
@@ -146,3 +153,103 @@ def test_runs_paused_resumed_and_stopped_at_random_points_all_end():
                 assert np.array_equal(final.value, precise[i % 2])
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- the server's scheduler ----------------------------------------------
+
+def count_ticks(monkeypatch):
+    """Count every server's scheduler ticks."""
+    ticks = Counter()
+    original = AnytimeServer._tick
+
+    def counted(self, now):
+        ticks["tick"] += 1
+        return original(self, now)
+
+    monkeypatch.setattr(AnytimeServer, "_tick", counted)
+    return ticks
+
+
+def slow_ladder():
+    """A version every 0.5 s: between versions, nothing but the clock
+    wakes the scheduler."""
+    return staircase(levels=20, sleep_s=0.5)
+
+
+class UnannouncedMetric(RaceMetric):
+    """A racing metric with no ``on_ready``: nothing wakes the
+    scheduler when its precise value comes in."""
+
+    on_ready = None
+
+
+@pytest.mark.timeout(30)
+@pytest.mark.parametrize("held", [False, True], ids=["empty", "held"])
+def test_an_idle_server_does_not_tick(monkeypatch, held):
+    """With nothing queued, or only a run held for a precise value
+    whose ``on_ready`` will announce it, the scheduler sleeps: it
+    ticks for the start and the submission, not every ``tick_s``."""
+    ticks = count_ticks(monkeypatch)
+    metric = RaceMetric()
+    with AnytimeServer(slots=1, tick_s=0.005) as server:
+        if held:
+            session = server.submit(slow_ladder, metric=metric, key="k")
+        time.sleep(0.05)            # the start and a submission settle
+        before = ticks["tick"]
+        time.sleep(0.2)
+        idle = ticks["tick"] - before
+        if held:
+            assert session.state is SessionState.QUEUED
+            metric.arrive()
+            assert session.result(timeout_s=5.0).snapshot.version == 1
+    assert idle <= 2, f"an idle scheduler ticked {idle} times in 200 ms"
+
+
+@pytest.mark.timeout(30)
+def test_a_deadline_still_fires_within_one_tick():
+    """No version lands between 0 and 0.5 s, so only the clock wait
+    can judge the 0.1 s deadline."""
+    with AnytimeServer(slots=1, tick_s=0.05) as server:
+        session = server.submit(slow_ladder, SLO(deadline_s=0.1))
+        result = session.result(timeout_s=10.0)
+    assert result.state is SessionState.COMPLETED and result.interrupted
+    # one tick late at most, with room for a loaded box; the next
+    # version, the only other wake, lands at 0.5 s
+    assert result.latency_s < 0.1 + 0.05 + 0.1, result.latency_s
+
+
+@pytest.mark.timeout(30)
+def test_a_memo_entry_is_purged_at_its_ttl_without_traffic(monkeypatch):
+    ticks = count_ticks(monkeypatch)
+    metric = RaceMetric()
+    with AnytimeServer(slots=1, memo_ttl_s=0.2) as server:
+        session = server.submit(slow_ladder, metric=metric, key="k")
+        metric.arrive()
+        assert session.result(timeout_s=5.0).snapshot.final
+        sealed = time.monotonic()
+        assert server.stats()["memo_size"] == 1
+        before = ticks["tick"]
+        while server.stats()["memo_size"]:
+            assert time.monotonic() - sealed < 2.0, "the memo never purged"
+            time.sleep(0.01)
+        purged = time.monotonic() - sealed
+        waited = ticks["tick"] - before
+    assert 0.15 < purged < 0.6, purged
+    assert waited <= 3, f"{waited} ticks to purge one memo entry"
+
+
+@pytest.mark.timeout(30)
+def test_a_held_run_whose_metric_cannot_announce_still_completes():
+    """Nothing wakes the scheduler when this metric's precise value
+    comes in: the clock wait finds it."""
+    metric = UnannouncedMetric()
+    with AnytimeServer(slots=1, tick_s=0.01) as server:
+        session = server.submit(slow_ladder, metric=metric, key="k")
+        time.sleep(0.05)
+        assert session.state is SessionState.QUEUED
+        metric.arrive()
+        result = session.result(timeout_s=5.0)
+        stats = server.stats()
+    assert result.state is SessionState.COMPLETED
+    assert result.snapshot.final and result.snapshot.version == 1
+    assert stats["admitted"] == 0 and stats["precise_wins"] == 1
