@@ -15,7 +15,14 @@ Two legs (:func:`run_fleet_differential`, ``repro check --fleet``):
     Per-key ``value_digest`` sets must be singletons and equal to the
     precise reference digest computed in-process.  The leg reports
     memo/coalesce sharing (the duplicates) and must have zero
-    violations.
+    violations.  A worker answers a run with its precise value when
+    that comes in first, and at 16² it comes in within a millisecond,
+    before the run launches, so no checker sees it: the workers are
+    forked under :func:`held_reference`, with a slot for every
+    distinct spec, and the value is released only once every distinct
+    spec's run was admitted.  Every one of them is launched, and so
+    checked, by construction; the value then races those still
+    running.
 
 ``migration``
     A 3-worker TCP fleet with per-worker ``resume_dir``s; one worker
@@ -31,6 +38,11 @@ Two legs (:func:`run_fleet_differential`, ``repro check --fleet``):
     in before the SIGKILL.  Each run then waits for its reference, and
     a preemption suspends it to disk whether or not its ladder
     finished, so the checkpoints exist by construction.
+
+Every leg runs its workers with ``check`` on, and a leg in which no
+run was checked — every request answered before its run launched —
+is a mismatch (``nothing-checked``): a check that saw nothing passes
+nothing.
 """
 
 from __future__ import annotations
@@ -55,28 +67,50 @@ __all__ = ["FleetDifferentialReport", "run_fleet_differential",
 HOLD_S = 60.0
 #: how often a held reference looks for its flag file
 HOLD_POLL_S = 0.01
+#: longest the tcp leg waits for every distinct spec's run to launch
+ADMIT_S = 60.0
 
 
 @contextlib.contextmanager
 def held_reference(app: str, flag: str) -> Iterator[None]:
-    """Make ``app``'s precise reference late by construction.
+    """Make ``app``'s precise value late by construction.
 
-    Inside the block, the registry entry's ``reference`` first waits
-    until the file ``flag`` exists (at most :data:`HOLD_S`).  Workers forked
-    inside the block inherit that entry; the registry is restored on
-    exit.  The caller creates ``flag`` once the reference may arrive.
-    A file, not a process-shared event: a worker can be SIGKILLed while
-    its reference waits.
+    Inside the block, the registry entry's precise pass first waits
+    until the file ``flag`` exists (at most :data:`HOLD_S`): its
+    ``reference`` where that is the precise value, else the
+    ``precise_output`` of every automaton its ``build`` makes (the
+    ladder never calls it).  Workers forked inside the block inherit
+    that entry; the registry is restored on exit.  The caller creates
+    ``flag`` once the value may arrive.  A file, not a process-shared
+    event: a worker can be SIGKILLed while its value waits.
     """
     spec = APP_REGISTRY[app]
 
-    def reference(image: Any) -> Any:
+    def wait() -> None:
         deadline = _time.monotonic() + HOLD_S
         while not os.path.exists(flag) and _time.monotonic() < deadline:
             _time.sleep(HOLD_POLL_S)
-        return spec.reference(image)
 
-    APP_REGISTRY[app] = dataclasses.replace(spec, reference=reference)
+    if spec.reference_kind == "input":
+        def build(image: Any) -> Any:
+            automaton = spec.build(image)
+            precise_output = automaton.precise_output
+
+            def held() -> Any:
+                wait()
+                return precise_output()
+
+            automaton.precise_output = held
+            return automaton
+
+        held_spec = dataclasses.replace(spec, build=build)
+    else:
+        def reference(image: Any) -> Any:
+            wait()
+            return spec.reference(image)
+
+        held_spec = dataclasses.replace(spec, reference=reference)
+    APP_REGISTRY[app] = held_spec
     try:
         yield
     finally:
@@ -138,14 +172,76 @@ def _collect(requests: list[Any]) -> tuple[dict[int, set[str]],
     return digests, violations
 
 
-def _run_leg(fleet: FleetRouter, specs: list[tuple[str, int, int]],
-             slo: dict[str, Any],
+def _check_leg(leg: str, reference: dict[int, str],
+               digests: dict[int, set[str]], violations: list[int | None],
+               summary: dict[str, Any],
+               mismatches: list[dict[str, Any]]) -> dict[str, Any]:
+    """The report of one leg run with ``check`` on; every way it went
+    wrong is appended to ``mismatches``."""
+    for seed, seen in sorted(digests.items()):
+        if len(seen) != 1:
+            mismatches.append({"leg": leg, "seed": seed,
+                               "kind": "digest-divergence",
+                               "digests": sorted(seen)})
+        elif next(iter(seen)) != reference[seed]:
+            mismatches.append({"leg": leg, "seed": seed,
+                               "kind": "digest-vs-reference",
+                               "digest": next(iter(seen)),
+                               "reference": reference[seed]})
+    bad = [v for v in violations if v not in (0, None)]
+    if bad:
+        mismatches.append({"leg": leg, "kind": "violations",
+                           "counts": bad})
+    checked = sum(1 for v in violations if v is not None)
+    if not checked:
+        mismatches.append({"leg": leg, "kind": "nothing-checked"})
+    if not summary.get("drained"):
+        mismatches.append({"leg": leg, "kind": "drain-timeout"})
+    elif summary.get("failed"):
+        mismatches.append({"leg": leg, "kind": "failed",
+                           "count": summary["failed"]})
+    return {
+        "leg": leg,
+        "drained": bool(summary.get("drained")),
+        "completed": summary.get("completed"),
+        "failed": summary.get("failed"),
+        "shared": (summary.get("coalesced", 0)
+                   + summary.get("memo_hits", 0)),
+        "violations_checked": checked,
+        "digests": {str(s): sorted(d)
+                    for s, d in sorted(digests.items())},
+    }
+
+
+def _tcp_leg(specs: list[tuple[str, int, int]], distinct: int,
+             slo: dict[str, Any], workdir: str,
              drain_timeout_s: float) -> tuple[list[Any], dict[str, Any]]:
-    requests = [fleet.submit(app, size=size, seed=seed, slo=slo)
-                for app, size, seed in specs]
-    drained = fleet.drain(timeout_s=drain_timeout_s)
-    summary = summarize_fleet(requests) if drained else {}
-    summary["drained"] = drained
+    """Serve ``specs`` (``distinct`` different ones) on a 2-worker TCP
+    fleet in check mode, the precise value held until every distinct
+    spec's run was admitted (module docstring)."""
+    app = specs[0][0]
+    config = {"slots": max(2, distinct),
+              "queue_limit": max(8, len(specs)), "check": True}
+    released = os.path.join(workdir, "tcp-precise-released")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(released)
+    with held_reference(app, released):
+        procs, endpoints = _tcp_fleet(2, workdir, config, resume=False)
+    try:
+        with FleetRouter(endpoints=endpoints,
+                         worker_config=config) as fleet:
+            requests = [fleet.submit(a, size=size, seed=seed, slo=slo)
+                        for a, size, seed in specs]
+            deadline = _time.monotonic() + ADMIT_S
+            while (fleet.aggregate_stats()["totals"].get("admitted", 0)
+                   < distinct and _time.monotonic() < deadline):
+                _time.sleep(HOLD_POLL_S)
+            open(released, "w").close()
+            drained = fleet.drain(timeout_s=drain_timeout_s)
+            summary = summarize_fleet(requests) if drained else {}
+            summary["drained"] = drained
+    finally:
+        _reap(procs)
     return requests, summary
 
 
@@ -196,58 +292,15 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
     specs = [(app, size, seed) for seed in seeds
              for _ in range(duplicates)]
     slo = {"deadline_s": timeout_s}
-    config = {"slots": 2, "queue_limit": max(8, len(specs)),
-              "check": True}
     reference = _reference_digests(app, size, seeds)
-
-    def check_digests(leg: str, reference: dict[int, str],
-                      digests: dict[int, set[str]],
-                      violations: list[int | None],
-                      summary: dict[str, Any]) -> dict[str, Any]:
-        for seed, seen in sorted(digests.items()):
-            if len(seen) != 1:
-                mismatches.append({"leg": leg, "seed": seed,
-                                   "kind": "digest-divergence",
-                                   "digests": sorted(seen)})
-            elif next(iter(seen)) != reference[seed]:
-                mismatches.append({"leg": leg, "seed": seed,
-                                   "kind": "digest-vs-reference",
-                                   "digest": next(iter(seen)),
-                                   "reference": reference[seed]})
-        bad = [v for v in violations if v not in (0, None)]
-        if bad:
-            mismatches.append({"leg": leg, "kind": "violations",
-                               "counts": bad})
-        if not summary.get("drained"):
-            mismatches.append({"leg": leg, "kind": "drain-timeout"})
-        elif summary.get("failed"):
-            mismatches.append({"leg": leg, "kind": "failed",
-                               "count": summary["failed"]})
-        return {
-            "leg": leg,
-            "drained": bool(summary.get("drained")),
-            "completed": summary.get("completed"),
-            "failed": summary.get("failed"),
-            "shared": (summary.get("coalesced", 0)
-                       + summary.get("memo_hits", 0)),
-            "violations_checked": sum(1 for v in violations
-                                      if v is not None),
-            "digests": {str(s): sorted(d)
-                        for s, d in sorted(digests.items())},
-        }
 
     # -- leg 1: TCP fleet, duplicate-heavy workload ----------------------
     note("leg tcp: 2-worker localhost TCP fleet")
-    procs, endpoints = _tcp_fleet(2, workdir, config, resume=False)
-    try:
-        with FleetRouter(endpoints=endpoints,
-                         worker_config=config) as fleet:
-            requests, summary = _run_leg(fleet, specs, slo, timeout_s)
-            digests_tcp, violations = _collect(requests)
-    finally:
-        _reap(procs)
-    legs.append(check_digests("tcp", reference, digests_tcp, violations,
-                              summary))
+    requests, summary = _tcp_leg(specs, len(seeds), slo, workdir,
+                                 timeout_s)
+    digests_tcp, violations = _collect(requests)
+    legs.append(_check_leg("tcp", reference, digests_tcp, violations,
+                           summary, mismatches))
 
     # -- leg 2: kill one TCP worker, require in-band migration -----------
     note("leg migration: SIGKILL one TCP worker mid-run")
@@ -296,8 +349,8 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
             digests_mig, violations = _collect(requests)
     finally:
         _reap(procs)
-    leg = check_digests("migration", mig_reference, digests_mig,
-                        violations, summary)
+    leg = _check_leg("migration", mig_reference, digests_mig,
+                     violations, summary, mismatches)
     if victim is not None and counters.get("migrated", 0) < 1:
         mismatches.append({"leg": "migration",
                            "kind": "no-in-band-migration",

@@ -215,3 +215,23 @@ def batch(monkeypatch):
     from repro.core import stage
 
     return lambda width: monkeypatch.setattr(stage, "BATCH", width)
+
+
+@pytest.fixture()
+def scene_makes(monkeypatch):
+    """An empty scene memo (:mod:`repro.data.images`), and the
+    ``(size, seed)`` of every scene made while the test runs, in this
+    process or on its threads."""
+    from repro.data import images
+
+    made = []
+    make = images._make_scene
+
+    def counted(size, seed):
+        made.append((size, seed))
+        return make(size, seed)
+
+    monkeypatch.setattr(images, "_make_scene", counted)
+    images._kept_scene.cache_clear()
+    yield made
+    images._kept_scene.cache_clear()

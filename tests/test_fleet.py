@@ -638,3 +638,61 @@ class TestSpecIdentity:
         assert value_digest(a) != value_digest(a.astype(np.int32))
         assert value_digest({"x": a}) == value_digest({"x": a.copy()})
         assert value_digest({"x": a}) != value_digest({"y": a})
+
+
+def answers(sock, count):
+    """Read frames until ``count`` done frames came; return those by
+    rid."""
+    dones = {}
+    while len(dones) < count:
+        msg = recv_msg(sock)
+        assert msg is not None and msg["op"] in ("ack", "done"), msg
+        if msg["op"] == "done":
+            dones[msg["rid"]] = msg
+    return dones
+
+
+class TestWorkerMakesEachThingOnce:
+    """Counts, not speed: what a worker repeats for requests that
+    share an input or an answer."""
+
+    def test_five_apps_of_one_seed_make_one_scene(self, scene_makes):
+        apps = ["2dconv", "histeq", "dwt53", "debayer", "kmeans"]
+        with inproc_worker() as sock:
+            for rid, app in enumerate(apps, start=1):
+                send_msg(sock, {"op": "submit", "rid": rid,
+                                "app": app, "size": 32, "seed": 7})
+            dones = answers(sock, len(apps))
+        for done in dones.values():
+            assert done["state"] == "completed" and done["precise_snr"]
+        assert scene_makes == [(32, 7)]
+
+    def test_an_answer_shared_by_three_requests_is_hashed_once(
+            self, monkeypatch):
+        from repro.apps.registry import get_app
+        from repro.serve import fleet
+
+        spec = get_app("dwt53")
+        expected = value_digest(
+            spec.build(spec.make_input(256, 4)).precise_output())
+        hashed = []
+
+        def counted(value):
+            hashed.append(value)
+            return value_digest(value)
+
+        monkeypatch.setattr(fleet, "value_digest", counted)
+        with inproc_worker() as sock:
+            for rid in (1, 2, 3):
+                send_msg(sock, {"op": "submit", "rid": rid,
+                                "app": "dwt53", "size": 256, "seed": 4})
+            dones = answers(sock, 3)
+        assert len(hashed) == 1
+        # the two later requests joined the first one's run, or took
+        # its answer from the memo: one value answers all three
+        assert sum(d["coalesced"] or d["memo_hit"]
+                   for d in dones.values()) == 2
+        for rid, done in dones.items():
+            assert done["state"] == "completed" and done["final"]
+            assert done["value_digest"] == expected
+            assert set(done) == set(dones[1]) and done["rid"] == rid

@@ -285,3 +285,58 @@ class TestFleetMemo:
         assert len(checked) >= 2, "no run was actually checked"
         assert memo_hits + sum(1 for o in outs
                                if o.get("coalesced")) > 0
+
+
+class TestFleetDifferentialVerdict:
+    """What ``repro check --fleet`` counts as a pass, without a fleet."""
+
+    REFERENCE = {0: "d0", 1: "d1"}
+    DIGESTS = {0: {"d0"}, 1: {"d1"}}
+    DRAINED = {"drained": True, "completed": 8, "failed": 0}
+
+    def verdict(self, violations):
+        from repro.check.fleetdiff import _check_leg
+
+        mismatches = []
+        leg = _check_leg("tcp", self.REFERENCE, self.DIGESTS, violations,
+                         self.DRAINED, mismatches)
+        return leg, mismatches
+
+    def test_a_leg_answered_before_every_launch_is_a_mismatch(self):
+        """Every request answered by its precise value, or from a memo,
+        before a run launched: no checker saw anything."""
+        leg, mismatches = self.verdict([None] * 8)
+        assert leg["violations_checked"] == 0
+        assert mismatches == [{"leg": "tcp", "kind": "nothing-checked"}]
+
+    def test_one_checked_run_passes(self):
+        leg, mismatches = self.verdict([0] + [None] * 7)
+        assert leg["violations_checked"] == 1 and mismatches == []
+
+    def test_a_violation_is_a_mismatch(self):
+        _, mismatches = self.verdict([0, 2] + [None] * 6)
+        assert [m["kind"] for m in mismatches] == ["violations"]
+
+    @pytest.mark.parametrize("app", ["dwt53", "2dconv"])
+    def test_held_reference_holds_every_kind_of_precise_pass(
+            self, app, tmp_path):
+        """dwt53's precise pass is its automaton's, 2dconv's its
+        reference: both wait for the flag."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.apps.registry import get_app
+        from repro.serve.fleet import _ScoreLater, value_digest
+
+        image = get_app(app).make_input(16, 0)
+        expected = value_digest(get_app(app).build(image).precise_output())
+        released = tmp_path / "released"
+        with held_reference(app, str(released)), \
+                ThreadPoolExecutor(1) as calibrator:
+            metric = _ScoreLater(get_app(app), image, calibrator)
+            time.sleep(0.2)
+            assert metric.precise is None
+            released.touch()
+            deadline = time.monotonic() + 10.0
+            while metric.precise is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert value_digest(metric.precise) == expected

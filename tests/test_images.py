@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import get_app
+from repro.data import images
 from repro.data.images import (bayer_mosaic, clustered_image,
                                gradient_image, scene_image,
                                texture_image)
@@ -232,3 +233,70 @@ def test_generators_equal_their_grid_oracles(size, seed, clusters, angle):
     assert _same(bayer_mosaic(size, seed=seed), _bayer_oracle(size, seed))
     assert _same(clustered_image(size, seed=seed, clusters=clusters),
                  _clustered_oracle(size, seed=seed, clusters=clusters))
+
+
+# -- the kept scene --------------------------------------------------------
+
+#: today's generator per app, as the grid oracles above make it
+_ORACLES = {
+    "2dconv": _scene_oracle,
+    "histeq": _scene_oracle,
+    "dwt53": _scene_oracle,
+    "debayer": _bayer_oracle,
+    "kmeans": _clustered_oracle,
+}
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("size", [16, 61, 256])
+def test_every_app_input_is_todays_on_a_miss_and_a_hit(size, order,
+                                                       scene_makes):
+    apps = sorted(_ORACLES)
+    if order == "reversed":
+        apps.reverse()
+    for seed in range(3):
+        for app in apps + apps:   # the first is a miss, the rest hits
+            assert _same(get_app(app).make_input(size, seed),
+                         _ORACLES[app](size, seed)), (app, seed)
+    assert scene_makes == [(size, seed) for seed in range(3)]
+
+
+def test_writing_into_an_input_leaves_the_next_one_alone(scene_makes):
+    first = scene_image(32, seed=1)
+    assert first.flags.writeable
+    first[:] = 0
+    assert _same(scene_image(32, seed=1), _scene_oracle(32, 1))
+    assert len(scene_makes) == 1
+
+
+def test_the_kept_scene_is_read_only(scene_makes):
+    master = images._scene(32, 1)
+    assert not master.flags.writeable
+    with pytest.raises(ValueError):
+        master[0, 0] = 1
+    # every app input is a new array, never the master
+    for app in _ORACLES:
+        assert not np.shares_memory(get_app(app).make_input(32, 1),
+                                    master)
+
+
+def test_a_fifth_key_evicts_the_least_recently_used(scene_makes):
+    keys = [(16, seed) for seed in range(images._SCENES_MAX + 1)]
+    for size, seed in keys:
+        scene_image(size, seed)
+    assert scene_makes == keys
+    for size, seed in keys[1:]:   # kept
+        scene_image(size, seed)
+    assert len(scene_makes) == len(keys)
+    scene_image(*keys[0])         # evicted, made again
+    assert scene_makes == keys + keys[:1]
+
+
+def test_keys_are_integers(scene_makes):
+    for size, seed in [(16.0, 0), (16, 0.0), (np.float64(16), 0)]:
+        with pytest.raises(TypeError):
+            scene_image(size, seed)
+    assert scene_makes == []
+    scene_image(np.int64(16), np.int32(2))
+    scene_image(16, 2)
+    assert scene_makes == [(16, 2)]
