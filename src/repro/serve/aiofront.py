@@ -21,10 +21,13 @@ and bridges them to a :class:`~repro.serve.router.FleetRouter`:
 Client-bound ops mirror the fleet's: ``ack`` (admission echo), ``done``
 (terminal result payload — the router's, including ``value_digest``,
 ``memo_hit`` and ``fleet_memo``), ``stats``, ``error``, ``bye``.
-Worker-bound ops accepted: ``submit`` (``rid`` chosen by the client),
-``stats``, ``bye``.  Frames over :data:`~repro.serve.fleet.MAX_FRAME`,
-truncated frames and non-JSON frames get a structured ``error`` (when
-the socket still writes) and a close — never a hang.
+Worker-bound ops accepted: ``submit`` (``rid`` chosen by the client; a
+``rid`` already pending on the connection is refused, acked
+``state="rejected"``), ``stats``, ``bye``.  Frames over
+:data:`~repro.serve.fleet.MAX_FRAME`, non-JSON frames and frames whose
+fields break :data:`~repro.serve.fleet.FIELDS` get a structured
+``error`` (when the socket still writes) and a close; a truncated frame
+is a clean EOF — never a hang.
 
 :class:`AioFleetClient` is the matching client used by the tests, the
 tutorial, and the CI smoke.
@@ -33,19 +36,23 @@ tutorial, and the CI smoke.
 submit is dispatched inline, and a ``done`` reaches its connection on
 the same thread.  On any other loop the ``done`` hand-off
 (``loop.call_soon_threadsafe``) works just the same; only the rare
-``stats`` op uses an executor.  A connection waits on *the next frame
-or the next completion*, so a ``done`` leaves the moment the router
-finishes the request — no delivery poll.
+``stats`` op uses an executor.  Each connection is one
+:class:`~repro.serve.fleet.FrameProtocol`: frames are acted on as they
+are cut, and a ``done`` is sent from its request's callback, so it
+leaves the moment the router finishes the request — no delivery poll
+and no task per connection.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
+import itertools
 import signal
 from typing import Any
 
-from .fleet import FIELD_ERRORS, FrameError, pack_msg, read_msg
+from .fleet import FrameError, FrameProtocol
 from .router import FleetRequest, FleetRouter
 
 __all__ = ["AioFrontend", "AioFleetClient", "serve_front"]
@@ -71,16 +78,16 @@ class AioFrontend:
                          "idle_closes": 0}
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._pending_total = 0
-        self._all_drained = asyncio.Event()
-        self._all_drained.set()
+        self._connections: set[_Connection] = set()
+        #: set while no connection has a request in flight
+        self._drained = asyncio.Event()
+        self._drained.set()
 
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns the actual ``(host, port)``
         (useful with port 0)."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
@@ -88,294 +95,253 @@ class AioFrontend:
     async def stop(self, drain_timeout_s: float = DRAIN_TIMEOUT_S) -> bool:
         """Graceful drain: stop accepting, refuse new submits, wait
         (at most ``drain_timeout_s``) for in-flight requests to
-        deliver, close every connection.  True if the drain completed
-        cleanly."""
+        deliver, close every connection, dropping what a client left
+        unread.  True if the drain completed cleanly."""
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         clean = True
         try:
-            await asyncio.wait_for(self._all_drained.wait(),
+            await asyncio.wait_for(self._drained.wait(),
                                    timeout=drain_timeout_s)
         except asyncio.TimeoutError:
             clean = False
-        for task in list(self._conn_tasks):
-            task.cancel()
-        await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        connections = list(self._connections)
+        for conn in connections:
+            # what a client has not read by now it never will: a close
+            # would wait for it to read the rest
+            conn.transport.abort()
+        await asyncio.gather(*(asyncio.shield(c.closed) for c in connections))
+        if self._server is not None:
+            await self._server.wait_closed()
         return clean
 
-    # -- internals --------------------------------------------------------
+    def _check_drained(self) -> None:
+        if not any(conn.pending for conn in self._connections):
+            self._drained.set()
 
-    def _pending_delta(self, delta: int) -> None:
-        self._pending_total += delta
-        if self._pending_total <= 0:
-            self._all_drained.set()
-        else:
-            self._all_drained.clear()
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        self.counters["connections"] += 1
-        loop = asyncio.get_running_loop()
-        pending: dict[int, FleetRequest] = {}
-        done_queue: asyncio.Queue = asyncio.Queue()
+class _Connection(FrameProtocol):
+    """One client of an :class:`AioFrontend`.
 
-        async def send(obj: dict[str, Any]) -> None:
-            writer.write(pack_msg(obj))
-            await writer.drain()
+    A ``done`` is sent from its request's callback, handed to this loop
+    (``call_soon_threadsafe``) by whichever thread finished it.  No
+    frame is read (a hold) while ``max_pending_per_conn`` requests are
+    in flight, while a ``stats`` is out, or after a ``bye``.  One timer
+    closes the connection once nothing was in flight and no frame came
+    for ``idle_timeout_s``."""
 
-        def bridge(rid: int, request: FleetRequest) -> None:
-            # runs on whichever thread finished the request: the
-            # router's loop, which may or may not be this one
-            loop.call_soon_threadsafe(done_queue.put_nowait,
-                                      (rid, request))
+    def __init__(self, front: AioFrontend) -> None:
+        super().__init__()
+        self.front = front
+        self.loop = asyncio.get_running_loop()
+        self.closed = self.loop.create_future()
+        self.pending: dict[int, FleetRequest] = {}
+        self._idle = self.loop.call_later(front.idle_timeout_s,
+                                          self._on_idle)
+        self._said_bye = False
 
-        def next_frame() -> asyncio.Task:
-            return loop.create_task(read_msg(reader))
+    def connection_made(self, transport: Any) -> None:
+        super().connection_made(transport)
+        self.front._connections.add(self)
+        self.front.counters["connections"] += 1
 
-        async def deliver() -> None:
-            """Send the ``done`` of the next request to complete
-            (waits for one)."""
-            nonlocal completion
-            rid, request = await completion
-            completion = loop.create_task(done_queue.get())
-            if pending.pop(rid, None) is None:
-                return
-            self._pending_delta(-1)
-            payload = dict(request.result(timeout_s=0.0))
-            payload["op"] = "done"
-            payload["rid"] = rid
-            self.counters["dones"] += 1
-            await send(payload)
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._idle.cancel()
+        self.pending.clear()
+        self.front._connections.discard(self)
+        self.front._check_drained()
+        self.closed.set_result(None)
 
-        async def submit(msg: dict[str, Any]) -> None:
-            rid = int(msg.get("rid", 0))
-            if self._draining:
-                self.counters["rejected"] += 1
-                await send({"op": "ack", "rid": rid,
-                            "state": "draining"})
-                return
-            while len(pending) >= self.max_pending_per_conn:
-                # backpressure: stop reading frames until a slot frees
-                # (TCP pushes back on the client)
-                await deliver()
-            try:
-                request = self.router.submit(
-                    msg["app"], size=msg.get("size", 32),
-                    seed=msg.get("seed", 0), slo=msg.get("slo"),
-                    wait_s=float(msg.get("wait_s", 0.0)))
-            except Exception as exc:
-                # a bad spec fails only this request
-                await send({"op": "done", "rid": rid,
-                            "state": "failed",
-                            "errors": [f"{type(exc).__name__}: {exc}"]})
-                return
-            pending[rid] = request
-            self._pending_delta(+1)
-            self.counters["submits"] += 1
-            await send({"op": "ack", "rid": rid, "state": "accepted",
-                        "pending": len(pending)})
-            request.add_done_callback(functools.partial(bridge, rid))
+    def frame_error(self, exc: FrameError) -> None:
+        self.front.counters["frame_errors"] += 1
+        super().frame_error(exc)
 
-        # the connection sleeps on "a frame arrived" or "a request
-        # completed", whichever is first — never on a timer, except the
-        # idle timeout while nothing is in flight
-        read = next_frame()
-        completion = loop.create_task(done_queue.get())
-        idle_since = loop.time()
+    def frame_received(self, msg: dict[str, Any]) -> None:
+        op = msg["op"]
+        if op == "submit":
+            self._submit(msg)
+        elif op == "stats":
+            self.hold("stats")
+            self.loop.run_in_executor(
+                None, self.front.router.aggregate_stats).add_done_callback(
+                functools.partial(self._send_stats, msg["rid"]))
+        elif op in ("bye", "shutdown"):
+            # every pending done is sent before the bye
+            self._said_bye = True
+            self.hold("bye")
+            if not self.pending:
+                self._close_with({"op": "bye"})
+        # unknown ops ignored: forward compatibility
+        self._rearm_idle()
+
+    def _submit(self, msg: dict[str, Any]) -> None:
+        front, rid = self.front, msg["rid"]
+        if front._draining or rid in self.pending:
+            # a rid already in flight is refused: its done would be lost
+            front.counters["rejected"] += 1
+            self.send({"op": "ack", "rid": rid,
+                       "state": "draining" if front._draining
+                       else "rejected"})
+            return
         try:
-            while True:
-                timeout = None
-                if not pending:
-                    timeout = (idle_since + self.idle_timeout_s
-                               - loop.time())
-                    if timeout <= 0:
-                        self.counters["idle_closes"] += 1
-                        try:
-                            await send({"op": "bye",
-                                        "reason": "idle-timeout"})
-                        except (ConnectionError, OSError):
-                            pass
-                        return
-                await asyncio.wait({read, completion}, timeout=timeout,
-                                   return_when=asyncio.FIRST_COMPLETED)
-                if completion.done():
-                    await deliver()
-                    continue
-                if not read.done():
-                    continue
-                try:
-                    msg = read.result()
-                    if msg is None:
-                        return      # clean EOF or mid-frame disconnect
-                    op = msg.get("op")
-                    if op == "submit":
-                        await submit(msg)
-                    elif op == "stats":
-                        stats = await loop.run_in_executor(
-                            None, self.router.aggregate_stats)
-                        await send({"op": "stats", "rid": msg.get("rid"),
-                                    "stats": stats,
-                                    "frontend": dict(self.counters)})
-                    elif op in ("bye", "shutdown"):
-                        while pending:
-                            await deliver()
-                        await send({"op": "bye"})
-                        return
-                    # unknown ops ignored: forward compatibility
-                except (FrameError, *FIELD_ERRORS) as exc:
-                    # a corrupt frame, or one whose field is missing or
-                    # mistyped: report it and close the connection
-                    self.counters["frame_errors"] += 1
-                    try:
-                        await send({"op": "error", "error": str(exc)})
-                    except (ConnectionError, OSError):
-                        pass
-                    return
-                read = next_frame()
-                idle_since = loop.time()
-        except OSError:
-            return          # a reset, mid-frame or not
-        finally:
-            read.cancel()
-            completion.cancel()
-            self._pending_delta(-len(pending))
-            pending.clear()
-            writer.close()
-            # reap both waits (and whatever a finished one raised)
-            await asyncio.gather(read, completion,
-                                 return_exceptions=True)
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            request = front.router.submit(
+                msg["app"], size=msg["size"], seed=msg["seed"],
+                slo=msg["slo"], wait_s=msg["wait_s"])
+        except Exception as exc:
+            # a bad spec fails only this request
+            self.send({"op": "done", "rid": rid, "state": "failed",
+                       "errors": [f"{type(exc).__name__}: {exc}"]})
+            return
+        self.pending[rid] = request
+        front._drained.clear()
+        front.counters["submits"] += 1
+        self.send({"op": "ack", "rid": rid, "state": "accepted",
+                   "pending": len(self.pending)})
+        if len(self.pending) >= front.max_pending_per_conn:
+            # backpressure: no frame is read until a slot frees, so TCP
+            # pushes back on the client
+            self.hold("full")
+        request.add_done_callback(
+            lambda request: self.loop.call_soon_threadsafe(
+                self._deliver, rid, request))
+
+    def _deliver(self, rid: int, request: FleetRequest) -> None:
+        if self.pending.pop(rid, None) is None:
+            return      # the connection ended first
+        self.front.counters["dones"] += 1
+        self.send({**request.result(timeout_s=0.0), "op": "done",
+                   "rid": rid})
+        if not self.pending:
+            self.front._check_drained()
+            if self._said_bye:
+                self._close_with({"op": "bye"})
+            self._rearm_idle()
+        self.release("full")
+
+    def _send_stats(self, rid: int | None, future: asyncio.Future) -> None:
+        if future.exception() is not None:
+            self._close_with({"op": "error",
+                              "error": repr(future.exception())})
+            return
+        self.send({"op": "stats", "rid": rid, "stats": future.result(),
+                   "frontend": dict(self.front.counters)})
+        self.release("stats")
+
+    def _close_with(self, msg: dict[str, Any]) -> None:
+        self.send(msg)
+        self.transport.close()
+
+    def _rearm_idle(self) -> None:
+        """Run the idle timer from now, if nothing is in flight."""
+        self._idle.cancel()
+        if not (self.pending or self.transport.is_closing()):
+            self._idle = self.loop.call_later(
+                self.front.idle_timeout_s, self._on_idle)
+
+    def _on_idle(self) -> None:
+        self.front.counters["idle_closes"] += 1
+        self._close_with({"op": "bye", "reason": "idle-timeout"})
 
 
-class AioFleetClient:
+class AioFleetClient(FrameProtocol):
     """Async client for :class:`AioFrontend` (tests / tutorial / CI).
 
     ``submit`` returns once the front end ACKs and resolves to an
     awaitable future of the terminal ``done`` payload.
     """
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._rids = iter(range(1, 1 << 31))
-        self._acks: dict[int, asyncio.Future] = {}
-        self._dones: dict[int, asyncio.Future] = {}
-        self._stats: list[asyncio.Future] = []
+    def __init__(self) -> None:
+        super().__init__()
+        self._rids = itertools.count(1)
+        #: (reply op, rid) → the future that reply resolves
+        self._waiters: dict[tuple[str, int], asyncio.Future] = {}
+        self._error: Exception | None = None
         self._closed = asyncio.get_running_loop().create_future()
-        self._task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "AioFleetClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port)
+        return client
 
-    async def _read_loop(self) -> None:
-        error: Exception | None = None
-        try:
-            while True:
-                msg = await read_msg(self._reader)
-                if msg is None:
-                    return
-                op = msg.get("op")
-                if op == "ack":
-                    fut = self._acks.pop(int(msg.get("rid", 0)), None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(msg)
-                elif op == "done":
-                    # a refused spec gets its `done` and never an `ack`
-                    for table in (self._dones, self._acks):
-                        fut = table.pop(int(msg.get("rid", 0)), None)
-                        if fut is not None and not fut.done():
-                            fut.set_result(msg)
-                elif op == "stats":
-                    if self._stats:
-                        fut = self._stats.pop(0)
-                        if not fut.done():
-                            fut.set_result(msg)
-                elif op == "error":
-                    error = RuntimeError(msg.get("error", "protocol"))
-                    return
-                elif op == "bye":
-                    return
-        except ConnectionError:
-            return
-        except FrameError as exc:
-            error = exc
-            return
-        finally:
-            eof = error or ConnectionError("frontend closed")
-            for table in (self._acks, self._dones):
-                for fut in table.values():
-                    if not fut.done():
-                        fut.set_exception(eof)
-                table.clear()
-            for fut in self._stats:
-                if not fut.done():
-                    fut.set_exception(eof)
-            self._stats.clear()
-            if not self._closed.done():
-                if error is not None:
-                    self._closed.set_exception(error)
-                else:
-                    self._closed.set_result(None)
+    def frame_received(self, msg: dict[str, Any]) -> None:
+        op = msg["op"]
+        if op in ("ack", "done", "stats"):
+            # a refused spec gets its `done` and never an `ack`
+            for reply in (op, "ack") if op == "done" else (op,):
+                future = self._waiters.pop((reply, msg["rid"]), None)
+                if future is not None and not future.done():
+                    future.set_result(msg)
+        elif op in ("error", "bye"):
+            if op == "error":
+                self._error = RuntimeError(msg["error"])
+            self.transport.close()
 
-    async def _send(self, obj: dict[str, Any]) -> None:
-        self._writer.write(pack_msg(obj))
-        await self._writer.drain()
+    def frame_error(self, exc: FrameError) -> None:
+        self._error = exc
+        self.transport.close()
+
+    def pause_writing(self) -> None:
+        # reads on: a client's writes come from its caller, not from
+        # the replies it reads (see the router's worker links)
+        pass
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        for future in self._waiters.values():
+            if not future.done():
+                future.set_exception(
+                    self._error or ConnectionError("frontend closed"))
+        self._waiters.clear()
+        if self._error is None:
+            self._closed.set_result(None)
+        else:
+            self._closed.set_exception(self._error)
+
+    def _ask(self, msg: dict[str, Any],
+             *replies: str) -> list[asyncio.Future]:
+        """Send ``msg`` under a new rid; the futures of its replies."""
+        if self.transport.is_closing():
+            raise ConnectionError("frontend closed")
+        rid = next(self._rids)
+        self.send({**msg, "rid": rid})
+        loop = asyncio.get_running_loop()
+        futures = [loop.create_future() for _ in replies]
+        self._waiters.update(zip([(op, rid) for op in replies], futures))
+        return futures
 
     async def submit(self, app: str, size: int = 32, seed: int = 0,
                      slo: dict[str, Any] | None = None,
                      wait_s: float = 0.0) -> asyncio.Future:
         """Submit one spec; returns after the ACK with a future that
         resolves to the ``done`` payload."""
-        loop = asyncio.get_running_loop()
-        rid = next(self._rids)
-        ack_fut = self._acks[rid] = loop.create_future()
-        done = self._dones[rid] = loop.create_future()
-        await self._send({"op": "submit", "rid": rid, "app": app,
-                          "size": size, "seed": seed, "slo": slo,
-                          "wait_s": wait_s})
-        ack = await ack_fut
-        if ack.get("state") != "accepted":
-            self._dones.pop(rid, None)
-            if not done.done():
-                done.set_result({"op": "done", "rid": rid,
-                                 "state": ack.get("state", "rejected"),
-                                 "errors": ["not accepted"]})
+        ack, done = self._ask({"op": "submit", "app": app, "size": size,
+                               "seed": seed, "slo": slo, "wait_s": wait_s},
+                              "ack", "done")
+        ack = await ack
+        if ack["state"] != "accepted" and not done.done():
+            self._waiters.pop(("done", ack["rid"]), None)
+            done.set_result({"op": "done", "rid": ack["rid"],
+                             "state": ack["state"],
+                             "errors": ["not accepted"]})
         return done
 
     async def stats(self) -> dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
-        self._stats.append(fut)
-        await self._send({"op": "stats"})
-        return await fut
+        (reply,) = self._ask({"op": "stats"}, "stats")
+        return await reply
 
     async def close(self, polite: bool = True) -> None:
         """Close the connection (``bye`` first when ``polite`` — the
         front end flushes every pending ``done`` before replying)."""
-        if polite:
-            try:
-                await self._send({"op": "bye"})
+        if polite and not self.transport.is_closing():
+            self.send({"op": "bye"})
+            with contextlib.suppress(ConnectionError, OSError,
+                                     asyncio.TimeoutError):
                 await asyncio.wait_for(asyncio.shield(self._closed),
                                        timeout=10.0)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
-        self._task.cancel()
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self.transport.close()
+        with contextlib.suppress(Exception):
+            await self._closed
 
 
 def serve_front(router: FleetRouter, host: str = "127.0.0.1",

@@ -35,29 +35,75 @@ assert bit-identity between coalesced and solo answers without shipping
 megabytes of JSON.  Frames larger than :data:`MAX_FRAME` are rejected
 with :class:`FrameError` before any allocation, so a corrupt or hostile
 4-byte header can never balloon memory.
+
+Every endpoint — the worker, the router's links, the front end and its
+client — reads frames through one :class:`FrameProtocol`, which checks
+each frame's fields once, at decode, against :data:`FIELDS`, fills in
+the defaults and hands the reader a dict it indexes directly::
+
+    op        field         holds                                 default
+    --------  ------------  ------------------------------------  --------
+    (any)     op            string                                required
+    submit    rid           int (a JSON ``true`` is no int)       required
+              app           string                                required
+              size          whatever ``spec_key`` takes           32
+              seed          whatever ``spec_key`` takes           0
+              slo           object or null; its ``deadline_s``    all unset
+                            and ``target_db`` finite numbers or
+                            null, its ``priority`` one number
+                            (``SLO`` checks them; it has no
+                            other fields)
+              wait_s        finite number                         0.0
+              check         bool                                  false
+              resume        checkpoint payload (by                null
+                            ``check_payload``) or null
+    ack       rid           int                                   required
+              state         string                                required
+              queue_depth   int                                   0
+    done      rid           int                                   required
+              state         string                                "failed"
+              final         bool                                  false
+              value_digest  string or null                        null
+    stats     rid           int or null                           null
+              stats         object or null                        null
+    error     error         string                                "protocol"
+    bye       (no fields)
+    shutdown  (no fields)
+
+A frame that breaks the table is a :class:`FrameError`, like bytes that
+are no JSON object: the reader counts it, answers with an ``error``
+frame where it can reply, and closes.  Unknown ops and unknown fields
+pass through, so a newer peer may speak a superset of this protocol.
+A field a spec or an SLO bounds by value (``size`` 1 to
+:data:`MAX_SPEC_SIZE`, a positive ``deadline_s``) is checked where the
+request is made, and fails only that request.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import operator
 import socket
 import struct
-from collections import OrderedDict
+from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any, Callable
 
 import numpy as np
 
 from .digest import ckpt_filename, input_digest, request_key
+from .slo import SLO
 
-__all__ = ["pack_msg", "send_msg", "recv_msg", "read_msg", "spec_key",
-           "value_digest", "ckpt_filename", "worker_main", "WORKER_DEFAULTS",
-           "MAX_FRAME", "MAX_SPEC_SIZE", "FrameError", "FIELD_ERRORS"]
+__all__ = ["pack_msg", "send_msg", "recv_msg", "read_msg", "check_frame",
+           "FrameProtocol", "FIELDS", "spec_key", "value_digest",
+           "ckpt_filename", "worker_main", "WORKER_DEFAULTS", "MAX_FRAME",
+           "MAX_SPEC_SIZE", "FrameError"]
 
 _LEN = struct.Struct(">I")
 
@@ -71,16 +117,12 @@ MAX_FRAME = 256 * 1024
 
 
 class FrameError(RuntimeError):
-    """A peer violated the wire protocol (oversized or non-JSON frame).
+    """A peer violated the wire protocol: an oversized or non-JSON
+    frame, or one whose fields break :data:`FIELDS`.
 
     Distinct from a clean EOF (``recv_msg`` → None): the connection is
     unusable and must be closed, but the violation is reportable."""
 
-
-#: what acting on a well-formed frame raises when one of its fields is
-#: missing or of the wrong type; every reader (worker, router, front
-#: end) treats these like a :class:`FrameError`
-FIELD_ERRORS = (KeyError, ValueError, TypeError)
 
 WORKER_DEFAULTS: dict[str, Any] = {
     "slots": 2,
@@ -125,7 +167,7 @@ def _frame_length(header: bytes, max_frame: int) -> int:
 def _decode(payload: bytes) -> dict[str, Any]:
     try:
         msg = json.loads(payload.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FrameError(f"frame payload is not JSON: {exc}") from exc
     if not isinstance(msg, dict):
         raise FrameError(f"frame payload is not a JSON object: "
@@ -161,7 +203,8 @@ def recv_msg(sock: socket.socket,
 async def read_msg(reader: asyncio.StreamReader,
                    max_frame: int = MAX_FRAME) -> dict[str, Any] | None:
     """:func:`recv_msg` on an asyncio stream: the same bound, decode,
-    None on EOF or truncation, and :class:`FrameError`."""
+    None on EOF or truncation, and :class:`FrameError`.  No endpoint
+    reads with it: each is a :class:`FrameProtocol`."""
     try:
         header = await reader.readexactly(_LEN.size)
         length = _frame_length(header, max_frame)
@@ -170,31 +213,166 @@ async def read_msg(reader: asyncio.StreamReader,
         return None
 
 
+# -- what each op's fields hold -------------------------------------------
+
+_NULL = type(None)
+_INT, _STR, _NUMBER = (int,), (str,), (int, float)
+
+
+def _check(kinds: tuple[type, ...], value: Any) -> Any:
+    """``value`` if its type is exactly one of ``kinds`` (so a JSON
+    ``true`` is no int) and a float is finite (Python's JSON reads
+    ``NaN``)."""
+    if type(value) not in kinds \
+            or type(value) is float and not math.isfinite(value):
+        names = "/".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"must be {names}, not {value!r:.40}")
+    return value
+
+
+def _slo(value: Any) -> dict[str, Any]:
+    given = _check((dict, _NULL), value) or {}
+    slo = {field.name: given.get(field.name, field.default)
+           for field in dataclasses.fields(SLO)}
+    # the SLO's own check names a mistyped field; a bound (a deadline
+    # <= 0) fails only the request, where it is made
+    with contextlib.suppress(ValueError):
+        SLO(**slo)
+    return slo
+
+
+def _resume(value: Any) -> Any:
+    if value is not None:
+        from ..ckpt import check_payload
+        check_payload(value)
+    return value
+
+
+#: a field no frame of its op may lack
+REQUIRED = object()
+
+#: each op's fields: name → (check, default), tabulated in the module
+#: docstring.  A check is the types the value may have, a function that
+#: returns the value the reader gets (or raises TypeError), or None; a
+#: missing field takes its default, unless that is REQUIRED.
+FIELDS: dict[str, dict[str, tuple[Any, Any]]] = {
+    "submit": {"rid": (_INT, REQUIRED), "app": (_STR, REQUIRED),
+               # spec_key bounds these: a bad one fails only its request
+               "size": (None, 32), "seed": (None, 0),
+               "slo": (_slo, None), "wait_s": (_NUMBER, 0.0),
+               "check": ((bool,), False), "resume": (_resume, None)},
+    "ack": {"rid": (_INT, REQUIRED), "state": (_STR, REQUIRED),
+            "queue_depth": (_INT, 0)},
+    "done": {"rid": (_INT, REQUIRED), "state": (_STR, "failed"),
+             "final": ((bool,), False),
+             "value_digest": ((str, _NULL), None)},
+    "stats": {"rid": ((int, _NULL), None), "stats": ((dict, _NULL), None)},
+    "error": {"error": (_STR, "protocol")},
+    "bye": {},
+    "shutdown": {},
+}
+
+
+def check_frame(msg: dict[str, Any]) -> dict[str, Any]:
+    """``msg`` checked against :data:`FIELDS`, defaults filled in, or a
+    :class:`FrameError` naming the field.  An unknown op, and a field
+    its op does not name, passes unchecked."""
+    op = msg.get("op")
+    if type(op) is not str:
+        raise FrameError(f"frame has no op: {op!r:.40}")
+    for name, (check, default) in FIELDS.get(op, {}).items():
+        value = msg.get(name, default)
+        if value is REQUIRED:
+            raise FrameError(f"{op} frame lacks {name!r}")
+        try:
+            msg[name] = (check(value) if callable(check)
+                         else _check(check, value) if check else value)
+        except TypeError as exc:
+            raise FrameError(f"{op} field {name!r} {exc}") from None
+    return msg
+
+
+class FrameProtocol(asyncio.Protocol):
+    """One connection's frames, cut, decoded and checked in
+    ``data_received`` — the one reader every fleet endpoint uses.
+
+    Frames are cut one at a time, whatever the chunking; a declared
+    length over :data:`MAX_FRAME` fails as soon as its header is in,
+    before any of its payload is kept.  Each frame goes through
+    :func:`check_frame` to the subclass's ``frame_received(msg)``; a
+    violation goes to :meth:`frame_error`, after the frames before it
+    were handled.  A truncated tail at EOF is a clean close.
+
+    No frame is cut while the connection is *held*: while the transport
+    asks to pause writing, so a peer that never reads cannot grow the
+    write buffer of an end that answers it without bound, and for any
+    reason a subclass names with :meth:`hold` until it calls
+    :meth:`release`.  A held connection pauses the transport's reading
+    too, so TCP pushes back on the peer.  An end whose writes do not
+    answer what it reads (the router's worker links, the client) reads
+    on while writing is paused: two such ends that both stopped reading
+    would wait on each other for good.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        self._holds: set[str] = set()
+
+    def frame_error(self, exc: FrameError) -> None:
+        """Report a violation in-band, then close: never hang."""
+        self.send({"op": "error", "error": f"FrameError: {exc}"})
+        self.transport.close()
+
+    def send(self, msg: dict[str, Any]) -> None:
+        """Write one frame unless the connection is closing."""
+        if not self.transport.is_closing():
+            self.transport.write(pack_msg(msg))
+
+    def hold(self, reason: str) -> None:
+        self._holds.add(reason)
+        self.transport.pause_reading()
+
+    def release(self, reason: str) -> None:
+        """Drop a hold; the last one going cuts what is buffered and
+        reads on."""
+        self._holds.discard(reason)
+        if not self._holds:
+            self._cut()
+
+    # asyncio.Protocol ----------------------------------------------------
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._cut()
+
+    def pause_writing(self) -> None:
+        self.hold("writing")
+
+    def resume_writing(self) -> None:
+        self.release("writing")
+
+    def _cut(self) -> None:
+        # a frame leaves the buffer before it is handled, so a handler
+        # that releases a hold (and cuts again) finds the buffer whole
+        buffer, body = self._buffer, _LEN.size
+        try:
+            while (not self._holds and not self.transport.is_closing()
+                   and len(buffer) >= body):
+                end = body + _frame_length(buffer[:body], MAX_FRAME)
+                if len(buffer) < end:
+                    break
+                msg = check_frame(_decode(buffer[body:end]))
+                del buffer[:end]
+                self.frame_received(msg)
+        except FrameError as exc:
+            self.frame_error(exc)
+        if not self._holds:
+            self.transport.resume_reading()
+
+
 # -- request/result identity --------------------------------------------
-
-class _Lru:
-    """A mapping that forgets its least recently used entry beyond
-    ``cap`` (not thread-safe: callers bring their own lock)."""
-
-    def __init__(self, cap: int) -> None:
-        self._cap = cap
-        self._items: OrderedDict[Any, Any] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def get(self, key: Any) -> Any:
-        if key not in self._items:
-            return None
-        self._items.move_to_end(key)
-        return self._items[key]
-
-    def put(self, key: Any, value: Any) -> None:
-        self._items[key] = value
-        self._items.move_to_end(key)
-        while len(self._items) > self._cap:
-            self._items.popitem(last=False)
-
 
 #: largest ``size`` a spec may ask for: four times the largest size any
 #: figure, test or benchmark uses.  Making the input of a larger one
@@ -405,7 +583,7 @@ class _ScoreLater:
 
 
 #: calibrations (input image, builder, metric with its reference) a
-#: worker keeps, by spec key, for repeat submissions of a spec
+#: worker keeps, by spec, for repeat submissions of a spec
 _CALIBRATIONS_MAX = 32
 
 #: answered values whose digest a worker keeps: the subscribers of one
@@ -477,10 +655,8 @@ def worker_main(sock: socket.socket,
     set before the first input is made.
     """
     from ..apps.registry import get_app
-    from ..ckpt import check_payload
     from ..core.memory import keep_freed_pages
     from .server import AnytimeServer
-    from .slo import SLO
 
     keep_freed_pages()
     cfg = {**WORKER_DEFAULTS, **(config or {})}
@@ -491,52 +667,47 @@ def worker_main(sock: socket.socket,
         memo_ttl_s=float(cfg["memo_ttl_s"]),
         resume_dir=cfg.get("resume_dir")).start()
     calibrator = ThreadPoolExecutor(1, thread_name_prefix="fleet-calibrate")
-    calibrations = _Lru(_CALIBRATIONS_MAX)
-    # answered values by id, with their digests (loop thread only)
-    digests = _Lru(_DIGESTS_MAX)
+    # answered values, with their digests (loop thread only)
+    digests: deque = deque(maxlen=_DIGESTS_MAX)
 
-    def calibration(app: str, size: Any, seed: Any) -> tuple:
-        # the key is the frame's spec's, never the router's word for it
-        key = spec_key(app, size, seed)
-        entry = calibrations.get(key)
-        if entry is None:
-            record = get_app(app)
-            image = record.make_input(int(size), int(seed))
-            metric = _ScoreLater(record, image, calibrator)
-
-            def builder(record=record, image=image):
-                return record.build(image)
-
-            entry = (builder, metric)
-            calibrations.put(key, entry)
-        return (*entry, key)
+    @functools.lru_cache(_CALIBRATIONS_MAX)
+    def calibration(app: str, size: int, seed: int) -> tuple:
+        """A spec's builder and metric: its input is made once."""
+        record = get_app(app)
+        image = record.make_input(size, seed)
+        return (lambda: record.build(image),
+                _ScoreLater(record, image, calibrator))
 
     async def serve_link() -> None:
         loop = asyncio.get_running_loop()
-        reader, writer = await asyncio.open_connection(sock=sock)
+        closed = loop.create_future()
 
-        def send(msg: dict[str, Any]) -> None:
-            if not writer.is_closing():
-                writer.write(pack_msg(msg))
+        class RouterLink(FrameProtocol):
+            """This worker's end of its router link."""
+
+            def frame_received(self, msg: dict[str, Any]) -> None:
+                serve(self, msg)
+
+            def connection_lost(self, exc: Exception | None) -> None:
+                closed.set_result(None)
 
         def digest(value: Any) -> str:
             # coalesced subscribers and memo hits answer with one value
-            # object: it is hashed once.  The entry holds the value, so
-            # no other object can take its id while it is kept.
-            entry = digests.get(id(value))
-            if entry is None:
-                entry = (value, value_digest(value))
-                digests.put(id(value), entry)
-            return entry[1]
+            # object: it is hashed once
+            for held, known in digests:
+                if held is value:
+                    return known
+            digests.append((value, value_digest(value)))
+            return digests[-1][1]
 
-        def send_done(rid: int, session: Any, cell: _CheckedRun | None,
-                      metric: _ScoreLater) -> None:
+        def send_done(link: FrameProtocol, rid: int, session: Any,
+                      cell: _CheckedRun | None, metric: _ScoreLater) -> None:
             result = session.result(timeout_s=0.0)
             violations = (_checked_violations(cell, result.snapshot,
                                               metric, digest)
                           if cell is not None else None)
-            send(_done_message(rid, result, violations=violations,
-                               digest=digest))
+            link.send(_done_message(rid, result, violations=violations,
+                                    digest=digest))
 
         def on_done(*args: Any) -> None:
             # on any thread; once the router is gone the loop is closed
@@ -544,80 +715,56 @@ def worker_main(sock: socket.socket,
             with contextlib.suppress(RuntimeError):
                 loop.call_soon_threadsafe(send_done, *args)
 
-        def serve(msg: dict[str, Any]) -> bool:
-            """Act on one frame; False once the router said goodbye."""
-            op = msg.get("op")
+        def serve(link: FrameProtocol, msg: dict[str, Any]) -> None:
+            """Act on one frame."""
+            op = msg["op"]
             if op == "submit":
-                rid = int(msg["rid"])
-                resume = msg.get("resume")
-                if resume is not None:
-                    check_payload(resume)
+                rid = msg["rid"]
                 cell = None
                 try:
-                    builder, metric, key = calibration(
-                        msg["app"], msg.get("size", 32), msg.get("seed", 0))
-                    if resume is not None:
-                        builder = _resuming_builder(resume, builder)
-                    if msg.get("check", cfg.get("check")):
+                    # the key is the frame's spec's, never the router's
+                    # word for it
+                    key = spec_key(msg["app"], msg["size"], msg["seed"])
+                    builder, metric = calibration(
+                        msg["app"], int(msg["size"]), int(msg["seed"]))
+                    if msg["resume"] is not None:
+                        builder = _resuming_builder(msg["resume"], builder)
+                    if msg["check"] or cfg["check"]:
                         builder, cell = _checked_builder(
                             builder, cfg["executor"])
-                    slo_spec = msg.get("slo") or {}
-                    slo = SLO(
-                        deadline_s=slo_spec.get("deadline_s"),
-                        target_db=slo_spec.get("target_db"),
-                        priority=float(slo_spec.get("priority", 1.0)))
                     session = server.submit(
-                        builder, slo, metric=metric, name=f"r{rid}",
-                        wait_s=float(msg.get("wait_s", 0.0)),
+                        builder, SLO(**msg["slo"]), metric=metric,
+                        name=f"r{rid}", wait_s=msg["wait_s"],
                         key=key if cfg["coalesce"] else None, trace=cell)
                 except Exception as exc:
-                    send({"op": "done", "rid": rid, "state": "failed",
-                          "latency_s": 0.0, "queue_s": 0.0,
-                          "errors": [f"{type(exc).__name__}: {exc}"]})
-                    return True
+                    link.send({"op": "done", "rid": rid, "state": "failed",
+                               "latency_s": 0.0, "queue_s": 0.0,
+                               "errors": [f"{type(exc).__name__}: {exc}"]})
+                    return
                 stats = server.stats()
-                send({"op": "ack", "rid": rid,
-                      "state": session.state.value,
-                      "queue_depth": stats["queued"],
-                      "running": stats["running"],
-                      "subscribers": stats["subscribers"]})
+                link.send({"op": "ack", "rid": rid,
+                           "state": session.state.value,
+                           "queue_depth": stats["queued"],
+                           "running": stats["running"],
+                           "subscribers": stats["subscribers"]})
                 # the done goes through the loop's queue, so a request
                 # that is terminal already (shed, memo hit) still reads
                 # ack-then-done on the wire
                 session.add_done_callback(
-                    lambda session, rid=rid, cell=cell, metric=metric:
-                    on_done(rid, session, cell, metric))
+                    lambda session: on_done(link, rid, session, cell, metric))
             elif op == "stats":
-                send({"op": "stats", "rid": msg.get("rid"),
-                      "stats": server.stats()})
+                link.send({"op": "stats", "rid": msg["rid"],
+                           "stats": server.stats()})
             elif op == "shutdown":
-                send({"op": "bye"})
-                return False
-            # unknown ops are ignored: a newer router may speak a superset
+                link.send({"op": "bye"})
+                link.transport.close()
+            # other ops are ignored: a newer router may speak a superset
             # of this protocol
-            return True
 
-        try:
-            while True:
-                try:
-                    msg = await read_msg(reader)
-                    # None: the router went away
-                    if msg is None or not serve(msg):
-                        return
-                except (FrameError, *FIELD_ERRORS) as exc:
-                    # protocol violation (a corrupt frame, or a field it
-                    # lacks or mistypes): report it in-band, then close —
-                    # never hang, never allocate for a corrupt header
-                    send({"op": "error",
-                          "error": f"{type(exc).__name__}: {exc}"})
-                    return
-        except OSError:
-            return
-        finally:
-            # flushes what is written before the socket closes
-            writer.close()
-            with contextlib.suppress(OSError):
-                await writer.wait_closed()
+        # the link's end — EOF, a reset, a violation answered in-band,
+        # or a shutdown — is flushed before the socket closes
+        await loop.connect_accepted_socket(RouterLink, sock=sock)
+        await closed
 
     try:
         asyncio.run(serve_link())

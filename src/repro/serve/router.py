@@ -22,8 +22,9 @@ itself: the router never makes an input):
   with the worker's queue depth; a shed request is retried once on the
   least-loaded other worker before the shed is accepted as final.
 * **Worker-death failover, re-spawn, and checkpoint migration.**  A
-  dead worker the router started (its link's reader ends on EOF, a
-  reset or a garbage frame — the one place a death is detected) is
+  dead worker the router started (its link's connection is lost on EOF,
+  a reset, a failed write or a garbage frame — the one place a death is
+  detected) is
   replaced: a fresh worker is forked at the same index and rejoins the
   consistent-hash ring (the ring maps onto indices, so the replacement
   inherits the dead worker's key range with zero ring churn).  The dead
@@ -54,7 +55,8 @@ sum the per-worker serving counters and reduce per-request outcomes to
 p50/p99 latency, goodput, shed rate and SLO attainment.
 
 All router I/O and state live on one asyncio loop, on the thread
-:meth:`FleetRouter.start` creates (one reader task per link, no locks);
+:meth:`FleetRouter.start` creates (each link a
+:class:`~repro.serve.fleet.FrameProtocol`, no locks);
 the public methods are thin calls onto it, and
 :func:`~repro.serve.aiofront.serve_front` runs the front end there too.
 """
@@ -74,8 +76,8 @@ import time as _time
 from typing import Any, Callable
 
 from ..core.tracing import TraceEvent, TraceSink
-from .fleet import (FIELD_ERRORS, MAX_FRAME, FrameError, WORKER_DEFAULTS,
-                    ckpt_filename, pack_msg, read_msg, spec_key)
+from .fleet import (MAX_FRAME, WORKER_DEFAULTS, FrameError, FrameProtocol,
+                    ckpt_filename, check_frame, spec_key)
 from .transport import (connect_worker, parse_endpoint,
                         spawn_local_tcp_worker)
 from .workload import percentile
@@ -172,30 +174,43 @@ class FleetRequest:
             fn(self)
 
 
-class _WorkerLink:
-    """Router-side state of one worker: its socket wrapped in asyncio
-    streams, the task that reads them, and its in-flight requests."""
+class _WorkerLink(FrameProtocol):
+    """Router-side state of one worker: the protocol that reads its
+    socket, and its in-flight requests.  Writes never block; a dead
+    peer's lost connection re-places its requests."""
 
-    def __init__(self, index: int, process: Any, sock: socket.socket,
-                 reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
+    def __init__(self, router: "FleetRouter", index: int, process: Any,
+                 sock: socket.socket) -> None:
+        super().__init__()
+        self.router = router
         self.index = index
         self.process = process
         self.sock = sock
-        self.reader = reader
-        self.writer = writer
         self.alive = True
         self.inflight: dict[int, FleetRequest] = {}
-        self.queue_depth = 0
-        self.task: asyncio.Task | None = None
 
     @property
     def load(self) -> int:
         return len(self.inflight)
 
-    def send(self, msg: dict[str, Any]) -> None:
-        # never blocks; a dead peer's reader re-places its requests
-        self.writer.write(pack_msg(msg))
+    def frame_received(self, msg: dict[str, Any]) -> None:
+        self.router._on_message(self, msg)
+
+    def frame_error(self, exc: FrameError) -> None:
+        # the worker spoke garbage, or a frame with a missing or
+        # mistyped field: an unusable connection
+        self.router.counters["frame_errors"] += 1
+        super().frame_error(exc)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.router._link_lost(self)
+
+    def pause_writing(self) -> None:
+        # reads on: what the router writes to a worker comes from its
+        # clients, not from this link's frames, so not reading would
+        # bound nothing, and a worker that stopped reading for the
+        # same reason would never drain either side
+        pass
 
 
 class FleetRouter:
@@ -259,6 +274,8 @@ class FleetRouter:
         #: orphans taken off a dead link and not yet re-dispatched (or
         #: failed): in no link's ``inflight``, yet not terminal
         self._in_transit: set[FleetRequest] = set()
+        #: failover tasks of dead links (re-spawn and re-dispatch)
+        self._failovers: set[asyncio.Task] = set()
         #: set by the loop whenever nothing is in flight or in transit
         self._idle = threading.Event()
         self._idle.set()
@@ -282,7 +299,8 @@ class FleetRouter:
         self._thread = threading.Thread(target=self.loop.run_forever,
                                         name="fleet-loop", daemon=True)
         self._thread.start()
-        self._call(self._open_links, spawned)
+        self._links = [self._call(self._connect, index, *pair)
+                       for index, pair in enumerate(spawned)]
         return self
 
     def _spawn(self, index: int) -> tuple[Any, socket.socket]:
@@ -303,15 +321,10 @@ class FleetRouter:
 
     async def _connect(self, index: int, process: Any,
                        sock: socket.socket) -> _WorkerLink:
-        """Wrap a worker's socket in streams and start its reader."""
-        reader, writer = await asyncio.open_connection(sock=sock)
-        link = _WorkerLink(index, process, sock, reader, writer)
-        link.task = asyncio.create_task(self._read_link(link))
+        """Read a worker's socket with a link."""
+        _, link = await self.loop.create_connection(
+            lambda: _WorkerLink(self, index, process, sock), sock=sock)
         return link
-
-    async def _open_links(self, spawned: list[tuple[Any, Any]]) -> None:
-        for index, pair in enumerate(spawned):
-            self._links.append(await self._connect(index, *pair))
 
     def __enter__(self) -> "FleetRouter":
         return self.start()
@@ -350,14 +363,15 @@ class FleetRouter:
         self._in_transit.clear()
         for link in self._links:
             link.alive = False
-            link.writer.close()
+            link.transport.close()
             stranded.extend(link.inflight.values())
             link.inflight.clear()
         for request in stranded:
             request._finish({"state": "cancelled",
                              "errors": ["fleet shutdown"]})
         self._idle.set()
-        # readers and failovers end; their turn closes the sockets
+        # failovers, and calls from other threads still waiting on the
+        # loop, end here: nothing runs them once the loop stops
         tasks = asyncio.all_tasks() - {asyncio.current_task()}
         for task in tasks:
             task.cancel()
@@ -389,11 +403,15 @@ class FleetRouter:
     def submit(self, app: str, size: int = 32, seed: int = 0,
                slo: dict[str, Any] | None = None,
                wait_s: float = 0.0) -> FleetRequest:
-        """Place and dispatch one declarative request (a bad spec
-        raises from ``spec_key``, before any dispatch)."""
+        """Place and dispatch one declarative request.  Before any
+        dispatch, a bad spec raises from ``spec_key``, and a mistyped
+        ``slo`` or ``wait_s`` a :class:`~repro.serve.fleet.FrameError`:
+        the worker would refuse its frame."""
         key = spec_key(app, size, seed)
+        slo = check_frame({"op": "submit", "rid": 0, "app": app,
+                           "slo": slo, "wait_s": wait_s})["slo"]
         request = FleetRequest(next(self._rids), app, int(size),
-                               int(seed), slo or {}, key)
+                               int(seed), slo, key)
         self._call(self._submit, request, wait_s)
         return request
 
@@ -438,7 +456,7 @@ class FleetRouter:
         live = [ask for ask in asks if ask is not None]
         if live:
             await asyncio.wait(live, timeout=timeout_s)
-        per_worker = [ask.result().get("stats")
+        per_worker = [ask.result()["stats"]
                       if ask is not None and ask.done() else None
                       for ask in asks]
         for ask in live:
@@ -524,35 +542,22 @@ class FleetRouter:
 
     # -- worker I/O ------------------------------------------------------
 
-    async def _read_link(self, link: _WorkerLink) -> None:
-        """Read one worker's frames until its connection ends: the one
-        place a death is detected (EOF, a reset, a failed write, which
-        closes the transport, or a garbage frame)."""
-        while True:
-            try:
-                msg = await read_msg(link.reader)
-                if msg is None or msg.get("op") == "bye":
-                    break
-                self._on_message(link, msg)
-            except (FrameError, *FIELD_ERRORS):
-                # the worker spoke garbage, or a frame with a missing or
-                # mistyped field: an unusable connection
-                self.counters["frame_errors"] += 1
-                msg = None
-                break
-            except OSError:
-                msg = None
-                break
-        died = link.alive and msg is None and not self._closing
+    def _link_lost(self, link: _WorkerLink) -> None:
+        """A link's connection ended: the one place a death is detected
+        (EOF, a reset, a failed write, which closes the transport, or a
+        garbage frame) — unless the worker said ``bye`` first or the
+        router is shutting down."""
+        died = link.alive and not self._closing
         link.alive = False
-        link.writer.close()
         if died:
-            await self._mark_dead(link)
+            task = self.loop.create_task(self._mark_dead(link))
+            self._failovers.add(task)
+            task.add_done_callback(self._failovers.discard)
 
     def _on_message(self, link: _WorkerLink, msg: dict[str, Any]) -> None:
-        op = msg.get("op")
+        op = msg["op"]
         if op == "done":
-            request = link.inflight.pop(msg.get("rid"), None)
+            request = link.inflight.pop(msg["rid"], None)
             if request is None:
                 # a shed rid finishing on the worker that shed it, or
                 # a duplicate: the first outcome won
@@ -564,13 +569,16 @@ class FleetRouter:
         elif op == "ack":
             self._on_ack(link, msg)
         elif op == "stats":
-            waiter = self._waiters.get((op, msg.get("rid")))
+            waiter = self._waiters.get((op, msg["rid"]))
             if waiter is not None and not waiter.done():
                 waiter.set_result(msg)
         elif op == "error":
             # worker reported a protocol violation from our side;
             # nothing to retract — count it and carry on
             self.counters["frame_errors"] += 1
+        elif op == "bye":
+            link.alive = False
+            link.transport.close()
 
     def _expect(self, op: str, ident: int) -> asyncio.Future:
         """A future for the ``op`` reply carrying ``ident``."""
@@ -581,10 +589,9 @@ class FleetRouter:
         return future
 
     def _on_ack(self, link: _WorkerLink, msg: dict[str, Any]) -> None:
-        link.queue_depth = int(msg.get("queue_depth", 0))
-        if msg.get("state") != "shed":
+        if msg["state"] != "shed":
             return
-        request = link.inflight.pop(msg.get("rid"), None)
+        request = link.inflight.pop(msg["rid"], None)
         if request is None:
             return
         # admission backpressure surfaced: retry once elsewhere
@@ -718,8 +725,8 @@ class FleetRouter:
         over :data:`FLEET_MEMO_MAX`."""
         if self.fleet_memo_ttl_s <= 0:
             return
-        if not (msg.get("state") == "completed" and msg.get("final")
-                and msg.get("value_digest")):
+        if not (msg["state"] == "completed" and msg["final"]
+                and msg["value_digest"]):
             return
         now = _time.monotonic()
         for stale in [k for k, (exp, _) in self._memo.items()

@@ -16,7 +16,9 @@ shared run must outlive whichever subscriber is satisfied first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 __all__ = ["SLO"]
 
@@ -44,6 +46,17 @@ class SLO:
     priority: float = 1.0
 
     def __post_init__(self) -> None:
+        # a value the scheduler could not compare must fail here, at
+        # submission, not in a harvest tick after the run has left
+        # every queue
+        for name in ("deadline_s", "target_db", "priority"):
+            value = getattr(self, name)
+            if value is None and name != "priority":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real) \
+                    or not math.isfinite(value):
+                raise TypeError(f"{name} must be a finite number: "
+                                f"{value!r}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"deadline_s must be positive: {self.deadline_s}")
