@@ -40,6 +40,21 @@ Commands
     the log's event count per stage, the live stages and the buffer
     versions, without reading the payload.
 
+Layout
+------
+:func:`build_parser` declares every command, and each command names its
+handler (``set_defaults(func=...)``), which :func:`main` calls.  A flag
+that two or more commands take (the serving commands' worker flags,
+``--size``, ``--seed``, the trace flags) is declared once, in one table,
+and reaches each command through an argparse parent parser; a command
+that keeps its own default (``serve --slots 4``) sets it on its parent.
+Values are checked as they are parsed: a count below 1 or a malformed
+``HOST:PORT`` is a usage error naming the flag (exit 2).  An unknown
+app, executor or figure is reported by one helper, also with exit 2,
+and the four ``repro check`` reports (differential, ``--restore``,
+``--self-test``, ``--fleet``) are printed and written to ``--json`` by
+one function.
+
 Wall-clock performance is measured by ``benchmarks/latency``, not by
 this CLI.
 """
@@ -49,7 +64,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Sequence
+from typing import (Any, Callable, Collection, Iterable, Iterator,
+                    Sequence)
 
 from .apps.registry import APP_REGISTRY, calibrate_app, get_app
 from .core.backends import EXECUTORS, executor_class, executor_names
@@ -62,20 +78,109 @@ from .core.tracing import make_sink
 __all__ = ["main", "build_parser"]
 
 
+def _positive(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _endpoint(text: str) -> tuple[str, int]:
+    """argparse type of ``HOST:PORT``."""
+    from .serve.transport import parse_endpoint
+
+    try:
+        return parse_endpoint(text.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _endpoints(text: str) -> list[tuple[str, int]]:
+    """argparse type of ``HOST:PORT,...``."""
+    return [_endpoint(token) for token in text.split(",") if token.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="The Anytime Automaton (ISCA 2016) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
-    wall_clock = executor_names(WALL_CLOCK=True)
+    # a worker knob a command does not take keeps the worker's default
+    parser.set_defaults(quantum_s=None, memo_ttl_s=None, resume_dir=None,
+                        no_coalesce=False, check=False)
 
-    sub.add_parser("apps", help="list evaluation applications")
+    # the flags that two or more commands take, each declared once
+    shared: dict[str, dict[str, Any]] = {
+        "--size": dict(type=_positive,
+                       help="input image edge length (default "
+                            "%(default)s)"),
+        "--seed": dict(type=int, default=0),
+        "--target-snr": dict(type=float, default=None, metavar="DB",
+                             help="stop (with serve: finish each request "
+                                  "early) once output SNR reaches DB"),
+        "--trace": dict(type=str, default=None, metavar="PATH",
+                        help="write an execution trace (with serve: "
+                             "server + run events) to PATH"),
+        "--trace-format": dict(choices=("jsonl", "chrome"),
+                               default="chrome",
+                               help="trace file format: chrome://tracing "
+                                    "JSON (default) or JSON lines"),
+        "--slots": dict(type=_positive, default=2,
+                        help="concurrent executor slots per server or "
+                             "worker (default %(default)s)"),
+        "--queue-limit": dict(type=int, default=8,
+                              help="admission queue bound per server or "
+                                   "worker (default %(default)s)"),
+        "--executor": dict(choices=executor_names(WALL_CLOCK=True),
+                           default="threaded",
+                           help="execution backend under the server or "
+                                "its workers"),
+        "--quantum-s": dict(type=float, default=0.02,
+                            help="slot tenure before preemption (default "
+                                 "%(default)s)"),
+        "--no-coalesce": dict(action="store_true",
+                              help="disable same-key request coalescing "
+                                   "on the fleet workers"),
+        "--workers": dict(type=_positive, default=None, metavar="N",
+                          help="serve through a fleet of N forked worker "
+                               "processes: router + consistent-hash "
+                               "placement + coalescing (default "
+                               "%(default)s; ignored with --endpoints)"),
+        "--endpoints": dict(type=_endpoints, default=None,
+                            metavar="HOST:PORT,...",
+                            help="route to externally launched TCP "
+                                 "workers (see `repro serve-worker`) "
+                                 "instead of forking local ones"),
+    }
 
-    run = sub.add_parser("run", help="execute one application")
+    def flags(*names: str, **defaults: Any) -> list[argparse.ArgumentParser]:
+        """A parent parser of the ``shared`` flags ``names``, with the
+        command's own ``defaults``.  Each command gets a new one: a
+        parent's actions are shared with its children, so a default
+        set on one command's would be every command's."""
+        parent = argparse.ArgumentParser(add_help=False)
+        for name in names:
+            parent.add_argument(name, **shared[name])
+        parent.set_defaults(**defaults)
+        return [parent]
+
+    def command(name: str, func: Any, **kwargs: Any,
+                ) -> argparse.ArgumentParser:
+        child = sub.add_parser(name, **kwargs)
+        child.set_defaults(func=func)
+        return child
+
+    command("apps", _cmd_apps, help="list evaluation applications")
+
+    run = command("run", _cmd_run, help="execute one application",
+                  parents=flags("--size", "--seed", "--target-snr",
+                                "--trace", "--trace-format", size=128))
     run.add_argument("app", choices=sorted(APP_REGISTRY))
-    run.add_argument("--size", type=int, default=128,
-                     help="input image edge length (default 128)")
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--cores", type=float, default=32.0,
                      help="simulated core count (default 32)")
     run.add_argument("--executor", choices=tuple(EXECUTORS),
@@ -93,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--energy-budget", type=float, default=None,
                      metavar="FRAC",
                      help="stop at FRAC x the full run's energy")
-    run.add_argument("--target-snr", type=float, default=None,
-                     metavar="DB",
-                     help="stop once output SNR reaches DB")
     run.add_argument("--contract", action="store_true",
                      help="contract mode: size stages to --deadline "
                           "up front instead of running interruptibly")
@@ -126,103 +228,58 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict", action="store_true",
                      help="raise on unrecovered stage failure instead "
                           "of returning the partial result")
-    run.add_argument("--trace", type=str, default=None, metavar="PATH",
-                     help="write an execution trace to PATH")
-    run.add_argument("--trace-format", choices=("jsonl", "chrome"),
-                     default="chrome",
-                     help="trace file format: chrome://tracing JSON "
-                          "(default) or JSON lines")
 
-    figures = sub.add_parser("figures",
-                             help="regenerate paper figures")
+    figures = command("figures", _cmd_figures,
+                      help="regenerate paper figures")
     figures.add_argument("names", nargs="*",
                          help="figure names (default: all)")
-    figures.add_argument("--size", type=int, default=None,
+    figures.add_argument("--size", type=_positive, default=None,
                          help="override REPRO_BENCH_SIZE")
 
-    serve = sub.add_parser(
-        "serve", help="serve an open-loop anytime workload")
+    serve = command(
+        "serve", _cmd_serve,
+        help="serve an open-loop anytime workload",
+        parents=flags("--size", "--seed", "--target-snr", "--trace",
+                      "--trace-format", "--slots", "--queue-limit",
+                      "--executor", "--quantum-s", "--no-coalesce",
+                      "--workers", "--endpoints", size=32, slots=4))
     serve.add_argument("--app", type=str, default="2dconv",
                        choices=sorted(APP_REGISTRY))
-    serve.add_argument("--size", type=int, default=32,
-                       help="input image edge length (default 32)")
-    serve.add_argument("--requests", type=int, default=16,
+    serve.add_argument("--requests", type=_positive, default=16,
                        help="how many requests to submit (default 16)")
     serve.add_argument("--rate", type=float, default=None, metavar="RPS",
                        help="offered load, requests/s (default: 1.5x "
                             "the measured service capacity)")
-    serve.add_argument("--slots", type=int, default=4,
-                       help="concurrent executor slots (default 4)")
-    serve.add_argument("--queue-limit", type=int, default=8,
-                       help="admission queue bound (default 8)")
     serve.add_argument("--policy", choices=("fair", "gain"),
                        default="fair",
                        help="slot-allocation policy: round-robin fair "
                             "share or profile-guided marginal gain")
-    serve.add_argument("--executor", choices=wall_clock,
-                       default="threaded",
-                       help="execution backend under the server")
     serve.add_argument("--deadline-s", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request latency SLO (default: 8x the "
                             "measured solo run time)")
-    serve.add_argument("--target-snr", type=float, default=None,
-                       metavar="DB",
-                       help="per-request quality SLO: finish early "
-                            "once output SNR reaches DB")
     serve.add_argument("--wait-s", type=float, default=0.0,
                        metavar="SECONDS",
                        help="backpressure budget per submission before "
                             "shedding (default 0: shed immediately "
                             "when the queue is full)")
-    serve.add_argument("--quantum-s", type=float, default=0.02,
-                       help="slot tenure before preemption (default "
-                            "0.02)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="serve through a sharded fleet of N worker "
-                            "processes (router + consistent-hash "
-                            "placement + coalescing) instead of one "
-                            "in-process server")
     serve.add_argument("--distinct", type=int, default=4,
                        help="unique inputs to spread requests over in "
                             "fleet mode (duplicates coalesce; "
                             "default 4)")
-    serve.add_argument("--no-coalesce", action="store_true",
-                       help="fleet mode: disable same-key request "
-                            "coalescing on the workers")
-    serve.add_argument("--endpoints", type=str, default=None,
-                       metavar="HOST:PORT,...",
-                       help="serve through externally launched TCP "
-                            "workers (see `repro serve-worker`) "
-                            "instead of forking local ones")
-    serve.add_argument("--trace", type=str, default=None, metavar="PATH",
-                       help="write server + run events to PATH")
-    serve.add_argument("--trace-format", choices=("jsonl", "chrome"),
-                       default="chrome")
 
-    worker = sub.add_parser(
-        "serve-worker",
-        help="run one fleet worker on a TCP listener")
-    worker.add_argument("--listen", type=str, default="127.0.0.1:0",
+    worker = command(
+        "serve-worker", _cmd_serve_worker,
+        help="run one fleet worker on a TCP listener",
+        parents=flags("--slots", "--queue-limit", "--executor",
+                      "--quantum-s", "--no-coalesce"))
+    worker.add_argument("--listen", type=_endpoint, default="127.0.0.1:0",
                         metavar="HOST:PORT",
                         help="bind address (default 127.0.0.1:0 — an "
                              "ephemeral port, printed on startup)")
-    worker.add_argument("--slots", type=int, default=2,
-                        help="concurrent executor slots (default 2)")
-    worker.add_argument("--queue-limit", type=int, default=8,
-                        help="admission queue bound (default 8)")
-    worker.add_argument("--executor", choices=wall_clock,
-                        default="threaded",
-                        help="execution backend under the worker")
-    worker.add_argument("--quantum-s", type=float, default=0.02,
-                        help="slot tenure before preemption "
-                             "(default 0.02)")
     worker.add_argument("--memo-ttl-s", type=float, default=5.0,
                         help="worker-local memo TTL for sealed finals "
                              "(default 5.0)")
-    worker.add_argument("--no-coalesce", action="store_true",
-                        help="disable same-key request coalescing")
     worker.add_argument("--resume-dir", type=str, default=None,
                         metavar="DIR",
                         help="directory for suspend checkpoints "
@@ -236,29 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "the first disconnects (default: serve "
                              "one router, then exit)")
 
-    front = sub.add_parser(
-        "serve-front",
-        help="fleet + asyncio front end for external TCP clients")
+    front = command(
+        "serve-front", _cmd_serve_front,
+        help="fleet + asyncio front end for external TCP clients",
+        parents=flags("--slots", "--queue-limit", "--executor",
+                      "--workers", "--endpoints", workers=2))
     front.add_argument("--host", type=str, default="127.0.0.1",
                        help="front-end bind host (default 127.0.0.1)")
     front.add_argument("--port", type=int, default=9700,
                        help="front-end bind port (default 9700; 0 for "
                             "ephemeral)")
-    front.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="forked local fleet workers (default 2; "
-                            "ignored with --endpoints)")
-    front.add_argument("--endpoints", type=str, default=None,
-                       metavar="HOST:PORT,...",
-                       help="route to externally launched TCP workers "
-                            "instead of forking local ones")
-    front.add_argument("--slots", type=int, default=2,
-                       help="slots per forked worker (default 2)")
-    front.add_argument("--queue-limit", type=int, default=8,
-                       help="admission queue bound per worker "
-                            "(default 8)")
-    front.add_argument("--executor", choices=wall_clock,
-                       default="threaded",
-                       help="execution backend under forked workers")
     front.add_argument("--memo-ttl-s", type=float, default=30.0,
                        dest="fleet_memo_ttl_s",
                        help="router-level fleet memo TTL (default 30)")
@@ -270,16 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="close idle client connections after this "
                             "many seconds (default 60)")
 
-    check = sub.add_parser(
-        "check", help="conformance checking (invariants, differential "
-                      "harness, self-test, fuzzing)")
+    check = command(
+        "check", _cmd_check,
+        help="conformance checking (invariants, differential harness, "
+             "self-test, fuzzing)",
+        parents=flags("--size", "--seed", size=24))
     check.add_argument("apps", nargs="*", metavar="APP",
                        help="applications to cross-check (default: "
                             "2dconv kmeans dwt53)")
-    check.add_argument("--size", type=int, default=24,
-                       help="input edge length for the differential "
-                            "harness (default 24)")
-    check.add_argument("--seed", type=int, default=0)
     check.add_argument("--executors", type=str, default=None,
                        help="comma-separated executors to cross-check; "
                             "with --restore, every ordered pair of "
@@ -324,17 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     ckpt = sub.add_parser(
         "ckpt", help="checkpoint utilities (inspect saved runs)")
-    ckpt_sub = ckpt.add_subparsers(dest="ckpt_command", required=True)
-    inspect = ckpt_sub.add_parser(
-        "inspect", help="print a checkpoint's header (log events per "
-                        "stage, live stages, buffer versions)")
+    inspect = ckpt.add_subparsers(dest="ckpt_command", required=True) \
+        .add_parser("inspect", help="print a checkpoint's header (log "
+                    "events per stage, live stages, buffer versions)")
+    inspect.set_defaults(func=_cmd_ckpt)
     inspect.add_argument("path", help="checkpoint file (.rck)")
     inspect.add_argument("--json", action="store_true",
                          help="emit the raw header as JSON")
     return parser
 
 
-def _cmd_apps() -> int:
+def _cmd_apps(args: argparse.Namespace) -> int:
     width = max(len(name) for name in APP_REGISTRY)
     for name in sorted(APP_REGISTRY):
         print(f"{name:<{width}}  {APP_REGISTRY[name].description}")
@@ -342,16 +384,15 @@ def _cmd_apps() -> int:
 
 
 def _make_stop(args: argparse.Namespace, automaton: Any,
-               reference: Any, spec: Any,
-               full_energy: float | None) -> StopCondition | None:
+               reference: Any, spec: Any, image: Any) -> StopCondition | None:
     conditions: list[StopCondition] = []
     if args.deadline is not None:
         conditions.append(DeadlineStop(
             automaton.baseline_duration(args.cores) * args.deadline))
     if args.energy_budget is not None:
-        if full_energy is None:
-            raise ValueError("energy budget needs a probe run")
-        conditions.append(EnergyBudget(full_energy
+        full_run = spec.build(image).run_simulated(
+            total_cores=args.cores, schedule=spec.schedule)
+        conditions.append(EnergyBudget(full_run.energy
                                        * args.energy_budget))
     if args.target_snr is not None:
         conditions.append(AccuracyTarget(
@@ -407,12 +448,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     reference = (spec.reference(image) if spec.reference_kind != "input"
                  else image)
 
-    full_energy = None
-    if args.energy_budget is not None:
-        probe = spec.build(image)
-        full_energy = probe.run_simulated(
-            total_cores=args.cores, schedule=spec.schedule).energy
-
     if args.contract:
         if args.deadline is None:
             print("error: --contract requires --deadline",
@@ -430,7 +465,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"units, planned {plan.planned_work:.0f}, "
               f"precise={plan.achieves_precise}")
     else:
-        stop = _make_stop(args, automaton, reference, spec, full_energy)
+        stop = _make_stop(args, automaton, reference, spec, image)
         try:
             faults, injector = _make_faults(args)
         except ValueError as exc:
@@ -521,10 +556,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         if name.startswith(("fig", "ablation", "extension"))
     }
     names = args.names or sorted(all_figures)
-    unknown = [n for n in names if n not in all_figures]
-    if unknown:
-        print(f"unknown figures {unknown}; known: "
-              f"{sorted(all_figures)}", file=sys.stderr)
+    if _unknown("figure", names, all_figures):
         return 2
     for name in names:
         print(all_figures[name]().render())
@@ -532,19 +564,20 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    import random
-    import time as _time
-
-    from .serve.router import FleetRouter, summarize_fleet
-    from .serve.transport import parse_endpoint
-
-    endpoints = None
-    if getattr(args, "endpoints", None):
-        endpoints = [parse_endpoint(token.strip())
-                     for token in args.endpoints.split(",")
-                     if token.strip()]
-    workers = len(endpoints) if endpoints else args.workers
+def _cmd_serve(args: argparse.Namespace) -> int:
+    fleet = args.workers is not None or bool(args.endpoints)
+    if fleet:
+        ignored = [flag for flag, used in (
+            ("--trace", args.trace is not None),
+            ("--policy gain", args.policy == "gain"),
+        ) if used]
+        if ignored:
+            print(f"error: {', '.join(ignored)} require(s) the "
+                  f"in-process server; fleet workers (--workers / "
+                  f"--endpoints) share slots fairly and write no "
+                  f"trace", file=sys.stderr)
+            return 2
+    workers = len(args.endpoints or ()) or args.workers or 1
 
     print(f"calibrating {args.app} at size {args.size} ...")
     calib = calibrate_app(app=args.app, size=args.size,
@@ -554,19 +587,36 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     rate = args.rate if args.rate is not None else 1.5 * capacity
     deadline_s = (args.deadline_s if args.deadline_s is not None
                   else 8.0 * baseline)
+    over = across = ""
+    if fleet:
+        kind = "TCP" if args.endpoints else "forked"
+        over = f" over {workers} {kind} worker(s)"
+        across = f" across {max(1, args.distinct)} distinct input(s)"
+    print(f"solo run {baseline:.3f}s -> capacity ~{capacity:.1f} req/s"
+          f"{over}; offering {rate:.1f} req/s{across}, deadline "
+          f"{deadline_s:.3f}s"
+          + (f", target {args.target_snr:.1f} dB"
+             if args.target_snr is not None else ""))
+    timeout_s = max(60.0, 4 * args.requests * baseline)
+    if fleet:
+        return _serve_fleet(args, rate, deadline_s, timeout_s)
+    return _serve_in_process(args, calib, rate, deadline_s, timeout_s)
+
+
+def _serve_fleet(args: argparse.Namespace, rate: float, deadline_s: float,
+                 timeout_s: float) -> int:
+    import random
+    import time
+
+    from .serve.router import FleetRouter, summarize_fleet
+
     slo = {"deadline_s": deadline_s, "target_db": args.target_snr}
     distinct = max(1, args.distinct)
-    kind = "TCP" if endpoints else "forked"
-    print(f"solo run {baseline:.3f}s -> fleet capacity "
-          f"~{capacity:.1f} req/s over {workers} {kind} worker(s); "
-          f"offering {rate:.1f} req/s across {distinct} distinct "
-          f"input(s), deadline {deadline_s:.3f}s")
-
     rng = random.Random(args.seed)
-    config = _worker_config_from_args(args)
-    with FleetRouter(workers=workers, endpoints=endpoints,
-                     worker_config=config) as fleet:
-        started = _time.monotonic()
+    with FleetRouter(workers=args.workers,
+                     endpoints=args.endpoints or None,
+                     worker_config=_worker_config_from_args(args)) as fleet:
+        started = time.monotonic()
         requests = []
         for i in range(args.requests):
             requests.append(fleet.submit(
@@ -574,12 +624,11 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                 seed=args.seed + i % distinct, slo=slo,
                 wait_s=args.wait_s))
             if i + 1 < args.requests:
-                _time.sleep(rng.expovariate(rate))
-        if not fleet.drain(timeout_s=max(60.0,
-                                         4 * args.requests * baseline)):
+                time.sleep(rng.expovariate(rate))
+        if not fleet.drain(timeout_s=timeout_s):
             print("error: fleet drain timed out", file=sys.stderr)
             return 1
-        wall_s = _time.monotonic() - started
+        wall_s = time.monotonic() - started
         summary = summarize_fleet(requests, wall_s=wall_s)
         stats = fleet.aggregate_stats()
 
@@ -609,63 +658,29 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_policy(name: str, profile: Any, baseline_wall_s: float) -> Any:
+def _serve_in_process(args: argparse.Namespace, calib: dict[str, Any],
+                      rate: float, deadline_s: float,
+                      timeout_s: float) -> int:
+    from .serve import SLO, AnytimeServer, summarize, run_open_loop
     from .serve.scheduler import FairSharePolicy, MarginalGainPolicy
 
-    if name == "gain":
-        return MarginalGainPolicy(profile, baseline_wall_s)
-    return FairSharePolicy()
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import SLO, AnytimeServer, summarize, run_open_loop
-
-    if args.workers is not None or args.endpoints:
-        if args.workers is not None and args.workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return 2
-        ignored = [flag for flag, used in (
-            ("--trace", args.trace is not None),
-            ("--policy gain", args.policy == "gain"),
-        ) if used]
-        if ignored:
-            print(f"error: {', '.join(ignored)} require(s) the "
-                  f"in-process server; fleet workers (--workers / "
-                  f"--endpoints) share slots fairly and write no "
-                  f"trace", file=sys.stderr)
-            return 2
-        return _cmd_serve_fleet(args)
-
-    print(f"calibrating {args.app} at size {args.size} ...")
-    calib = calibrate_app(app=args.app, size=args.size,
-                          seed=args.seed + 7)
-    baseline = calib["baseline_wall_s"]
-    capacity = args.slots / baseline
-    rate = args.rate if args.rate is not None else 1.5 * capacity
-    deadline_s = (args.deadline_s if args.deadline_s is not None
-                  else 8.0 * baseline)
-    slo = SLO(deadline_s=deadline_s, target_db=args.target_snr)
-    print(f"solo run {baseline:.3f}s -> capacity ~{capacity:.1f} req/s; "
-          f"offering {rate:.1f} req/s, deadline {deadline_s:.3f}s"
-          + (f", target {args.target_snr:.1f} dB"
-             if args.target_snr is not None else ""))
-
+    policy = (MarginalGainPolicy(calib["profile"], calib["baseline_wall_s"])
+              if args.policy == "gain" else FairSharePolicy())
     sink = (make_sink(args.trace, args.trace_format)
             if args.trace is not None else None)
     server = AnytimeServer(
         slots=args.slots, queue_limit=args.queue_limit,
-        executor=args.executor,
-        policy=_make_policy(args.policy, calib["profile"], baseline),
+        executor=args.executor, policy=policy,
         quantum_s=args.quantum_s, trace=sink)
     try:
         with server:
             sessions = run_open_loop(
                 server, lambda i: calib["builder"], args.requests,
-                rate_hz=rate, slo=slo,
+                rate_hz=rate,
+                slo=SLO(deadline_s=deadline_s, target_db=args.target_snr),
                 metric=lambda i: calib["metric"],
                 wait_s=args.wait_s, seed=args.seed)
-            drained = server.drain(
-                timeout_s=max(60.0, 4 * args.requests * baseline))
+            drained = server.drain(timeout_s=timeout_s)
         if not drained:
             print("error: drain timed out", file=sys.stderr)
             return 1
@@ -705,33 +720,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _worker_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
     """The worker config of ``serve --workers``, ``serve-worker`` and
-    ``serve-front``: the flags a command has, over the worker defaults
-    for those it lacks."""
-    config: dict[str, Any] = {
-        "slots": args.slots, "queue_limit": args.queue_limit,
-        "executor": args.executor,
-    }
-    if getattr(args, "quantum_s", None) is not None:
-        config["quantum_s"] = args.quantum_s
-    if getattr(args, "memo_ttl_s", None) is not None:
-        config["memo_ttl_s"] = args.memo_ttl_s
-    if getattr(args, "no_coalesce", False):
-        config["coalesce"] = False
-    if getattr(args, "resume_dir", None):
-        config["resume_dir"] = args.resume_dir
-    if getattr(args, "check", False):
-        config["check"] = True
-    return config
+    ``serve-front``; a knob the command does not take is None, and its
+    workers keep their default."""
+    config = {"slots": args.slots, "queue_limit": args.queue_limit,
+              "executor": args.executor, "quantum_s": args.quantum_s,
+              "memo_ttl_s": args.memo_ttl_s, "resume_dir": args.resume_dir,
+              "coalesce": not args.no_coalesce, "check": args.check}
+    return {key: value for key, value in config.items()
+            if value is not None}
 
 
 def _cmd_serve_worker(args: argparse.Namespace) -> int:
-    from .serve.transport import parse_endpoint, serve_worker_listener
+    from .serve.transport import serve_worker_listener
 
-    try:
-        listen = parse_endpoint(args.listen)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     config = _worker_config_from_args(args)
     knobs = ", ".join(f"{k}={v}" for k, v in sorted(config.items()))
 
@@ -741,7 +742,7 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
               flush=True)
 
     try:
-        serve_worker_listener(listen, config, once=not args.forever,
+        serve_worker_listener(args.listen, config, once=not args.forever,
                               announce=announce)
     except KeyboardInterrupt:
         pass
@@ -752,21 +753,15 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
 def _cmd_serve_front(args: argparse.Namespace) -> int:
     from .serve.aiofront import serve_front
     from .serve.router import FleetRouter
-    from .serve.transport import parse_endpoint
-
-    endpoints = None
-    if args.endpoints:
-        endpoints = [parse_endpoint(token.strip())
-                     for token in args.endpoints.split(",")
-                     if token.strip()]
 
     def announce(host: str, port: int) -> None:
-        backing = (f"{len(endpoints)} TCP worker(s)" if endpoints
+        backing = (f"{len(args.endpoints)} TCP worker(s)" if args.endpoints
                    else f"{args.workers} forked worker(s)")
         print(f"anytime front end on {host}:{port} -> {backing}; "
               f"SIGTERM drains gracefully", flush=True)
 
-    with FleetRouter(workers=args.workers, endpoints=endpoints,
+    with FleetRouter(workers=args.workers,
+                     endpoints=args.endpoints or None,
                      worker_config=_worker_config_from_args(args),
                      fleet_memo_ttl_s=args.fleet_memo_ttl_s) as fleet:
         serve_front(fleet, args.host, args.port, announce=announce,
@@ -815,37 +810,52 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_restore(args: argparse.Namespace,
-                       executors: tuple[str, ...]) -> int:
+def _unknown(kind: str, names: Iterable[str], known: Collection[str],
+             ) -> bool:
+    """Report the ``names`` not in ``known`` as a usage error; True if
+    there are any."""
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"error: unknown {kind}(s) {unknown}; known: "
+              f"{sorted(known)}", file=sys.stderr)
+    return bool(unknown)
+
+
+def _each_app(apps: Sequence[str], title: str,
+              run: Callable[[str], Any]) -> Iterator[Any]:
+    """``run(app)`` for each app in turn, announced by ``title``."""
+    for app in apps:
+        print(f"{app}: {title}")
+        yield run(app)
+
+
+def _check_report(args: argparse.Namespace, reports: Iterable[Any],
+                  verdict: str | None = None) -> int:
+    """End a ``repro check`` mode: print each report's summary and
+    mismatches as it arrives, and write ``--json``.  With ``verdict``
+    (one report per app) print a PASS/FAIL line and write ``{"report":
+    verdict, "ok", "apps"}``; without, write the one report's own
+    ``to_dict()``."""
     import json
 
-    from .check import run_restore_differential
-
-    pairs = [(src, dst) for src in executors for dst in executors]
-    apps = args.apps or ["2dconv", "kmeans", "dwt53"]
-    unknown = [a for a in apps if a not in APP_REGISTRY]
-    if unknown:
-        print(f"error: unknown app(s) {unknown}; known: "
-              f"{sorted(APP_REGISTRY)}", file=sys.stderr)
-        return 2
-    reports = []
-    for app in apps:
-        print(f"{app}: restore-differential (checkpoint on one "
-              f"executor, continue on another)")
-        report = run_restore_differential(
-            app=app, size=args.size, seed=args.seed, pairs=pairs,
-            workdir=args.workdir, timeout_s=args.timeout_s,
-            progress=print)
-        reports.append(report)
+    done = []
+    for report in reports:
         print(report.summary())
-        for mismatch in report.mismatches:
-            print(f"    {mismatch['kind']}: {mismatch['detail']}")
-    ok = all(r.ok for r in reports)
-    print(f"\nrestore conformance: {'PASS' if ok else 'FAIL'} "
-          f"({sum(r.ok for r in reports)}/{len(reports)} apps clean)")
+        # a self-test report has no mismatches: its summary lists cases
+        for mismatch in getattr(report, "mismatches", ()):
+            print("    " + ": ".join(str(mismatch[key]) for key in
+                                     ("leg", "kind", "detail")
+                                     if key in mismatch))
+        done.append(report)
+    ok = all(report.ok for report in done)
+    if verdict is not None:
+        print(f"\n{verdict.replace('-', ' ')}: "
+              f"{'PASS' if ok else 'FAIL'} ({sum(r.ok for r in done)}/"
+              f"{len(done)} apps clean)")
     if args.json:
-        payload = {"report": "restore-conformance", "ok": ok,
-                   "apps": [r.to_dict() for r in reports]}
+        payload = done[0].to_dict() if verdict is None else {
+            "report": verdict, "ok": ok,
+            "apps": [report.to_dict() for report in done]}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -853,58 +863,44 @@ def _cmd_check_restore(args: argparse.Namespace,
     return 0 if ok else 1
 
 
-def _cmd_check_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from .check import run_fleet_differential
-
-    app = (args.apps[0] if args.apps else "dwt53")
-    if app not in APP_REGISTRY:
-        print(f"error: unknown app {app!r}; known: "
-              f"{sorted(APP_REGISTRY)}", file=sys.stderr)
-        return 2
-    print(f"{app}: fleet differential "
-          f"(TCP fleet + kill-one-worker migration)")
-    report = run_fleet_differential(
-        app=app, size=args.size, workdir=args.workdir,
-        timeout_s=args.timeout_s, progress=print)
-    print(report.summary())
-    for mismatch in report.mismatches:
-        print(f"    {mismatch['leg']}: {mismatch['kind']}")
-    for leg in report.legs:
-        bits = ", ".join(f"{k}={v}" for k, v in leg.items()
-                         if k not in ("leg", "digests"))
-        print(f"  [{leg['leg']}] {bits}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"report written to {args.json}")
-    return 0 if report.ok else 1
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
+    from . import check
 
-    if args.fleet:
-        if args.executors is not None:
-            from .serve.fleet import WORKER_DEFAULTS
-            print(f"error: --fleet runs its workers on the "
-                  f"{WORKER_DEFAULTS['executor']} executor; it takes "
-                  f"no --executors", file=sys.stderr)
-            return 2
-        return _cmd_check_fleet(args)
-
+    if args.fleet and args.executors is not None:
+        from .serve.fleet import WORKER_DEFAULTS
+        print(f"error: --fleet runs its workers on the "
+              f"{WORKER_DEFAULTS['executor']} executor; it takes "
+              f"no --executors", file=sys.stderr)
+        return 2
     executors = tuple(EXECUTORS) if args.executors is None else tuple(
         e.strip() for e in args.executors.split(",") if e.strip())
-    unknown = [e for e in executors if e not in EXECUTORS]
-    if unknown:
-        print(f"error: unknown executor(s) {unknown}; known: "
-              f"{', '.join(EXECUTORS)}", file=sys.stderr)
+    if (_unknown("executor", executors, EXECUTORS)
+            or _unknown("app", args.apps, APP_REGISTRY)):
         return 2
+    apps = args.apps or list(check.DEFAULT_APPS)
+
+    if args.fleet:
+        app = args.apps[0] if args.apps else "dwt53"
+        print(f"{app}: fleet differential "
+              f"(TCP fleet + kill-one-worker migration)")
+        report = check.run_fleet_differential(
+            app=app, size=args.size, workdir=args.workdir,
+            timeout_s=args.timeout_s, progress=print)
+        for leg in report.legs:
+            bits = ", ".join(f"{k}={v}" for k, v in leg.items()
+                             if k not in ("leg", "digests"))
+            print(f"  [{leg['leg']}] {bits}")
+        return _check_report(args, [report])
 
     if args.restore:
-        return _cmd_check_restore(args, executors)
+        pairs = [(src, dst) for src in executors for dst in executors]
+        return _check_report(args, _each_app(
+            apps, "restore-differential (checkpoint on one executor, "
+                  "continue on another)",
+            lambda app: check.run_restore_differential(
+                app=app, size=args.size, seed=args.seed, pairs=pairs,
+                workdir=args.workdir, timeout_s=args.timeout_s,
+                progress=print)), "restore-conformance")
 
     if args.replay is not None:
         from .check.fuzz import replay
@@ -931,68 +927,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
 
     if args.self_test:
-        from .check import run_self_test
-        report = run_self_test(executors=executors, progress=print)
-        print(report.summary())
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
-            print(f"report written to {args.json}")
-        return 0 if report.ok else 1
+        return _check_report(args, [check.run_self_test(
+            executors=executors, progress=print)])
 
-    from .check import DEFAULT_APPS, run_differential
-    apps = args.apps or list(DEFAULT_APPS)
-    unknown = [a for a in apps if a not in APP_REGISTRY]
-    if unknown:
-        print(f"error: unknown app(s) {unknown}; known: "
-              f"{sorted(APP_REGISTRY)}", file=sys.stderr)
-        return 2
-    reports = []
-    for app in apps:
-        print(f"{app}: differential conformance on "
-              f"[{', '.join(executors)}]"
-              + ("" if args.no_serve else " + serve"))
-        report = run_differential(
+    return _check_report(args, _each_app(
+        apps, f"differential conformance on [{', '.join(executors)}]"
+              + ("" if args.no_serve else " + serve"),
+        lambda app: check.run_differential(
             app=app, size=args.size, seed=args.seed,
             executors=executors, serve=not args.no_serve,
-            timeout_s=args.timeout_s, progress=print)
-        reports.append(report)
-        print(report.summary())
-        for mismatch in report.mismatches:
-            print(f"    {mismatch['kind']}: {mismatch['detail']}")
-    ok = all(r.ok for r in reports)
-    print(f"\nconformance: {'PASS' if ok else 'FAIL'} "
-          f"({sum(r.ok for r in reports)}/{len(reports)} apps clean)")
-    if args.json:
-        payload = {"report": "conformance", "ok": ok,
-                   "apps": [r.to_dict() for r in reports]}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"report written to {args.json}")
-    return 0 if ok else 1
+            timeout_s=args.timeout_s, progress=print)), "conformance")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "apps":
-        return _cmd_apps()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "serve-worker":
-        return _cmd_serve_worker(args)
-    if args.command == "serve-front":
-        return _cmd_serve_front(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "ckpt":
-        return _cmd_ckpt(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.func(args)
 
 
 if __name__ == "__main__":   # pragma: no cover

@@ -32,7 +32,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..hw.energy import EnergyTable
 from .controller import StopCondition
 from .faults import FaultInjector, FaultPolicy, StageReport
 from .graph import AutomatonGraph
@@ -191,8 +190,6 @@ class SimulatedExecutor(Kernel):
         Buffer names whose written values are retained in the timeline
         (defaults to the terminal buffer).  The stop condition only sees
         watched writes.
-    energy_table:
-        Cost table for the energy meter.
     faults:
         A :class:`FaultPolicy` for every stage, or a ``{stage: policy}``
         mapping (key ``"*"`` is the default).  None = fail-fast.
@@ -236,7 +233,6 @@ class SimulatedExecutor(Kernel):
                  = proportional_shares,
                  stop: StopCondition | None = None,
                  watch: set[str] | None = None,
-                 energy_table: EnergyTable | None = None,
                  dynamic_shares: bool = False,
                  faults: FaultPolicy | dict[str, FaultPolicy] | None = None,
                  injector: FaultInjector | None = None,
@@ -267,7 +263,6 @@ class SimulatedExecutor(Kernel):
             if share is None or share <= 0:
                 raise ValueError(
                     f"stage {stage.name!r} has no positive core share")
-        self.meter.table = energy_table or EnergyTable()
         self.checkpoint_at_stop = checkpoint_at_stop
         # a resumed run continues the interrupted run's virtual clock
         self._clock = self.t_offset

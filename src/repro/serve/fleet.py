@@ -100,7 +100,7 @@ import numpy as np
 from .digest import ckpt_filename, input_digest, request_key
 from .slo import SLO
 
-__all__ = ["pack_msg", "send_msg", "recv_msg", "read_msg", "check_frame",
+__all__ = ["pack_msg", "send_msg", "recv_msg", "check_frame",
            "FrameProtocol", "FIELDS", "spec_key", "value_digest",
            "ckpt_filename", "worker_main", "WORKER_DEFAULTS", "MAX_FRAME",
            "MAX_SPEC_SIZE", "FrameError"]
@@ -198,19 +198,6 @@ def recv_msg(sock: socket.socket,
         return None
     payload = _recv_exact(sock, _frame_length(header, max_frame))
     return None if payload is None else _decode(payload)
-
-
-async def read_msg(reader: asyncio.StreamReader,
-                   max_frame: int = MAX_FRAME) -> dict[str, Any] | None:
-    """:func:`recv_msg` on an asyncio stream: the same bound, decode,
-    None on EOF or truncation, and :class:`FrameError`.  No endpoint
-    reads with it: each is a :class:`FrameProtocol`."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-        length = _frame_length(header, max_frame)
-        return _decode(await reader.readexactly(length))
-    except asyncio.IncompleteReadError:
-        return None
 
 
 # -- what each op's fields hold -------------------------------------------

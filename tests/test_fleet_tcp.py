@@ -21,11 +21,13 @@ import socket
 import struct
 import threading
 import time
+from unittest import mock
 
 import pytest
 
 from repro.serve.aiofront import AioFleetClient, AioFrontend
-from repro.serve.fleet import (FrameError, MAX_FRAME, read_msg,
+from repro.serve import fleet
+from repro.serve.fleet import (FrameError, FrameProtocol, MAX_FRAME,
                                recv_msg, send_msg)
 from repro.serve.router import (FleetRequest, FleetRouter,
                                 summarize_fleet)
@@ -40,22 +42,43 @@ _LEN = struct.Struct(">I")
 
 # -- frame bound / parse unit tests (no worker involved) ----------------
 
-def read_msg_on(sock, max_frame=MAX_FRAME):
-    """``read_msg`` (the asyncio reader) for one frame off ``sock``."""
+def protocol_read_on(sock, max_frame=MAX_FRAME):
+    """One frame off ``sock`` through ``FrameProtocol``, the reader
+    every fleet endpoint uses: the frame, None at EOF, or the
+    ``FrameError`` it reported."""
     async def read():
-        reader, writer = await asyncio.open_connection(sock=sock)
-        try:
-            return await asyncio.wait_for(read_msg(reader, max_frame),
-                                          10.0)
-        finally:
-            writer.close()
+        loop = asyncio.get_running_loop()
+        got = loop.create_future()
 
-    return asyncio.run(read())
+        class One(FrameProtocol):
+            def frame_received(self, msg):
+                if not got.done():
+                    got.set_result(msg)
+
+            def frame_error(self, exc):
+                if not got.done():
+                    got.set_exception(exc)
+                self.transport.close()
+
+            def connection_lost(self, exc):
+                if not got.done():
+                    got.set_result(None)
+
+        transport, _ = await loop.connect_accepted_socket(One, sock)
+        try:
+            return await asyncio.wait_for(got, 10.0)
+        finally:
+            transport.close()
+
+    with mock.patch.object(fleet, "MAX_FRAME", max_frame):
+        return asyncio.run(read())
 
 
 class TestRecvMsgBound:
     """One frame codec: every case runs against the blocking reader
-    here and against the asyncio reader in the subclass below."""
+    here and against ``FrameProtocol`` in the subclass below.  The
+    frames are ``bye``, whose op has no fields, so the protocol's field
+    check hands them over unchanged."""
 
     recv = staticmethod(recv_msg)
 
@@ -79,8 +102,8 @@ class TestRecvMsgBound:
 
     def test_frame_at_the_bound_passes(self):
         a, b = self._pair()
-        pad = "x" * (MAX_FRAME - len('{"op":"stats","pad":""}'))
-        frame = {"op": "stats", "pad": pad}
+        pad = "x" * (MAX_FRAME - len('{"op":"bye","pad":""}'))
+        frame = {"op": "bye", "pad": pad}
         # a full-size frame outgrows the socket buffer: send it from
         # a thread while the reader drains it
         sender = threading.Thread(target=send_msg, args=(a, frame))
@@ -95,7 +118,7 @@ class TestRecvMsgBound:
     def test_custom_max_frame_parameter(self):
         a, b = self._pair()
         try:
-            send_msg(a, {"op": "stats", "pad": "x" * 64})
+            send_msg(a, {"op": "bye", "pad": "x" * 64})
             with pytest.raises(FrameError, match="max_frame 16"):
                 self.recv(b, max_frame=16)
         finally:
@@ -105,8 +128,8 @@ class TestRecvMsgBound:
     def test_frame_within_custom_bound_passes(self):
         a, b = self._pair()
         try:
-            send_msg(a, {"op": "stats"})
-            assert self.recv(b, max_frame=64) == {"op": "stats"}
+            send_msg(a, {"op": "bye"})
+            assert self.recv(b, max_frame=64) == {"op": "bye"}
         finally:
             a.close()
             b.close()
@@ -153,7 +176,9 @@ class TestRecvMsgBound:
 
 
 class TestReadMsgBound(TestRecvMsgBound):
-    recv = staticmethod(read_msg_on)
+    """The same cases read through ``FrameProtocol``."""
+
+    recv = staticmethod(protocol_read_on)
 
 
 # -- the same negatives against a live TCP worker -----------------------

@@ -20,8 +20,7 @@ import threading
 import pytest
 
 from repro.serve.aiofront import AioFrontend
-from repro.serve.fleet import (pack_msg, read_msg, recv_msg, send_msg,
-                               spec_key, worker_main)
+from repro.serve.fleet import recv_msg, send_msg, spec_key, worker_main
 from repro.serve.router import FleetRouter
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(60)]
@@ -167,15 +166,13 @@ def test_front_end_answers_a_bad_rid_with_an_error_frame():
     async def main():
         front = AioFrontend(_NoRouter(), port=0)
         host, port = await front.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        sock = socket.create_connection((host, port), timeout=10.0)
         try:
-            writer.write(pack_msg({"op": "submit", "rid": "x",
-                                   "app": "dwt53"}))
-            await writer.drain()
-            reply = await asyncio.wait_for(read_msg(reader), 10.0)
-            eof = await asyncio.wait_for(read_msg(reader), 10.0)
+            send_msg(sock, {"op": "submit", "rid": "x", "app": "dwt53"})
+            reply = await asyncio.to_thread(recv_msg, sock)
+            eof = await asyncio.to_thread(recv_msg, sock)
         finally:
-            writer.close()
+            sock.close()
             await front.stop(drain_timeout_s=0.1)
         return reply, eof, dict(front.counters)
 
