@@ -51,6 +51,11 @@ class AppSpec:
     #: value -> uint8 image for saving (None when not imageable)
     to_image: Callable[[Any], np.ndarray] | None = None
 
+    def reference_for(self, image: np.ndarray) -> Any:
+        """What :attr:`metric` scores a value against for ``image``."""
+        return (image if self.reference_kind == "input"
+                else self.reference(image))
+
 
 def _identity_image(value: Any) -> np.ndarray:
     return np.asarray(value)
@@ -127,8 +132,7 @@ def calibrate_app(app: str = "2dconv", size: int = 32, seed: int = 7,
     """
     spec = get_app(app)
     image = spec.make_input(size, seed)
-    reference = (image if spec.reference_kind == "input"
-                 else spec.reference(image))
+    reference = spec.reference_for(image)
 
     def builder() -> AnytimeAutomaton:
         return spec.build(image)

@@ -26,9 +26,10 @@ uphold those guarantees on the same automaton:
 :mod:`repro.check.differential`
     A differential harness running one application on all three
     executors (and under :class:`~repro.serve.AnytimeServer`
-    preempt/resume) and cross-checking final outputs bit-exactly,
-    version counts, and trace shapes into a machine-readable report.
-    Its restore mode (:func:`run_restore_differential`) interrupts a
+    preempt/resume), judging each run with :func:`judge_run` — the one
+    verdict on a finished run, which the restore legs and the fuzzer
+    share — and cross-checking trace shapes into a machine-readable
+    report.  Its restore mode (:func:`run_restore_differential`) interrupts a
     run on executor A, checkpoints it (:mod:`repro.ckpt`), restores on
     executor B, and requires the continuation to be indistinguishable
     from a never-interrupted run.
@@ -52,7 +53,7 @@ CLI: ``python -m repro check`` (see ``repro check --help``).
 
 from .differential import (DEFAULT_APPS, DEFAULT_EXECUTORS,
                            DifferentialReport, RestoreReport,
-                           RunObservation, run_differential,
+                           RunObservation, judge_run, run_differential,
                            run_restore_differential)
 from .fleetdiff import FleetDifferentialReport, run_fleet_differential
 from .invariants import (CheckFailure, Checker, CheckReport, Violation,
@@ -64,6 +65,7 @@ __all__ = [
     "Checker", "CheckReport", "CheckFailure", "Violation",
     "check_events",
     "run_differential", "DifferentialReport", "RunObservation",
+    "judge_run",
     "run_restore_differential", "RestoreReport",
     "run_fleet_differential", "FleetDifferentialReport",
     "DEFAULT_APPS", "DEFAULT_EXECUTORS",

@@ -4,17 +4,14 @@ The convergence guarantee says an uninterrupted run reaches the
 bit-exact precise output *regardless of the execution substrate*.  This
 harness runs one application on the simulated, threaded and process
 executors — each with a :class:`~repro.check.invariants.Checker`
-attached — and cross-checks:
-
-* **final outputs** bit-exactly against the graph's precise evaluation
-  (and therefore against each other);
-* **version counts** — every produced buffer publishes at least once,
-  the terminal buffer publishes exactly one final version, and source
-  stages (whose inputs are all external, hence final from the start)
-  publish the same deterministic version ladder everywhere;
-* **trace shapes** — the same stages appear, every span balances, every
-  run ends with every stage ``completed``;
-* **invariant reports** — zero checker violations per run.
+attached — and judges each run with :func:`judge_run`, the one verdict
+on a finished run that the restore legs and the fuzzer
+(:mod:`repro.check.fuzz`) share: a complete run, every produced buffer
+published with exactly one final, a final bit-exact
+(:func:`~repro.serve.digest.value_digest`) against the graph's precise
+evaluation, source version ladders equal to an uninterrupted run's,
+ladders in order, and zero checker violations.  Across legs it checks
+that the same stages and buffers appear.
 
 A fourth leg replays the same application under
 :class:`~repro.serve.AnytimeServer` preemption: two concurrent requests
@@ -30,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -38,10 +36,11 @@ import numpy as np
 from ..apps.registry import get_app
 from ..core.backends import EXECUTORS, executor_class
 from ..core.tracing import InMemorySink
+from ..serve.digest import value_digest
 from .invariants import Checker, CheckReport
 
 __all__ = ["RunObservation", "DifferentialReport", "run_differential",
-           "RestoreReport", "run_restore_differential",
+           "RestoreReport", "run_restore_differential", "judge_run",
            "DEFAULT_EXECUTORS", "DEFAULT_APPS"]
 
 #: every executor in the table (:data:`repro.core.backends.EXECUTORS`)
@@ -114,20 +113,6 @@ class DifferentialReport:
                 f"{len(self.mismatches)} mismatch(es)")
 
 
-def _values_equal(a: Any, b: Any) -> bool:
-    """Bit-exact structural equality over arrays and containers."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (np.asarray(a).shape == np.asarray(b).shape
-                and np.array_equal(np.asarray(a), np.asarray(b)))
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return (len(a) == len(b)
-                and all(_values_equal(x, y) for x, y in zip(a, b)))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return (a.keys() == b.keys()
-                and all(_values_equal(v, b[k]) for k, v in a.items()))
-    return bool(a == b)
-
-
 def _checked_run(automaton: Any, executor: str, schedule: Any,
                  timeout_s: float, tolerance_db: float | None,
                  forward: Any = None,
@@ -154,39 +139,124 @@ def _checked_run(automaton: Any, executor: str, schedule: Any,
     return result, checker
 
 
+def _uninterrupted(build: Callable[[], Any],
+                   **options: Any) -> tuple[str, dict[str, int]]:
+    """What an uninterrupted run of ``build()`` must end on: the
+    :func:`~repro.serve.digest.value_digest` of its precise terminal
+    value, and each source buffer's version count on the simulated
+    executor.  Source stages see final inputs from the start, so their
+    version ladders are structural: the same on every executor."""
+    automaton = build()
+    precise = value_digest(automaton.precise_output())
+    records = automaton.run_simulated(**options).timeline.records
+    return precise, {
+        s.output.name: sum(r.buffer == s.output.name for r in records)
+        for s in automaton.graph.source_stages()}
+
+
+def judge_run(automaton: Any, result: Any, checker: Checker,
+              expected: tuple[str, dict[str, int]] | None
+              ) -> list[dict[str, Any]]:
+    """The verdict on a finished run: each rule it breaks, as a
+    ``{"kind", "detail", ...}`` mismatch; none when the run is correct.
+
+    Every run keeps ``ladder-order`` (each buffer's versions rise and
+    its times do not fall in record order; under a strict-order
+    checker, a virtual-time executor's, all records are time-ordered)
+    and ``invariant-violations`` (the checker reports none).  A run
+    that should have converged, ``expected`` being
+    :func:`_uninterrupted`'s answer for it, also keeps ``incomplete``
+    (it completed), ``missing-versions`` and ``final-count`` (every
+    buffer a stage produces published, with exactly one final),
+    ``final-mismatch`` (the terminal's final record and final value
+    have the precise digest) and ``version-count`` (each source buffer
+    published as many versions as the uninterrupted run).
+    """
+    problems: list[dict[str, Any]] = []
+
+    def note(kind: str, detail: str, **extra: Any) -> None:
+        problems.append({"kind": kind, "detail": detail, **extra})
+
+    records = result.timeline.records
+    ladders: dict[str, list[Any]] = {}
+    for r in records:
+        ladders.setdefault(r.buffer, []).append(r)
+    for buffer, ladder in ladders.items():
+        if any(a.version >= b.version or a.time > b.time
+               for a, b in zip(ladder, ladder[1:])):
+            note("ladder-order",
+                 f"buffer {buffer!r} versions or times fall: "
+                 f"{[(r.version, r.time) for r in ladder]}",
+                 buffer=buffer)
+    times = [r.time for r in records]
+    if checker.strict_order and times != sorted(times):
+        note("ladder-order", "records are not in time order")
+    if not checker.ok:
+        note("invariant-violations",
+             f"{len(checker.violations)} checker violation(s): "
+             + "; ".join(v.describe() for v in checker.violations[:5]),
+             violations=[v.to_dict() for v in checker.violations])
+    if expected is None:
+        return problems
+    precise, source_counts = expected
+    if not result.completed:
+        note("incomplete", "run did not complete",
+             errors=[f"{name}: {exc!r}" for name, exc in result.errors])
+    for name in (stage.output.name for stage in automaton.graph.stages):
+        finals = sum(r.final for r in ladders.get(name, []))
+        if name not in ladders:
+            note("missing-versions", f"buffer {name!r} never published",
+                 buffer=name)
+        elif finals != 1:
+            note("final-count", f"buffer {name!r} carries {finals} final "
+                 f"versions (expected exactly 1)", buffer=name)
+    terminal = automaton.terminal_buffer_name
+    final = result.timeline.final_record(terminal)
+    values = [result.final_values.get(terminal)]
+    # a checkpoint's prefix records keep no value
+    if final is not None and (final.value is not None
+                              or not automaton.resumed):
+        values.append(final.value)
+    if final is None or any(value_digest(v) != precise for v in values):
+        note("final-mismatch",
+             "final output differs from the precise evaluation")
+    for buffer, want in source_counts.items():
+        got = len(ladders.get(buffer, []))
+        if got != want:
+            note("version-count",
+                 f"source buffer {buffer!r} published {got} versions; "
+                 f"an uninterrupted run publishes {want}", buffer=buffer)
+    return problems
+
+
 def _observe(spec: Any, image: np.ndarray, executor: str,
-             reference: Any, timeout_s: float,
-             tolerance_db: float | None) -> RunObservation:
-    """Run one fresh build on one executor with a checker attached."""
+             reference: Any, expected: tuple[str, dict[str, int]],
+             timeout_s: float, tolerance_db: float | None
+             ) -> tuple[RunObservation, list[dict[str, Any]]]:
+    """Run one fresh build on one executor with a checker attached,
+    and judge it."""
     automaton = spec.build(image)
-    precise = automaton.precise_output()
     mem = InMemorySink()
     t0 = _time.perf_counter()
     result, checker = _checked_run(
         automaton, executor, spec.schedule, timeout_s, tolerance_db,
         forward=mem, trace_metric=spec.metric, trace_reference=reference)
     wall = _time.perf_counter() - t0
-
-    terminal = automaton.terminal_buffer_name
-    final_rec = result.timeline.final_record(terminal)
-    matches = (final_rec is not None
-               and _values_equal(final_rec.value, precise))
-    counts: dict[str, int] = {}
-    finals: dict[str, int] = {}
-    for r in result.timeline.records:
-        counts[r.buffer] = counts.get(r.buffer, 0) + 1
-        if r.final:
-            finals[r.buffer] = finals.get(r.buffer, 0) + 1
+    problems = judge_run(automaton, result, checker, expected)
+    records = result.timeline.records
     stage_set = sorted({e.stage for e in mem.events
                         if e.kind == "stage.start" and e.stage})
     return RunObservation(
         executor=executor, wall_s=wall, completed=result.completed,
         stopped_early=result.stopped_early,
-        final_matches_precise=matches,
-        version_counts=counts, final_counts=finals,
+        final_matches_precise=all(p["kind"] != "final-mismatch"
+                                  for p in problems),
+        version_counts=dict(Counter(r.buffer for r in records)),
+        final_counts=dict(Counter(r.buffer for r in records if r.final)),
         stage_set=stage_set, kind_counts=mem.counts(),
         check=checker.report(),
-        errors=[f"{name}: {exc!r}" for name, exc in result.errors])
+        errors=[f"{name}: {exc!r}" for name, exc in result.errors]
+    ), problems
 
 
 def _serve_input(spec: Any, size: int, seed: int, quantum_s: float,
@@ -225,9 +295,8 @@ def _observe_serve(spec: Any, size: int, seed: int,
 
     problems: list[str] = []
     image, size = _serve_input(spec, size, seed, quantum_s, timeout_s)
-    reference = (spec.reference(image)
-                 if spec.reference_kind != "input" else image)
-    precise = spec.build(image).precise_output()
+    reference = spec.reference_for(image)
+    precise = value_digest(spec.build(image).precise_output())
     with AnytimeServer(slots=1, queue_limit=requests + 1,
                        quantum_s=quantum_s, tick_s=0.002) as server:
         sessions = [
@@ -264,7 +333,7 @@ def _observe_serve(spec: Any, size: int, seed: int,
         states[s.name] = r.state.value
         if r.state.value != "completed":
             problems.append(f"{s.name}: ended {r.state.value}")
-        elif not _values_equal(r.snapshot.value, precise):
+        elif value_digest(r.snapshot.value) != precise:
             problems.append(f"{s.name}: completed output is not "
                             f"bit-exact against the precise reference")
     if stats.get("preemptions", 0) < 1:
@@ -298,8 +367,9 @@ def run_differential(app: str = "2dconv", size: int = 24, seed: int = 0,
     """
     spec = get_app(app)
     image = spec.make_input(size, seed)
-    reference = (spec.reference(image)
-                 if spec.reference_kind != "input" else image)
+    reference = spec.reference_for(image)
+    expected = _uninterrupted(lambda: spec.build(image),
+                              schedule=spec.schedule)
 
     observations: list[RunObservation] = []
     mismatches: list[dict[str, Any]] = []
@@ -310,62 +380,27 @@ def run_differential(app: str = "2dconv", size: int = 24, seed: int = 0,
     for executor in executors:
         if progress:
             progress(f"  {app}: {executor} executor ...")
-        obs = _observe(spec, image, executor, reference, timeout_s,
-                       tolerance_db)
+        obs, problems = _observe(spec, image, executor, reference,
+                                 expected, timeout_s, tolerance_db)
         observations.append(obs)
-        if not obs.completed:
-            note("incomplete", f"{executor} run did not complete",
-                 executor=executor, errors=obs.errors)
-        if not obs.final_matches_precise:
-            note("final-mismatch",
-                 f"{executor} final output differs from the precise "
-                 f"evaluation", executor=executor)
-        for buffer, n in obs.final_counts.items():
-            if n != 1:
-                note("final-count",
-                     f"{executor}: buffer {buffer!r} carries {n} final "
-                     f"versions (expected exactly 1)", executor=executor)
-        if not obs.check.ok:
-            note("invariant-violations",
-                 f"{executor}: {len(obs.check.violations)} checker "
-                 f"violation(s)", executor=executor,
-                 violations=[v.to_dict() for v in obs.check.violations])
+        mismatches.extend({**p, "detail": f"{executor}: {p['detail']}",
+                           "executor": executor} for p in problems)
 
-    # cross-executor shape checks (need at least two legs)
-    if len(observations) >= 2:
+    # cross-executor shape checks
+    for obs in observations[1:]:
         base = observations[0]
-        for obs in observations[1:]:
-            if obs.stage_set != base.stage_set:
-                note("trace-shape",
-                     f"stage sets differ: {base.executor} saw "
-                     f"{base.stage_set}, {obs.executor} saw "
-                     f"{obs.stage_set}")
-            missing = (set(base.version_counts)
-                       - set(obs.version_counts))
-            extra = set(obs.version_counts) - set(base.version_counts)
-            if missing or extra:
-                note("trace-shape",
-                     f"buffer sets differ between {base.executor} and "
-                     f"{obs.executor} (missing={sorted(missing)}, "
-                     f"extra={sorted(extra)})")
-        # source stages see final inputs from the start, so their
-        # version ladder is structural — identical on every executor
-        automaton = spec.build(image)
-        source_buffers = [s.output.name
-                          for s in automaton.graph.source_stages()]
-        for buffer in source_buffers:
-            counts = {o.executor: o.version_counts.get(buffer, 0)
-                      for o in observations}
-            if len(set(counts.values())) > 1:
-                note("version-count",
-                     f"source buffer {buffer!r} version counts "
-                     f"diverge: {counts}", buffer=buffer)
-    for obs in observations:
-        for buffer, n in obs.version_counts.items():
-            if n < 1:
-                note("missing-versions",
-                     f"{obs.executor}: buffer {buffer!r} never "
-                     f"published", executor=obs.executor)
+        if obs.stage_set != base.stage_set:
+            note("trace-shape",
+                 f"stage sets differ: {base.executor} saw "
+                 f"{base.stage_set}, {obs.executor} saw "
+                 f"{obs.stage_set}")
+        missing = set(base.version_counts) - set(obs.version_counts)
+        extra = set(obs.version_counts) - set(base.version_counts)
+        if missing or extra:
+            note("trace-shape",
+                 f"buffer sets differ between {base.executor} and "
+                 f"{obs.executor} (missing={sorted(missing)}, "
+                 f"extra={sorted(extra)})")
 
     serve_leg: dict[str, Any] | None = None
     if serve:
@@ -392,10 +427,8 @@ class RestoreReport:
     Each leg interrupts a fresh run on executor A mid-flight, writes a
     checkpoint, restores it onto executor B, runs the continuation to
     completion under an invariant checker, and requires the logical run
-    (prefix + continuation) to be indistinguishable from one that was
-    never interrupted: bit-exact final output, exactly one final
-    version, a gap-free version ladder, source-buffer version counts
-    equal to the uninterrupted run's, and zero invariant violations.
+    (prefix + continuation) to pass :func:`judge_run` as one that was
+    never interrupted, with a checkpoint header naming executor A.
     """
 
     app: str
@@ -463,11 +496,11 @@ def _interrupt_on(spec: Any, image: np.ndarray, executor: str,
 
 
 def _observe_restore(spec: Any, image: np.ndarray, src: str, dst: str,
-                     precise: Any, reference: Any,
-                     ref_source_counts: dict[str, int], path: str,
-                     timeout_s: float,
+                     expected: tuple[str, dict[str, int]],
+                     reference: Any, path: str, timeout_s: float,
                      tolerance_db: float | None) -> dict[str, Any]:
-    """One leg: checkpoint on ``src``, continue on ``dst``, verify."""
+    """One leg: checkpoint on ``src``, continue on ``dst``, and judge
+    the logical run (prefix + continuation) as an uninterrupted one."""
     from ..ckpt import read_header
     from ..core.automaton import AnytimeAutomaton
 
@@ -481,54 +514,12 @@ def _observe_restore(spec: Any, image: np.ndarray, src: str, dst: str,
             f"{header.get('executor')!r}, expected {src!r}")
     restored = AnytimeAutomaton.restore(
         path, builder=lambda: spec.build(image))
-    terminal = restored.terminal_buffer_name
     result, checker = _checked_run(
         restored, dst, spec.schedule, timeout_s, tolerance_db,
         trace_metric=spec.metric, trace_reference=reference)
     wall = _time.perf_counter() - t0
-
-    if not result.completed:
-        problems.append(
-            f"continuation did not complete "
-            f"(errors: {[f'{n}: {e!r}' for n, e in result.errors]})")
-    final_rec = result.timeline.final_record(terminal)
-    if final_rec is None:
-        problems.append("continuation produced no final version")
-    elif final_rec.value is not None \
-            and not _values_equal(final_rec.value, precise):
-        problems.append("final output is not bit-exact against the "
-                        "precise evaluation")
-    if not _values_equal(result.final_values.get(terminal), precise):
-        problems.append("final buffer value is not bit-exact against "
-                        "the precise evaluation")
-    counts: dict[str, int] = {}
-    finals: dict[str, int] = {}
-    for r in result.timeline.records:
-        counts[r.buffer] = counts.get(r.buffer, 0) + 1
-        if r.final:
-            finals[r.buffer] = finals.get(r.buffer, 0) + 1
-    if finals.get(terminal, 0) != 1:
-        problems.append(
-            f"terminal buffer carries {finals.get(terminal, 0)} final "
-            f"version(s) across prefix + continuation (expected 1)")
-    # source ladders are structural — the logical (prefix +
-    # continuation) ladder must match the uninterrupted run exactly
-    for buffer, expected in ref_source_counts.items():
-        got = counts.get(buffer, 0)
-        if got != expected:
-            problems.append(
-                f"source buffer {buffer!r} published {got} versions "
-                f"across prefix + continuation; uninterrupted run "
-                f"published {expected}")
-    versions = [r.version for r in result.timeline.for_buffer(terminal)]
-    if versions != sorted(versions):
-        problems.append(
-            f"terminal ladder is not monotone across the checkpoint "
-            f"seam: {versions}")
-    if not checker.ok:
-        problems.append(
-            f"{len(checker.violations)} invariant violation(s): "
-            + "; ".join(v.describe() for v in checker.violations[:5]))
+    problems += [p["detail"]
+                 for p in judge_run(restored, result, checker, expected)]
     return {
         "src": src, "dst": dst, "ok": not problems,
         "wall_s": wall, "live_at_capture":
@@ -559,22 +550,12 @@ def run_restore_differential(app: str = "2dconv", size: int = 48,
 
     spec = get_app(app)
     image = spec.make_input(size, seed)
-    reference = (spec.reference(image)
-                 if spec.reference_kind != "input" else image)
-    precise = spec.build(image).precise_output()
+    reference = spec.reference_for(image)
+    expected = _uninterrupted(lambda: spec.build(image),
+                              schedule=spec.schedule)
     if pairs is None:
         pairs = [(a, b) for a in DEFAULT_EXECUTORS
                  for b in DEFAULT_EXECUTORS]
-    # uninterrupted structural reference: source-buffer version counts
-    # (identical on every executor, so one deterministic run suffices)
-    baseline = spec.build(image)
-    base_result = baseline.run_simulated(schedule=spec.schedule)
-    source_buffers = {s.output.name
-                      for s in baseline.graph.source_stages()}
-    ref_source_counts: dict[str, int] = {b: 0 for b in source_buffers}
-    for r in base_result.timeline.records:
-        if r.buffer in source_buffers:
-            ref_source_counts[r.buffer] += 1
 
     own_workdir = workdir is None
     if own_workdir:
@@ -588,9 +569,8 @@ def run_restore_differential(app: str = "2dconv", size: int = 48,
             progress(f"  {app}: checkpoint on {src}, restore on "
                      f"{dst} ...")
         path = os.path.join(workdir, f"{app}-{src}-to-{dst}.rck")
-        leg = _observe_restore(spec, image, src, dst, precise,
-                               reference, ref_source_counts, path,
-                               timeout_s, tolerance_db)
+        leg = _observe_restore(spec, image, src, dst, expected,
+                               reference, path, timeout_s, tolerance_db)
         legs.append(leg)
         if leg["ok"]:
             if own_workdir:

@@ -9,16 +9,19 @@ seed-deterministic fault-injection schedule, and a random interrupt
 point.  :func:`build_automaton` turns a spec into a runnable
 :class:`~repro.core.automaton.AnytimeAutomaton`, and :func:`run_spec`
 executes it on the simulated executor with a strict
-:class:`~repro.check.invariants.Checker` attached and asserts the
-anytime guarantees:
+:class:`~repro.check.invariants.Checker` attached and judges the run
+with :func:`~repro.check.differential.judge_run`, the verdict the
+differential and restore legs use too:
 
-* zero invariant violations (version order, seal-once, channel
-  causality, span balance, post-publication immutability);
-* an unfaulted, uninterrupted run converges **bit-exactly** to the
-  precise evaluation, with exactly one final terminal version;
-* every stage publishes at least once when the run completes;
-* runs with faults or interrupts still terminate cleanly and every
-  published version is validly ordered.
+* every run, faulted or interrupted ones included, keeps its version
+  ladders and records in order with zero invariant violations
+  (version order, seal-once, channel causality, span balance,
+  post-publication immutability);
+* a run that should have converged (no faults and no interrupt, or
+  ones that never fired) completes, publishes every stage's buffer
+  with exactly one final, ends **bit-exactly** on the precise
+  evaluation, and publishes as many source versions as an
+  uninterrupted run.
 
 Because specs are JSON, a shrunk falsifying example is *replayable*:
 :func:`fuzz` writes it (plus the error) to a seed file, and
@@ -48,9 +51,10 @@ from ..core.controller import VersionCountStop
 from ..core.faults import FaultInjector, FaultPolicy
 from ..core.iterative import AccuracyLevel, IterativeStage
 from ..core.mapstage import MapStage
+from ..core.scheduling import proportional_shares
 from ..core.stage import PreciseStage
 from ..core.syncstage import SynchronousStage
-from .invariants import Checker
+from .differential import _checked_run, _uninterrupted, judge_run
 
 __all__ = ["VEC", "SPEC_FORMAT", "FuzzFailure", "spec_strategy",
            "build_automaton", "run_spec", "fuzz", "replay",
@@ -276,66 +280,47 @@ def _sync_child(name: str, out: VersionedBuffer, channel: UpdateChannel,
 # -- execution + properties ----------------------------------------------
 
 def run_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """Execute a spec on the simulated executor and assert the
-    guarantees; returns a small summary dict on success.
+    """Execute a spec on the simulated executor under a strict checker
+    and judge it; returns a small summary dict on success.
 
-    Raises :class:`AssertionError` (including
-    :class:`~repro.check.invariants.CheckFailure`) when a guarantee is
-    broken — the property hypothesis shrinks against.
+    Every run is held to :func:`~repro.check.differential.judge_run`'s
+    ordering and checker rules.  A run that should have converged — no
+    faults and no interrupt, or faults and an interrupt that never
+    fired — is also judged against the precise evaluation and an
+    uninterrupted run.  Raises :class:`AssertionError` naming each
+    broken rule: the property hypothesis shrinks against.
     """
     automaton = build_automaton(spec)
-    reference = automaton.precise_output()
-    terminal = automaton.terminal_buffer_name
-
     faults_cfg = spec.get("faults")
-    injector = None
-    policy = None
+    options: dict[str, Any] = {"total_cores": float(spec["cores"])}
     if faults_cfg is not None:
-        injector = FaultInjector.random_schedule(
+        options["injector"] = FaultInjector.random_schedule(
             int(faults_cfg["seed"]),
             [s.name for s in automaton.graph.stages],
             n_faults=int(faults_cfg["n"]),
             max_at=int(faults_cfg["max_at"]))
-        policy = FaultPolicy(on_failure=str(faults_cfg["policy"]),
-                             max_retries=1)
-    stop = (VersionCountStop(int(spec["stop_after"]))
-            if spec.get("stop_after") is not None else None)
+        options["faults"] = FaultPolicy(
+            on_failure=str(faults_cfg["policy"]), max_retries=1)
+    if spec.get("stop_after") is not None:
+        options["stop"] = VersionCountStop(int(spec["stop_after"]))
 
-    checker = Checker.for_graph(automaton.graph, hash_values=True,
-                                strict_order=True)
-    result = automaton.run_simulated(
-        total_cores=float(spec["cores"]), stop=stop,
-        faults=policy, injector=injector, trace=checker)
-    checker.close()
-    checker.raise_if_violations()
-
-    pristine = faults_cfg is None and stop is None
-    records = result.output_records(terminal)
-    if pristine:
-        assert result.completed, "unfaulted run must complete"
-        assert records, "terminal stage must publish at least once"
-        final = records[-1]
-        assert final.final, "last terminal version must be final"
-        assert not any(r.final for r in records[:-1]), \
-            "only the last terminal version may be final"
-        assert np.array_equal(np.asarray(final.value), reference), \
-            "final output must equal the precise evaluation bit-exactly"
-        for stage in automaton.graph.stages:
-            assert result.timeline.for_buffer(stage.output.name), \
-                f"stage {stage.name} never published"
-    elif result.completed and not result.errors \
-            and not result.stopped_early:
-        # faults that never fired / interrupts that never triggered
-        # must leave the precise answer intact
-        assert records and records[-1].final
-        assert np.array_equal(np.asarray(records[-1].value), reference)
-    times = [r.time for r in result.timeline.records]
-    assert times == sorted(times), "records must be time-ordered"
+    result, checker = _checked_run(automaton, "simulated",
+                                   proportional_shares, 0.0, None,
+                                   **options)
+    pristine = faults_cfg is None and "stop" not in options
+    converges = pristine or (result.completed and not result.errors
+                             and not result.stopped_early)
+    expected = (_uninterrupted(lambda: build_automaton(spec))
+                if converges else None)
+    problems = judge_run(automaton, result, checker, expected)
+    assert not problems, "; ".join(
+        f"{p['kind']}: {p['detail']}" for p in problems)
     return {
         "completed": bool(result.completed),
         "stopped_early": bool(result.stopped_early),
         "errors": len(result.errors),
-        "terminal_versions": len(records),
+        "terminal_versions": len(
+            result.output_records(automaton.terminal_buffer_name)),
         "events": checker.report().events,
     }
 

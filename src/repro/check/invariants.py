@@ -53,7 +53,9 @@ Checked invariants (the ``invariant`` field of each violation):
     A buffer's content changed *after* it was published — post-seal
     mutation of a supposedly immutable approximation.  Requires buffer
     references (see :meth:`for_graph` / ``hash_buffers``); detected by
-    digesting values at write time and re-digesting at close.
+    digesting values at write time and re-digesting at close with
+    :func:`~repro.serve.digest.value_digest`, which reads every byte of
+    every array, inside dicts and lists too.
 
 Ordering caveat: the threaded and process executors emit events from
 several threads, so cross-object event order is not causal.  The
@@ -66,14 +68,12 @@ additionally enforces stream-order causality on channels.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-import numpy as np
-
 from ..core.tracing import TraceEvent, TraceSink
+from ..serve.digest import value_digest
 
 __all__ = ["Violation", "CheckReport", "CheckFailure", "Checker",
            "check_events", "INVARIANTS"]
@@ -138,18 +138,6 @@ class CheckReport:
                 "kind_counts": dict(self.kind_counts),
                 "violations": [v.to_dict() for v in self.violations],
                 "stats": dict(self.stats)}
-
-
-def _digest(value: Any) -> str:
-    """Content fingerprint used by the post-publication mutation check."""
-    h = hashlib.sha1()
-    if isinstance(value, np.ndarray):
-        h.update(str(value.dtype).encode())
-        h.update(str(value.shape).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    else:
-        h.update(repr(value).encode())
-    return h.hexdigest()
 
 
 @dataclass
@@ -302,7 +290,7 @@ class Checker:
             if buffer is None:
                 continue
             snap = buffer.snapshot()
-            if snap.version == version and _digest(snap.value) != digest:
+            if snap.version == version and value_digest(snap.value) != digest:
                 self._flag("value-mutated", 0.0, name,
                            self.owners.get(name), None,
                            f"version {version} changed content after "
@@ -381,7 +369,8 @@ class Checker:
             snap = buffer.snapshot()
             # keyed by the snapshot's own version: racing a newer write
             # simply records the newer version's digest
-            self._digests[name] = (snap.version, _digest(snap.value))
+            self._digests[name] = (snap.version,
+                                   value_digest(snap.value))
 
     def _on_seal(self, e: TraceEvent, i: int) -> None:
         name = e.target or "?"

@@ -36,6 +36,7 @@ case is caught with no stray violations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -162,19 +163,23 @@ def _tamper(events: list[TraceEvent],
     return run
 
 
-def _tamper_value_mutated(executor: str) -> CheckReport:
-    # a real buffer holding a mutable (list) value that changes after
-    # its write event was recorded
-    buffer = VersionedBuffer("b")
-    buffer.register_writer("s")
-    value = [1, 2, 3]
-    version = buffer.write(value, final=True, writer="s")
-    checker = Checker(owners={"b": "s"}, hash_buffers={"b": buffer},
-                      strict_order=True)
-    checker.emit(_w(0.0, version, final=True))   # digest taken here
-    value[0] = 999          # post-publication mutation
-    checker.close()                               # re-digest differs
-    return checker.report()
+def _tamper_mutation(make: Callable[[], Any],
+                     mutate: Callable[[Any], None]
+                     ) -> Callable[[str], CheckReport]:
+    """A real buffer holding a mutable value, ``make()``, that
+    ``mutate`` changes after its write event was recorded."""
+    def run(executor: str) -> CheckReport:
+        buffer = VersionedBuffer("b")
+        buffer.register_writer("s")
+        value = make()
+        version = buffer.write(value, final=True, writer="s")
+        checker = Checker(owners={"b": "s"}, hash_buffers={"b": buffer},
+                          strict_order=True)
+        checker.emit(_w(0.0, version, final=True))   # digest taken here
+        mutate(value)           # post-publication mutation
+        checker.close()                               # re-digest differs
+        return checker.report()
+    return run
 
 
 # -- live broken stages ---------------------------------------------------
@@ -410,7 +415,15 @@ SELF_TEST_CASES: tuple[SelfTestCase, ...] = (
     SelfTestCase(
         "tamper-value-mutated", "value-mutated", "tamper",
         "a published (list) value changes content after its write",
-        _tamper_value_mutated),
+        _tamper_mutation(lambda: [1, 2, 3],
+                         lambda value: operator.setitem(value, 0, 999))),
+    SelfTestCase(
+        "tamper-dict-value-mutated", "value-mutated", "tamper",
+        "an array inside a published dict changes in an element numpy's "
+        "repr leaves out",
+        _tamper_mutation(
+            lambda: {"image": np.zeros(4096)},
+            lambda value: operator.setitem(value["image"], 2000, 1.0))),
     # live broken stages through real executors
     SelfTestCase(
         "live-accuracy-regression", "accuracy-regression", "live",

@@ -445,8 +445,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = get_app(args.app)
     image = spec.make_input(args.size, args.seed)
     automaton = spec.build(image)
-    reference = (spec.reference(image) if spec.reference_kind != "input"
-                 else image)
+    reference = spec.reference_for(image)
 
     if args.contract:
         if args.deadline is None:

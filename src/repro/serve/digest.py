@@ -6,7 +6,8 @@ name, its submission id, its SLO, the identity of its builder closure —
 is serving metadata, not work identity, and must not keep identical
 requests apart.  :func:`input_digest` reduces work identity to a stable
 hex string, :func:`request_key` makes it a coalescing/placement key and
-:func:`ckpt_filename` a checkpoint file name.
+:func:`ckpt_filename` a checkpoint file name.  :func:`value_digest` is
+"same bits" for an output value, on the wire and in :mod:`repro.check`.
 
 An array is digested content-addressed (dtype + shape + raw bytes), so
 in-process callers that made the same array by different code paths
@@ -22,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["input_digest", "request_key", "ckpt_filename"]
+__all__ = ["input_digest", "request_key", "ckpt_filename", "value_digest"]
 
 
 def _feed_params(h: "hashlib._Hash", params: dict[str, Any]) -> None:
@@ -65,3 +66,37 @@ def ckpt_filename(key: str) -> str:
     """File name of a keyed run's suspend checkpoint: a server writes
     it, the fleet router finds a dead worker's by request key alone."""
     return key.replace(":", "_").replace("/", "_") + ".rck"
+
+
+def value_digest(value: Any) -> str:
+    """Stable hash of an output value (arrays, dicts of arrays, scalars)
+    so bit-identity can be asserted across the wire.
+
+    Every element is hashed, whatever the array's size, and a dict is
+    walked member by member.  A value numpy can only hold as objects is
+    hashed by its ``repr``, never by object identity.
+    """
+    h = hashlib.sha256()
+
+    def feed(v: Any) -> None:
+        if isinstance(v, dict):
+            for k in sorted(v, key=str):
+                h.update(f"|k={k}".encode())
+                feed(v[k])
+        elif isinstance(v, (list, tuple)):
+            for item in v:
+                h.update(b"|i")
+                feed(item)
+        else:
+            try:
+                arr = np.ascontiguousarray(np.asarray(v))
+            except Exception:
+                arr = None
+            if arr is None or arr.dtype.hasobject:
+                h.update(repr(v).encode())
+            else:
+                h.update(f"|{arr.dtype.str}{arr.shape}".encode())
+                h.update(arr.tobytes())
+
+    feed(value)
+    return h.hexdigest()

@@ -85,7 +85,6 @@ import asyncio
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import operator
@@ -95,9 +94,7 @@ from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any, Callable
 
-import numpy as np
-
-from .digest import ckpt_filename, input_digest, request_key
+from .digest import ckpt_filename, input_digest, request_key, value_digest
 from .slo import SLO
 
 __all__ = ["pack_msg", "send_msg", "recv_msg", "check_frame",
@@ -397,32 +394,6 @@ def spec_key(app: str, size: int, seed: int = 0) -> str:
     return request_key(app, input_digest(
         app, None, size=_spec_int("size", size, 1, MAX_SPEC_SIZE),
         seed=_spec_int("seed", seed, 0)))
-
-
-def value_digest(value: Any) -> str:
-    """Stable hash of an output value (arrays, dicts of arrays, scalars)
-    so bit-identity can be asserted across the wire."""
-    h = hashlib.sha256()
-
-    def feed(v: Any) -> None:
-        if isinstance(v, dict):
-            for k in sorted(v, key=str):
-                h.update(f"|k={k}".encode())
-                feed(v[k])
-        elif isinstance(v, (list, tuple)):
-            for item in v:
-                h.update(b"|i")
-                feed(item)
-        else:
-            try:
-                arr = np.ascontiguousarray(np.asarray(v))
-                h.update(f"|{arr.dtype.str}{arr.shape}".encode())
-                h.update(arr.tobytes())
-            except Exception:
-                h.update(repr(v).encode())
-
-    feed(value)
-    return h.hexdigest()
 
 
 # -- the worker process --------------------------------------------------

@@ -73,6 +73,7 @@ import os
 import socket
 import threading
 import time as _time
+from collections import OrderedDict
 from typing import Any, Callable
 
 from ..core.tracing import TraceEvent, TraceSink
@@ -104,6 +105,17 @@ _SUBMIT_BYTES = 1024
 def _ring_hash(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8],
                           "big")
+
+
+def _expire(table: OrderedDict, now: float,
+            keep: int | None = None) -> None:
+    """Drop ``table``'s expired ``(expires_at, ...)`` entries, then its
+    oldest ones past ``keep``.  Every entry of a table lives equally
+    long and a refreshed key is re-inserted, so the table is in expiry
+    order and whatever goes is at its front."""
+    while table and (next(iter(table.values()))[0] <= now
+                     or (keep is not None and len(table) > keep)):
+        table.popitem(last=False)
 
 
 class FleetRequest:
@@ -156,7 +168,7 @@ class FleetRequest:
 
     def _finish(self, payload: dict[str, Any]) -> None:
         """First outcome wins: a late duplicate ``done`` (e.g. a
-        re-dispatch racing the original worker's completion pump) is
+        re-dispatch racing the original worker's own ``done``) is
         dropped, so the client never observes two terminal deliveries.
         """
         with self._finish_lock:
@@ -256,7 +268,8 @@ class FleetRouter:
         #: fleet-wide sealed-final memo: key → result payload, answered
         #: by the router itself for ``fleet_memo_ttl_s`` seconds
         self.fleet_memo_ttl_s = float(fleet_memo_ttl_s)
-        self._memo: dict[str, tuple[float, dict[str, Any]]] = {}
+        self._memo: OrderedDict[str, tuple[float, dict[str, Any]]] = \
+            OrderedDict()
         self._trace_sink = trace
         self._links: list[_WorkerLink] = []
         #: the event loop all router I/O runs on (None unless started)
@@ -267,7 +280,8 @@ class FleetRouter:
         self._ids = itertools.count(1)
         #: (reply op, id) → the future its reply resolves
         self._waiters: dict[tuple[str, Any], asyncio.Future] = {}
-        self._affinity: dict[str, tuple[int, float]] = {}
+        #: key → (expires_at, worker index), in expiry order
+        self._affinity: OrderedDict[str, tuple[float, int]] = OrderedDict()
         self._ring: list[tuple[int, int]] = sorted(
             (_ring_hash(f"worker-{w}/vnode-{v}"), w)
             for w in range(workers) for v in range(_VNODES))
@@ -486,23 +500,20 @@ class FleetRouter:
         if not alive:
             return None
         now = _time.monotonic()
-        pinned = self._affinity.get(key)
-        if pinned is not None:
-            index, expires_at = pinned
-            link = self._links[index]
-            if link.alive and now < expires_at:
-                self._affinity[key] = (index, now + AFFINITY_TTL_S)
-                return link
-            del self._affinity[key]
-        home = self._ring_lookup(key)
-        link = home
-        least = min(alive, key=lambda cand: cand.load)
-        if home.load > least.load + FALLBACK_MARGIN:
-            # cold key, clearly uneven fleet: spill to the least-loaded
-            # worker (duplicates will follow via the affinity pin)
-            link = least
-            self.counters["fallbacks"] += 1
-        self._affinity[key] = (link.index, now + AFFINITY_TTL_S)
+        _expire(self._affinity, now)
+        pinned = self._affinity.pop(key, None)
+        if pinned is not None and self._links[pinned[1]].alive:
+            link = self._links[pinned[1]]
+        else:
+            link = self._ring_lookup(key)
+            least = min(alive, key=lambda cand: cand.load)
+            if link.load > least.load + FALLBACK_MARGIN:
+                # cold key, clearly uneven fleet: spill to the
+                # least-loaded worker (duplicates will follow via the
+                # affinity pin)
+                link = least
+                self.counters["fallbacks"] += 1
+        self._affinity[key] = (now + AFFINITY_TTL_S, link.index)
         return link
 
     def _ring_lookup(self, key: str) -> _WorkerLink:
@@ -601,8 +612,9 @@ class FleetRouter:
             target = min(alive, key=lambda cand: cand.load)
             request.redispatches += 1
             self.counters["shed_retries"] += 1
+            self._affinity.pop(request.key, None)
             self._affinity[request.key] = (
-                target.index, _time.monotonic() + AFFINITY_TTL_S)
+                _time.monotonic() + AFFINITY_TTL_S, target.index)
             self._dispatch(request, target)
         else:
             link.inflight[request.rid] = request
@@ -616,7 +628,7 @@ class FleetRouter:
         self.counters["worker_deaths"] += 1
         self._emit("fleet.worker_death", worker=link.index,
                    orphans=len(link.inflight))
-        for key, (index, _) in list(self._affinity.items()):
+        for key, (_, index) in list(self._affinity.items()):
             if index == link.index:
                 del self._affinity[key]
         orphans = list(link.inflight.values())
@@ -710,14 +722,9 @@ class FleetRouter:
     def _memo_lookup(self, key: str) -> dict[str, Any] | None:
         """A fresh sealed-final payload for ``key``, or None (expired
         entries evicted on the way)."""
+        _expire(self._memo, _time.monotonic())
         entry = self._memo.get(key)
-        if entry is None:
-            return None
-        expires_at, payload = entry
-        if _time.monotonic() >= expires_at:
-            del self._memo[key]
-            return None
-        return payload
+        return None if entry is None else entry[1]
 
     def _memo_store(self, key: str, msg: dict[str, Any]) -> None:
         """Cache a worker's ``done`` if it is a sealed *final* answer.
@@ -729,13 +736,8 @@ class FleetRouter:
                 and msg["value_digest"]):
             return
         now = _time.monotonic()
-        for stale in [k for k, (exp, _) in self._memo.items()
-                      if now >= exp]:
-            del self._memo[stale]
-        if key not in self._memo \
-                and len(self._memo) >= FLEET_MEMO_MAX:
-            oldest = min(self._memo, key=lambda k: self._memo[k][0])
-            del self._memo[oldest]
+        self._memo.pop(key, None)
+        _expire(self._memo, now, keep=FLEET_MEMO_MAX - 1)
         payload = {k: v for k, v in msg.items() if k != "rid"}
         self._memo[key] = (now + self.fleet_memo_ttl_s, payload)
 

@@ -167,8 +167,9 @@ class Session:
         """Run ``fn(self)`` once the session is terminal (immediately
         if it already is).  Callbacks fire on the server's scheduler
         thread with its lock held — keep them cheap and never call
-        back into the server (the fleet worker's completion pump
-        bridges here with a queue put)."""
+        back into the server (the fleet worker's callback only hands
+        its ``done`` to the worker's loop with
+        ``call_soon_threadsafe``)."""
         with self._callback_lock:
             if not self._done.is_set():
                 self._callbacks.append(fn)

@@ -1,11 +1,19 @@
 """Differential conformance harness tests (repro.check.differential)."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
+from repro.apps.registry import APP_REGISTRY, AppSpec
 from repro.check import run_differential
 from repro.check import differential as diff_mod
+from repro.core.automaton import AnytimeAutomaton
+from repro.core.buffer import VersionedBuffer
+from repro.core.scheduling import proportional_shares
+from repro.core.stage import Compute, Stage
+from repro.metrics.snr import snr_db
 
 pytestmark = pytest.mark.check
 
@@ -72,8 +80,6 @@ class TestLeaseEquivalence:
         for bit the same whether stages fuse 1 or 8 chunks or levels
         per kernel call.  Covers both batching families: diffusive chunk
         fusion (2dconv) and iterative level fusion (dwt53)."""
-        import numpy as np
-
         from repro.apps.registry import get_app
 
         spec = get_app(app)
@@ -103,15 +109,52 @@ class TestLeaseEquivalence:
 class TestMismatchDetection:
     @pytest.mark.timeout(120)
     def test_forged_final_is_reported(self, monkeypatch):
-        # force the bit-exact comparison to fail: the harness must
-        # report a final-mismatch for every executor, not pass silently
-        monkeypatch.setattr(diff_mod, "_values_equal",
-                            lambda a, b: False)
+        # force the bit-exact comparison to fail (no two digests
+        # agree): the harness must report a final-mismatch for every
+        # executor, not pass silently
+        forged = itertools.count()
+        monkeypatch.setattr(diff_mod, "value_digest",
+                            lambda value: str(next(forged)))
         report = run_differential(app="dwt53", size=16, serve=False,
                                   executors=("simulated",))
         assert not report.ok
         assert any(m["kind"] == "final-mismatch"
                    for m in report.mismatches)
+
+
+class _Mute(Stage):
+    """Completes without ever publishing a version."""
+
+    def run_once(self, snaps, inputs_final):
+        yield Compute(1.0, label=f"{self.name}:compute")
+
+    def precise(self, input_values):
+        return np.asarray(input_values[self.inputs[0].name])
+
+    @property
+    def precise_cost(self) -> float:
+        return 1.0
+
+
+class TestUnpublishedBuffer:
+    @pytest.mark.timeout(120)
+    def test_buffer_that_never_publishes_is_reported(self, monkeypatch):
+        def build(image):
+            return AnytimeAutomaton(
+                [_Mute("mute", VersionedBuffer("quiet"),
+                       (VersionedBuffer("in"),))],
+                external={"in": image})
+
+        monkeypatch.setitem(APP_REGISTRY, "mute", AppSpec(
+            name="mute", description="a stage that never writes",
+            make_input=lambda size, seed: np.ones(size), build=build,
+            reference=lambda image: image, metric=snr_db,
+            reference_kind="precise", schedule=proportional_shares))
+        report = run_differential(app="mute", size=4, serve=False,
+                                  executors=("simulated",))
+        assert any(m["kind"] == "missing-versions"
+                   and "'quiet'" in m["detail"]
+                   for m in report.mismatches), report.mismatches
 
 
 @pytest.mark.serve

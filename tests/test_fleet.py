@@ -16,12 +16,14 @@ import signal
 import socket
 import threading
 import time
+import types
 
 import pytest
 
 from repro.apps.registry import APP_REGISTRY
 from repro.serve.fleet import (recv_msg, send_msg, spec_key,
                                value_digest, worker_main)
+from repro.serve import router as router_mod
 from repro.serve.router import FleetRouter, summarize_fleet
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(180)]
@@ -214,6 +216,38 @@ def wait_for_deaths(fleet, count, timeout_s=30.0):
            and time.monotonic() < deadline):
         time.sleep(0.01)
     assert fleet.counters["worker_deaths"] == count
+
+
+class TestRouterTables:
+    """The router's keyed tables (affinity pins, fleet memo) expire."""
+
+    def test_pins_and_memo_entries_expire_in_order(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(router_mod, "_time",
+                            types.SimpleNamespace(monotonic=lambda: clock[0]))
+        router = FleetRouter(workers=2)
+        router._links = [types.SimpleNamespace(index=i, alive=True, load=0)
+                         for i in range(2)]
+        done = {"state": "completed", "final": True, "value_digest": "d"}
+
+        def place(key, at):
+            clock[0] = at
+            router._place(key)
+            router._memo_store(key, {**done, "rid": 0})
+
+        # a new key every 10 ms, as every fleet_target request is
+        for i in range(5000):
+            place(f"k{i}", i / 100)
+        assert len(router._affinity) <= router_mod.AFFINITY_TTL_S * 100 + 1
+        assert len(router._memo) <= router_mod.FLEET_MEMO_MAX
+        place("late", 5000 / 100 + 3600.0)
+        assert list(router._affinity) == list(router._memo) == ["late"]
+
+        # a refreshed pin moves behind the keys placed after it
+        for key, at in (("a", 7000.0), ("b", 7010.0), ("a", 7020.0),
+                        ("c", 7045.0)):
+            place(key, at)
+        assert list(router._affinity) == ["a", "c"]
 
 
 class TestFailover:
