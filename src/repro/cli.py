@@ -277,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="HOST:PORT",
                         help="bind address (default 127.0.0.1:0 — an "
                              "ephemeral port, printed on startup)")
-    worker.add_argument("--memo-ttl-s", type=float, default=5.0,
+    worker.add_argument("--memo-ttl-s", type=float,
                         help="worker-local memo TTL for sealed finals "
-                             "(default 5.0)")
+                             "(default: the fleet worker's, "
+                             "repro.serve.fleet.WORKER_DEFAULTS)")
     worker.add_argument("--resume-dir", type=str, default=None,
                         metavar="DIR",
                         help="directory for suspend checkpoints "

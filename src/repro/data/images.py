@@ -38,6 +38,10 @@ import functools
 import operator
 
 import numpy as np
+# numpy 2 imports numpy.random lazily, on first use.  Every fleet
+# worker's parent imports this module, so a worker forked from it
+# inherits numpy.random instead of importing it on its first request
+import numpy.random  # noqa: F401
 
 __all__ = ["scene_image", "bayer_mosaic", "clustered_image",
            "gradient_image", "texture_image", "nearest_centre"]

@@ -29,6 +29,15 @@ documents the protocol), and a request with no deadline launches no
 run at all.  :func:`spec_key` bounds ``size`` by :data:`MAX_SPEC_SIZE`,
 so no frame holds the reader making an outsized input.
 
+A worker holds only what is in flight.  Its table of live specs keeps
+a spec's input and precise value from the spec's first submit until
+the ``done`` of the last of its requests is sent; the requests that
+arrive meanwhile share them, so duplicates make one input and run one
+precise pass.  A repeat that comes later is the router's memo's to
+answer (:class:`~repro.serve.router.FleetRouter`): a worker's own memo
+is off by default (:data:`WORKER_DEFAULTS`), so the router's memo,
+which keeps digests only, is the fleet's one memo.
+
 Results cross the wire as metrics plus a :func:`value_digest` of the
 sealed output — not the output array itself — so conformance tests can
 assert bit-identity between coalesced and solo answers without shipping
@@ -84,13 +93,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import operator
 import socket
 import struct
-from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any, Callable
 
@@ -130,7 +137,8 @@ WORKER_DEFAULTS: dict[str, Any] = {
     # versions and ended runs wake the scheduler at once
     "tick_s": 0.005,
     "coalesce": True,
-    "memo_ttl_s": 5.0,
+    # the router's memo answers repeats; a worker keeps no answer
+    "memo_ttl_s": 0.0,
     # checkpoint directory for suspend-and-resume serving; the router
     # gives each worker its own subdirectory when migration is enabled
     "resume_dir": None,
@@ -540,13 +548,31 @@ class _ScoreLater:
         return self._record.metric(value, self._reference.result())
 
 
-#: calibrations (input image, builder, metric with its reference) a
-#: worker keeps, by spec, for repeat submissions of a spec
-_CALIBRATIONS_MAX = 32
+class _LiveSpec:
+    """A spec with requests in flight on a worker: the input made at
+    its first submit, in its ``builder`` and its ``metric`` (a
+    :class:`_ScoreLater`, so also its precise value), and how many of
+    its requests have not had their ``done`` sent.  The worker drops
+    the entry when that count falls to 0.
 
-#: answered values whose digest a worker keeps: the subscribers of one
-#: run settle on one value at once, so their replies come close together
-_DIGESTS_MAX = 4
+    Requests of one spec that end together answer with one value: its
+    precise value, or the version a run's subscribers settle on.  So
+    :meth:`digest` keeps the last value it hashed with its digest, and
+    hashes that value once; the entry holds it no longer than itself.
+    """
+
+    def __init__(self, record: Any, size: int, seed: int,
+                 calibrator: Executor) -> None:
+        image = record.make_input(size, seed)
+        self.builder = lambda: record.build(image)
+        self.metric = _ScoreLater(record, image, calibrator)
+        self.requests = 0
+        self._hashed: tuple[Any, str] | None = None
+
+    def digest(self, value: Any) -> str:
+        if self._hashed is None or self._hashed[0] is not value:
+            self._hashed = (value, value_digest(value))
+        return self._hashed[1]
 
 
 def _done_message(rid: int, result: Any, violations: int | None = None,
@@ -597,18 +623,24 @@ def worker_main(sock: socket.socket,
     """Run one fleet worker until its socket closes.
 
     One asyncio loop on the calling thread reads every frame and writes
-    every reply.  It admits first and computes later: a new spec's
-    input is made once, the request keyed by :func:`spec_key`,
-    submitted and acked — and only then does the one-thread calibrate
-    executor compute the run's precise value (FIFO, one spec at a
-    time).  A request with no deadline, no stream and no check is held
-    until that value answers it at version 1, on every app; one that
-    can take a ladder version launches its run at once, and the value
-    races it.  In ``check`` mode a ladder's own final must equal the
-    value bit for bit.  Each ``Session`` done callback, on whichever
+    every reply.  It admits first and computes later: a request is
+    keyed by :func:`spec_key`, its spec's input made unless the spec is
+    live, and submitted and acked — and only then does the one-thread
+    calibrate executor compute the spec's precise value (FIFO, one spec
+    at a time).  A request with no deadline, no stream and no check is
+    held until that value answers it at version 1, on every app; one
+    that can take a ladder version launches its run at once, and the
+    value races it.  In ``check`` mode a ladder's own final must equal
+    the value bit for bit.  Each ``Session`` done callback, on whichever
     thread turned the session terminal, hands its ``done`` to the loop
     (``call_soon_threadsafe``), so neither a slow run nor a slow
-    precise pass blocks admission of the next request.  The process's
+    precise pass blocks admission of the next request.
+
+    The worker keeps a spec's input and precise value in its table of
+    live specs (:class:`_LiveSpec`, counted as ``live_specs`` in its
+    ``stats``) from the spec's first submit until the ``done`` of the
+    last of the spec's requests in flight is sent — shed, failed and
+    cancelled ones too — and nothing after that.  The process's
     allocator policy (:func:`~repro.core.memory.keep_freed_pages`) is
     set before the first input is made.
     """
@@ -625,16 +657,15 @@ def worker_main(sock: socket.socket,
         memo_ttl_s=float(cfg["memo_ttl_s"]),
         resume_dir=cfg.get("resume_dir")).start()
     calibrator = ThreadPoolExecutor(1, thread_name_prefix="fleet-calibrate")
-    # answered values, with their digests (loop thread only)
-    digests: deque = deque(maxlen=_DIGESTS_MAX)
+    # the specs with requests in flight, by spec key (loop thread only)
+    live: dict[str, _LiveSpec] = {}
 
-    @functools.lru_cache(_CALIBRATIONS_MAX)
-    def calibration(app: str, size: int, seed: int) -> tuple:
-        """A spec's builder and metric: its input is made once."""
-        record = get_app(app)
-        image = record.make_input(size, seed)
-        return (lambda: record.build(image),
-                _ScoreLater(record, image, calibrator))
+    def release(key: str) -> None:
+        """One of ``key``'s requests is done; the last drops its spec."""
+        spec = live[key]
+        spec.requests -= 1
+        if not spec.requests:
+            del live[key]
 
     async def serve_link() -> None:
         loop = asyncio.get_running_loop()
@@ -649,23 +680,18 @@ def worker_main(sock: socket.socket,
             def connection_lost(self, exc: Exception | None) -> None:
                 closed.set_result(None)
 
-        def digest(value: Any) -> str:
-            # coalesced subscribers and memo hits answer with one value
-            # object: it is hashed once
-            for held, known in digests:
-                if held is value:
-                    return known
-            digests.append((value, value_digest(value)))
-            return digests[-1][1]
-
         def send_done(link: FrameProtocol, rid: int, session: Any,
-                      cell: _CheckedRun | None, metric: _ScoreLater) -> None:
-            result = session.result(timeout_s=0.0)
-            violations = (_checked_violations(cell, result.snapshot,
-                                              metric, digest)
-                          if cell is not None else None)
-            link.send(_done_message(rid, result, violations=violations,
-                                    digest=digest))
+                      cell: _CheckedRun | None, key: str) -> None:
+            spec = live[key]
+            try:
+                result = session.result(timeout_s=0.0)
+                violations = (_checked_violations(cell, result.snapshot,
+                                                  spec.metric, spec.digest)
+                              if cell is not None else None)
+                link.send(_done_message(rid, result, violations=violations,
+                                        digest=spec.digest))
+            finally:
+                release(key)
 
         def on_done(*args: Any) -> None:
             # on any thread; once the router is gone the loop is closed
@@ -678,23 +704,30 @@ def worker_main(sock: socket.socket,
             op = msg["op"]
             if op == "submit":
                 rid = msg["rid"]
-                cell = None
+                cell = spec = None
                 try:
                     # the key is the frame's spec's, never the router's
                     # word for it
                     key = spec_key(msg["app"], msg["size"], msg["seed"])
-                    builder, metric = calibration(
-                        msg["app"], int(msg["size"]), int(msg["seed"]))
+                    spec = live.get(key)
+                    if spec is None:
+                        spec = live[key] = _LiveSpec(
+                            get_app(msg["app"]), int(msg["size"]),
+                            int(msg["seed"]), calibrator)
+                    spec.requests += 1
+                    builder = spec.builder
                     if msg["resume"] is not None:
                         builder = _resuming_builder(msg["resume"], builder)
                     if msg["check"] or cfg["check"]:
                         builder, cell = _checked_builder(
                             builder, cfg["executor"])
                     session = server.submit(
-                        builder, SLO(**msg["slo"]), metric=metric,
+                        builder, SLO(**msg["slo"]), metric=spec.metric,
                         name=f"r{rid}", wait_s=msg["wait_s"],
                         key=key if cfg["coalesce"] else None, trace=cell)
                 except Exception as exc:
+                    if spec is not None:
+                        release(key)
                     link.send({"op": "done", "rid": rid, "state": "failed",
                                "latency_s": 0.0, "queue_s": 0.0,
                                "errors": [f"{type(exc).__name__}: {exc}"]})
@@ -709,10 +742,11 @@ def worker_main(sock: socket.socket,
                 # that is terminal already (shed, memo hit) still reads
                 # ack-then-done on the wire
                 session.add_done_callback(
-                    lambda session: on_done(link, rid, session, cell, metric))
+                    lambda session: on_done(link, rid, session, cell, key))
             elif op == "stats":
                 link.send({"op": "stats", "rid": msg["rid"],
-                           "stats": server.stats()})
+                           "stats": {**server.stats(),
+                                     "live_specs": len(live)}})
             elif op == "shutdown":
                 link.send({"op": "bye"})
                 link.transport.close()

@@ -9,8 +9,9 @@ itself: the router never makes an input):
 
 * **Sticky consistent-hash placement.**  A key hashes onto a virtual-
   node ring; identical work therefore lands on the same worker, where
-  the server coalesces it onto one shared run (or answers from its
-  sealed-results memo).  An affinity table pins a key to the worker
+  the server coalesces it onto one shared run, or answers it from the
+  input and precise value the worker holds while the key is in
+  flight.  An affinity table pins a key to the worker
   that actually took it for :data:`AFFINITY_TTL_S`, so fallback
   decisions stay sticky too.
 * **Least-loaded fallback for cold keys.**  A key the fleet has never

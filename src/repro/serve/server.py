@@ -92,6 +92,10 @@ DEFAULT_FAULTS = FaultPolicy(on_failure="degrade")
 #: how long a harvest waits for a stopped run to wind down
 GRACE_S = 5.0
 
+#: ``AnytimeServer._last_score`` when no score is kept
+_NO_SCORE: tuple[Any, Any, tuple | None, float | None] = (
+    None, None, None, None)
+
 # Live servers, so test harnesses (the conftest watchdog) can reap
 # serving threads that a failing test left behind.
 _LIVE_SERVERS: "weakref.WeakSet[AnytimeServer]" = weakref.WeakSet()
@@ -201,9 +205,9 @@ class AnytimeServer:
         self.memo_ttl_s = float(memo_ttl_s)
         self._memo: dict[str, tuple[float, Snapshot]] = {}
         #: the last score: (metric, value, (buffer name, version,
-        #: final), SNR)
+        #: final), SNR); forgotten once its run ends (see :meth:`_snr_of`)
         self._last_score: tuple[Any, Any, tuple | None,
-                                float | None] = (None, None, None, None)
+                                float | None] = _NO_SCORE
         self.resume_dir = resume_dir
         if resume_dir is not None:
             os.makedirs(resume_dir, exist_ok=True)
@@ -419,6 +423,7 @@ class AnytimeServer:
         session._memo_hit = True
         self.counters["memo_hits"] += 1
         self._end(session, SessionState.COMPLETED, snapshot, now)
+        self._last_score = _NO_SCORE
         return True
 
     def _join(self, session: Session, now: float) -> bool:
@@ -454,7 +459,10 @@ class AnytimeServer:
         its finality.  Runs that share a metric and a buffer name
         reach the same version with different values; the value
         keeps one run's score from answering for another's.  The
-        metric's own ``precise`` value scores ∞ without a call."""
+        metric's own ``precise`` value scores ∞ without a call.  A
+        score is forgotten once the requests that could reuse it are
+        answered (a run ended, a memo hit served), so the server keeps
+        no answered request's metric or value."""
         if session.metric is None or snapshot.value is None:
             return None
         if snapshot.value is getattr(session.metric, "precise", None):
@@ -915,6 +923,7 @@ class AnytimeServer:
             self._end(session, state, snapshot, now,
                       interrupted=interrupted, degraded=degraded,
                       errors=errors, run_result=run_result)
+        self._last_score = _NO_SCORE
 
     def _end(self, session: Session, state: SessionState,
              snapshot: Snapshot, now: float, *, interrupted: bool = False,

@@ -144,9 +144,15 @@ class TestBitIdentity:
         assert solo_final.final
         key = request_key("dwt53", input_digest("dwt53", image))
 
-        with keyed_server(slots=2) as server:
+        # one slot, taken by the blocker: ``a`` queues behind it, so
+        # ``b`` joins a run that cannot have ended
+        with keyed_server() as server:
             blocker = server.submit(staircase, SLO(deadline_s=30.0),
                                     name="blocker")
+            deadline = time.monotonic() + 10.0
+            while (blocker.state is not SessionState.RUNNING
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
             a = server.submit(lambda: spec.build(image),
                               SLO(deadline_s=30.0), name="a", key=key)
             b = server.submit(lambda: spec.build(image),

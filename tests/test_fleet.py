@@ -11,12 +11,14 @@ be asserted across the wire.
 import asyncio
 import contextlib
 import dataclasses
+import gc
 import os
 import signal
 import socket
 import threading
 import time
 import types
+import weakref
 
 import pytest
 
@@ -87,21 +89,29 @@ class TestFleetRoundTrip:
         assert digests[True] == digests[False]
 
     @pytest.mark.parametrize("coalesce", [True, False])
-    def test_duplicates_share_runs_only_when_coalescing(self, coalesce):
-        """The default fleet serves duplicates from shared runs or its
-        memos; ``coalesce=False`` runs every one of them."""
+    def test_duplicates_share_runs_only_when_coalescing(
+            self, coalesce, monkeypatch, tmp_path):
+        """Duplicates in flight together make one input, and run one
+        precise pass, per distinct spec: the default fleet shares that
+        one value among them, and ``coalesce=False`` still runs every
+        one of them, none coalesced."""
+        made = count_inputs(monkeypatch, tmp_path, "dwt53")
         config = {} if coalesce else {"coalesce": False}
         with tiny_fleet(workers=2, **config) as fleet:
             # frozen workers finish nothing until every duplicate is
-            # in, so no repeat can find a sealed final in the router memo
+            # in, so no repeat can find a sealed final in the router
+            # memo; the pause lets the router write every frame, so a
+            # worker reads its duplicates at once when it wakes
             with frozen_workers(fleet):
                 requests = [fleet.submit("dwt53", size=16, seed=i % 2,
                                          slo=SLO_OK) for i in range(8)]
+                time.sleep(0.2)
             assert fleet.drain(timeout_s=90.0)
             summary = summarize_fleet(requests)
         assert summary["completed"] == 8
-        shared = summary["coalesced"] + summary["memo_hits"]
-        assert (shared > 0) if coalesce else (shared == 0), summary
+        assert made() == [0, 1], made()
+        if not coalesce:
+            assert summary["coalesced"] + summary["memo_hits"] == 0, summary
 
     def test_fleet_stats_aggregate(self):
         with tiny_fleet(workers=2) as fleet:
@@ -180,6 +190,24 @@ class TestRouterDoesNoCompute:
             assert named in " ".join(reply["errors"]), reply
         assert good["state"] == "completed"
         assert dispatched == 1
+
+
+def count_inputs(monkeypatch, tmp_path, app):
+    """Make ``app``'s inputs log their seeds to a file, here and in
+    workers forked after the call; returns a reader of the seeds,
+    sorted."""
+    log = tmp_path / f"{app}-inputs"
+    spec = APP_REGISTRY[app]
+
+    def make_input(size, seed):
+        with open(log, "a") as out:
+            out.write(f"{seed}\n")
+        return spec.make_input(size, seed)
+
+    monkeypatch.setitem(APP_REGISTRY, app, dataclasses.replace(
+        spec, make_input=make_input))
+    return lambda: sorted(int(seed) for seed in (
+        log.read_text().split() if log.exists() else ()))
 
 
 @contextlib.contextmanager
@@ -646,11 +674,12 @@ class TestSpecIdentity:
         with pytest.raises(KeyError, match="known: .*dwt53"):
             spec_key("nosuchapp", 16, 0)
 
-    def test_worker_forgets_calibrations_beyond_its_cap(self, monkeypatch):
-        from repro.serve import fleet
-
-        monkeypatch.setattr(fleet, "_CALIBRATIONS_MAX", 1)
-        with inproc_worker({"memo_ttl_s": 0.0}) as sock:
+    def test_worker_remakes_a_spec_it_no_longer_holds(
+            self, monkeypatch, tmp_path):
+        """A spec's input goes with its last answer; a later request
+        for it makes the input again, to the same bits."""
+        made = count_inputs(monkeypatch, tmp_path, "2dconv")
+        with inproc_worker() as sock:
             digests = []
             for rid, seed in enumerate((0, 1, 0), start=1):
                 send_msg(sock, {"op": "submit", "rid": rid,
@@ -662,6 +691,7 @@ class TestSpecIdentity:
                 assert done["precise_snr"]
                 digests.append(done["value_digest"])
         assert digests[0] == digests[2] != digests[1]
+        assert made() == [0, 0, 1]
 
     def test_value_digest_discriminates(self):
         import numpy as np
@@ -702,8 +732,9 @@ class TestWorkerMakesEachThingOnce:
         assert scene_makes == [(32, 7)]
 
     def test_an_answer_shared_by_three_requests_is_hashed_once(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         from repro.apps.registry import get_app
+        from repro.check.fleetdiff import held_reference
         from repro.serve import fleet
 
         spec = get_app("dwt53")
@@ -716,17 +747,113 @@ class TestWorkerMakesEachThingOnce:
             return value_digest(value)
 
         monkeypatch.setattr(fleet, "value_digest", counted)
-        with inproc_worker() as sock:
+        released = tmp_path / "released"
+        with held_reference("dwt53", str(released)), \
+                inproc_worker() as sock:
             for rid in (1, 2, 3):
                 send_msg(sock, {"op": "submit", "rid": rid,
                                 "app": "dwt53", "size": 256, "seed": 4})
+            # the precise value, which alone answers a request with no
+            # deadline, waits for the flag: all three are in flight
+            for rid in (1, 2, 3):
+                assert recv_op(sock, "ack")["rid"] == rid
+            released.touch()
             dones = answers(sock, 3)
         assert len(hashed) == 1
-        # the two later requests joined the first one's run, or took
-        # its answer from the memo: one value answers all three
-        assert sum(d["coalesced"] or d["memo_hit"]
-                   for d in dones.values()) == 2
+        # the two later requests joined the first one's run: one value
+        # answers all three
+        assert sum(d["coalesced"] for d in dones.values()) == 2
         for rid, done in dones.items():
             assert done["state"] == "completed" and done["final"]
             assert done["value_digest"] == expected
             assert set(done) == set(dones[1]) and done["rid"] == rid
+
+
+def weak(value):
+    """Weak references to ``value``, or to each value of a dict."""
+    values = value.values() if isinstance(value, dict) else (value,)
+    return [weakref.ref(each) for each in values]
+
+
+def still_held(refs, timeout_s=5.0):
+    """The types of what ``refs`` still name once a collection frees
+    nothing more (a thread may be between two lines for a moment)."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        gc.collect()
+        held = [type(ref()).__name__ for ref in refs if ref() is not None]
+        if not held or time.monotonic() > deadline:
+            return held
+        time.sleep(0.05)
+
+
+class TestWorkerHoldsOnlyWhatIsInFlight:
+    """A worker keeps a spec's input, precise value and metric while a
+    request of the spec is in flight, and none of them once the last
+    such request is answered."""
+
+    APPS = ("2dconv", "histeq", "dwt53", "debayer", "kmeans")
+
+    def test_answered_specs_leave_nothing_behind(self, monkeypatch):
+        from repro.serve import fleet
+
+        refs = []
+
+        class Recorded(fleet._ScoreLater):
+            def __init__(self, record, image, calibrator):
+                super().__init__(record, image, calibrator)
+                refs.extend(weak(self) + weak(image))
+                self._precise.add_done_callback(
+                    lambda done: refs.extend(weak(done.result())))
+
+        def digest(value):
+            refs.extend(weak(value))
+            return value_digest(value)
+
+        monkeypatch.setattr(fleet, "_ScoreLater", Recorded)
+        monkeypatch.setattr(fleet, "value_digest", digest)
+        with inproc_worker() as sock:
+            for seed in range(8):
+                # half run a ladder that races the precise value, half
+                # are held for it
+                slo = SLO_OK if seed % 2 else None
+                for rid, app in enumerate(self.APPS,
+                                          start=len(self.APPS) * seed):
+                    send_msg(sock, {"op": "submit", "rid": rid, "app": app,
+                                    "size": 256, "seed": seed, "slo": slo})
+                for done in answers(sock, len(self.APPS)).values():
+                    assert done["state"] == "completed" and done["final"]
+            send_msg(sock, {"op": "stats", "rid": 0})
+            stats = recv_op(sock, "stats")["stats"]
+            held = still_held(refs)
+        # a metric, an input, a precise value (two arrays for kmeans)
+        # and at least one answer per spec
+        assert len(refs) >= 40 * 4
+        assert held == [], held
+        assert stats["completed"] == 40 and stats["live_specs"] == 0
+
+    @pytest.mark.parametrize("how", ["shed", "failed", "raised"])
+    def test_a_request_that_ends_unanswered_lets_its_spec_go(
+            self, how, monkeypatch):
+        from repro.serve.server import AnytimeServer
+
+        config = {"queue_limit": 0} if how == "shed" else {}
+        if how == "failed":
+            def reference(image):
+                raise ValueError("no reference")
+
+            monkeypatch.setitem(APP_REGISTRY, "2dconv", dataclasses.replace(
+                APP_REGISTRY["2dconv"], reference=reference))
+        if how == "raised":
+            def submit(self, *args, **kwargs):
+                raise RuntimeError("no admission")
+
+            monkeypatch.setattr(AnytimeServer, "submit", submit)
+        with inproc_worker(config) as sock:
+            send_msg(sock, {"op": "submit", "rid": 1, "app": "2dconv",
+                            "size": 16, "seed": 0})
+            done = answers(sock, 1)[1]
+            send_msg(sock, {"op": "stats", "rid": 2})
+            stats = recv_op(sock, "stats")["stats"]
+        assert done["state"] == ("shed" if how == "shed" else "failed")
+        assert stats["live_specs"] == 0

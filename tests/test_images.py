@@ -1,5 +1,9 @@
 """Tests for the synthetic input generators."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,3 +304,16 @@ def test_keys_are_integers(scene_makes):
     scene_image(np.int64(16), np.int32(2))
     scene_image(16, 2)
     assert scene_makes == [(16, 2)]
+
+
+def test_importing_the_generators_imports_numpy_random():
+    """A forked fleet worker inherits ``numpy.random`` from its parent
+    rather than importing it on its first request."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.data.images; "
+         "print('numpy.random' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
