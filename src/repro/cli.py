@@ -652,7 +652,8 @@ def _serve_fleet(args: argparse.Namespace, rate: float, deadline_s: float,
           f"p99 {summary['latency_p99_s']:.3f}s  "
           f"SLO attainment {summary['slo_attainment']:.0%}")
     print(f"coalesced {summary['coalesced']}, memo hits "
-          f"{summary['memo_hits']}, re-dispatched "
+          f"{summary['memo_hits']}, shared a live spec "
+          f"{summary['shared']}, re-dispatched "
           f"{summary['redispatched']}; router counters "
           f"{stats['router']}")
     return 0

@@ -33,10 +33,11 @@ A worker holds only what is in flight.  Its table of live specs keeps
 a spec's input and precise value from the spec's first submit until
 the ``done`` of the last of its requests is sent; the requests that
 arrive meanwhile share them, so duplicates make one input and run one
-precise pass.  A repeat that comes later is the router's memo's to
-answer (:class:`~repro.serve.router.FleetRouter`): a worker's own memo
-is off by default (:data:`WORKER_DEFAULTS`), so the router's memo,
-which keeps digests only, is the fleet's one memo.
+precise pass, and each such request's ``done`` reads ``shared``.  A
+repeat that comes later is the router's memo's to answer
+(:class:`~repro.serve.router.FleetRouter`): a worker's own memo is off
+by default (:data:`WORKER_DEFAULTS`), so the router's memo, which
+keeps digests only, is the fleet's one memo.
 
 Results cross the wire as metrics plus a :func:`value_digest` of the
 sealed output — not the output array itself — so conformance tests can
@@ -96,6 +97,7 @@ import dataclasses
 import json
 import math
 import operator
+import resource
 import socket
 import struct
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
@@ -576,8 +578,8 @@ class _LiveSpec:
 
 
 def _done_message(rid: int, result: Any, violations: int | None = None,
-                  digest: Callable[[Any], str] = value_digest
-                  ) -> dict[str, Any]:
+                  digest: Callable[[Any], str] = value_digest,
+                  shared: bool = False) -> dict[str, Any]:
     snr = result.snr_db
     return {
         "op": "done", "rid": rid,
@@ -592,6 +594,9 @@ def _done_message(rid: int, result: Any, violations: int | None = None,
         "interrupted": bool(result.interrupted),
         "coalesced": bool(result.coalesced),
         "memo_hit": bool(result.memo_hit),
+        # its spec was live at its submit: it shared that spec's input
+        # and precise value, if not its run
+        "shared": shared,
         "version": result.snapshot.version,
         "final": bool(result.snapshot.final),
         "preemptions": result.preemptions,
@@ -640,15 +645,16 @@ def worker_main(sock: socket.socket,
     live specs (:class:`_LiveSpec`, counted as ``live_specs`` in its
     ``stats``) from the spec's first submit until the ``done`` of the
     last of the spec's requests in flight is sent — shed, failed and
-    cancelled ones too — and nothing after that.  The process's
-    allocator policy (:func:`~repro.core.memory.keep_freed_pages`) is
-    set before the first input is made.
+    cancelled ones too — and nothing after that.  A request whose spec
+    was live at its submit shares that entry, coalesced or not, and its
+    ``done`` reads ``shared``.  The server's start sets the process's
+    allocator policy (:func:`~repro.core.memory.keep_freed_pages`)
+    before the first input is made, and ``stats`` reports the
+    process's peak resident set as ``rss_peak_mb``.
     """
     from ..apps.registry import get_app
-    from ..core.memory import keep_freed_pages
     from .server import AnytimeServer
 
-    keep_freed_pages()
     cfg = {**WORKER_DEFAULTS, **(config or {})}
     server = AnytimeServer(
         slots=int(cfg["slots"]), queue_limit=int(cfg["queue_limit"]),
@@ -681,7 +687,8 @@ def worker_main(sock: socket.socket,
                 closed.set_result(None)
 
         def send_done(link: FrameProtocol, rid: int, session: Any,
-                      cell: _CheckedRun | None, key: str) -> None:
+                      cell: _CheckedRun | None, key: str,
+                      shared: bool) -> None:
             spec = live[key]
             try:
                 result = session.result(timeout_s=0.0)
@@ -689,7 +696,7 @@ def worker_main(sock: socket.socket,
                                                   spec.metric, spec.digest)
                               if cell is not None else None)
                 link.send(_done_message(rid, result, violations=violations,
-                                        digest=spec.digest))
+                                        digest=spec.digest, shared=shared))
             finally:
                 release(key)
 
@@ -710,7 +717,8 @@ def worker_main(sock: socket.socket,
                     # word for it
                     key = spec_key(msg["app"], msg["size"], msg["seed"])
                     spec = live.get(key)
-                    if spec is None:
+                    shared = spec is not None
+                    if not shared:
                         spec = live[key] = _LiveSpec(
                             get_app(msg["app"]), int(msg["size"]),
                             int(msg["seed"]), calibrator)
@@ -742,11 +750,15 @@ def worker_main(sock: socket.socket,
                 # that is terminal already (shed, memo hit) still reads
                 # ack-then-done on the wire
                 session.add_done_callback(
-                    lambda session: on_done(link, rid, session, cell, key))
+                    lambda session: on_done(link, rid, session, cell, key,
+                                            shared))
             elif op == "stats":
+                # the process's peak resident set; Linux reports KiB
+                rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                 link.send({"op": "stats", "rid": msg["rid"],
                            "stats": {**server.stats(),
-                                     "live_specs": len(live)}})
+                                     "live_specs": len(live),
+                                     "rss_peak_mb": rss_kib / 1024.0}})
             elif op == "shutdown":
                 link.send({"op": "bye"})
                 link.transport.close()

@@ -49,7 +49,8 @@ itself: the router never makes an input):
   worker the key would now land on, including after a death re-placed
   it — without dispatching a run.  Hits are counted (``memo_hits``), traced
   (``fleet.memo_hit``), and marked on the result (``memo_hit`` +
-  ``fleet_memo``).
+  ``fleet_memo``; neither ``coalesced`` nor ``shared``, which name
+  what the worker's answer shared, not the memo's copy of it).
 
 Fleet-wide metrics (:func:`summarize_fleet`, :meth:`aggregate_stats`)
 sum the per-worker serving counters and reduce per-request outcomes to
@@ -77,6 +78,7 @@ import time as _time
 from collections import OrderedDict
 from typing import Any, Callable
 
+from ..core.memory import keep_freed_pages
 from ..core.tracing import TraceEvent, TraceSink
 from .fleet import (MAX_FRAME, WORKER_DEFAULTS, FrameError, FrameProtocol,
                     ckpt_filename, check_frame, spec_key)
@@ -309,6 +311,9 @@ class FleetRouter:
         if self._started:
             raise RuntimeError("router already started")
         self._started = True
+        # before the loop thread starts and the workers fork, which
+        # inherit it
+        keep_freed_pages()
         spawned = [self._spawn(index) for index in range(self.n_workers)]
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self.loop.run_forever,
@@ -437,10 +442,9 @@ class FleetRouter:
             # recently; answer from the router without any dispatch
             self.counters["memo_hits"] += 1
             self._emit("fleet.memo_hit", key=request.key, rid=request.rid)
-            payload = dict(memo)
-            payload["memo_hit"] = True
-            payload["fleet_memo"] = True
-            request._finish(payload)
+            # a memo answer joined no run and shared no live spec
+            request._finish({**memo, "memo_hit": True, "fleet_memo": True,
+                             "coalesced": False, "shared": False})
             return
         link = self._place(request.key)
         if link is None:
@@ -795,6 +799,9 @@ def summarize_fleet(requests: list[FleetRequest],
         "latency_mean_s": mean(latencies),
         "coalesced": sum(1 for r in served if r.get("coalesced")),
         "memo_hits": sum(1 for r in served if r.get("memo_hit")),
+        # a worker answered them from a spec that was live at their
+        # submit, coalesced or not
+        "shared": sum(1 for r in served if r.get("shared")),
         "redispatched": sum(1 for r in results
                             if r.get("redispatches", 0) > 0),
         "slo_attainment": (sum(1 for r in served if r.get("slo_met"))

@@ -77,6 +77,7 @@ from typing import Any, Callable
 from ..core.backends import executor_class, executor_names
 from ..core.buffer import Snapshot
 from ..core.faults import FaultInjector, FaultPolicy
+from ..core.memory import keep_freed_pages
 from ..core.tracing import TraceEvent, TraceSink
 from .digest import ckpt_filename
 from .scheduler import FairSharePolicy, ServePolicy
@@ -240,7 +241,10 @@ class AnytimeServer:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "AnytimeServer":
-        """Start the scheduler thread and begin accepting requests."""
+        """Start the scheduler thread and begin accepting requests.  The
+        process's allocator policy is set first, before any thread of
+        the server's starts."""
+        keep_freed_pages()
         with self._lock:
             if self._thread is not None:
                 raise RuntimeError("server already started")

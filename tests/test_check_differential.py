@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import time
+import types
 
 import numpy as np
 import pytest
@@ -155,6 +157,40 @@ class TestUnpublishedBuffer:
         assert any(m["kind"] == "missing-versions"
                    and "'quiet'" in m["detail"]
                    for m in report.mismatches), report.mismatches
+
+
+class ColdFirstRun:
+    """An app stub whose first run at each size takes ``COLD_S``, as a
+    cold start does, and whose later runs take ``PER_POINT_S`` a
+    point."""
+
+    COLD_S = 0.08
+    PER_POINT_S = 0.001
+
+    def __init__(self):
+        self.sizes_run = []
+
+    def make_input(self, size, seed):
+        return np.zeros(size)
+
+    def build(self, image):
+        def run_threaded(timeout_s):
+            size = len(image)
+            cold = size not in self.sizes_run
+            self.sizes_run.append(size)
+            time.sleep(self.COLD_S if cold else self.PER_POINT_S * size)
+
+        return types.SimpleNamespace(run_threaded=run_threaded)
+
+
+def test_the_serve_leg_sizes_its_input_from_a_warm_run():
+    """A cold first run spans 16 quanta at every size; a warm one only
+    from 64 points on, which is what the leg needs to preempt."""
+    app = ColdFirstRun()
+    image, size = diff_mod._serve_input(app, 8, 0, quantum_s=0.005,
+                                        timeout_s=10.0)
+    assert size == 64 and len(image) == 64
+    assert app.PER_POINT_S * size >= 12 * 0.005
 
 
 @pytest.mark.serve

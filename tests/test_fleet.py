@@ -110,6 +110,9 @@ class TestFleetRoundTrip:
             summary = summarize_fleet(requests)
         assert summary["completed"] == 8
         assert made() == [0, 1], made()
+        # each spec's first request made its input; the other six
+        # shared it, coalesced or not
+        assert summary["shared"] == 6, summary
         if not coalesce:
             assert summary["coalesced"] + summary["memo_hits"] == 0, summary
 
@@ -769,6 +772,31 @@ class TestWorkerMakesEachThingOnce:
             assert set(done) == set(dones[1]) and done["rid"] == rid
 
 
+    def test_requests_that_share_a_live_spec_say_so(
+            self, monkeypatch, tmp_path):
+        """Uncoalesced duplicates run apart, yet the two that find the
+        first one's spec live share its input and precise value, and
+        their ``done`` says so."""
+        from repro.check.fleetdiff import held_reference
+
+        made = count_inputs(monkeypatch, tmp_path, "dwt53")
+        released = tmp_path / "released"
+        with held_reference("dwt53", str(released)), \
+                inproc_worker({"coalesce": False}) as sock:
+            for rid in (1, 2, 3):
+                send_msg(sock, {"op": "submit", "rid": rid,
+                                "app": "dwt53", "size": 64, "seed": 4})
+            for rid in (1, 2, 3):
+                assert recv_op(sock, "ack")["rid"] == rid
+            released.touch()
+            dones = answers(sock, 3)
+        assert made() == [4]
+        assert all(d["state"] == "completed" for d in dones.values())
+        assert [d["coalesced"] for d in dones.values()] == [False] * 3
+        assert {rid: d["shared"] for rid, d in dones.items()} == {
+            1: False, 2: True, 3: True}
+
+
 def weak(value):
     """Weak references to ``value``, or to each value of a dict."""
     values = value.values() if isinstance(value, dict) else (value,)
@@ -831,6 +859,7 @@ class TestWorkerHoldsOnlyWhatIsInFlight:
         assert len(refs) >= 40 * 4
         assert held == [], held
         assert stats["completed"] == 40 and stats["live_specs"] == 0
+        assert stats["rss_peak_mb"] > 0
 
     @pytest.mark.parametrize("how", ["shed", "failed", "raised"])
     def test_a_request_that_ends_unanswered_lets_its_spec_go(
