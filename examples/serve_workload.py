@@ -50,9 +50,10 @@ def main() -> None:
     with AnytimeServer(slots=SLOTS, queue_limit=QUEUE_LIMIT,
                        policy=policy, quantum_s=0.02) as server:
         sessions = run_open_loop(
-            server, lambda i: calib["builder"], REQUESTS,
-            rate_hz=rate, slo=slo,
-            metric=lambda i: calib["metric"], seed=1)
+            lambda i: server.submit(calib["builder"], slo,
+                                    metric=calib["metric"],
+                                    name=f"req-{i}"),
+            REQUESTS, rate_hz=rate, seed=1)
 
         # Watch one request refine while the server churns.
         watched = next(s for s in sessions if not s.done)

@@ -57,7 +57,8 @@ from typing import Any, Callable, Iterator
 
 from ..apps.registry import APP_REGISTRY, get_app
 from ..serve.fleet import value_digest
-from ..serve.router import FleetRouter, summarize_fleet
+from ..serve.router import FleetRouter
+from ..serve.workload import summarize
 from ..serve.transport import spawn_local_tcp_worker
 
 __all__ = ["FleetDifferentialReport", "run_fleet_differential",
@@ -153,31 +154,29 @@ def _reference_digests(app: str, size: int,
             for seed in seeds}
 
 
-def _collect(requests: list[Any]) -> tuple[dict[int, set[str]],
-                                           list[int | None]]:
-    """Per-seed digest sets of *final* completed answers, plus every
-    reported violation count (non-terminal requests skipped — the
-    drain-timeout mismatch already covers them)."""
+def _check_leg(leg: str, reference: dict[int, str], requests: list[Any],
+               summary: dict[str, Any],
+               mismatches: list[dict[str, Any]]) -> dict[str, Any]:
+    """The report of one leg run with ``check`` on; every way it went
+    wrong is appended to ``mismatches``.  It reads each terminal
+    request's outcome (non-terminal ones skipped — the drain-timeout
+    mismatch already covers them): the per-seed digest sets of *final*
+    completed answers, every reported violation count, and whether it
+    shared work (a coalesced request found its spec live, so it reads
+    ``shared``; a router memo answer reads ``memo_hit``)."""
     digests: dict[int, set[str]] = {}
     violations: list[int | None] = []
+    shared = 0
     for request in requests:
         if not request.done:
             continue
         out = request.result(timeout_s=0.0)
         violations.append(out.get("violations"))
+        shared += bool(out.get("shared") or out.get("memo_hit"))
         if out["state"] == "completed" and out.get("final") \
                 and out.get("value_digest"):
             digests.setdefault(request.seed, set()).add(
                 out["value_digest"])
-    return digests, violations
-
-
-def _check_leg(leg: str, reference: dict[int, str],
-               digests: dict[int, set[str]], violations: list[int | None],
-               summary: dict[str, Any],
-               mismatches: list[dict[str, Any]]) -> dict[str, Any]:
-    """The report of one leg run with ``check`` on; every way it went
-    wrong is appended to ``mismatches``."""
     for seed, seen in sorted(digests.items()):
         if len(seen) != 1:
             mismatches.append({"leg": leg, "seed": seed,
@@ -205,8 +204,7 @@ def _check_leg(leg: str, reference: dict[int, str],
         "drained": bool(summary.get("drained")),
         "completed": summary.get("completed"),
         "failed": summary.get("failed"),
-        "shared": (summary.get("coalesced", 0)
-                   + summary.get("memo_hits", 0)),
+        "shared": shared,
         "violations_checked": checked,
         "digests": {str(s): sorted(d)
                     for s, d in sorted(digests.items())},
@@ -238,7 +236,7 @@ def _tcp_leg(specs: list[tuple[str, int, int]], distinct: int,
                 _time.sleep(HOLD_POLL_S)
             open(released, "w").close()
             drained = fleet.drain(timeout_s=drain_timeout_s)
-            summary = summarize_fleet(requests) if drained else {}
+            summary = summarize(requests) if drained else {}
             summary["drained"] = drained
     finally:
         _reap(procs)
@@ -298,9 +296,8 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
     note("leg tcp: 2-worker localhost TCP fleet")
     requests, summary = _tcp_leg(specs, len(seeds), slo, workdir,
                                  timeout_s)
-    digests_tcp, violations = _collect(requests)
-    legs.append(_check_leg("tcp", reference, digests_tcp, violations,
-                           summary, mismatches))
+    legs.append(_check_leg("tcp", reference, requests, summary,
+                           mismatches))
 
     # -- leg 2: kill one TCP worker, require in-band migration -----------
     note("leg migration: SIGKILL one TCP worker mid-run")
@@ -343,14 +340,13 @@ def run_fleet_differential(app: str = "dwt53", size: int = 16,
                 os.kill(procs[victim.index].pid, signal.SIGKILL)
             open(released, "w").close()
             drained = fleet.drain(timeout_s=timeout_s)
-            summary = (summarize_fleet(requests) if drained else {})
+            summary = (summarize(requests) if drained else {})
             summary["drained"] = drained
             counters = dict(fleet.counters)
-            digests_mig, violations = _collect(requests)
     finally:
         _reap(procs)
-    leg = _check_leg("migration", mig_reference, digests_mig,
-                     violations, summary, mismatches)
+    leg = _check_leg("migration", mig_reference, requests, summary,
+                     mismatches)
     if victim is not None and counters.get("migrated", 0) < 1:
         mismatches.append({"leg": "migration",
                            "kind": "no-in-band-migration",

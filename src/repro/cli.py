@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="The Anytime Automaton (ISCA 2016) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
     # a worker knob a command does not take keeps the worker's default
-    parser.set_defaults(quantum_s=None, memo_ttl_s=None, resume_dir=None,
+    parser.set_defaults(quantum_s=None, resume_dir=None,
                         no_coalesce=False, check=False)
 
     # the flags that two or more commands take, each declared once
@@ -277,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="HOST:PORT",
                         help="bind address (default 127.0.0.1:0 — an "
                              "ephemeral port, printed on startup)")
-    worker.add_argument("--memo-ttl-s", type=float,
-                        help="worker-local memo TTL for sealed finals "
-                             "(default: the fleet worker's, "
-                             "repro.serve.fleet.WORKER_DEFAULTS)")
     worker.add_argument("--resume-dir", type=str, default=None,
                         metavar="DIR",
                         help="directory for suspend checkpoints "
@@ -605,64 +601,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _serve_fleet(args: argparse.Namespace, rate: float, deadline_s: float,
                  timeout_s: float) -> int:
-    import random
-    import time
-
-    from .serve.router import FleetRouter, summarize_fleet
+    from .serve import FleetRouter, run_open_loop
 
     slo = {"deadline_s": deadline_s, "target_db": args.target_snr}
     distinct = max(1, args.distinct)
-    rng = random.Random(args.seed)
     with FleetRouter(workers=args.workers,
                      endpoints=args.endpoints or None,
                      worker_config=_worker_config_from_args(args)) as fleet:
-        started = time.monotonic()
-        requests = []
-        for i in range(args.requests):
-            requests.append(fleet.submit(
-                args.app, size=args.size,
-                seed=args.seed + i % distinct, slo=slo,
-                wait_s=args.wait_s))
-            if i + 1 < args.requests:
-                time.sleep(rng.expovariate(rate))
+        requests = run_open_loop(
+            lambda i: fleet.submit(args.app, size=args.size,
+                                   seed=args.seed + i % distinct, slo=slo,
+                                   wait_s=args.wait_s),
+            args.requests, rate, seed=args.seed)
         if not fleet.drain(timeout_s=timeout_s):
             print("error: fleet drain timed out", file=sys.stderr)
             return 1
-        wall_s = time.monotonic() - started
-        summary = summarize_fleet(requests, wall_s=wall_s)
-        stats = fleet.aggregate_stats()
-
-    print(f"\n{'request':<9}{'worker':>7}  {'state':<11}{'latency':>9}"
-          f"{'coal':>6}{'memo':>6}{'SNR (dB)':>10}")
-    for request in requests:
-        r = request.result(timeout_s=0.0)
-        snr = ("inf" if r.get("precise_snr")
-               else "-" if r.get("snr_db") is None
-               else f"{r['snr_db']:.1f}")
-        print(f"r{request.rid:<8}{r['worker']!s:>7}  {r['state']:<11}"
-              f"{r['fleet_latency_s']:>9.3f}"
-              f"{'y' if r.get('coalesced') else '-':>6}"
-              f"{'y' if r.get('memo_hit') else '-':>6}{snr:>10}")
-
-    print(f"\nserved {summary['completed']}/{summary['requests']} "
-          f"(shed {summary['shed']}, failed {summary['failed']}) at "
-          f"{summary['goodput_rps']:.2f} req/s goodput on workers "
-          f"{summary['workers_used']}")
-    print(f"latency p50 {summary['latency_p50_s']:.3f}s  "
-          f"p99 {summary['latency_p99_s']:.3f}s  "
-          f"SLO attainment {summary['slo_attainment']:.0%}")
-    print(f"coalesced {summary['coalesced']}, memo hits "
-          f"{summary['memo_hits']}, shared a live spec "
-          f"{summary['shared']}, re-dispatched "
-          f"{summary['redispatched']}; router counters "
-          f"{stats['router']}")
+        counters = fleet.aggregate_stats()["router"]
+    _print_serving(requests, f"router counters {counters}")
     return 0
 
 
 def _serve_in_process(args: argparse.Namespace, calib: dict[str, Any],
                       rate: float, deadline_s: float,
                       timeout_s: float) -> int:
-    from .serve import SLO, AnytimeServer, summarize, run_open_loop
+    from .serve import SLO, AnytimeServer, run_open_loop
     from .serve.scheduler import FairSharePolicy, MarginalGainPolicy
 
     policy = (MarginalGainPolicy(calib["profile"], calib["baseline_wall_s"])
@@ -673,14 +635,15 @@ def _serve_in_process(args: argparse.Namespace, calib: dict[str, Any],
         slots=args.slots, queue_limit=args.queue_limit,
         executor=args.executor, policy=policy,
         quantum_s=args.quantum_s, trace=sink)
+    slo = SLO(deadline_s=deadline_s, target_db=args.target_snr)
     try:
         with server:
             sessions = run_open_loop(
-                server, lambda i: calib["builder"], args.requests,
-                rate_hz=rate,
-                slo=SLO(deadline_s=deadline_s, target_db=args.target_snr),
-                metric=lambda i: calib["metric"],
-                wait_s=args.wait_s, seed=args.seed)
+                lambda i: server.submit(calib["builder"], slo=slo,
+                                        metric=calib["metric"],
+                                        name=f"req-{i}",
+                                        wait_s=args.wait_s),
+                args.requests, rate, seed=args.seed)
             drained = server.drain(timeout_s=timeout_s)
         if not drained:
             print("error: drain timed out", file=sys.stderr)
@@ -689,34 +652,58 @@ def _serve_in_process(args: argparse.Namespace, calib: dict[str, Any],
         if sink is not None:
             sink.close()
 
-    print(f"\n{'request':<12}{'state':<11}{'latency':>9}{'queued':>9}"
-          f"{'preempt':>8}{'SNR (dB)':>10}")
-    for session in sessions:
-        r = session.result(timeout_s=0.0)
-        snr = ("-" if r.snr_db is None
-               else "inf" if math.isinf(r.snr_db) else f"{r.snr_db:.1f}")
-        print(f"{session.name:<12}{r.state.value:<11}"
-              f"{r.latency_s:>9.3f}{r.queue_s:>9.3f}"
-              f"{r.preemptions:>8}{snr:>10}")
-
-    summary = summarize(sessions)
     stats = server.stats()
+    _print_serving(sessions, f"preemptions {stats['preemptions']}, "
+                             f"resumes {stats['resumes']}")
+    if args.trace is not None:
+        print(f"trace written to {args.trace} ({args.trace_format})")
+    return 0
+
+
+def _print_serving(requests: Sequence[Any], counters: str) -> None:
+    """``repro serve``'s one table and summary block, in-process or
+    over a fleet; ``counters`` names the serving layer's own counts."""
+    from .serve import summarize
+
+    print(f"\n{'request':<9}{'worker':>7}  {'state':<11}{'latency':>9}"
+          f"{'queued':>9}{'preempt':>8}{'coal':>6}{'memo':>6}"
+          f"{'SNR (dB)':>10}")
+    for i, request in enumerate(requests):
+        r = request.outcome()
+        # a request the router failed before any worker answered it
+        # carries its state and errors only
+        snr = ("inf" if r.get("precise_snr")
+               else "-" if r.get("snr_db") is None
+               else f"{r['snr_db']:.1f}")
+        worker = r.get("worker")
+        print(f"r{i:<8}{'-' if worker is None else worker!s:>7}  "
+              f"{r['state']:<11}{r['latency_s']:>9.3f}"
+              f"{r.get('queue_s', math.nan):>9.3f}"
+              f"{r.get('preemptions', 0):>8}"
+              f"{'y' if r.get('coalesced') else '-':>6}"
+              f"{'y' if r.get('memo_hit') else '-':>6}{snr:>10}")
+
+    summary = summarize(requests)
+    workers = summary["workers_used"]
     print(f"\nserved {summary['completed']}/{summary['requests']} "
           f"(shed {summary['shed']}, failed {summary['failed']}) at "
-          f"{summary['throughput_rps']:.2f} req/s goodput")
+          f"{summary['throughput_rps']:.2f} req/s goodput"
+          + (f" on workers {workers}" if workers else ""))
     print(f"latency p50 {summary['latency_p50_s']:.3f}s  "
           f"p99 {summary['latency_p99_s']:.3f}s  "
           f"SLO attainment {summary['slo_attainment']:.0%}")
-    print(f"preemptions {stats['preemptions']}, resumes "
-          f"{stats['resumes']}; {summary['interrupted']} request(s) "
-          f"interrupted, {summary['precise']} reached precise")
+    print(f"queue wait mean {summary['queue_wait_mean_s']:.3f}s, "
+          f"preemptions mean {summary['preemptions_mean']:.2f}; "
+          f"{summary['interrupted']} request(s) interrupted, "
+          f"{summary['precise']} reached precise")
     if summary["interrupted"] and not math.isnan(
             summary["snr_at_interrupt_mean_db"]):
         print(f"mean SNR at interrupt: "
               f"{summary['snr_at_interrupt_mean_db']:.1f} dB")
-    if args.trace is not None:
-        print(f"trace written to {args.trace} ({args.trace_format})")
-    return 0
+    print(f"coalesced {summary['coalesced']}, memo hits "
+          f"{summary['memo_hits']}, shared a live spec "
+          f"{summary['shared']}, re-dispatched "
+          f"{summary['redispatched']}; {counters}")
 
 
 def _worker_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
@@ -725,7 +712,7 @@ def _worker_config_from_args(args: argparse.Namespace) -> dict[str, Any]:
     workers keep their default."""
     config = {"slots": args.slots, "queue_limit": args.queue_limit,
               "executor": args.executor, "quantum_s": args.quantum_s,
-              "memo_ttl_s": args.memo_ttl_s, "resume_dir": args.resume_dir,
+              "resume_dir": args.resume_dir,
               "coalesce": not args.no_coalesce, "check": args.check}
     return {key: value for key, value in config.items()
             if value is not None}

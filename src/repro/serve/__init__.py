@@ -25,14 +25,18 @@ their spec's identity across N worker processes (each one an
 ``AnytimeServer``), where same-key concurrent requests coalesce onto a
 single shared run::
 
-    from repro.serve import FleetRouter, summarize_fleet
+    from repro.serve import FleetRouter, summarize
 
     with FleetRouter(workers=4) as fleet:
         requests = [fleet.submit("2dconv", size=32, seed=i % 4,
                                  slo={"deadline_s": 0.5})
                     for i in range(64)]
         fleet.drain(timeout_s=60.0)
-        print(summarize_fleet(requests))
+        print(summarize(requests))
+
+:func:`~repro.serve.workload.summarize` reduces fleet requests and
+server sessions alike, and :func:`~repro.serve.workload.run_open_loop`
+drives either through a ``submit`` closure.
 
 Every worker is a TCP listener; by default the router forks its own on
 localhost.  Cross-host: launch workers with ``repro serve-worker
@@ -49,7 +53,7 @@ land.
 from .digest import input_digest, request_key
 from .fleet import (FrameError, MAX_FRAME, spec_key, value_digest,
                     worker_main)
-from .router import FleetRequest, FleetRouter, summarize_fleet
+from .router import FleetRequest, FleetRouter
 from .transport import (parse_endpoint, serve_worker_listener,
                         spawn_local_tcp_worker)
 from .scheduler import FairSharePolicy, MarginalGainPolicy, ServePolicy
@@ -61,7 +65,7 @@ from .workload import percentile, run_open_loop, summarize
 __all__ = [
     "AnytimeServer", "shutdown_all_servers",
     "FairSharePolicy", "MarginalGainPolicy", "ServePolicy",
-    "FleetRequest", "FleetRouter", "summarize_fleet",
+    "FleetRequest", "FleetRouter",
     "ServeResult", "Session", "SessionState",
     "SLO",
     "input_digest", "request_key", "spec_key", "value_digest",

@@ -580,33 +580,18 @@ class _LiveSpec:
 def _done_message(rid: int, result: Any, violations: int | None = None,
                   digest: Callable[[Any], str] = value_digest,
                   shared: bool = False) -> dict[str, Any]:
-    snr = result.snr_db
-    return {
-        "op": "done", "rid": rid,
-        "state": result.state.value,
-        "latency_s": result.latency_s,
-        "queue_s": result.queue_s,
-        "snr_db": (snr if snr is not None and math.isfinite(snr)
-                   else None),
-        "precise_snr": bool(snr is not None and math.isinf(snr)
-                            and snr > 0),
-        "slo_met": bool(result.slo_met),
-        "interrupted": bool(result.interrupted),
-        "coalesced": bool(result.coalesced),
-        "memo_hit": bool(result.memo_hit),
+    value = result.snapshot.value
+    msg = result.fields()
+    msg.update(
+        op="done", rid=rid,
         # its spec was live at its submit: it shared that spec's input
         # and precise value, if not its run
-        "shared": shared,
-        "version": result.snapshot.version,
-        "final": bool(result.snapshot.final),
-        "preemptions": result.preemptions,
-        "value_digest": (digest(result.snapshot.value)
-                         if result.snapshot.value is not None else None),
-        "errors": list(result.errors),
+        shared=shared,
+        value_digest=digest(value) if value is not None else None,
         # per-run invariant violations when the worker runs with
         # check=True; None when no run was attached (memo/follower)
-        "violations": violations,
-    }
+        violations=violations)
+    return msg
 
 
 def _checked_violations(cell: _CheckedRun, snapshot: Any, metric: Any,

@@ -52,9 +52,10 @@ itself: the router never makes an input):
   ``fleet_memo``; neither ``coalesced`` nor ``shared``, which name
   what the worker's answer shared, not the memo's copy of it).
 
-Fleet-wide metrics (:func:`summarize_fleet`, :meth:`aggregate_stats`)
-sum the per-worker serving counters and reduce per-request outcomes to
-p50/p99 latency, goodput, shed rate and SLO attainment.
+:meth:`aggregate_stats` sums the per-worker serving counters; a
+request's :meth:`FleetRequest.outcome` is what
+:func:`~repro.serve.workload.summarize` reduces, the same way it
+reduces an in-process session's.
 
 All router I/O and state live on one asyncio loop, on the thread
 :meth:`FleetRouter.start` creates (each link a
@@ -84,9 +85,8 @@ from .fleet import (MAX_FRAME, WORKER_DEFAULTS, FrameError, FrameProtocol,
                     ckpt_filename, check_frame, spec_key)
 from .transport import (connect_worker, parse_endpoint,
                         spawn_local_tcp_worker)
-from .workload import percentile
 
-__all__ = ["FleetRouter", "FleetRequest", "summarize_fleet"]
+__all__ = ["FleetRouter", "FleetRequest"]
 
 _VNODES = 64
 
@@ -168,6 +168,13 @@ class FleetRequest:
                                f"after {timeout_s}s")
         assert self._result is not None
         return self._result
+
+    def outcome(self) -> dict[str, Any]:
+        """The terminal outcome as :func:`~repro.serve.workload.summarize`
+        reads it: :meth:`result`, its ``latency_s`` the latency the
+        client saw (``fleet_latency_s``), not the worker's."""
+        result = self.result(timeout_s=0.0)
+        return {**result, "latency_s": result["fleet_latency_s"]}
 
     def _finish(self, payload: dict[str, Any]) -> None:
         """First outcome wins: a late duplicate ``done`` (e.g. a
@@ -757,55 +764,3 @@ class FleetRouter:
                                  args=args))
         except Exception:
             pass
-
-
-def summarize_fleet(requests: list[FleetRequest],
-                    wall_s: float | None = None) -> dict[str, Any]:
-    """Reduce terminal fleet requests to fleet-wide serving metrics."""
-    import math
-
-    if not requests:
-        raise ValueError("no requests to summarize")
-    results = []
-    for request in requests:
-        if not request.done:
-            raise RuntimeError(f"fleet request {request.rid} is not "
-                               f"terminal; drain the router first")
-        results.append(request.result(timeout_s=0.0))
-    by_state: dict[str, int] = {}
-    for r in results:
-        by_state[r["state"]] = by_state.get(r["state"], 0) + 1
-    served = [r for r in results if r["state"] == "completed"]
-    latencies = [r["fleet_latency_s"] for r in served]
-    if wall_s is None:
-        first = min(request.submitted_at for request in requests)
-        last = max(request.submitted_at + r["fleet_latency_s"]
-                   for request, r in zip(requests, results))
-        wall_s = max(last - first, 1e-9)
-
-    def mean(values: list[float]) -> float:
-        return sum(values) / len(values) if values else math.nan
-
-    return {
-        "requests": len(results),
-        "states": by_state,
-        "completed": len(served),
-        "shed": by_state.get("shed", 0),
-        "failed": by_state.get("failed", 0),
-        "wall_s": wall_s,
-        "goodput_rps": len(served) / wall_s,
-        "latency_p50_s": percentile(latencies, 50),
-        "latency_p99_s": percentile(latencies, 99),
-        "latency_mean_s": mean(latencies),
-        "coalesced": sum(1 for r in served if r.get("coalesced")),
-        "memo_hits": sum(1 for r in served if r.get("memo_hit")),
-        # a worker answered them from a spec that was live at their
-        # submit, coalesced or not
-        "shared": sum(1 for r in served if r.get("shared")),
-        "redispatched": sum(1 for r in results
-                            if r.get("redispatches", 0) > 0),
-        "slo_attainment": (sum(1 for r in served if r.get("slo_met"))
-                           / len(served)) if served else math.nan,
-        "workers_used": sorted({r.get("worker") for r in served
-                                if r.get("worker") is not None}),
-    }

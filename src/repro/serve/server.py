@@ -57,10 +57,11 @@ request.  The tick then fills free slots from the ready pool (queued
 runs that are not held, and preempted ones; policy-ranked, with a
 starvation guard) and preempts past-quantum runners when ready work
 would gain more.  Admission applies backpressure (``submit(wait_s=…)``
-blocks while the queue is full) and sheds what it cannot hold.  Two
+blocks while the queue is full) and sheds what it cannot hold.  Three
 things are fixed rather than settable: a request that brings no fault
-policy degrades (:data:`DEFAULT_FAULTS`), and a stopped run gets
-:data:`GRACE_S` to wind down.
+policy degrades (:data:`DEFAULT_FAULTS`), a stopped run gets
+:data:`GRACE_S` to wind down, and the starvation guard waits
+:data:`STARVATION_QUANTA` quanta.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ DEFAULT_FAULTS = FaultPolicy(on_failure="degrade")
 
 #: how long a harvest waits for a stopped run to wind down
 GRACE_S = 5.0
+
+#: the starvation guard: a ready run older than this many quanta
+#: (``quantum_s``) is granted the next slot whatever the policy ranks
+STARVATION_QUANTA = 50
 
 #: ``AnytimeServer._last_score`` when no score is kept
 _NO_SCORE: tuple[Any, Any, tuple | None, float | None] = (
@@ -139,10 +144,6 @@ class AnytimeServer:
         a quantum may come due.  Submissions, cancels, streams,
         arriving precise values, new versions and ended runs wake it at
         once; with nothing paced it takes no clock wait.
-    starvation_s:
-        Hard fairness override: a ready request older than this is
-        granted the next slot regardless of policy ranking.  Defaults
-        to ``50 * quantum_s``.
     trace:
         Optional :class:`~repro.core.tracing.TraceSink` receiving
         ``server.*`` events (stage = request name) alongside whatever
@@ -174,7 +175,6 @@ class AnytimeServer:
                  policy: ServePolicy | None = None,
                  quantum_s: float = 0.05,
                  tick_s: float = 0.005,
-                 starvation_s: float | None = None,
                  injector: FaultInjector | None = None,
                  trace: TraceSink | None = None,
                  coalesce: bool = True,
@@ -196,8 +196,6 @@ class AnytimeServer:
         self.policy = policy or FairSharePolicy()
         self.quantum_s = quantum_s
         self.tick_s = tick_s
-        self.starvation_s = (starvation_s if starvation_s is not None
-                             else 50.0 * quantum_s)
         self._injector = injector
         self._sink = trace
         if memo_ttl_s < 0:
@@ -635,12 +633,13 @@ class AnytimeServer:
 
     def _fill_slots(self, now: float) -> None:
         free = self.slots - len(self._running())
+        starved_s = STARVATION_QUANTA * self.quantum_s
         while free > 0:
             ready = self._ready()
             if not ready:
                 return
             starving = [run for run in ready
-                        if now - run._ready_since >= self.starvation_s]
+                        if now - run._ready_since >= starved_s]
             if starving:
                 chosen = min(starving, key=lambda run: run._ready_since)
             else:

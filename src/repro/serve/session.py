@@ -41,6 +41,7 @@ and a would-be-shed submission parks in this state instead of dying.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 import time as _time
 from dataclasses import dataclass, field
@@ -99,6 +100,30 @@ class ServeResult:
     memo_hit: bool = False
     #: how many times the run was suspended to a checkpoint and restored
     restores: int = 0
+
+    def fields(self) -> dict[str, Any]:
+        """This outcome as the result fields of a fleet ``done`` frame
+        (:mod:`repro.serve.fleet`), JSON values only: an infinite SNR
+        reads as ``precise_snr`` with ``snr_db`` None, and the snapshot
+        as its ``version`` and ``final``."""
+        snr = self.snr_db
+        return {
+            "state": self.state.value,
+            "latency_s": self.latency_s,
+            "queue_s": self.queue_s,
+            "snr_db": (snr if snr is not None and math.isfinite(snr)
+                       else None),
+            "precise_snr": bool(snr is not None and math.isinf(snr)
+                                and snr > 0),
+            "slo_met": bool(self.slo_met),
+            "interrupted": bool(self.interrupted),
+            "coalesced": bool(self.coalesced),
+            "memo_hit": bool(self.memo_hit),
+            "version": self.snapshot.version,
+            "final": bool(self.snapshot.final),
+            "preemptions": self.preemptions,
+            "errors": list(self.errors),
+        }
 
 
 @dataclass
@@ -236,6 +261,11 @@ class Session:
                 f"{timeout_s}s (state={self.state.value})")
         assert self._result is not None
         return self._result
+
+    def outcome(self) -> dict[str, Any]:
+        """The terminal outcome as :func:`~repro.serve.workload.summarize`
+        reads it: :meth:`ServeResult.fields`."""
+        return self.result(timeout_s=0.0).fields()
 
     # -- scheduler helpers ----------------------------------------------
 

@@ -503,8 +503,10 @@ class TestServerSuspendResume:
             return suspended
 
         monkeypatch.setattr(AnytimeServer, "_suspend", recording)
+        # the starvation guard waits 60 s (6000 quanta of 10 ms): only
+        # the scripted policy grants slots
+        monkeypatch.setattr("repro.serve.server.STARVATION_QUANTA", 6000)
         with AnytimeServer(slots=1, quantum_s=0.01, tick_s=0.002,
-                           starvation_s=60.0,
                            policy=suspend_only("r0", "blocker"),
                            resume_dir=str(tmp_path)) as server:
             sessions = [server.submit(staircase, SLO(deadline_s=120.0),
@@ -542,15 +544,17 @@ class TestServerSuspendResume:
         assert states <= {"completed", "shed"}
 
     def test_suspended_primary_hands_its_run_to_a_live_subscriber(
-            self, tmp_path, suspend_only):
+            self, tmp_path, monkeypatch, suspend_only):
         """A suspended primary whose own deadline passes leaves with the
         snapshot pinned at suspend time; its subscriber inherits the
         checkpoint and runs it to the final, as it would inherit a
         running run, instead of ending with the primary."""
         from repro.serve import SLO, AnytimeServer, SessionState
 
+        # the starvation guard waits 60 s (6000 quanta of 10 ms): only
+        # the scripted policy grants slots
+        monkeypatch.setattr("repro.serve.server.STARVATION_QUANTA", 6000)
         with AnytimeServer(slots=1, quantum_s=0.01, tick_s=0.002,
-                           starvation_s=60.0,
                            policy=suspend_only("a", "blocker"),
                            resume_dir=str(tmp_path)) as server:
             a = server.submit(staircase, SLO(deadline_s=0.3), name="a",
@@ -582,7 +586,8 @@ class TestServerSuspendResume:
 class TestFleetRespawnAndMigration:
     def test_three_worker_fleet_returns_to_three_after_sigkill(
             self, tmp_path):
-        from repro.serve.router import FleetRouter, summarize_fleet
+        from repro.serve.router import FleetRouter
+        from repro.serve.workload import summarize
 
         config = {"slots": 1, "queue_limit": 6, "quantum_s": 0.02}
         with FleetRouter(workers=3, worker_config=config,
@@ -600,7 +605,7 @@ class TestFleetRespawnAndMigration:
                 time.sleep(0.05)
             alive = fleet.alive_workers()
             assert fleet.drain(timeout_s=240.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
             stats = fleet.aggregate_stats()["router"]
         assert alive == 3
         assert stats["worker_deaths"] >= 1
@@ -616,7 +621,8 @@ class TestFleetRespawnAndMigration:
         replacement from the last checkpoint instead of starting over,
         and still finish with a valid answer."""
         from repro.check.fleetdiff import held_reference
-        from repro.serve.router import FleetRouter, summarize_fleet
+        from repro.serve.router import FleetRouter
+        from repro.serve.workload import summarize
 
         config = {"slots": 1, "queue_limit": 6, "quantum_s": 0.02}
         # no reference comes in before the SIGKILL: every run waits for
@@ -651,7 +657,7 @@ class TestFleetRespawnAndMigration:
             os.kill(victim.process.pid, signal.SIGKILL)
             released.touch()
             assert fleet.drain(timeout_s=240.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
             stats = fleet.aggregate_stats()["router"]
             alive = fleet.alive_workers()
         assert alive == 3

@@ -288,8 +288,11 @@ class TestSharedRunState:
         assert _done_message(2, rb)["errors"] == list(ra.errors)
 
     def test_subscriber_of_a_suspended_run_reads_resumable(
-            self, tmp_path, suspend_only):
-        with keyed_server(quantum_s=0.01, starvation_s=60.0,
+            self, tmp_path, monkeypatch, suspend_only):
+        # the starvation guard waits 60 s (6000 quanta of 10 ms): only
+        # the scripted policy grants slots
+        monkeypatch.setattr("repro.serve.server.STARVATION_QUANTA", 6000)
+        with keyed_server(quantum_s=0.01,
                           policy=suspend_only("a", "blocker"),
                           resume_dir=str(tmp_path)) as server:
             a = server.submit(lambda: staircase(sleep_s=0.02),
@@ -311,7 +314,7 @@ class TestSharedRunState:
 
 class TestEveryEndPath:
     @pytest.mark.timeout(180)
-    def test_every_session_ends_exactly_once(self, tmp_path,
+    def test_every_session_ends_exactly_once(self, tmp_path, monkeypatch,
                                              suspend_only):
         """One server drives every way a request can end: follower
         deadline detach, builder failure with a subscriber, cancel of a
@@ -337,7 +340,10 @@ class TestEveryEndPath:
         def slow():
             return staircase(sleep_s=0.02)
 
-        with keyed_server(quantum_s=0.01, starvation_s=60.0,
+        # the starvation guard waits 60 s (6000 quanta of 10 ms): only
+        # the scripted policy grants slots
+        monkeypatch.setattr("repro.serve.server.STARVATION_QUANTA", 6000)
+        with keyed_server(quantum_s=0.01,
                           memo_ttl_s=30.0, resume_dir=str(tmp_path),
                           policy=suspend_only("s", "blocker")) as server:
             submit("d", slow, key="d")

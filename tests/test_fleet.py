@@ -26,7 +26,8 @@ from repro.apps.registry import APP_REGISTRY
 from repro.serve.fleet import (recv_msg, send_msg, spec_key,
                                value_digest, worker_main)
 from repro.serve import router as router_mod
-from repro.serve.router import FleetRouter, summarize_fleet
+from repro.serve.router import FleetRouter
+from repro.serve.workload import run_open_loop, summarize
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(180)]
 
@@ -50,7 +51,7 @@ class TestFleetRoundTrip:
                                              slo=SLO_OK))
                 time.sleep(0.002)
             assert fleet.drain(timeout_s=90.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
         assert summary["completed"] == 20
         assert summary["failed"] == 0
         assert summary["coalesced"] + summary["memo_hits"] > 0
@@ -68,7 +69,7 @@ class TestFleetRoundTrip:
             requests = [fleet.submit("dwt53", size=16, seed=i,
                                      slo=SLO_OK) for i in range(12)]
             assert fleet.drain(timeout_s=90.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
         assert summary["completed"] == 12
         assert len(summary["workers_used"]) == 2
 
@@ -107,7 +108,7 @@ class TestFleetRoundTrip:
                                          slo=SLO_OK) for i in range(8)]
                 time.sleep(0.2)
             assert fleet.drain(timeout_s=90.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
         assert summary["completed"] == 8
         assert made() == [0, 1], made()
         # each spec's first request made its input; the other six
@@ -143,6 +144,92 @@ class TestFleetRoundTrip:
         assert stats["per_worker"] == [None, None]
 
 
+class TestServingReport:
+    """One arrival loop and one summary serve a fleet as they serve a
+    server."""
+
+    def test_open_loop_drives_a_fleet(self):
+        with tiny_fleet(workers=2) as fleet:
+            requests = run_open_loop(
+                lambda i: fleet.submit("dwt53", size=16, seed=i % 3,
+                                       slo=SLO_OK),
+                n_requests=6, rate_hz=200.0, seed=1)
+            assert fleet.drain(timeout_s=90.0)
+        assert [r.seed for r in requests] == [i % 3 for i in range(6)]
+        assert [r.result(0.0)["state"] for r in requests] \
+            == ["completed"] * 6
+
+    @pytest.fixture
+    def stairs(self, monkeypatch, tmp_path):
+        """An app whose ladder climbs one dB a version, 20 ms a
+        version, 50 versions, its precise value held until the test
+        touches the file this yields: a request with a short deadline
+        is interrupted on the ladder."""
+        from repro.check.fleetdiff import held_reference
+        from repro.core.automaton import AnytimeAutomaton
+        from repro.core.buffer import VersionedBuffer
+        from repro.core.iterative import AccuracyLevel, IterativeStage
+
+        def build(image):
+            def level(i):
+                def fn(x):
+                    time.sleep(0.02)
+                    return i + 1
+                return AccuracyLevel(fn, 1.0)
+
+            out = VersionedBuffer("stairs-out")
+            stage = IterativeStage("stairs", out,
+                                   (VersionedBuffer("stairs-in"),),
+                                   [level(i) for i in range(50)])
+            return AnytimeAutomaton([stage], external={"stairs-in": 0})
+
+        monkeypatch.setitem(APP_REGISTRY, "stairs", dataclasses.replace(
+            APP_REGISTRY["dwt53"], name="stairs", build=build,
+            metric=lambda value, reference: float(value),
+            reference_kind="input"))
+        released = tmp_path / "released"
+        with held_reference("stairs", str(released)):
+            yield released
+
+    def test_fleet_summary_reports_the_quality_of_interrupted_requests(
+            self, stairs):
+        with tiny_fleet(workers=2) as fleet:
+            try:
+                requests = [fleet.submit("stairs", size=16, seed=i,
+                                         slo={"deadline_s": 0.4})
+                            for i in range(4)]
+                assert fleet.drain(timeout_s=90.0)
+            finally:
+                stairs.touch()
+            summary = summarize(requests)
+        assert summary["completed"] == 4 and summary["interrupted"] == 4
+        # each left at its deadline with a version of 1 to 50 dB
+        assert 1.0 <= summary["snr_at_interrupt_mean_db"] < 50.0, summary
+        # read from the workers' `done` frames (a NaN fails both)
+        assert summary["preemptions_mean"] >= 0.0
+        assert summary["queue_wait_mean_s"] >= 0.0
+
+    def test_in_process_and_fleet_summaries_have_the_same_keys(self):
+        from repro.apps.registry import get_app
+        from repro.serve import AnytimeServer
+
+        spec = get_app("dwt53")
+        image = spec.make_input(16, 0)
+        with AnytimeServer(slots=2) as server:
+            sessions = [server.submit(lambda: spec.build(image),
+                                      metric=lambda v: 20.0)
+                        for _ in range(2)]
+            assert server.drain(timeout_s=60.0)
+        with tiny_fleet(workers=2) as fleet:
+            requests = [fleet.submit("dwt53", size=16, seed=0,
+                                     slo=SLO_OK) for _ in range(2)]
+            assert fleet.drain(timeout_s=90.0)
+        local, remote = summarize(sessions), summarize(requests)
+        assert set(local) == set(remote)
+        assert set(local["states"]) == set(remote["states"])
+        assert local["completed"] == remote["completed"] == 2
+
+
 class TestRouterDoesNoCompute:
     """The router keys, places and memoises on the spec alone."""
 
@@ -160,7 +247,7 @@ class TestRouterDoesNoCompute:
             requests = [fleet.submit(app, size=16, seed=1, slo=SLO_OK)
                         for app in apps]
             assert fleet.drain(timeout_s=90.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
         assert summary["completed"] == len(apps), summary["states"]
 
     def test_bad_spec_fails_at_the_front_with_no_dispatch(self):
@@ -293,7 +380,7 @@ class TestFailover:
                 for i in range(9)])
             wait_for_deaths(fleet, 1)
             assert fleet.drain(timeout_s=90.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
             survivors = fleet.alive_workers()
         assert summary["failed"] == 0
         assert summary["completed"] == 9
@@ -331,7 +418,7 @@ class TestFailover:
             finally:
                 fleet.loop.call_soon_threadsafe(gate.set)
             assert fleet.drain(timeout_s=90.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
         assert summary["failed"] == 0
         assert summary["completed"] == 6
 
@@ -424,7 +511,7 @@ class TestBackpressure:
             requests = [fleet.submit("dwt53", size=16, seed=i,
                                      slo=SLO_OK) for i in range(12)]
             assert fleet.drain(timeout_s=90.0)
-            summary = summarize_fleet(requests)
+            summary = summarize(requests)
         assert summary["failed"] == 0
         assert summary["completed"] + summary["shed"] == 12
         # every terminal shed was first retried on the other worker

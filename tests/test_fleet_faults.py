@@ -23,7 +23,8 @@ import time
 import pytest
 
 from repro.check.fleetdiff import held_reference
-from repro.serve.router import FleetRouter, summarize_fleet
+from repro.serve.router import FleetRouter
+from repro.serve.workload import summarize
 from repro.serve.transport import spawn_local_tcp_worker
 
 pytestmark = [pytest.mark.serve, pytest.mark.faults,
@@ -106,7 +107,7 @@ class TestTcpWorkerSigkill:
                 os.kill(procs[victim.index].pid, signal.SIGKILL)
                 released.touch()
                 assert fleet.drain(timeout_s=240.0)
-                summary = summarize_fleet(requests)
+                summary = summarize(requests)
                 stats = fleet.aggregate_stats()["router"]
                 alive = fleet.alive_workers()
         finally:
@@ -162,7 +163,7 @@ class TestConnectionDrop:
                 assert victim is not None, "no in-flight work to orphan"
                 victim.sock.shutdown(socket.SHUT_RDWR)
                 assert fleet.drain(timeout_s=120.0)
-                summary = summarize_fleet(requests)
+                summary = summarize(requests)
                 stats = fleet.aggregate_stats()["router"]
             # the severed worker notices EOF and exits cleanly — it was
             # never signalled, so any non-zero exit would be a crash
@@ -291,15 +292,33 @@ class TestFleetDifferentialVerdict:
     """What ``repro check --fleet`` counts as a pass, without a fleet."""
 
     REFERENCE = {0: "d0", 1: "d1"}
-    DIGESTS = {0: {"d0"}, 1: {"d1"}}
     DRAINED = {"drained": True, "completed": 8, "failed": 0}
 
-    def verdict(self, violations):
+    class Answered:
+        """A terminal fleet request: seed ``i % 2``, answered with that
+        seed's reference digest and the given outcome fields."""
+
+        done = True
+
+        def __init__(self, i, **fields):
+            self.seed = i % 2
+            self.outcome = {"state": "completed", "final": True,
+                            "value_digest": f"d{self.seed}", **fields}
+
+        def result(self, timeout_s=None):
+            return self.outcome
+
+    def verdict(self, violations, shared=()):
+        """The tcp leg's report on requests with these ``violations``,
+        those at the indices in ``shared`` answered from a live spec."""
         from repro.check.fleetdiff import _check_leg
 
         mismatches = []
-        leg = _check_leg("tcp", self.REFERENCE, self.DIGESTS, violations,
-                         self.DRAINED, mismatches)
+        requests = [self.Answered(i, violations=v, shared=i in shared,
+                                  coalesced=False, memo_hit=False)
+                    for i, v in enumerate(violations)]
+        leg = _check_leg("tcp", self.REFERENCE, requests, self.DRAINED,
+                         mismatches)
         return leg, mismatches
 
     def test_a_leg_answered_before_every_launch_is_a_mismatch(self):
@@ -316,6 +335,12 @@ class TestFleetDifferentialVerdict:
     def test_a_violation_is_a_mismatch(self):
         _, mismatches = self.verdict([0, 2] + [None] * 6)
         assert [m["kind"] for m in mismatches] == ["violations"]
+
+    def test_shared_counts_requests_that_shared_a_live_spec(self):
+        """A duplicate that found its spec live without joining a run
+        reads ``shared`` only, and still counts as shared work."""
+        leg, mismatches = self.verdict([0] + [None] * 7, shared=(1, 2))
+        assert leg["shared"] == 2 and mismatches == []
 
     @pytest.mark.parametrize("app", ["dwt53", "2dconv"])
     def test_held_reference_holds_every_kind_of_precise_pass(

@@ -29,8 +29,8 @@ from repro.serve.aiofront import AioFleetClient, AioFrontend
 from repro.serve import fleet
 from repro.serve.fleet import (FrameError, FrameProtocol, MAX_FRAME,
                                recv_msg, send_msg)
-from repro.serve.router import (FleetRequest, FleetRouter,
-                                summarize_fleet)
+from repro.serve.router import FleetRequest, FleetRouter
+from repro.serve.workload import summarize
 from repro.serve.transport import (parse_endpoint,
                                    spawn_local_tcp_worker)
 
@@ -280,7 +280,7 @@ class TestTransportEquivalence:
         requests = [fleet.submit(app, size=size, seed=seed, slo=SLO_OK)
                     for app, size, seed in self.SPECS]
         assert fleet.drain(timeout_s=90.0)
-        summary = summarize_fleet(requests)
+        summary = summarize(requests)
         assert summary["completed"] == len(self.SPECS)
         assert summary["failed"] == 0
         return _digest_map(requests)

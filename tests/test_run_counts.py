@@ -59,11 +59,14 @@ def test_subscriber_reports_its_runs_preemptions():
     assert ra.preemptions + rr.preemptions == stats["preemptions"]
 
 
-def test_subscriber_reports_its_runs_restores(tmp_path, suspend_only):
+def test_subscriber_reports_its_runs_restores(tmp_path, monkeypatch,
+                                              suspend_only):
     """A run suspended to disk and restored once: a subscriber that
     joined while it was on disk reports the suspend and the restore."""
+    # the starvation guard waits 60 s (6000 quanta of 10 ms): only the
+    # scripted policy grants slots
+    monkeypatch.setattr("repro.serve.server.STARVATION_QUANTA", 6000)
     with AnytimeServer(slots=1, quantum_s=0.01, tick_s=0.002,
-                       starvation_s=60.0,
                        policy=suspend_only("a", "blocker"),
                        resume_dir=str(tmp_path)) as server:
         a = server.submit(staircase, SLO(deadline_s=60.0), name="a",

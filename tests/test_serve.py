@@ -367,15 +367,16 @@ class TestSchedulerInvariants:
             assert result.state is SessionState.COMPLETED
             assert result.snapshot.value == 6
 
-    def test_biased_policy_rescued_by_starvation_guard(self):
+    def test_biased_policy_rescued_by_starvation_guard(self, monkeypatch):
         class NeverVictor(ServePolicy):
             """Always ranks the session named 'victim' last."""
             def rank_ready(self, ready, now):
                 return sorted(ready, key=lambda s: (s.name == "victim",
                                                     s._ready_since))
 
+        # the guard rescues a run ready for 0.1 s (10 quanta of 10 ms)
+        monkeypatch.setattr("repro.serve.server.STARVATION_QUANTA", 10)
         with AnytimeServer(slots=1, queue_limit=10, quantum_s=0.01,
-                           starvation_s=0.1,
                            policy=NeverVictor()) as server:
             victim = server.submit(lambda: slow_automaton(levels=4),
                                    name="victim")
@@ -533,11 +534,29 @@ class TestWorkload:
     def test_open_loop_is_reproducible_and_ordered(self):
         with AnytimeServer(slots=2, queue_limit=8) as server:
             sessions = run_open_loop(
-                server, lambda i: lambda: slow_automaton(levels=3),
+                lambda i: server.submit(lambda: slow_automaton(levels=3),
+                                        name=f"req-{i}"),
                 n_requests=5, rate_hz=500.0, seed=42)
             assert server.drain(timeout_s=30.0)
         assert [s.name for s in sessions] \
             == [f"req-{i}" for i in range(5)]
+
+    def test_open_loop_gaps_are_the_seeds_exponential_draws(
+            self, monkeypatch):
+        """``submit(i)`` in order, one seeded exponential gap between
+        consecutive calls and none after the last."""
+        import random
+        import types
+
+        from repro.serve import workload
+
+        gaps = []
+        monkeypatch.setattr(workload, "_time",
+                            types.SimpleNamespace(sleep=gaps.append))
+        assert run_open_loop(lambda i: 10 * i, 5, 8.0, seed=3) \
+            == [0, 10, 20, 30, 40]
+        rng = random.Random(3)
+        assert gaps == [rng.expovariate(8.0) for _ in range(4)]
 
 
 # ---------------------------------------------------------------------
@@ -550,9 +569,11 @@ class TestAcceptance:
         with AnytimeServer(slots=4, queue_limit=6,
                            quantum_s=0.01) as server:
             sessions = run_open_loop(
-                server, lambda i: lambda: slow_automaton(levels=8),
-                n_requests=n, rate_hz=400.0,
-                slo=SLO(deadline_s=5.0), metric=value_metric, seed=7)
+                lambda i: server.submit(lambda: slow_automaton(levels=8),
+                                        SLO(deadline_s=5.0),
+                                        metric=value_metric,
+                                        name=f"req-{i}"),
+                n_requests=n, rate_hz=400.0, seed=7)
             assert server.drain(timeout_s=120.0)
 
         assert len(sessions) == n
