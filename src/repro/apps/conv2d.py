@@ -26,6 +26,7 @@ from ..anytime.precision import quantize_to_bits
 from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.mapstage import MapStage
+from ..data.images import row_blocks
 from ..hw.sram import flip_bits
 from .stencil import FactoredPadded, edge_padder
 
@@ -134,9 +135,11 @@ class _Filter:
         self.total = int(weights.sum())
         self.factors = _factors(weights)
 
-    def padded(self, image: np.ndarray) -> FactoredPadded:
-        """``image`` padded for this kernel, with its column cache."""
-        return FactoredPadded(image, self.radius, self.factors)
+    def padded(self, image: np.ndarray,
+               rows: slice | None = None) -> FactoredPadded:
+        """``image``, or the slab of its ``rows``, padded for this
+        kernel, with its column cache."""
+        return FactoredPadded(image, self.radius, self.factors, rows)
 
     def _normalise(self, acc: np.ndarray) -> np.ndarray:
         return ((acc + self.total // 2) // self.total).astype(np.uint8)
@@ -160,14 +163,20 @@ def conv2d_precise(image: np.ndarray,
     """Reference blur of the whole image, equal to
     ``conv2d_elements(np.arange(image.size), image, kernel)``.
 
-    It is the element kernel on the whole image as one stride-1 coset:
-    the factors run over whole columns and slices.  Integer sums do not
-    depend on their order, so every output pixel is the same integer
-    the per-pixel gather computes.
+    It is the element kernel on row slabs of the image
+    (:func:`~repro.data.images.row_blocks`), each padded by the kernel's
+    radius of its neighbouring rows and read as one stride-1 coset: the
+    factors run over whole slab columns and slices.  Integer sums do
+    not depend on their order or grouping, so every output pixel is the
+    same integer the per-pixel gather computes.
     """
     image = np.asarray(image)
-    return np.ascontiguousarray(
-        conv2d_elements(Coset.whole(image.shape), image, kernel))
+    conv = _Filter(kernel)
+    out = np.empty(image.shape, dtype=np.uint8)
+    for rows in row_blocks(*image.shape):
+        slab = conv.padded(image, rows)
+        out[rows] = conv.at(slab, Coset.whole((slab.height, slab.width)))
+    return out
 
 
 def build_conv2d_automaton(image: np.ndarray,

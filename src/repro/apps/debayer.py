@@ -21,6 +21,7 @@ from ..anytime.permutations import Permutation, TreePermutation
 from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.mapstage import MapStage
+from ..data.images import row_blocks
 from .stencil import EdgePadded, edge_padder
 
 __all__ = ["debayer_elements", "debayer_precise",
@@ -120,10 +121,21 @@ def debayer_elements(indices: Coset | np.ndarray,
 def debayer_precise(mosaic: np.ndarray) -> np.ndarray:
     """Reference full-image demosaic, equal to
     ``debayer_elements(np.arange(mosaic.size), mosaic)``: the element
-    kernel on the whole image as one stride-1 coset, whose four parity
-    classes are its four stride-2 cosets."""
+    kernel on row slabs of the mosaic, each padded by its neighbouring
+    rows and read as one stride-1 coset, whose four parity classes are
+    its four stride-2 cosets.  The kernel works on one class at a
+    time, so a slab holds a block
+    (:func:`~repro.data.images.row_blocks`) of each class: row pairs
+    counted as rows of half the mosaic's width.  A slab starts on an
+    even row, so its rows' parities are the mosaic's."""
     mosaic = np.asarray(mosaic)
-    return debayer_elements(Coset.whole(mosaic.shape), mosaic)
+    height, width = mosaic.shape
+    out = np.empty(mosaic.shape + (3,), dtype=np.uint8)
+    for pairs in row_blocks((height + 1) // 2, (width + 1) // 2):
+        rows = slice(2 * pairs.start, min(2 * pairs.stop, height))
+        slab = EdgePadded(mosaic, 1, np.int16, rows)
+        out[rows] = _demosaic(slab, Coset.whole((slab.height, width)))
+    return out
 
 
 def build_debayer_automaton(mosaic: np.ndarray, chunks: int = 32,

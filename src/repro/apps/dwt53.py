@@ -25,6 +25,7 @@ from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.iterative import AccuracyLevel, IterativeStage
 from ..core.stage import access_penalty
+from ..data.images import row_blocks
 
 __all__ = ["dwt53_rows", "idwt53_rows", "dwt53_forward", "dwt53_inverse",
            "dwt53_perforated", "PerforatedDWTStage",
@@ -78,15 +79,7 @@ def idwt53_rows(coeffs: np.ndarray) -> np.ndarray:
 def dwt53_forward(image: np.ndarray, levels: int = 1) -> np.ndarray:
     """2-D separable 5/3 transform: rows then columns, ``levels`` deep
     (each level transforms the top-left approximation quadrant)."""
-    coeffs = np.asarray(image, dtype=np.int64).copy()
-    h, w = coeffs.shape
-    for _ in range(levels):
-        sub = coeffs[:h, :w]
-        sub[:] = dwt53_rows(sub)
-        sub[:] = dwt53_rows(sub.T).T
-        h //= 2
-        w //= 2
-    return coeffs
+    return dwt53_perforated(image, 1, levels)
 
 
 def dwt53_inverse(coeffs: np.ndarray, levels: int = 1) -> np.ndarray:
@@ -157,6 +150,17 @@ def _perforate_lines(data: np.ndarray, stride: int) -> np.ndarray:
     return processed[owner]
 
 
+def _perforate_in_place(data: np.ndarray, stride: int) -> None:
+    """:func:`_perforate_lines` written back into ``data``.  Rows are
+    transformed one by one, so the precise stride lifts a block of rows
+    at a time (:func:`~repro.data.images.row_blocks`)."""
+    if stride > 1:
+        data[:] = _perforate_lines(data, stride)
+        return
+    for rows in row_blocks(*data.shape):
+        data[rows] = dwt53_rows(data[rows])
+
+
 def dwt53_perforated(image: np.ndarray, stride: int,
                      levels: int = 1) -> np.ndarray:
     """Forward transform with loop perforation at ``stride``.
@@ -165,12 +169,12 @@ def dwt53_perforated(image: np.ndarray, stride: int,
     column (transpose) pass — the paper's "loop perforation when
     processing and transposing pixels".  ``stride=1`` is precise.
     """
-    coeffs = np.asarray(image, dtype=np.int64).copy()
+    coeffs = np.array(image, dtype=np.int64)
     h, w = coeffs.shape
     for _ in range(levels):
         sub = coeffs[:h, :w]
-        sub[:] = _perforate_lines(sub, stride)
-        sub[:] = _perforate_lines(sub.T, stride).T
+        _perforate_in_place(sub, stride)
+        _perforate_in_place(sub.T, stride)
         h //= 2
         w //= 2
     return coeffs

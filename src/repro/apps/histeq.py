@@ -24,6 +24,7 @@ from ..core.buffer import VersionedBuffer
 from ..core.mapstage import MapStage
 from ..core.reduction import ReductionStage
 from ..core.stage import PreciseStage
+from ..data.images import row_blocks
 
 __all__ = ["histogram", "lut_from_cdf", "equalization_lut",
            "histeq_precise", "build_histeq_automaton"]
@@ -32,10 +33,13 @@ _BINS = 256
 
 
 def histogram(image: np.ndarray) -> np.ndarray:
-    """256-bin intensity histogram (float counts)."""
-    image = np.asarray(image)
-    return np.bincount(image.reshape(-1).astype(np.int64),
-                       minlength=_BINS).astype(np.float64)
+    """256-bin intensity histogram (float counts) of a uint8 image,
+    counted a block of pixels at a time."""
+    pixels = np.asarray(image, dtype=np.uint8).reshape(-1)
+    counts = np.zeros(_BINS, dtype=np.int64)
+    for block in row_blocks(len(pixels), 1):
+        counts += np.bincount(pixels[block], minlength=_BINS)
+    return counts.astype(np.float64)
 
 
 def lut_from_cdf(cdf: np.ndarray) -> np.ndarray:

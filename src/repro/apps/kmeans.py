@@ -23,7 +23,7 @@ extension beyond the paper's single pass).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..core.automaton import AnytimeAutomaton
 from ..core.buffer import VersionedBuffer
 from ..core.diffusive import DiffusiveStage
 from ..core.stage import PreciseStage
-from ..data.images import nearest_centre
+from ..data.images import nearest_centre, row_blocks
 
 __all__ = ["initial_centroids", "assign_pixels", "kmeans_precise",
            "kmeans_clustered", "build_kmeans_automaton",
@@ -46,46 +46,123 @@ def initial_centroids(image: np.ndarray, k: int) -> np.ndarray:
 
     Pixels are ranked by luma; centroid ``j`` is the mean colour of
     quantile band ``j`` — spread across the image's colour range without
-    randomness, so runs are reproducible.
+    randomness, so runs are reproducible.  The pixels are ``uint8``.
+
+    The bands and their sums are found in passes over blocks of pixels
+    (:func:`_luma_bands`); a band's colour sum is an integer histogram
+    of its pixels, so ``sum / count`` is the band's mean to the last
+    bit, as summing the pixels in any order would give it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    flat = np.asarray(image, dtype=np.float64).reshape(-1, 3)
-    luma = flat @ np.array([0.299, 0.587, 0.114])
-    band = _luma_bands(luma, k)
-    counts = np.bincount(band, minlength=k)
-    # the pixels are whole numbers (callers pass uint8 images), so they
-    # sum exactly in any order and sum / count is the band's mean to
-    # the last bit
-    sums = _sums(flat, band, k)
+    pixels = _pixels(image)
+    histograms = np.zeros((3, k * 256), dtype=np.int64)
+    for block, band in _luma_bands(lambda: _lumas(pixels), len(pixels),
+                                   k):
+        _add_histograms(histograms, band, pixels[block])
+    sums, counts = _sums_and_counts(histograms, k)
     return np.where(counts[:, None] > 0,
                     sums / np.maximum(counts, 1)[:, None], 128.0)
 
 
-def _luma_bands(luma: np.ndarray, k: int) -> np.ndarray:
-    """Band of each pixel when the pixels, ranked by luma with ties in
-    index order (a stable sort), are split into ``k`` contiguous bands
-    as :func:`numpy.array_split` splits them.
+def _pixels(image: np.ndarray) -> np.ndarray:
+    """``image``'s ``uint8`` pixels as an ``(n, 3)`` list."""
+    image = np.asarray(image)
+    if image.dtype != np.uint8:
+        raise TypeError(f"kmeans takes uint8 pixels, got {image.dtype}")
+    return image.reshape(-1, 3)
 
-    One sort finds the luma at every band border (``np.partition`` with
-    several borders reads the same order statistics four times slower).
-    A pixel is past a border when it is brighter, or when it is tied
-    with the border's luma and its index order among the tied pixels
-    reaches the border.
+
+#: an RGB pixel's luma weights
+_LUMA = np.array([0.299, 0.587, 0.114])
+
+#: luma buckets per unit of luma: a uint8 pixel's luma is below 256
+_BUCKETS_PER_UNIT = 64
+
+
+def _lumas(pixels: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(block, luma)`` over the blocks of ``(n, 3)`` uint8 pixels:
+    the float64 luma of each, the bits of one product over them all.
+
+    Every row of a matrix-vector product rounds alike, but a one-row
+    product takes another path: a block of one pixel is computed with
+    a pixel beside it.
     """
-    n = luma.size
+    for block in row_blocks(len(pixels), 1):
+        start = max(min(block.start, len(pixels) - 2), 0)
+        stop = max(block.stop, start + 2)
+        luma = pixels[start:stop].astype(np.float64) @ _LUMA
+        yield block, luma[block.start - start:block.stop - start]
+
+
+def _bucket(luma: np.ndarray) -> np.ndarray:
+    """The bucket of each luma: monotone in the luma."""
+    return (luma * _BUCKETS_PER_UNIT).astype(np.intp)
+
+
+def _luma_bands(lumas: Callable[[], Iterator[tuple[slice, np.ndarray]]],
+                n: int, k: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(block, band)`` over the blocks ``lumas()`` yields with the
+    lumas, below 256, of ``n`` pixels: the band of each pixel when the
+    pixels, ranked by luma with ties in index order (a stable sort),
+    are split into ``k`` contiguous bands as :func:`numpy.array_split`
+    splits them.
+
+    A pixel is past a border when it is brighter than the luma at the
+    border's rank, or tied with it and its index order among the tied
+    pixels reaches the border (:func:`_border_marks`).  This pass
+    counts each border's tied pixels across blocks.
+    """
+    marks = _border_marks(lumas, n, k)
+    seen = [0] * len(marks)
+    dtype = np.min_scalar_type(k - 1)
+    for block, luma in lumas():
+        band = np.zeros(len(luma), dtype=dtype)
+        for j, (value, quota) in enumerate(marks):
+            band += luma > value
+            tied = np.flatnonzero(luma == value)
+            band[tied[max(quota - seen[j], 0):]] += 1
+            seen[j] += len(tied)
+        yield block, band
+
+
+def _border_marks(lumas: Callable[[], Iterator[tuple[slice, np.ndarray]]],
+                  n: int, k: int) -> list[tuple[float, int]]:
+    """``(luma, quota)`` of each band border: the luma at the border's
+    rank, and how many of the pixels of that luma lie below the border.
+
+    Two passes and no sort of the image: a histogram of luma buckets
+    places each border in a bucket, then the distinct lumas of those
+    buckets, with their counts, place it at a luma.
+    """
     sizes = np.full(k, n // k)
     sizes[:n % k] += 1
     borders = np.cumsum(sizes)[:-1]
     borders = borders[borders < n]
-    band = np.zeros(n, dtype=np.intp)
-    for border, value in zip(borders, np.sort(luma)[borders]):
-        past = luma > value
-        tied = np.flatnonzero(luma == value)
-        below = n - tied.size - np.count_nonzero(past)
-        past[tied[border - below:]] = True
-        band += past
-    return band
+    counts = np.zeros(256 * _BUCKETS_PER_UNIT, dtype=np.int64)
+    for _, luma in lumas():
+        counts += np.bincount(_bucket(luma), minlength=len(counts))
+    ends = np.cumsum(counts)
+    wanted = np.zeros(len(counts), dtype=bool)
+    wanted[np.searchsorted(ends, borders, side="right")] = True
+    # the distinct lumas of the wanted buckets, ascending, and how many
+    # pixels have each
+    values, tally = np.empty(0), np.empty(0, dtype=np.int64)
+    for _, luma in lumas():
+        more, times = np.unique(luma[wanted[_bucket(luma)]],
+                                return_counts=True)
+        values, inverse = np.unique(np.concatenate([values, more]),
+                                    return_inverse=True)
+        tally = np.bincount(inverse, np.concatenate([tally, times]),
+                            len(values)).astype(np.int64)
+    # pixels below each distinct luma: those below its bucket, and those
+    # of its bucket's smaller lumas
+    owner = _bucket(values)
+    before = np.cumsum(tally) - tally
+    below = (ends[owner] - counts[owner] + before
+             - before[np.searchsorted(owner, owner)])
+    at = np.searchsorted(below, borders, side="right") - 1
+    return list(zip(values[at], borders - below[at]))
 
 
 def assign_pixels(pixels: np.ndarray,
@@ -112,6 +189,28 @@ def _sums(pixels: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.stack([np.bincount(labels, weights=pixels[:, ch],
                                  minlength=k)
                      for ch in range(pixels.shape[1])], axis=1)
+
+
+def _add_histograms(histograms: np.ndarray, labels: np.ndarray,
+                    pixels: np.ndarray) -> None:
+    """Count each ``(label, value)`` pair of ``(n, channels)`` uint8
+    ``pixels`` into ``histograms``, one ``k * 256`` int64 row per
+    channel, at ``label * 256 + value``."""
+    base = labels.astype(np.intp)
+    base *= 256
+    for ch, row in enumerate(histograms):
+        row += np.bincount(base + pixels[:, ch], minlength=len(row))
+
+
+def _sums_and_counts(histograms: np.ndarray,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label colour sums, ``(k, channels)`` float64, and pixel
+    counts from :func:`_add_histograms`' tallies.  The sums are exact
+    integers, so they are the bits any order of adding the pixels
+    gives."""
+    per_label = histograms.reshape(len(histograms), k, 256)
+    sums = (per_label @ np.arange(256, dtype=np.int64)).T
+    return sums.astype(np.float64), per_label[0].sum(axis=1)
 
 
 class KMeansAssignStage(DiffusiveStage):
@@ -206,16 +305,26 @@ def _reduce_and_recolour(partial: dict[str, Any]) -> dict[str, Any]:
 
     Empty clusters keep the centroid the assignment pass used.
     """
-    counts = partial["counts"].astype(np.float64)
-    safe = np.maximum(counts, 1.0)[:, None]
-    fresh = partial["sums"] / safe
-    prev = np.asarray(partial["centroids_in"], dtype=np.float64)
-    centroids = np.where(partial["counts"][:, None] > 0, fresh, prev)
-    palette = np.clip(centroids, 0, 255).astype(np.uint8)
+    centroids = _updated(partial["sums"], partial["counts"],
+                         partial["centroids_in"])
     return {"centroids": centroids,
             # labels are always in [0, k): "clip" skips the bounds check
-            "image": np.take(palette, partial["assign"], axis=0,
-                             mode="clip")}
+            "image": np.take(_palette(centroids), partial["assign"],
+                             axis=0, mode="clip")}
+
+
+def _updated(sums: np.ndarray, counts: np.ndarray,
+             prev: np.ndarray) -> np.ndarray:
+    """The centroids a pass's sums and counts make; an empty cluster
+    keeps ``prev``, the centroid the pass assigned with."""
+    safe = np.maximum(counts.astype(np.float64), 1.0)[:, None]
+    return np.where(counts[:, None] > 0, sums / safe,
+                    np.asarray(prev, dtype=np.float64))
+
+
+def _palette(centroids: np.ndarray) -> np.ndarray:
+    """The uint8 colour each cluster is painted."""
+    return np.clip(centroids, 0, 255).astype(np.uint8)
 
 
 def clustered_image_metric(value: dict[str, Any],
@@ -232,32 +341,36 @@ def clustered_image_metric(value: dict[str, Any],
     return snr_db(value["image"], reference)
 
 
-#: pixels per :func:`assign_pixels` call in :func:`kmeans_clustered`
-_ASSIGN_BLOCK = 16384
-
-
 def kmeans_clustered(image: np.ndarray, k: int = 6,
                      epochs: int = 1) -> dict[str, Any]:
     """The automaton's precise output: stage 2's ``{"centroids",
-    "image"}`` after ``epochs`` whole-image passes, bit for bit."""
+    "image"}`` after ``epochs`` whole-image passes, bit for bit.
+
+    Each pass assigns the pixels a block at a time (assignment is pixel
+    by pixel, so blocks give the same labels) and tallies each label's
+    colours as integer histograms; the labels are kept in the smallest
+    integer type that holds ``k``, and the image is painted from them
+    a block at a time.
+    """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     image = np.asarray(image, dtype=np.uint8)
     centroids = initial_centroids(image, k)
     pixels = image.reshape(-1, 3)
+    labels = np.empty(len(pixels), dtype=np.min_scalar_type(k - 1))
     for _ in range(epochs):
-        # assign_pixels is pixel by pixel, so blocks give the same
-        # labels; a block's few float64 planes stay in cache
-        labels = np.concatenate([
-            assign_pixels(pixels[i:i + _ASSIGN_BLOCK], centroids)
-            for i in range(0, max(len(pixels), 1), _ASSIGN_BLOCK)])
-        clustered = _reduce_and_recolour({
-            "assign": labels.reshape(image.shape[:2]),
-            "sums": _sums(pixels, labels, k),
-            "counts": np.bincount(labels, minlength=k),
-            "centroids_in": centroids})
-        centroids = clustered["centroids"]
-    return clustered
+        histograms = np.zeros((3, k * 256), dtype=np.int64)
+        for block in row_blocks(len(pixels), 1):
+            labels[block] = assign_pixels(pixels[block], centroids)
+            _add_histograms(histograms, labels[block], pixels[block])
+        centroids = _updated(*_sums_and_counts(histograms, k), centroids)
+    palette = _palette(centroids)
+    clustered = np.empty(image.shape, dtype=np.uint8)
+    painted = clustered.reshape(-1, 3)
+    for block in row_blocks(len(pixels), 1):
+        np.take(palette, labels[block], axis=0, mode="clip",
+                out=painted[block])
+    return {"centroids": centroids, "image": clustered}
 
 
 def kmeans_precise(image: np.ndarray, k: int = 6,

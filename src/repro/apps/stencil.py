@@ -15,6 +15,12 @@ each pixel's own position, and is gathered.
 debayer's :class:`EdgePadded` image is kept row by row, as its output
 is, so a coset's planes are written out in their own memory order.
 
+A padded image may be a *slab*: a run of the source's rows, padded
+above and below by the source rows around it (replicated only past the
+source's own edges).  Its samples are the slab's rows, so the
+whole-image references run the same kernels a slab at a time, and
+what they allocate beyond their output is one slab's planes.
+
 A filter that is a sum of ``outer(col, row)`` integer factors runs in
 two passes: a horizontal one with ``row`` and a vertical one with
 ``col``.  The horizontal pass at a column depends on nothing but that
@@ -125,12 +131,33 @@ class _GatherReader(Reader):
 class _Padded:
     """What the :func:`edge_padder` memo keys on: the source image,
     held weakly, so the memo does not keep a zero-copy input view alive
-    past its producer's shared memory."""
+    past its producer's shared memory.
 
-    def __init__(self, image: np.ndarray, radius: int) -> None:
+    :attr:`slab` (every row by default) is the source rows padded: a
+    sample's row ``r`` is source row ``slab.start + r``.
+    """
+
+    def __init__(self, image: np.ndarray, radius: int,
+                 rows: slice | None = None) -> None:
         self.source = weakref.ref(image)
         self.radius = radius
-        self.height, self.width = image.shape
+        self.slab = rows or slice(0, image.shape[0])
+        self.height = self.slab.stop - self.slab.start
+        self.width = image.shape[1]
+
+    def _plane(self, image: np.ndarray) -> np.ndarray:
+        """The padded plane: :attr:`slab` of ``image`` with the
+        ``radius`` source rows around them, clamped at the source's
+        edges, and every row's edge columns replicated."""
+        r, width = self.radius, self.width
+        around = np.clip(np.arange(self.slab.start - r,
+                                   self.slab.stop + r),
+                         0, image.shape[0] - 1)
+        plane = np.empty((len(around), width + 2 * r), dtype=image.dtype)
+        plane[:, r:r + width] = image[around]
+        plane[:, :r] = plane[:, r:r + 1]
+        plane[:, r + width:] = plane[:, r + width - 1:r + width]
+        return plane
 
     def reader(self, samples: Coset | np.ndarray) -> Reader:
         """A :class:`Reader` of a sample set of the source image."""
@@ -143,12 +170,14 @@ class EdgePadded(_Padded):
     for the kernel's sums."""
 
     def __init__(self, image: np.ndarray, radius: int,
-                 dtype: np.dtype | type | None = None) -> None:
+                 dtype: np.dtype | type | None = None,
+                 rows: slice | None = None) -> None:
         image = np.asarray(image)
-        super().__init__(image, radius)
-        #: padded row ``r`` is source row ``r - radius``, clamped
-        self.rows = np.pad(image, radius, mode="edge").astype(
-            dtype or image.dtype, copy=False)
+        super().__init__(image, radius, rows)
+        #: padded row ``r`` is source row ``slab.start + r - radius``,
+        #: clamped
+        self.rows = self._plane(image).astype(dtype or image.dtype,
+                                              copy=False)
 
 
 class FactoredPadded(_Padded):
@@ -161,15 +190,16 @@ class FactoredPadded(_Padded):
     """
 
     def __init__(self, image: np.ndarray, radius: int,
-                 factors: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+                 factors: Sequence[tuple[np.ndarray, np.ndarray]],
+                 rows: slice | None = None) -> None:
         image = np.asarray(image)
-        super().__init__(image, radius)
+        super().__init__(image, radius, rows)
         #: flat distance between neighbouring padded columns
         self.stride = self.height + 2 * radius
         #: ``columns[c]`` is padded column ``c``: source column
-        #: ``c - radius``, clamped, over every padded row
-        self.columns = np.ascontiguousarray(
-            np.pad(image, radius, mode="edge").T, dtype=np.int64)
+        #: ``c - radius``, clamped, over every padded row of the slab
+        self.columns = np.ascontiguousarray(self._plane(image).T,
+                                            dtype=np.int64)
         self.factors = [(np.asarray(col, dtype=np.int64),
                          np.asarray(row, dtype=np.int64))
                         for col, row in factors]

@@ -26,6 +26,12 @@ import numpy as np
 __all__ = ["input_digest", "request_key", "ckpt_filename", "value_digest"]
 
 
+def _raw(arr: np.ndarray) -> np.ndarray:
+    """A C-contiguous array's own bytes, as a flat uint8 view: the bytes
+    ``tobytes()`` copies out, read where they lie."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def _feed_params(h: "hashlib._Hash", params: dict[str, Any]) -> None:
     for name in sorted(params):
         value = params[name]
@@ -48,7 +54,7 @@ def input_digest(app: str, data: Any = None, **params: Any) -> str:
     if data is not None:
         arr = np.ascontiguousarray(np.asarray(data))
         h.update(f"|dtype={arr.dtype.str}|shape={arr.shape}".encode())
-        h.update(arr.tobytes())
+        h.update(_raw(arr))
     _feed_params(h, params)
     return h.hexdigest()
 
@@ -96,7 +102,7 @@ def value_digest(value: Any) -> str:
                 h.update(repr(v).encode())
             else:
                 h.update(f"|{arr.dtype.str}{arr.shape}".encode())
-                h.update(arr.tobytes())
+                h.update(_raw(arr))
 
     feed(value)
     return h.hexdigest()

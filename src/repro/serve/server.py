@@ -357,6 +357,9 @@ class AnytimeServer:
         when the request is answered by the memo or joins a run another
         request launched.
         """
+        if metric is not None and not callable(metric):
+            raise TypeError(f"metric must be callable or None, got "
+                            f"{type(metric).__name__}")
         slo = slo or SLO()
         on_ready = getattr(metric, "on_ready", None)
         if on_ready is not None:

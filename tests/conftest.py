@@ -218,6 +218,18 @@ def batch(monkeypatch):
 
 
 @pytest.fixture()
+def blocks(monkeypatch):
+    """Sets the pixels of one block of every blocked step
+    (:data:`repro.data.images.BLOCK`) for the test, with an empty scene
+    memo (before and after), so the scenes it uses are made in them."""
+    from repro.data import images
+
+    images._kept_scene.cache_clear()
+    yield lambda pixels: monkeypatch.setattr(images, "BLOCK", pixels)
+    images._kept_scene.cache_clear()
+
+
+@pytest.fixture()
 def scene_makes(monkeypatch):
     """An empty scene memo (:mod:`repro.data.images`), and the
     ``(size, seed)`` of every scene made while the test runs, in this

@@ -53,7 +53,9 @@ class TestInitialCentroids:
             order = np.argsort(luma, kind="stable")
             for band, part in enumerate(np.array_split(order, k)):
                 ranked[part] = band
-            bands = _luma_bands(luma, k)
+            blocks = [slice(i, i + 1000) for i in range(0, n, 1000)]
+            bands = np.concatenate([band for _, band in _luma_bands(
+                lambda: ((b, luma[b]) for b in blocks), n, k)])
             assert np.array_equal(bands, partitioned)
             assert np.array_equal(bands, ranked)
 

@@ -239,6 +239,17 @@ def test_generators_equal_their_grid_oracles(size, seed, clusters, angle):
                  _clustered_oracle(size, seed=seed, clusters=clusters))
 
 
+@pytest.mark.parametrize("pixels", [1, 200])
+def test_generators_equal_their_grid_oracles_in_small_blocks(pixels,
+                                                             blocks):
+    """Blocks of one row, or of a few rows at every side below 200:
+    every image of two rows or more crosses a block boundary, and with
+    it the blur's one-row halo, a coarse texture row and a draw of
+    noise."""
+    blocks(pixels)
+    test_generators_equal_their_grid_oracles()
+
+
 # -- the kept scene --------------------------------------------------------
 
 #: today's generator per app, as the grid oracles above make it

@@ -24,6 +24,8 @@ from repro.apps.conv2d import (blur_kernel, build_conv2d_automaton,
                                conv2d_elements, conv2d_precise)
 from repro.apps.debayer import (build_debayer_automaton, debayer_elements,
                                 debayer_precise)
+from repro.apps.dwt53 import dwt53_perforated, dwt53_rows
+from repro.apps.histeq import histogram
 from repro.apps.kmeans import (_luma_bands, _sums, assign_pixels,
                                initial_centroids, kmeans_precise)
 from repro.apps.registry import get_app
@@ -501,9 +503,15 @@ TIED = np.array([[141, 123, 105], [216, 78, 140]], dtype=np.uint8)
        k=st.integers(1, 70))
 @settings(max_examples=100, deadline=None)
 def test_luma_bands_equal_stable_argsort(luma, k):
-    """Tie-heavy lumas, and more bands than pixels."""
+    """Tie-heavy lumas, and more bands than pixels, in blocks of one,
+    of seven and of every pixel (ties are counted across blocks)."""
     luma = np.array(luma, dtype=np.float64)
-    assert np.array_equal(_luma_bands(luma, k), _bands_oracle(luma, k))
+    for step in (1, 7, len(luma)):
+        blocks = [slice(i, i + step) for i in range(0, len(luma), step)]
+        bands = [band for _, band in _luma_bands(
+            lambda: ((b, luma[b]) for b in blocks), len(luma), k)]
+        assert np.array_equal(np.concatenate(bands),
+                              _bands_oracle(luma, k))
 
 
 @given(picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
@@ -556,3 +564,38 @@ def test_kmeans_precise_equals_whole_image_assignment(size, k, epochs):
     image = get_app("kmeans").make_input(size, 4)
     assert np.array_equal(kmeans_precise(image, k, epochs),
                           _kmeans_precise_oracle(image, k, epochs))
+
+
+# -- the whole-image references in small blocks ---------------------------
+
+def _dwt53_precise_oracle(image):
+    """One level of lifting over every row, then every column, each a
+    whole-array pass."""
+    rows = dwt53_rows(image.astype(np.int64))
+    return dwt53_rows(rows.T).T
+
+
+@pytest.mark.parametrize("pixels", [1, 37])
+def test_whole_image_references_in_small_blocks(pixels, blocks):
+    """The references' oracles again, in slabs of one row or a few and
+    kmeans blocks of one pixel or 37: every slab reads its neighbouring
+    rows as its halo (four rows for the 9x9 blur), so a halo a row
+    short or long fails, and every border count and tie crosses
+    blocks."""
+    blocks(pixels)
+    for kernel in (blur_kernel(3), blur_kernel(9), NOT_SEPARABLE):
+        for shape in [(1, 1), (7, 7), (5, 12), (12, 5), (40, 33)]:
+            test_conv2d_precise_equals_per_pixel_kernel(shape, kernel)
+    test_conv2d_precise_any_integer_kernel()
+    for shape in [(1, 1), (2, 3), (7, 7), (6, 8), (63, 65)]:
+        test_debayer_precise_equals_per_pixel_kernel(shape)
+    for size, k, epochs in [(1, 6, 1), (24, 6, 1), (31, 7, 2)]:
+        test_kmeans_precise_equals_whole_image_assignment(size, k, epochs)
+    for k in (1, 6, 7, 37):
+        test_initial_centroids_ties_at_a_band_border(k)
+    test_initial_centroids_equal_stable_argsort()
+    image = get_app("dwt53").make_input(30, 2)
+    assert np.array_equal(dwt53_perforated(image, 1),
+                          _dwt53_precise_oracle(image))
+    assert np.array_equal(histogram(image),
+                          np.bincount(image.reshape(-1), minlength=256))

@@ -168,6 +168,13 @@ class TestLifecycle:
         assert result.snr_db == float(LEVELS)
         assert result.slo_met and not result.interrupted
 
+    def test_a_metric_that_is_not_callable_is_refused_at_submit(self):
+        with AnytimeServer(slots=1, queue_limit=4) as server:
+            with pytest.raises(TypeError, match="metric"):
+                server.submit(slow_automaton, SLO(deadline_s=5.0),
+                              metric=3.0)
+            assert server.counters["submitted"] == 0
+
     def test_cancel_leaves_sealed_valid_snapshot(self):
         with AnytimeServer(slots=1, queue_limit=4) as server:
             session = server.submit(
